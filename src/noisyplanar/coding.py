@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,7 +104,7 @@ class RepetitionScheme:
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a (..., L) 0/1 array into (..., ceil(L/64)) uint64 words."""
-    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    bits = np.atleast_2d(np.ascontiguousarray(bits, dtype=np.uint8))
     n, length = bits.shape
     padded = 64 * math.ceil(length / 64)
     if padded != length:
@@ -115,6 +116,11 @@ def _popcount_rows(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1).astype(np.int64)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class BlockCode:
     """Seeded random linear block code with nearest-codeword (ML) decoding.
 
@@ -123,6 +129,10 @@ class BlockCode:
     the all-zero message maps to the all-zero codeword.  Decoding returns the
     message whose codeword minimizes Hamming distance to the received word,
     ties broken toward the smaller message value.
+
+    The codebook is held once, bit-packed (row m is the codeword of message
+    m), together with its rows' order by weight.  All arrays are read-only,
+    so one instance can be shared by every trial that uses the same code.
     """
 
     def __init__(self, msg_bits: int, block_len: int | None = None, seed: int = 0):
@@ -137,24 +147,37 @@ class BlockCode:
         rng = np.random.default_rng(seed)
         gen = rng.integers(0, 2, size=(block_len, msg_bits), dtype=np.uint8)
         gen[:msg_bits] = np.eye(msg_bits, dtype=np.uint8)
-        self.generator = gen
-        # Full codebook: message m (bits LSB-first) -> codeword row m.
-        msgs = ((np.arange(2**msg_bits)[:, None] >> np.arange(msg_bits)[None, :]) & 1).astype(
-            np.uint8
+        self.generator = _read_only(gen)
+        # By linearity, row 2^i + m is row m XOR the codeword of message 2^i,
+        # which is generator column i; doubling fills the codebook in k steps.
+        columns = _pack_bits(gen.T)
+        packed = np.zeros((2**msg_bits, columns.shape[1]), dtype=np.uint64)
+        for i, column in enumerate(columns):
+            half = 1 << i
+            np.bitwise_xor(packed[:half], column, out=packed[half : 2 * half])
+        self._packed = _read_only(packed)
+        weights = _popcount_rows(packed).astype(np.min_scalar_type(block_len))
+        # Minimum nonzero codeword weight (= minimum distance, by linearity).
+        self.min_distance = int(weights[1:].min())
+        # Messages sorted by codeword weight; the first _weight_ends[w] of them
+        # are exactly the codewords of weight <= w.  Small unsigned weights
+        # let the stable sort run as a radix sort.
+        self._by_weight = _read_only(np.argsort(weights, kind="stable"))
+        self._weight_ends = _read_only(
+            np.cumsum(np.bincount(weights, minlength=block_len + 1))
         )
-        self.codebook = (msgs @ gen.T) % 2
-        self._packed = _pack_bits(self.codebook)
-        self._weights = _popcount_rows(self._packed)
 
-    @property
-    def min_distance(self) -> int:
-        """Minimum nonzero codeword weight (= minimum distance, by linearity)."""
-        return int(self._weights[1:].min())
+    @cached_property
+    def codebook(self) -> np.ndarray:
+        """Unpacked codebook, (2^msg_bits, block_len) 0/1 bytes, built on first use."""
+        words = self._packed.view(np.uint8)
+        return _read_only(np.unpackbits(words, axis=1, count=self.block_len))
 
     def encode(self, msg: int) -> np.ndarray:
         if not (0 <= msg < 2**self.msg_bits):
             raise ValueError(f"message {msg} outside [0, 2^{self.msg_bits})")
-        return self.codebook[msg].copy()
+        bits = (msg >> np.arange(self.msg_bits)) & 1
+        return np.bitwise_xor.reduce(self.generator[:, bits.astype(bool)], axis=1)
 
     def decode(self, word: np.ndarray) -> int:
         word = np.asarray(word, dtype=np.uint8)
@@ -181,11 +204,18 @@ class BlockCode:
         """Whether ML decoding of encode(true_msg) under each flip mask yields
         each receiver's candidate message.
 
-        Exact shortcut: if the received word is strictly closer to the true
-        codeword than to the candidate's, the argmin cannot be the candidate,
-        so only the remaining receivers need the full codebook search.
-        Equivalent to per-receiver ``decode`` (property-tested), but fast for
-        the common case.
+        Exact, without a full codebook search.  A received word r = c ^ e,
+        with c the true codeword and d = wt(e), lies at distance wt(e ^ x)
+        >= wt(x) - d from the codeword c ^ x.  So:
+
+        * if r is strictly closer to c than to the candidate's codeword, the
+          decode is not the candidate;
+        * if 2d < min_distance, c is the unique nearest codeword;
+        * otherwise every codeword at least as close as c has wt(x) <= 2d, so
+          scanning that prefix of the weight-sorted codebook finds the
+          nearest distance, and the smallest message true_msg ^ msg(x) at it.
+
+        Equivalent to per-receiver ``decode``, ties included (property-tested).
         """
         flip_masks = np.atleast_2d(np.asarray(flip_masks, dtype=np.uint8))
         candidates = np.asarray(candidates, dtype=np.int64)
@@ -194,16 +224,25 @@ class BlockCode:
         diff = self._packed[candidates] ^ self._packed[true_msg]
         d_cand = _popcount_rows(packed_err ^ diff)
 
-        believes = np.zeros(len(candidates), dtype=bool)
-        # Clean reception of one's own codeword decodes to it (distance 0 is unique).
-        exact = (d_true == 0) & (candidates == true_msg)
-        believes[exact] = True
-        unresolved = ~exact & ~(d_true < d_cand)
-        if unresolved.any():
-            idx = np.flatnonzero(unresolved)
-            received = self.codebook[true_msg][None, :] ^ flip_masks[idx]
-            believes[idx] = self.decode_batch(received) == candidates[idx]
-        return believes
+        # The ML decode of every row that could decode to its candidate; rows
+        # strictly closer to c than to their candidate keep true_msg, which
+        # differs from their candidate.
+        decoded = np.full(len(candidates), true_msg, dtype=np.int64)
+        search = np.flatnonzero((d_true >= d_cand) & (2 * d_true >= self.min_distance))
+        if len(search):
+            # Codewords past one row's bound are farther than c for that row,
+            # so one prefix long enough for the noisiest row serves them all.
+            bound = min(2 * int(d_true[search].max()), self.block_len)
+            near = self._by_weight[: self._weight_ends[bound]]
+            near_words = self._packed[near]
+            msgs = true_msg ^ near
+            step = max(1, 2**22 // len(near))
+            for lo in range(0, len(search), step):
+                rows = search[lo : lo + step]
+                d = np.bitwise_count(packed_err[rows, None, :] ^ near_words[None]).sum(axis=2)
+                nearest = d == d.min(axis=1, keepdims=True)
+                decoded[rows] = np.where(nearest, msgs, 2**self.msg_bits).min(axis=1)
+        return decoded == candidates
 
 
 class TreeCode:

@@ -291,8 +291,11 @@ def distribute_result(
     root toward its deepest cell, r3 repetitions per link with majority
     decoding.  Every center then broadcasts the bit r2 times inside its cell
     and members majority-decode, for (cell_count - 1) * r3 + cell_count * r2
-    transmissions in total.
+    transmissions in total.  Only a bit can be relayed: any other value
+    raises ValueError.
     """
+    if value not in (0, 1):
+        raise ValueError(f"distribute_result relays one bit, got value {value!r}")
     down: dict[int, int] = {tree.sink_cell: int(value)}
     for stage in reversed(plan.stages):
         stage_slots = 0

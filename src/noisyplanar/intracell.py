@@ -45,6 +45,21 @@ __all__ = [
 ]
 
 
+_ID_CODE_CACHE: dict[tuple[int, int | None, int], BlockCode] = {}
+
+
+def _id_code_for(msg_bits: int, block_len: int | None, seed: int) -> BlockCode:
+    """The identity code for these parameters, built once per process.
+
+    The code is immutable (its arrays are read-only), so every trial and
+    sweep point with the same parameters shares one instance.
+    """
+    key = (msg_bits, block_len, seed)
+    if key not in _ID_CODE_CACHE:
+        _ID_CODE_CACHE[key] = BlockCode(msg_bits, block_len, seed=seed)
+    return _ID_CODE_CACHE[key]
+
+
 @dataclass(frozen=True)
 class Stage1Config:
     """Intra-cell constants: repeat counts, miss budget, and the identity code."""
@@ -76,14 +91,16 @@ class Stage1Config:
         """Derive defaults for an n-node network and check the discovery budget.
 
         r2 defaults to the smallest odd integer >= 3 ln n; the identity code
-        carries ceil(log2 n) message bits at rate 1/4.  Construction fails if
-        c_rep repetitions cannot keep the per-member majority-flip probability
-        within the witness-miss budget at the given eps0.
+        carries ceil(log2 n) message bits at rate 1/4 and is shared by every
+        call with the same message bits, block length and code seed.
+        Construction fails if c_rep repetitions cannot keep the per-member
+        majority-flip probability within the witness-miss budget at the given
+        eps0.
         """
         if r2 is None:
             r2 = smallest_odd_at_least(3.0 * math.log(n))
         msg_bits = max(1, math.ceil(math.log2(n)))
-        code = BlockCode(msg_bits, block_len, seed=code_seed)
+        code = _id_code_for(msg_bits, block_len, code_seed)
         cfg = cls(eps1=eps1, c_rep=c_rep, r2=r2, id_code=code)
         miss = RepetitionScheme(c_rep).error_bound(eps0)
         if miss > eps1:

@@ -128,20 +128,52 @@ class TestBlockCode:
         with pytest.raises(ValueError):
             code.encode(16)
 
-    @pytest.mark.parametrize("rate", [0.02, 0.1, 0.3])
-    def test_decode_equals_agrees_with_literal_decode(self, rate):
-        # The shortcut path must reproduce per-receiver ML decoding exactly.
-        code = BlockCode(4, 16, seed=BLOCK_FIXTURE_SEED)
+    @pytest.mark.parametrize(
+        "msg_bits, block_len, seed, rate",
+        [pytest.param(4, 16, BLOCK_FIXTURE_SEED, r, id=str(r)) for r in (0.02, 0.1, 0.3)]
+        + [pytest.param(12, 70, 404, r, id=f"two-words-{r}") for r in (0.02, 0.1, 0.2, 0.3)],
+    )
+    def test_decode_equals_agrees_with_literal_decode(self, msg_bits, block_len, seed, rate):
+        # The shortcuts and the weight-bounded search must reproduce
+        # per-receiver ML decoding exactly, ties included.  Candidates are
+        # random messages, the true message, and each receiver's own decode.
+        code = BlockCode(msg_bits, block_len, seed=seed)
         rng = np.random.default_rng(31)
-        for true_msg in (0, 5, 15):
-            flips = (rng.random((40, 16)) < rate).astype(np.uint8)
-            candidates = rng.integers(0, 16, 40)
-            got = code.decode_equals(true_msg, flips, candidates)
+        for true_msg in (0, 5, 2**msg_bits - 1):
+            flips = (rng.random((40, block_len)) < rate).astype(np.uint8)
+            random_candidates = rng.integers(0, 2**msg_bits, 40)
             cw = code.encode(true_msg)
-            want = np.array(
-                [code.decode(cw ^ f) == c for f, c in zip(flips, candidates)]
-            )
-            assert np.array_equal(got, want)
+            decoded = np.array([code.decode(cw ^ f) for f in flips])
+            for candidates in (random_candidates, np.full(40, true_msg), decoded):
+                got = code.decode_equals(true_msg, flips, candidates)
+                assert np.array_equal(got, decoded == candidates)
+
+    def test_decode_equals_ties_at_the_search_bound(self):
+        # A received word c ^ e with e half the support of a codeword x of
+        # weight 2 * wt(e) lies as close to c ^ x as to c, the farthest tie
+        # the weight-bounded search must still scan.  With x's top message bit
+        # set in true_msg, the tie breaks toward true_msg ^ x.
+        code = BlockCode(12, 70, seed=404)
+        weights = code.codebook.sum(axis=1)
+        even = np.flatnonzero((weights % 2 == 0) & (weights > 0))
+        x = int(even[np.argmin(weights[even])])
+        e = np.zeros(code.block_len, dtype=np.uint8)
+        support = np.flatnonzero(code.codebook[x])
+        e[support[: len(support) // 2]] = 1
+        true_msg = 1 << (x.bit_length() - 1)
+        assert code.decode(code.encode(true_msg) ^ e) == true_msg ^ x
+        got = code.decode_equals(true_msg, e[None, :], np.array([true_msg ^ x]))
+        assert got.tolist() == [True]
+        got = code.decode_equals(true_msg, e[None, :], np.array([true_msg]))
+        assert got.tolist() == [False]
+
+    @pytest.mark.parametrize("msg_bits, block_len", [(6, 24), (8, 130)], ids=["one-word", "two-words"])
+    def test_codebook_is_the_literal_product(self, msg_bits, block_len):
+        code = BlockCode(msg_bits, block_len, seed=404)
+        msgs = (np.arange(2**msg_bits)[:, None] >> np.arange(msg_bits)[None, :]) & 1
+        assert np.array_equal(code.codebook, (msgs @ code.generator.T) % 2)
+        for m in (0, 1, 2**msg_bits - 1):
+            assert np.array_equal(code.encode(m), code.codebook[m])
 
     def test_network_scale_code_failure_rate(self):
         # The n=5000 identity code (13 message bits, 52-bit blocks) under

@@ -394,3 +394,15 @@ class TestDistributeResult:
             )
             wrong += int((got != 1).sum())
         assert wrong == 0
+
+    @pytest.mark.parametrize("value", [2, 984])
+    def test_non_bit_values_are_rejected(self, value):
+        # A hist count is not a bit: it must not overflow or collapse to 0/1.
+        inst, params, grid, tree, channel = sampled_world(800, 9)
+        plan = build_substages(tree, params)
+        cfg = LinkSimConfig(mode="repetition", r3=9)
+        with pytest.raises(ValueError, match=str(value)):
+            distribute_result(
+                tree, plan, value, cfg, r2=15, channel=channel, grid=grid, params=params
+            )
+        assert channel.metrics.tx_distribute == 0

@@ -81,6 +81,19 @@ class TestStage1Config:
         with pytest.raises(ValueError):
             Stage1Config.for_network(1000, 0.0, c_rep=8)
 
+    def test_identity_code_is_shared_and_read_only(self):
+        # One code per (message bits, block length, seed), shared by every
+        # trial: no trial may be able to alter it for the next.
+        first = Stage1Config.for_network(5000, 0.1, block_len=60, code_seed=7)
+        second = Stage1Config.for_network(5000, 0.05, block_len=60, code_seed=7)
+        code = first.id_code
+        assert second.id_code is code
+        assert Stage1Config.for_network(5000, 0.1, block_len=60, code_seed=8).id_code is not code
+        for array in (code.generator, code._packed, code.codebook):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] ^= 1
+
 
 class TestWitnessDiscovery:
     def test_noiseless_picks_least_id_holding_one(self):
