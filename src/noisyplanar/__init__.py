@@ -80,6 +80,7 @@ from .intercell import (
     run_substage_hist,
     run_substage_max,
     serial_add_step,
+    stage2_cost,
 )
 from .intracell import (
     Stage1Config,
@@ -88,6 +89,7 @@ from .intracell import (
     distribute_identity,
     run_stage1_hist,
     run_stage1_max,
+    stage1_layout,
     witness_discovery,
 )
 from .oracle import oracle

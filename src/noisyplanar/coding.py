@@ -417,6 +417,24 @@ class LinkSimConfig:
     def guarantee(self) -> SimGuarantee:
         return SimGuarantee(gamma=self.gamma, k_rs=self.k_rs)
 
+    @property
+    def symbol_bits(self) -> int:
+        """Bit-slots one tree-code symbol occupies."""
+        return self.alphabet.bit_length() - 1
+
+    def treecode_depth(self, rounds: int) -> int:
+        """Tree depth for a rounds-round protocol: the rounds plus as much of
+        the pad as the decoding cap leaves room for.
+
+        Raises CapacityError when the rounds alone exceed the cap.
+        """
+        if rounds > self.d_max:
+            raise CapacityError(
+                f"tree-code simulation of a {rounds}-round protocol exceeds the "
+                f"decoding cap {self.d_max}; shorten the arrays or use another mode"
+            )
+        return rounds + min(self.treecode_pad, self.d_max - rounds)
+
 
 @dataclass(frozen=True)
 class LineResult:
@@ -505,14 +523,9 @@ def _simulate_treecode(
     channel: Channel,
     link_endpoints,
 ) -> LineResult:
-    if protocol.rounds > config.d_max:
-        raise CapacityError(
-            f"tree-code simulation of a {protocol.rounds}-round protocol exceeds the "
-            f"decoding cap {config.d_max}; shorten the arrays or use another mode"
-        )
-    depth = protocol.rounds + min(config.treecode_pad, config.d_max - protocol.rounds)
+    depth = config.treecode_depth(protocol.rounds)
     tree = _tree_for(depth, config.alphabet, config.treecode_seed)
-    sym_bits = config.alphabet.bit_length() - 1
+    sym_bits = config.symbol_bits
 
     links = protocol.q - 1
     sent_paths: list[list[int]] = [[] for _ in range(links)]
@@ -549,7 +562,8 @@ def _simulate_treecode(
                 beliefs[i] = list(sent_paths[i])
             else:
                 beliefs[i] = list(tree.decode(received[i], depth_cap=config.d_max))
-        channel.slot_cursor += sym_bits
+        # The round's forward symbols, then its reserved reverse-direction bits.
+        channel.slot_cursor += 2 * sym_bits
 
     values = []
     payloads = []

@@ -15,7 +15,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .channel import (
     resolve_slot,
 )
 from .coding import CapacityError
-from .config import ConfigError, ExperimentConfig
+from .config import BIT_SOURCES, MODES, PROTOCOLS, ConfigError, ExperimentConfig
 from .geometry import (
     CellGrid,
     DerivedParams,
@@ -41,8 +43,8 @@ from .geometry import (
     derive_params,
     place_nodes,
 )
-from .intercell import build_substages, count_bits_for, run_stage2_hist, run_stage2_max
-from .intracell import Stage1Config, run_stage1_hist, run_stage1_max
+from .intercell import build_substages, run_stage2_hist, run_stage2_max, stage2_cost
+from .intracell import Stage1Config, run_stage1_hist, run_stage1_max, stage1_layout
 from .oracle import oracle
 
 __all__ = [
@@ -322,45 +324,6 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _aux_stage2_costs(run: TrialRun) -> tuple[int, int]:
-    """Repetition-mode stage-2 slots and histogram stage-2 transmissions.
-
-    Both protocols' stage-2 costs are data-independent accounting, so the
-    sweep measures them on the already-built world with auxiliary noise
-    streams, whatever the main protocol was.
-    """
-    cfg = run.config
-    rep_cfg = replace(run.link_config, mode="repetition")
-    if cfg.protocol == "max" and cfg.mode == "repetition":
-        rep_slots = run.metrics.slots_stage2
-    else:
-        ch = Channel(
-            instance=run.instance,
-            params=run.params,
-            noise=NoiseModel(cfg.eps0),
-            rng=np.random.default_rng(run.aux_seeds[0]),
-            metrics=Metrics(),
-        )
-        values = run.stage1.values or {j: 0 for j in run.stage1.counts}
-        run_stage2_max(run.plan, values, rep_cfg, ch, run.grid, run.params, run.tree)
-        rep_slots = ch.metrics.slots_stage2
-
-    if cfg.protocol == "hist":
-        hist_tx = run.metrics.tx_stage2
-    else:
-        ch = Channel(
-            instance=run.instance,
-            params=run.params,
-            noise=NoiseModel(cfg.eps0),
-            rng=np.random.default_rng(run.aux_seeds[1]),
-            metrics=Metrics(),
-        )
-        counts = {c.index: 0 for c in run.grid}
-        run_stage2_hist(run.plan, counts, run.link_config, ch, run.grid, run.params, run.tree)
-        hist_tx = ch.metrics.tx_stage2
-    return rep_slots, hist_tx
-
-
 def sweep(config: ExperimentConfig) -> SweepReport:
     """Measure cost scaling across the configured n values.
 
@@ -368,6 +331,8 @@ def sweep(config: ExperimentConfig) -> SweepReport:
     the mean total transmissions, slots, and stage-1 energy normalized by
     their expected growth laws, plus the repetition-mode stage-2 time and
     histogram stage-2 transmissions; band_ratios holds max/min per column.
+    Those two columns come from the closed-form stage-2 accounting of each
+    trial's world, whatever the protocol and mode under test.
     """
     ns = sorted(config.n)
     if len(ns) < 3 or max(ns) < 8 * min(ns):
@@ -380,9 +345,15 @@ def sweep(config: ExperimentConfig) -> SweepReport:
         for t in range(config.trials):
             run = run_trial(config, n, t)
             rows.append(_trial_row(run))
-            rep_slots, hist_tx = _aux_stage2_costs(run)
-            rep_slots_all.append(rep_slots)
-            hist_tx_all.append(hist_tx)
+            rep_link = replace(run.link_config, mode="repetition")
+            rep_slots_all.append(stage2_cost(run.plan, run.params, rep_link, "max")[0])
+            try:
+                hist_tx_all.append(stage2_cost(run.plan, run.params, run.link_config, "hist")[1])
+            except CapacityError as exc:
+                raise CapacityError(
+                    f"sweep column hist_stage2_tx prices the histogram protocol in "
+                    f"{config.mode} mode: {exc}"
+                ) from exc
         agg = _aggregate(n, rows)
         log_n = math.log(n)
         time_norm = math.sqrt(n / log_n)
@@ -488,26 +459,12 @@ def audit_coloring(
     return violations
 
 
-def _stage1_class_bases(run: TrialRun) -> dict[int, int]:
-    bases = {}
-    base = 0
-    for cls in run.coloring:
-        bases[cls.color] = base
-        max_members = max(run.grid.cell(j).size for j in cls.cells)
-        if run.config.protocol == "max":
-            base += run.stage1_config.script_len(max_members)
-        else:
-            base += run.stage1_config.r2 * max_members
-    return bases
-
-
-def _replay_intracell_slots(run: TrialRun, report: AuditReport) -> None:
+def _replay_intracell_slots(run: TrialRun, bases: dict[int, int], report: AuditReport) -> None:
     """Replay representative slots through the literal slot resolver."""
     params, grid = run.params, run.grid
     positions = run.instance.positions
     rng = np.random.default_rng(0)
     noiseless = NoiseModel(0.0)
-    bases = _stage1_class_bases(run)
     for cls in run.coloring:
         # First discovery slot: each cell's lowest-id member transmits.
         for phase, txs in (
@@ -530,21 +487,19 @@ def _audit_stage2_links(run: TrialRun, report: AuditReport) -> None:
     """Check the link schedule: same-subslot links cannot collide.
 
     Within a logical slot, the link from child cell j fires in the subslot
-    given by j's tiling color (upward; downward subslots are a disjoint
-    second bank).  Same-subslot transmitters must clear every other link's
-    receiver by the guard distance.
+    given by j's color in the reuse coloring (upward; downward subslots are a
+    disjoint second bank).  Same-subslot transmitters must clear every other
+    link's receiver by the guard distance.
     """
-    params, grid, tree = run.params, run.grid, run.tree
+    params, grid = run.params, run.grid
     positions = run.instance.positions
     guard = (1.0 + params.delta) * params.radius
-    d = params.reuse_distance
+    color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
     for si, stage in enumerate(run.plan.stages):
         groups: dict[int, list[tuple[int, int]]] = {}
         for array in stage.arrays:
             for child, parent in zip(array.cells, array.cells[1:]):
-                cell = grid.cell(child)
-                subslot = (cell.row % d) * d + (cell.col % d)
-                groups.setdefault(subslot, []).append(
+                groups.setdefault(color_of[child], []).append(
                     (grid.cell(child).center, grid.cell(parent).center)
                 )
         for subslot, links in groups.items():
@@ -559,24 +514,6 @@ def _audit_stage2_links(run: TrialRun, report: AuditReport) -> None:
                         )
 
 
-def _expected_stage2_tx(run: TrialRun) -> int:
-    """Closed-form stage-2 transmission count implied by the plan and mode."""
-    link = run.link_config
-    links = run.params.cell_count - 1
-    if link.mode == "abstract":
-        return links * link.r3
-    width = 1 if run.config.protocol == "max" else count_bits_for(run.n)
-    if link.mode == "repetition":
-        return links * width * link.r3
-    sym_bits = link.alphabet.bit_length() - 1
-    total = 0
-    for array in run.plan.arrays:
-        rounds = array.q - 1 if run.config.protocol == "max" else array.q + width - 1
-        depth = rounds + min(link.treecode_pad, link.d_max - rounds)
-        total += 2 * (array.q - 1) * depth * sym_bits
-    return total
-
-
 def validate_run(run: TrialRun) -> AuditReport:
     """Audit a traced trial: collision freedom, oblivious schedules, energy.
 
@@ -584,18 +521,20 @@ def validate_run(run: TrialRun) -> AuditReport:
     collision in the discovery, identity, or inter-cell phases -- the
     data-dependent confirmation slots are the documented exception; (b) the
     discovery/identity schedules do not change when every data bit is
-    flipped; (c) the energy counters satisfy their defining identities and
-    the stage-2 count matches its closed-form accounting identity.
+    flipped; (c) the energy counters satisfy their defining identities, and
+    the stage-1 slots, stage-2 slots and stage-2 transmissions match their
+    closed-form accounting identities.
     """
     if run.channel.trace is None:
         raise ValueError("validate_run needs a trial executed with capture_trace=True")
     report = AuditReport()
 
-    bases = _stage1_class_bases(run)
+    layout = stage1_layout(run.grid, run.coloring, run.stage1_config, run.config.protocol)
+    bases = {cls.color: base for cls, base, _, _ in layout}
     report.collision_violations.extend(
         audit_coloring(run.grid, run.params, run.coloring, run.instance.positions, bases)
     )
-    _replay_intracell_slots(run, report)
+    _replay_intracell_slots(run, bases, report)
     _audit_stage2_links(run, report)
 
     flipped = run_trial(
@@ -620,11 +559,16 @@ def validate_run(run: TrialRun) -> AuditReport:
     e = m.energy
     if m.em2 != e.e_t * m.tx_count or m.em1 != e.e_t * m.tx_count + e.e_r * m.rx_count:
         report.energy_violations.append("em1/em2 do not match their defining identities")
-    expected = _expected_stage2_tx(run)
-    if m.tx_stage2 != expected:
-        report.energy_violations.append(
-            f"stage-2 transmissions {m.tx_stage2} differ from the accounting identity {expected}"
-        )
+    slots2, tx2 = stage2_cost(run.plan, run.params, run.link_config, run.config.protocol)
+    for name, counted, expected in (
+        ("stage-1 slots", m.slots_stage1, sum(span for _, _, span, _ in layout)),
+        ("stage-2 slots", m.slots_stage2, slots2),
+        ("stage-2 transmissions", m.tx_stage2, tx2),
+    ):
+        if counted != expected:
+            report.energy_violations.append(
+                f"{name} {counted} differ from the accounting identity {expected}"
+            )
     return report
 
 
@@ -634,6 +578,33 @@ def _audit_trial(config: ExperimentConfig, n: int, trial: int = 0) -> AuditRepor
 
 # ---------------------------------------------------------------------------
 # CLI
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v]
+
+
+_CHOICES = {"protocol": PROTOCOLS, "mode": MODES, "bit_source": BIT_SOURCES}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per ExperimentConfig field, in field order, typed by its annotation.
+
+    Tuple fields take comma-separated integers; fields left unset stay None
+    and fall back to the --config file or the config default.
+    """
+    hints = get_type_hints(ExperimentConfig)
+    for f in fields(ExperimentConfig):
+        hint = hints[f.name]
+        if get_origin(hint) is UnionType:  # an optional field, X | None
+            hint = next(a for a in get_args(hint) if a is not NoneType)
+        flag = "--" + f.name.replace("_", "-")
+        if f.name in _CHOICES:
+            parser.add_argument(flag, choices=_CHOICES[f.name])
+        elif get_origin(hint) is tuple:
+            parser.add_argument(flag, type=_int_list, help="comma-separated integers")
+        else:
+            parser.add_argument(flag, type=hint)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -652,39 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="path for the JSON report")
         if name == "sweep":
             p.add_argument("--csv", help="path for the CSV sweep table")
-        p.add_argument("--protocol", choices=("max", "hist"))
-        p.add_argument("--n", help="comma-separated node counts, e.g. 1000,2000,4000")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--base-seed", type=int)
-        p.add_argument("--eps0", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--mode", choices=("repetition", "treecode", "abstract"))
-        p.add_argument(
-            "--bit-source",
-            choices=("all-zero", "all-one", "bernoulli", "single-one-at-random", "explicit"),
-        )
-        p.add_argument("--bit-p", type=float)
-        p.add_argument("--bits", help="comma-separated explicit bits")
-        p.add_argument("--eps1", type=float)
-        p.add_argument("--c-rep", type=int)
-        p.add_argument("--r2", type=int)
-        p.add_argument("--l1", type=int)
-        p.add_argument("--r3", type=int)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--k-rs", type=float)
-        p.add_argument("--d-max", type=int)
-        p.add_argument("--l-sub", type=int)
-        p.add_argument("--alphabet", type=int)
-        p.add_argument("--treecode-pad", type=int)
-        p.add_argument("--treecode-seed", type=int)
-        p.add_argument("--code-seed", type=int)
-        p.add_argument("--e-t", type=float)
-        p.add_argument("--e-r", type=float)
-        p.add_argument("--max-resamples", type=int)
+        _add_config_flags(p)
     return parser
-
-
-_CLI_ONLY = {"command", "config", "out", "csv"}
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -695,15 +635,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("--config file must hold a JSON object")
         data.update(loaded)
-    for key, value in vars(args).items():
-        if key in _CLI_ONLY or value is None:
-            continue
-        name = key.replace("_", "-")
-        if name == "n":
-            value = [int(v) for v in str(value).split(",") if v]
-        if name == "bits":
-            value = [int(v) for v in str(value).split(",") if v]
-        data[name] = value
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name)
+        if value is not None:
+            data[f.name.replace("_", "-")] = value
     return ExperimentConfig.from_dict(data)
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "run_substage_hist",
     "run_stage2_max",
     "run_stage2_hist",
+    "stage2_cost",
     "distribute_result",
 ]
 
@@ -205,7 +206,7 @@ def run_substage_hist(
     return simulate_line(proto, config, channel, _array_endpoints(array, grid))
 
 
-def _run_stage2(plan, state, config, channel, grid, params, run_array):
+def _run_stage2(plan, state, channel, params, run_array):
     for stage in plan.stages:
         stage_logical = 0
         for array in stage.arrays:
@@ -235,14 +236,8 @@ def run_stage2_max(
     array's logical slots times the link slot span; transmissions accumulate
     per array (r3 per link in abstract mode, per-bit repetition otherwise).
     """
-    state = dict(stage1_values)
     state = _run_stage2(
-        plan,
-        state,
-        config,
-        channel,
-        grid,
-        params,
+        plan, dict(stage1_values), channel, params,
         lambda a, s: run_substage_max(a, s, config, channel, grid),
     )
     return state[tree.sink_cell]
@@ -261,17 +256,46 @@ def run_stage2_hist(
     """Sum the per-cell counts up the tree; returns the total at the sink."""
     if width is None:
         width = count_bits_for(params.n)
-    state = dict(stage1_counts)
     state = _run_stage2(
-        plan,
-        state,
-        config,
-        channel,
-        grid,
-        params,
+        plan, dict(stage1_counts), channel, params,
         lambda a, s: run_substage_hist(a, s, width, config, channel, grid),
     )
     return state[tree.sink_cell]
+
+
+def stage2_cost(
+    plan: SubstagePlan, params: DerivedParams, config: LinkSimConfig, protocol: str
+) -> tuple[int, int]:
+    """Physical slots and transmissions stage 2 charges, in closed form.
+
+    Both line protocols are oblivious, so the counts depend only on the plan
+    and the link configuration.  An array of q cells has q - 1 links and runs
+    q - 1 rounds for MAX, or q + g - 1 for the g-bit histogram stream.  Per
+    array, abstract mode charges ceil(k_rs * rounds) logical slots and r3
+    transmissions per link; repetition r3 slots and transmissions per link
+    per streamed bit; treecode 2 * depth * symbol_bits slots, and as many
+    transmissions per link (CapacityError past the decoding cap).  A
+    sub-stage costs its longest array's logical slots times the link slot
+    span.  ``simulate_line`` charges the same counts as it runs.
+    """
+    width = 1 if protocol == "max" else count_bits_for(params.n)
+    slots = tx = 0
+    for stage in plan.stages:
+        longest = 0
+        for array in stage.arrays:
+            links = array.q - 1
+            rounds = links if protocol == "max" else array.q + width - 1
+            if config.mode == "abstract":
+                per_link, logical = config.r3, config.guarantee.slots(rounds)
+            elif config.mode == "repetition":
+                per_link = width * config.r3
+                logical = links * per_link  # links repeat their bits one after another
+            else:
+                per_link = logical = 2 * config.treecode_depth(rounds) * config.symbol_bits
+            longest = max(longest, logical)
+            tx += links * per_link
+        slots += longest * params.link_slot_span
+    return slots, tx
 
 
 def distribute_result(

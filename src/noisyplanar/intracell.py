@@ -40,6 +40,7 @@ __all__ = [
     "witness_discovery",
     "distribute_identity",
     "confirm_value",
+    "stage1_layout",
     "run_stage1_max",
     "run_stage1_hist",
 ]
@@ -237,6 +238,28 @@ def confirm_value(
     return value
 
 
+def stage1_layout(
+    grid: CellGrid, coloring: list[ScheduleClass], config: Stage1Config, protocol: str
+) -> list[tuple[ScheduleClass, int, int, int]]:
+    """Each color class's (class, first slot, slot span, largest cell size).
+
+    Classes run one after another in coloring order, and the cells of a class
+    in lockstep, so a class spans its largest cell's script: c_rep * N +
+    block_len + r2 slots for MAX, r2 * N for the histogram.
+    """
+    layout = []
+    base = 0
+    for cls in coloring:
+        max_members = max(grid.cell(j).size for j in cls.cells)
+        if protocol == "max":
+            span = config.script_len(max_members)
+        else:
+            span = config.r2 * max_members
+        layout.append((cls, base, span, max_members))
+        base += span
+    return layout
+
+
 def run_stage1_max(
     grid: CellGrid,
     coloring: list[ScheduleClass],
@@ -251,9 +274,7 @@ def run_stage1_max(
     """
     before = channel.metrics.snapshot()
     result = Stage1Result()
-    base = 0
-    for cls in coloring:
-        max_members = max(grid.cell(j).size for j in cls.cells)
+    for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
         id_base = base + config.c_rep * max_members
         confirm_base = id_base + config.block_len
         for j in cls.cells:
@@ -263,9 +284,7 @@ def run_stage1_max(
             value = confirm_value(cell, believers, config, channel, slot0=confirm_base)
             result.witnesses[j] = witness
             result.values[j] = value
-        span = config.script_len(max_members)
         channel.metrics.add("stage1", slots=span)
-        base += span
     after = channel.metrics.snapshot()
     result.metrics_delta = {k: after[k] - before[k] for k in before}
     return result
@@ -285,9 +304,7 @@ def run_stage1_hist(
     """
     before = channel.metrics.snapshot()
     result = Stage1Result()
-    base = 0
-    for cls in coloring:
-        max_members = max(grid.cell(j).size for j in cls.cells)
+    for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
         for j in cls.cells:
             cell = grid.cell(j)
             members = np.array(cell.members)
@@ -312,9 +329,7 @@ def run_stage1_hist(
             channel.metrics.add(
                 "stage1", tx=config.r2 * n_members, rx=config.r2 * n_members * (n_members - 1)
             )
-        span = config.r2 * max_members
         channel.metrics.add("stage1", slots=span)
-        base += span
     after = channel.metrics.snapshot()
     result.metrics_delta = {k: after[k] - before[k] for k in before}
     return result

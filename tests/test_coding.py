@@ -325,6 +325,26 @@ class TestSimulateLine:
         with pytest.raises(CapacityError):
             simulate_line(or_chain(values), LinkSimConfig(mode="treecode", r3=9), ch)
 
+    def test_treecode_slot_ids_match_charged_slots(self):
+        # Each round sends one symbol forward, then reserves as many bit-slots
+        # for the reverse direction: round t's forward bits sit at slot
+        # 2 * sym_bits * (t - 1) + k, and the cursor ends at the charged slots.
+        seen = []
+
+        def record(slot, tx, rx, history):
+            seen.append(slot)
+            return 0.0
+
+        params = derive_params(1000, 0.5)
+        noise = NoiseModel(0.1, mode="adversarial", adversary=record)
+        ch = Channel(place_nodes(16, seed=0), params, noise, np.random.default_rng(0))
+        cfg = LinkSimConfig(mode="treecode", r3=9)
+        res = simulate_line(or_chain([1, 0, 0, 1]), cfg, ch)
+        sym = cfg.symbol_bits
+        depth = res.slots // (2 * sym)
+        assert ch.slot_cursor == res.slots
+        assert sorted(set(seen)) == [2 * sym * t + k for t in range(depth) for k in range(sym)]
+
     def test_treecode_under_noise_mostly_agrees(self):
         cfg = LinkSimConfig(mode="treecode", r3=9)
         rng = np.random.default_rng(5)

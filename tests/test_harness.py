@@ -2,6 +2,9 @@
 
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,11 +190,12 @@ class TestValidateRun:
         with pytest.raises(ValueError):
             validate_run(run_trial(cfg, 400, 0))
 
-    def test_stage2_accounting_identity_catches_corruption(self):
+    @pytest.mark.parametrize("counter", ["tx_stage2", "slots_stage2", "slots_stage1"])
+    def test_stage2_accounting_identity_catches_corruption(self, counter):
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
         run = run_trial(cfg, 400, 0, capture_trace=True)
         assert validate_run(run).passed
-        run.channel.metrics.tx_stage2 += 1
+        setattr(run.channel.metrics, counter, getattr(run.channel.metrics, counter) + 1)
         audit = validate_run(run)
         assert not audit.energy_exact
         assert "accounting identity" in audit.energy_violations[0]
@@ -274,6 +278,28 @@ class TestCli:
             ["run", "--protocol", "hist", "--mode", "treecode", "--n", "4000", "--trials", "1"]
         )
         assert code == 3
+
+    def test_sweep_names_the_histogram_column_past_the_tree_code_cap(self, capsys):
+        # MAX arrays fit a cap of 8 rounds here, but the sweep's hist_stage2_tx
+        # column prices the histogram protocol, whose arrays need more.
+        code = main(
+            ["sweep", "--protocol", "max", "--mode", "treecode", "--n", "300,900,2400",
+             "--trials", "1", "--d-max", "8"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "hist_stage2_tx" in err and "treecode mode" in err
+
+    def test_readme_config_keys_are_the_config_fields_and_flags(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        paragraph = readme.split("`--config file.json` accepts", 1)[1].split("flags override", 1)[0]
+        listed = re.findall(r"`([a-z0-9-]+)`", paragraph)
+        keys = [f.name.replace("_", "-") for f in fields(ExperimentConfig)]
+        assert listed == keys
+        for command in ("run", "sweep", "validate"):
+            assert main([command, "--help"]) == 0
+            usage = capsys.readouterr().out
+            assert all(f"--{key} " in usage for key in keys), command
 
     def test_sweep_writes_csv(self, tmp_path):
         csv_path = tmp_path / "table.csv"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from noisyplanar.channel import Channel, NoiseModel, color_cells
-from noisyplanar.coding import LinkSimConfig
+from noisyplanar.coding import CapacityError, LinkSimConfig
+from noisyplanar.config import ExperimentConfig
 from noisyplanar.geometry import assign_cells, build_tree, derive_params, place_nodes
 from noisyplanar.intercell import (
     CellArray,
@@ -19,8 +20,10 @@ from noisyplanar.intercell import (
     run_substage_hist,
     run_substage_max,
     serial_add_step,
+    stage2_cost,
 )
-from noisyplanar.intracell import Stage1Config, run_stage1_hist, run_stage1_max
+from noisyplanar.harness import run_trial
+from noisyplanar.intracell import Stage1Config, run_stage1_hist, run_stage1_max, stage1_layout
 
 from conftest import make_hand_world
 
@@ -344,6 +347,32 @@ class TestRunStage2Hist:
             channel, grid, params, tree,
         )
         assert channel.metrics.tx_stage2 == (params.cell_count - 1) * 21
+
+
+class TestClosedFormCosts:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_closed_form_equals_simulated_counters(self, protocol, mode):
+        # n = 600 keeps histogram tree-code arrays within the decoding cap.
+        cfg = ExperimentConfig(protocol=protocol, mode=mode, n=(600,), trials=1, eps0=0.05)
+        run = run_trial(cfg, 600, 0)
+        m = run.metrics
+        assert stage2_cost(run.plan, run.params, run.link_config, protocol) == (
+            m.slots_stage2,
+            m.tx_stage2,
+        )
+        layout = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
+        assert sum(span for _, _, span, _ in layout) == m.slots_stage1
+
+    def test_past_the_tree_code_cap_both_raise(self):
+        # Histogram arrays at n = 4000 need 21 rounds, beyond the cap of 16.
+        inst, params, grid, tree, channel = sampled_world(4000, 1)
+        plan = build_substages(tree, params)
+        link = LinkSimConfig(mode="treecode", r3=9)
+        with pytest.raises(CapacityError):
+            stage2_cost(plan, params, link, "hist")
+        with pytest.raises(CapacityError):
+            run_stage2_hist(plan, _stage1_counts(grid, inst), link, channel, grid, params, tree)
 
 
 class TestEndToEndStageComposition:
