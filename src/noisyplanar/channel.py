@@ -279,14 +279,14 @@ def account(
     return metrics
 
 
-@dataclass
-class TraceEntry:
-    """One scheduled transmission, recorded symbolically for audits."""
+@dataclass(frozen=True)
+class TraceRecord:
+    """One cell's transmissions in one stage-1 phase: txs[i] sends in slots[i]."""
 
     phase: str
-    slot: int
     cell: int
-    tx: int
+    slots: np.ndarray
+    txs: np.ndarray
     data_dependent: bool = False
 
 
@@ -294,16 +294,16 @@ class TraceEntry:
 class Trace:
     """Schedule capture for the obliviousness / interference audit."""
 
-    stage1: list[TraceEntry] = field(default_factory=list)
+    stage1: list[TraceRecord] = field(default_factory=list)
     stage2_stages: list[list[tuple[int, ...]]] = field(default_factory=list)
 
-    def stage1_slot_map(self, phases: tuple[str, ...]) -> dict[int, tuple[int, ...]]:
-        """Map slot -> sorted transmitter tuple, restricted to the given phases."""
-        by_slot: dict[int, list[int]] = {}
-        for e in self.stage1:
-            if e.phase in phases:
-                by_slot.setdefault(e.slot, []).append(e.tx)
-        return {s: tuple(sorted(txs)) for s, txs in sorted(by_slot.items())}
+    def stage1_slot_map(self, phases: tuple[str, ...]) -> np.ndarray:
+        """Sorted (slot, tx) rows of the given phases, one per transmission."""
+        records = [r for r in self.stage1 if r.phase in phases]
+        slots = np.concatenate([r.slots for r in records])
+        txs = np.concatenate([r.txs for r in records])
+        order = np.lexsort((txs, slots))
+        return np.column_stack((slots[order], txs[order]))
 
 
 @dataclass
@@ -344,6 +344,14 @@ class Channel:
                 int(slots[idx]), int(txs[idx]), int(rxs[idx]), self
             )
         return u < probs
+
+    def record(self, phase: str, cell: int, slots, txs, data_dependent: bool = False) -> None:
+        """Trace one cell's phase, txs broadcast against slots; a no-op untraced."""
+        if self.trace is not None:
+            slots, txs = np.broadcast_arrays(slots, txs)
+            self.trace.stage1.append(
+                TraceRecord(phase, cell, slots.ravel(), txs.ravel(), data_dependent)
+            )
 
     def noisy_copies(self, bit: int, count: int, tx: int, rx: int, slot0: int) -> np.ndarray:
         """The bit as seen by one receiver over ``count`` repeated slots."""

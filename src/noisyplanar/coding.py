@@ -255,11 +255,15 @@ class TreeCode:
     smaller path) and is therefore depth-capped.
     """
 
+    @staticmethod
+    def check_alphabet(alphabet: int) -> None:
+        if alphabet < 4 or alphabet & (alphabet - 1):
+            raise ValueError(f"alphabet size must be a power of two >= 4, got {alphabet}")
+
     def __init__(self, depth: int, alphabet: int = 4, seed: int = 0):
         if depth < 1:
             raise ValueError("depth must be positive")
-        if alphabet < 4 or alphabet & (alphabet - 1):
-            raise ValueError(f"alphabet size must be a power of two >= 4, got {alphabet}")
+        self.check_alphabet(alphabet)
         self.depth = depth
         self.alphabet = alphabet
         self.seed = seed
@@ -412,6 +416,8 @@ class LinkSimConfig:
             raise ValueError(f"unknown simulation mode {self.mode!r}")
         if self.r3 < 1 or self.r3 % 2 == 0:
             raise ValueError("r3 must be odd and positive")
+        if self.mode == "treecode":
+            TreeCode.check_alphabet(self.alphabet)
 
     @property
     def guarantee(self) -> SimGuarantee:

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -175,16 +176,19 @@ def run_trial(
     tree = build_tree(grid, params)
     coloring = color_cells(grid, params)
     plan = build_substages(tree, params, config.l_sub_for(n))
-    s1cfg = Stage1Config.for_network(
-        n,
-        config.eps0,
-        eps1=config.eps1,
-        c_rep=config.c_rep,
-        r2=config.r2_for(n),
-        block_len=config.l1,
-        code_seed=config.code_seed,
-    )
-    link_cfg = config.link_config_for(n)
+    try:  # the discovery budget, the identity code length and the tree-code alphabet
+        s1cfg = Stage1Config.for_network(
+            n,
+            config.eps0,
+            eps1=config.eps1,
+            c_rep=config.c_rep,
+            r2=config.r2_for(n),
+            block_len=config.l1,
+            code_seed=config.code_seed,
+        )
+        link_cfg = config.link_config_for(n)
+    except ValueError as exc:
+        raise ConfigError(f"n={n}: {exc}") from exc
     channel = Channel(
         instance=instance,
         params=params,
@@ -459,19 +463,20 @@ def audit_coloring(
     return violations
 
 
-def _replay_intracell_slots(run: TrialRun, bases: dict[int, int], report: AuditReport) -> None:
-    """Replay representative slots through the literal slot resolver."""
+def _replay_intracell_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
+    """Replay each stage1_layout class's first slot and, under MAX, first identity slot."""
     params, grid = run.params, run.grid
     positions = run.instance.positions
     rng = np.random.default_rng(0)
     noiseless = NoiseModel(0.0)
-    for cls in run.coloring:
-        # First discovery slot: each cell's lowest-id member transmits.
-        for phase, txs in (
-            ("discovery", [grid.cell(j).members[0] for j in cls.cells]),
-            ("identity", [grid.cell(j).center for j in cls.cells]),
-        ):
-            slot = bases[cls.color]
+    is_max = run.config.protocol == "max"
+    for cls, base, _, max_members in layout:
+        cells = [grid.cell(j) for j in cls.cells]
+        replays = [("discovery" if is_max else "hist_count", base, [c.members[0] for c in cells])]
+        if is_max:
+            id_base = run.stage1_config.phase_slots(base, max_members)[1]
+            replays.append(("identity", id_base, [c.center for c in cells]))
+        for phase, slot, txs in replays:
             events = [TxEvent(slot, tx, 0) for tx in txs]
             for j, tx in zip(cls.cells, txs):
                 listeners = [m for m in grid.cell(j).members if m != tx]
@@ -521,9 +526,11 @@ def validate_run(run: TrialRun) -> AuditReport:
     collision in the discovery, identity, or inter-cell phases -- the
     data-dependent confirmation slots are the documented exception; (b) the
     discovery/identity schedules do not change when every data bit is
-    flipped; (c) the energy counters satisfy their defining identities, and
-    the stage-1 slots, stage-2 slots and stage-2 transmissions match their
-    closed-form accounting identities.
+    flipped: the traces' sorted (slot, transmitter) rows of those phases are
+    equal; (c) the energy counters satisfy their defining identities, the
+    stage-1 transmissions equal the trace's rows, and the stage-1 slots,
+    stage-2 slots and stage-2 transmissions match their closed-form
+    accounting identities.
     """
     if run.channel.trace is None:
         raise ValueError("validate_run needs a trial executed with capture_trace=True")
@@ -534,7 +541,7 @@ def validate_run(run: TrialRun) -> AuditReport:
     report.collision_violations.extend(
         audit_coloring(run.grid, run.params, run.coloring, run.instance.positions, bases)
     )
-    _replay_intracell_slots(run, bases, report)
+    _replay_intracell_slots(run, layout, report)
     _audit_stage2_links(run, report)
 
     flipped = run_trial(
@@ -547,10 +554,11 @@ def validate_run(run: TrialRun) -> AuditReport:
     phases = ("discovery", "identity", "hist_count")
     ours = run.channel.trace.stage1_slot_map(phases)
     theirs = flipped.channel.trace.stage1_slot_map(phases)
-    if ours != theirs:
-        diff = sorted(set(ours.items()) ^ set(theirs.items()))[:3]
+    if not np.array_equal(ours, theirs):
+        a, b = Counter(map(tuple, ours.tolist())), Counter(map(tuple, theirs.tolist()))
+        slots = sorted({slot for slot, _ in (a - b) + (b - a)})[:3]
         report.obliviousness_violations.append(
-            f"discovery/identity schedules changed with the data bits, e.g. {diff}"
+            f"discovery/identity schedules changed with the data bits, e.g. at slots {slots}"
         )
     if run.channel.trace.stage2_stages != flipped.channel.trace.stage2_stages:
         report.obliviousness_violations.append("stage-2 array structure changed with the data bits")
@@ -561,6 +569,7 @@ def validate_run(run: TrialRun) -> AuditReport:
         report.energy_violations.append("em1/em2 do not match their defining identities")
     slots2, tx2 = stage2_cost(run.plan, run.params, run.link_config, run.config.protocol)
     for name, counted, expected in (
+        ("stage-1 transmissions", m.tx_stage1, sum(r.txs.size for r in run.channel.trace.stage1)),
         ("stage-1 slots", m.slots_stage1, sum(span for _, _, span, _ in layout)),
         ("stage-2 slots", m.slots_stage2, slots2),
         ("stage-2 transmissions", m.tx_stage2, tx2),

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Channel, ScheduleClass, TraceEntry
+from .channel import Channel, ScheduleClass
 from .coding import BlockCode, RepetitionScheme, smallest_odd_at_least
 from .geometry import Cell, CellGrid
 
@@ -119,6 +119,11 @@ class Stage1Config:
         """Slots one cell's full MAX script occupies: discovery + identity + confirm."""
         return self.c_rep * cell_size + self.block_len + self.r2
 
+    def phase_slots(self, base: int, max_members: int) -> tuple[int, int, int]:
+        """First slots of a MAX class's discovery, identity and confirmation phases."""
+        identity = base + self.c_rep * max_members
+        return base, identity, identity + self.block_len
+
 
 @dataclass
 class Stage1Result:
@@ -130,40 +135,37 @@ class Stage1Result:
     metrics_delta: dict = field(default_factory=dict)
 
 
-def _majority_of_copies(bits: np.ndarray, flips: np.ndarray) -> np.ndarray:
-    """Decode per-row majorities when every copy repeats the same bit."""
-    k = flips.shape[1]
-    return (bits ^ (flips.sum(axis=1) > k // 2)).astype(np.int8)
+def _majority_at_center(
+    cell: Cell, reps: int, phase: str, channel: Channel, slot0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-member repetition to the center; returns the members and their decoded bits.
+
+    Members transmit their bit in ascending id order, reps consecutive slots
+    each, for exactly reps * N transmissions.  The center majority-decodes
+    every member; its own broadcasts are noiseless to itself.
+    """
+    members = np.array(cell.members)
+    n_members = len(members)
+    bits = channel.instance.bits[members]
+    slots = slot0 + np.arange(n_members * reps).reshape(n_members, reps)
+    txs = members[:, None]
+    flips = channel.flip_mask((n_members, reps), slots=slots, txs=txs, rxs=cell.center)
+    decoded = (bits ^ (flips.sum(axis=1) > reps // 2)).astype(np.int8)
+    decoded[members == cell.center] = bits[members == cell.center]
+
+    channel.record(phase, cell.index, slots, txs)
+    channel.metrics.add("stage1", tx=reps * n_members, rx=reps * n_members * (n_members - 1))
+    return members, decoded
 
 
 def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0: int = 0) -> int:
     """Run the discovery schedule in one cell and return the chosen witness.
 
-    Members transmit in ascending id order, c_rep consecutive slots each, for
-    exactly c_rep * N transmissions.  The center majority-decodes every member
-    (its own broadcasts are noiseless to itself) and picks the least id whose
-    decoded bit is 1, falling back to the least id when none is seen.
+    Members repeat their bit c_rep times each to the center, which picks the
+    least id whose decoded bit is 1, falling back to the least id when none
+    is seen.
     """
-    members = np.array(cell.members)
-    n_members = len(members)
-    bits = channel.instance.bits[members]
-    slots = slot0 + np.arange(n_members * config.c_rep).reshape(n_members, config.c_rep)
-    flips = channel.flip_mask(
-        (n_members, config.c_rep), slots=slots, txs=members[:, None], rxs=cell.center
-    )
-    decoded = _majority_of_copies(bits, flips)
-    decoded[members == cell.center] = bits[members == cell.center]
-
-    if channel.trace is not None:
-        for p, member in enumerate(members):
-            for k in range(config.c_rep):
-                channel.trace.stage1.append(
-                    TraceEntry("discovery", slot0 + p * config.c_rep + k, cell.index, int(member))
-                )
-    channel.metrics.add(
-        "stage1", tx=config.c_rep * n_members, rx=config.c_rep * n_members * (n_members - 1)
-    )
-
+    members, decoded = _majority_at_center(cell, config.c_rep, "discovery", channel, slot0)
     ones = np.flatnonzero(decoded == 1)
     return int(members[ones[0]]) if len(ones) else int(members[0])
 
@@ -192,11 +194,7 @@ def distribute_identity(
     )
     believes[members == cell.center] = witness == cell.center
 
-    if channel.trace is not None:
-        for k in range(length):
-            channel.trace.stage1.append(
-                TraceEntry("identity", slot0 + k, cell.index, int(cell.center))
-            )
+    channel.record("identity", cell.index, slots, cell.center)
     channel.metrics.add("stage1", tx=length, rx=length * (n_members - 1))
     return [int(m) for m in members[believes]]
 
@@ -224,12 +222,9 @@ def confirm_value(
     else:
         value = 0  # silence or wall-to-wall collisions: every slot is an erasure
 
-    if channel.trace is not None:
-        for b in believers:
-            for k in range(config.r2):
-                channel.trace.stage1.append(
-                    TraceEntry("confirmation", slot0 + k, cell.index, int(b), data_dependent=True)
-                )
+    slots = slot0 + np.arange(config.r2)
+    txs = np.array(believers, dtype=np.int64)[:, None]
+    channel.record("confirmation", cell.index, slots, txs, data_dependent=True)
     channel.metrics.add(
         "stage1",
         tx=config.r2 * n_believers,
@@ -275,8 +270,7 @@ def run_stage1_max(
     before = channel.metrics.snapshot()
     result = Stage1Result()
     for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
-        id_base = base + config.c_rep * max_members
-        confirm_base = id_base + config.block_len
+        _, id_base, confirm_base = config.phase_slots(base, max_members)
         for j in cls.cells:
             cell = grid.cell(j)
             witness = witness_discovery(cell, config, channel, slot0=base)
@@ -306,29 +300,8 @@ def run_stage1_hist(
     result = Stage1Result()
     for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
         for j in cls.cells:
-            cell = grid.cell(j)
-            members = np.array(cell.members)
-            n_members = len(members)
-            bits = channel.instance.bits[members]
-            slots = base + np.arange(n_members * config.r2).reshape(n_members, config.r2)
-            flips = channel.flip_mask(
-                (n_members, config.r2), slots=slots, txs=members[:, None], rxs=cell.center
-            )
-            decoded = _majority_of_copies(bits, flips)
-            decoded[members == cell.center] = bits[members == cell.center]
+            _, decoded = _majority_at_center(grid.cell(j), config.r2, "hist_count", channel, base)
             result.counts[j] = int(decoded.sum())
-
-            if channel.trace is not None:
-                for p, member in enumerate(members):
-                    for k in range(config.r2):
-                        channel.trace.stage1.append(
-                            TraceEntry(
-                                "hist_count", base + p * config.r2 + k, cell.index, int(member)
-                            )
-                        )
-            channel.metrics.add(
-                "stage1", tx=config.r2 * n_members, rx=config.r2 * n_members * (n_members - 1)
-            )
         channel.metrics.add("stage1", slots=span)
     after = channel.metrics.snapshot()
     result.metrics_delta = {k: after[k] - before[k] for k in before}

@@ -14,6 +14,7 @@ from noisyplanar.channel import (
     EnergyConfig,
     Metrics,
     NoiseModel,
+    Trace,
     TxEvent,
     account,
     color_cells,
@@ -227,3 +228,20 @@ class TestMetricsAndAccount:
         assert metrics.tx_count == 14
         assert metrics.rx_count == 25
         assert metrics.slots_total == 13
+
+
+class TestTrace:
+    def test_records_broadcast_and_slot_map_sorts_the_chosen_phases(self):
+        ch = Channel(place_nodes(16, seed=0), None, NoiseModel(0.0), np.random.default_rng(0))
+        ch.record("identity", 0, np.array([5, 6]), 3)  # untraced: nothing to write
+        ch.trace = Trace()
+        ch.record("identity", 0, np.array([5, 6]), 3)
+        ch.record("discovery", 1, np.array([[5], [2]]), np.array([[1], [9]]))
+        ch.record("confirmation", 0, np.array([1]), np.array([[4]]), data_dependent=True)
+        assert [(r.phase, r.txs.tolist()) for r in ch.trace.stage1] == [
+            ("identity", [3, 3]),
+            ("discovery", [1, 9]),
+            ("confirmation", [4]),
+        ]
+        rows = ch.trace.stage1_slot_map(("discovery", "identity"))
+        assert rows.tolist() == [[2, 9], [5, 1], [5, 3], [6, 3]]

@@ -3,13 +3,13 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisyplanar.channel import NoiseModel
+from noisyplanar.channel import NoiseModel, ScheduleClass
 from noisyplanar.config import ConfigError, ExperimentConfig
 from noisyplanar.geometry import place_nodes
 from noisyplanar.harness import (
@@ -22,6 +22,7 @@ from noisyplanar.harness import (
     validate_run,
     wilson_interval,
 )
+from noisyplanar.intracell import stage1_layout
 from noisyplanar.oracle import oracle
 
 
@@ -158,14 +159,50 @@ class TestValidateRun:
         # are within the guard ring, so the audit must name a slot.
         cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
         run = run_trial(cfg, 1000, 0, capture_trace=True)
-        from noisyplanar.channel import ScheduleClass
-
         bad = [ScheduleClass(color=0, cells=(1, 2))]
         violations = audit_coloring(
             run.grid, run.params, bad, run.instance.positions, class_bases={0: 120}
         )
         assert violations
         assert "slot 120" in violations[0]
+
+    def test_identity_replay_names_an_identity_slot(self):
+        # Move cell 2, grid-adjacent to cell 1, into cell 1's color class: the
+        # identity replay must name the class's first identity slot, which
+        # follows c_rep slots per member of the class's largest cell.
+        cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
+        run = run_trial(cfg, 1000, 0, capture_trace=True)
+        moved = []
+        for cls in run.coloring:
+            cells = [j for j in cls.cells if j != 2] + ([2] if 1 in cls.cells else [])
+            if cells:
+                moved.append(ScheduleClass(cls.color, tuple(sorted(cells))))
+        run.coloring = moved
+        layout = stage1_layout(run.grid, run.coloring, run.stage1_config, "max")
+        base, max_members = next((b, m) for cls, b, _, m in layout if 1 in cls.cells)
+        id_slot = base + run.stage1_config.c_rep * max_members
+        audit = validate_run(run)
+        identity = [v for v in audit.collision_violations if v.startswith("identity")]
+        assert identity
+        assert all(v.startswith(f"identity slot {id_slot}: ") for v in identity)
+
+    def test_changed_schedule_names_its_first_slots(self):
+        cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
+        run = run_trial(cfg, 400, 0, capture_trace=True)
+        trace = run.channel.trace
+        i, record = next((i, r) for i, r in enumerate(trace.stage1) if r.phase == "identity")
+        trace.stage1[i] = replace(record, txs=record.txs + 1)
+        audit = validate_run(run)
+        assert audit.energy_exact and not audit.oblivious
+        assert f"at slots {record.slots[:3].tolist()}" in audit.obliviousness_violations[0]
+
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_trace_holds_one_record_per_cell_and_phase(self, protocol):
+        cfg = ExperimentConfig(protocol=protocol, n=(800,), trials=1, eps0=0.1)
+        run = run_trial(cfg, 800, 0, capture_trace=True)
+        phases = ("discovery", "identity", "confirmation") if protocol == "max" else ("hist_count",)
+        keys = sorted((r.cell, r.phase) for r in run.channel.trace.stage1)
+        assert keys == sorted((c.index, phase) for c in run.grid for phase in phases)
 
     def test_confirmation_slots_are_exempt(self):
         # Flipping every data bit changes the confirmation transmitters but
@@ -190,7 +227,9 @@ class TestValidateRun:
         with pytest.raises(ValueError):
             validate_run(run_trial(cfg, 400, 0))
 
-    @pytest.mark.parametrize("counter", ["tx_stage2", "slots_stage2", "slots_stage1"])
+    @pytest.mark.parametrize(
+        "counter", ["tx_stage2", "slots_stage2", "slots_stage1", "tx_stage1"]
+    )
     def test_stage2_accounting_identity_catches_corruption(self, counter):
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
         run = run_trial(cfg, 400, 0, capture_trace=True)
@@ -270,6 +309,19 @@ class TestCli:
 
     def test_bad_sweep_range_is_exit_2(self):
         assert main(["sweep", "--n", "400,500,600", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mode", "treecode", "--alphabet", "6"],
+            ["--c-rep", "1", "--eps0", "0.1"],
+            ["--l1", "3"],
+        ],
+        ids=["treecode-alphabet", "discovery-budget", "identity-code-length"],
+    )
+    def test_library_rule_violation_is_exit_2(self, flags, capsys):
+        assert main(["run", "--n", "400", *flags]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_infeasible_treecode_depth_is_exit_3(self):
         # Histogram arrays at n = 4000 need q + g - 1 = 19 rounds, beyond the
