@@ -30,6 +30,7 @@ __all__ = [
     "Metrics",
     "Channel",
     "flip",
+    "distances",
     "resolve_slot",
     "color_cells",
     "account",
@@ -105,6 +106,12 @@ def flip(bit: int, p: float, rng: np.random.Generator) -> int:
     return int(bit) ^ int(rng.random() < p)
 
 
+def distances(positions: np.ndarray, rows, cols) -> np.ndarray:
+    """Euclidean distances from each node of rows (axis 0) to each of cols (axis 1)."""
+    diff = positions[list(rows)][:, None, :] - positions[list(cols)][None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
 def resolve_slot(
     events: list[TxEvent] | tuple[TxEvent, ...],
     listeners,
@@ -120,32 +127,29 @@ def resolve_slot(
     every other transmitter is at least (1 + delta) * radius away; it hears a
     collision iff someone was in range but another transmitter sat inside the
     guard ring.  Transmitters in the ambiguous band (radius, (1+delta)*radius)
-    never deliver but do collide.
+    never deliver but do collide.  Noise is drawn per delivering listener, in
+    listener order: one ``noise.flip_prob(slot, tx, listener, history)`` call,
+    then one ``flip``; silent and colliding listeners draw nothing.
     """
     events = list(events)
-    if events:
-        slots = {e.slot for e in events}
-        if len(slots) > 1:
-            raise ValueError(f"events span multiple slots: {sorted(slots)}")
-        slot = events[0].slot
-    else:
-        slot = 0
+    listeners = list(listeners)
+    slots = sorted({e.slot for e in events})
+    if len(slots) > 1:
+        raise ValueError(f"events span multiple slots: {slots}")
+    slot = slots[0] if slots else 0
 
-    guard = (1.0 + params.delta) * params.radius
+    dist = distances(positions, listeners, [e.tx for e in events])
+    in_range = dist <= params.radius
+    heard = in_range.sum(axis=1)
+    interfered = ((dist < (1.0 + params.delta) * params.radius) & ~in_range).any(axis=1)
     outcomes: dict[int, RxOutcome] = {}
-    for j in listeners:
-        dists = [float(np.linalg.norm(positions[e.tx] - positions[j])) for e in events]
-        in_range = [i for i, d in enumerate(dists) if d <= params.radius]
-        if not in_range:
-            outcomes[j] = SILENCE
-        elif len(in_range) == 1 and all(
-            d >= guard for i, d in enumerate(dists) if i != in_range[0]
-        ):
-            e = events[in_range[0]]
+    for i, j in enumerate(listeners):
+        if heard[i] == 1 and not interfered[i]:
+            e = events[int(in_range[i].argmax())]
             p = noise.flip_prob(slot, e.tx, j, history)
             outcomes[j] = received(flip(e.bit, p, rng))
         else:
-            outcomes[j] = COLLISION
+            outcomes[j] = COLLISION if heard[i] else SILENCE
     return outcomes
 
 
@@ -269,12 +273,12 @@ def account(
 
     A (listener, slot) pair is charged reception energy iff some transmitter
     is within the radius (a delivery or a collision); pure silence costs
-    nothing.  Listener sets declare who is scheduled to listen.
+    nothing.  Listener sets declare who is scheduled to listen.  Accounting
+    draws no noise: it reads only positions, so it can run before or after
+    ``resolve_slot`` on the same slot without shifting the RNG stream.
     """
-    rx = 0
-    for j in listeners:
-        if any(np.linalg.norm(positions[e.tx] - positions[j]) <= params.radius for e in events):
-            rx += 1
+    dist = distances(positions, listeners, [e.tx for e in events])
+    rx = int((dist <= params.radius).any(axis=1).sum())
     metrics.add(stage, tx=len(events), rx=rx)
     return metrics
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .coding import DEFAULT_DECODE_CAP, LinkSimConfig, smallest_odd_at_least
@@ -63,6 +64,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type in ("int", "int | None") and not isinstance(v, numbers.Integral | None):
+                raise ConfigError(f"{f.name.replace('_', '-')} must be an integer, got {v!r}")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.mode not in MODES:
@@ -148,5 +153,5 @@ class ExperimentConfig:
             kwargs[name] = value
         try:
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # a value of the wrong type, e.g. "n": "abc"
             raise ConfigError(str(exc)) from exc

@@ -31,6 +31,7 @@ from .channel import (
     Trace,
     TxEvent,
     color_cells,
+    distances,
     resolve_slot,
 )
 from .coding import CapacityError
@@ -428,12 +429,6 @@ class AuditReport:
         )
 
 
-def _min_cross_distance(positions: np.ndarray, a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    pa, pb = positions[list(a)], positions[list(b)]
-    diff = pa[:, None, :] - pb[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).min()))
-
-
 def audit_coloring(
     grid: CellGrid,
     params: DerivedParams,
@@ -454,7 +449,7 @@ def audit_coloring(
         base = (class_bases or {}).get(cls.color, 0)
         for i, a in enumerate(cls.cells):
             for b in cls.cells[i + 1 :]:
-                dist = _min_cross_distance(positions, grid.cell(a).members, grid.cell(b).members)
+                dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
                 if dist < guard:
                     violations.append(
                         f"slot {base}: same-color cells {a} and {b} (color {cls.color}) have "
@@ -463,8 +458,16 @@ def audit_coloring(
     return violations
 
 
-def _replay_intracell_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
-    """Replay each stage1_layout class's first slot and, under MAX, first identity slot."""
+def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
+    """Resolve scheduled slots without noise; every intended receiver must receive.
+
+    Stage 1: each stage1_layout class's first slot and, under MAX, its first
+    identity slot, where each cell's transmitter must reach the rest of its
+    cell.  Stage 2: every subslot.  Within a logical slot, the link from child
+    cell j fires in the subslot given by j's color in the reuse coloring
+    (upward; downward subslots are a disjoint second bank), so one subslot's
+    link transmitters are the events and its link receivers the listeners.
+    """
     params, grid = run.params, run.grid
     positions = run.instance.positions
     rng = np.random.default_rng(0)
@@ -487,18 +490,6 @@ def _replay_intracell_slots(run: TrialRun, layout: list, report: AuditReport) ->
                         f"{phase} slot {slot}: cell {j} listeners {bad} did not receive"
                     )
 
-
-def _audit_stage2_links(run: TrialRun, report: AuditReport) -> None:
-    """Check the link schedule: same-subslot links cannot collide.
-
-    Within a logical slot, the link from child cell j fires in the subslot
-    given by j's color in the reuse coloring (upward; downward subslots are a
-    disjoint second bank).  Same-subslot transmitters must clear every other
-    link's receiver by the guard distance.
-    """
-    params, grid = run.params, run.grid
-    positions = run.instance.positions
-    guard = (1.0 + params.delta) * params.radius
     color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
     for si, stage in enumerate(run.plan.stages):
         groups: dict[int, list[tuple[int, int]]] = {}
@@ -508,15 +499,14 @@ def _audit_stage2_links(run: TrialRun, report: AuditReport) -> None:
                     (grid.cell(child).center, grid.cell(parent).center)
                 )
         for subslot, links in groups.items():
-            for i, (tx1, rx1) in enumerate(links):
-                for tx2, rx2 in links[i + 1 :]:
-                    d12 = float(np.linalg.norm(positions[tx1] - positions[rx2]))
-                    d21 = float(np.linalg.norm(positions[tx2] - positions[rx1]))
-                    if d12 < guard or d21 < guard:
-                        report.collision_violations.append(
-                            f"stage {si} subslot {subslot}: links {tx1}->{rx1} and "
-                            f"{tx2}->{rx2} are within the guard ring"
-                        )
+            events = [TxEvent(subslot, tx, 0) for tx, _ in links]
+            receivers = [rx for _, rx in links]
+            outcomes = resolve_slot(events, receivers, positions, params, noiseless, rng)
+            bad = [f"{tx}->{rx}" for tx, rx in links if not outcomes[rx].is_received]
+            if bad:
+                report.collision_violations.append(
+                    f"stage {si} subslot {subslot}: links {', '.join(bad)} did not deliver"
+                )
 
 
 def validate_run(run: TrialRun) -> AuditReport:
@@ -541,8 +531,7 @@ def validate_run(run: TrialRun) -> AuditReport:
     report.collision_violations.extend(
         audit_coloring(run.grid, run.params, run.coloring, run.instance.positions, bases)
     )
-    _replay_intracell_slots(run, layout, report)
-    _audit_stage2_links(run, report)
+    _replay_slots(run, layout, report)
 
     flipped = run_trial(
         run.config,
@@ -639,8 +628,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, a directory, or not JSON
+            raise ConfigError(f"--config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("--config file must hold a JSON object")
         data.update(loaded)
@@ -699,15 +691,12 @@ def main(argv: list[str] | None = None) -> int:
                 failed = failed or not audit.passed
             if failed:
                 return 4
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:  # a bad config, or --out into no directory
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ProtocolInfeasibleError, InfeasibleRunError, CapacityError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

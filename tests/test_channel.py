@@ -19,6 +19,7 @@ from noisyplanar.channel import (
     account,
     color_cells,
     flip,
+    received,
     resolve_slot,
 )
 from noisyplanar.geometry import assign_cells, derive_params, place_nodes
@@ -117,6 +118,104 @@ class TestResolveSlot:
             resolve_slot(
                 [TxEvent(0, 0, 1), TxEvent(1, 1, 0)], [0], pos, self.params, self.noise, self.rng
             )
+
+
+def _reference_slot(events, listeners, positions, params, noise, rng, history=None):
+    """The reception rule written out pair by pair: the oracle for resolve_slot."""
+    slot = events[0].slot if events else 0
+    guard = (1.0 + params.delta) * params.radius
+    outcomes = {}
+    for j in listeners:
+        dists = [float(np.linalg.norm(positions[e.tx] - positions[j])) for e in events]
+        in_range = [i for i, d in enumerate(dists) if d <= params.radius]
+        if not in_range:
+            outcomes[j] = SILENCE
+        elif len(in_range) == 1 and all(
+            d >= guard for i, d in enumerate(dists) if i != in_range[0]
+        ):
+            e = events[in_range[0]]
+            p = noise.flip_prob(slot, e.tx, j, history)
+            outcomes[j] = received(flip(e.bit, p, rng))
+        else:
+            outcomes[j] = COLLISION
+    return outcomes
+
+
+def _reference_rx(events, listeners, positions, params):
+    """The listeners with some transmitter in range, counted pair by pair."""
+    rx = 0
+    for j in listeners:
+        if any(np.linalg.norm(positions[e.tx] - positions[j]) <= params.radius for e in events):
+            rx += 1
+    return rx
+
+
+def _random_slot(rng, nodes=14, max_events=6):
+    """A layout a few radii wide and 0..max_events transmitters among its nodes."""
+    positions = rng.random((nodes, 2)) * 0.45
+    txs = rng.choice(nodes, size=int(rng.integers(max_events + 1)), replace=False)
+    return positions, [TxEvent(7, int(t), int(rng.integers(2))) for t in txs]
+
+
+class TestReceptionRuleAgainstReference:
+    @pytest.mark.parametrize("delta", [0.5, 0.0])
+    def test_outcomes_and_rx_counts_match(self, delta):
+        # Every node listens, transmitters included, passed as a range.
+        params = derive_params(5000, delta)
+        rng = np.random.default_rng(11)
+        kinds, empty, self_heard = set(), 0, 0
+        for _ in range(300):
+            pos, events = _random_slot(rng)
+            listeners = range(len(pos))
+            noise, noise_rng = NoiseModel(0.0), np.random.default_rng(0)
+            got = resolve_slot(events, listeners, pos, params, noise, noise_rng)
+            want = _reference_slot(events, listeners, pos, params, noise, noise_rng)
+            assert list(got.items()) == list(want.items())
+            metrics = account(Metrics(), events, listeners, pos, params)
+            assert metrics.rx_stage1 == _reference_rx(events, listeners, pos, params)
+            assert metrics.tx_stage1 == len(events)
+            kinds |= {o.kind for o in got.values()}
+            empty += not events
+            self_heard += sum(got[e.tx].is_received for e in events)
+        assert kinds == {"received", "collision", "silence"}
+        assert empty and self_heard
+
+    def test_noisy_bits_and_draw_count_match_under_equal_seeds(self):
+        params = derive_params(5000, 0.5)
+        layouts = np.random.default_rng(5)
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        noise = NoiseModel(0.3)
+        for _ in range(200):
+            pos, events = _random_slot(layouts)
+            listeners = list(layouts.permutation(len(pos)))
+            got = resolve_slot(events, listeners, pos, params, noise, ours)
+            want = _reference_slot(events, listeners, pos, params, noise, theirs)
+            assert list(got.items()) == list(want.items())
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_adversary_sees_the_same_call_sequence(self):
+        params = derive_params(5000, 0.5)
+        layouts = np.random.default_rng(6)
+        calls = {"ours": [], "theirs": []}
+
+        def model(log):
+            hook = lambda slot, tx, rx, history: log.append((slot, tx, rx, history)) or 0.2
+            return NoiseModel(0.25, mode="adversarial", adversary=hook)
+
+        for _ in range(200):
+            pos, events = _random_slot(layouts)
+            listeners = list(layouts.permutation(len(pos)))
+            seed = int(layouts.integers(1 << 30))
+            got = resolve_slot(
+                events, listeners, pos, params, model(calls["ours"]),
+                np.random.default_rng(seed), history="h",
+            )
+            want = _reference_slot(
+                events, listeners, pos, params, model(calls["theirs"]),
+                np.random.default_rng(seed), history="h",
+            )
+            assert list(got.items()) == list(want.items())
+        assert calls["ours"] and calls["ours"] == calls["theirs"]
 
 
 class TestNoiseModel:

@@ -1,5 +1,6 @@
 """Experiment orchestration, reports, scaling sweeps, audits, and the CLI."""
 
+import importlib.util
 import json
 import math
 import re
@@ -185,6 +186,32 @@ class TestValidateRun:
         identity = [v for v in audit.collision_violations if v.startswith("identity")]
         assert identity
         assert all(v.startswith(f"identity slot {id_slot}: ") for v in identity)
+
+    def test_stage2_links_sharing_a_subslot_are_named(self):
+        # Move the first cell of a three-cell array into its parent's color
+        # class: both of the array's first links then fire in one subslot,
+        # where the parent's center transmits while it should receive.
+        cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
+        run = run_trial(cfg, 1000, 0, capture_trace=True)
+        si, cells = next(
+            (si, a.cells) for si, st in enumerate(run.plan.stages) for a in st.arrays
+            if len(a.cells) >= 3
+        )
+        child, parent, grandparent = (run.grid.cell(j) for j in cells[:3])
+        color = next(cls.color for cls in run.coloring if parent.index in cls.cells)
+        moved = []
+        for cls in run.coloring:
+            cells = [j for j in cls.cells if j != child.index]
+            cells += [child.index] if cls.color == color else []
+            if cells:
+                moved.append(ScheduleClass(cls.color, tuple(sorted(cells))))
+        run.coloring = moved
+        audit = validate_run(run)
+        prefix = f"stage {si} subslot {color}: "
+        named = [v for v in audit.collision_violations if v.startswith(prefix)]
+        assert len(named) == 1
+        assert f"{child.center}->{parent.center}" in named[0]
+        assert f"{parent.center}->{grandparent.center}" in named[0]
 
     def test_changed_schedule_names_its_first_slots(self):
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
@@ -383,6 +410,20 @@ class TestCli:
     def test_missing_config_file_is_exit_2(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        ['{"n": ', None, '{"n": "abc"}', '{"trials": 1.5}'],
+        ids=["not-json", "directory", "n-not-an-integer", "trials-not-an-integer"],
+    )
+    def test_bad_config_file_is_exit_2(self, tmp_path, content, capsys):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_failed_audit_is_exit_4(self, monkeypatch, capsys):
         import noisyplanar.harness as hz
 
@@ -390,3 +431,14 @@ class TestCli:
         monkeypatch.setattr(hz, "_audit_trial", lambda cfg, n, trial=0: broken)
         assert main(["validate", "--n", "400", "--trials", "1"]) == 4
         assert "synthetic violation" in capsys.readouterr().err
+
+
+def test_benchmark_patch_points_exist():
+    # The traced benchmark swaps a timing wrapper in at each (owner, attr) of
+    # benchmarks/tracing.PATCHES; a renamed or dropped attribute breaks it.
+    path = Path(__file__).parent.parent / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(owner, attr) for owner, attr, *_ in tracing.PATCHES if attr not in vars(owner)]
+    assert not missing
