@@ -1,10 +1,16 @@
 """Bit-protection primitives for noisy links.
 
-Three interchangeable mechanisms turn a noiseless line protocol into one that
-runs over binary-symmetric links:
+A line protocol is given by its length q, its schedule length in rounds, the
+payload ``width`` each link carries, and a ``step(i, received_child_value)``
+that folds the value node i receives into its own; the per-round bits, the
+payload rounds and the noiseless run are derived from those.  Three
+interchangeable mechanisms turn a noiseless line protocol into one that runs
+over binary-symmetric links:
 
 * ``repetition``  -- every meaningful link bit is repeated an odd number of
-  times and majority-decoded (the robust, time-expensive fallback);
+  times and majority-decoded (the robust, time-expensive fallback); under
+  iid noise an array is one flip draw and a fold of ``step`` over each
+  link's error word;
 * ``treecode``    -- every sender emits one tree-code symbol per round and the
   receiver re-decodes the full history each round (the mechanism behind the
   time-optimal scheme, exponential to decode, so depth-capped);
@@ -339,36 +345,76 @@ class SimGuarantee:
 class LineProtocol:
     """An oblivious noiseless protocol on a linear array, child end first.
 
-    Nodes 0..q-1; node q-1 is the array root.  In every round t (1-based)
-    each non-root node i sends one bit to node i+1: ``sent_bit(i, t, child)``
-    where ``child`` holds the bits node i has decoded from node i-1 in rounds
-    1..t-1 (empty for node 0).  Dummy zeros are sent in idle rounds, so the
-    schedule never depends on the data.  ``node_value(i, child)`` is node i's
-    local result once it has its child's full round sequence;
-    ``payload_rounds(i)`` lists the rounds in which node i's bit is
-    meaningful (everything else is a known dummy).
+    Nodes 0..q-1; node q-1 is the array root.  Node i folds the value it
+    received from its child into its own: ``step(i, received_child_value)``
+    (node 0 receives 0).  The value crosses link i -> i+1 as ``width`` bits,
+    least significant first, bit k in round i+1+k, so each node starts one
+    round after its child; every other round carries a known dummy zero and
+    the schedule never depends on the data.  ``step`` must be causal in that
+    order: bit k of its result depends only on bits 0..k of the received
+    value, so a node can send bit k as soon as its child's bit k has arrived.
+    ``rounds`` is the length of the schedule; ``corrupt`` draws the value an
+    abstract-mode failure leaves at the root.
+
+    The per-round view -- ``sent_bit``, ``payload_rounds``, ``node_value``
+    and ``noiseless_run`` -- is derived from ``step`` and ``width``.
     """
 
     q: int
     rounds: int
-    sent_bit: Callable[[int, int, Sequence[int]], int]
-    node_value: Callable[[int, Sequence[int]], int]
-    payload_rounds: Callable[[int], range]
+    width: int
+    step: Callable[[int, int], int]
     corrupt: Callable[[np.random.Generator], int]
+
+    def payload_rounds(self, i: int) -> range:
+        """Rounds in which node i's bit is meaningful (everything else is a dummy)."""
+        return range(i + 1, i + 1 + self.width)
+
+    def child_value(self, i: int, child: Sequence[int]) -> int:
+        """What node i has received from its child, whose bits of rounds 1, 2, ...
+        are ``child``; payload rounds not yet in ``child`` count as zeros."""
+        if i == 0:
+            return 0
+        rounds = self.payload_rounds(i - 1)
+        return sum(int(child[t - 1]) << k for k, t in enumerate(rounds) if t <= len(child))
+
+    def sent_bit(self, i: int, t: int, child: Sequence[int]) -> int:
+        """Node i's bit in round t, from its child's bits of rounds 1..t-1."""
+        k = t - i - 1
+        if not 0 <= k < self.width:
+            return 0
+        return self.step(i, self.child_value(i, child)) >> k & 1
+
+    def node_value(self, i: int, child: Sequence[int]) -> int:
+        """Node i's local result once it has its child's full round sequence."""
+        return self.step(i, self.child_value(i, child))
+
+    def fold(self, errors: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
+        """Per-node values and the value each link delivers, when link i
+        flips the payload bits set in ``errors[i]`` (none: the noiseless run)."""
+        values: list[int] = []
+        delivered: list[int] = []
+        received = 0
+        for i in range(self.q):
+            values.append(self.step(i, received))
+            if i < self.q - 1:
+                received = values[i] ^ (errors[i] if errors is not None else 0)
+                delivered.append(received)
+        return values, delivered
 
     def noiseless_run(self) -> tuple[list[list[int]], list[int]]:
         """Per-sender round bits and per-node values over perfect links."""
-        sent: list[list[int]] = []
-        values: list[int] = []
-        child: list[int] = []
-        for i in range(self.q):
-            if i < self.q - 1:
-                bits = [self.sent_bit(i, t, child[: t - 1]) for t in range(1, self.rounds + 1)]
-                sent.append(bits)
-            values.append(self.node_value(i, child))
-            if i < self.q - 1:
-                child = sent[i]
+        values, _ = self.fold()
+        sent = [
+            [0] * i + list(_bits(v, self.width)) + [0] * (self.rounds - i - self.width)
+            for i, v in enumerate(values[:-1])
+        ]
         return sent, values
+
+
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    """The low ``width`` bits of value, least significant first."""
+    return tuple(value >> k & 1 for k in range(width))
 
 
 def or_chain(values: Sequence[int]) -> LineProtocol:
@@ -377,23 +423,11 @@ def or_chain(values: Sequence[int]) -> LineProtocol:
     q = len(vals)
     if q < 2:
         raise ValueError("a line protocol needs at least two nodes")
-
-    def sent_bit(i: int, t: int, child: Sequence[int]) -> int:
-        if t != i + 1:
-            return 0
-        incoming = child[i - 1] if i > 0 else 0
-        return incoming | vals[i]
-
-    def node_value(i: int, child: Sequence[int]) -> int:
-        incoming = child[i - 1] if i > 0 else 0
-        return incoming | vals[i]
-
     return LineProtocol(
         q=q,
         rounds=q - 1,
-        sent_bit=sent_bit,
-        node_value=node_value,
-        payload_rounds=lambda i: range(i + 1, i + 2),
+        width=1,
+        step=lambda i, received: received | vals[i],
         corrupt=lambda rng: int(rng.integers(0, 2)),
     )
 
@@ -444,12 +478,22 @@ class LinkSimConfig:
 
 @dataclass(frozen=True)
 class LineResult:
-    """Outcome of one array simulation: per-node values plus cost accounting."""
+    """Outcome of one array simulation: per-node values plus cost accounting.
+
+    ``delivered[i]`` is the value node i+1 decoded from link i's ``width``
+    payload bits.
+    """
 
     values: tuple[int, ...]
     slots: int
     tx: int
-    payloads: tuple[tuple[int, ...], ...]  # decoded meaningful bits per link
+    delivered: tuple[int, ...]
+    width: int
+
+    @property
+    def payloads(self) -> tuple[tuple[int, ...], ...]:
+        """Decoded meaningful bits per link, least significant first."""
+        return tuple(_bits(v, self.width) for v in self.delivered)
 
 
 def simulate_line(
@@ -474,14 +518,10 @@ def simulate_line(
     return _simulate_treecode(protocol, config, channel, link_endpoints)
 
 
-def _payload_of(bits: Sequence[int], protocol: LineProtocol, i: int) -> tuple[int, ...]:
-    return tuple(int(bits[t - 1]) for t in protocol.payload_rounds(i))
-
-
 def _simulate_abstract(
     protocol: LineProtocol, config: LinkSimConfig, channel: Channel
 ) -> LineResult:
-    sent, values = protocol.noiseless_run()
+    values, delivered = protocol.fold()
     guarantee = config.guarantee
     # The guarantee models decoding failure under channel noise; a noiseless
     # channel cannot fail, preserving exactness at eps0 = 0.
@@ -489,8 +529,7 @@ def _simulate_abstract(
         values[-1] = protocol.corrupt(channel.rng)
     slots = guarantee.slots(protocol.rounds)
     tx = (protocol.q - 1) * config.r3
-    payloads = tuple(_payload_of(bits, protocol, i) for i, bits in enumerate(sent))
-    return LineResult(tuple(values), slots, tx, payloads)
+    return LineResult(tuple(values), slots, tx, tuple(delivered), protocol.width)
 
 
 def _simulate_repetition(
@@ -499,28 +538,51 @@ def _simulate_repetition(
     channel: Channel,
     link_endpoints,
 ) -> LineResult:
+    """Each link repeats its node's payload bits r3 times each, hop-serially.
+
+    The receiver majority-decodes every payload bit and fills in the known
+    dummies for free.  Noise is drawn link by link, payload bit by payload
+    bit, copy by copy.  Under iid noise a decoded bit is the sent bit XOR
+    [more than r3/2 of its copies flipped], whatever the bit, so the array
+    takes one (links, width, r3) flip draw, which becomes one error word per
+    link, and a fold of ``step`` over those words.  An adversary may read the
+    channel mid-array, so it gets the per-reception loop, which consumes the
+    same uniforms in the same order.
+    """
+    links, width, r3 = protocol.q - 1, protocol.width, config.r3
+    slots = links * width * r3
+    if channel.noise.mode == "iid":
+        flips = channel.flip_mask((links, width, r3))
+        channel.slot_cursor += slots
+        wrong = flips.sum(axis=2) > r3 // 2
+        values, delivered = protocol.fold((wrong << np.arange(width)).sum(axis=1).tolist())
+    else:
+        values, delivered = _repetition_per_reception(protocol, r3, channel, link_endpoints)
+    # One transmission per slot.
+    return LineResult(tuple(values), slots, slots, tuple(delivered), width)
+
+
+def _repetition_per_reception(
+    protocol: LineProtocol, r3: int, channel: Channel, link_endpoints
+) -> tuple[list[int], list[int]]:
+    """Repetition links one noisy copy batch at a time: values and delivered values."""
     values: list[int] = []
-    payloads: list[tuple[int, ...]] = []
+    delivered: list[int] = []
     child: list[int] = []
-    slots = 0
     for i in range(protocol.q):
         values.append(protocol.node_value(i, child))
         if i == protocol.q - 1:
             break
         tx_node, rx_node = link_endpoints[i]
         decoded = [0] * protocol.rounds
-        for t in range(1, protocol.rounds + 1):
+        for t in protocol.payload_rounds(i):
             bit = protocol.sent_bit(i, t, child[: t - 1])
-            if t not in protocol.payload_rounds(i):
-                continue  # known dummy: the receiver fills it in for free
-            copies = channel.noisy_copies(bit, config.r3, tx_node, rx_node, channel.slot_cursor)
-            channel.slot_cursor += config.r3
-            slots += config.r3
+            copies = channel.noisy_copies(bit, r3, tx_node, rx_node, channel.slot_cursor)
+            channel.slot_cursor += r3
             decoded[t - 1] = majority_decode(copies)
-        payloads.append(_payload_of(decoded, protocol, i))
+        delivered.append(protocol.child_value(i + 1, decoded))
         child = decoded
-    tx = slots  # one transmission per repetition slot, hop-serially
-    return LineResult(tuple(values), slots, tx, tuple(payloads))
+    return values, delivered
 
 
 def _simulate_treecode(
@@ -572,13 +634,11 @@ def _simulate_treecode(
         channel.slot_cursor += 2 * sym_bits
 
     values = []
-    payloads = []
     for i in range(protocol.q):
         child = beliefs[i - 1][: protocol.rounds] if i > 0 else []
         values.append(protocol.node_value(i, child))
-        if i < protocol.q - 1:
-            payloads.append(_payload_of(beliefs[i], protocol, i))
+    delivered = tuple(protocol.child_value(i + 1, beliefs[i]) for i in range(links))
     # Forward symbols plus the reserved reverse-direction dummies, in bit-slots.
     slots = 2 * depth * sym_bits
     tx = 2 * links * depth * sym_bits
-    return LineResult(tuple(values), slots, tx, tuple(payloads))
+    return LineResult(tuple(values), slots, tx, delivered, protocol.width)

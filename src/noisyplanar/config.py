@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 from .coding import DEFAULT_DECODE_CAP, LinkSimConfig, smallest_odd_at_least
@@ -17,6 +18,16 @@ BIT_SOURCES = ("all-zero", "all-one", "bernoulli", "single-one-at-random", "expl
 
 class ConfigError(ValueError):
     """An experiment configuration that cannot be run."""
+
+
+def _integers(key: str, value) -> tuple[int, ...]:
+    """A sequence of integers as a tuple of ints; anything else names the key."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+    for v in value:
+        if not isinstance(v, numbers.Integral):
+            raise ConfigError(f"{key} must hold integers only, got {v!r}")
+    return tuple(int(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -58,9 +69,10 @@ class ExperimentConfig:
     max_resamples: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        if self.bits is not None:
-            object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        for name in ("n", "bits"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _integers(name, value))
         self.validate()
 
     def validate(self) -> None:

@@ -644,11 +644,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _write_or_print(text: str, path: str | None) -> None:
-    if path:
+    if not path:
+        print(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        print(text)
+    except OSError as exc:  # a directory, a missing parent, no permission
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -691,7 +694,7 @@ def main(argv: list[str] | None = None) -> int:
                 failed = failed or not audit.passed
             if failed:
                 return 4
-    except (ConfigError, FileNotFoundError) as exc:  # a bad config, or --out into no directory
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ProtocolInfeasibleError, InfeasibleRunError, CapacityError) as exc:

@@ -133,8 +133,10 @@ def adder_chain(counts: Sequence[int], width: int) -> LineProtocol:
 
     The deepest node streams its count's bits; each interior node lags one
     round, full-adding its own count into the passing stream, so the schedule
-    closes after q + width - 1 rounds.  All arithmetic is modulo 2^width --
-    the stream simply never carries a higher bit.
+    closes after q + width - 1 rounds.  Serial addition of an LSB-first
+    stream is integer addition, so a node's step adds its count to the value
+    it receives.  All arithmetic is modulo 2^width -- the stream simply never
+    carries a higher bit.
     """
     vals = [int(c) for c in counts]
     q = len(vals)
@@ -144,34 +146,11 @@ def adder_chain(counts: Sequence[int], width: int) -> LineProtocol:
     for c in vals:
         if not (0 <= c < mod):
             raise ValueError(f"count {c} does not fit in {width} bits")
-
-    def incoming(i: int, child: Sequence[int], upto: int) -> int:
-        """Value of the child stream's bits 0..upto-1 (known dummies are zero)."""
-        if i == 0:
-            return 0
-        total = 0
-        for k in range(upto):
-            pos = i + k - 1  # child (node i-1) sends its bit k in round i+k
-            if pos < len(child):
-                total += int(child[pos]) << k
-        return total
-
-    def sent_bit(i: int, t: int, child: Sequence[int]) -> int:
-        k = t - (i + 1)
-        if not (0 <= k < width):
-            return 0
-        low = (1 << (k + 1)) - 1
-        return ((incoming(i, child, k + 1) & low) + (vals[i] & low)) >> k & 1
-
-    def node_value(i: int, child: Sequence[int]) -> int:
-        return (incoming(i, child, width) + vals[i]) % mod
-
     return LineProtocol(
         q=q,
         rounds=q + width - 1,
-        sent_bit=sent_bit,
-        node_value=node_value,
-        payload_rounds=lambda i: range(i + 1, i + 1 + width),
+        width=width,
+        step=lambda i, received: (received + vals[i]) % mod,
         corrupt=lambda rng: int(rng.integers(0, mod)),
     )
 

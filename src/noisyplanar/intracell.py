@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -136,25 +137,33 @@ class Stage1Result:
 
 
 def _majority_at_center(
-    cell: Cell, reps: int, phase: str, channel: Channel, slot0: int
+    cells: Sequence[Cell], reps: int, phase: str, channel: Channel, slot0: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-member repetition to the center; returns the members and their decoded bits.
+    """Per-member repetition to each cell's center, the cells in lockstep.
 
-    Members transmit their bit in ascending id order, reps consecutive slots
-    each, for exactly reps * N transmissions.  The center majority-decodes
-    every member; its own broadcasts are noiseless to itself.
+    In every cell, members transmit their bit in ascending id order, reps
+    consecutive slots each from slot0, for exactly reps * N transmissions.
+    The center majority-decodes every member; its own broadcasts are
+    noiseless to itself.  Noise is drawn in one call, cell by cell, member by
+    member, copy by copy, and each cell gets one trace record.  Returns the
+    cells' members end to end and their decoded bits.
     """
-    members = np.array(cell.members)
-    n_members = len(members)
-    bits = channel.instance.bits[members]
-    slots = slot0 + np.arange(n_members * reps).reshape(n_members, reps)
+    sizes = [cell.size for cell in cells]
+    members = np.concatenate([cell.members for cell in cells])
+    centers = np.repeat([cell.center for cell in cells], sizes)
+    slots = slot0 + np.concatenate([np.arange(size * reps) for size in sizes]).reshape(-1, reps)
     txs = members[:, None]
-    flips = channel.flip_mask((n_members, reps), slots=slots, txs=txs, rxs=cell.center)
-    decoded = (bits ^ (flips.sum(axis=1) > reps // 2)).astype(np.int8)
-    decoded[members == cell.center] = bits[members == cell.center]
+    bits = channel.instance.bits[members]
+    flips = channel.flip_mask(slots.shape, slots=slots, txs=txs, rxs=centers[:, None])
+    decoded = bits ^ (flips.sum(axis=1) > reps // 2)
+    is_center = members == centers
+    decoded[is_center] = bits[is_center]
 
-    channel.record(phase, cell.index, slots, txs)
-    channel.metrics.add("stage1", tx=reps * n_members, rx=reps * n_members * (n_members - 1))
+    lo = 0
+    for cell, size in zip(cells, sizes):
+        channel.record(phase, cell.index, slots[lo : lo + size], txs[lo : lo + size])
+        lo += size
+    channel.metrics.add("stage1", tx=reps * len(members), rx=reps * sum(s * (s - 1) for s in sizes))
     return members, decoded
 
 
@@ -165,7 +174,7 @@ def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0:
     least id whose decoded bit is 1, falling back to the least id when none
     is seen.
     """
-    members, decoded = _majority_at_center(cell, config.c_rep, "discovery", channel, slot0)
+    members, decoded = _majority_at_center([cell], config.c_rep, "discovery", channel, slot0)
     ones = np.flatnonzero(decoded == 1)
     return int(members[ones[0]]) if len(ones) else int(members[0])
 
@@ -294,14 +303,17 @@ def run_stage1_hist(
 
     Members broadcast their bit r2 times in ascending id order (r2 * N
     transmissions per cell); the center majority-decodes each member and
-    reports how many decoded to 1.
+    reports how many decoded to 1.  Every draw count depends only on the
+    layout, so a whole color class is drawn and counted at once.
     """
     before = channel.metrics.snapshot()
     result = Stage1Result()
     for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
-        for j in cls.cells:
-            _, decoded = _majority_at_center(grid.cell(j), config.r2, "hist_count", channel, base)
-            result.counts[j] = int(decoded.sum())
+        cells = [grid.cell(j) for j in cls.cells]
+        _, decoded = _majority_at_center(cells, config.r2, "hist_count", channel, base)
+        starts = np.cumsum([0] + [cell.size for cell in cells[:-1]])
+        counts = np.add.reduceat(decoded, starts, dtype=np.int64)
+        result.counts.update(zip(cls.cells, counts.tolist()))
         channel.metrics.add("stage1", slots=span)
     after = channel.metrics.snapshot()
     result.metrics_delta = {k: after[k] - before[k] for k in before}

@@ -22,6 +22,7 @@ from noisyplanar.coding import (
     smallest_odd_at_least,
 )
 from noisyplanar.geometry import derive_params, place_nodes
+from noisyplanar.intercell import adder_chain
 
 # Fixture seeds: BlockCode(4, 16, seed=2) has minimum distance 6 (checked below);
 # the depth-10 tree code uses construction seed 1 over a 16-ary alphabet.
@@ -360,3 +361,88 @@ class TestSimulateLine:
     def test_protocols_shorter_than_two_nodes_rejected(self):
         with pytest.raises(ValueError):
             or_chain([1])
+
+
+def reference_adder(vals, width):
+    """adder_chain's per-round closures from before the step form: the reference transcript."""
+    mod = 1 << width
+
+    def incoming(i, child, upto):
+        """Value of the child stream's bits 0..upto-1 (known dummies are zero)."""
+        if i == 0:
+            return 0
+        total = 0
+        for k in range(upto):
+            pos = i + k - 1  # child (node i-1) sends its bit k in round i+k
+            if pos < len(child):
+                total += int(child[pos]) << k
+        return total
+
+    def sent_bit(i, t, child):
+        k = t - (i + 1)
+        if not (0 <= k < width):
+            return 0
+        low = (1 << (k + 1)) - 1
+        return ((incoming(i, child, k + 1) & low) + (vals[i] & low)) >> k & 1
+
+    def node_value(i, child):
+        return (incoming(i, child, width) + vals[i]) % mod
+
+    return sent_bit, node_value
+
+
+def run_repetition(protocol, r3, eps0, seed, hooked):
+    """One repetition-mode run: the result, the slot cursor and the RNG state after it.
+
+    A hook that always answers eps0 draws exactly what iid noise draws, but
+    takes the per-reception path.
+    """
+    if hooked:
+        noise = NoiseModel(eps0, mode="adversarial", adversary=lambda slot, tx, rx, h: eps0)
+    else:
+        noise = NoiseModel(eps0)
+    ch = Channel(place_nodes(16, seed=0), derive_params(1000, 0.5), noise, np.random.default_rng(seed))
+    res = simulate_line(protocol, LinkSimConfig(mode="repetition", r3=r3), ch)
+    return res, ch.slot_cursor, ch.rng.bit_generator.state
+
+
+class TestRepetitionClosedForm:
+    @pytest.mark.parametrize("eps0", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("kind", ["or", "adder"])
+    def test_fold_equals_the_per_reception_loop(self, kind, eps0):
+        rng = np.random.default_rng(31)
+        widths = (1, 3, 5) if kind == "adder" else (1,)
+        wrong_links = 0
+        for q, width, r3 in itertools.product(range(2, 7), widths, (1, 3, 5)):
+            for _ in range(4):
+                counts = rng.integers(0, 2**width, q)
+                proto = or_chain(counts) if kind == "or" else adder_chain(counts, width)
+                seed = int(rng.integers(2**32))
+                fold = run_repetition(proto, r3, eps0, seed, hooked=False)
+                loop = run_repetition(proto, r3, eps0, seed, hooked=True)
+                assert fold == loop, (q, width, r3, seed)
+                wrong_links += fold[0].delivered != tuple(proto.fold()[1])
+        # The comparison covers corrupted links whenever there is noise.
+        assert (wrong_links > 0) == (eps0 > 0)
+
+    @pytest.mark.parametrize("q,width", [(2, 1), (3, 3), (5, 4), (6, 5)])
+    def test_derived_rounds_match_the_closure_reference(self, q, width):
+        # Any child history, noisy ones included, gives the same round bits
+        # and node values as the closures did.
+        rng = np.random.default_rng(q * 10 + width)
+        for _ in range(10):
+            vals = rng.integers(0, 2**width, q).tolist()
+            proto = adder_chain(vals, width)
+            sent_bit, node_value = reference_adder(vals, width)
+            child = rng.integers(0, 2, proto.rounds).tolist()
+            for i in range(q):
+                assert proto.node_value(i, child) == node_value(i, child)
+                for t in range(1, proto.rounds + 1):
+                    assert proto.sent_bit(i, t, child[: t - 1]) == sent_bit(i, t, child[: t - 1])
+            sent, values = proto.noiseless_run()
+            child = []
+            for i in range(q - 1):
+                assert sent[i] == [sent_bit(i, t, child[: t - 1]) for t in range(1, proto.rounds + 1)]
+                assert values[i] == node_value(i, child)
+                child = sent[i]
+            assert values[-1] == node_value(q - 1, child)

@@ -1,5 +1,7 @@
 """Experiment orchestration, reports, scaling sweeps, audits, and the CLI."""
 
+import ast
+import importlib
 import importlib.util
 import json
 import math
@@ -411,18 +413,59 @@ class TestCli:
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 
     @pytest.mark.parametrize(
-        "content",
-        ['{"n": ', None, '{"n": "abc"}', '{"trials": 1.5}'],
-        ids=["not-json", "directory", "n-not-an-integer", "trials-not-an-integer"],
+        "content,key",
+        [
+            ('{"n": ', None),
+            (None, None),
+            ('{"n": "abc"}', "n"),
+            ('{"trials": 1.5}', "trials"),
+            ('{"n": 400.7}', "n"),
+            ('{"n": [400, 600.5, 800]}', "n"),
+            ('{"n": 3, "bit-source": "explicit", "bits": [0.5, 1, 0]}', "bits"),
+        ],
+        ids=[
+            "not-json",
+            "directory",
+            "n-not-an-integer",
+            "trials-not-an-integer",
+            "n-a-float",
+            "n-list-holding-a-float",
+            "bits-holding-a-float",
+        ],
     )
-    def test_bad_config_file_is_exit_2(self, tmp_path, content, capsys):
+    def test_bad_config_file_is_exit_2(self, tmp_path, content, key, capsys):
         path = tmp_path / "cfg.json"
         if content is None:
             path.mkdir()
         else:
             path.write_text(content)
         assert main(["run", "--config", str(path)]) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        if key is not None:
+            assert f"config error: {key} must" in err
+
+    @pytest.mark.parametrize(
+        "command,flag,target",
+        [
+            ("run", "--out", "existing-directory"),
+            ("run", "--out", "missing-parent"),
+            ("run", "--out", "under-a-file"),
+            ("sweep", "--csv", "existing-directory"),
+            ("sweep", "--out", "under-a-file"),
+        ],
+    )
+    def test_unwritable_output_path_is_exit_2(self, tmp_path, command, flag, target, capsys):
+        (tmp_path / "existing-directory").mkdir()
+        (tmp_path / "a-file").write_text("")
+        path = {
+            "existing-directory": tmp_path / "existing-directory",
+            "missing-parent": tmp_path / "missing" / "report.json",
+            "under-a-file": tmp_path / "a-file" / "report.json",
+        }[target]
+        n = "400" if command == "run" else "300,900,2400"
+        assert main([command, "--n", n, "--trials", "1", flag, str(path)]) == 2
+        assert f"config error: cannot write {path}:" in capsys.readouterr().err
 
     def test_failed_audit_is_exit_4(self, monkeypatch, capsys):
         import noisyplanar.harness as hz
@@ -441,4 +484,21 @@ def test_benchmark_patch_points_exist():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     missing = [(owner, attr) for owner, attr, *_ in tracing.PATCHES if attr not in vars(owner)]
+    assert not missing
+
+
+def test_micro_benchmark_imports_exist():
+    # benchmarks/micro sits outside testpaths, so a renamed or dropped name
+    # that it imports from the package would break it silently.
+    imported = []
+    for path in sorted((Path(__file__).parent.parent / "benchmarks" / "micro").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "noisyplanar":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imported
+    missing = [
+        (file, module, name)
+        for file, module, name in imported
+        if not hasattr(importlib.import_module(module), name)
+    ]
     assert not missing

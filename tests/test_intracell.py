@@ -1,11 +1,12 @@
 """Witness discovery, identity distribution, confirmation, per-cell counting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from noisyplanar.channel import Channel, NoiseModel, color_cells
+from noisyplanar.channel import Channel, NoiseModel, Trace, color_cells
 from noisyplanar.coding import BlockCode, RepetitionScheme
 from noisyplanar.geometry import (
     Cell,
@@ -22,6 +23,7 @@ from noisyplanar.intracell import (
     distribute_identity,
     run_stage1_hist,
     run_stage1_max,
+    stage1_layout,
     witness_discovery,
 )
 
@@ -260,6 +262,78 @@ class TestRunStage1Hist:
                 truth = int(inst.bits[list(c.members)].sum())
                 miscounts += result.counts[c.index] != truth
         assert miscounts == 0
+
+
+def hist_per_cell(grid, coloring, config, channel):
+    """Histogram counting with one draw and one count per cell: the reference
+    for counting a whole color class at once.  Returns counts and metrics delta."""
+    before = channel.metrics.snapshot()
+    counts = {}
+    reps = config.r2
+    for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
+        for j in cls.cells:
+            cell = grid.cell(j)
+            members = np.array(cell.members)
+            n_members = len(members)
+            bits = channel.instance.bits[members]
+            slots = base + np.arange(n_members * reps).reshape(n_members, reps)
+            txs = members[:, None]
+            flips = channel.flip_mask((n_members, reps), slots=slots, txs=txs, rxs=cell.center)
+            decoded = (bits ^ (flips.sum(axis=1) > reps // 2)).astype(np.int8)
+            decoded[members == cell.center] = bits[members == cell.center]
+            channel.record("hist_count", j, slots, txs)
+            channel.metrics.add("stage1", tx=reps * n_members, rx=reps * n_members * (n_members - 1))
+            counts[j] = int(decoded.sum())
+        channel.metrics.add("stage1", slots=span)
+    after = channel.metrics.snapshot()
+    return counts, {k: after[k] - before[k] for k in before}
+
+
+class TestHistClassBatching:
+    @staticmethod
+    def count_both(eps0, r2=None, noise=None):
+        """(counts, metrics delta, trace rows, rng state, truth) for batched and per-cell counting."""
+        config = Stage1Config.for_network(2000, 0.0)
+        config = replace(config, r2=r2) if r2 is not None else config
+        out = []
+        for count in ("batched", "per-cell"):
+            inst, params, grid, coloring, config, channel = build_world(2000, 4, eps0, config)
+            channel.noise = noise if noise is not None else channel.noise
+            channel.trace = Trace()
+            if count == "batched":
+                result = run_stage1_hist(grid, coloring, config, channel)
+                counts, delta = result.counts, result.metrics_delta
+            else:
+                counts, delta = hist_per_cell(grid, coloring, config, channel)
+            rows = [
+                (r.phase, r.cell, r.slots.tolist(), r.txs.tolist(), r.data_dependent)
+                for r in channel.trace.stage1
+            ]
+            truth = {c.index: int(inst.bits[list(c.members)].sum()) for c in grid}
+            out.append((list(counts.items()), delta, rows, channel.rng.bit_generator.state, truth))
+        return out
+
+    @pytest.mark.parametrize("eps0,r2", [(0.0, None), (0.1, None), (0.3, None), (0.3, 3)])
+    def test_batched_counting_equals_the_per_cell_loop(self, eps0, r2):
+        batched, per_cell = self.count_both(eps0, r2)
+        assert batched == per_cell
+        counts, _, rows, _, truth = batched
+        assert len(rows) == len(truth)  # one record per (cell, phase)
+        if r2 == 3:  # miscounts happen, so the comparison covers them
+            assert any(truth[j] != c for j, c in counts)
+
+    def test_adversary_sees_the_same_receptions(self):
+        calls = []
+
+        def hook(slot, tx, rx, history):
+            calls.append((slot, tx, rx))
+            return 0.2
+
+        noise = NoiseModel(0.2, mode="adversarial", adversary=hook)
+        batched, per_cell = self.count_both(0.2, 5, noise)
+        assert batched == per_cell
+        half = len(calls) // 2
+        assert half > 0 and calls[:half] == calls[half:]
 
 
 class TestObliviousness:
