@@ -79,7 +79,6 @@ from .intercell import (
     run_stage2_max,
     run_substage_hist,
     run_substage_max,
-    serial_add_step,
     stage2_cost,
 )
 from .intracell import (

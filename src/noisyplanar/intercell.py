@@ -31,7 +31,6 @@ __all__ = [
     "SubstagePlan",
     "build_substages",
     "count_bits_for",
-    "serial_add_step",
     "adder_chain",
     "run_substage_max",
     "run_substage_hist",
@@ -120,12 +119,6 @@ def build_substages(
             arrays = tuple(CellArray(s[level]) for s in segmented if len(s) > level)
             stages.append(Substage(phase=phase, arrays=arrays))
     return SubstagePlan(levels_per_stage=levels_per_stage, stages=tuple(stages))
-
-
-def serial_add_step(carry: int, child_bit: int, own_bit: int) -> tuple[int, int]:
-    """One full-adder step of the least-significant-first bit stream."""
-    s = carry + child_bit + own_bit
-    return s & 1, s >> 1
 
 
 def adder_chain(counts: Sequence[int], width: int) -> LineProtocol:

@@ -42,6 +42,7 @@ __all__ = [
     "distribute_identity",
     "confirm_value",
     "stage1_layout",
+    "stage1_schedule",
     "run_stage1_max",
     "run_stage1_hist",
 ]
@@ -262,6 +263,25 @@ def stage1_layout(
         layout.append((cls, base, span, max_members))
         base += span
     return layout
+
+
+def stage1_schedule(grid: CellGrid, layout, config: Stage1Config, protocol: str) -> np.ndarray:
+    """Sorted (slot, tx) rows of the data-independent stage-1 phases of a stage1_layout.
+
+    Every cell starts at its class's first slot.  MAX discovery and histogram
+    counting send the members in id order, c_rep or r2 slots each; MAX
+    identity sends the center for block_len slots from the identity slot.
+    """
+    reps = config.c_rep if protocol == "max" else config.r2
+    rows = []
+    for cls, base, _, max_members in layout:
+        id_slots = config.phase_slots(base, max_members)[1] + np.arange(config.block_len)
+        for cell in map(grid.cell, cls.cells):
+            rows.append((base + np.arange(cell.size * reps), np.repeat(cell.members, reps)))
+            if protocol == "max":
+                rows.append((id_slots, np.full(config.block_len, cell.center)))
+    slots, txs = (np.concatenate(column) for column in zip(*rows))
+    return np.column_stack((slots, txs))[np.lexsort((txs, slots))]
 
 
 def run_stage1_max(

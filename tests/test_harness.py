@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisyplanar.channel import NoiseModel, ScheduleClass
+from noisyplanar.channel import Channel, NoiseModel, ScheduleClass
 from noisyplanar.config import ConfigError, ExperimentConfig
 from noisyplanar.geometry import place_nodes
 from noisyplanar.harness import (
@@ -25,7 +25,7 @@ from noisyplanar.harness import (
     validate_run,
     wilson_interval,
 )
-from noisyplanar.intracell import stage1_layout
+from noisyplanar.intracell import stage1_layout, stage1_schedule
 from noisyplanar.oracle import oracle
 
 
@@ -224,6 +224,59 @@ class TestValidateRun:
         audit = validate_run(run)
         assert audit.energy_exact and not audit.oblivious
         assert f"at slots {record.slots[:3].tolist()}" in audit.obliviousness_violations[0]
+
+    def test_schedule_shifted_in_every_run_is_caught(self, monkeypatch):
+        # Every run records its identity slots one late, so a second run
+        # would agree with this one; the layout's schedule does not.
+        record = Channel.record
+
+        def late_identity(self, phase, cell, slots, txs, data_dependent=False):
+            slots = slots + 1 if phase == "identity" else slots
+            record(self, phase, cell, slots, txs, data_dependent)
+
+        monkeypatch.setattr(Channel, "record", late_identity)
+        cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
+        run = run_trial(cfg, 400, 0, capture_trace=True)
+        _, base, _, max_members = stage1_layout(run.grid, run.coloring, run.stage1_config, "max")[0]
+        id_slot = run.stage1_config.phase_slots(base, max_members)[1]
+        audit = validate_run(run)
+        assert audit.energy_exact and not audit.oblivious
+        assert f"at slots [{id_slot}," in audit.obliviousness_violations[0]
+
+    def test_stage2_arrays_off_the_plan_are_caught(self):
+        cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1)
+        run = run_trial(cfg, 1000, 0, capture_trace=True)
+        stages = run.channel.trace.stage2_stages
+        stages[0] = stages[0][1:]
+        audit = validate_run(run)
+        assert audit.energy_exact and not audit.oblivious
+        assert audit.obliviousness_violations == ["stage-2 array structure differs from the plan"]
+
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_flipped_bits_follow_the_same_schedule(self, protocol, monkeypatch):
+        # The flipped-bit run is the reference for obliviousness: explicit
+        # bits keep the trial's placement and noise stream and flip every bit.
+        import noisyplanar.harness as hz
+
+        cfg = ExperimentConfig(protocol=protocol, n=(800,), trials=1, eps0=0.1)
+        run = run_trial(cfg, 800, 0, capture_trace=True)
+        bits = run.instance.bits
+        flipped_cfg = replace(cfg, bit_source="explicit", bits=tuple(1 - bits))
+        flipped = run_trial(flipped_cfg, 800, 0, capture_trace=True)
+        assert np.array_equal(flipped.instance.positions, run.instance.positions)
+        assert np.array_equal(flipped.instance.bits, 1 - bits)
+        layout = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
+        schedule = stage1_schedule(run.grid, layout, run.stage1_config, protocol)
+        phases = ("discovery", "identity", "hist_count")
+        for r in (run, flipped):
+            assert np.array_equal(r.channel.trace.stage1_slot_map(phases), schedule)
+        assert flipped.channel.trace.stage2_stages == run.channel.trace.stage2_stages
+
+        def second_trial(*args, **kwargs):
+            raise AssertionError("validate_run ran a trial")
+
+        monkeypatch.setattr(hz, "run_trial", second_trial)
+        assert validate_run(run).passed and validate_run(flipped).passed
 
     @pytest.mark.parametrize("protocol", ["max", "hist"])
     def test_trace_holds_one_record_per_cell_and_phase(self, protocol):
@@ -466,6 +519,50 @@ class TestCli:
         n = "400" if command == "run" else "300,900,2400"
         assert main([command, "--n", n, "--trials", "1", flag, str(path)]) == 2
         assert f"config error: cannot write {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag,target",
+        [
+            ("run", "--out", "existing-directory"),
+            ("sweep", "--out", "under-a-file"),
+            ("sweep", "--csv", "missing-parent"),
+        ],
+    )
+    def test_unwritable_output_path_fails_before_the_first_trial(
+        self, tmp_path, monkeypatch, command, flag, target, capsys
+    ):
+        import noisyplanar.harness as hz
+
+        def no_trial(*args, **kwargs):
+            raise hz.InfeasibleRunError("a trial ran")
+
+        monkeypatch.setattr(hz, "run_trial", no_trial)
+        (tmp_path / "existing-directory").mkdir()
+        (tmp_path / "a-file").write_text("")
+        path = {
+            "existing-directory": tmp_path / "existing-directory",
+            "missing-parent": tmp_path / "missing" / "table.csv",
+            "under-a-file": tmp_path / "a-file" / "report.json",
+        }[target]
+        n = "400" if command == "run" else "300,900,2400"
+        assert main([command, "--n", n, "--trials", "1", flag, str(path)]) == 2
+        assert f"config error: cannot write {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [("run", "--out"), ("sweep", "--csv")])
+    def test_infeasible_run_keeps_an_existing_output_file(
+        self, tmp_path, monkeypatch, command, flag
+    ):
+        import noisyplanar.harness as hz
+
+        def infeasible(*args, **kwargs):
+            raise hz.InfeasibleRunError("no world")
+
+        monkeypatch.setattr(hz, "run_trial", infeasible)
+        path = tmp_path / "earlier.out"
+        path.write_text("an earlier report\n")
+        n = "400" if command == "run" else "300,900,2400"
+        assert main([command, "--n", n, "--trials", "1", flag, str(path)]) == 3
+        assert path.read_text() == "an earlier report\n"
 
     def test_failed_audit_is_exit_4(self, monkeypatch, capsys):
         import noisyplanar.harness as hz

@@ -19,7 +19,6 @@ from noisyplanar.intercell import (
     run_stage2_max,
     run_substage_hist,
     run_substage_max,
-    serial_add_step,
     stage2_cost,
 )
 from noisyplanar.harness import run_trial
@@ -127,21 +126,6 @@ class TestBuildSubstages:
                 path.extend(array.cells[i + 1 :])
                 cur = array.root
             assert path == tree.path_to_sink(c.index)
-
-
-class TestSerialAddStep:
-    def test_full_adder_table(self):
-        assert serial_add_step(0, 1, 1) == (0, 1)
-        assert serial_add_step(1, 1, 1) == (1, 1)
-        assert serial_add_step(0, 0, 0) == (0, 0)
-        assert serial_add_step(1, 0, 0) == (1, 0)
-
-    def test_streaming_three_plus_two_is_five(self):
-        carry, out = 0, []
-        for k in range(3):
-            bit, carry = serial_add_step(carry, (3 >> k) & 1, (2 >> k) & 1)
-            out.append(bit)
-        assert out == [1, 0, 1]
 
 
 class TestAdderChain:
