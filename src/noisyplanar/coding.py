@@ -11,9 +11,9 @@ over binary-symmetric links:
   times and majority-decoded (the robust, time-expensive fallback); under
   iid noise an array is one flip draw and a fold of ``step`` over each
   link's error word;
-* ``treecode``    -- every sender emits one tree-code symbol per round and the
-  receiver re-decodes the full history each round (the mechanism behind the
-  time-optimal scheme, exponential to decode, so depth-capped);
+* ``treecode``    -- every sender emits one tree-code symbol per round and each
+  receiver extends its distances to all 2^t paths by one level (the mechanism
+  behind the time-optimal scheme; the path space is exponential, so depth-capped);
 * ``abstract``    -- the noiseless protocol runs directly and the array output
   is corrupted with probability exp(-gamma * rounds), with time charged as
   ceil(k_rs * rounds) slots (carries the simulation guarantee into scaling
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,14 +251,18 @@ class BlockCode:
         return decoded == candidates
 
 
+# A path distance is at most the depth, and 2^depth paths cap that far below 256.
+_PATH_DISTANCE = np.uint8
+
+
 class TreeCode:
     """Binary tree code: each path prefix is labeled with one alphabet symbol.
 
     Labels are generated from the seed with sibling prefixes always receiving
     distinct symbols, so distinct paths encode at Hamming distance >= 1 and a
-    clean reception decodes exactly.  Decoding is exhaustive over all 2^d
-    paths (minimum symbol-wise Hamming distance, ties to the lexicographically
-    smaller path) and is therefore depth-capped.
+    clean reception decodes exactly.  Decoding extends the distances to all
+    paths one symbol at a time (minimum symbol-wise Hamming distance, ties to
+    the lexicographically smaller path); there are 2^d paths, so it is depth-capped.
     """
 
     @staticmethod
@@ -286,10 +290,6 @@ class TreeCode:
             levels.append(level)
         self.levels = tuple(levels)
 
-    def label(self, t: int, prefix: int) -> int:
-        """Symbol for the length-t prefix encoded as an integer (first bit = MSB)."""
-        return int(self.levels[t - 1][prefix])
-
     def encode(self, path: Sequence[int]) -> np.ndarray:
         if len(path) > self.depth:
             raise ValueError(f"path longer than tree depth {self.depth}")
@@ -309,22 +309,19 @@ class TreeCode:
             )
         if d > self.depth:
             raise ValueError(f"received {d} symbols but tree depth is {self.depth}")
-        paths = np.arange(1 << d, dtype=np.int64)
-        dist = np.zeros(1 << d, dtype=np.int64)
+        dist = np.zeros(1, dtype=_PATH_DISTANCE)
         for t in range(1, d + 1):
-            dist += self.levels[t - 1][paths >> (d - t)] != int(received[t - 1])
+            dist = self.extend(dist, t, received[t - 1])
         best = int(np.argmin(dist))  # first minimum = lexicographically smallest path
         return tuple((best >> (d - 1 - i)) & 1 for i in range(d))
 
+    def extend(self, dist: np.ndarray, t: int, symbols) -> np.ndarray:
+        """Distances to the 2^t length-t paths (first bit = MSB) from those to their
+        parents and the t-th symbol r of each row: dist[..., p >> 1] + [levels[t-1][p] != r]."""
+        return dist.repeat(2, axis=-1) + (self.levels[t - 1] != np.asarray(symbols)[..., None])
 
-_TREECODE_CACHE: dict[tuple[int, int, int], TreeCode] = {}
 
-
-def _tree_for(depth: int, alphabet: int, seed: int) -> TreeCode:
-    key = (depth, alphabet, seed)
-    if key not in _TREECODE_CACHE:
-        _TREECODE_CACHE[key] = TreeCode(depth, alphabet, seed)
-    return _TREECODE_CACHE[key]
+_tree_for = cache(TreeCode)
 
 
 @dataclass(frozen=True)
@@ -450,6 +447,8 @@ class LinkSimConfig:
             raise ValueError(f"unknown simulation mode {self.mode!r}")
         if self.r3 < 1 or self.r3 % 2 == 0:
             raise ValueError("r3 must be odd and positive")
+        if self.treecode_pad < 0:
+            raise ValueError(f"treecode pad must be >= 0, got {self.treecode_pad}")
         if self.mode == "treecode":
             TreeCode.check_alphabet(self.alphabet)
 
@@ -591,54 +590,44 @@ def _simulate_treecode(
     channel: Channel,
     link_endpoints,
 ) -> LineResult:
+    """All links send one tree-code symbol per round; each receiver extends its
+    path distances and believes the first nearest path, as ``decode`` would.
+
+    A round is one (links, sym_bits) flip draw in link-then-bit order, the
+    uniforms of a per-link loop; an adversary's hook sees the same calls, but
+    a round's uniforms are all drawn before its first hook call.
+    """
     depth = config.treecode_depth(protocol.rounds)
     tree = _tree_for(depth, config.alphabet, config.treecode_seed)
     sym_bits = config.symbol_bits
 
     links = protocol.q - 1
-    sent_paths: list[list[int]] = [[] for _ in range(links)]
-    prefixes = [0] * links
-    received: list[list[int]] = [[] for _ in range(links)]
-    flips_on_link = [0] * links
+    ends = np.asarray(link_endpoints, dtype=np.int64).reshape(links, 2)
+    bit_weights = 1 << np.arange(sym_bits - 1, -1, -1)  # a symbol's first bit is its MSB
+    prefixes = np.zeros(links, dtype=np.int64)
+    dist = np.zeros((links, 1), dtype=_PATH_DISTANCE)  # receiver i+1's distances on link i
     beliefs: list[list[int]] = [[] for _ in range(links)]  # receiver i+1's view of link i
 
     for t in range(1, depth + 1):
-        round_bits = []
-        for i in range(links):
-            child = beliefs[i - 1] if i > 0 else []
-            bit = protocol.sent_bit(i, t, child[: t - 1]) if t <= protocol.rounds else 0
-            round_bits.append(bit)
-        for i in range(links):
-            prefixes[i] = (prefixes[i] << 1) | round_bits[i]
-            sent_paths[i].append(round_bits[i])
-            symbol = tree.label(t, prefixes[i])
-            tx_node, rx_node = link_endpoints[i]
-            mask = channel.flip_mask(
-                (sym_bits,),
-                slots=channel.slot_cursor + np.arange(sym_bits),
-                txs=tx_node,
-                rxs=rx_node,
-            )
-            noisy = symbol ^ int(
-                sum(int(b) << (sym_bits - 1 - k) for k, b in enumerate(mask))
-            )
-            flips_on_link[i] += int(mask.sum())
-            received[i].append(noisy)
-            if flips_on_link[i] == 0:
-                # Clean history: sibling-distinct labels make the true path the
-                # unique distance-0 decode, so the search can be skipped.
-                beliefs[i] = list(sent_paths[i])
-            else:
-                beliefs[i] = list(tree.decode(received[i], depth_cap=config.d_max))
+        round_bits = [
+            protocol.sent_bit(i, t, beliefs[i - 1] if i > 0 else []) if t <= protocol.rounds else 0
+            for i in range(links)
+        ]
+        prefixes = (prefixes << 1) | round_bits
+        mask = channel.flip_mask(
+            (links, sym_bits),
+            slots=channel.slot_cursor + np.arange(sym_bits),
+            txs=ends[:, :1],
+            rxs=ends[:, 1:],
+        )
+        dist = tree.extend(dist, t, tree.levels[t - 1][prefixes] ^ (mask @ bit_weights))
+        best = dist.argmin(axis=1)  # first minimum = lexicographically smallest path
+        beliefs = ((best[:, None] >> np.arange(t - 1, -1, -1)) & 1).tolist()
         # The round's forward symbols, then its reserved reverse-direction bits.
         channel.slot_cursor += 2 * sym_bits
 
-    values = []
-    for i in range(protocol.q):
-        child = beliefs[i - 1][: protocol.rounds] if i > 0 else []
-        values.append(protocol.node_value(i, child))
-    delivered = tuple(protocol.child_value(i + 1, beliefs[i]) for i in range(links))
+    delivered = tuple(protocol.child_value(i + 1, belief) for i, belief in enumerate(beliefs))
+    values = tuple(protocol.step(i, received) for i, received in enumerate((0, *delivered)))
     # Forward symbols plus the reserved reverse-direction dummies, in bit-slots.
     slots = 2 * depth * sym_bits
-    tx = 2 * links * depth * sym_bits
-    return LineResult(tuple(values), slots, tx, delivered, protocol.width)
+    return LineResult(values, slots, links * slots, delivered, protocol.width)

@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ConfigError("l1 must be positive")
         if self.l_sub is not None and self.l_sub < 1:
             raise ConfigError("l-sub must be positive")
+        if self.treecode_pad < 0:
+            raise ConfigError(f"treecode-pad must be >= 0, got {self.treecode_pad}")
         if self.gamma <= 0 or self.k_rs < 1:
             raise ConfigError("gamma must be > 0 and k-rs >= 1")
         if self.e_t < 0 or self.e_r < 0:

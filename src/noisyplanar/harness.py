@@ -603,7 +603,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file of kebab-case config keys")
-        p.add_argument("--out", help="path for the JSON report")
+        if name != "validate":
+            p.add_argument("--out", help="path for the JSON report")
         if name == "sweep":
             p.add_argument("--csv", help="path for the CSV sweep table")
         _add_config_flags(p)
@@ -648,9 +649,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = _config_from_args(args)
-        if args.command != "validate":  # fail on an unwritable path before the first trial
-            for path in filter(None, (args.out, getattr(args, "csv", None))):
-                _write_or_print("", path, "a")  # appending keeps an existing file intact
+        # Fail on an unwritable path before the first trial.
+        for path in filter(None, (getattr(args, "out", None), getattr(args, "csv", None))):
+            _write_or_print("", path, "a")  # appending keeps an existing file intact
         if args.command == "run":
             report = run_experiment(config)
             _write_or_print(report.to_json(), args.out)

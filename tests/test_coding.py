@@ -237,6 +237,25 @@ class TestTreeCode:
             received = rng.integers(0, 4, 8)
             assert tc.decode(received) == relabeled.decode(perm[received])
 
+    @pytest.mark.parametrize("alphabet", [4, 16])
+    def test_decode_is_the_first_nearest_of_all_walked_paths(self, alphabet):
+        # Every path of the tree, walked with encode in lexicographic order;
+        # the decode must be the first of the nearest.  Short alphabet-4
+        # trees give ties, so the tie-break is checked too.
+        rng = np.random.default_rng(alphabet)
+        ties = 0
+        for depth in range(1, 11):
+            tc = TreeCode(depth, alphabet, seed=depth)
+            paths = list(itertools.product((0, 1), repeat=depth))
+            words = np.array([tc.encode(p) for p in paths])
+            for _ in range(20):
+                received = rng.integers(0, alphabet, depth)
+                dists = (words != received).sum(axis=1)
+                ties += int((dists == dists.min()).sum() > 1)
+                assert tc.decode(received) == min(zip(dists, paths))[1]
+        if alphabet == 4:
+            assert ties > 0
+
     def test_bad_construction_args(self):
         with pytest.raises(ValueError):
             TreeCode(0, 4)
@@ -358,6 +377,10 @@ class TestSimulateLine:
             ok += res.values[-1] == max(values)
         assert ok / trials >= 0.9
 
+    def test_negative_treecode_pad_rejected(self):
+        with pytest.raises(ValueError, match="pad"):
+            LinkSimConfig(mode="treecode", treecode_pad=-1)
+
     def test_protocols_shorter_than_two_nodes_rejected(self):
         with pytest.raises(ValueError):
             or_chain([1])
@@ -446,3 +469,81 @@ class TestRepetitionClosedForm:
                 assert values[i] == node_value(i, child)
                 child = sent[i]
             assert values[-1] == node_value(q - 1, child)
+
+
+def reference_treecode(protocol, config, channel, link_endpoints):
+    """The per-link tree-code loop that re-decodes each receiver's whole
+    history every round, by a rescan of all 2^t paths: values and delivered values."""
+    depth = config.treecode_depth(protocol.rounds)
+    tree = TreeCode(depth, config.alphabet, config.treecode_seed)
+    sym_bits = config.symbol_bits
+    links = protocol.q - 1
+    prefixes = [0] * links
+    received = [[] for _ in range(links)]
+    beliefs = [[] for _ in range(links)]
+    for t in range(1, depth + 1):
+        round_bits = []
+        for i in range(links):
+            child = beliefs[i - 1] if i > 0 else []
+            bit = protocol.sent_bit(i, t, child[: t - 1]) if t <= protocol.rounds else 0
+            round_bits.append(bit)
+        for i in range(links):
+            prefixes[i] = (prefixes[i] << 1) | round_bits[i]
+            symbol = int(tree.levels[t - 1][prefixes[i]])
+            tx_node, rx_node = link_endpoints[i]
+            slots = channel.slot_cursor + np.arange(sym_bits)
+            mask = channel.flip_mask((sym_bits,), slots=slots, txs=tx_node, rxs=rx_node)
+            flips = sum(int(b) << (sym_bits - 1 - k) for k, b in enumerate(mask))
+            received[i].append(symbol ^ flips)
+            paths = np.arange(1 << t)
+            dist = np.zeros(1 << t, dtype=np.int64)
+            for s in range(1, t + 1):
+                dist += tree.levels[s - 1][paths >> (t - s)] != received[i][s - 1]
+            best = int(np.argmin(dist))
+            beliefs[i] = [(best >> (t - 1 - k)) & 1 for k in range(t)]
+        channel.slot_cursor += 2 * sym_bits
+    values = [
+        protocol.node_value(i, beliefs[i - 1][: protocol.rounds] if i > 0 else [])
+        for i in range(protocol.q)
+    ]
+    delivered = [protocol.child_value(i + 1, beliefs[i]) for i in range(links)]
+    return values, delivered
+
+
+class TestTreeCodeIncremental:
+    @pytest.mark.parametrize("kind", ["or", "adder"])
+    @pytest.mark.parametrize("hooked", [False, True], ids=["iid", "adversary"])
+    def test_matches_the_per_link_redecoding_loop(self, kind, hooked):
+        eps0 = 0.1
+        wrong_links = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q = int(rng.integers(2, 6))
+            width = int(rng.integers(1, 4)) if kind == "adder" else 1
+            counts = rng.integers(0, 2**width, q)
+            proto = or_chain(counts) if kind == "or" else adder_chain(counts, width)
+            config = LinkSimConfig(mode="treecode", alphabet=(4, 8, 16)[seed % 3], d_max=12)
+            ends = [(20 + 3 * i, 21 + 3 * i) for i in range(q - 1)]
+            runs = []
+            for simulate in (simulate_line, reference_treecode):
+                calls = []
+
+                def hook(slot, tx, rx, history, calls=calls):
+                    calls.append((slot, tx, rx))
+                    return eps0 if (slot + tx) % 3 else eps0 / 2
+
+                if hooked:
+                    noise = NoiseModel(eps0, mode="adversarial", adversary=hook)
+                else:
+                    noise = NoiseModel(eps0)
+                ch = Channel(place_nodes(16, seed=0), derive_params(1000, 0.5), noise,
+                             np.random.default_rng(seed + 1000))
+                out = simulate(proto, config, ch, ends)
+                if simulate is simulate_line:
+                    out = (list(out.values), list(out.delivered))
+                runs.append((out, ch.slot_cursor, ch.rng.bit_generator.state, calls))
+            assert runs[0] == runs[1], seed
+            assert bool(runs[0][3]) == hooked
+            wrong_links += runs[0][0][1] != proto.fold()[1]
+        # The comparison covers runs whose links deliver wrong values.
+        assert wrong_links > 0

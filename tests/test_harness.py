@@ -405,6 +405,25 @@ class TestCli:
         assert main(["run", "--n", "400", *flags]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pad", ["-1", "-20"], ids=["pad-short-of-the-protocol", "pad-leaving-no-depth"]
+    )
+    def test_negative_treecode_pad_is_exit_2(self, pad, capsys):
+        # A tree shorter than the protocol never carries its payload rounds,
+        # and one of depth <= 0 cannot be built.
+        code = main(
+            ["run", "--protocol", "max", "--mode", "treecode", "--n", "600", "--trials", "10",
+             "--eps0", "0", "--treecode-pad", pad, "--bit-source", "single-one-at-random"]
+        )
+        assert code == 2
+        assert "config error: treecode-pad must be >= 0" in capsys.readouterr().err
+
+    def test_validate_takes_no_out(self, tmp_path):
+        # validate writes no report, so an --out it would ignore is refused.
+        path = tmp_path / "v.json"
+        assert main(["validate", "--n", "400", "--trials", "1", "--out", str(path)]) == 2
+        assert not path.exists()
+
     def test_infeasible_treecode_depth_is_exit_3(self):
         # Histogram arrays at n = 4000 need q + g - 1 = 19 rounds, beyond the
         # default decoding cap of 16.
