@@ -64,6 +64,10 @@ def received(bit: int) -> RxOutcome:
     return RxOutcome("received", int(bit))
 
 
+# resolve_slot's outcomes by kind code: silence, collision, received 0, received 1.
+_OUTCOMES = (SILENCE, COLLISION, received(0), received(1))
+
+
 # Adversary hook: (slot, tx, rx, history) -> flip probability in [0, eps0].
 AdversaryHook = Callable[[int, int, int, object], float]
 
@@ -129,7 +133,9 @@ def resolve_slot(
     guard ring.  Transmitters in the ambiguous band (radius, (1+delta)*radius)
     never deliver but do collide.  Noise is drawn per delivering listener, in
     listener order: one ``noise.flip_prob(slot, tx, listener, history)`` call,
-    then one ``flip``; silent and colliding listeners draw nothing.
+    then one ``flip``; silent and colliding listeners draw nothing.  Under iid
+    noise the k delivering listeners' uniforms come from one ``rng.random(k)``
+    call, the same stream as k single draws.
     """
     events = list(events)
     listeners = list(listeners)
@@ -142,15 +148,18 @@ def resolve_slot(
     in_range = dist <= params.radius
     heard = in_range.sum(axis=1)
     interfered = ((dist < (1.0 + params.delta) * params.radius) & ~in_range).any(axis=1)
-    outcomes: dict[int, RxOutcome] = {}
-    for i, j in enumerate(listeners):
-        if heard[i] == 1 and not interfered[i]:
-            e = events[int(in_range[i].argmax())]
-            p = noise.flip_prob(slot, e.tx, j, history)
-            outcomes[j] = received(flip(e.bit, p, rng))
-        else:
-            outcomes[j] = COLLISION if heard[i] else SILENCE
-    return outcomes
+    delivers = (heard == 1) & ~interfered
+    senders = np.nonzero(in_range[delivers])[1]  # one in-range transmitter per row
+    bits = np.array([e.bit for e in events], dtype=np.int64)[senders]
+    if noise.mode == "iid":
+        bits ^= rng.random(senders.size) < noise.eps0
+    else:
+        for i, (j, s) in enumerate(zip(np.flatnonzero(delivers).tolist(), senders.tolist())):
+            e = events[s]
+            bits[i] = flip(e.bit, noise.flip_prob(slot, e.tx, listeners[j], history), rng)
+    kinds = np.minimum(heard, 1)
+    kinds[delivers] = 2 + bits
+    return dict(zip(listeners, map(_OUTCOMES.__getitem__, kinds.tolist())))
 
 
 @dataclass(frozen=True)
@@ -294,6 +303,19 @@ class TraceRecord:
     data_dependent: bool = False
 
 
+def slot_keys(slots, txs) -> np.ndarray:
+    """Sorted int64 keys ``(slot << 32) + tx`` of (slot, tx) rows: by slot, then tx.
+
+    One sort of one key column orders the rows; node ids stay below 2**32.
+    """
+    return np.sort((np.asarray(slots, dtype=np.int64) << 32) + txs)
+
+
+def key_rows(keys: np.ndarray) -> np.ndarray:
+    """The (slot, tx) rows that slot_keys encoded, in key order."""
+    return np.column_stack((keys >> 32, keys & 0xFFFFFFFF))
+
+
 @dataclass
 class Trace:
     """Schedule capture for the obliviousness / interference audit."""
@@ -301,13 +323,16 @@ class Trace:
     stage1: list[TraceRecord] = field(default_factory=list)
     stage2_stages: list[list[tuple[int, ...]]] = field(default_factory=list)
 
+    def stage1_keys(self, phases: tuple[str, ...]) -> np.ndarray:
+        """The slot_keys of the given phases' (slot, tx) rows, one per transmission."""
+        records = [r for r in self.stage1 if r.phase in phases]
+        return slot_keys(
+            np.concatenate([r.slots for r in records]), np.concatenate([r.txs for r in records])
+        )
+
     def stage1_slot_map(self, phases: tuple[str, ...]) -> np.ndarray:
         """Sorted (slot, tx) rows of the given phases, one per transmission."""
-        records = [r for r in self.stage1 if r.phase in phases]
-        slots = np.concatenate([r.slots for r in records])
-        txs = np.concatenate([r.txs for r in records])
-        order = np.lexsort((txs, slots))
-        return np.column_stack((slots[order], txs[order]))
+        return key_rows(self.stage1_keys(phases))
 
 
 @dataclass

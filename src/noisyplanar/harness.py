@@ -17,6 +17,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -33,6 +34,7 @@ from .channel import (
     color_cells,
     distances,
     resolve_slot,
+    slot_keys,
 )
 from .coding import CapacityError
 from .config import BIT_SOURCES, MODES, PROTOCOLS, ConfigError, ExperimentConfig
@@ -437,19 +439,33 @@ def audit_coloring(
     every listener of any same-class cell, which covers every slot of the
     lockstep schedule at once.  Violations carry a representative slot (the
     class's first), where both offending cells are guaranteed active.
+
+    Each cell's members span a bounding box, and two members are never closer
+    than the gap between their cells' boxes.  So each class compares its box
+    gaps in one array operation, and only the pairs whose gap is under the
+    guard radius get the exact member-to-member check, in pair order.
     """
     guard = (1.0 + params.delta) * params.radius
+    points = positions[np.fromiter(chain.from_iterable(c.members for c in grid), np.int64)]
+    starts = np.cumsum([0] + [c.size for c in grid][:-1])
+    lo = np.minimum.reduceat(points, starts)  # cell j's box runs from lo[j - 1] to hi[j - 1]
+    hi = np.maximum.reduceat(points, starts)
     violations = []
     for cls in coloring:
         base = (class_bases or {}).get(cls.color, 0)
-        for i, a in enumerate(cls.cells):
-            for b in cls.cells[i + 1 :]:
-                dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
-                if dist < guard:
-                    violations.append(
-                        f"slot {base}: same-color cells {a} and {b} (color {cls.color}) have "
-                        f"members {dist:.4f} apart, inside the guard ring {guard:.4f}"
-                    )
+        rows = np.array(cls.cells, dtype=np.int64) - 1
+        d = np.maximum(lo[rows, None] - hi[None, rows], lo[None, rows] - hi[rows, None]).clip(0.0)
+        gap = np.hypot(d[..., 0], d[..., 1])
+        # The slack keeps a box gap that rounds above a member distance in the exact check.
+        near = np.triu(gap < guard * (1.0 + 1e-9), 1)
+        for i, j in zip(*np.nonzero(near)):
+            a, b = cls.cells[i], cls.cells[j]
+            dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
+            if dist < guard:
+                violations.append(
+                    f"slot {base}: same-color cells {a} and {b} (color {cls.color}) have "
+                    f"members {dist:.4f} apart, inside the guard ring {guard:.4f}"
+                )
     return violations
 
 
@@ -458,10 +474,13 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
 
     Stage 1: each stage1_layout class's first slot and, under MAX, its first
     identity slot, where each cell's transmitter must reach the rest of its
-    cell.  Stage 2: every subslot.  Within a logical slot, the link from child
-    cell j fires in the subslot given by j's color in the reuse coloring
-    (upward; downward subslots are a disjoint second bank), so one subslot's
-    link transmitters are the events and its link receivers the listeners.
+    cell.  One resolve_slot call per (class, phase) takes the transmitters of
+    all the class's cells as events and the rest of their members as
+    listeners; a violation names one cell.  Stage 2: every subslot.  Within a
+    logical slot, the link from child cell j fires in the subslot given by j's
+    color in the reuse coloring (upward; downward subslots are a disjoint
+    second bank), so one subslot's link transmitters are the events and its
+    link receivers the listeners.
     """
     params, grid = run.params, run.grid
     positions = run.instance.positions
@@ -476,10 +495,12 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
             replays.append(("identity", id_base, [c.center for c in cells]))
         for phase, slot, txs in replays:
             events = [TxEvent(slot, tx, 0) for tx in txs]
-            for j, tx in zip(cls.cells, txs):
-                listeners = [m for m in grid.cell(j).members if m != tx]
-                outcomes = resolve_slot(events, listeners, positions, params, noiseless, rng)
-                bad = [m for m, o in outcomes.items() if not o.is_received]
+            listeners = [[m for m in c.members if m != tx] for c, tx in zip(cells, txs)]
+            outcomes = resolve_slot(
+                events, chain.from_iterable(listeners), positions, params, noiseless, rng
+            )
+            for j, heard in zip(cls.cells, listeners):
+                bad = [m for m in heard if not outcomes[m].is_received]
                 if bad:
                     report.collision_violations.append(
                         f"{phase} slot {slot}: cell {j} listeners {bad} did not receive"
@@ -509,13 +530,17 @@ def validate_run(run: TrialRun) -> AuditReport:
 
     Checks (slot-indexed on failure): (a) no intended receiver can observe a
     collision in the discovery, identity, or inter-cell phases -- the
-    data-dependent confirmation slots are the documented exception; (b) the
-    trace's sorted (slot, transmitter) rows of the discovery, identity and
-    counting phases equal stage1_schedule, and its stage-2 arrays the plan's;
-    (c) the energy counters satisfy their defining identities, the
-    stage-1 transmissions equal the trace's rows, and the stage-1 slots,
-    stage-2 slots and stage-2 transmissions match their closed-form
-    accounting identities.  It audits the traced run alone: no second trial.
+    data-dependent confirmation slots are the documented exception.
+    audit_coloring prunes same-class cell pairs by their bounding boxes
+    before the exact member check, and the slot replay resolves each class's
+    replayed phase in one call; (b) the trace's discovery, identity and
+    counting rows equal stage1_schedule, compared as sorted slot_keys and
+    decoded back to name the first differing slots, and its stage-2 arrays
+    equal the plan's; (c) the energy counters satisfy their defining
+    identities, the stage-1 transmissions equal the trace's rows, and the
+    stage-1 slots, stage-2 slots and stage-2 transmissions match their
+    closed-form accounting identities.  It audits the traced run alone: no
+    second trial.
     """
     if run.channel.trace is None:
         raise ValueError("validate_run needs a trial executed with capture_trace=True")
@@ -528,11 +553,12 @@ def validate_run(run: TrialRun) -> AuditReport:
     )
     _replay_slots(run, layout, report)
 
-    traced = run.channel.trace.stage1_slot_map(("discovery", "identity", "hist_count"))
-    schedule = stage1_schedule(run.grid, layout, run.stage1_config, run.config.protocol)
+    traced = run.channel.trace.stage1_keys(("discovery", "identity", "hist_count"))
+    rows = stage1_schedule(run.grid, layout, run.stage1_config, run.config.protocol)
+    schedule = slot_keys(rows[:, 0], rows[:, 1])
     if not np.array_equal(traced, schedule):
-        a, b = Counter(map(tuple, traced.tolist())), Counter(map(tuple, schedule.tolist()))
-        slots = sorted({slot for slot, _ in (a - b) + (b - a)})[:3]
+        a, b = Counter(traced.tolist()), Counter(schedule.tolist())
+        slots = sorted({key >> 32 for key in (a - b) + (b - a)})[:3]
         report.obliviousness_violations.append(f"stage-1 rows off the schedule at slots {slots}")
     if run.channel.trace.stage2_stages != [[a.cells for a in s.arrays] for s in run.plan.stages]:
         report.obliviousness_violations.append("stage-2 array structure differs from the plan")

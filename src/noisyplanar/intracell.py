@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, ScheduleClass
+from .channel import Channel, ScheduleClass, key_rows, slot_keys
 from .coding import BlockCode, RepetitionScheme, smallest_odd_at_least
 from .geometry import Cell, CellGrid
 
@@ -271,17 +272,22 @@ def stage1_schedule(grid: CellGrid, layout, config: Stage1Config, protocol: str)
     Every cell starts at its class's first slot.  MAX discovery and histogram
     counting send the members in id order, c_rep or r2 slots each; MAX
     identity sends the center for block_len slots from the identity slot.
+    The rows of all cells are built at once and sorted as slot_keys.
     """
     reps = config.c_rep if protocol == "max" else config.r2
-    rows = []
-    for cls, base, _, max_members in layout:
-        id_slots = config.phase_slots(base, max_members)[1] + np.arange(config.block_len)
-        for cell in map(grid.cell, cls.cells):
-            rows.append((base + np.arange(cell.size * reps), np.repeat(cell.members, reps)))
-            if protocol == "max":
-                rows.append((id_slots, np.full(config.block_len, cell.center)))
-    slots, txs = (np.concatenate(column) for column in zip(*rows))
-    return np.column_stack((slots, txs))[np.lexsort((txs, slots))]
+    cells = [grid.cell(j) for cls, *_ in layout for j in cls.cells]
+    per_class = [len(cls.cells) for cls, *_ in layout]
+    sizes = np.array([cell.size for cell in cells])
+    members = np.fromiter(chain.from_iterable(c.members for c in cells), np.int64, sizes.sum())
+    rank = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    first = np.repeat(np.repeat([base for _, base, _, _ in layout], per_class), sizes)
+    slots = [(first + reps * rank)[:, None] + np.arange(reps)]
+    txs = [np.repeat(members, reps)]
+    if protocol == "max":
+        id_bases = [config.phase_slots(base, max_members)[1] for _, base, _, max_members in layout]
+        slots.append(np.repeat(id_bases, per_class)[:, None] + np.arange(config.block_len))
+        txs.append(np.repeat([cell.center for cell in cells], config.block_len))
+    return key_rows(slot_keys(np.concatenate([s.ravel() for s in slots]), np.concatenate(txs)))
 
 
 def run_stage1_max(

@@ -5,18 +5,29 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisyplanar.channel import Channel, NoiseModel, ScheduleClass
+from noisyplanar.channel import (
+    Channel,
+    NoiseModel,
+    ScheduleClass,
+    TxEvent,
+    distances,
+    resolve_slot,
+)
 from noisyplanar.config import ConfigError, ExperimentConfig
-from noisyplanar.geometry import place_nodes
+from noisyplanar.geometry import Cell, CellGrid, DerivedParams, place_nodes
 from noisyplanar.harness import (
     CSV_HEADER,
+    AuditReport,
     audit_coloring,
     main,
     run_experiment,
@@ -329,6 +340,182 @@ class TestValidateRun:
         assert audit.passed, audit.summary()
 
 
+def _reference_audit_coloring(grid, params, coloring, positions, class_bases=None):
+    """The all-pairs coloring audit: every same-class cell pair's member distances."""
+    guard = (1.0 + params.delta) * params.radius
+    violations = []
+    for cls in coloring:
+        base = (class_bases or {}).get(cls.color, 0)
+        for i, a in enumerate(cls.cells):
+            for b in cls.cells[i + 1 :]:
+                dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
+                if dist < guard:
+                    violations.append(
+                        f"slot {base}: same-color cells {a} and {b} (color {cls.color}) have "
+                        f"members {dist:.4f} apart, inside the guard ring {guard:.4f}"
+                    )
+    return violations
+
+
+def _reference_replay_slots(run, layout, report):
+    """The per-cell replay: one resolve_slot call per cell and replayed phase."""
+    params, grid = run.params, run.grid
+    positions = run.instance.positions
+    rng = np.random.default_rng(0)
+    noiseless = NoiseModel(0.0)
+    is_max = run.config.protocol == "max"
+    for cls, base, _, max_members in layout:
+        cells = [grid.cell(j) for j in cls.cells]
+        replays = [("discovery" if is_max else "hist_count", base, [c.members[0] for c in cells])]
+        if is_max:
+            id_base = run.stage1_config.phase_slots(base, max_members)[1]
+            replays.append(("identity", id_base, [c.center for c in cells]))
+        for phase, slot, txs in replays:
+            events = [TxEvent(slot, tx, 0) for tx in txs]
+            for j, tx in zip(cls.cells, txs):
+                listeners = [m for m in grid.cell(j).members if m != tx]
+                outcomes = resolve_slot(events, listeners, positions, params, noiseless, rng)
+                bad = [m for m, o in outcomes.items() if not o.is_received]
+                if bad:
+                    report.collision_violations.append(
+                        f"{phase} slot {slot}: cell {j} listeners {bad} did not receive"
+                    )
+
+    color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
+    for si, stage in enumerate(run.plan.stages):
+        groups = {}
+        for array in stage.arrays:
+            for child, parent in zip(array.cells, array.cells[1:]):
+                groups.setdefault(color_of[child], []).append(
+                    (grid.cell(child).center, grid.cell(parent).center)
+                )
+        for subslot, links in groups.items():
+            events = [TxEvent(subslot, tx, 0) for tx, _ in links]
+            receivers = [rx for _, rx in links]
+            outcomes = resolve_slot(events, receivers, positions, params, noiseless, rng)
+            bad = [f"{tx}->{rx}" for tx, rx in links if not outcomes[rx].is_received]
+            if bad:
+                report.collision_violations.append(
+                    f"stage {si} subslot {subslot}: links {', '.join(bad)} did not deliver"
+                )
+
+
+def _reference_collisions(run):
+    """Check (a) of validate_run, built from the per-cell and all-pairs loops."""
+    layout = stage1_layout(run.grid, run.coloring, run.stage1_config, run.config.protocol)
+    bases = {cls.color: base for cls, base, _, _ in layout}
+    report = AuditReport(
+        collision_violations=_reference_audit_coloring(
+            run.grid, run.params, run.coloring, run.instance.positions, bases
+        )
+    )
+    _reference_replay_slots(run, layout, report)
+    return report.collision_violations
+
+
+def _move_cell(coloring, cell, color):
+    """The coloring with one cell moved into the class of the given color."""
+    moved = []
+    for cls in coloring:
+        cells = [j for j in cls.cells if j != cell] + ([cell] if cls.color == color else [])
+        if cells:
+            moved.append(ScheduleClass(cls.color, tuple(sorted(cells))))
+    return moved
+
+
+def _hand_grid(*cells):
+    """One row of hand-placed cells, each argument a cell's member positions.
+
+    delta = 0.5 and radius = 0.1 put the guard radius at 0.15.
+    """
+    positions = np.array([p for members in cells for p in members], dtype=float)
+    grid_cells, lo = [], 0
+    for index, members in enumerate(cells, start=1):
+        ids = tuple(range(lo, lo + len(members)))
+        grid_cells.append(Cell(index=index, row=0, col=index - 1, members=ids, center=ids[0]))
+        lo += len(members)
+    grid = CellGrid(cells=tuple(grid_cells), grid_dim=len(cells), n=lo, sink_cell=1, sink_node=0)
+    params = DerivedParams(
+        n=lo, delta=0.5, grid_dim=len(cells), cell_side=1.0 / len(cells),
+        cell_count=len(cells), radius=0.1, interference_bound=8, link_slot_span=36,
+    )
+    return grid, params, positions
+
+
+class TestAuditAgainstPerCellReference:
+    @pytest.mark.parametrize("n", [1000, 4000])
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_pairwise_merged_colorings(self, protocol, n):
+        # Consecutive classes merged pairwise put grid neighbours in one class.
+        cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=0.1)
+        run = run_trial(cfg, n, 0, capture_trace=True)
+        c = run.coloring
+        merged = [
+            ScheduleClass(a.color, tuple(sorted(a.cells + b.cells)))
+            for a, b in zip(c[::2], c[1::2])
+        ]
+        run.coloring = merged + c[len(merged) * 2 :]
+        want = _reference_collisions(run)
+        assert len(want) > 100
+        assert validate_run(run).collision_violations == want
+
+    def test_moved_cell_colorings(self):
+        cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
+        run = run_trial(cfg, 1000, 0, capture_trace=True)
+        color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
+        array = next(a.cells for st in run.plan.stages for a in st.arrays if len(a.cells) >= 3)
+        original = run.coloring
+        for cell, color in ((2, color_of[1]), (array[0], color_of[array[1]])):
+            run.coloring = _move_cell(original, cell, color)
+            want = _reference_collisions(run)
+            assert want
+            assert validate_run(run).collision_violations == want
+
+    def test_boxes_near_members_far_get_the_exact_check(self, monkeypatch):
+        import noisyplanar.harness as hz
+
+        # Guard radius 0.15.  Cells 1 and 2 are diagonal strips whose boxes
+        # nearly touch while their members are about 0.35 apart.  Cell 3 has
+        # a member 0.11 from cell 2's and cell 5 one 0.11 from cell 1's, so
+        # pair order puts (1, 5) before (2, 3).  Cell 4's box is far from all.
+        grid, params, positions = _hand_grid(
+            [(0.2, 0.5), (0.5, 0.2)],
+            [(0.55, 0.55), (0.9, 0.9)],
+            [(0.95, 0.8), (0.95, 0.6)],
+            [(0.2, 0.95), (0.25, 0.9)],
+            [(0.6, 0.25), (0.95, 0.1)],
+        )
+        coloring = [ScheduleClass(color=7, cells=(1, 2, 3, 4, 5))]
+        checked = []
+
+        def recording(positions, rows, cols):
+            checked.append((rows, cols))
+            return distances(positions, rows, cols)
+
+        monkeypatch.setattr(hz, "distances", recording)
+        got = audit_coloring(grid, params, coloring, positions, {7: 40})
+        members = [c.members for c in grid]
+        assert checked == [(members[a], members[b]) for a, b in ((0, 1), (0, 4), (1, 2))]
+        assert got == _reference_audit_coloring(grid, params, coloring, positions, {7: 40})
+        assert [v.split(" (")[0] for v in got] == [
+            "slot 40: same-color cells 1 and 5",
+            "slot 40: same-color cells 2 and 3",
+        ]
+
+    def test_member_pair_at_exactly_the_guard_distance(self):
+        # sqrt(g * g) == g in binary floating point, so cells 1 and 2 sit
+        # exactly the guard apart (allowed); cells 3 and 4 sit one ulp closer.
+        guard = (1.0 + 0.5) * 0.1
+        grid, params, positions = _hand_grid(
+            [(0.0, 0.5)], [(guard, 0.5)], [(0.0, 0.9)], [(np.nextafter(guard, 0.0), 0.9)]
+        )
+        assert float(distances(positions, [0], [1])[0, 0]) == guard
+        coloring = [ScheduleClass(color=0, cells=(1, 2)), ScheduleClass(color=1, cells=(3, 4))]
+        got = audit_coloring(grid, params, coloring, positions)
+        assert got == _reference_audit_coloring(grid, params, coloring, positions)
+        assert len(got) == 1 and "same-color cells 3 and 4 (color 1)" in got[0]
+
+
 class TestCli:
     def test_run_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -618,3 +805,17 @@ def test_micro_benchmark_imports_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; importing it costs about half a
+    # second and 38 MB of resident memory at start-up.
+    import noisyplanar
+
+    src = str(Path(noisyplanar.__file__).parent.parent)
+    code = "import sys, noisyplanar; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

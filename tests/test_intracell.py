@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noisyplanar.channel import Channel, NoiseModel, Trace, color_cells
+from noisyplanar.channel import Channel, NoiseModel, ScheduleClass, Trace, color_cells
 from noisyplanar.coding import BlockCode, RepetitionScheme
 from noisyplanar.geometry import (
     Cell,
@@ -24,6 +24,7 @@ from noisyplanar.intracell import (
     run_stage1_hist,
     run_stage1_max,
     stage1_layout,
+    stage1_schedule,
     witness_discovery,
 )
 
@@ -334,6 +335,38 @@ class TestHistClassBatching:
         assert batched == per_cell
         half = len(calls) // 2
         assert half > 0 and calls[:half] == calls[half:]
+
+
+def schedule_per_cell(grid, layout, config, protocol):
+    """The per-cell schedule loop: the reference for stage1_schedule."""
+    reps = config.c_rep if protocol == "max" else config.r2
+    rows = []
+    for cls, base, _, max_members in layout:
+        id_slots = config.phase_slots(base, max_members)[1] + np.arange(config.block_len)
+        for cell in map(grid.cell, cls.cells):
+            rows.append((base + np.arange(cell.size * reps), np.repeat(cell.members, reps)))
+            if protocol == "max":
+                rows.append((id_slots, np.full(config.block_len, cell.center)))
+    slots, txs = (np.concatenate(column) for column in zip(*rows))
+    return np.column_stack((slots, txs))[np.lexsort((txs, slots))]
+
+
+class TestStage1Schedule:
+    @pytest.mark.parametrize("merged", [False, True], ids=["coloring", "merged-pairwise"])
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_equals_the_per_cell_loop(self, protocol, merged):
+        _, _, grid, coloring, config, _ = build_world(2000, 3, 0.1)
+        if merged:  # twice the cells per class, and classes of different sizes
+            coloring = [
+                ScheduleClass(a.color, tuple(sorted(a.cells + b.cells)))
+                for a, b in zip(coloring[::2], coloring[1::2])
+            ] + coloring[len(coloring) // 2 * 2 :]
+        layout = stage1_layout(grid, coloring, config, protocol)
+        assert len({c.size for c in grid}) > 3
+        assert len({len(cls.cells) for cls, *_ in layout}) > 1
+        got = stage1_schedule(grid, layout, config, protocol)
+        want = schedule_per_cell(grid, layout, config, protocol)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestObliviousness:
