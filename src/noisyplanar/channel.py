@@ -6,7 +6,7 @@ least (1 + delta) * radius away; otherwise the listener observes a collision
 (if anyone was in range) or silence.  Received bits pass through a
 binary-symmetric channel whose flip probability is bounded by eps0 < 0.5,
 independently per receiver; an optional adversary may pick each reception's
-flip probability up to that bound with full knowledge of the run.
+flip probability up to that bound, knowing the run (see ``NoiseModel``).
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ class NoiseModel:
     "adversarial" mode the hook chooses each reception's flip probability,
     capped at eps0; flips stay independent across receivers given their
     probabilities.
+
+    ``flips`` is the one reception-noise rule: a batch draws all of its
+    uniforms first, then asks the hook once per reception in C order.  So
+    the hook sees every reception's (slot, tx, rx, history), but not the
+    slot cursor or the RNG state moving partway through a batch.
     """
 
     eps0: float
@@ -101,6 +106,17 @@ class NoiseModel:
         if not (0.0 <= p <= self.eps0):
             raise ValueError(f"adversary returned flip probability {p} outside [0, {self.eps0}]")
         return p
+
+    def flips(self, rng, shape, slots=None, txs=None, rxs=None, history=None) -> np.ndarray:
+        """Boolean flips of a batch of receptions: ``rng.random(shape)`` against
+        eps0, or against the hook's probability for each reception, whose
+        slots/txs/rxs arrays then broadcast to ``shape``."""
+        u = rng.random(shape)
+        if self.mode == "iid":
+            return u < self.eps0
+        receptions = (np.broadcast_to(a, shape).ravel().tolist() for a in (slots, txs, rxs))
+        probs = [self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)]
+        return u < np.reshape(probs, np.shape(u))
 
 
 def flip(bit: int, p: float, rng: np.random.Generator) -> int:
@@ -131,11 +147,9 @@ def resolve_slot(
     every other transmitter is at least (1 + delta) * radius away; it hears a
     collision iff someone was in range but another transmitter sat inside the
     guard ring.  Transmitters in the ambiguous band (radius, (1+delta)*radius)
-    never deliver but do collide.  Noise is drawn per delivering listener, in
-    listener order: one ``noise.flip_prob(slot, tx, listener, history)`` call,
-    then one ``flip``; silent and colliding listeners draw nothing.  Under iid
-    noise the k delivering listeners' uniforms come from one ``rng.random(k)``
-    call, the same stream as k single draws.
+    never deliver but do collide.  The k delivering listeners' noise is one
+    ``noise.flips`` batch of k receptions, in listener order; silent and
+    colliding listeners draw nothing.
     """
     events = list(events)
     listeners = list(listeners)
@@ -144,19 +158,17 @@ def resolve_slot(
         raise ValueError(f"events span multiple slots: {slots}")
     slot = slots[0] if slots else 0
 
-    dist = distances(positions, listeners, [e.tx for e in events])
+    tx_ids = [e.tx for e in events]
+    dist = distances(positions, listeners, tx_ids)
     in_range = dist <= params.radius
     heard = in_range.sum(axis=1)
     interfered = ((dist < (1.0 + params.delta) * params.radius) & ~in_range).any(axis=1)
     delivers = (heard == 1) & ~interfered
     senders = np.nonzero(in_range[delivers])[1]  # one in-range transmitter per row
     bits = np.array([e.bit for e in events], dtype=np.int64)[senders]
-    if noise.mode == "iid":
-        bits ^= rng.random(senders.size) < noise.eps0
-    else:
-        for i, (j, s) in enumerate(zip(np.flatnonzero(delivers).tolist(), senders.tolist())):
-            e = events[s]
-            bits[i] = flip(e.bit, noise.flip_prob(slot, e.tx, listeners[j], history), rng)
+    txs = np.array(tx_ids, dtype=np.int64)[senders]
+    rxs = np.array(listeners, dtype=np.int64)[delivers]
+    bits ^= noise.flips(rng, senders.size, slot, txs, rxs, history)
     kinds = np.minimum(heard, 1)
     kinds[delivers] = 2 + bits
     return dict(zip(listeners, map(_OUTCOMES.__getitem__, kinds.tolist())))
@@ -353,26 +365,9 @@ class Channel:
     slot_cursor: int = 0
 
     def flip_mask(self, shape, slots=None, txs=None, rxs=None) -> np.ndarray:
-        """Draw a boolean flip mask for a batch of receptions.
-
-        The iid path draws one uniform per reception against eps0.  The
-        adversarial path asks the hook per reception (desk-scale only);
-        slots/txs/rxs arrays must then be broadcastable to ``shape``.
-        """
-        u = self.rng.random(shape)
-        if self.noise.mode == "iid":
-            return u < self.noise.eps0
-        slots = np.broadcast_to(np.asarray(slots), shape)
-        txs = np.broadcast_to(np.asarray(txs), shape)
-        rxs = np.broadcast_to(np.asarray(rxs), shape)
-        probs = np.empty(shape, dtype=float)
-        it = np.nditer(probs, flags=["multi_index"], op_flags=["writeonly"])
-        for cell in it:
-            idx = it.multi_index
-            cell[...] = self.noise.flip_prob(
-                int(slots[idx]), int(txs[idx]), int(rxs[idx]), self
-            )
-        return u < probs
+        """The noise model's flips for a batch of receptions, drawn from this
+        channel's stream; an adversary's hook gets the channel as history."""
+        return self.noise.flips(self.rng, shape, slots, txs, rxs, history=self)
 
     def record(self, phase: str, cell: int, slots, txs, data_dependent: bool = False) -> None:
         """Trace one cell's phase, txs broadcast against slots; a no-op untraced."""

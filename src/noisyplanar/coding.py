@@ -8,9 +8,8 @@ interchangeable mechanisms turn a noiseless line protocol into one that runs
 over binary-symmetric links:
 
 * ``repetition``  -- every meaningful link bit is repeated an odd number of
-  times and majority-decoded (the robust, time-expensive fallback); under
-  iid noise an array is one flip draw and a fold of ``step`` over each
-  link's error word;
+  times and majority-decoded (the robust, time-expensive fallback); an array
+  is one flip draw and a fold of ``step`` over each link's error word;
 * ``treecode``    -- every sender emits one tree-code symbol per round and each
   receiver extends its distances to all 2^t paths by one level (the mechanism
   behind the time-optimal scheme; the path space is exponential, so depth-capped);
@@ -50,11 +49,15 @@ __all__ = [
     "simulate_line",
     "smallest_odd_at_least",
     "DEFAULT_DECODE_CAP",
+    "MAX_DECODE_CAP",
 ]
 
 ERASED = None
 
 DEFAULT_DECODE_CAP = 16
+# The largest decoding cap accepted: a depth-20 tree's labels are 2^21 int64
+# (16 MiB), and each link's path distances 2^20 bytes.
+MAX_DECODE_CAP = 20
 
 
 class DecodeFailure(Exception):
@@ -449,6 +452,8 @@ class LinkSimConfig:
             raise ValueError("r3 must be odd and positive")
         if self.treecode_pad < 0:
             raise ValueError(f"treecode pad must be >= 0, got {self.treecode_pad}")
+        if not 1 <= self.d_max <= MAX_DECODE_CAP:
+            raise ValueError(f"d-max must lie in 1..{MAX_DECODE_CAP}, got {self.d_max}")
         if self.mode == "treecode":
             TreeCode.check_alphabet(self.alphabet)
 
@@ -507,14 +512,14 @@ def simulate_line(
     returned are logical (one link activation each); callers expand them to
     physical slots with the interference span.
     """
-    if link_endpoints is None:
-        link_endpoints = [(i, i + 1) for i in range(protocol.q - 1)]
-
     if config.mode == "abstract":
         return _simulate_abstract(protocol, config, channel)
-    if config.mode == "repetition":
-        return _simulate_repetition(protocol, config, channel, link_endpoints)
-    return _simulate_treecode(protocol, config, channel, link_endpoints)
+    links = protocol.q - 1
+    if link_endpoints is None:
+        link_endpoints = [(i, i + 1) for i in range(links)]
+    ends = np.asarray(link_endpoints, dtype=np.int64).reshape(links, 2)
+    simulate = _simulate_repetition if config.mode == "repetition" else _simulate_treecode
+    return simulate(protocol, config, channel, ends)
 
 
 def _simulate_abstract(
@@ -535,74 +540,50 @@ def _simulate_repetition(
     protocol: LineProtocol,
     config: LinkSimConfig,
     channel: Channel,
-    link_endpoints,
+    ends: np.ndarray,
 ) -> LineResult:
     """Each link repeats its node's payload bits r3 times each, hop-serially.
 
     The receiver majority-decodes every payload bit and fills in the known
     dummies for free.  Noise is drawn link by link, payload bit by payload
-    bit, copy by copy.  Under iid noise a decoded bit is the sent bit XOR
-    [more than r3/2 of its copies flipped], whatever the bit, so the array
-    takes one (links, width, r3) flip draw, which becomes one error word per
-    link, and a fold of ``step`` over those words.  An adversary may read the
-    channel mid-array, so it gets the per-reception loop, which consumes the
-    same uniforms in the same order.
+    bit, copy by copy: one (links, width, r3) flip draw.  A decoded bit is the
+    sent bit XOR [more than r3/2 of its copies flipped], whatever the bit and
+    the copies' flip probabilities, so the draw becomes one error word per
+    link and the array a fold of ``step`` over those words.
     """
     links, width, r3 = protocol.q - 1, protocol.width, config.r3
     slots = links * width * r3
-    if channel.noise.mode == "iid":
-        flips = channel.flip_mask((links, width, r3))
-        channel.slot_cursor += slots
-        wrong = flips.sum(axis=2) > r3 // 2
-        values, delivered = protocol.fold((wrong << np.arange(width)).sum(axis=1).tolist())
-    else:
-        values, delivered = _repetition_per_reception(protocol, r3, channel, link_endpoints)
+    flips = channel.flip_mask(
+        (links, width, r3),
+        slots=channel.slot_cursor + np.arange(slots).reshape(links, width, r3),
+        txs=ends[:, 0, None, None],
+        rxs=ends[:, 1, None, None],
+    )
+    channel.slot_cursor += slots
+    wrong = flips.sum(axis=2) > r3 // 2
+    values, delivered = protocol.fold((wrong << np.arange(width)).sum(axis=1).tolist())
     # One transmission per slot.
     return LineResult(tuple(values), slots, slots, tuple(delivered), width)
-
-
-def _repetition_per_reception(
-    protocol: LineProtocol, r3: int, channel: Channel, link_endpoints
-) -> tuple[list[int], list[int]]:
-    """Repetition links one noisy copy batch at a time: values and delivered values."""
-    values: list[int] = []
-    delivered: list[int] = []
-    child: list[int] = []
-    for i in range(protocol.q):
-        values.append(protocol.node_value(i, child))
-        if i == protocol.q - 1:
-            break
-        tx_node, rx_node = link_endpoints[i]
-        decoded = [0] * protocol.rounds
-        for t in protocol.payload_rounds(i):
-            bit = protocol.sent_bit(i, t, child[: t - 1])
-            copies = channel.noisy_copies(bit, r3, tx_node, rx_node, channel.slot_cursor)
-            channel.slot_cursor += r3
-            decoded[t - 1] = majority_decode(copies)
-        delivered.append(protocol.child_value(i + 1, decoded))
-        child = decoded
-    return values, delivered
 
 
 def _simulate_treecode(
     protocol: LineProtocol,
     config: LinkSimConfig,
     channel: Channel,
-    link_endpoints,
+    ends: np.ndarray,
 ) -> LineResult:
     """All links send one tree-code symbol per round; each receiver extends its
     path distances and believes the first nearest path, as ``decode`` would.
 
-    A round is one (links, sym_bits) flip draw in link-then-bit order, the
-    uniforms of a per-link loop; an adversary's hook sees the same calls, but
-    a round's uniforms are all drawn before its first hook call.
+    A round is one (links, sym_bits) flip draw in link-then-bit order: the
+    uniforms and the hook calls of a per-link loop, batched as ``NoiseModel``
+    says.
     """
     depth = config.treecode_depth(protocol.rounds)
     tree = _tree_for(depth, config.alphabet, config.treecode_seed)
     sym_bits = config.symbol_bits
 
     links = protocol.q - 1
-    ends = np.asarray(link_endpoints, dtype=np.int64).reshape(links, 2)
     bit_weights = 1 << np.arange(sym_bits - 1, -1, -1)  # a symbol's first bit is its MSB
     prefixes = np.zeros(links, dtype=np.int64)
     dist = np.zeros((links, 1), dtype=_PATH_DISTANCE)  # receiver i+1's distances on link i

@@ -7,7 +7,7 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
-from .coding import DEFAULT_DECODE_CAP, LinkSimConfig, smallest_odd_at_least
+from .coding import DEFAULT_DECODE_CAP, MAX_DECODE_CAP, LinkSimConfig, smallest_odd_at_least
 
 __all__ = ["ConfigError", "ExperimentConfig"]
 
@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise ConfigError("l-sub must be positive")
         if self.treecode_pad < 0:
             raise ConfigError(f"treecode-pad must be >= 0, got {self.treecode_pad}")
+        if not 1 <= self.d_max <= MAX_DECODE_CAP:
+            raise ConfigError(f"d-max must lie in 1..{MAX_DECODE_CAP}, got {self.d_max}")
         if self.gamma <= 0 or self.k_rs < 1:
             raise ConfigError("gamma must be > 0 and k-rs >= 1")
         if self.e_t < 0 or self.e_r < 0:

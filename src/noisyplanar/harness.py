@@ -34,7 +34,6 @@ from .channel import (
     color_cells,
     distances,
     resolve_slot,
-    slot_keys,
 )
 from .coding import CapacityError
 from .config import BIT_SOURCES, MODES, PROTOCOLS, ConfigError, ExperimentConfig
@@ -554,8 +553,7 @@ def validate_run(run: TrialRun) -> AuditReport:
     _replay_slots(run, layout, report)
 
     traced = run.channel.trace.stage1_keys(("discovery", "identity", "hist_count"))
-    rows = stage1_schedule(run.grid, layout, run.stage1_config, run.config.protocol)
-    schedule = slot_keys(rows[:, 0], rows[:, 1])
+    schedule = stage1_schedule(run.grid, layout, run.stage1_config, run.config.protocol)
     if not np.array_equal(traced, schedule):
         a, b = Counter(traced.tolist()), Counter(schedule.tolist())
         slots = sorted({key >> 32 for key in (a - b) + (b - a)})[:3]

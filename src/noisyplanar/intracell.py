@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, ScheduleClass, key_rows, slot_keys
+from .channel import Channel, ScheduleClass, slot_keys
 from .coding import BlockCode, RepetitionScheme, smallest_odd_at_least
 from .geometry import Cell, CellGrid
 
@@ -267,12 +267,12 @@ def stage1_layout(
 
 
 def stage1_schedule(grid: CellGrid, layout, config: Stage1Config, protocol: str) -> np.ndarray:
-    """Sorted (slot, tx) rows of the data-independent stage-1 phases of a stage1_layout.
+    """The sorted slot_keys of the data-independent stage-1 phases of a stage1_layout.
 
     Every cell starts at its class's first slot.  MAX discovery and histogram
     counting send the members in id order, c_rep or r2 slots each; MAX
     identity sends the center for block_len slots from the identity slot.
-    The rows of all cells are built at once and sorted as slot_keys.
+    The (slot, tx) rows of all cells are built at once; key_rows decodes them.
     """
     reps = config.c_rep if protocol == "max" else config.r2
     cells = [grid.cell(j) for cls, *_ in layout for j in cls.cells]
@@ -287,7 +287,7 @@ def stage1_schedule(grid: CellGrid, layout, config: Stage1Config, protocol: str)
         id_bases = [config.phase_slots(base, max_members)[1] for _, base, _, max_members in layout]
         slots.append(np.repeat(id_bases, per_class)[:, None] + np.arange(config.block_len))
         txs.append(np.repeat([cell.center for cell in cells], config.block_len))
-    return key_rows(slot_keys(np.concatenate([s.ravel() for s in slots]), np.concatenate(txs)))
+    return slot_keys(np.concatenate([s.ravel() for s in slots]), np.concatenate(txs))
 
 
 def run_stage1_max(

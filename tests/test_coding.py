@@ -10,8 +10,10 @@ from noisyplanar.channel import Channel, NoiseModel
 from noisyplanar.coding import (
     ERASED,
     BlockCode,
+    MAX_DECODE_CAP,
     CapacityError,
     DecodeFailure,
+    LineProtocol,
     LinkSimConfig,
     RepetitionScheme,
     SimGuarantee,
@@ -381,6 +383,17 @@ class TestSimulateLine:
         with pytest.raises(ValueError, match="pad"):
             LinkSimConfig(mode="treecode", treecode_pad=-1)
 
+    @pytest.mark.parametrize("d_max", [0, MAX_DECODE_CAP + 1, 40])
+    def test_decoding_cap_outside_its_range_rejected(self, d_max):
+        with pytest.raises(ValueError, match="d-max must lie in 1..20"):
+            LinkSimConfig(mode="treecode", d_max=d_max)
+
+    def test_largest_decoding_cap_keeps_the_tree_small(self):
+        # The deepest tree a config can ask for: 2^21 - 2 labels, 16 MiB.
+        assert LinkSimConfig(mode="treecode", d_max=MAX_DECODE_CAP).d_max == 20
+        levels = TreeCode(MAX_DECODE_CAP).levels
+        assert sum(level.nbytes for level in levels) == 8 * (2**21 - 2)
+
     def test_protocols_shorter_than_two_nodes_rejected(self):
         with pytest.raises(ValueError):
             or_chain([1])
@@ -417,8 +430,7 @@ def reference_adder(vals, width):
 def run_repetition(protocol, r3, eps0, seed, hooked):
     """One repetition-mode run: the result, the slot cursor and the RNG state after it.
 
-    A hook that always answers eps0 draws exactly what iid noise draws, but
-    takes the per-reception path.
+    A hook that always answers eps0 draws exactly what iid noise draws.
     """
     if hooked:
         noise = NoiseModel(eps0, mode="adversarial", adversary=lambda slot, tx, rx, h: eps0)
@@ -469,6 +481,69 @@ class TestRepetitionClosedForm:
                 assert values[i] == node_value(i, child)
                 child = sent[i]
             assert values[-1] == node_value(q - 1, child)
+
+
+def reference_repetition(
+    protocol: LineProtocol, r3: int, channel: Channel, link_endpoints
+) -> tuple[list[int], list[int]]:
+    """Repetition links one noisy copy batch at a time: values and delivered values."""
+    values: list[int] = []
+    delivered: list[int] = []
+    child: list[int] = []
+    for i in range(protocol.q):
+        values.append(protocol.node_value(i, child))
+        if i == protocol.q - 1:
+            break
+        tx_node, rx_node = link_endpoints[i]
+        decoded = [0] * protocol.rounds
+        for t in protocol.payload_rounds(i):
+            bit = protocol.sent_bit(i, t, child[: t - 1])
+            copies = channel.noisy_copies(bit, r3, tx_node, rx_node, channel.slot_cursor)
+            channel.slot_cursor += r3
+            decoded[t - 1] = majority_decode(copies)
+        delivered.append(protocol.child_value(i + 1, decoded))
+        child = decoded
+    return values, delivered
+
+
+class TestRepetitionAgainstReceptionLoop:
+    @pytest.mark.parametrize("kind", ["or", "adder"])
+    def test_one_draw_per_array_equals_the_per_reception_loop(self, kind):
+        # The hook's probability varies with the reception and it records
+        # every call: one draw per array must ask the same questions in the
+        # same order, consume the same uniforms and decode the same values
+        # as one noisy copy batch per link bit.
+        eps0 = 0.3
+        rng = np.random.default_rng(43)
+        widths = (1, 2, 3, 4) if kind == "adder" else (1,)
+        corrupted = 0
+        for q, width, r3 in itertools.product(range(2, 6), widths, (1, 3, 5)):
+            counts = rng.integers(0, 2**width, q)
+            proto = or_chain(counts) if kind == "or" else adder_chain(counts, width)
+            ends = [(20 + 3 * i, 21 + 3 * i) for i in range(q - 1)]
+            seed = int(rng.integers(2**32))
+            runs = []
+            for batched in (True, False):
+                calls = []
+
+                def hook(slot, tx, rx, history, calls=calls):
+                    calls.append((slot, tx, rx))
+                    return eps0 if (slot + tx + rx) % 3 else eps0 / 4
+
+                noise = NoiseModel(eps0, mode="adversarial", adversary=hook)
+                ch = Channel(place_nodes(16, seed=0), derive_params(1000, 0.5), noise,
+                             np.random.default_rng(seed))
+                if batched:
+                    res = simulate_line(proto, LinkSimConfig(mode="repetition", r3=r3), ch, ends)
+                    out = (list(res.values), list(res.delivered))
+                else:
+                    out = reference_repetition(proto, r3, ch, ends)
+                runs.append((out, ch.slot_cursor, ch.rng.bit_generator.state, calls))
+            assert runs[0] == runs[1], (q, width, r3, seed)
+            assert len(runs[0][3]) == (q - 1) * width * r3
+            corrupted += runs[0][0][1] != proto.fold()[1]
+        # The comparison covers arrays whose links deliver wrong values.
+        assert corrupted > 0
 
 
 def reference_treecode(protocol, config, channel, link_endpoints):

@@ -280,7 +280,7 @@ class TestValidateRun:
         schedule = stage1_schedule(run.grid, layout, run.stage1_config, protocol)
         phases = ("discovery", "identity", "hist_count")
         for r in (run, flipped):
-            assert np.array_equal(r.channel.trace.stage1_slot_map(phases), schedule)
+            assert np.array_equal(r.channel.trace.stage1_keys(phases), schedule)
         assert flipped.channel.trace.stage2_stages == run.channel.trace.stage2_stages
 
         def second_trial(*args, **kwargs):
@@ -604,6 +604,23 @@ class TestCli:
         )
         assert code == 2
         assert "config error: treecode-pad must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d_max", ["0", "21", "40"])
+    def test_decoding_cap_outside_its_range_is_exit_2(self, d_max, monkeypatch, capsys):
+        # Histogram arrays at n = 8000 need 22 rounds: a cap of 40 would build
+        # a depth-28 tree, 2^29 int64 labels.  The config is refused first.
+        import noisyplanar.harness as hz
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(hz, "run_trial", no_trial)
+        code = main(
+            ["run", "--protocol", "hist", "--mode", "treecode", "--n", "8000", "--trials", "1",
+             "--d-max", d_max]
+        )
+        assert code == 2
+        assert f"config error: d-max must lie in 1..20, got {d_max}" in capsys.readouterr().err
 
     def test_validate_takes_no_out(self, tmp_path):
         # validate writes no report, so an --out it would ignore is refused.
