@@ -193,13 +193,13 @@ def color_cells(grid: CellGrid, params: DerivedParams) -> list[ScheduleClass]:
     transmissions cannot collide at any same-color cell's listeners.
     """
     d = params.reuse_distance
-    by_color: dict[int, list[int]] = {}
-    for c in grid:
-        color = (c.row % d) * d + (c.col % d)
-        by_color.setdefault(color, []).append(c.index)
+    rows, cols = np.divmod(np.arange(len(grid)), grid.grid_dim)
+    colors = (rows % d) * d + cols % d
+    order = np.argsort(colors, kind="stable")  # cells ascending inside a color
+    palette, starts = np.unique(colors[order], return_index=True)
     return [
-        ScheduleClass(color=color, cells=tuple(sorted(members)))
-        for color, members in sorted(by_color.items())
+        ScheduleClass(color=color, cells=tuple(cells.tolist()))
+        for color, cells in zip(palette.tolist(), np.split(order + 1, starts[1:]))
     ]
 
 
@@ -323,11 +323,6 @@ def slot_keys(slots, txs) -> np.ndarray:
     return np.sort((np.asarray(slots, dtype=np.int64) << 32) + txs)
 
 
-def key_rows(keys: np.ndarray) -> np.ndarray:
-    """The (slot, tx) rows that slot_keys encoded, in key order."""
-    return np.column_stack((keys >> 32, keys & 0xFFFFFFFF))
-
-
 @dataclass
 class Trace:
     """Schedule capture for the obliviousness / interference audit."""
@@ -341,10 +336,6 @@ class Trace:
         return slot_keys(
             np.concatenate([r.slots for r in records]), np.concatenate([r.txs for r in records])
         )
-
-    def stage1_slot_map(self, phases: tuple[str, ...]) -> np.ndarray:
-        """Sorted (slot, tx) rows of the given phases, one per transmission."""
-        return key_rows(self.stage1_keys(phases))
 
 
 @dataclass

@@ -94,53 +94,70 @@ class DerivedParams:
         return 2 * math.ceil((1.0 + self.delta) * self.radius / self.cell_side) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cell:
-    """One tessellation cell: 1-based row-major index, members, designated center.
+    """A view of one tessellation cell: 1-based row-major index, members, center.
 
-    Row 0 is the top strip (largest y).  ``members`` is sorted ascending;
-    ``center`` is None only for hand-built degenerate fixtures.
+    Row 0 is the top strip (largest y).  ``members`` is an ascending slice of
+    the grid's member array; ``center`` is -1 only for an empty cell of a
+    hand-built grid.
     """
 
     index: int
     row: int
     col: int
-    members: tuple[int, ...]
-    center: int | None
+    members: np.ndarray
+    center: int
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellGrid:
-    """Sequence of cells (row-major, index 1..cell_count) plus the sink choice."""
+    """Cell membership as CSR arrays (row-major cells, index 1..cell_count) plus the sink.
 
-    cells: tuple[Cell, ...]
+    members   node ids in (cell, id) order
+    offsets   cell_count + 1 entries: cell j holds members[offsets[j - 1]:offsets[j]]
+    centers   each cell's center, the first member except in the sink cell,
+              which holds the sink node; -1 only for an empty hand-built cell
+    """
+
+    members: np.ndarray
+    offsets: np.ndarray
+    centers: np.ndarray
     grid_dim: int
     n: int
     sink_cell: int
     sink_node: int
 
+    def __post_init__(self):  # read-only, since cell views hand out slices of these
+        for array in (self.members, self.offsets, self.centers):
+            array.flags.writeable = False
+
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.centers)
 
     def __iter__(self):
-        return iter(self.cells)
-
-    def __getitem__(self, i: int) -> Cell:
-        return self.cells[i]
+        return map(self.cell, range(1, len(self) + 1))
 
     def cell(self, index: int) -> Cell:
-        """Look up a cell by its 1-based row-major index."""
-        return self.cells[index - 1]
-
-    def cell_at(self, row: int, col: int) -> Cell:
-        return self.cells[row * self.grid_dim + col]
+        """A view of the cell with this 1-based row-major index."""
+        row, col = divmod(index - 1, self.grid_dim)
+        members = self.members[self.offsets[index - 1] : self.offsets[index]]
+        return Cell(index, row, col, members, int(self.centers[index - 1]))
 
     def occupancies(self) -> np.ndarray:
-        return np.array([c.size for c in self.cells], dtype=np.int64)
+        return np.diff(self.offsets)
+
+    def gather(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The given cells' members end to end, their sizes and their centers."""
+        rows = np.asarray(cells, dtype=np.int64) - 1
+        starts = self.offsets[rows]
+        sizes = self.offsets[rows + 1] - starts
+        shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        return self.members[np.arange(sizes.sum()) + shift], sizes, self.centers[rows]
 
 
 @dataclass(frozen=True)
@@ -253,10 +270,11 @@ def _grid_coords(positions: np.ndarray, grid_dim: int) -> tuple[np.ndarray, np.n
 def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
     """Partition nodes into cells and pick each cell's center.
 
-    Centers are the minimum node id per cell, except the sink cell whose
-    center is the sink node (the node nearest (0.5, 0.5), ties to the lower
-    id).  Raises ProtocolInfeasibleError if any cell is empty, since the
-    protocols require every cell occupied.
+    One stable argsort of the cells' flat indices lists the members, ids
+    ascending inside each cell.  Centers are the minimum node id per cell,
+    except the sink cell whose center is the sink node (the node nearest
+    (0.5, 0.5), ties to the lower id).  Raises ProtocolInfeasibleError naming
+    the first empty cell, since the protocols require every cell occupied.
     """
     if params.n != instance.n:
         raise ValueError("params were derived for a different n")
@@ -264,34 +282,23 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
     rows, cols = _grid_coords(instance.positions, m)
     flat = rows * m + cols
 
-    offsets = instance.positions - 0.5
-    sink_node = int(np.argmin(np.einsum("ij,ij->i", offsets, offsets)))
+    away = instance.positions - 0.5
+    sink_node = int(np.argmin(np.einsum("ij,ij->i", away, away)))
     sink_flat = int(flat[sink_node])
 
     order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    boundaries = np.searchsorted(sorted_flat, np.arange(m * m + 1))
-
-    cells = []
-    empty = []
-    for f in range(m * m):
-        members = tuple(int(i) for i in np.sort(order[boundaries[f] : boundaries[f + 1]]))
-        if not members:
-            empty.append(f + 1)
-            center = None
-        elif f == sink_flat:
-            center = sink_node
-        else:
-            center = members[0]
-        cells.append(Cell(index=f + 1, row=f // m, col=f % m, members=members, center=center))
-
-    if empty:
+    offsets = np.searchsorted(flat[order], np.arange(m * m + 1))
+    empty = np.flatnonzero(offsets[:-1] == offsets[1:])
+    if empty.size:
         raise ProtocolInfeasibleError(
-            f"cell {empty[0]} of {m * m} is empty (n={instance.n}, seed={instance.seed}); "
+            f"cell {empty[0] + 1} of {m * m} is empty (n={instance.n}, seed={instance.seed}); "
             f"the protocol requires every cell occupied"
         )
+    centers = order[offsets[:-1]]
+    centers[sink_flat] = sink_node
     return CellGrid(
-        cells=tuple(cells), grid_dim=m, n=instance.n, sink_cell=sink_flat + 1, sink_node=sink_node
+        members=order, offsets=offsets, centers=centers, grid_dim=m, n=instance.n,
+        sink_cell=sink_flat + 1, sink_node=sink_node,
     )
 
 
@@ -306,25 +313,22 @@ def build_tree(grid: CellGrid, params: DerivedParams | None = None) -> SpanningT
     if params is not None and params.grid_dim != grid.grid_dim:
         raise ValueError("params grid size does not match the cell grid")
     m = grid.grid_dim
-    sink = grid.cell(grid.sink_cell)
+    sink_row, sink_col = divmod(grid.sink_cell - 1, m)
     parent: dict[int, int] = {}
     depth: dict[int, int] = {}
-    for c in grid:
-        depth[c.index] = abs(c.row - sink.row) + abs(c.col - sink.col)
-        if c.index == sink.index:
-            continue
-        if c.col != sink.col:
-            step = 1 if c.col < sink.col else -1
-            parent[c.index] = grid.cell_at(c.row, c.col + step).index
-        else:
-            step = 1 if c.row < sink.row else -1
-            parent[c.index] = grid.cell_at(c.row + step, c.col).index
+    for j in range(1, len(grid) + 1):
+        row, col = divmod(j - 1, m)
+        depth[j] = abs(row - sink_row) + abs(col - sink_col)
+        if col != sink_col:
+            parent[j] = j + (1 if col < sink_col else -1)
+        elif row != sink_row:
+            parent[j] = j + (m if row < sink_row else -m)
 
     children: dict[int, list[int]] = {}
     for j, p in parent.items():
         children.setdefault(p, []).append(j)
     return SpanningTree(
-        sink_cell=sink.index,
+        sink_cell=grid.sink_cell,
         sink_node=grid.sink_node,
         grid_dim=m,
         parent=parent,
@@ -341,18 +345,15 @@ def validate_geometry(
 ) -> GeometryReport:
     """Audit occupancy bounds, edge lengths, tree degree and depth (report-only)."""
     occ = grid.occupancies()
-    empty = tuple(c.index for c in grid if c.size == 0)
+    empty = tuple((np.flatnonzero(occ == 0) + 1).tolist())
     log_n = math.log(instance.n)
     lower = OCCUPANCY_LOWER * log_n
     upper = OCCUPANCY_UPPER * log_n
 
-    max_edge = 0.0
-    for j, p in tree.parent.items():
-        cj, cp = grid.cell(j).center, grid.cell(p).center
-        if cj is None or cp is None:
-            continue
-        d = float(np.linalg.norm(instance.positions[cj] - instance.positions[cp]))
-        max_edge = max(max_edge, d)
+    ends = grid.centers[np.array(list(tree.parent.items()), dtype=np.int64).reshape(-1, 2) - 1]
+    ends = ends[(ends >= 0).all(axis=1)]
+    gaps = instance.positions[ends[:, 0]] - instance.positions[ends[:, 1]]
+    max_edge = float(np.linalg.norm(gaps, axis=1).max(initial=0.0))
 
     return GeometryReport(
         feasible=not empty,

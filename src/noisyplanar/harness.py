@@ -17,7 +17,6 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -445,8 +444,8 @@ def audit_coloring(
     guard radius get the exact member-to-member check, in pair order.
     """
     guard = (1.0 + params.delta) * params.radius
-    points = positions[np.fromiter(chain.from_iterable(c.members for c in grid), np.int64)]
-    starts = np.cumsum([0] + [c.size for c in grid][:-1])
+    points = positions[grid.members]
+    starts = grid.offsets[:-1]
     lo = np.minimum.reduceat(points, starts)  # cell j's box runs from lo[j - 1] to hi[j - 1]
     hi = np.maximum.reduceat(points, starts)
     violations = []
@@ -487,31 +486,34 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
     noiseless = NoiseModel(0.0)
     is_max = run.config.protocol == "max"
     for cls, base, _, max_members in layout:
-        cells = [grid.cell(j) for j in cls.cells]
-        replays = [("discovery" if is_max else "hist_count", base, [c.members[0] for c in cells])]
+        members, sizes, centers = grid.gather(cls.cells)
+        firsts = members[np.cumsum(sizes) - sizes]
+        replays = [("discovery" if is_max else "hist_count", base, firsts)]
         if is_max:
             id_base = run.stage1_config.phase_slots(base, max_members)[1]
-            replays.append(("identity", id_base, [c.center for c in cells]))
+            replays.append(("identity", id_base, centers))
+        cell_of = np.repeat(np.arange(len(sizes)), sizes)
         for phase, slot, txs in replays:
-            events = [TxEvent(slot, tx, 0) for tx in txs]
-            listeners = [[m for m in c.members if m != tx] for c, tx in zip(cells, txs)]
-            outcomes = resolve_slot(
-                events, chain.from_iterable(listeners), positions, params, noiseless, rng
-            )
-            for j, heard in zip(cls.cells, listeners):
-                bad = [m for m in heard if not outcomes[m].is_received]
-                if bad:
-                    report.collision_violations.append(
-                        f"{phase} slot {slot}: cell {j} listeners {bad} did not receive"
-                    )
+            events = [TxEvent(slot, tx, 0) for tx in txs.tolist()]
+            listens = members != txs[cell_of]
+            listeners = members[listens].tolist()
+            outcomes = resolve_slot(events, listeners, positions, params, noiseless, rng)
+            missed = np.zeros(members.size, dtype=bool)
+            missed[listens] = [not outcomes[m].is_received for m in listeners]
+            for i in np.unique(cell_of[missed]).tolist():
+                bad = members[missed & (cell_of == i)].tolist()
+                report.collision_violations.append(
+                    f"{phase} slot {slot}: cell {cls.cells[i]} listeners {bad} did not receive"
+                )
 
     color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
+    centers = grid.centers.tolist()
     for si, stage in enumerate(run.plan.stages):
         groups: dict[int, list[tuple[int, int]]] = {}
         for array in stage.arrays:
             for child, parent in zip(array.cells, array.cells[1:]):
                 groups.setdefault(color_of[child], []).append(
-                    (grid.cell(child).center, grid.cell(parent).center)
+                    (centers[child - 1], centers[parent - 1])
                 )
         for subslot, links in groups.items():
             events = [TxEvent(subslot, tx, 0) for tx, _ in links]

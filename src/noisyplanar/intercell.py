@@ -149,8 +149,8 @@ def adder_chain(counts: Sequence[int], width: int) -> LineProtocol:
 
 
 def _array_endpoints(array: CellArray, grid: CellGrid) -> list[tuple[int, int]]:
-    centers = [grid.cell(j).center for j in array.cells]
-    return [(centers[i], centers[i + 1]) for i in range(len(centers) - 1)]
+    centers = grid.centers[np.asarray(array.cells) - 1].tolist()
+    return list(zip(centers, centers[1:]))
 
 
 def run_substage_max(
@@ -297,7 +297,7 @@ def distribute_result(
         stage_slots = 0
         for array in stage.arrays:
             cells = array.cells
-            centers = [grid.cell(j).center for j in cells]
+            centers = grid.centers[np.asarray(cells) - 1].tolist()
             v = down[array.root]
             for i in range(len(cells) - 2, -1, -1):
                 copies = channel.noisy_copies(
@@ -321,7 +321,7 @@ def distribute_result(
             cell = grid.cell(j)
             v = down[j]
             node_values[cell.center] = v
-            for member in cell.members:
+            for member in cell.members.tolist():
                 if member == cell.center:
                     continue
                 copies = channel.noisy_copies(v, r2, cell.center, member, channel.slot_cursor)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -138,22 +137,26 @@ class Stage1Result:
     metrics_delta: dict = field(default_factory=dict)
 
 
+def _repeat_slots(sizes: np.ndarray, first, reps: int) -> np.ndarray:
+    """reps slots per member from ``first`` (scalar or per member), a cell's members in turn."""
+    shift = first - reps * (sizes.cumsum() - sizes).repeat(sizes)
+    return np.arange(shift.size * reps).reshape(-1, reps) + shift[:, None]
+
+
 def _majority_at_center(
-    cells: Sequence[Cell], reps: int, phase: str, channel: Channel, slot0: int
-) -> tuple[np.ndarray, np.ndarray]:
+    cells: Sequence[int], members, sizes, centers, reps: int, phase: str, channel: Channel, slot0
+) -> np.ndarray:
     """Per-member repetition to each cell's center, the cells in lockstep.
 
-    In every cell, members transmit their bit in ascending id order, reps
-    consecutive slots each from slot0, for exactly reps * N transmissions.
-    The center majority-decodes every member; its own broadcasts are
-    noiseless to itself.  Noise is drawn in one call, cell by cell, member by
-    member, copy by copy, and each cell gets one trace record.  Returns the
-    cells' members end to end and their decoded bits.
+    The cells come as CellGrid.gather gives them.  In every cell, members
+    transmit their bit in ascending id order, reps consecutive slots each from
+    slot0, for exactly reps * N transmissions.  The center majority-decodes
+    every member; its own broadcasts are noiseless to itself.  Noise is drawn
+    in one call, cell by cell, member by member, copy by copy, and each cell
+    gets one trace record.  Returns the members' decoded bits.
     """
-    sizes = [cell.size for cell in cells]
-    members = np.concatenate([cell.members for cell in cells])
-    centers = np.repeat([cell.center for cell in cells], sizes)
-    slots = slot0 + np.concatenate([np.arange(size * reps) for size in sizes]).reshape(-1, reps)
+    centers = centers.repeat(sizes)
+    slots = _repeat_slots(sizes, slot0, reps)
     txs = members[:, None]
     bits = channel.instance.bits[members]
     flips = channel.flip_mask(slots.shape, slots=slots, txs=txs, rxs=centers[:, None])
@@ -161,12 +164,12 @@ def _majority_at_center(
     is_center = members == centers
     decoded[is_center] = bits[is_center]
 
-    lo = 0
-    for cell, size in zip(cells, sizes):
-        channel.record(phase, cell.index, slots[lo : lo + size], txs[lo : lo + size])
-        lo += size
-    channel.metrics.add("stage1", tx=reps * len(members), rx=reps * sum(s * (s - 1) for s in sizes))
-    return members, decoded
+    if channel.trace is not None:
+        ends = sizes.cumsum().tolist()
+        for j, lo, hi in zip(cells, [0] + ends, ends):
+            channel.record(phase, j, slots[lo:hi], txs[lo:hi])
+    channel.metrics.add("stage1", tx=reps * members.size, rx=reps * int(sizes.dot(sizes - 1)))
+    return decoded
 
 
 def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0: int = 0) -> int:
@@ -176,7 +179,10 @@ def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0:
     least id whose decoded bit is 1, falling back to the least id when none
     is seen.
     """
-    members, decoded = _majority_at_center([cell], config.c_rep, "discovery", channel, slot0)
+    members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
+    decoded = _majority_at_center(
+        [cell.index], members, sizes, centers, config.c_rep, "discovery", channel, slot0
+    )
     ones = np.flatnonzero(decoded == 1)
     return int(members[ones[0]]) if len(ones) else int(members[0])
 
@@ -191,7 +197,7 @@ def distribute_identity(
     noisy copy.  Returns the members whose decode equals their own index --
     the set that will answer in the confirmation slots.
     """
-    members = np.array(cell.members)
+    members = cell.members
     n_members = len(members)
     local_witness = int(np.searchsorted(members, witness))
     length = config.block_len
@@ -253,10 +259,11 @@ def stage1_layout(
     in lockstep, so a class spans its largest cell's script: c_rep * N +
     block_len + r2 slots for MAX, r2 * N for the histogram.
     """
+    sizes = grid.occupancies()
     layout = []
     base = 0
     for cls in coloring:
-        max_members = max(grid.cell(j).size for j in cls.cells)
+        max_members = int(sizes[np.asarray(cls.cells) - 1].max())
         if protocol == "max":
             span = config.script_len(max_members)
         else:
@@ -272,21 +279,18 @@ def stage1_schedule(grid: CellGrid, layout, config: Stage1Config, protocol: str)
     Every cell starts at its class's first slot.  MAX discovery and histogram
     counting send the members in id order, c_rep or r2 slots each; MAX
     identity sends the center for block_len slots from the identity slot.
-    The (slot, tx) rows of all cells are built at once; key_rows decodes them.
+    The (slot, tx) rows of all cells are built at once.
     """
     reps = config.c_rep if protocol == "max" else config.r2
-    cells = [grid.cell(j) for cls, *_ in layout for j in cls.cells]
+    members, sizes, centers = grid.gather([j for cls, *_ in layout for j in cls.cells])
     per_class = [len(cls.cells) for cls, *_ in layout]
-    sizes = np.array([cell.size for cell in cells])
-    members = np.fromiter(chain.from_iterable(c.members for c in cells), np.int64, sizes.sum())
-    rank = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     first = np.repeat(np.repeat([base for _, base, _, _ in layout], per_class), sizes)
-    slots = [(first + reps * rank)[:, None] + np.arange(reps)]
+    slots = [_repeat_slots(sizes, first, reps)]
     txs = [np.repeat(members, reps)]
     if protocol == "max":
         id_bases = [config.phase_slots(base, max_members)[1] for _, base, _, max_members in layout]
         slots.append(np.repeat(id_bases, per_class)[:, None] + np.arange(config.block_len))
-        txs.append(np.repeat([cell.center for cell in cells], config.block_len))
+        txs.append(np.repeat(centers, config.block_len))
     return slot_keys(np.concatenate([s.ravel() for s in slots]), np.concatenate(txs))
 
 
@@ -335,10 +339,11 @@ def run_stage1_hist(
     before = channel.metrics.snapshot()
     result = Stage1Result()
     for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
-        cells = [grid.cell(j) for j in cls.cells]
-        _, decoded = _majority_at_center(cells, config.r2, "hist_count", channel, base)
-        starts = np.cumsum([0] + [cell.size for cell in cells[:-1]])
-        counts = np.add.reduceat(decoded, starts, dtype=np.int64)
+        members, sizes, centers = grid.gather(cls.cells)
+        decoded = _majority_at_center(
+            cls.cells, members, sizes, centers, config.r2, "hist_count", channel, base
+        )
+        counts = np.add.reduceat(decoded, np.cumsum(sizes) - sizes, dtype=np.int64)
         result.counts.update(zip(cls.cells, counts.tolist()))
         channel.metrics.add("stage1", slots=span)
     after = channel.metrics.snapshot()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from noisyplanar.geometry import Cell, CellGrid, DerivedParams, NetworkInstance
+from noisyplanar.geometry import CellGrid, DerivedParams, NetworkInstance
 
 
 def make_hand_world(m: int, sink_cell: int | None = None, delta: float = 0.5):
@@ -14,18 +14,22 @@ def make_hand_world(m: int, sink_cell: int | None = None, delta: float = 0.5):
     """
     n = m * m
     positions = np.zeros((n, 2))
-    cells = []
     for idx in range(1, n + 1):
         row, col = (idx - 1) // m, (idx - 1) % m
         x = (col + 0.5) / m
         y = ((m - 1 - row) + 0.5) / m
         positions[idx - 1] = (x, y)
-        cells.append(Cell(index=idx, row=row, col=col, members=(idx - 1,), center=idx - 1))
     if sink_cell is None:
         sink_cell = (m // 2) * m + (m // 2) + 1
     instance = NetworkInstance(n=n, seed=0, positions=positions, bits=np.zeros(n, dtype=np.int8))
     grid = CellGrid(
-        cells=tuple(cells), grid_dim=m, n=n, sink_cell=sink_cell, sink_node=sink_cell - 1
+        members=np.arange(n),
+        offsets=np.arange(n + 1),
+        centers=np.arange(n),
+        grid_dim=m,
+        n=n,
+        sink_cell=sink_cell,
+        sink_node=sink_cell - 1,
     )
     params = DerivedParams(
         n=n,

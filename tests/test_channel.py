@@ -342,5 +342,5 @@ class TestTrace:
             ("discovery", [1, 9]),
             ("confirmation", [4]),
         ]
-        rows = ch.trace.stage1_slot_map(("discovery", "identity"))
-        assert rows.tolist() == [[2, 9], [5, 1], [5, 3], [6, 3]]
+        keys = ch.trace.stage1_keys(("discovery", "identity"))
+        assert keys.tolist() == [(slot << 32) + tx for slot, tx in [(2, 9), (5, 1), (5, 3), (6, 3)]]

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from noisyplanar.geometry import (
-    Cell,
     CellGrid,
     NetworkInstance,
     ProtocolInfeasibleError,
+    _grid_coords,
     assign_cells,
     build_tree,
     derive_params,
@@ -142,10 +142,10 @@ class TestAssignCells:
         params = derive_params(2000, 0.5)
         inst = place_nodes(2000, seed=3)
         grid = assign_cells(inst, params)
-        ids = sorted(i for c in grid for i in c.members)
+        ids = sorted(i for c in grid for i in c.members.tolist())
         assert ids == list(range(2000))
         again = assign_cells(inst, params)
-        assert [c.members for c in again] == [c.members for c in grid]
+        assert [c.members.tolist() for c in again] == [c.members.tolist() for c in grid]
         assert (again.sink_cell, again.sink_node) == (grid.sink_cell, grid.sink_node)
 
     def test_centers_are_min_ids_except_sink(self):
@@ -167,6 +167,97 @@ class TestAssignCells:
         inst, params = _world_with_positions(positions, 3)
         with pytest.raises(ProtocolInfeasibleError, match="empty"):
             assign_cells(inst, params)
+
+    def test_cell_views_are_read_only(self):
+        grid = assign_cells(place_nodes(2000, seed=3), derive_params(2000, 0.5))
+        with pytest.raises(ValueError, match="read-only"):
+            grid.cell(1).members[0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            grid.centers[0] = 5
+
+    def test_empty_cell_error_names_the_first_empty_cell(self):
+        crowded, params = _world_with_positions(np.full((100, 2), 0.01), 3)
+        with pytest.raises(ProtocolInfeasibleError, match=r"^cell 1 of 9 is empty "):
+            assign_cells(crowded, params)
+        # Cell 5's only node moved into cell 1, and cell 8's into cell 9.
+        inst, _, _ = make_hand_world(3)
+        positions = inst.positions.copy()
+        positions[4], positions[7] = positions[0], positions[8]
+        holed, params = _world_with_positions(positions, 3)
+        with pytest.raises(ProtocolInfeasibleError, match=r"^cell 5 of 9 is empty "):
+            assign_cells(holed, params)
+
+
+def assign_cells_per_cell(instance, params):
+    """The per-cell assign_cells loop the CSR build replaced: the reference.
+
+    Returns each cell's (members, center) and the sink's (cell, node).
+    """
+    m = params.grid_dim
+    rows, cols = _grid_coords(instance.positions, m)
+    flat = rows * m + cols
+
+    offsets = instance.positions - 0.5
+    sink_node = int(np.argmin(np.einsum("ij,ij->i", offsets, offsets)))
+    sink_flat = int(flat[sink_node])
+
+    order = np.argsort(flat, kind="stable")
+    sorted_flat = flat[order]
+    boundaries = np.searchsorted(sorted_flat, np.arange(m * m + 1))
+
+    cells = []
+    empty = []
+    for f in range(m * m):
+        members = tuple(int(i) for i in np.sort(order[boundaries[f] : boundaries[f + 1]]))
+        if not members:
+            empty.append(f + 1)
+            center = None
+        elif f == sink_flat:
+            center = sink_node
+        else:
+            center = members[0]
+        cells.append((members, center))
+
+    if empty:
+        raise ProtocolInfeasibleError(
+            f"cell {empty[0]} of {m * m} is empty (n={instance.n}, seed={instance.seed}); "
+            f"the protocol requires every cell occupied"
+        )
+    return cells, sink_flat + 1, sink_node
+
+
+class TestCsrBuildAgainstPerCellLoop:
+    @staticmethod
+    def assert_matches(inst, params):
+        grid = assign_cells(inst, params)
+        cells, sink_cell, sink_node = assign_cells_per_cell(inst, params)
+        assert grid.members.tolist() == [i for members, _ in cells for i in members]
+        assert grid.offsets.tolist() == np.cumsum([0] + [len(m) for m, _ in cells]).tolist()
+        assert grid.centers.tolist() == [center for _, center in cells]
+        assert (grid.sink_cell, grid.sink_node) == (sink_cell, sink_node)
+
+    @pytest.mark.parametrize(
+        "n, seed", [(2000, 0), (2000, 3), (8000, 1), (8000, 13), (70000, 2), (70000, 5)]
+    )
+    def test_sampled_worlds(self, n, seed):
+        self.assert_matches(place_nodes(n, seed), derive_params(n, 0.5))
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_points_on_interior_boundaries(self, m):
+        # Every lattice point k/m, ids shuffled so a cell's ids are not contiguous.
+        k = np.arange(m + 1) / m
+        lattice = np.stack(np.meshgrid(k, k), axis=-1).reshape(-1, 2)
+        positions = lattice[np.random.default_rng(m).permutation(len(lattice))]
+        inst, params = _world_with_positions(positions, m)
+        self.assert_matches(inst, params)
+
+    def test_same_error_on_an_empty_cell(self):
+        inst, params = _world_with_positions(np.full((100, 2), 0.01), 3)
+        with pytest.raises(ProtocolInfeasibleError) as want:
+            assign_cells_per_cell(inst, params)
+        with pytest.raises(ProtocolInfeasibleError) as got:
+            assign_cells(inst, params)
+        assert str(got.value) == str(want.value)
 
 
 class TestBuildTree:
@@ -234,10 +325,10 @@ class TestValidateGeometry:
 
     def test_hand_built_empty_cell_is_flagged(self):
         inst, grid, params = make_hand_world(3)
-        cells = list(grid.cells)
-        cells[0] = Cell(index=1, row=0, col=0, members=(), center=None)
         broken = CellGrid(
-            cells=tuple(cells),
+            members=grid.members[1:],
+            offsets=np.maximum(grid.offsets - 1, 0),
+            centers=np.where(np.arange(9) == 0, -1, grid.centers),
             grid_dim=3,
             n=grid.n,
             sink_cell=grid.sink_cell,

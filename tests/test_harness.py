@@ -24,7 +24,7 @@ from noisyplanar.channel import (
     resolve_slot,
 )
 from noisyplanar.config import ConfigError, ExperimentConfig
-from noisyplanar.geometry import Cell, CellGrid, DerivedParams, place_nodes
+from noisyplanar.geometry import CellGrid, DerivedParams, place_nodes
 from noisyplanar.harness import (
     CSV_HEADER,
     AuditReport,
@@ -373,7 +373,7 @@ def _reference_replay_slots(run, layout, report):
         for phase, slot, txs in replays:
             events = [TxEvent(slot, tx, 0) for tx in txs]
             for j, tx in zip(cls.cells, txs):
-                listeners = [m for m in grid.cell(j).members if m != tx]
+                listeners = [m for m in grid.cell(j).members.tolist() if m != tx]
                 outcomes = resolve_slot(events, listeners, positions, params, noiseless, rng)
                 bad = [m for m, o in outcomes.items() if not o.is_received]
                 if bad:
@@ -429,12 +429,12 @@ def _hand_grid(*cells):
     delta = 0.5 and radius = 0.1 put the guard radius at 0.15.
     """
     positions = np.array([p for members in cells for p in members], dtype=float)
-    grid_cells, lo = [], 0
-    for index, members in enumerate(cells, start=1):
-        ids = tuple(range(lo, lo + len(members)))
-        grid_cells.append(Cell(index=index, row=0, col=index - 1, members=ids, center=ids[0]))
-        lo += len(members)
-    grid = CellGrid(cells=tuple(grid_cells), grid_dim=len(cells), n=lo, sink_cell=1, sink_node=0)
+    offsets = np.cumsum([0] + [len(members) for members in cells])
+    lo = int(offsets[-1])
+    grid = CellGrid(
+        members=np.arange(lo), offsets=offsets, centers=offsets[:-1], grid_dim=len(cells),
+        n=lo, sink_cell=1, sink_node=0,
+    )
     params = DerivedParams(
         n=lo, delta=0.5, grid_dim=len(cells), cell_side=1.0 / len(cells),
         cell_count=len(cells), radius=0.1, interference_bound=8, link_slot_span=36,
@@ -494,8 +494,10 @@ class TestAuditAgainstPerCellReference:
 
         monkeypatch.setattr(hz, "distances", recording)
         got = audit_coloring(grid, params, coloring, positions, {7: 40})
-        members = [c.members for c in grid]
-        assert checked == [(members[a], members[b]) for a, b in ((0, 1), (0, 4), (1, 2))]
+        members = [c.members.tolist() for c in grid]
+        assert [(list(rows), list(cols)) for rows, cols in checked] == [
+            (members[a], members[b]) for a, b in ((0, 1), (0, 4), (1, 2))
+        ]
         assert got == _reference_audit_coloring(grid, params, coloring, positions, {7: 40})
         assert [v.split(" (")[0] for v in got] == [
             "slot 40: same-color cells 1 and 5",
@@ -836,3 +838,15 @@ def test_package_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_micro_benchmarks_run():
+    # benchmarks/micro sits outside testpaths; running its kernels once, untimed,
+    # catches drift in the package API they call, not only in their imports.
+    root = Path(__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "benchmarks/micro", "-q", "--benchmark-disable",
+         "-p", "no:cacheprovider"],
+        cwd=root, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

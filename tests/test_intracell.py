@@ -6,10 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noisyplanar.channel import Channel, NoiseModel, ScheduleClass, Trace, color_cells, key_rows
+from noisyplanar.channel import (
+    Channel,
+    NoiseModel,
+    ScheduleClass,
+    Trace,
+    color_cells,
+    slot_keys,
+)
 from noisyplanar.coding import BlockCode, RepetitionScheme
 from noisyplanar.geometry import (
-    Cell,
     CellGrid,
     DerivedParams,
     NetworkInstance,
@@ -47,8 +53,11 @@ def make_cell_world(bits, eps0=0.0, seed=0, msg_bits=4):
         interference_bound=8,
         link_slot_span=36,
     )
-    cell = Cell(index=1, row=0, col=0, members=tuple(range(n)), center=0)
-    grid = CellGrid(cells=(cell,), grid_dim=1, n=n, sink_cell=1, sink_node=0)
+    grid = CellGrid(
+        members=np.arange(n), offsets=np.array([0, n]), centers=np.array([0]), grid_dim=1,
+        n=n, sink_cell=1, sink_node=0,
+    )
+    cell = grid.cell(1)
     config = Stage1Config(eps1=0.05, c_rep=9, r2=27, id_code=BlockCode(msg_bits, seed=2))
     channel = Channel(inst, params, NoiseModel(eps0), np.random.default_rng(seed))
     return cell, grid, config, channel
@@ -347,8 +356,7 @@ def schedule_per_cell(grid, layout, config, protocol):
             rows.append((base + np.arange(cell.size * reps), np.repeat(cell.members, reps)))
             if protocol == "max":
                 rows.append((id_slots, np.full(config.block_len, cell.center)))
-    slots, txs = (np.concatenate(column) for column in zip(*rows))
-    return np.column_stack((slots, txs))[np.lexsort((txs, slots))]
+    return slot_keys(*(np.concatenate(column) for column in zip(*rows)))
 
 
 class TestStage1Schedule:
@@ -364,7 +372,7 @@ class TestStage1Schedule:
         layout = stage1_layout(grid, coloring, config, protocol)
         assert len({c.size for c in grid}) > 3
         assert len({len(cls.cells) for cls, *_ in layout}) > 1
-        got = key_rows(stage1_schedule(grid, layout, config, protocol))
+        got = stage1_schedule(grid, layout, config, protocol)
         want = schedule_per_cell(grid, layout, config, protocol)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -386,5 +394,5 @@ class TestObliviousness:
         run_stage1_max(grid, coloring, config, flipped)
         phases = ("discovery", "identity")
         assert np.array_equal(
-            channel.trace.stage1_slot_map(phases), flipped.trace.stage1_slot_map(phases)
+            channel.trace.stage1_keys(phases), flipped.trace.stage1_keys(phases)
         )
