@@ -343,8 +343,12 @@ class Channel:
     """Per-trial execution context: world, noise, RNG stream, and metrics.
 
     Single-threaded within a trial.  The noise stream is consumed in schedule
-    order (stage 1 color classes ascending, then stage 2 stages in plan
-    order), which makes runs bit-for-bit reproducible from the seed.
+    order, which makes runs bit-for-bit reproducible from the seed: stage 1
+    class by class in coloring order, within a class phase by phase
+    (discovery, identity, confirmation for MAX; counting for the histogram)
+    with one ``flip_mask`` draw per (class, phase) covering its cells in
+    turn, then stage 2 stage by stage in plan order.  That order is RNG
+    layout 2 (``harness.RNG_LAYOUT``), which reports declare.
     """
 
     instance: object
@@ -361,11 +365,16 @@ class Channel:
         return self.noise.flips(self.rng, shape, slots, txs, rxs, history=self)
 
     def record(self, phase: str, cell: int, slots, txs, data_dependent: bool = False) -> None:
-        """Trace one cell's phase, txs broadcast against slots; a no-op untraced."""
+        """Trace one cell's phase, txs broadcast against slots; a no-op untraced.
+
+        Arrays of one shape, such as the equal-length slices the stage-1
+        runners hold, need no broadcast and are only flattened.
+        """
         if self.trace is not None:
-            slots, txs = np.broadcast_arrays(slots, txs)
+            if np.shape(slots) != np.shape(txs):
+                slots, txs = np.broadcast_arrays(slots, txs)
             self.trace.stage1.append(
-                TraceRecord(phase, cell, slots.ravel(), txs.ravel(), data_dependent)
+                TraceRecord(phase, cell, np.ravel(slots), np.ravel(txs), data_dependent)
             )
 
     def noisy_copies(self, bit: int, count: int, tx: int, rx: int, slot0: int) -> np.ndarray:

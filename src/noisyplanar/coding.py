@@ -139,9 +139,11 @@ class BlockCode:
     message whose codeword minimizes Hamming distance to the received word,
     ties broken toward the smaller message value.
 
-    The codebook is held once, bit-packed (row m is the codeword of message
-    m), together with its rows' order by weight.  All arrays are read-only,
-    so one instance can be shared by every trial that uses the same code.
+    The codebook is held bit-packed (row m is the codeword of message m),
+    together with its rows' order by weight; the weight-bounded search builds
+    a copy in that order, stored word by word, on first use.  All arrays are
+    read-only, so one instance can be shared by every trial that uses the
+    same code.
     """
 
     def __init__(self, msg_bits: int, block_len: int | None = None, seed: int = 0):
@@ -177,6 +179,12 @@ class BlockCode:
         )
 
     @cached_property
+    def _sorted_words(self) -> np.ndarray:
+        """The codebook in weight order, one row per word, so that each word of
+        any weight-bounded prefix is a contiguous slice; built on first search."""
+        return _read_only(np.ascontiguousarray(self._packed[self._by_weight].T))
+
+    @cached_property
     def codebook(self) -> np.ndarray:
         """Unpacked codebook, (2^msg_bits, block_len) 0/1 bytes, built on first use."""
         words = self._packed.view(np.uint8)
@@ -209,13 +217,16 @@ class BlockCode:
             out[lo : lo + step] = np.argmin(d, axis=1)
         return out
 
-    def decode_equals(self, true_msg: int, flip_masks: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    def decode_equals(
+        self, true_msg: int | np.ndarray, flip_masks: np.ndarray, candidates: np.ndarray
+    ) -> np.ndarray:
         """Whether ML decoding of encode(true_msg) under each flip mask yields
         each receiver's candidate message.
 
+        ``true_msg`` is one message for every row or an array of one per row.
         Exact, without a full codebook search.  A received word r = c ^ e,
-        with c the true codeword and d = wt(e), lies at distance wt(e ^ x)
-        >= wt(x) - d from the codeword c ^ x.  So:
+        with c the row's true codeword and d = wt(e), lies at distance
+        wt(e ^ x) >= wt(x) - d from the codeword c ^ x.  So:
 
         * if r is strictly closer to c than to the candidate's codeword, the
           decode is not the candidate;
@@ -224,10 +235,13 @@ class BlockCode:
           scanning that prefix of the weight-sorted codebook finds the
           nearest distance, and the smallest message true_msg ^ msg(x) at it.
 
+        Rows are searched in groups of equal prefix length min(2d, block_len),
+        so one noisy row does not lengthen the scan of the others.
         Equivalent to per-receiver ``decode``, ties included (property-tested).
         """
         flip_masks = np.atleast_2d(np.asarray(flip_masks, dtype=np.uint8))
         candidates = np.asarray(candidates, dtype=np.int64)
+        true_msg = np.broadcast_to(np.asarray(true_msg, dtype=np.int64), candidates.shape)
         packed_err = _pack_bits(flip_masks)
         d_true = _popcount_rows(packed_err)
         diff = self._packed[candidates] ^ self._packed[true_msg]
@@ -236,20 +250,23 @@ class BlockCode:
         # The ML decode of every row that could decode to its candidate; rows
         # strictly closer to c than to their candidate keep true_msg, which
         # differs from their candidate.
-        decoded = np.full(len(candidates), true_msg, dtype=np.int64)
+        decoded = true_msg.copy()
         search = np.flatnonzero((d_true >= d_cand) & (2 * d_true >= self.min_distance))
-        if len(search):
-            # Codewords past one row's bound are farther than c for that row,
-            # so one prefix long enough for the noisiest row serves them all.
-            bound = min(2 * int(d_true[search].max()), self.block_len)
-            near = self._by_weight[: self._weight_ends[bound]]
-            near_words = self._packed[near]
-            msgs = true_msg ^ near
-            step = max(1, 2**22 // len(near))
-            for lo in range(0, len(search), step):
-                rows = search[lo : lo + step]
-                d = np.bitwise_count(packed_err[rows, None, :] ^ near_words[None]).sum(axis=2)
+        bounds = np.minimum(2 * d_true[search], self.block_len)
+        distance = np.min_scalar_type(self.block_len)
+        for bound in sorted(set(bounds.tolist())):
+            # Codewords past a row's bound are farther than c for that row.
+            end = self._weight_ends[bound]
+            near = self._by_weight[:end]
+            group = search[bounds == bound]
+            step = max(1, 2**22 // end)
+            for lo in range(0, len(group), step):
+                rows = group[lo : lo + step]
+                d = np.zeros((len(rows), end), dtype=distance)
+                for err, words in zip(packed_err[rows].T, self._sorted_words[:, :end]):
+                    d += np.bitwise_count(err[:, None] ^ words)
                 nearest = d == d.min(axis=1, keepdims=True)
+                msgs = true_msg[rows, None] ^ near
                 decoded[rows] = np.where(nearest, msgs, 2**self.msg_bits).min(axis=1)
         return decoded == candidates
 

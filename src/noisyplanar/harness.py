@@ -1,8 +1,9 @@
 """Experiment orchestration: trials, reports, scaling sweeps, audits, and CLI.
 
-Reports are plain JSON (schema 1) carrying the full config echo and every
-per-trial row, so any aggregate can be recomputed from the file alone.  Sweep
-tables are additionally emitted as CSV with the fixed header
+Reports are plain JSON (schema 1) carrying the RNG layout, the full config
+echo and every per-trial row, so any aggregate can be recomputed from the
+file alone.  Sweep tables are additionally emitted as CSV with the fixed
+header
 
     n,trials,error_rate,tx_total,tx_per_n,slots_total,slots_norm,em1,em2,resamples
 
@@ -51,6 +52,7 @@ from .oracle import oracle
 
 __all__ = [
     "SCHEMA_VERSION",
+    "RNG_LAYOUT",
     "CSV_HEADER",
     "InfeasibleRunError",
     "TrialRun",
@@ -67,6 +69,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# The order in which a trial consumes its noise stream, declared in every
+# report.  Layout 2 draws MAX stage 1 in schedule order: color class, then
+# phase, then cell (layout 1 drew it cell by cell).
+RNG_LAYOUT = 2
 CSV_HEADER = "n,trials,error_rate,tx_total,tx_per_n,slots_total,slots_norm,em1,em2,resamples"
 
 
@@ -233,7 +239,12 @@ class RunReport:
     results: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"schema": SCHEMA_VERSION, "config": self.config.to_dict(), "results": self.results}
+        return {
+            "schema": SCHEMA_VERSION,
+            "rng_layout": RNG_LAYOUT,
+            "config": self.config.to_dict(),
+            "results": self.results,
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -306,6 +317,7 @@ class SweepReport:
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
+            "rng_layout": RNG_LAYOUT,
             "config": self.config.to_dict(),
             "rows": self.rows,
             "band_ratios": self.band_ratios,

@@ -18,9 +18,18 @@ classes stay silent.  For the MAX protocol the script is
 The histogram variant replaces the script with per-member repetition: the
 center majority-decodes each member's bit and counts the ones.
 
+Noise is drawn in schedule order (RNG layout 2): class by class, within a
+class phase by phase, and within a phase cell by cell, with one draw per
+(class, phase) for all of the class's cells.  Confirmation comes last in its
+class, so its data-dependent draw count moves no other cell's draws.
+
 Discovery and identity schedules are pure functions of the geometry and the
 configuration; only the confirmation transmitter is data-dependent, which the
 run audit treats as a documented exception.
+
+``witness_discovery``, ``distribute_identity`` and ``confirm_value`` run one
+phase in one cell.  They are not on the run path; they are the per-cell
+reference that the class-batched ``run_stage1_max`` is tested against.
 """
 
 from __future__ import annotations
@@ -143,6 +152,14 @@ def _repeat_slots(sizes: np.ndarray, first, reps: int) -> np.ndarray:
     return np.arange(shift.size * reps).reshape(-1, reps) + shift[:, None]
 
 
+def _record_cells(channel: Channel, phase: str, cells, slots, txs, ends, data_dependent=False):
+    """One trace record per cell: cells[i] owns rows ends[i - 1]:ends[i] of the
+    flat, equal-length slots and txs."""
+    ends = ends.tolist()
+    for j, lo, hi in zip(cells, [0] + ends, ends):
+        channel.record(phase, j, slots[lo:hi], txs[lo:hi], data_dependent)
+
+
 def _majority_at_center(
     cells: Sequence[int], members, sizes, centers, reps: int, phase: str, channel: Channel, slot0
 ) -> np.ndarray:
@@ -157,17 +174,16 @@ def _majority_at_center(
     """
     centers = centers.repeat(sizes)
     slots = _repeat_slots(sizes, slot0, reps)
-    txs = members[:, None]
     bits = channel.instance.bits[members]
-    flips = channel.flip_mask(slots.shape, slots=slots, txs=txs, rxs=centers[:, None])
+    flips = channel.flip_mask(slots.shape, slots=slots, txs=members[:, None], rxs=centers[:, None])
     decoded = bits ^ (flips.sum(axis=1) > reps // 2)
     is_center = members == centers
     decoded[is_center] = bits[is_center]
 
     if channel.trace is not None:
-        ends = sizes.cumsum().tolist()
-        for j, lo, hi in zip(cells, [0] + ends, ends):
-            channel.record(phase, j, slots[lo:hi], txs[lo:hi])
+        _record_cells(
+            channel, phase, cells, slots.ravel(), members.repeat(reps), reps * sizes.cumsum()
+        )
     channel.metrics.add("stage1", tx=reps * members.size, rx=reps * int(sizes.dot(sizes - 1)))
     return decoded
 
@@ -177,7 +193,8 @@ def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0:
 
     Members repeat their bit c_rep times each to the center, which picks the
     least id whose decoded bit is 1, falling back to the least id when none
-    is seen.
+    is seen.  The per-cell reference for ``run_stage1_max``; not on the run
+    path.
     """
     members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
     decoded = _majority_at_center(
@@ -195,7 +212,8 @@ def distribute_identity(
     The center transmits the codeword once, one bit per slot (block_len
     transmissions exactly); every member nearest-codeword-decodes its own
     noisy copy.  Returns the members whose decode equals their own index --
-    the set that will answer in the confirmation slots.
+    the set that will answer in the confirmation slots.  The per-cell
+    reference for ``run_stage1_max``; not on the run path.
     """
     members = cell.members
     n_members = len(members)
@@ -224,7 +242,8 @@ def confirm_value(
     One believer delivers its bit r2 times for a majority decode; several
     believers collide in every slot and no believer leaves silence -- both
     decode to the documented default 0.  A believing center knows its own bit
-    noiselessly.
+    noiselessly.  The per-cell reference for ``run_stage1_max``; not on the
+    run path.
     """
     n_members = cell.size
     n_believers = len(believers)
@@ -304,20 +323,79 @@ def run_stage1_max(
 
     Color classes execute sequentially; cells inside a class run in lockstep,
     so a class occupies c_rep * max_members + block_len + r2 slots.  Noise is
-    consumed class by class, cell by cell, phase by phase.
+    drawn in schedule order: class by class, then phase by phase, then cell
+    by cell, with one draw per (class, phase).  Discovery and identity draw
+    for every member of the class; confirmation draws r2 copies for each
+    cell whose single believer is not its center.  Every phase leaves one
+    trace record per cell, the class's records phase by phase.
     """
     before = channel.metrics.snapshot()
     result = Stage1Result()
+    code, length, r2 = config.id_code, config.block_len, config.r2
+    bits = channel.instance.bits
     for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
         _, id_base, confirm_base = config.phase_slots(base, max_members)
-        for j in cls.cells:
-            cell = grid.cell(j)
-            witness = witness_discovery(cell, config, channel, slot0=base)
-            believers = distribute_identity(cell, witness, config, channel, slot0=id_base)
-            value = confirm_value(cell, believers, config, channel, slot0=confirm_base)
-            result.witnesses[j] = witness
-            result.values[j] = value
-        channel.metrics.add("stage1", slots=span)
+        members, sizes, centers = grid.gather(cls.cells)
+        starts = sizes.cumsum() - sizes
+        rows = np.arange(members.size)
+        own_center = centers.repeat(sizes)
+
+        # Discovery: the least member decoded as 1, else the least member.
+        decoded = _majority_at_center(
+            cls.cells, members, sizes, centers, config.c_rep, "discovery", channel, base
+        )
+        first_one = np.minimum.reduceat(np.where(decoded == 1, rows, members.size), starts)
+        pick = np.where(first_one == members.size, starts, first_one)
+        witnesses = members[pick]
+
+        # Identity: every member decodes the witness's in-cell index.
+        id_slots = id_base + np.arange(length)
+        flips = channel.flip_mask(
+            (members.size, length), slots=id_slots, txs=own_center[:, None], rxs=members[:, None]
+        )
+        believes = code.decode_equals(
+            (pick - starts).repeat(sizes), flips.astype(np.uint8), rows - starts.repeat(sizes)
+        )
+        is_center = members == own_center
+        believes[is_center] = (witnesses == centers).repeat(sizes)[is_center]
+        cells = sizes.size
+        channel.metrics.add("stage1", tx=length * cells, rx=length * (members.size - cells))
+
+        # Confirmation: a single believer's bit, r2 noisy copies unless it is
+        # the center; silence and collisions decode to 0.
+        n_believers = np.add.reduceat(believes, starts, dtype=np.int64)
+        first = np.minimum.reduceat(np.where(believes, rows, members.size), starts)
+        single = n_believers == 1
+        sender = members[np.where(single, first, starts)]
+        values = np.where(single, bits[sender], 0)
+        sends = np.flatnonzero(single & (sender != centers))
+        confirm_slots = confirm_base + np.arange(r2)
+        flips = channel.flip_mask(
+            (sends.size, r2),
+            slots=confirm_slots,
+            txs=sender[sends, None],
+            rxs=centers[sends, None],
+        )
+        values[sends] ^= flips.sum(axis=1) * 2 > r2
+        heard = n_believers > 0
+        channel.metrics.add(
+            "stage1",
+            tx=r2 * int(n_believers.sum()),
+            rx=r2 * int((sizes - n_believers)[heard].sum()),
+            slots=span,
+        )
+
+        if channel.trace is not None:
+            _record_cells(
+                channel, "identity", cls.cells, np.tile(id_slots, cells),
+                centers.repeat(length), length * np.arange(1, cells + 1),
+            )
+            _record_cells(
+                channel, "confirmation", cls.cells, np.tile(confirm_slots, n_believers.sum()),
+                members[believes].repeat(r2), r2 * n_believers.cumsum(), data_dependent=True,
+            )
+        result.witnesses.update(zip(cls.cells, witnesses.tolist()))
+        result.values.update(zip(cls.cells, values.tolist()))
     after = channel.metrics.snapshot()
     result.metrics_delta = {k: after[k] - before[k] for k in before}
     return result

@@ -150,6 +150,14 @@ class TestBlockCode:
             for candidates in (random_candidates, np.full(40, true_msg), decoded):
                 got = code.decode_equals(true_msg, flips, candidates)
                 assert np.array_equal(got, decoded == candidates)
+        # One true message per row, clean and noisy rows in one batch.
+        true_msgs = rng.integers(0, 2**msg_bits, 60)
+        flips = (rng.random((60, block_len)) < rate).astype(np.uint8)
+        flips[::3] = 0
+        decoded = np.array([code.decode(code.encode(int(m)) ^ f) for m, f in zip(true_msgs, flips)])
+        for candidates in (rng.integers(0, 2**msg_bits, 60), true_msgs, decoded):
+            got = code.decode_equals(true_msgs, flips, candidates)
+            assert np.array_equal(got, decoded == candidates)
 
     def test_decode_equals_ties_at_the_search_bound(self):
         # A received word c ^ e with e half the support of a codeword x of

@@ -27,7 +27,9 @@ from noisyplanar.config import ConfigError, ExperimentConfig
 from noisyplanar.geometry import CellGrid, DerivedParams, place_nodes
 from noisyplanar.harness import (
     CSV_HEADER,
+    RNG_LAYOUT,
     AuditReport,
+    SweepReport,
     audit_coloring,
     main,
     run_experiment,
@@ -126,6 +128,12 @@ class TestRunExperiment:
         assert data["config"]["protocol"] == "max"
         assert data["config"]["bit-source"] == "bernoulli"
         assert data["results"][0]["resamples"] >= 0
+
+    def test_run_and_sweep_reports_declare_the_rng_layout(self):
+        cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
+        assert RNG_LAYOUT == 2  # MAX stage 1 drawn class, then phase, then cell
+        assert json.loads(run_experiment(cfg).to_json())["rng_layout"] == 2
+        assert json.loads(SweepReport(cfg).to_json())["rng_layout"] == 2
 
 
 class TestSweep:

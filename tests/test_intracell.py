@@ -25,6 +25,7 @@ from noisyplanar.geometry import (
 )
 from noisyplanar.intracell import (
     Stage1Config,
+    Stage1Result,
     confirm_value,
     distribute_identity,
     run_stage1_hist,
@@ -63,11 +64,11 @@ def make_cell_world(bits, eps0=0.0, seed=0, msg_bits=4):
     return cell, grid, config, channel
 
 
-def build_world(n, seed, eps0, protocol_cfg=None):
+def build_world(n, seed, eps0, protocol_cfg=None, bit_p=0.3):
     params = derive_params(n, 0.5)
     inst = place_nodes(n, seed)
     rng = np.random.default_rng(seed + 1)
-    inst = inst.with_bits((rng.random(n) < 0.3).astype(np.int8))
+    inst = inst.with_bits((rng.random(n) < bit_p).astype(np.int8))
     grid = assign_cells(inst, params)
     coloring = color_cells(grid, params)
     config = protocol_cfg or Stage1Config.for_network(n, eps0)
@@ -101,7 +102,7 @@ class TestStage1Config:
         code = first.id_code
         assert second.id_code is code
         assert Stage1Config.for_network(5000, 0.1, block_len=60, code_seed=8).id_code is not code
-        for array in (code.generator, code._packed, code.codebook):
+        for array in (code.generator, code._packed, code._sorted_words, code.codebook):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] ^= 1
@@ -344,6 +345,132 @@ class TestHistClassBatching:
         assert batched == per_cell
         half = len(calls) // 2
         assert half > 0 and calls[:half] == calls[half:]
+
+
+def max_schedule_order(grid, coloring, config, channel):
+    """MAX stage 1 through the per-cell oracles in schedule order -- class,
+    then phase, then cell: the reference for the class-batched run."""
+    before = channel.metrics.snapshot()
+    result = Stage1Result()
+    for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
+        _, id_base, confirm_base = config.phase_slots(base, max_members)
+        cells = [grid.cell(j) for j in cls.cells]
+        for cell in cells:
+            result.witnesses[cell.index] = witness_discovery(cell, config, channel, slot0=base)
+        believers = [
+            distribute_identity(cell, result.witnesses[cell.index], config, channel, slot0=id_base)
+            for cell in cells
+        ]
+        for cell, believing in zip(cells, believers):
+            result.values[cell.index] = confirm_value(
+                cell, believing, config, channel, slot0=confirm_base
+            )
+        channel.metrics.add("stage1", slots=span)
+    after = channel.metrics.snapshot()
+    result.metrics_delta = {k: after[k] - before[k] for k in before}
+    return result
+
+
+def max_cell_major(grid, coloring, config, channel):
+    """MAX stage 1 cell by cell, each cell's three phases in turn (RNG layout 1)."""
+    before = channel.metrics.snapshot()
+    result = Stage1Result()
+    for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
+        _, id_base, confirm_base = config.phase_slots(base, max_members)
+        for j in cls.cells:
+            cell = grid.cell(j)
+            witness = witness_discovery(cell, config, channel, slot0=base)
+            believers = distribute_identity(cell, witness, config, channel, slot0=id_base)
+            value = confirm_value(cell, believers, config, channel, slot0=confirm_base)
+            result.witnesses[j] = witness
+            result.values[j] = value
+        channel.metrics.add("stage1", slots=span)
+    after = channel.metrics.snapshot()
+    result.metrics_delta = {k: after[k] - before[k] for k in before}
+    return result
+
+
+# A code with no redundancy, one discovery copy and three confirmation copies:
+# at eps0 = 0.3 witnesses are missed, identities mis-decode, cells go without
+# a believer or with several, and confirmations flip.
+LOSSY = Stage1Config(eps1=0.05, c_rep=1, r2=3, id_code=BlockCode(6, 6, seed=2))
+
+
+class TestMaxClassBatching:
+    @staticmethod
+    def run_both(n, eps0, config=None, noise=None, reference=max_schedule_order, bit_p=0.3):
+        """(witnesses, values, metrics delta, trace rows, rng state) of the
+        batched run and of the reference, and the world's grid."""
+        config = config or Stage1Config.for_network(2000, 0.0)
+        out = []
+        for run in (run_stage1_max, reference):
+            inst, params, grid, coloring, config, channel = build_world(n, 4, eps0, config, bit_p)
+            channel.noise = noise if noise is not None else channel.noise
+            channel.trace = Trace()
+            result = run(grid, coloring, config, channel)
+            rows = [
+                (r.phase, r.cell, r.slots.tolist(), r.txs.tolist(), r.data_dependent)
+                for r in channel.trace.stage1
+            ]
+            out.append((
+                list(result.witnesses.items()),
+                list(result.values.items()),
+                result.metrics_delta,
+                rows,
+                channel.rng.bit_generator.state,
+            ))
+        return out, grid
+
+    @pytest.mark.parametrize("eps0", [0.0, 0.1, 0.3])
+    def test_batched_run_equals_the_schedule_order_loop(self, eps0):
+        (batched, reference), grid = self.run_both(2000, eps0)
+        assert batched == reference
+        rows = batched[3]
+        for phase in ("discovery", "identity", "confirmation"):  # one record per (cell, phase)
+            assert sorted(r[1] for r in rows if r[0] == phase) == [c.index for c in grid]
+
+    def test_cells_without_a_one_are_compared(self):
+        # With sparse bits many cells hold no 1 and name their least member.
+        (batched, reference), grid = self.run_both(2000, 0.0, bit_p=0.02)
+        assert batched == reference
+        witnesses, values = dict(batched[0]), dict(batched[1])
+        empty = [c for c in grid if values[c.index] == 0]
+        assert len(empty) > 10
+        assert all(witnesses[c.index] == c.members[0] for c in empty)
+
+    def test_every_confirmation_case_is_compared(self):
+        (batched, reference), grid = self.run_both(2000, 0.3, LOSSY)
+        assert batched == reference
+        witnesses, values, _, rows, _ = batched
+        witness = dict(witnesses)
+        believers = {j: sorted(set(txs)) for phase, j, _, txs, _ in rows if phase == "confirmation"}
+        centers = {c.index: c.center for c in grid}
+        assert any(believers[j] != [witness[j]] for j in believers)  # identity mis-decodes
+        assert any(len(b) == 0 for b in believers.values())
+        assert any(len(b) >= 2 for b in believers.values())
+        assert any(centers[j] in b for j, b in believers.items())
+        assert any(len(b) == 1 and b[0] != centers[j] for j, b in believers.items())
+
+    def test_adversary_sees_the_same_receptions(self):
+        calls = []
+
+        def hook(slot, tx, rx, history):
+            calls.append((slot, tx, rx))
+            return 0.2
+
+        noise = NoiseModel(0.2, mode="adversarial", adversary=hook)
+        (batched, reference), _ = self.run_both(2000, 0.2, noise=noise)
+        assert batched == reference
+        half = len(calls) // 2
+        assert half > 0 and calls[:half] == calls[half:]
+
+    @pytest.mark.parametrize("config", [None, LOSSY], ids=["default", "lossy"])
+    def test_single_cell_classes_draw_as_the_cell_major_loop(self, config):
+        # With one cell per class, schedule order is cell-major order, so
+        # layout 2 draws exactly what layout 1 drew.
+        (batched, reference), grid = self.run_both(1500, 0.3, config, reference=max_cell_major)
+        assert all(len(cls.cells) == 1 for cls in color_cells(grid, derive_params(1500, 0.5)))
+        assert batched == reference
 
 
 def schedule_per_cell(grid, layout, config, protocol):
