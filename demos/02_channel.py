@@ -10,13 +10,15 @@ import numpy as np
 
 from noisyplanar import (
     NoiseModel,
-    TxEvent,
     assign_cells,
     color_cells,
     derive_params,
     place_nodes,
     resolve_slot,
 )
+
+# resolve_slot returns one kind code per listener: SILENT, COLLIDED, or RECEIVED + bit.
+KIND_NAMES = ("silence", "collision", "received 0", "received 1")
 
 params = derive_params(5000, delta=0.5)
 r = params.radius
@@ -30,17 +32,14 @@ positions = np.array([
     [0.5, 0.5 - 1.7 * r],  # harmless far transmitter
 ])
 
-print("one close transmitter alone:")
-out = resolve_slot([TxEvent(0, 1, 1)], [0], positions, params, noiseless, rng)
-print("  ", out[0])
-
-print("close transmitter plus an interferer inside the guard ring (1.2 r):")
-out = resolve_slot([TxEvent(0, 1, 1), TxEvent(0, 2, 0)], [0], positions, params, noiseless, rng)
-print("  ", out[0])
-
-print("close transmitter plus a transmitter beyond the guard ring (1.7 r):")
-out = resolve_slot([TxEvent(0, 1, 1), TxEvent(0, 3, 0)], [0], positions, params, noiseless, rng)
-print("  ", out[0])
+# Slot 0, transmitters with their bits, listeners: node 0 alone here.
+for title, txs, bits in [
+    ("one close transmitter alone", [1], [1]),
+    ("close transmitter plus an interferer inside the guard ring (1.2 r)", [1, 2], [1, 0]),
+    ("close transmitter plus a transmitter beyond the guard ring (1.7 r)", [1, 3], [1, 0]),
+]:
+    kinds = resolve_slot(0, txs, bits, [0], positions, params, noiseless, rng)
+    print(f"{title}:\n   {KIND_NAMES[kinds[0]]}")
 
 # Cells that agree modulo the reuse distance may transmit simultaneously.
 grid = assign_cells(place_nodes(5000, 7), params)

@@ -7,19 +7,17 @@ and error probability against independent oracles.
 """
 
 from .channel import (
-    COLLISION,
-    SILENCE,
+    COLLIDED,
+    RECEIVED,
+    SILENT,
     Channel,
     EnergyConfig,
     Metrics,
     NoiseModel,
-    RxOutcome,
     ScheduleClass,
-    TxEvent,
     account,
     color_cells,
     flip,
-    received,
     resolve_slot,
 )
 from .coding import (

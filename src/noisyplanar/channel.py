@@ -19,11 +19,9 @@ import numpy as np
 from .geometry import CellGrid, DerivedParams
 
 __all__ = [
-    "TxEvent",
-    "RxOutcome",
-    "COLLISION",
-    "SILENCE",
-    "received",
+    "SILENT",
+    "COLLIDED",
+    "RECEIVED",
     "NoiseModel",
     "ScheduleClass",
     "EnergyConfig",
@@ -36,36 +34,8 @@ __all__ = [
     "account",
 ]
 
-
-@dataclass(frozen=True)
-class TxEvent:
-    slot: int
-    tx: int
-    bit: int
-
-
-@dataclass(frozen=True)
-class RxOutcome:
-    """What a listener observes in one slot: a bit, a collision, or silence."""
-
-    kind: str  # "received" | "collision" | "silence"
-    bit: int | None = None
-
-    @property
-    def is_received(self) -> bool:
-        return self.kind == "received"
-
-
-COLLISION = RxOutcome("collision")
-SILENCE = RxOutcome("silence")
-
-
-def received(bit: int) -> RxOutcome:
-    return RxOutcome("received", int(bit))
-
-
-# resolve_slot's outcomes by kind code: silence, collision, received 0, received 1.
-_OUTCOMES = (SILENCE, COLLISION, received(0), received(1))
+# resolve_slot's kind codes: a listener hears silence, a collision, or bit b as RECEIVED + b.
+SILENT, COLLIDED, RECEIVED = 0, 1, 2
 
 
 # Adversary hook: (slot, tx, rx, history) -> flip probability in [0, eps0].
@@ -110,10 +80,12 @@ class NoiseModel:
     def flips(self, rng, shape, slots=None, txs=None, rxs=None, history=None) -> np.ndarray:
         """Boolean flips of a batch of receptions: ``rng.random(shape)`` against
         eps0, or against the hook's probability for each reception, whose
-        slots/txs/rxs arrays then broadcast to ``shape``."""
+        slots/txs/rxs arrays then broadcast to ``shape``.  ``slots`` may be a
+        function returning that array, called only when the hook reads it."""
         u = rng.random(shape)
         if self.mode == "iid":
             return u < self.eps0
+        slots = slots() if callable(slots) else slots
         receptions = (np.broadcast_to(a, shape).ravel().tolist() for a in (slots, txs, rxs))
         probs = [self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)]
         return u < np.reshape(probs, np.shape(u))
@@ -127,51 +99,58 @@ def flip(bit: int, p: float, rng: np.random.Generator) -> int:
 
 
 def distances(positions: np.ndarray, rows, cols) -> np.ndarray:
-    """Euclidean distances from each node of rows (axis 0) to each of cols (axis 1)."""
-    diff = positions[list(rows)][:, None, :] - positions[list(cols)][None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    """Euclidean distances from each node of rows (axis 0) to each of cols (axis 1).
+
+    dx * dx + dy * dy rounds exactly as the dot product of each difference
+    vector with itself, so exact comparisons with the guard radius hold.
+    """
+    a, b = positions[np.asarray(rows, dtype=np.int64)], positions[np.asarray(cols, dtype=np.int64)]
+    dx = a[:, 0, None] - b[:, 0]
+    dy = a[:, 1, None] - b[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def resolve_slot(
-    events: list[TxEvent] | tuple[TxEvent, ...],
+    slot: int,
+    txs,
+    bits,
     listeners,
     positions: np.ndarray,
     params: DerivedParams,
     noise: NoiseModel,
     rng: np.random.Generator,
     history: object = None,
-) -> dict[int, RxOutcome]:
+) -> np.ndarray:
     """Resolve one slot of simultaneous transmissions at each listener.
 
-    A listener receives iff exactly one transmitter is within the radius and
-    every other transmitter is at least (1 + delta) * radius away; it hears a
-    collision iff someone was in range but another transmitter sat inside the
-    guard ring.  Transmitters in the ambiguous band (radius, (1+delta)*radius)
-    never deliver but do collide.  The k delivering listeners' noise is one
-    ``noise.flips`` batch of k receptions, in listener order; silent and
-    colliding listeners draw nothing.
+    Transmitter txs[i] sends bits[i] (or one bit for all) in ``slot``; the
+    result holds one kind code per listener, in listener order: SILENT,
+    COLLIDED, or RECEIVED + the bit heard.  A listener receives iff exactly
+    one transmitter is within the radius and every other transmitter is at
+    least (1 + delta) * radius away; it hears a collision iff someone was in
+    range but another transmitter sat inside the guard ring.  Transmitters in
+    the ambiguous band (radius, (1+delta)*radius) never deliver but do
+    collide.  The k delivering listeners' noise is one ``noise.flips`` batch
+    of k receptions, in listener order; silent and colliding listeners draw
+    nothing.
     """
-    events = list(events)
-    listeners = list(listeners)
-    slots = sorted({e.slot for e in events})
-    if len(slots) > 1:
-        raise ValueError(f"events span multiple slots: {slots}")
-    slot = slots[0] if slots else 0
-
-    tx_ids = [e.tx for e in events]
-    dist = distances(positions, listeners, tx_ids)
+    if np.ndim(slot):
+        raise ValueError(f"resolve_slot takes one slot, got {slot!r}")
+    txs = np.asarray(txs, dtype=np.int64)
+    listeners = np.asarray(listeners, dtype=np.int64)
+    dist = distances(positions, listeners, txs)
+    ones = np.ones(txs.size)  # counts transmitters per listener as a matrix-vector product
     in_range = dist <= params.radius
-    heard = in_range.sum(axis=1)
-    interfered = ((dist < (1.0 + params.delta) * params.radius) & ~in_range).any(axis=1)
-    delivers = (heard == 1) & ~interfered
+    heard = in_range @ ones
+    # With one transmitter in range (and delta >= 0), an interferer makes two in the guard disc.
+    delivers = (heard == 1) & ((dist < (1.0 + params.delta) * params.radius) @ ones <= 1)
     senders = np.nonzero(in_range[delivers])[1]  # one in-range transmitter per row
-    bits = np.array([e.bit for e in events], dtype=np.int64)[senders]
-    txs = np.array(tx_ids, dtype=np.int64)[senders]
-    rxs = np.array(listeners, dtype=np.int64)[delivers]
-    bits ^= noise.flips(rng, senders.size, slot, txs, rxs, history)
-    kinds = np.minimum(heard, 1)
-    kinds[delivers] = 2 + bits
-    return dict(zip(listeners, map(_OUTCOMES.__getitem__, kinds.tolist())))
+    got = np.asarray(bits, dtype=np.int64)
+    got = got[senders] if got.ndim else np.full(senders.size, got)
+    got ^= noise.flips(rng, senders.size, slot, txs[senders], listeners[delivers], history)
+    kinds = np.minimum(heard, COLLIDED).astype(np.int64)
+    kinds[delivers] = RECEIVED + got
+    return kinds
 
 
 @dataclass(frozen=True)
@@ -284,13 +263,13 @@ class Metrics:
 
 def account(
     metrics: Metrics,
-    events,
+    txs,
     listeners,
     positions: np.ndarray,
     params: DerivedParams,
     stage: str = "stage1",
 ) -> Metrics:
-    """Charge one slot's transmissions and in-range receptions to the metrics.
+    """Charge one slot's transmitters and in-range receptions to the metrics.
 
     A (listener, slot) pair is charged reception energy iff some transmitter
     is within the radius (a delivery or a collision); pure silence costs
@@ -298,9 +277,9 @@ def account(
     draws no noise: it reads only positions, so it can run before or after
     ``resolve_slot`` on the same slot without shifting the RNG stream.
     """
-    dist = distances(positions, listeners, [e.tx for e in events])
+    dist = distances(positions, listeners, txs)
     rx = int((dist <= params.radius).any(axis=1).sum())
-    metrics.add(stage, tx=len(events), rx=rx)
+    metrics.add(stage, tx=dist.shape[1], rx=rx)
     return metrics
 
 

@@ -569,10 +569,10 @@ def _simulate_repetition(
     link and the array a fold of ``step`` over those words.
     """
     links, width, r3 = protocol.q - 1, protocol.width, config.r3
-    slots = links * width * r3
+    slots, base = links * width * r3, channel.slot_cursor
     flips = channel.flip_mask(
         (links, width, r3),
-        slots=channel.slot_cursor + np.arange(slots).reshape(links, width, r3),
+        slots=lambda: base + np.arange(slots).reshape(links, width, r3),  # iid never reads it
         txs=ends[:, 0, None, None],
         rxs=ends[:, 1, None, None],
     )

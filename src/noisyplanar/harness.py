@@ -24,13 +24,13 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .channel import (
+    RECEIVED,
     Channel,
     EnergyConfig,
     Metrics,
     NoiseModel,
     ScheduleClass,
     Trace,
-    TxEvent,
     color_cells,
     distances,
     resolve_slot,
@@ -485,12 +485,13 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
     Stage 1: each stage1_layout class's first slot and, under MAX, its first
     identity slot, where each cell's transmitter must reach the rest of its
     cell.  One resolve_slot call per (class, phase) takes the transmitters of
-    all the class's cells as events and the rest of their members as
-    listeners; a violation names one cell.  Stage 2: every subslot.  Within a
-    logical slot, the link from child cell j fires in the subslot given by j's
-    color in the reuse coloring (upward; downward subslots are a disjoint
-    second bank), so one subslot's link transmitters are the events and its
-    link receivers the listeners.
+    all the class's cells and the rest of their members as listeners, and
+    compares the listeners' kind codes in one array operation; a violation
+    names one cell.  Stage 2: every subslot.  Within a logical slot, the link
+    from child cell j fires in the subslot given by j's color in the reuse
+    coloring (upward; downward subslots are a disjoint second bank), so one
+    subslot's link transmitters and receivers are one call's transmitters
+    and listeners.
     """
     params, grid = run.params, run.grid
     positions = run.instance.positions
@@ -506,13 +507,11 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
             replays.append(("identity", id_base, centers))
         cell_of = np.repeat(np.arange(len(sizes)), sizes)
         for phase, slot, txs in replays:
-            events = [TxEvent(slot, tx, 0) for tx in txs.tolist()]
             listens = members != txs[cell_of]
-            listeners = members[listens].tolist()
-            outcomes = resolve_slot(events, listeners, positions, params, noiseless, rng)
+            kinds = resolve_slot(slot, txs, 0, members[listens], positions, params, noiseless, rng)
             missed = np.zeros(members.size, dtype=bool)
-            missed[listens] = [not outcomes[m].is_received for m in listeners]
-            for i in np.unique(cell_of[missed]).tolist():
+            missed[listens] = kinds < RECEIVED
+            for i in dict.fromkeys(cell_of[missed].tolist()):  # ascending, as cell_of is
                 bad = members[missed & (cell_of == i)].tolist()
                 report.collision_violations.append(
                     f"{phase} slot {slot}: cell {cls.cells[i]} listeners {bad} did not receive"
@@ -528,10 +527,9 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
                     (centers[child - 1], centers[parent - 1])
                 )
         for subslot, links in groups.items():
-            events = [TxEvent(subslot, tx, 0) for tx, _ in links]
-            receivers = [rx for _, rx in links]
-            outcomes = resolve_slot(events, receivers, positions, params, noiseless, rng)
-            bad = [f"{tx}->{rx}" for tx, rx in links if not outcomes[rx].is_received]
+            txs, rxs = np.array(links).T
+            kinds = resolve_slot(subslot, txs, 0, rxs, positions, params, noiseless, rng)
+            bad = [f"{tx}->{rx}" for (tx, rx), k in zip(links, kinds.tolist()) if k < RECEIVED]
             if bad:
                 report.collision_violations.append(
                     f"stage {si} subslot {subslot}: links {', '.join(bad)} did not deliver"

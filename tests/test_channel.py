@@ -8,18 +8,18 @@ import pytest
 from scipy import stats
 
 from noisyplanar.channel import (
-    COLLISION,
-    SILENCE,
+    COLLIDED,
+    RECEIVED,
+    SILENT,
     Channel,
     EnergyConfig,
     Metrics,
     NoiseModel,
     Trace,
-    TxEvent,
     account,
     color_cells,
+    distances,
     flip,
-    received,
     resolve_slot,
 )
 from noisyplanar.geometry import assign_cells, derive_params, place_nodes
@@ -71,37 +71,34 @@ class TestResolveSlot:
     def test_single_in_range_transmitter_delivers(self):
         r = self.params.radius
         pos = _layout((0.5, 0.5), (0.5 + 0.5 * r, 0.5))
-        out = resolve_slot([TxEvent(0, 0, 1)], [1], pos, self.params, self.noise, self.rng)
-        assert out[1].is_received and out[1].bit == 1
+        out = resolve_slot(0, [0], [1], [1], pos, self.params, self.noise, self.rng)
+        assert out.tolist() == [RECEIVED + 1]
 
     def test_two_in_range_transmitters_collide(self):
         r = self.params.radius
         pos = _layout((0.5 - 0.4 * r, 0.5), (0.5 + 0.4 * r, 0.5), (0.5, 0.5))
-        events = [TxEvent(0, 0, 1), TxEvent(0, 1, 0)]
-        out = resolve_slot(events, [2], pos, self.params, self.noise, self.rng)
-        assert out[2] == COLLISION
+        out = resolve_slot(0, [0, 1], [1, 0], [2], pos, self.params, self.noise, self.rng)
+        assert out.tolist() == [COLLIDED]
 
     def test_guard_band_interferer_collides(self):
         # Second transmitter at 1.2 r with delta = 0.5 sits inside the guard
         # ring (1.5 r): it cannot deliver but still destroys the reception.
         r = self.params.radius
         pos = _layout((0.5 + 0.5 * r, 0.5), (0.5 - 1.2 * r, 0.5), (0.5, 0.5))
-        events = [TxEvent(0, 0, 1), TxEvent(0, 1, 0)]
-        out = resolve_slot(events, [2], pos, self.params, self.noise, self.rng)
-        assert out[2] == COLLISION
+        out = resolve_slot(0, [0, 1], [1, 0], [2], pos, self.params, self.noise, self.rng)
+        assert out.tolist() == [COLLIDED]
 
     def test_interferer_beyond_guard_ring_is_harmless(self):
         r = self.params.radius
         pos = _layout((0.5 + 0.5 * r, 0.5), (0.5 - 1.6 * r, 0.5), (0.5, 0.5))
-        events = [TxEvent(0, 0, 1), TxEvent(0, 1, 0)]
-        out = resolve_slot(events, [2], pos, self.params, self.noise, self.rng)
-        assert out[2].is_received and out[2].bit == 1
+        out = resolve_slot(0, [0, 1], [1, 0], [2], pos, self.params, self.noise, self.rng)
+        assert out.tolist() == [RECEIVED + 1]
 
     def test_nobody_in_range_is_silence(self):
         r = self.params.radius
         pos = _layout((0.5 + 1.2 * r, 0.5), (0.5, 0.5))
-        out = resolve_slot([TxEvent(0, 0, 1)], [1], pos, self.params, self.noise, self.rng)
-        assert out[1] == SILENCE
+        out = resolve_slot(0, [0], [1], [1], pos, self.params, self.noise, self.rng)
+        assert out.tolist() == [SILENT]
 
     def test_received_bits_are_exact_when_noiseless(self):
         rng = np.random.default_rng(3)
@@ -109,52 +106,74 @@ class TestResolveSlot:
         for _ in range(50):
             bit = int(rng.integers(2))
             pos = _layout((0.5, 0.5), (0.5 + rng.random() * 0.9 * r, 0.5))
-            out = resolve_slot([TxEvent(0, 0, bit)], [1], pos, self.params, self.noise, self.rng)
-            assert out[1].bit == bit
+            out = resolve_slot(0, [0], [bit], [1], pos, self.params, self.noise, self.rng)
+            assert out.tolist() == [RECEIVED + bit]
+
+    def test_one_bit_broadcasts_to_every_transmitter(self):
+        r = self.params.radius
+        pos = _layout((0.5, 0.5), (0.5 + 0.5 * r, 0.5), (0.9, 0.9), (0.9 - 0.5 * r, 0.9))
+        out = resolve_slot(0, [0, 2], 1, [1, 3], pos, self.params, self.noise, self.rng)
+        assert out.tolist() == [RECEIVED + 1, RECEIVED + 1]
 
     def test_rejects_multi_slot_event_sets(self):
+        # One call resolves one slot: a slot array stands for transmissions
+        # spread over several slots and is refused.
         pos = _layout((0.5, 0.5), (0.6, 0.5))
-        with pytest.raises(ValueError):
-            resolve_slot(
-                [TxEvent(0, 0, 1), TxEvent(1, 1, 0)], [0], pos, self.params, self.noise, self.rng
-            )
+        for slots in ([0, 1], np.array([0, 1]), np.array([3])):
+            with pytest.raises(ValueError):
+                resolve_slot(slots, [0, 1], [1, 0], [0], pos, self.params, self.noise, self.rng)
+
+    def test_zero_transmitters_is_silence_for_every_listener(self):
+        pos = _layout((0.5, 0.5), (0.6, 0.5), (0.7, 0.5))
+        out = resolve_slot(0, [], [], [2, 0, 1], pos, self.params, self.noise, self.rng)
+        assert out.dtype == np.int64 and out.tolist() == [SILENT] * 3
+
+    def test_zero_listeners_is_an_empty_array(self):
+        r = self.params.radius
+        pos = _layout((0.5, 0.5), (0.5 + 0.5 * r, 0.5))
+        state = self.rng.bit_generator.state
+        for txs in ([0], []):
+            out = resolve_slot(0, txs, 1, [], pos, self.params, NoiseModel(0.3), self.rng)
+            assert out.shape == (0,) and out.dtype == np.int64
+        assert self.rng.bit_generator.state == state
 
 
-def _reference_slot(events, listeners, positions, params, noise, rng, history=None):
+def _reference_slot(slot, txs, bits, listeners, positions, params, noise, rng, history=None):
     """The reception rule written out pair by pair: the oracle for resolve_slot."""
-    slot = events[0].slot if events else 0
     guard = (1.0 + params.delta) * params.radius
-    outcomes = {}
+    kinds = []
     for j in listeners:
-        dists = [float(np.linalg.norm(positions[e.tx] - positions[j])) for e in events]
+        dists = [float(np.linalg.norm(positions[t] - positions[j])) for t in txs]
         in_range = [i for i, d in enumerate(dists) if d <= params.radius]
         if not in_range:
-            outcomes[j] = SILENCE
+            kinds.append(SILENT)
         elif len(in_range) == 1 and all(
             d >= guard for i, d in enumerate(dists) if i != in_range[0]
         ):
-            e = events[in_range[0]]
-            p = noise.flip_prob(slot, e.tx, j, history)
-            outcomes[j] = received(flip(e.bit, p, rng))
+            i = in_range[0]
+            p = noise.flip_prob(slot, txs[i], j, history)
+            kinds.append(RECEIVED + flip(bits[i], p, rng))
         else:
-            outcomes[j] = COLLISION
-    return outcomes
+            kinds.append(COLLIDED)
+    return kinds
 
 
-def _reference_rx(events, listeners, positions, params):
+def _reference_rx(txs, listeners, positions, params):
     """The listeners with some transmitter in range, counted pair by pair."""
     rx = 0
     for j in listeners:
-        if any(np.linalg.norm(positions[e.tx] - positions[j]) <= params.radius for e in events):
+        if any(np.linalg.norm(positions[t] - positions[j]) <= params.radius for t in txs):
             rx += 1
     return rx
 
 
 def _random_slot(rng, nodes=14, max_events=6):
-    """A layout a few radii wide and 0..max_events transmitters among its nodes."""
+    """A layout a few radii wide and 0..max_events transmitters among its nodes,
+    as (positions, transmitters, their bits); the slot is 7."""
     positions = rng.random((nodes, 2)) * 0.45
     txs = rng.choice(nodes, size=int(rng.integers(max_events + 1)), replace=False)
-    return positions, [TxEvent(7, int(t), int(rng.integers(2))) for t in txs]
+    bits = [int(rng.integers(2)) for _ in txs]
+    return positions, [int(t) for t in txs], bits
 
 
 class TestReceptionRuleAgainstReference:
@@ -165,19 +184,19 @@ class TestReceptionRuleAgainstReference:
         rng = np.random.default_rng(11)
         kinds, empty, self_heard = set(), 0, 0
         for _ in range(300):
-            pos, events = _random_slot(rng)
+            pos, txs, bits = _random_slot(rng)
             listeners = range(len(pos))
             noise, noise_rng = NoiseModel(0.0), np.random.default_rng(0)
-            got = resolve_slot(events, listeners, pos, params, noise, noise_rng)
-            want = _reference_slot(events, listeners, pos, params, noise, noise_rng)
-            assert list(got.items()) == list(want.items())
-            metrics = account(Metrics(), events, listeners, pos, params)
-            assert metrics.rx_stage1 == _reference_rx(events, listeners, pos, params)
-            assert metrics.tx_stage1 == len(events)
-            kinds |= {o.kind for o in got.values()}
-            empty += not events
-            self_heard += sum(got[e.tx].is_received for e in events)
-        assert kinds == {"received", "collision", "silence"}
+            got = resolve_slot(7, txs, bits, listeners, pos, params, noise, noise_rng)
+            want = _reference_slot(7, txs, bits, listeners, pos, params, noise, noise_rng)
+            assert got.tolist() == want
+            metrics = account(Metrics(), txs, listeners, pos, params)
+            assert metrics.rx_stage1 == _reference_rx(txs, listeners, pos, params)
+            assert metrics.tx_stage1 == len(txs)
+            kinds |= {min(k, RECEIVED) for k in got.tolist()}
+            empty += not txs
+            self_heard += int((got[txs] >= RECEIVED).sum())
+        assert kinds == {RECEIVED, COLLIDED, SILENT}
         assert empty and self_heard
 
     def test_noisy_bits_and_draw_count_match_under_equal_seeds(self):
@@ -186,11 +205,11 @@ class TestReceptionRuleAgainstReference:
         ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
         noise = NoiseModel(0.3)
         for _ in range(200):
-            pos, events = _random_slot(layouts)
+            pos, txs, bits = _random_slot(layouts)
             listeners = list(layouts.permutation(len(pos)))
-            got = resolve_slot(events, listeners, pos, params, noise, ours)
-            want = _reference_slot(events, listeners, pos, params, noise, theirs)
-            assert list(got.items()) == list(want.items())
+            got = resolve_slot(7, txs, bits, listeners, pos, params, noise, ours)
+            want = _reference_slot(7, txs, bits, listeners, pos, params, noise, theirs)
+            assert got.tolist() == want
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_adversary_sees_the_same_call_sequence(self):
@@ -203,19 +222,35 @@ class TestReceptionRuleAgainstReference:
             return NoiseModel(0.25, mode="adversarial", adversary=hook)
 
         for _ in range(200):
-            pos, events = _random_slot(layouts)
+            pos, txs, bits = _random_slot(layouts)
             listeners = list(layouts.permutation(len(pos)))
             seed = int(layouts.integers(1 << 30))
             got = resolve_slot(
-                events, listeners, pos, params, model(calls["ours"]),
+                7, txs, bits, listeners, pos, params, model(calls["ours"]),
                 np.random.default_rng(seed), history="h",
             )
             want = _reference_slot(
-                events, listeners, pos, params, model(calls["theirs"]),
+                7, txs, bits, listeners, pos, params, model(calls["theirs"]),
                 np.random.default_rng(seed), history="h",
             )
-            assert list(got.items()) == list(want.items())
+            assert got.tolist() == want
         assert calls["ours"] and calls["ours"] == calls["theirs"]
+
+
+class TestDistances:
+    @pytest.mark.parametrize("scale", [1e-6, 0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("nodes", [2, 40, 3000])
+    def test_bit_identical_to_the_dot_product_formula(self, nodes, scale):
+        # The audit's exact guard comparisons and its {dist:.4f} strings rest
+        # on these bits, so the kernel must round as the einsum formula does.
+        rng = np.random.default_rng(nodes)
+        positions = rng.random((nodes, 2)) * scale
+        rows, cols = rng.integers(nodes, size=300), rng.integers(nodes, size=200)
+        diff = positions[rows][:, None, :] - positions[cols][None, :, :]
+        want = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        got = distances(positions, rows.tolist(), cols)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNoiseModel:
@@ -278,11 +313,11 @@ class TestColorCells:
         rng = np.random.default_rng(0)
         for cls in color_cells(grid, params):
             for pick in (lambda c: c.members[0], lambda c: c.center):
-                events = [TxEvent(0, pick(grid.cell(j)), 1) for j in cls.cells]
-                for j, event in zip(cls.cells, events):
-                    listeners = [m for m in grid.cell(j).members if m != event.tx]
-                    out = resolve_slot(events, listeners, inst.positions, params, noise, rng)
-                    assert all(o.is_received for o in out.values())
+                txs = [pick(grid.cell(j)) for j in cls.cells]
+                for j, tx in zip(cls.cells, txs):
+                    listeners = [m for m in grid.cell(j).members if m != tx]
+                    out = resolve_slot(0, txs, 1, listeners, inst.positions, params, noise, rng)
+                    assert (out >= RECEIVED).all()
 
 
 class TestMetricsAndAccount:
@@ -290,7 +325,7 @@ class TestMetricsAndAccount:
         params = derive_params(5000, 0.5)
         pos = np.vstack([[0.5, 0.5]] + [[0.5 + 0.001 * k, 0.5] for k in range(1, 11)])
         metrics = Metrics(energy=EnergyConfig(e_t=1.0, e_r=0.1))
-        account(metrics, [TxEvent(0, 0, 1)], range(1, 11), pos, params)
+        account(metrics, [0], range(1, 11), pos, params)
         assert metrics.em1 == pytest.approx(2.0)
         assert metrics.em2 == pytest.approx(1.0)
         assert metrics.tx_count == 1 and metrics.rx_count == 10
@@ -305,7 +340,7 @@ class TestMetricsAndAccount:
         params = derive_params(5000, 0.5)
         pos = np.array([[0.0, 0.0], [0.9, 0.9]])
         metrics = Metrics()
-        account(metrics, [TxEvent(0, 0, 1)], [1], pos, params)
+        account(metrics, [0], [1], pos, params)
         assert metrics.tx_count == 1 and metrics.rx_count == 0
 
     def test_energy_identities_hold_after_every_update(self):

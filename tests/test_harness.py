@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from noisyplanar.channel import (
+    RECEIVED,
     Channel,
     NoiseModel,
     ScheduleClass,
-    TxEvent,
     distances,
     resolve_slot,
 )
@@ -379,11 +379,10 @@ def _reference_replay_slots(run, layout, report):
             id_base = run.stage1_config.phase_slots(base, max_members)[1]
             replays.append(("identity", id_base, [c.center for c in cells]))
         for phase, slot, txs in replays:
-            events = [TxEvent(slot, tx, 0) for tx in txs]
             for j, tx in zip(cls.cells, txs):
                 listeners = [m for m in grid.cell(j).members.tolist() if m != tx]
-                outcomes = resolve_slot(events, listeners, positions, params, noiseless, rng)
-                bad = [m for m, o in outcomes.items() if not o.is_received]
+                kinds = resolve_slot(slot, txs, 0, listeners, positions, params, noiseless, rng)
+                bad = [m for m, k in zip(listeners, kinds.tolist()) if k < RECEIVED]
                 if bad:
                     report.collision_violations.append(
                         f"{phase} slot {slot}: cell {j} listeners {bad} did not receive"
@@ -398,10 +397,9 @@ def _reference_replay_slots(run, layout, report):
                     (grid.cell(child).center, grid.cell(parent).center)
                 )
         for subslot, links in groups.items():
-            events = [TxEvent(subslot, tx, 0) for tx, _ in links]
-            receivers = [rx for _, rx in links]
-            outcomes = resolve_slot(events, receivers, positions, params, noiseless, rng)
-            bad = [f"{tx}->{rx}" for tx, rx in links if not outcomes[rx].is_received]
+            txs, receivers = [tx for tx, _ in links], [rx for _, rx in links]
+            kinds = resolve_slot(subslot, txs, 0, receivers, positions, params, noiseless, rng)
+            bad = [f"{tx}->{rx}" for (tx, rx), k in zip(links, kinds.tolist()) if k < RECEIVED]
             if bad:
                 report.collision_violations.append(
                     f"stage {si} subslot {subslot}: links {', '.join(bad)} did not deliver"
@@ -524,6 +522,35 @@ class TestAuditAgainstPerCellReference:
         got = audit_coloring(grid, params, coloring, positions)
         assert got == _reference_audit_coloring(grid, params, coloring, positions)
         assert len(got) == 1 and "same-color cells 3 and 4 (color 1)" in got[0]
+
+
+class TestReplayIsArrayLevel:
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_one_array_call_per_class_phase_and_subslot(self, monkeypatch, protocol):
+        # A replay that falls back to per-cell or per-listener work makes more
+        # calls or returns something other than one kind array per call.
+        import noisyplanar.harness as hz
+
+        cfg = ExperimentConfig(protocol=protocol, n=(2000,), trials=1, eps0=0.1)
+        run = run_trial(cfg, 2000, 0, capture_trace=True)
+        returned = []
+
+        def counting(*args, **kwargs):
+            kinds = resolve_slot(*args, **kwargs)
+            returned.append(type(kinds))
+            return kinds
+
+        monkeypatch.setattr(hz, "resolve_slot", counting)
+        assert validate_run(run).passed
+        color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
+        subslots = sum(
+            len({color_of[j] for array in stage.arrays for j in array.cells[:-1]})
+            for stage in run.plan.stages
+        )
+        assert subslots > 0
+        per_class = 2 if protocol == "max" else 1
+        assert len(returned) == per_class * len(run.coloring) + subslots
+        assert set(returned) == {np.ndarray}
 
 
 class TestCli:
