@@ -75,8 +75,6 @@ from .intercell import (
     distribute_result,
     run_stage2_hist,
     run_stage2_max,
-    run_substage_hist,
-    run_substage_max,
     stage2_cost,
 )
 from .intracell import (

@@ -6,23 +6,26 @@ the sink's column, and the sink's column is then processed the same way
 toward the sink.  Arrays inside one sub-stage are disjoint except that two
 arrays may share their root (the two sides of a row meeting on the axis).
 
-Each array runs a noiseless line protocol -- running OR for MAX, a pipelined
-bit-serial adder for the histogram -- protected by one of the three link
-simulation modes.  One logical slot (a window in which every active tree link
-fires once without protocol-model collisions) costs ``link_slot_span``
-physical slots.
+Each array runs ``simulate_line`` over the chain of its cell centers: a
+noiseless line protocol -- running OR for MAX, a pipelined bit-serial adder
+for the histogram -- protected by one of the three link simulation modes.
+Distribution runs the plan in reverse, each array root first as a repetition
+line, then broadcasts in every cell in one flip draw.  One logical slot (a
+window in which every active tree link fires once without protocol-model
+collisions) costs ``link_slot_span`` physical slots.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel
-from .coding import LineProtocol, LinkSimConfig, majority_decode, or_chain, simulate_line
+from .channel import Channel, color_cells
+from .coding import LineProtocol, LinkSimConfig, or_chain, simulate_line
 from .geometry import CellGrid, DerivedParams, SpanningTree
 
 __all__ = [
@@ -32,8 +35,6 @@ __all__ = [
     "build_substages",
     "count_bits_for",
     "adder_chain",
-    "run_substage_max",
-    "run_substage_hist",
     "run_stage2_max",
     "run_stage2_hist",
     "stage2_cost",
@@ -148,41 +149,18 @@ def adder_chain(counts: Sequence[int], width: int) -> LineProtocol:
     )
 
 
-def _array_endpoints(array: CellArray, grid: CellGrid) -> list[tuple[int, int]]:
-    centers = grid.centers[np.asarray(array.cells) - 1].tolist()
+def _array_endpoints(cells: tuple[int, ...], grid: CellGrid) -> list[tuple[int, int]]:
+    centers = grid.centers[np.asarray(cells) - 1].tolist()
     return list(zip(centers, centers[1:]))
 
 
-def run_substage_max(
-    array: CellArray,
-    values: dict[int, int],
-    config: LinkSimConfig,
-    channel: Channel,
-    grid: CellGrid,
-):
-    """Carry the running OR up one array; returns the line-simulation result."""
-    proto = or_chain([values[j] for j in array.cells])
-    return simulate_line(proto, config, channel, _array_endpoints(array, grid))
-
-
-def run_substage_hist(
-    array: CellArray,
-    counts: dict[int, int],
-    width: int,
-    config: LinkSimConfig,
-    channel: Channel,
-    grid: CellGrid,
-):
-    """Stream subtree counts up one array through the pipelined adder."""
-    proto = adder_chain([counts[j] for j in array.cells], width)
-    return simulate_line(proto, config, channel, _array_endpoints(array, grid))
-
-
-def _run_stage2(plan, state, channel, params, run_array):
+def _run_stage2(plan, state, line_for, config, channel, grid, params):
+    """Run the plan's arrays stage by stage; each root takes its array's result."""
     for stage in plan.stages:
         stage_logical = 0
         for array in stage.arrays:
-            res = run_array(array, state)
+            proto = line_for([state[j] for j in array.cells])
+            res = simulate_line(proto, config, channel, _array_endpoints(array.cells, grid))
             state[array.root] = res.values[-1]
             # Every inter-cell transmission targets a single center.
             channel.metrics.add("stage2", tx=res.tx, rx=res.tx)
@@ -204,14 +182,13 @@ def run_stage2_max(
 ) -> int:
     """Aggregate the per-cell bits up the tree; returns the value at the sink.
 
-    Arrays of one sub-stage run in parallel, so a sub-stage costs its longest
-    array's logical slots times the link slot span; transmissions accumulate
-    per array (r3 per link in abstract mode, per-bit repetition otherwise).
+    Each array carries the running OR (``or_chain``) from its deepest cell to
+    its root.  Arrays of one sub-stage run in parallel, so a sub-stage costs
+    its longest array's logical slots times the link slot span; transmissions
+    accumulate per array (r3 per link in abstract mode, per-bit repetition
+    otherwise).
     """
-    state = _run_stage2(
-        plan, dict(stage1_values), channel, params,
-        lambda a, s: run_substage_max(a, s, config, channel, grid),
-    )
+    state = _run_stage2(plan, dict(stage1_values), or_chain, config, channel, grid, params)
     return state[tree.sink_cell]
 
 
@@ -225,12 +202,12 @@ def run_stage2_hist(
     tree: SpanningTree,
     width: int | None = None,
 ) -> int:
-    """Sum the per-cell counts up the tree; returns the total at the sink."""
+    """Sum the per-cell counts up the tree through the pipelined adder
+    (``adder_chain``); returns the total at the sink."""
     if width is None:
         width = count_bits_for(params.n)
     state = _run_stage2(
-        plan, dict(stage1_counts), channel, params,
-        lambda a, s: run_substage_hist(a, s, width, config, channel, grid),
+        plan, dict(stage1_counts), partial(adder_chain, width=width), config, channel, grid, params
     )
     return state[tree.sink_cell]
 
@@ -283,50 +260,48 @@ def distribute_result(
 ) -> np.ndarray:
     """Push the sink's one-bit result back to every node.
 
-    The sub-stage plan runs in reverse: each array relays the bit from its
-    root toward its deepest cell, r3 repetitions per link with majority
-    decoding.  Every center then broadcasts the bit r2 times inside its cell
-    and members majority-decode, for (cell_count - 1) * r3 + cell_count * r2
-    transmissions in total.  Only a bit can be relayed: any other value
-    raises ValueError.
+    The relay runs the sub-stage plan in reverse, each array root first as a
+    repetition line (r3 copies per link, majority-decoded): a running OR over
+    zeros carries the root's bit to the deepest cell.  It is charged as
+    ``stage2_cost`` prices a MAX pass over the plan with repetition links.
+    Then every center broadcasts its bit r2 times inside its cell, one class
+    of the coloring at a time, and the members majority-decode: one flip draw
+    in coloring order, cell by cell, member by member, copy by copy, with
+    cell k of that order in slots slot_cursor + r2 * k onward.  In all,
+    (cell_count - 1) * r3 + cell_count * r2 transmissions.  Only a bit can be
+    relayed: any other value raises ValueError.
     """
     if value not in (0, 1):
         raise ValueError(f"distribute_result relays one bit, got value {value!r}")
+    relay = replace(config, mode="repetition")
     down: dict[int, int] = {tree.sink_cell: int(value)}
     for stage in reversed(plan.stages):
-        stage_slots = 0
         for array in stage.arrays:
-            cells = array.cells
-            centers = grid.centers[np.asarray(cells) - 1].tolist()
-            v = down[array.root]
-            for i in range(len(cells) - 2, -1, -1):
-                copies = channel.noisy_copies(
-                    v, config.r3, centers[i + 1], centers[i], channel.slot_cursor
-                )
-                channel.slot_cursor += config.r3
-                v = majority_decode(copies)
-                down[cells[i]] = v
-            link_count = len(cells) - 1
-            channel.metrics.add("distribute", tx=link_count * config.r3, rx=link_count * config.r3)
-            stage_slots = max(stage_slots, link_count * config.r3)
-        channel.metrics.add("distribute", slots=stage_slots * params.link_slot_span)
+            cells = array.cells[::-1]
+            proto = or_chain([down[array.root]] + [0] * (array.q - 1))
+            res = simulate_line(proto, relay, channel, _array_endpoints(cells, grid))
+            down.update(zip(cells, res.values))
+    slots, tx = stage2_cost(plan, params, relay, "max")
+    channel.metrics.add("distribute", tx=tx, rx=tx, slots=slots)
 
-    node_values = np.zeros(grid.n, dtype=np.int8)
     if coloring is None:
-        from .channel import color_cells
-
         coloring = color_cells(grid, params)
-    for cls in coloring:
-        for j in cls.cells:
-            cell = grid.cell(j)
-            v = down[j]
-            node_values[cell.center] = v
-            for member in cell.members.tolist():
-                if member == cell.center:
-                    continue
-                copies = channel.noisy_copies(v, r2, cell.center, member, channel.slot_cursor)
-                node_values[member] = majority_decode(copies)
-            channel.slot_cursor += r2
-            channel.metrics.add("distribute", tx=r2, rx=r2 * (cell.size - 1))
-        channel.metrics.add("distribute", slots=r2)
+    cells = [j for cls in coloring for j in cls.cells]
+    members, sizes, centers = grid.gather(cells)
+    rank = np.repeat(np.arange(len(cells)), sizes)
+    heard = members != centers[rank]
+    rank, rxs = rank[heard], members[heard]
+    base = channel.slot_cursor
+    flips = channel.flip_mask(
+        (rxs.size, r2),
+        slots=lambda: base + r2 * rank[:, None] + np.arange(r2),  # iid never reads it
+        txs=centers[rank, None],
+        rxs=rxs[:, None],
+    )
+    channel.slot_cursor += r2 * len(cells)
+    bits = np.array([down[j] for j in cells], dtype=np.int8)
+    node_values = np.zeros(grid.n, dtype=np.int8)
+    node_values[centers] = bits
+    node_values[rxs] = 2 * (bits[rank, None] ^ flips).sum(axis=1) > r2  # ties decode to 0
+    channel.metrics.add("distribute", tx=r2 * len(cells), rx=r2 * rxs.size, slots=r2 * len(coloring))
     return node_values

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -859,6 +860,35 @@ def test_micro_benchmark_imports_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing
+
+
+def test_benchmark_runner_reads_existing_names():
+    # benchmarks/run.py reads the package as ``npl.<name>`` and calls
+    # distribute_result positionally; a rename or a signature change there
+    # would surface only when the benchmark runs.
+    import noisyplanar
+
+    tree = ast.parse((Path(__file__).parent.parent / "benchmarks" / "run.py").read_text())
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "npl"
+    }
+    assert "distribute_result" in names
+    assert not [name for name in sorted(names) if not hasattr(noisyplanar, name)]
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "distribute_result"
+    ]
+    assert calls
+    signature = inspect.signature(noisyplanar.distribute_result)
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(kw.arg for kw in call.keywords)  # no **mapping
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
 
 
 def test_package_import_leaves_scipy_unloaded():

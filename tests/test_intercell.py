@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 
 from noisyplanar.channel import Channel, NoiseModel, color_cells
-from noisyplanar.coding import CapacityError, LinkSimConfig
+from noisyplanar.coding import (
+    CapacityError,
+    LinkSimConfig,
+    majority_decode,
+    or_chain,
+    simulate_line,
+)
 from noisyplanar.config import ExperimentConfig
 from noisyplanar.geometry import assign_cells, build_tree, derive_params, place_nodes
 from noisyplanar.intercell import (
-    CellArray,
     adder_chain,
     build_substages,
     count_bits_for,
     distribute_result,
     run_stage2_hist,
     run_stage2_max,
-    run_substage_hist,
-    run_substage_max,
     stage2_cost,
 )
 from noisyplanar.harness import run_trial
@@ -153,71 +156,81 @@ class TestAdderChain:
         assert 2 ** count_bits_for(7) - 1 >= 7
 
 
+def endpoints(grid, cells):
+    """The (sender, receiver) centers of each link of a chain of cells."""
+    centers = [grid.cell(j).center for j in cells]
+    return list(zip(centers, centers[1:]))
+
+
 class TestRunSubstageMax:
+    # One array of a sub-stage: the running OR over the chain of its centers.
     @pytest.mark.parametrize("mode", MODES)
     def test_or_reaches_root(self, mode):
         grid, channel = hand_channel()
-        res = run_substage_max(
-            CellArray((1, 2, 5)), {1: 0, 2: 1, 5: 0}, LinkSimConfig(mode=mode, r3=9), channel, grid
+        res = simulate_line(
+            or_chain([0, 1, 0]), LinkSimConfig(mode=mode, r3=9), channel, endpoints(grid, (1, 2, 5))
         )
         assert res.values[-1] == 1
 
     def test_values_spec_example(self):
         grid, channel = hand_channel()
-        res = run_substage_max(
-            CellArray((1, 2, 3, 6)),
-            {1: 0, 2: 1, 3: 0, 6: 0},
+        res = simulate_line(
+            or_chain([0, 1, 0, 0]),
             LinkSimConfig(mode="abstract", r3=9),
             channel,
-            grid,
+            endpoints(grid, (1, 2, 3, 6)),
         )
         assert res.values[-1] == 1
 
     def test_all_zero_stays_zero(self):
         for mode in MODES:
             grid, channel = hand_channel()
-            res = run_substage_max(
-                CellArray((1, 2, 5)), {1: 0, 2: 0, 5: 0}, LinkSimConfig(mode=mode, r3=9), channel, grid
+            res = simulate_line(
+                or_chain([0, 0, 0]), LinkSimConfig(mode=mode, r3=9), channel,
+                endpoints(grid, (1, 2, 5)),
             )
             assert res.values[-1] == 0
 
     def test_repetition_transmission_identity(self):
         grid, channel = hand_channel()
-        res = run_substage_max(
-            CellArray((1, 2, 3, 6)),
-            {1: 1, 2: 0, 3: 0, 6: 0},
+        res = simulate_line(
+            or_chain([1, 0, 0, 0]),
             LinkSimConfig(mode="repetition", r3=27),
             channel,
-            grid,
+            endpoints(grid, (1, 2, 3, 6)),
         )
         assert res.tx == 3 * 27 == 81
 
 
 class TestRunSubstageHist:
+    # One array of a sub-stage: the pipelined adder over the chain of its centers.
     @pytest.mark.parametrize("mode", MODES)
     def test_three_two_one_sums_to_six(self, mode):
         grid, channel = hand_channel()
-        res = run_substage_hist(
-            CellArray((1, 2, 5)), {1: 3, 2: 2, 5: 1}, 4, LinkSimConfig(mode=mode, r3=9), channel, grid
+        res = simulate_line(
+            adder_chain([3, 2, 1], 4), LinkSimConfig(mode=mode, r3=9), channel,
+            endpoints(grid, (1, 2, 5)),
         )
         assert res.values[-1] == 6
 
     def test_zero_counts_leave_own_count(self):
         grid, channel = hand_channel()
-        res = run_substage_hist(
-            CellArray((1, 2, 5)), {1: 0, 2: 0, 5: 5}, 4, LinkSimConfig(mode="abstract", r3=9), channel, grid
+        res = simulate_line(
+            adder_chain([0, 0, 5], 4), LinkSimConfig(mode="abstract", r3=9), channel,
+            endpoints(grid, (1, 2, 5)),
         )
         assert res.values[-1] == 5
 
     @pytest.mark.parametrize("mode", MODES)
     def test_modes_agree_noiselessly_with_identical_payloads(self, mode):
         grid, channel = hand_channel()
-        base = run_substage_hist(
-            CellArray((1, 2, 5)), {1: 3, 2: 2, 5: 1}, 4, LinkSimConfig(mode="abstract", r3=9),
-            hand_channel()[1], grid,
+        base = simulate_line(
+            adder_chain([3, 2, 1], 4), LinkSimConfig(mode="abstract", r3=9),
+            hand_channel()[1], endpoints(grid, (1, 2, 5)),
         )
-        res = run_substage_hist(
-            CellArray((1, 2, 5)), {1: 3, 2: 2, 5: 1}, 4, LinkSimConfig(mode=mode, r3=9), channel, grid
+        res = simulate_line(
+            adder_chain([3, 2, 1], 4), LinkSimConfig(mode=mode, r3=9), channel,
+            endpoints(grid, (1, 2, 5)),
         )
         assert res.values == base.values
         assert res.payloads == base.payloads
@@ -419,3 +432,118 @@ class TestDistributeResult:
                 tree, plan, value, cfg, r2=15, channel=channel, grid=grid, params=params
             )
         assert channel.metrics.tx_distribute == 0
+
+
+def reference_distribute_result(
+    tree, plan, value, config, r2, channel, grid, params, coloring=None
+):
+    """The per-link, per-member distribution loop that ``distribute_result``
+    replaced, kept verbatim (bar the import of ``color_cells``) as its oracle:
+    one ``noisy_copies`` and one ``majority_decode`` call per link and per member."""
+    if value not in (0, 1):
+        raise ValueError(f"distribute_result relays one bit, got value {value!r}")
+    down: dict[int, int] = {tree.sink_cell: int(value)}
+    for stage in reversed(plan.stages):
+        stage_slots = 0
+        for array in stage.arrays:
+            cells = array.cells
+            centers = grid.centers[np.asarray(cells) - 1].tolist()
+            v = down[array.root]
+            for i in range(len(cells) - 2, -1, -1):
+                copies = channel.noisy_copies(
+                    v, config.r3, centers[i + 1], centers[i], channel.slot_cursor
+                )
+                channel.slot_cursor += config.r3
+                v = majority_decode(copies)
+                down[cells[i]] = v
+            link_count = len(cells) - 1
+            channel.metrics.add("distribute", tx=link_count * config.r3, rx=link_count * config.r3)
+            stage_slots = max(stage_slots, link_count * config.r3)
+        channel.metrics.add("distribute", slots=stage_slots * params.link_slot_span)
+
+    node_values = np.zeros(grid.n, dtype=np.int8)
+    if coloring is None:
+        coloring = color_cells(grid, params)
+    for cls in coloring:
+        for j in cls.cells:
+            cell = grid.cell(j)
+            v = down[j]
+            node_values[cell.center] = v
+            for member in cell.members.tolist():
+                if member == cell.center:
+                    continue
+                copies = channel.noisy_copies(v, r2, cell.center, member, channel.slot_cursor)
+                node_values[member] = majority_decode(copies)
+            channel.slot_cursor += r2
+            channel.metrics.add("distribute", tx=r2, rx=r2 * (cell.size - 1))
+        channel.metrics.add("distribute", slots=r2)
+    return node_values
+
+
+def distribution_world(n):
+    """A sampled world with its sub-stage plan and coloring."""
+    inst, params, grid, tree, _ = sampled_world(n, n % 97)
+    return inst, params, grid, tree, build_substages(tree, params), color_cells(grid, params)
+
+
+def run_distribution(distribute, world, eps0, r3, r2, coloring, adversarial):
+    """One distribution of the bit 1 on a fresh channel; returns what a run
+    leaves behind: node values, metrics, slot cursor, RNG state, hook calls."""
+    inst, params, grid, tree, plan, classes = world
+    calls = []
+
+    def hook(slot, tx, rx, history):
+        calls.append((slot, tx, rx))
+        return eps0 * ((7 * slot + 3 * tx + rx) % 5) / 4
+
+    noise = NoiseModel(eps0, "adversarial", hook) if adversarial else NoiseModel(eps0)
+    channel = Channel(inst, params, noise, np.random.default_rng(inst.n + r2))
+    channel.slot_cursor = 1000  # distribution follows the stages that ran before it
+    values = distribute(
+        tree, plan, 1, LinkSimConfig(mode="abstract", r3=r3), r2, channel, grid, params,
+        classes if coloring else None,
+    )
+    state = channel.rng.bit_generator.state
+    return values, channel.metrics.snapshot(), channel.slot_cursor, state, calls
+
+
+class TestDistributeMatchesReference:
+    @pytest.mark.parametrize("n", [800, 2000, 8000, 32768])
+    def test_bit_identical_to_the_per_member_loop(self, n):
+        # The hook-recording adversary costs a Python call per copy, so it
+        # runs at the two smaller n; iid noise covers all four.
+        world = distribution_world(n)
+        noisy_wrong = 0
+        for eps0 in (0.0, 0.1, 0.3):
+            for r3, r2 in ((9, 15), (3, 3), (1, 1)):
+                for coloring in (False, True):
+                    for adversarial in (False, True) if n <= 2000 else (False,):
+                        args = (world, eps0, r3, r2, coloring, adversarial)
+                        want = run_distribution(reference_distribute_result, *args)
+                        got = run_distribution(distribute_result, *args)
+                        np.testing.assert_array_equal(got[0], want[0])
+                        assert got[1:] == want[1:]
+                        if eps0 == 0.3 and r2 == 1:
+                            noisy_wrong += int((got[0] != 1).sum())
+        # The comparison covers noisy values, not only all-correct ones.
+        assert noisy_wrong > 0
+
+    def test_no_per_member_draws(self, monkeypatch):
+        # One flip draw per relay array plus one for the whole broadcast.
+        inst, params, grid, tree, plan, classes = distribution_world(2000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("distribute_result drew noise per link or per member")
+
+        draws = []
+        flip_mask = Channel.flip_mask
+
+        def counted(self, shape, *args, **kwargs):
+            draws.append(shape)
+            return flip_mask(self, shape, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "noisy_copies", refuse)
+        monkeypatch.setattr(Channel, "flip_mask", counted)
+        channel = Channel(inst, params, NoiseModel(0.1), np.random.default_rng(0))
+        distribute_result(tree, plan, 1, LinkSimConfig(r3=9), 15, channel, grid, params, classes)
+        assert len(draws) == len(plan.arrays) + 1
