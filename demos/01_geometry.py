@@ -8,13 +8,7 @@ the sink) carries all inter-cell traffic.
 
 import numpy as np
 
-from noisyplanar import (
-    assign_cells,
-    build_tree,
-    derive_params,
-    place_nodes,
-    validate_geometry,
-)
+from noisyplanar import assign_cells, build_tree, derive_params, place_nodes
 
 n, seed = 5000, 7
 params = derive_params(n, delta=0.5)
@@ -35,9 +29,3 @@ print(f"sink: node {grid.sink_node} in cell {grid.sink_cell} "
 tree = build_tree(grid, params)
 print(f"\nspanning tree: max depth {tree.max_depth}, max degree {tree.max_degree}")
 print(f"path of cell 1 to the sink: {tree.path_to_sink(1)}")
-
-report = validate_geometry(grid, tree, instance, params)
-print(f"\ngeometry audit: feasible={report.feasible}, "
-      f"occupancy within bounds={report.occupancy_within_bounds}")
-print(f"longest tree edge between cell centers: {report.max_edge_center_distance:.4f} "
-      f"(radius {params.radius:.4f})")

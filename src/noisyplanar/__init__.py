@@ -15,9 +15,7 @@ from .channel import (
     Metrics,
     NoiseModel,
     ScheduleClass,
-    account,
     color_cells,
-    flip,
     resolve_slot,
 )
 from .coding import (
@@ -41,7 +39,6 @@ from .geometry import (
     Cell,
     CellGrid,
     DerivedParams,
-    GeometryReport,
     NetworkInstance,
     ProtocolInfeasibleError,
     SpanningTree,
@@ -49,7 +46,6 @@ from .geometry import (
     build_tree,
     derive_params,
     place_nodes,
-    validate_geometry,
 )
 from .harness import (
     AuditReport,

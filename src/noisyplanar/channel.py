@@ -27,11 +27,9 @@ __all__ = [
     "EnergyConfig",
     "Metrics",
     "Channel",
-    "flip",
     "distances",
     "resolve_slot",
     "color_cells",
-    "account",
 ]
 
 # resolve_slot's kind codes: a listener hears silence, a collision, or bit b as RECEIVED + b.
@@ -89,13 +87,6 @@ class NoiseModel:
         receptions = (np.broadcast_to(a, shape).ravel().tolist() for a in (slots, txs, rxs))
         probs = [self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)]
         return u < np.reshape(probs, np.shape(u))
-
-
-def flip(bit: int, p: float, rng: np.random.Generator) -> int:
-    """Flip a bit with probability p (one BSC use)."""
-    if not (0.0 <= p < 0.5):
-        raise ValueError(f"flip probability must lie in [0, 0.5), got {p}")
-    return int(bit) ^ int(rng.random() < p)
 
 
 def distances(positions: np.ndarray, rows, cols) -> np.ndarray:
@@ -259,28 +250,6 @@ class Metrics:
             "em2": self.em2,
             "em1_stage1": self.em1_stage1,
         }
-
-
-def account(
-    metrics: Metrics,
-    txs,
-    listeners,
-    positions: np.ndarray,
-    params: DerivedParams,
-    stage: str = "stage1",
-) -> Metrics:
-    """Charge one slot's transmitters and in-range receptions to the metrics.
-
-    A (listener, slot) pair is charged reception energy iff some transmitter
-    is within the radius (a delivery or a collision); pure silence costs
-    nothing.  Listener sets declare who is scheduled to listen.  Accounting
-    draws no noise: it reads only positions, so it can run before or after
-    ``resolve_slot`` on the same slot without shifting the RNG stream.
-    """
-    dist = distances(positions, listeners, txs)
-    rx = int((dist <= params.radius).any(axis=1).sum())
-    metrics.add(stage, tx=dist.shape[1], rx=rx)
-    return metrics
 
 
 @dataclass(frozen=True)

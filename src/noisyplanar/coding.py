@@ -89,19 +89,13 @@ def majority_decode(observations: Sequence) -> int:
 
 @dataclass(frozen=True)
 class RepetitionScheme:
-    """Repeat-k code with majority decoding; k must be odd so votes cannot tie."""
+    """Repeat-k code under ``majority_decode``; k must be odd so votes cannot tie."""
 
     k: int
 
     def __post_init__(self):
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError(f"repeat count must be odd and positive, got {self.k}")
-
-    def encode(self, bit: int) -> np.ndarray:
-        return np.full(self.k, int(bit), dtype=np.int8)
-
-    def decode(self, observations: Sequence) -> int:
-        return majority_decode(observations)
 
     def error_bound(self, p: float) -> float:
         """Binomial tail: probability that more than k/2 of k copies flip."""
@@ -501,20 +495,14 @@ class LinkSimConfig:
 class LineResult:
     """Outcome of one array simulation: per-node values plus cost accounting.
 
-    ``delivered[i]`` is the value node i+1 decoded from link i's ``width``
-    payload bits.
+    ``delivered[i]`` is the value node i+1 decoded from link i's payload
+    bits; ``slots`` are logical slots and ``tx`` the transmissions made.
     """
 
     values: tuple[int, ...]
     slots: int
     tx: int
     delivered: tuple[int, ...]
-    width: int
-
-    @property
-    def payloads(self) -> tuple[tuple[int, ...], ...]:
-        """Decoded meaningful bits per link, least significant first."""
-        return tuple(_bits(v, self.width) for v in self.delivered)
 
 
 def simulate_line(
@@ -550,7 +538,7 @@ def _simulate_abstract(
         values[-1] = protocol.corrupt(channel.rng)
     slots = guarantee.slots(protocol.rounds)
     tx = (protocol.q - 1) * config.r3
-    return LineResult(tuple(values), slots, tx, tuple(delivered), protocol.width)
+    return LineResult(tuple(values), slots, tx, tuple(delivered))
 
 
 def _simulate_repetition(
@@ -580,7 +568,7 @@ def _simulate_repetition(
     wrong = flips.sum(axis=2) > r3 // 2
     values, delivered = protocol.fold((wrong << np.arange(width)).sum(axis=1).tolist())
     # One transmission per slot.
-    return LineResult(tuple(values), slots, slots, tuple(delivered), width)
+    return LineResult(tuple(values), slots, slots, tuple(delivered))
 
 
 def _simulate_treecode(
@@ -628,4 +616,4 @@ def _simulate_treecode(
     values = tuple(protocol.step(i, received) for i, received in enumerate((0, *delivered)))
     # Forward symbols plus the reserved reverse-direction dummies, in bit-slots.
     slots = 2 * depth * sym_bits
-    return LineResult(values, slots, links * slots, delivered, protocol.width)
+    return LineResult(values, slots, links * slots, delivered)

@@ -20,22 +20,17 @@ __all__ = [
     "Cell",
     "CellGrid",
     "SpanningTree",
-    "GeometryReport",
     "ProtocolInfeasibleError",
     "place_nodes",
     "derive_params",
     "assign_cells",
     "build_tree",
-    "validate_geometry",
 ]
 
 # Tessellation constants: cell area ~ 2.75 ln(n)/n and radius^2 = 13.75 ln(n)/n,
 # which force cell_side <= radius/sqrt(5) so adjacent cell centers are one hop apart.
 CELL_DENSITY = 2.75
 RADIUS_DENSITY = 13.75
-
-OCCUPANCY_LOWER = 0.091  # times ln n, asymptotic per-cell occupancy band
-OCCUPANCY_UPPER = 5.41
 
 
 class ProtocolInfeasibleError(Exception):
@@ -197,23 +192,6 @@ class SpanningTree:
         return path
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    """Audit summary produced by validate_geometry (report-only, never raises)."""
-
-    feasible: bool
-    empty_cells: tuple[int, ...]
-    occupancy_min: int
-    occupancy_max: int
-    occupancy_lower_bound: float
-    occupancy_upper_bound: float
-    occupancy_within_bounds: bool
-    max_edge_center_distance: float
-    edges_within_radius: bool
-    max_degree: int
-    max_depth: int
-
-
 def place_nodes(n: int, seed: int) -> NetworkInstance:
     """Sample n node positions i.i.d. uniform on the unit square.
 
@@ -334,37 +312,4 @@ def build_tree(grid: CellGrid, params: DerivedParams | None = None) -> SpanningT
         parent=parent,
         depth=depth,
         children={p: tuple(sorted(ch)) for p, ch in children.items()},
-    )
-
-
-def validate_geometry(
-    grid: CellGrid,
-    tree: SpanningTree,
-    instance: NetworkInstance,
-    params: DerivedParams,
-) -> GeometryReport:
-    """Audit occupancy bounds, edge lengths, tree degree and depth (report-only)."""
-    occ = grid.occupancies()
-    empty = tuple((np.flatnonzero(occ == 0) + 1).tolist())
-    log_n = math.log(instance.n)
-    lower = OCCUPANCY_LOWER * log_n
-    upper = OCCUPANCY_UPPER * log_n
-
-    ends = grid.centers[np.array(list(tree.parent.items()), dtype=np.int64).reshape(-1, 2) - 1]
-    ends = ends[(ends >= 0).all(axis=1)]
-    gaps = instance.positions[ends[:, 0]] - instance.positions[ends[:, 1]]
-    max_edge = float(np.linalg.norm(gaps, axis=1).max(initial=0.0))
-
-    return GeometryReport(
-        feasible=not empty,
-        empty_cells=empty,
-        occupancy_min=int(occ.min()),
-        occupancy_max=int(occ.max()),
-        occupancy_lower_bound=lower,
-        occupancy_upper_bound=upper,
-        occupancy_within_bounds=bool(occ.min() >= lower and occ.max() <= upper),
-        max_edge_center_distance=max_edge,
-        edges_within_radius=bool(max_edge <= params.radius),
-        max_degree=tree.max_degree,
-        max_depth=tree.max_depth,
     )

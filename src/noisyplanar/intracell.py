@@ -138,12 +138,11 @@ class Stage1Config:
 
 @dataclass
 class Stage1Result:
-    """Per-cell outcomes of stage 1 plus the metrics consumed producing them."""
+    """Per-cell outcomes of stage 1; its cost is charged to ``channel.metrics``."""
 
     witnesses: dict[int, int] = field(default_factory=dict)
     values: dict[int, int] = field(default_factory=dict)
     counts: dict[int, int] = field(default_factory=dict)
-    metrics_delta: dict = field(default_factory=dict)
 
 
 def _repeat_slots(sizes: np.ndarray, first, reps: int) -> np.ndarray:
@@ -329,7 +328,6 @@ def run_stage1_max(
     cell whose single believer is not its center.  Every phase leaves one
     trace record per cell, the class's records phase by phase.
     """
-    before = channel.metrics.snapshot()
     result = Stage1Result()
     code, length, r2 = config.id_code, config.block_len, config.r2
     bits = channel.instance.bits
@@ -396,8 +394,6 @@ def run_stage1_max(
             )
         result.witnesses.update(zip(cls.cells, witnesses.tolist()))
         result.values.update(zip(cls.cells, values.tolist()))
-    after = channel.metrics.snapshot()
-    result.metrics_delta = {k: after[k] - before[k] for k in before}
     return result
 
 
@@ -414,7 +410,6 @@ def run_stage1_hist(
     reports how many decoded to 1.  Every draw count depends only on the
     layout, so a whole color class is drawn and counted at once.
     """
-    before = channel.metrics.snapshot()
     result = Stage1Result()
     for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
         members, sizes, centers = grid.gather(cls.cells)
@@ -424,6 +419,4 @@ def run_stage1_hist(
         counts = np.add.reduceat(decoded, np.cumsum(sizes) - sizes, dtype=np.int64)
         result.counts.update(zip(cls.cells, counts.tolist()))
         channel.metrics.add("stage1", slots=span)
-    after = channel.metrics.snapshot()
-    result.metrics_delta = {k: after[k] - before[k] for k in before}
     return result

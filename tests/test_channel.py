@@ -1,6 +1,5 @@
 """BSC flips, protocol-model slot resolution, coloring, energy accounting."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +15,8 @@ from noisyplanar.channel import (
     Metrics,
     NoiseModel,
     Trace,
-    account,
     color_cells,
     distances,
-    flip,
     resolve_slot,
 )
 from noisyplanar.geometry import assign_cells, derive_params, place_nodes
@@ -28,11 +25,6 @@ from conftest import make_hand_world
 
 
 class TestFlip:
-    def test_noiseless_identity(self):
-        rng = np.random.default_rng(0)
-        assert flip(1, 0.0, rng) == 1
-        assert flip(0, 0.0, rng) == 0
-
     def test_flip_fraction_matches_binomial_oracle(self):
         # At p = 0.499 over 1e6 draws the binomial sd is ~0.0005, so the
         # +/- 0.003 band is a six-sigma check.
@@ -41,21 +33,6 @@ class TestFlip:
         n = 1_000_000
         flips = (rng.random(n) < p).sum()
         assert abs(flips / n - p) <= 0.003
-
-    def test_composition_doubles_flip_probability(self):
-        # Two independent BSC uses compose to 2p(1-p); at p = 0.1 that is 0.18.
-        rng = np.random.default_rng(7)
-        p = 0.1
-        trials = 200_000
-        out = sum(flip(flip(0, p, rng), p, rng) for _ in range(trials))
-        expect = 2 * p * (1 - p)
-        sigma = math.sqrt(expect * (1 - expect) / trials)
-        assert abs(out / trials - expect) <= 3 * sigma
-
-    @pytest.mark.parametrize("p", [-0.01, 0.5, 0.7])
-    def test_rejects_out_of_range_probability(self, p):
-        with pytest.raises(ValueError):
-            flip(0, p, np.random.default_rng(0))
 
 
 def _layout(*points):
@@ -152,7 +129,7 @@ def _reference_slot(slot, txs, bits, listeners, positions, params, noise, rng, h
         ):
             i = in_range[0]
             p = noise.flip_prob(slot, txs[i], j, history)
-            kinds.append(RECEIVED + flip(bits[i], p, rng))
+            kinds.append(RECEIVED + (int(bits[i]) ^ int(rng.random() < p)))
         else:
             kinds.append(COLLIDED)
     return kinds
@@ -190,9 +167,7 @@ class TestReceptionRuleAgainstReference:
             got = resolve_slot(7, txs, bits, listeners, pos, params, noise, noise_rng)
             want = _reference_slot(7, txs, bits, listeners, pos, params, noise, noise_rng)
             assert got.tolist() == want
-            metrics = account(Metrics(), txs, listeners, pos, params)
-            assert metrics.rx_stage1 == _reference_rx(txs, listeners, pos, params)
-            assert metrics.tx_stage1 == len(txs)
+            assert int((got != SILENT).sum()) == _reference_rx(txs, listeners, pos, params)
             kinds |= {min(k, RECEIVED) for k in got.tolist()}
             empty += not txs
             self_heard += int((got[txs] >= RECEIVED).sum())
@@ -320,29 +295,7 @@ class TestColorCells:
                     assert (out >= RECEIVED).all()
 
 
-class TestMetricsAndAccount:
-    def test_account_energy_arithmetic(self):
-        params = derive_params(5000, 0.5)
-        pos = np.vstack([[0.5, 0.5]] + [[0.5 + 0.001 * k, 0.5] for k in range(1, 11)])
-        metrics = Metrics(energy=EnergyConfig(e_t=1.0, e_r=0.1))
-        account(metrics, [0], range(1, 11), pos, params)
-        assert metrics.em1 == pytest.approx(2.0)
-        assert metrics.em2 == pytest.approx(1.0)
-        assert metrics.tx_count == 1 and metrics.rx_count == 10
-
-    def test_account_zero_events_changes_nothing(self):
-        params = derive_params(5000, 0.5)
-        metrics = Metrics()
-        account(metrics, [], range(5), np.zeros((5, 2)), params)
-        assert metrics.tx_count == 0 and metrics.rx_count == 0 and metrics.em1 == 0.0
-
-    def test_silent_listeners_cost_nothing(self):
-        params = derive_params(5000, 0.5)
-        pos = np.array([[0.0, 0.0], [0.9, 0.9]])
-        metrics = Metrics()
-        account(metrics, [0], [1], pos, params)
-        assert metrics.tx_count == 1 and metrics.rx_count == 0
-
+class TestMetrics:
     def test_energy_identities_hold_after_every_update(self):
         rng = np.random.default_rng(0)
         metrics = Metrics(energy=EnergyConfig(e_t=1.0, e_r=0.1))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from noisyplanar.geometry import (
-    CellGrid,
     NetworkInstance,
     ProtocolInfeasibleError,
     _grid_coords,
@@ -14,7 +13,6 @@ from noisyplanar.geometry import (
     build_tree,
     derive_params,
     place_nodes,
-    validate_geometry,
 )
 
 from conftest import make_hand_world
@@ -303,38 +301,3 @@ class TestBuildTree:
             assert abs(cj.row - cp.row) + abs(cj.col - cp.col) == 1
             dist = np.linalg.norm(inst.positions[cj.center] - inst.positions[cp.center])
             assert dist <= params.radius
-
-
-class TestValidateGeometry:
-    def test_n5000_edges_within_radius(self):
-        params = derive_params(5000, 0.5)
-        inst = place_nodes(5000, seed=7)
-        grid = assign_cells(inst, params)
-        tree = build_tree(grid, params)
-        report = validate_geometry(grid, tree, inst, params)
-        assert report.feasible
-        assert report.edges_within_radius
-        assert report.max_edge_center_distance <= 0.153044
-
-    def test_single_cell_trivially_passes(self):
-        inst, grid, params = make_hand_world(1)
-        tree = build_tree(grid, params)
-        report = validate_geometry(grid, tree, inst, params)
-        assert report.feasible
-        assert report.max_degree == 0 and report.max_depth == 0
-
-    def test_hand_built_empty_cell_is_flagged(self):
-        inst, grid, params = make_hand_world(3)
-        broken = CellGrid(
-            members=grid.members[1:],
-            offsets=np.maximum(grid.offsets - 1, 0),
-            centers=np.where(np.arange(9) == 0, -1, grid.centers),
-            grid_dim=3,
-            n=grid.n,
-            sink_cell=grid.sink_cell,
-            sink_node=grid.sink_node,
-        )
-        tree = build_tree(broken, params)
-        report = validate_geometry(broken, tree, inst, params)
-        assert not report.feasible
-        assert report.empty_cells == (1,)

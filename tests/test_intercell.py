@@ -233,7 +233,7 @@ class TestRunSubstageHist:
             endpoints(grid, (1, 2, 5)),
         )
         assert res.values == base.values
-        assert res.payloads == base.payloads
+        assert res.delivered == base.delivered
 
 
 def _stage1_values(grid, inst):

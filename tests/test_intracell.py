@@ -242,12 +242,6 @@ class TestRunStage1Max:
         bumped = run_stage1_max(grid, coloring, config, channel2)
         assert max(bumped.values.values()) >= max(base.values.values())
 
-    def test_metrics_delta_recorded(self):
-        inst, params, grid, coloring, config, channel = build_world(800, 4, 0.0)
-        result = run_stage1_max(grid, coloring, config, channel)
-        assert result.metrics_delta["tx_count"] == channel.metrics.tx_count
-        assert result.metrics_delta["slots_stage1"] == channel.metrics.slots_stage1
-
 
 class TestRunStage1Hist:
     @pytest.mark.parametrize("seed", [0, 3])
@@ -277,8 +271,7 @@ class TestRunStage1Hist:
 
 def hist_per_cell(grid, coloring, config, channel):
     """Histogram counting with one draw and one count per cell: the reference
-    for counting a whole color class at once.  Returns counts and metrics delta."""
-    before = channel.metrics.snapshot()
+    for counting a whole color class at once."""
     counts = {}
     reps = config.r2
     for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
@@ -296,14 +289,14 @@ def hist_per_cell(grid, coloring, config, channel):
             channel.metrics.add("stage1", tx=reps * n_members, rx=reps * n_members * (n_members - 1))
             counts[j] = int(decoded.sum())
         channel.metrics.add("stage1", slots=span)
-    after = channel.metrics.snapshot()
-    return counts, {k: after[k] - before[k] for k in before}
+    return counts
 
 
 class TestHistClassBatching:
     @staticmethod
     def count_both(eps0, r2=None, noise=None):
-        """(counts, metrics delta, trace rows, rng state, truth) for batched and per-cell counting."""
+        """(counts, metrics, trace rows, rng state, truth) for batched and per-cell
+        counting, each on a fresh channel."""
         config = Stage1Config.for_network(2000, 0.0)
         config = replace(config, r2=r2) if r2 is not None else config
         out = []
@@ -312,16 +305,21 @@ class TestHistClassBatching:
             channel.noise = noise if noise is not None else channel.noise
             channel.trace = Trace()
             if count == "batched":
-                result = run_stage1_hist(grid, coloring, config, channel)
-                counts, delta = result.counts, result.metrics_delta
+                counts = run_stage1_hist(grid, coloring, config, channel).counts
             else:
-                counts, delta = hist_per_cell(grid, coloring, config, channel)
+                counts = hist_per_cell(grid, coloring, config, channel)
             rows = [
                 (r.phase, r.cell, r.slots.tolist(), r.txs.tolist(), r.data_dependent)
                 for r in channel.trace.stage1
             ]
             truth = {c.index: int(inst.bits[list(c.members)].sum()) for c in grid}
-            out.append((list(counts.items()), delta, rows, channel.rng.bit_generator.state, truth))
+            out.append((
+                list(counts.items()),
+                channel.metrics.snapshot(),
+                rows,
+                channel.rng.bit_generator.state,
+                truth,
+            ))
         return out
 
     @pytest.mark.parametrize("eps0,r2", [(0.0, None), (0.1, None), (0.3, None), (0.3, 3)])
@@ -350,7 +348,6 @@ class TestHistClassBatching:
 def max_schedule_order(grid, coloring, config, channel):
     """MAX stage 1 through the per-cell oracles in schedule order -- class,
     then phase, then cell: the reference for the class-batched run."""
-    before = channel.metrics.snapshot()
     result = Stage1Result()
     for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
         _, id_base, confirm_base = config.phase_slots(base, max_members)
@@ -366,14 +363,11 @@ def max_schedule_order(grid, coloring, config, channel):
                 cell, believing, config, channel, slot0=confirm_base
             )
         channel.metrics.add("stage1", slots=span)
-    after = channel.metrics.snapshot()
-    result.metrics_delta = {k: after[k] - before[k] for k in before}
     return result
 
 
 def max_cell_major(grid, coloring, config, channel):
     """MAX stage 1 cell by cell, each cell's three phases in turn (RNG layout 1)."""
-    before = channel.metrics.snapshot()
     result = Stage1Result()
     for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
         _, id_base, confirm_base = config.phase_slots(base, max_members)
@@ -385,8 +379,6 @@ def max_cell_major(grid, coloring, config, channel):
             result.witnesses[j] = witness
             result.values[j] = value
         channel.metrics.add("stage1", slots=span)
-    after = channel.metrics.snapshot()
-    result.metrics_delta = {k: after[k] - before[k] for k in before}
     return result
 
 
@@ -399,8 +391,8 @@ LOSSY = Stage1Config(eps1=0.05, c_rep=1, r2=3, id_code=BlockCode(6, 6, seed=2))
 class TestMaxClassBatching:
     @staticmethod
     def run_both(n, eps0, config=None, noise=None, reference=max_schedule_order, bit_p=0.3):
-        """(witnesses, values, metrics delta, trace rows, rng state) of the
-        batched run and of the reference, and the world's grid."""
+        """(witnesses, values, metrics, trace rows, rng state) of the batched
+        run and of the reference, each on a fresh channel, and the world's grid."""
         config = config or Stage1Config.for_network(2000, 0.0)
         out = []
         for run in (run_stage1_max, reference):
@@ -415,7 +407,7 @@ class TestMaxClassBatching:
             out.append((
                 list(result.witnesses.items()),
                 list(result.values.items()),
-                result.metrics_delta,
+                channel.metrics.snapshot(),
                 rows,
                 channel.rng.bit_generator.state,
             ))
