@@ -102,7 +102,7 @@ def distances(positions: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def resolve_slot(
-    slot: int,
+    slot,
     txs,
     bits,
     listeners,
@@ -111,8 +111,9 @@ def resolve_slot(
     noise: NoiseModel,
     rng: np.random.Generator,
     history: object = None,
+    listen_slots=None,
 ) -> np.ndarray:
-    """Resolve one slot of simultaneous transmissions at each listener.
+    """Resolve simultaneous transmissions at each listener, in one slot or several.
 
     Transmitter txs[i] sends bits[i] (or one bit for all) in ``slot``; the
     result holds one kind code per listener, in listener order: SILENT,
@@ -124,23 +125,57 @@ def resolve_slot(
     collide.  The k delivering listeners' noise is one ``noise.flips`` batch
     of k receptions, in listener order; silent and colliding listeners draw
     nothing.
+
+    Several slots go in one call as one slot per transmitter, ``slot[i]``,
+    and one per listener, ``listen_slots[j]``: each listener then hears only
+    the transmitters of its own slot, and is paired with no other.  The
+    result equals one single-slot call per distinct slot in ascending order,
+    each with that slot's transmitters and listeners (noise batches
+    included), put back in listener order; the hook sees each reception's
+    own slot.
     """
-    if np.ndim(slot):
-        raise ValueError(f"resolve_slot takes one slot, got {slot!r}")
     txs = np.asarray(txs, dtype=np.int64)
     listeners = np.asarray(listeners, dtype=np.int64)
-    dist = distances(positions, listeners, txs)
-    ones = np.ones(txs.size)  # counts transmitters per listener as a matrix-vector product
-    in_range = dist <= params.radius
-    heard = in_range @ ones
-    # With one transmitter in range (and delta >= 0), an interferer makes two in the guard disc.
-    delivers = (heard == 1) & ((dist < (1.0 + params.delta) * params.radius) @ ones <= 1)
-    senders = np.nonzero(in_range[delivers])[1]  # one in-range transmitter per row
-    got = np.asarray(bits, dtype=np.int64)
-    got = got[senders] if got.ndim else np.full(senders.size, got)
-    got ^= noise.flips(rng, senders.size, slot, txs[senders], listeners[delivers], history)
+    bits = np.asarray(bits, dtype=np.int64)
+    guard = (1.0 + params.delta) * params.radius
+    if np.ndim(slot) == 0 and listen_slots is None:
+        dist = distances(positions, listeners, txs)
+        ones = np.ones(txs.size)  # counts transmitters per listener as a matrix-vector product
+        in_range = dist <= params.radius
+        heard = in_range @ ones
+        # With one transmitter in range (and delta >= 0), an interferer makes two in the guard disc.
+        receivers = np.flatnonzero((heard == 1) & ((dist < guard) @ ones <= 1))
+        senders = np.nonzero(in_range[receivers])[1]  # one in-range transmitter per row
+        at = slot
+    else:
+        slot, listen_slots = np.asarray(slot), np.asarray(listen_slots)
+        if slot.shape != txs.shape or listen_slots.shape != listeners.shape:
+            raise ValueError(
+                f"resolve_slot takes one slot, or one slot per transmitter and one per "
+                f"listener; got slots of shape {slot.shape} and {listen_slots.shape} for "
+                f"{txs.size} transmitters and {listeners.size} listeners"
+            )
+        # Pair each listener with the transmitters of its slot: a run of the slot-sorted txs.
+        by_slot = np.argsort(slot, kind="stable")
+        lo = np.searchsorted(slot[by_slot], listen_slots, "left")
+        counts = np.searchsorted(slot[by_slot], listen_slots, "right") - lo
+        rows = np.repeat(np.arange(listeners.size), counts)
+        cols = by_slot[np.arange(rows.size) + np.repeat(lo - (counts.cumsum() - counts), counts)]
+        a, b = positions[listeners[rows]], positions[txs[cols]]
+        dx, dy = a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]
+        dist = np.sqrt(dx * dx + dy * dy)  # as ``distances`` rounds
+        in_range = dist <= params.radius
+        heard = np.bincount(rows[in_range], minlength=listeners.size)
+        delivers = (heard == 1) & (np.bincount(rows[dist < guard], minlength=listeners.size) <= 1)
+        hit = in_range & delivers[rows]  # one in-range transmitter per delivering listener
+        receivers, senders = rows[hit], cols[hit]
+        order = np.argsort(listen_slots[receivers], kind="stable")  # slot by slot
+        receivers, senders = receivers[order], senders[order]
+        at = listen_slots[receivers]
+    got = bits[senders] if bits.ndim else np.full(senders.size, bits)
+    got ^= noise.flips(rng, senders.size, at, txs[senders], listeners[receivers], history)
     kinds = np.minimum(heard, COLLIDED).astype(np.int64)
-    kinds[delivers] = RECEIVED + got
+    kinds[receivers] = RECEIVED + got
     return kinds
 
 
@@ -254,36 +289,24 @@ class Metrics:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One cell's transmissions in one stage-1 phase: txs[i] sends in slots[i]."""
+    """One color class's transmissions in one stage-1 phase, run-length coded:
+    txs[i] sends in the ``copies`` consecutive slots from first[i]."""
 
     phase: str
-    cell: int
-    slots: np.ndarray
     txs: np.ndarray
+    first: np.ndarray
+    copies: int
     data_dependent: bool = False
-
-
-def slot_keys(slots, txs) -> np.ndarray:
-    """Sorted int64 keys ``(slot << 32) + tx`` of (slot, tx) rows: by slot, then tx.
-
-    One sort of one key column orders the rows; node ids stay below 2**32.
-    """
-    return np.sort((np.asarray(slots, dtype=np.int64) << 32) + txs)
 
 
 @dataclass
 class Trace:
-    """Schedule capture for the obliviousness / interference audit."""
+    """Schedule capture for the obliviousness / interference audit: one stage-1
+    record per (color class, phase), in schedule order, and each stage-2
+    stage's arrays as cell tuples."""
 
     stage1: list[TraceRecord] = field(default_factory=list)
     stage2_stages: list[list[tuple[int, ...]]] = field(default_factory=list)
-
-    def stage1_keys(self, phases: tuple[str, ...]) -> np.ndarray:
-        """The slot_keys of the given phases' (slot, tx) rows, one per transmission."""
-        records = [r for r in self.stage1 if r.phase in phases]
-        return slot_keys(
-            np.concatenate([r.slots for r in records]), np.concatenate([r.txs for r in records])
-        )
 
 
 @dataclass
@@ -312,18 +335,17 @@ class Channel:
         channel's stream; an adversary's hook gets the channel as history."""
         return self.noise.flips(self.rng, shape, slots, txs, rxs, history=self)
 
-    def record(self, phase: str, cell: int, slots, txs, data_dependent: bool = False) -> None:
-        """Trace one cell's phase, txs broadcast against slots; a no-op untraced.
+    def record(self, phase: str, txs, first, copies: int, data_dependent: bool = False) -> None:
+        """Trace one color class's phase: txs[i] sends ``copies`` slots from
+        first[i], or from one first slot for all; a no-op untraced.
 
-        Arrays of one shape, such as the equal-length slices the stage-1
-        runners hold, need no broadcast and are only flattened.
+        The runners pass the arrays they build their slots from, so the trace
+        holds what ran at one row per transmitter, not one per copy.
         """
         if self.trace is not None:
-            if np.shape(slots) != np.shape(txs):
-                slots, txs = np.broadcast_arrays(slots, txs)
-            self.trace.stage1.append(
-                TraceRecord(phase, cell, np.ravel(slots), np.ravel(txs), data_dependent)
-            )
+            txs = np.asarray(txs, dtype=np.int64)
+            first = np.broadcast_to(np.asarray(first, dtype=np.int64), txs.shape)
+            self.trace.stage1.append(TraceRecord(phase, txs, first, int(copies), data_dependent))
 
     def noisy_copies(self, bit: int, count: int, tx: int, rx: int, slot0: int) -> np.ndarray:
         """The bit as seen by one receiver over ``count`` repeated slots."""

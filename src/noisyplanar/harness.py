@@ -16,8 +16,8 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from itertools import zip_longest
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -31,6 +31,7 @@ from .channel import (
     NoiseModel,
     ScheduleClass,
     Trace,
+    TraceRecord,
     color_cells,
     distances,
     resolve_slot,
@@ -487,11 +488,12 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
     cell.  One resolve_slot call per (class, phase) takes the transmitters of
     all the class's cells and the rest of their members as listeners, and
     compares the listeners' kind codes in one array operation; a violation
-    names one cell.  Stage 2: every subslot.  Within a logical slot, the link
-    from child cell j fires in the subslot given by j's color in the reuse
-    coloring (upward; downward subslots are a disjoint second bank), so one
-    subslot's link transmitters and receivers are one call's transmitters
-    and listeners.
+    names one cell.  Stage 2: every subslot, one resolve_slot call per stage.
+    Within a logical slot, the link from child cell j fires in the subslot
+    given by j's color in the reuse coloring (upward; downward subslots are a
+    disjoint second bank), so each link's transmitter sends, and its receiver
+    listens, in that subslot.  A violation names one subslot's failed links,
+    the subslots in the order of their first link.
     """
     params, grid = run.params, run.grid
     positions = run.instance.positions
@@ -518,22 +520,60 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
                 )
 
     color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
-    centers = grid.centers.tolist()
     for si, stage in enumerate(run.plan.stages):
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for array in stage.arrays:
-            for child, parent in zip(array.cells, array.cells[1:]):
-                groups.setdefault(color_of[child], []).append(
-                    (centers[child - 1], centers[parent - 1])
-                )
-        for subslot, links in groups.items():
-            txs, rxs = np.array(links).T
-            kinds = resolve_slot(subslot, txs, 0, rxs, positions, params, noiseless, rng)
-            bad = [f"{tx}->{rx}" for (tx, rx), k in zip(links, kinds.tolist()) if k < RECEIVED]
-            if bad:
+        links = [(c, p) for array in stage.arrays for c, p in zip(array.cells, array.cells[1:])]
+        subslots = np.array([color_of[c] for c, _ in links], dtype=np.int64)
+        txs, rxs = grid.centers[np.array(links, dtype=np.int64).reshape(-1, 2).T - 1]
+        kinds = resolve_slot(
+            subslots, txs, 0, rxs, positions, params, noiseless, rng, listen_slots=subslots
+        )
+        failed = kinds < RECEIVED
+        if not failed.any():
+            continue
+        for subslot in dict.fromkeys(subslots.tolist()):  # in the order of their first link
+            bad = failed & (subslots == subslot)
+            if bad.any():
+                named = ", ".join(f"{tx}->{rx}" for tx, rx in zip(txs[bad], rxs[bad]))
                 report.collision_violations.append(
-                    f"stage {si} subslot {subslot}: links {', '.join(bad)} did not deliver"
+                    f"stage {si} subslot {subslot}: links {named} did not deliver"
                 )
+
+
+def _columns(records: list[TraceRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The txs, first and per-row copies columns of run-length records, end to end."""
+    if not records:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    return (
+        np.concatenate([r.txs for r in records]),
+        np.concatenate([r.first for r in records]),
+        np.repeat([r.copies for r in records], [r.txs.size for r in records]),
+    )
+
+
+def _row_keys(records: list[TraceRecord]) -> np.ndarray:
+    """(slot << 32) + tx for every (slot, tx) row of run-length records."""
+    keys = [((r.first[:, None] + np.arange(r.copies)) << 32) + r.txs[:, None] for r in records]
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [k.ravel() for k in keys])
+
+
+def _slots_off_schedule(traced: list[TraceRecord], schedule: list[TraceRecord]) -> list[int]:
+    """The first three slots whose (slot, tx) rows differ, as multisets, between
+    two lists of run-length records; [] when the rows agree.
+
+    Equal columns mean equal rows.  Otherwise a record equal to the one in the
+    same place of the other list cancels it, and only the rest expand to rows.
+    """
+    if all(map(np.array_equal, _columns(traced), _columns(schedule))):
+        return []
+    unequal = [
+        (a, b)
+        for a, b in zip_longest(traced, schedule)
+        if a is None or b is None or not all(map(np.array_equal, _columns([a]), _columns([b])))
+    ]
+    keys = [_row_keys([r for r in side if r is not None]) for side in zip(*unequal)]
+    values, where = np.unique(np.concatenate(keys), return_inverse=True)
+    net = np.bincount(where, weights=np.repeat([1, -1], [k.size for k in keys]))
+    return np.unique(values[net != 0] >> 32)[:3].tolist()
 
 
 def validate_run(run: TrialRun) -> AuditReport:
@@ -544,14 +584,16 @@ def validate_run(run: TrialRun) -> AuditReport:
     data-dependent confirmation slots are the documented exception.
     audit_coloring prunes same-class cell pairs by their bounding boxes
     before the exact member check, and the slot replay resolves each class's
-    replayed phase in one call; (b) the trace's discovery, identity and
-    counting rows equal stage1_schedule, compared as sorted slot_keys and
-    decoded back to name the first differing slots, and its stage-2 arrays
-    equal the plan's; (c) the energy counters satisfy their defining
-    identities, the stage-1 transmissions equal the trace's rows, and the
-    stage-1 slots, stage-2 slots and stage-2 transmissions match their
-    closed-form accounting identities.  It audits the traced run alone: no
-    second trial.
+    replayed phase, and each stage-2 stage, in one call; (b) the trace's
+    discovery, identity and counting records equal stage1_schedule's
+    run-length records, compared as concatenated txs, first-slot and copies
+    columns -- only on a mismatch are the unequal records expanded to
+    (slot, tx) rows, to name the first differing slots -- and its stage-2
+    arrays equal the plan's; (c) the energy counters satisfy their defining
+    identities, the stage-1 transmissions equal the trace's copies summed
+    over its transmitters, and the stage-1 slots, stage-2 slots and stage-2
+    transmissions match their closed-form accounting identities.  It audits
+    the traced run alone: no second trial.
     """
     if run.channel.trace is None:
         raise ValueError("validate_run needs a trial executed with capture_trace=True")
@@ -564,13 +606,13 @@ def validate_run(run: TrialRun) -> AuditReport:
     )
     _replay_slots(run, layout, report)
 
-    traced = run.channel.trace.stage1_keys(("discovery", "identity", "hist_count"))
+    trace = run.channel.trace
+    traced = [r for r in trace.stage1 if r.phase in ("discovery", "identity", "hist_count")]
     schedule = stage1_schedule(run.grid, layout, run.stage1_config, run.config.protocol)
-    if not np.array_equal(traced, schedule):
-        a, b = Counter(traced.tolist()), Counter(schedule.tolist())
-        slots = sorted({key >> 32 for key in (a - b) + (b - a)})[:3]
+    slots = _slots_off_schedule(traced, schedule)
+    if slots:
         report.obliviousness_violations.append(f"stage-1 rows off the schedule at slots {slots}")
-    if run.channel.trace.stage2_stages != [[a.cells for a in s.arrays] for s in run.plan.stages]:
+    if trace.stage2_stages != [[a.cells for a in s.arrays] for s in run.plan.stages]:
         report.obliviousness_violations.append("stage-2 array structure differs from the plan")
 
     m = run.metrics
@@ -579,7 +621,7 @@ def validate_run(run: TrialRun) -> AuditReport:
         report.energy_violations.append("em1/em2 do not match their defining identities")
     slots2, tx2 = stage2_cost(run.plan, run.params, run.link_config, run.config.protocol)
     for name, counted, expected in (
-        ("stage-1 transmissions", m.tx_stage1, sum(r.txs.size for r in run.channel.trace.stage1)),
+        ("stage-1 transmissions", m.tx_stage1, sum(r.copies * r.txs.size for r in trace.stage1)),
         ("stage-1 slots", m.slots_stage1, sum(span for _, _, span, _ in layout)),
         ("stage-2 slots", m.slots_stage2, slots2),
         ("stage-2 transmissions", m.tx_stage2, tx2),

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, ScheduleClass, slot_keys
+from .channel import Channel, ScheduleClass, TraceRecord
 from .coding import BlockCode, RepetitionScheme, smallest_odd_at_least
 from .geometry import Cell, CellGrid
 
@@ -145,22 +144,15 @@ class Stage1Result:
     counts: dict[int, int] = field(default_factory=dict)
 
 
-def _repeat_slots(sizes: np.ndarray, first, reps: int) -> np.ndarray:
-    """reps slots per member from ``first`` (scalar or per member), a cell's members in turn."""
-    shift = first - reps * (sizes.cumsum() - sizes).repeat(sizes)
-    return np.arange(shift.size * reps).reshape(-1, reps) + shift[:, None]
-
-
-def _record_cells(channel: Channel, phase: str, cells, slots, txs, ends, data_dependent=False):
-    """One trace record per cell: cells[i] owns rows ends[i - 1]:ends[i] of the
-    flat, equal-length slots and txs."""
-    ends = ends.tolist()
-    for j, lo, hi in zip(cells, [0] + ends, ends):
-        channel.record(phase, j, slots[lo:hi], txs[lo:hi], data_dependent)
+def _member_firsts(sizes: np.ndarray, first, reps: int) -> np.ndarray:
+    """Each member's first slot when the members of each cell send reps slots
+    each in turn from ``first`` (scalar or per member); member i's slots are
+    first[i] + arange(reps)."""
+    return first + reps * (np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes))
 
 
 def _majority_at_center(
-    cells: Sequence[int], members, sizes, centers, reps: int, phase: str, channel: Channel, slot0
+    members, sizes, centers, reps: int, phase: str, channel: Channel, slot0
 ) -> np.ndarray:
     """Per-member repetition to each cell's center, the cells in lockstep.
 
@@ -168,21 +160,21 @@ def _majority_at_center(
     transmit their bit in ascending id order, reps consecutive slots each from
     slot0, for exactly reps * N transmissions.  The center majority-decodes
     every member; its own broadcasts are noiseless to itself.  Noise is drawn
-    in one call, cell by cell, member by member, copy by copy, and each cell
-    gets one trace record.  Returns the members' decoded bits.
+    in one call, cell by cell, member by member, copy by copy, and the cells
+    get one trace record.  Returns the members' decoded bits.
     """
     centers = centers.repeat(sizes)
-    slots = _repeat_slots(sizes, slot0, reps)
+    firsts = _member_firsts(sizes, slot0, reps)
+    slots = lambda: firsts[:, None] + np.arange(reps)  # built only for an adversary's hook
     bits = channel.instance.bits[members]
-    flips = channel.flip_mask(slots.shape, slots=slots, txs=members[:, None], rxs=centers[:, None])
+    flips = channel.flip_mask(
+        (members.size, reps), slots=slots, txs=members[:, None], rxs=centers[:, None]
+    )
     decoded = bits ^ (flips.sum(axis=1) > reps // 2)
     is_center = members == centers
     decoded[is_center] = bits[is_center]
 
-    if channel.trace is not None:
-        _record_cells(
-            channel, phase, cells, slots.ravel(), members.repeat(reps), reps * sizes.cumsum()
-        )
+    channel.record(phase, members, firsts, reps)
     channel.metrics.add("stage1", tx=reps * members.size, rx=reps * int(sizes.dot(sizes - 1)))
     return decoded
 
@@ -197,7 +189,7 @@ def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0:
     """
     members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
     decoded = _majority_at_center(
-        [cell.index], members, sizes, centers, config.c_rep, "discovery", channel, slot0
+        members, sizes, centers, config.c_rep, "discovery", channel, slot0
     )
     ones = np.flatnonzero(decoded == 1)
     return int(members[ones[0]]) if len(ones) else int(members[0])
@@ -228,7 +220,7 @@ def distribute_identity(
     )
     believes[members == cell.center] = witness == cell.center
 
-    channel.record("identity", cell.index, slots, cell.center)
+    channel.record("identity", [cell.center], slot0, length)
     channel.metrics.add("stage1", tx=length, rx=length * (n_members - 1))
     return [int(m) for m in members[believes]]
 
@@ -257,9 +249,7 @@ def confirm_value(
     else:
         value = 0  # silence or wall-to-wall collisions: every slot is an erasure
 
-    slots = slot0 + np.arange(config.r2)
-    txs = np.array(believers, dtype=np.int64)[:, None]
-    channel.record("confirmation", cell.index, slots, txs, data_dependent=True)
+    channel.record("confirmation", believers, slot0, config.r2, data_dependent=True)
     channel.metrics.add(
         "stage1",
         tx=config.r2 * n_believers,
@@ -291,25 +281,27 @@ def stage1_layout(
     return layout
 
 
-def stage1_schedule(grid: CellGrid, layout, config: Stage1Config, protocol: str) -> np.ndarray:
-    """The sorted slot_keys of the data-independent stage-1 phases of a stage1_layout.
+def stage1_schedule(
+    grid: CellGrid, layout, config: Stage1Config, protocol: str
+) -> list[TraceRecord]:
+    """The records a run of this stage1_layout leaves for its data-independent phases.
 
-    Every cell starts at its class's first slot.  MAX discovery and histogram
-    counting send the members in id order, c_rep or r2 slots each; MAX
-    identity sends the center for block_len slots from the identity slot.
-    The (slot, tx) rows of all cells are built at once.
+    One run-length record per (class, phase), class by class in layout order:
+    MAX discovery then identity, or histogram counting.  Every cell starts at
+    its class's first slot.  MAX discovery and histogram counting send the
+    members in id order, c_rep or r2 slots each; MAX identity sends each
+    center for block_len slots from the identity slot.
     """
-    reps = config.c_rep if protocol == "max" else config.r2
-    members, sizes, centers = grid.gather([j for cls, *_ in layout for j in cls.cells])
-    per_class = [len(cls.cells) for cls, *_ in layout]
-    first = np.repeat(np.repeat([base for _, base, _, _ in layout], per_class), sizes)
-    slots = [_repeat_slots(sizes, first, reps)]
-    txs = [np.repeat(members, reps)]
-    if protocol == "max":
-        id_bases = [config.phase_slots(base, max_members)[1] for _, base, _, max_members in layout]
-        slots.append(np.repeat(id_bases, per_class)[:, None] + np.arange(config.block_len))
-        txs.append(np.repeat(centers, config.block_len))
-    return slot_keys(np.concatenate([s.ravel() for s in slots]), np.concatenate(txs))
+    reps, phase = (config.c_rep, "discovery") if protocol == "max" else (config.r2, "hist_count")
+    records = []
+    for cls, base, _, max_members in layout:
+        members, sizes, centers = grid.gather(cls.cells)
+        records.append(TraceRecord(phase, members, _member_firsts(sizes, base, reps), reps))
+        if protocol == "max":
+            id_base = config.phase_slots(base, max_members)[1]
+            first = np.full(centers.size, id_base)
+            records.append(TraceRecord("identity", centers, first, config.block_len))
+    return records
 
 
 def run_stage1_max(
@@ -326,7 +318,7 @@ def run_stage1_max(
     by cell, with one draw per (class, phase).  Discovery and identity draw
     for every member of the class; confirmation draws r2 copies for each
     cell whose single believer is not its center.  Every phase leaves one
-    trace record per cell, the class's records phase by phase.
+    run-length trace record per class, the class's records phase by phase.
     """
     result = Stage1Result()
     code, length, r2 = config.id_code, config.block_len, config.r2
@@ -340,7 +332,7 @@ def run_stage1_max(
 
         # Discovery: the least member decoded as 1, else the least member.
         decoded = _majority_at_center(
-            cls.cells, members, sizes, centers, config.c_rep, "discovery", channel, base
+            members, sizes, centers, config.c_rep, "discovery", channel, base
         )
         first_one = np.minimum.reduceat(np.where(decoded == 1, rows, members.size), starts)
         pick = np.where(first_one == members.size, starts, first_one)
@@ -384,14 +376,8 @@ def run_stage1_max(
         )
 
         if channel.trace is not None:
-            _record_cells(
-                channel, "identity", cls.cells, np.tile(id_slots, cells),
-                centers.repeat(length), length * np.arange(1, cells + 1),
-            )
-            _record_cells(
-                channel, "confirmation", cls.cells, np.tile(confirm_slots, n_believers.sum()),
-                members[believes].repeat(r2), r2 * n_believers.cumsum(), data_dependent=True,
-            )
+            channel.record("identity", centers, id_base, length)
+            channel.record("confirmation", members[believes], confirm_base, r2, data_dependent=True)
         result.witnesses.update(zip(cls.cells, witnesses.tolist()))
         result.values.update(zip(cls.cells, values.tolist()))
     return result
@@ -414,7 +400,7 @@ def run_stage1_hist(
     for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
         members, sizes, centers = grid.gather(cls.cells)
         decoded = _majority_at_center(
-            cls.cells, members, sizes, centers, config.r2, "hist_count", channel, base
+            members, sizes, centers, config.r2, "hist_count", channel, base
         )
         counts = np.add.reduceat(decoded, np.cumsum(sizes) - sizes, dtype=np.int64)
         result.counts.update(zip(cls.cells, counts.tolist()))

@@ -1,8 +1,9 @@
-"""Shared fixtures: hand-built worlds with known layouts."""
+"""Shared fixtures: hand-built worlds with known layouts, and the stage-1 row oracle."""
 
 import numpy as np
 import pytest
 
+from noisyplanar.channel import resolve_slot
 from noisyplanar.geometry import CellGrid, DerivedParams, NetworkInstance
 
 
@@ -42,6 +43,51 @@ def make_hand_world(m: int, sink_cell: int | None = None, delta: float = 0.5):
         link_slot_span=36,
     )
     return instance, grid, params
+
+
+def slot_keys(slots, txs) -> np.ndarray:
+    """Sorted int64 keys ``(slot << 32) + tx`` of (slot, tx) rows: by slot, then tx.
+
+    One sort of one key column orders the rows; node ids stay below 2**32.
+    """
+    return np.sort((np.asarray(slots, dtype=np.int64) << 32) + txs)
+
+
+def stage1_keys(records, phases: tuple[str, ...]) -> np.ndarray:
+    """The slot_keys of the given phases' (slot, tx) rows, one per transmission:
+    each run-length record expanded to its copies consecutive slots per tx."""
+    records = [r for r in records if r.phase in phases]
+    return slot_keys(
+        np.concatenate([np.ravel(r.first[:, None] + np.arange(r.copies)) for r in records]),
+        np.concatenate([np.repeat(r.txs, r.copies) for r in records]),
+    )
+
+
+def schedule_per_cell(grid, layout, config, protocol):
+    """The per-cell schedule loop: the reference for stage1_schedule."""
+    reps = config.c_rep if protocol == "max" else config.r2
+    rows = []
+    for cls, base, _, max_members in layout:
+        id_slots = config.phase_slots(base, max_members)[1] + np.arange(config.block_len)
+        for cell in map(grid.cell, cls.cells):
+            rows.append((base + np.arange(cell.size * reps), np.repeat(cell.members, reps)))
+            if protocol == "max":
+                rows.append((id_slots, np.full(config.block_len, cell.center)))
+    return slot_keys(*(np.concatenate(column) for column in zip(*rows)))
+
+
+def slot_by_slot(slots, txs, bits, listeners, listen_slots, *args, history=None):
+    """One single-slot resolve_slot call per distinct listening slot, in ascending
+    order, put back in listener order: the reference for a several-slot call."""
+    slots, txs, bits = np.asarray(slots), np.asarray(txs), np.asarray(bits)
+    listeners, listen_slots = np.asarray(listeners), np.asarray(listen_slots)
+    kinds = np.full(listeners.size, -1)
+    for slot in np.unique(listen_slots).tolist():
+        on, hears = slots == slot, listen_slots == slot
+        kinds[hears] = resolve_slot(
+            slot, txs[on], bits[on] if bits.ndim else bits, listeners[hears], *args, history=history
+        )
+    return kinds
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from noisyplanar.channel import (
 )
 from noisyplanar.geometry import assign_cells, derive_params, place_nodes
 
-from conftest import make_hand_world
+from conftest import make_hand_world, slot_by_slot, stage1_keys
 
 
 class TestFlip:
@@ -93,8 +93,8 @@ class TestResolveSlot:
         assert out.tolist() == [RECEIVED + 1, RECEIVED + 1]
 
     def test_rejects_multi_slot_event_sets(self):
-        # One call resolves one slot: a slot array stands for transmissions
-        # spread over several slots and is refused.
+        # A slot array stands for transmissions spread over several slots, and
+        # without a slot per listener it says nothing of who listens when.
         pos = _layout((0.5, 0.5), (0.6, 0.5))
         for slots in ([0, 1], np.array([0, 1]), np.array([3])):
             with pytest.raises(ValueError):
@@ -212,6 +212,79 @@ class TestReceptionRuleAgainstReference:
         assert calls["ours"] and calls["ours"] == calls["theirs"]
 
 
+def _several_slots(rng, nodes=14, max_events=8):
+    """A _random_slot layout whose transmitters and listeners spread over slots
+    3, 5 and 8 (listeners also over 9, where nobody sends), as (positions,
+    slots, transmitters, bits, listeners, listening slots)."""
+    positions, txs, bits = _random_slot(rng, nodes, max_events)
+    slots = rng.choice([3, 5, 8], size=len(txs))
+    listeners = rng.integers(nodes, size=int(rng.integers(nodes + 1)))  # repeats allowed
+    listen_slots = rng.choice([3, 5, 8, 9], size=listeners.size)
+    return positions, slots, txs, bits, listeners, listen_slots
+
+
+class TestSeveralSlotsPerCall:
+    @pytest.mark.parametrize("eps0", [0.0, 0.3])
+    def test_equals_one_call_per_distinct_slot(self, eps0):
+        params = derive_params(5000, 0.5)
+        layouts = np.random.default_rng(12)
+        kinds = set()
+        for _ in range(300):
+            pos, slots, txs, bits, listeners, listen_slots = _several_slots(layouts)
+            seed = int(layouts.integers(1 << 30))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            noise = NoiseModel(eps0)
+            got = resolve_slot(
+                slots, txs, bits, listeners, pos, params, noise, ours, listen_slots=listen_slots
+            )
+            want = slot_by_slot(
+                slots, txs, bits, listeners, listen_slots, pos, params, noise, theirs
+            )
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            kinds |= {min(k, RECEIVED) for k in got.tolist()}
+        assert kinds == {RECEIVED, COLLIDED, SILENT}
+
+    def test_adversary_sees_each_receptions_own_slot(self):
+        params = derive_params(5000, 0.5)
+        layouts = np.random.default_rng(13)
+        calls = {"ours": [], "theirs": []}
+
+        def model(log):
+            hook = lambda slot, tx, rx, history: log.append((slot, tx, rx, history)) or 0.2
+            return NoiseModel(0.25, mode="adversarial", adversary=hook)
+
+        for _ in range(200):
+            pos, slots, txs, bits, listeners, listen_slots = _several_slots(layouts)
+            seed = int(layouts.integers(1 << 30))
+            start = len(calls["ours"])
+            got = resolve_slot(
+                slots, txs, bits, listeners, pos, params, model(calls["ours"]),
+                np.random.default_rng(seed), history="h", listen_slots=listen_slots,
+            )
+            want = slot_by_slot(
+                slots, txs, bits, listeners, listen_slots, pos, params, model(calls["theirs"]),
+                np.random.default_rng(seed), history="h",
+            )
+            assert got.tolist() == want.tolist()
+            slot_of = dict(zip(txs, slots.tolist()))
+            for slot, tx, rx, _ in calls["ours"][start:]:
+                assert slot == slot_of[tx] and slot in listen_slots[listeners == rx]
+        assert calls["ours"] == calls["theirs"]
+        assert len({slot for slot, *_ in calls["ours"]}) == 3
+
+    def test_a_slot_per_transmitter_needs_a_slot_per_listener(self):
+        params = derive_params(5000, 0.5)
+        pos = _layout((0.5, 0.5), (0.6, 0.5))
+        rng = np.random.default_rng(0)
+        for listen_slots in (None, 0, [0, 1]):
+            with pytest.raises(ValueError):
+                resolve_slot(
+                    [0, 1], [0, 1], 1, [0], pos, params, NoiseModel(0.0), rng,
+                    listen_slots=listen_slots,
+                )
+
+
 class TestDistances:
     @pytest.mark.parametrize("scale", [1e-6, 0.01, 1.0, 100.0])
     @pytest.mark.parametrize("nodes", [2, 40, 3000])
@@ -320,15 +393,16 @@ class TestMetrics:
 class TestTrace:
     def test_records_broadcast_and_slot_map_sorts_the_chosen_phases(self):
         ch = Channel(place_nodes(16, seed=0), None, NoiseModel(0.0), np.random.default_rng(0))
-        ch.record("identity", 0, np.array([5, 6]), 3)  # untraced: nothing to write
+        ch.record("identity", [3], 5, 2)  # untraced: nothing to write
         ch.trace = Trace()
-        ch.record("identity", 0, np.array([5, 6]), 3)
-        ch.record("discovery", 1, np.array([[5], [2]]), np.array([[1], [9]]))
-        ch.record("confirmation", 0, np.array([1]), np.array([[4]]), data_dependent=True)
-        assert [(r.phase, r.txs.tolist()) for r in ch.trace.stage1] == [
-            ("identity", [3, 3]),
-            ("discovery", [1, 9]),
-            ("confirmation", [4]),
+        ch.record("identity", [3], 5, 2)
+        ch.record("discovery", np.array([1, 9]), np.array([5, 2]), 1)
+        ch.record("confirmation", [4], 1, 1, data_dependent=True)
+        assert [(r.phase, r.txs.tolist(), r.first.tolist(), r.copies) for r in ch.trace.stage1] == [
+            ("identity", [3], [5], 2),
+            ("discovery", [1, 9], [5, 2], 1),
+            ("confirmation", [4], [1], 1),
         ]
-        keys = ch.trace.stage1_keys(("discovery", "identity"))
+        assert [r.data_dependent for r in ch.trace.stage1] == [False, False, True]
+        keys = stage1_keys(ch.trace.stage1, ("discovery", "identity"))
         assert keys.tolist() == [(slot << 32) + tx for slot, tx in [(2, 9), (5, 1), (5, 3), (6, 3)]]

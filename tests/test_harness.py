@@ -42,6 +42,8 @@ from noisyplanar.harness import (
 from noisyplanar.intracell import stage1_layout, stage1_schedule
 from noisyplanar.oracle import oracle
 
+from conftest import schedule_per_cell, slot_by_slot, slot_keys, stage1_keys
+
 
 class TestOracle:
     def test_all_zero(self):
@@ -243,16 +245,57 @@ class TestValidateRun:
         trace.stage1[i] = replace(record, txs=record.txs + 1)
         audit = validate_run(run)
         assert audit.energy_exact and not audit.oblivious
-        assert f"at slots {record.slots[:3].tolist()}" in audit.obliviousness_violations[0]
+        slots = (record.first[0] + np.arange(3)).tolist()
+        assert f"at slots {slots}" in audit.obliviousness_violations[0]
+
+    @staticmethod
+    def off_schedule(record, changed):
+        """The first three slots whose (slot, tx) rows differ between two records."""
+        a, b = stage1_keys([record], (record.phase,)), stage1_keys([changed], (record.phase,))
+        differ = np.setxor1d(a, b)  # a record's rows are distinct
+        return np.unique(differ >> 32)[:3].tolist()
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_wrong_copies_names_the_first_differing_slots(self, delta):
+        # One more or one fewer copy per member of the first discovery
+        # record: each member's last slot is added or dropped.
+        cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
+        run = run_trial(cfg, 400, 0, capture_trace=True)
+        trace, c_rep = run.channel.trace, run.stage1_config.c_rep
+        record = trace.stage1[0]
+        assert record.phase == "discovery" and record.copies == c_rep
+        trace.stage1[0] = changed = replace(record, copies=c_rep + delta)
+        base = int(record.first[0])
+        last = c_rep if delta > 0 else c_rep - 1  # offset from a member's first slot
+        slots = [base + last + k * c_rep for k in range(3)]
+        assert self.off_schedule(record, changed) == slots
+        audit = validate_run(run)
+        assert not audit.oblivious
+        assert audit.obliviousness_violations == [f"stage-1 rows off the schedule at slots {slots}"]
+        assert audit.energy_violations[0].startswith("stage-1 transmissions")
+
+    def test_wrong_first_on_one_member_names_its_slots(self):
+        cfg = ExperimentConfig(protocol="hist", n=(400,), trials=1)
+        run = run_trial(cfg, 400, 0, capture_trace=True)
+        trace, r2 = run.channel.trace, run.stage1_config.r2
+        record = trace.stage1[1]
+        first = record.first.copy()
+        first[4] += 1  # the fifth member starts, and ends, one slot late
+        trace.stage1[1] = changed = replace(record, first=first)
+        slots = [int(record.first[4]), int(record.first[4]) + r2]
+        assert self.off_schedule(record, changed) == slots
+        audit = validate_run(run)
+        assert audit.energy_exact and not audit.oblivious
+        assert audit.obliviousness_violations == [f"stage-1 rows off the schedule at slots {slots}"]
 
     def test_schedule_shifted_in_every_run_is_caught(self, monkeypatch):
         # Every run records its identity slots one late, so a second run
         # would agree with this one; the layout's schedule does not.
         record = Channel.record
 
-        def late_identity(self, phase, cell, slots, txs, data_dependent=False):
-            slots = slots + 1 if phase == "identity" else slots
-            record(self, phase, cell, slots, txs, data_dependent)
+        def late_identity(self, phase, txs, first, copies, data_dependent=False):
+            first = np.add(first, 1) if phase == "identity" else first
+            record(self, phase, txs, first, copies, data_dependent)
 
         monkeypatch.setattr(Channel, "record", late_identity)
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
@@ -286,10 +329,11 @@ class TestValidateRun:
         assert np.array_equal(flipped.instance.positions, run.instance.positions)
         assert np.array_equal(flipped.instance.bits, 1 - bits)
         layout = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
-        schedule = stage1_schedule(run.grid, layout, run.stage1_config, protocol)
         phases = ("discovery", "identity", "hist_count")
+        records = stage1_schedule(run.grid, layout, run.stage1_config, protocol)
+        schedule = stage1_keys(records, phases)
         for r in (run, flipped):
-            assert np.array_equal(r.channel.trace.stage1_keys(phases), schedule)
+            assert np.array_equal(stage1_keys(r.channel.trace.stage1, phases), schedule)
         assert flipped.channel.trace.stage2_stages == run.channel.trace.stage2_stages
 
         def second_trial(*args, **kwargs):
@@ -298,13 +342,32 @@ class TestValidateRun:
         monkeypatch.setattr(hz, "run_trial", second_trial)
         assert validate_run(run).passed and validate_run(flipped).passed
 
+    @pytest.mark.parametrize("n", [400, 2000, 8000])
     @pytest.mark.parametrize("protocol", ["max", "hist"])
-    def test_trace_holds_one_record_per_cell_and_phase(self, protocol):
-        cfg = ExperimentConfig(protocol=protocol, n=(800,), trials=1, eps0=0.1)
-        run = run_trial(cfg, 800, 0, capture_trace=True)
-        phases = ("discovery", "identity", "confirmation") if protocol == "max" else ("hist_count",)
-        keys = sorted((r.cell, r.phase) for r in run.channel.trace.stage1)
-        assert keys == sorted((c.index, phase) for c in run.grid for phase in phases)
+    def test_trace_expands_to_the_per_cell_schedule(self, protocol, n):
+        # Noiseless, so every cell's single believer is its witness and the
+        # confirmation rows follow from the witnesses.
+        cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=0.0)
+        run = run_trial(cfg, n, 0, capture_trace=True)
+        records, s1cfg = run.channel.trace.stage1, run.stage1_config
+        phases = ["discovery", "identity", "confirmation"] if protocol == "max" else ["hist_count"]
+        assert [r.phase for r in records] == phases * len(run.coloring)  # one per (class, phase)
+        flags = [phase == "confirmation" for phase in phases]
+        assert [r.data_dependent for r in records] == flags * len(run.coloring)
+        layout = stage1_layout(run.grid, run.coloring, s1cfg, protocol)
+        oblivious = ("discovery", "identity", "hist_count")
+        assert np.array_equal(
+            stage1_keys(records, oblivious), schedule_per_cell(run.grid, layout, s1cfg, protocol)
+        )
+        if protocol == "max":
+            rows = [
+                (s1cfg.phase_slots(base, max_members)[2] + np.arange(s1cfg.r2),
+                 np.full(s1cfg.r2, run.stage1.witnesses[j]))
+                for cls, base, _, max_members in layout
+                for j in cls.cells
+            ]
+            want = slot_keys(*(np.concatenate(column) for column in zip(*rows)))
+            assert np.array_equal(stage1_keys(records, ("confirmation",)), want)
 
     def test_confirmation_slots_are_exempt(self):
         # Flipping every data bit changes the confirmation transmitters but
@@ -550,8 +613,35 @@ class TestReplayIsArrayLevel:
         )
         assert subslots > 0
         per_class = 2 if protocol == "max" else 1
-        assert len(returned) == per_class * len(run.coloring) + subslots
+        assert len(returned) == per_class * len(run.coloring) + len(run.plan.stages)
+        assert len(run.plan.stages) < subslots
         assert set(returned) == {np.ndarray}
+
+    @pytest.mark.parametrize("eps0", [0.0, 0.3])
+    def test_stage_call_equals_one_call_per_subslot(self, eps0):
+        # The moved-child fixture: an array's first cell moved into its
+        # parent's class, so two links of one stage share a subslot.
+        cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
+        run = run_trial(cfg, 1000, 0, capture_trace=True)
+        color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
+        array = next(a.cells for st in run.plan.stages for a in st.arrays if len(a.cells) >= 3)
+        color_of[array[0]] = color_of[array[1]]
+        rng = np.random.default_rng(3)
+        failed = 0
+        for stage in run.plan.stages:
+            links = [(c, p) for a in stage.arrays for c, p in zip(a.cells, a.cells[1:])]
+            subslots = np.array([color_of[c] for c, _ in links])
+            txs, rxs = run.grid.centers[np.array(links).T - 1]
+            bits = rng.integers(2, size=len(links))
+            seed = int(rng.integers(1 << 30))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            world = (run.instance.positions, run.params, NoiseModel(eps0))
+            got = resolve_slot(subslots, txs, bits, rxs, *world, ours, listen_slots=subslots)
+            want = slot_by_slot(subslots, txs, bits, rxs, subslots, *world, theirs)
+            assert got.tolist() == want.tolist()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            failed += int((got < RECEIVED).sum())
+        assert failed >= 2
 
 
 class TestCli:

@@ -12,7 +12,6 @@ from noisyplanar.channel import (
     ScheduleClass,
     Trace,
     color_cells,
-    slot_keys,
 )
 from noisyplanar.coding import BlockCode, RepetitionScheme
 from noisyplanar.geometry import (
@@ -34,6 +33,8 @@ from noisyplanar.intracell import (
     stage1_schedule,
     witness_discovery,
 )
+
+from conftest import schedule_per_cell, stage1_keys
 
 
 def make_cell_world(bits, eps0=0.0, seed=0, msg_bits=4):
@@ -285,11 +286,23 @@ def hist_per_cell(grid, coloring, config, channel):
             flips = channel.flip_mask((n_members, reps), slots=slots, txs=txs, rxs=cell.center)
             decoded = (bits ^ (flips.sum(axis=1) > reps // 2)).astype(np.int8)
             decoded[members == cell.center] = bits[members == cell.center]
-            channel.record("hist_count", j, slots, txs)
+            channel.record("hist_count", members, slots[:, 0], reps)
             channel.metrics.add("stage1", tx=reps * n_members, rx=reps * n_members * (n_members - 1))
             counts[j] = int(decoded.sum())
         channel.metrics.add("stage1", slots=span)
     return counts
+
+
+def traced_rows(trace):
+    """Each traced phase's (slot, tx) rows as sorted keys, with the phase's
+    data-dependence flags: what ran, whatever the records' grouping."""
+    return {
+        phase: (
+            stage1_keys(trace.stage1, (phase,)).tolist(),
+            {r.data_dependent for r in trace.stage1 if r.phase == phase},
+        )
+        for phase in dict.fromkeys(r.phase for r in trace.stage1)
+    }
 
 
 class TestHistClassBatching:
@@ -306,12 +319,11 @@ class TestHistClassBatching:
             channel.trace = Trace()
             if count == "batched":
                 counts = run_stage1_hist(grid, coloring, config, channel).counts
+                # one record per (class, phase)
+                assert [r.phase for r in channel.trace.stage1] == ["hist_count"] * len(coloring)
             else:
                 counts = hist_per_cell(grid, coloring, config, channel)
-            rows = [
-                (r.phase, r.cell, r.slots.tolist(), r.txs.tolist(), r.data_dependent)
-                for r in channel.trace.stage1
-            ]
+            rows = traced_rows(channel.trace)
             truth = {c.index: int(inst.bits[list(c.members)].sum()) for c in grid}
             out.append((
                 list(counts.items()),
@@ -326,8 +338,7 @@ class TestHistClassBatching:
     def test_batched_counting_equals_the_per_cell_loop(self, eps0, r2):
         batched, per_cell = self.count_both(eps0, r2)
         assert batched == per_cell
-        counts, _, rows, _, truth = batched
-        assert len(rows) == len(truth)  # one record per (cell, phase)
+        counts, _, _, _, truth = batched
         if r2 == 3:  # miscounts happen, so the comparison covers them
             assert any(truth[j] != c for j, c in counts)
 
@@ -400,10 +411,10 @@ class TestMaxClassBatching:
             channel.noise = noise if noise is not None else channel.noise
             channel.trace = Trace()
             result = run(grid, coloring, config, channel)
-            rows = [
-                (r.phase, r.cell, r.slots.tolist(), r.txs.tolist(), r.data_dependent)
-                for r in channel.trace.stage1
-            ]
+            if run is run_stage1_max:  # one record per (class, phase)
+                phases = [r.phase for r in channel.trace.stage1]
+                assert phases == ["discovery", "identity", "confirmation"] * len(coloring)
+            rows = traced_rows(channel.trace)
             out.append((
                 list(result.witnesses.items()),
                 list(result.values.items()),
@@ -418,8 +429,8 @@ class TestMaxClassBatching:
         (batched, reference), grid = self.run_both(2000, eps0)
         assert batched == reference
         rows = batched[3]
-        for phase in ("discovery", "identity", "confirmation"):  # one record per (cell, phase)
-            assert sorted(r[1] for r in rows if r[0] == phase) == [c.index for c in grid]
+        assert list(rows) == ["discovery", "identity", "confirmation"]
+        assert rows["confirmation"][1] == {True} and rows["identity"][1] == {False}
 
     def test_cells_without_a_one_are_compared(self):
         # With sparse bits many cells hold no 1 and name their least member.
@@ -435,7 +446,12 @@ class TestMaxClassBatching:
         assert batched == reference
         witnesses, values, _, rows, _ = batched
         witness = dict(witnesses)
-        believers = {j: sorted(set(txs)) for phase, j, _, txs, _ in rows if phase == "confirmation"}
+        cell_of = {int(m): c.index for c in grid for m in c.members}
+        believers = {c.index: set() for c in grid}
+        for key in rows["confirmation"][0]:
+            tx = key & 0xFFFFFFFF
+            believers[cell_of[tx]].add(tx)
+        believers = {j: sorted(b) for j, b in believers.items()}
         centers = {c.index: c.center for c in grid}
         assert any(believers[j] != [witness[j]] for j in believers)  # identity mis-decodes
         assert any(len(b) == 0 for b in believers.values())
@@ -465,19 +481,6 @@ class TestMaxClassBatching:
         assert batched == reference
 
 
-def schedule_per_cell(grid, layout, config, protocol):
-    """The per-cell schedule loop: the reference for stage1_schedule."""
-    reps = config.c_rep if protocol == "max" else config.r2
-    rows = []
-    for cls, base, _, max_members in layout:
-        id_slots = config.phase_slots(base, max_members)[1] + np.arange(config.block_len)
-        for cell in map(grid.cell, cls.cells):
-            rows.append((base + np.arange(cell.size * reps), np.repeat(cell.members, reps)))
-            if protocol == "max":
-                rows.append((id_slots, np.full(config.block_len, cell.center)))
-    return slot_keys(*(np.concatenate(column) for column in zip(*rows)))
-
-
 class TestStage1Schedule:
     @pytest.mark.parametrize("merged", [False, True], ids=["coloring", "merged-pairwise"])
     @pytest.mark.parametrize("protocol", ["max", "hist"])
@@ -491,7 +494,10 @@ class TestStage1Schedule:
         layout = stage1_layout(grid, coloring, config, protocol)
         assert len({c.size for c in grid}) > 3
         assert len({len(cls.cells) for cls, *_ in layout}) > 1
-        got = stage1_schedule(grid, layout, config, protocol)
+        records = stage1_schedule(grid, layout, config, protocol)
+        phases = ["discovery", "identity"] if protocol == "max" else ["hist_count"]
+        assert [r.phase for r in records] == phases * len(layout)  # one per (class, phase)
+        got = stage1_keys(records, ("discovery", "identity", "hist_count"))
         want = schedule_per_cell(grid, layout, config, protocol)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -513,5 +519,5 @@ class TestObliviousness:
         run_stage1_max(grid, coloring, config, flipped)
         phases = ("discovery", "identity")
         assert np.array_equal(
-            channel.trace.stage1_keys(phases), flipped.trace.stage1_keys(phases)
+            stage1_keys(channel.trace.stage1, phases), stage1_keys(flipped.trace.stage1, phases)
         )
