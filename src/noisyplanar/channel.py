@@ -157,8 +157,9 @@ def resolve_slot(
             )
         # Pair each listener with the transmitters of its slot: a run of the slot-sorted txs.
         by_slot = np.argsort(slot, kind="stable")
-        lo = np.searchsorted(slot[by_slot], listen_slots, "left")
-        counts = np.searchsorted(slot[by_slot], listen_slots, "right") - lo
+        runs = slot[by_slot]
+        lo = np.searchsorted(runs, listen_slots, "left")
+        counts = np.searchsorted(runs, listen_slots, "right") - lo
         rows = np.repeat(np.arange(listeners.size), counts)
         cols = by_slot[np.arange(rows.size) + np.repeat(lo - (counts.cumsum() - counts), counts)]
         a, b = positions[listeners[rows]], positions[txs[cols]]
