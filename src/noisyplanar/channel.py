@@ -128,52 +128,55 @@ def resolve_slot(
 
     Several slots go in one call as one slot per transmitter, ``slot[i]``,
     and one per listener, ``listen_slots[j]``: each listener then hears only
-    the transmitters of its own slot, and is paired with no other.  The
-    result equals one single-slot call per distinct slot in ascending order,
-    each with that slot's transmitters and listeners (noise batches
-    included), put back in listener order; the hook sees each reception's
-    own slot.
+    the transmitters of its own slot.  The result equals one single-slot call
+    per distinct slot in ascending order, put back in listener order (noise
+    batches included); the hook sees each reception's own slot.  Pairing is
+    local: a listener meets only its slot's transmitters in its own bucket
+    and the 8 around it, buckets being squares a hair wider than the reach
+    max(radius, (1 + delta) * radius).
     """
     txs = np.asarray(txs, dtype=np.int64)
     listeners = np.asarray(listeners, dtype=np.int64)
     bits = np.asarray(bits, dtype=np.int64)
-    guard = (1.0 + params.delta) * params.radius
     if np.ndim(slot) == 0 and listen_slots is None:
-        dist = distances(positions, listeners, txs)
-        ones = np.ones(txs.size)  # counts transmitters per listener as a matrix-vector product
-        in_range = dist <= params.radius
-        heard = in_range @ ones
-        # With one transmitter in range (and delta >= 0), an interferer makes two in the guard disc.
-        receivers = np.flatnonzero((heard == 1) & ((dist < guard) @ ones <= 1))
-        senders = np.nonzero(in_range[receivers])[1]  # one in-range transmitter per row
-        at = slot
-    else:
-        slot, listen_slots = np.asarray(slot), np.asarray(listen_slots)
-        if slot.shape != txs.shape or listen_slots.shape != listeners.shape:
-            raise ValueError(
-                f"resolve_slot takes one slot, or one slot per transmitter and one per "
-                f"listener; got slots of shape {slot.shape} and {listen_slots.shape} for "
-                f"{txs.size} transmitters and {listeners.size} listeners"
-            )
-        # Pair each listener with the transmitters of its slot: a run of the slot-sorted txs.
-        by_slot = np.argsort(slot, kind="stable")
-        runs = slot[by_slot]
-        lo = np.searchsorted(runs, listen_slots, "left")
-        counts = np.searchsorted(runs, listen_slots, "right") - lo
-        rows = np.repeat(np.arange(listeners.size), counts)
-        cols = by_slot[np.arange(rows.size) + np.repeat(lo - (counts.cumsum() - counts), counts)]
-        a, b = positions[listeners[rows]], positions[txs[cols]]
-        dx, dy = a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]
-        dist = np.sqrt(dx * dx + dy * dy)  # as ``distances`` rounds
-        in_range = dist <= params.radius
-        heard = np.bincount(rows[in_range], minlength=listeners.size)
-        delivers = (heard == 1) & (np.bincount(rows[dist < guard], minlength=listeners.size) <= 1)
-        hit = in_range & delivers[rows]  # one in-range transmitter per delivering listener
-        receivers, senders = rows[hit], cols[hit]
-        order = np.argsort(listen_slots[receivers], kind="stable")  # slot by slot
-        receivers, senders = receivers[order], senders[order]
-        at = listen_slots[receivers]
+        slot, listen_slots = np.full(txs.size, slot), np.full(listeners.size, slot)
+    slot, listen_slots = np.asarray(slot), np.asarray(listen_slots)
+    if slot.shape != txs.shape or listen_slots.shape != listeners.shape:
+        raise ValueError(
+            f"resolve_slot takes one slot, or one slot per transmitter and one per "
+            f"listener; got slots of shape {slot.shape} and {listen_slots.shape} for "
+            f"{txs.size} transmitters and {listeners.size} listeners"
+        )
+    if not (txs.size and listeners.size):
+        return np.full(listeners.size, SILENT, dtype=np.int64)
+    guard = (1.0 + params.delta) * params.radius
+    # Key (slot rank, bucket column, bucket row).  The slack keeps a pair at the reach from
+    # rounding two buckets apart while buckets number at most 2**20 a side; keys stay < 2**63.
+    distinct, ranks = np.unique(np.concatenate([slot, listen_slots]), return_inverse=True)
+    x, y = positions.take(np.concatenate([txs, listeners]), axis=0).T  # transmitters first
+    u, v = x - x.min(), y - y.min()
+    side = min(1 << 20, int((2.0**62 / distinct.size) ** 0.5) - 3) + 3  # with the ring around
+    width = max(max(params.radius, guard) * (1.0 + 1e-9), max(u.max(), v.max()) / (side - 3))
+    u, v = (np.array([u, v]) / (width or 1.0)).astype(np.int64)
+    keys = (ranks * side + u + 1) * side + v + 1
+    ring = np.arange(-1, 2)  # each transmitter keyed under its own bucket and the 8 around it
+    tx_keys = (keys[: txs.size, None, None] + side * ring[:, None] + ring).ravel()
+    by_key = np.argsort(tx_keys, kind="stable")
+    runs, listen_keys = tx_keys[by_key], keys[txs.size :]
+    lo = np.searchsorted(runs, listen_keys, "left")
+    counts = np.searchsorted(runs, listen_keys, "right") - lo
+    rows = np.repeat(np.arange(listeners.size), counts)
+    cols = by_key[np.arange(rows.size) + np.repeat(lo - (counts.cumsum() - counts), counts)] // 9
+    dx, dy = x[txs.size + rows] - x[cols], y[txs.size + rows] - y[cols]
+    dist = np.sqrt(dx * dx + dy * dy)  # as ``distances`` rounds
+    in_range = dist <= params.radius
+    heard = np.bincount(rows[in_range], minlength=listeners.size)
+    delivers = (heard == 1) & (np.bincount(rows[dist < guard], minlength=listeners.size) <= 1)
+    hit = np.flatnonzero(in_range & delivers[rows])  # one in-range tx per delivering listener
+    hit = hit[np.argsort(listen_slots[rows[hit]], kind="stable")]  # slot by slot
+    receivers, senders = rows[hit], cols[hit]
     got = bits[senders] if bits.ndim else np.full(senders.size, bits)
+    at = listen_slots[receivers]
     got ^= noise.flips(rng, senders.size, at, txs[senders], listeners[receivers], history)
     kinds = np.minimum(heard, COLLIDED).astype(np.int64)
     kinds[receivers] = RECEIVED + got

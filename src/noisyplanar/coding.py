@@ -367,8 +367,8 @@ class LineProtocol:
     ``rounds`` is the length of the schedule; ``corrupt`` draws the value an
     abstract-mode failure leaves at the root.
 
-    The per-round view -- ``sent_bit``, ``payload_rounds``, ``node_value``
-    and ``noiseless_run`` -- is derived from ``step`` and ``width``.
+    The per-round view -- ``sent_bit``, ``payload_rounds`` and
+    ``noiseless_run`` -- is derived from ``step`` and ``width``.
     """
 
     q: int
@@ -395,10 +395,6 @@ class LineProtocol:
         if not 0 <= k < self.width:
             return 0
         return self.step(i, self.child_value(i, child)) >> k & 1
-
-    def node_value(self, i: int, child: Sequence[int]) -> int:
-        """Node i's local result once it has its child's full round sequence."""
-        return self.step(i, self.child_value(i, child))
 
     def fold(self, errors: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
         """Per-node values and the value each link delivers, when link i

@@ -485,15 +485,15 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
 
     Stage 1: each stage1_layout class's first slot and, under MAX, its first
     identity slot, where each cell's transmitter must reach the rest of its
-    cell.  One resolve_slot call per (class, phase) takes the transmitters of
-    all the class's cells and the rest of their members as listeners, and
-    compares the listeners' kind codes in one array operation; a violation
-    names one cell.  Stage 2: every subslot, one resolve_slot call per stage.
-    Within a logical slot, the link from child cell j fires in the subslot
-    given by j's color in the reuse coloring (upward; downward subslots are a
-    disjoint second bank), so each link's transmitter sends, and its receiver
-    listens, in that subslot.  A violation names one subslot's failed links,
-    the subslots in the order of their first link.
+    cell.  One resolve_slot call per class covers its replayed phases, with
+    the transmitters of all its cells and all its members listening in each
+    phase's slot; a phase's kind codes are compared in one array operation,
+    and a violation names one cell.  Stage 2: every subslot, one resolve_slot
+    call per stage.  Within a logical slot, the link from child cell j fires
+    in the subslot given by j's color in the reuse coloring (upward; downward
+    subslots are a disjoint second bank), so each link's transmitter sends,
+    and its receiver listens, in that subslot.  A violation names one
+    subslot's failed links, the subslots in the order of their first link.
     """
     params, grid = run.params, run.grid
     positions = run.instance.positions
@@ -502,17 +502,18 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
     is_max = run.config.protocol == "max"
     for cls, base, _, max_members in layout:
         members, sizes, centers = grid.gather(cls.cells)
-        firsts = members[np.cumsum(sizes) - sizes]
-        replays = [("discovery" if is_max else "hist_count", base, firsts)]
+        replays = [("discovery" if is_max else "hist_count", base, members[sizes.cumsum() - sizes])]
         if is_max:
             id_base = run.stage1_config.phase_slots(base, max_members)[1]
             replays.append(("identity", id_base, centers))
         cell_of = np.repeat(np.arange(len(sizes)), sizes)
-        for phase, slot, txs in replays:
-            listens = members != txs[cell_of]
-            kinds = resolve_slot(slot, txs, 0, members[listens], positions, params, noiseless, rng)
-            missed = np.zeros(members.size, dtype=bool)
-            missed[listens] = kinds < RECEIVED
+        phases, slots, txs = zip(*replays)
+        kinds = resolve_slot(
+            np.repeat(slots, len(sizes)), np.concatenate(txs), 0, np.tile(members, len(slots)),
+            positions, params, noiseless, rng, listen_slots=np.repeat(slots, members.size),
+        )
+        for phase, slot, tx, got in zip(phases, slots, txs, kinds.reshape(len(slots), -1)):
+            missed = (got < RECEIVED) & (members != tx[cell_of])
             for i in dict.fromkeys(cell_of[missed].tolist()):  # ascending, as cell_of is
                 bad = members[missed & (cell_of == i)].tolist()
                 report.collision_violations.append(
@@ -584,7 +585,7 @@ def validate_run(run: TrialRun) -> AuditReport:
     data-dependent confirmation slots are the documented exception.
     audit_coloring prunes same-class cell pairs by their bounding boxes
     before the exact member check, and the slot replay resolves each class's
-    replayed phase, and each stage-2 stage, in one call; (b) the trace's
+    replayed phases, and each stage-2 stage, in one call; (b) the trace's
     discovery, identity and counting records equal stage1_schedule's
     run-length records, compared as concatenated txs, first-slot and copies
     columns -- only on a mismatch are the unequal records expanded to

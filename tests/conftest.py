@@ -1,9 +1,10 @@
-"""Shared fixtures: hand-built worlds with known layouts, and the stage-1 row oracle."""
+"""Shared fixtures: hand-built worlds with known layouts, the stage-1 row oracle,
+and the dense reception oracle."""
 
 import numpy as np
 import pytest
 
-from noisyplanar.channel import resolve_slot
+from noisyplanar.channel import COLLIDED, RECEIVED, distances, resolve_slot
 from noisyplanar.geometry import CellGrid, DerivedParams, NetworkInstance
 
 
@@ -76,15 +77,39 @@ def schedule_per_cell(grid, layout, config, protocol):
     return slot_keys(*(np.concatenate(column) for column in zip(*rows)))
 
 
-def slot_by_slot(slots, txs, bits, listeners, listen_slots, *args, history=None):
-    """One single-slot resolve_slot call per distinct listening slot, in ascending
+def dense_slot(slot, txs, bits, listeners, positions, params, noise, rng, history=None):
+    """Single-slot reception over a dense listener x transmitter distance matrix
+    across the whole square: the oracle for resolve_slot's local pairing."""
+    txs = np.asarray(txs, dtype=np.int64)
+    listeners = np.asarray(listeners, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.int64)
+    guard = (1.0 + params.delta) * params.radius
+    dist = distances(positions, listeners, txs)
+    ones = np.ones(txs.size)  # counts transmitters per listener as a matrix-vector product
+    in_range = dist <= params.radius
+    heard = in_range @ ones
+    # With one transmitter in range (and delta >= 0), an interferer makes two in the guard disc.
+    receivers = np.flatnonzero((heard == 1) & ((dist < guard) @ ones <= 1))
+    senders = np.nonzero(in_range[receivers])[1]  # one in-range transmitter per row
+    at = slot
+    got = bits[senders] if bits.ndim else np.full(senders.size, bits)
+    got ^= noise.flips(rng, senders.size, at, txs[senders], listeners[receivers], history)
+    kinds = np.minimum(heard, COLLIDED).astype(np.int64)
+    kinds[receivers] = RECEIVED + got
+    return kinds
+
+
+def slot_by_slot(
+    slots, txs, bits, listeners, listen_slots, *args, history=None, resolve=resolve_slot
+):
+    """One single-slot ``resolve`` call per distinct listening slot, in ascending
     order, put back in listener order: the reference for a several-slot call."""
     slots, txs, bits = np.asarray(slots), np.asarray(txs), np.asarray(bits)
     listeners, listen_slots = np.asarray(listeners), np.asarray(listen_slots)
     kinds = np.full(listeners.size, -1)
     for slot in np.unique(listen_slots).tolist():
         on, hears = slots == slot, listen_slots == slot
-        kinds[hears] = resolve_slot(
+        kinds[hears] = resolve(
             slot, txs[on], bits[on] if bits.ndim else bits, listeners[hears], *args, history=history
         )
     return kinds

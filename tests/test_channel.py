@@ -1,5 +1,6 @@
 """BSC flips, protocol-model slot resolution, coloring, energy accounting."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -153,6 +154,33 @@ def _random_slot(rng, nodes=14, max_events=6):
     return positions, [int(t) for t in txs], bits
 
 
+def _boundary_slots(params):
+    """Layouts at the edges of local pairing, each with several transmitter sets,
+    as (positions, transmitters, their bits): nodes exactly on bucket edges,
+    pairs exactly at the radius and at the guard radius and one ulp either
+    side, coordinates below 0 and above 1, and clusters many buckets apart."""
+    r = params.radius
+    g = (1.0 + params.delta) * r
+    width = max(r, g) * (1.0 + 1e-9)  # a bucket, while the layout spans under 2**20
+    rng = np.random.default_rng(17)
+    edges = np.arange(5) * width / 2  # every other one a bucket edge, from the node at 0
+    layouts = [np.array([(a, b) for a in edges for b in edges[:3]])]
+    # sqrt(d * d) == d, so a node d along an axis from the origin sits exactly d away.
+    at = [r, g, np.nextafter(r, 0), np.nextafter(r, 1), np.nextafter(g, 0), np.nextafter(g, 1)]
+    for a, b in itertools.permutations(at, 2):
+        layouts.append(np.array([(0, 0), (a, 0), (0, b), (-b, 0)]))
+    for shift in ((-0.7, -0.2), (1.3, 0.8), (-0.2, 0.9)):
+        layouts.append(rng.random((14, 2)) * 0.45 + shift)
+    # The second spans far more than 2**20 buckets of the reach.
+    for offsets in (((0, 0), (5, 0), (11, 3)), ((0, 0), (37.3, -5), (1e3, 1e3), (-2.5e6, 7e5))):
+        layouts.append(np.concatenate([rng.random((4, 2)) * 2 * r + o for o in offsets]))
+    for positions in layouts:
+        for _ in range(12):
+            size = int(rng.integers(len(positions) + 1))
+            txs = rng.choice(len(positions), size=size, replace=False)
+            yield positions, [int(t) for t in txs], [int(rng.integers(2)) for _ in txs]
+
+
 class TestReceptionRuleAgainstReference:
     @pytest.mark.parametrize("delta", [0.5, 0.0])
     def test_outcomes_and_rx_counts_match(self, delta):
@@ -160,8 +188,8 @@ class TestReceptionRuleAgainstReference:
         params = derive_params(5000, delta)
         rng = np.random.default_rng(11)
         kinds, empty, self_heard = set(), 0, 0
-        for _ in range(300):
-            pos, txs, bits = _random_slot(rng)
+        layouts = (_random_slot(rng) for _ in range(300))
+        for pos, txs, bits in itertools.chain(layouts, _boundary_slots(params)):
             listeners = range(len(pos))
             noise, noise_rng = NoiseModel(0.0), np.random.default_rng(0)
             got = resolve_slot(7, txs, bits, listeners, pos, params, noise, noise_rng)
@@ -179,8 +207,8 @@ class TestReceptionRuleAgainstReference:
         layouts = np.random.default_rng(5)
         ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
         noise = NoiseModel(0.3)
-        for _ in range(200):
-            pos, txs, bits = _random_slot(layouts)
+        slots = (_random_slot(layouts) for _ in range(200))
+        for pos, txs, bits in itertools.chain(slots, _boundary_slots(params)):
             listeners = list(layouts.permutation(len(pos)))
             got = resolve_slot(7, txs, bits, listeners, pos, params, noise, ours)
             want = _reference_slot(7, txs, bits, listeners, pos, params, noise, theirs)
@@ -196,8 +224,8 @@ class TestReceptionRuleAgainstReference:
             hook = lambda slot, tx, rx, history: log.append((slot, tx, rx, history)) or 0.2
             return NoiseModel(0.25, mode="adversarial", adversary=hook)
 
-        for _ in range(200):
-            pos, txs, bits = _random_slot(layouts)
+        slots = (_random_slot(layouts) for _ in range(200))
+        for pos, txs, bits in itertools.chain(slots, _boundary_slots(params)):
             listeners = list(layouts.permutation(len(pos)))
             seed = int(layouts.integers(1 << 30))
             got = resolve_slot(

@@ -473,7 +473,7 @@ class TestRepetitionClosedForm:
             sent_bit, node_value = reference_adder(vals, width)
             child = rng.integers(0, 2, proto.rounds).tolist()
             for i in range(q):
-                assert proto.node_value(i, child) == node_value(i, child)
+                assert proto.step(i, proto.child_value(i, child)) == node_value(i, child)
                 for t in range(1, proto.rounds + 1):
                     assert proto.sent_bit(i, t, child[: t - 1]) == sent_bit(i, t, child[: t - 1])
             sent, values = proto.noiseless_run()
@@ -493,7 +493,7 @@ def reference_repetition(
     delivered: list[int] = []
     child: list[int] = []
     for i in range(protocol.q):
-        values.append(protocol.node_value(i, child))
+        values.append(protocol.step(i, protocol.child_value(i, child)))
         if i == protocol.q - 1:
             break
         tx_node, rx_node = link_endpoints[i]
@@ -580,7 +580,7 @@ def reference_treecode(protocol, config, channel, link_endpoints):
             beliefs[i] = [(best >> (t - 1 - k)) & 1 for k in range(t)]
         channel.slot_cursor += 2 * sym_bits
     values = [
-        protocol.node_value(i, beliefs[i - 1][: protocol.rounds] if i > 0 else [])
+        protocol.step(i, protocol.child_value(i, beliefs[i - 1][: protocol.rounds] if i else []))
         for i in range(protocol.q)
     ]
     delivered = [protocol.child_value(i + 1, beliefs[i]) for i in range(links)]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from noisyplanar.channel import (
+    COLLIDED,
     RECEIVED,
     Channel,
     NoiseModel,
@@ -42,7 +43,7 @@ from noisyplanar.harness import (
 from noisyplanar.intracell import stage1_layout, stage1_schedule
 from noisyplanar.oracle import oracle
 
-from conftest import schedule_per_cell, slot_by_slot, slot_keys, stage1_keys
+from conftest import dense_slot, schedule_per_cell, slot_by_slot, slot_keys, stage1_keys
 
 
 class TestOracle:
@@ -493,6 +494,16 @@ def _move_cell(coloring, cell, color):
     return moved
 
 
+def _merge_pairwise(coloring):
+    """The coloring with consecutive classes merged pairwise: grid neighbours
+    then share a class."""
+    merged = [
+        ScheduleClass(a.color, tuple(sorted(a.cells + b.cells)))
+        for a, b in zip(coloring[::2], coloring[1::2])
+    ]
+    return merged + coloring[len(merged) * 2 :]
+
+
 def _hand_grid(*cells):
     """One row of hand-placed cells, each argument a cell's member positions.
 
@@ -519,12 +530,7 @@ class TestAuditAgainstPerCellReference:
         # Consecutive classes merged pairwise put grid neighbours in one class.
         cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=0.1)
         run = run_trial(cfg, n, 0, capture_trace=True)
-        c = run.coloring
-        merged = [
-            ScheduleClass(a.color, tuple(sorted(a.cells + b.cells)))
-            for a, b in zip(c[::2], c[1::2])
-        ]
-        run.coloring = merged + c[len(merged) * 2 :]
+        run.coloring = _merge_pairwise(run.coloring)
         want = _reference_collisions(run)
         assert len(want) > 100
         assert validate_run(run).collision_violations == want
@@ -612,8 +618,7 @@ class TestReplayIsArrayLevel:
             for stage in run.plan.stages
         )
         assert subslots > 0
-        per_class = 2 if protocol == "max" else 1
-        assert len(returned) == per_class * len(run.coloring) + len(run.plan.stages)
+        assert len(returned) == len(run.coloring) + len(run.plan.stages)
         assert len(run.plan.stages) < subslots
         assert set(returned) == {np.ndarray}
 
@@ -642,6 +647,58 @@ class TestReplayIsArrayLevel:
             assert ours.bit_generator.state == theirs.bit_generator.state
             failed += int((got < RECEIVED).sum())
         assert failed >= 2
+
+
+class TestLocalPairingAgainstDenseOracle:
+    @pytest.mark.parametrize("n", [8000, 32768])
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_every_replay_call_equals_the_dense_oracle(self, monkeypatch, protocol, n):
+        # Every call the audit makes on the plain, pairwise-merged and moved-cell
+        # colorings (one per class, one per stage-2 stage) is made again with
+        # random bits and noise, against one dense single-slot call per slot.
+        import noisyplanar.harness as hz
+
+        cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=0.1)
+        run = run_trial(cfg, n, 0, capture_trace=True)
+        plain = run.coloring
+        color_of = {j: cls.color for cls in plain for j in cls.cells}
+        array = next(a.cells for st in run.plan.stages for a in st.arrays if len(a.cells) >= 3)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs["listen_slots"]))
+            return resolve_slot(*args, **kwargs)
+
+        monkeypatch.setattr(hz, "resolve_slot", recording)
+        for coloring in (
+            plain,
+            _merge_pairwise(plain),
+            _move_cell(plain, 2, color_of[1]),
+            _move_cell(plain, array[0], color_of[array[1]]),
+        ):
+            run.coloring = coloring
+            validate_run(run)
+        assert len(calls) > 3 * len(plain)
+        rng = np.random.default_rng(n)
+        kinds = set()
+        for (slots, txs, _, listeners, positions, params, *_), listen_slots in calls:
+            bits = rng.integers(2, size=len(txs))
+            for eps0 in (0.0, 0.3):
+                seed = int(rng.integers(1 << 30))
+                world = (positions, params, NoiseModel(eps0))
+                ours, theirs, single = (np.random.default_rng(seed) for _ in range(3))
+                got = resolve_slot(
+                    slots, txs, bits, listeners, *world, ours, listen_slots=listen_slots
+                )
+                want = slot_by_slot(
+                    slots, txs, bits, listeners, listen_slots, *world, theirs, resolve=dense_slot
+                )
+                by_slot = slot_by_slot(slots, txs, bits, listeners, listen_slots, *world, single)
+                assert got.tolist() == want.tolist() == by_slot.tolist()
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                assert single.bit_generator.state == theirs.bit_generator.state
+                kinds |= set(got.tolist())
+        assert {COLLIDED, RECEIVED, RECEIVED + 1} <= kinds
 
 
 class TestCli:
