@@ -36,6 +36,9 @@ __all__ = [
 SILENT, COLLIDED, RECEIVED = 0, 1, 2
 
 
+# iid flips draw their uniforms through a buffer of this many float64 (256 KiB).
+FLIP_CHUNK = 1 << 15
+
 # Adversary hook: (slot, tx, rx, history) -> flip probability in [0, eps0].
 AdversaryHook = Callable[[int, int, int, object], float]
 
@@ -52,7 +55,9 @@ class NoiseModel:
     ``flips`` is the one reception-noise rule: a batch draws all of its
     uniforms first, then asks the hook once per reception in C order.  So
     the hook sees every reception's (slot, tx, rx, history), but not the
-    slot cursor or the RNG state moving partway through a batch.
+    slot cursor or the RNG state moving partway through a batch.  A batch
+    can span several arrays (a repetition sub-stage of stage 2 is one), so
+    the hook sees the channel as it was when the batch's draw began.
     """
 
     eps0: float
@@ -79,10 +84,21 @@ class NoiseModel:
         """Boolean flips of a batch of receptions: ``rng.random(shape)`` against
         eps0, or against the hook's probability for each reception, whose
         slots/txs/rxs arrays then broadcast to ``shape``.  ``slots`` may be a
-        function returning that array, called only when the hook reads it."""
-        u = rng.random(shape)
+        function returning that array, called only when the hook reads it.
+
+        In iid mode the uniforms pass through one float buffer of at most
+        ``FLIP_CHUNK`` values, chunk by chunk in C order: the same stream and
+        flips as one ``rng.random(shape)``, without holding every uniform."""
         if self.mode == "iid":
-            return u < self.eps0
+            out = np.empty(shape, dtype=bool)
+            flat = out.reshape(-1)
+            buf = np.empty(min(flat.size, FLIP_CHUNK))
+            for lo in range(0, flat.size, FLIP_CHUNK):
+                chunk = buf[: flat.size - lo]
+                rng.random(out=chunk)
+                np.less(chunk, self.eps0, out=flat[lo : lo + chunk.size])
+            return out
+        u = rng.random(shape)
         slots = slots() if callable(slots) else slots
         receptions = (np.broadcast_to(a, shape).ravel().tolist() for a in (slots, txs, rxs))
         probs = [self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)]
@@ -323,7 +339,10 @@ class Channel:
     (discovery, identity, confirmation for MAX; counting for the histogram)
     with one ``flip_mask`` draw per (class, phase) covering its cells in
     turn, then stage 2 stage by stage in plan order.  That order is RNG
-    layout 2 (``harness.RNG_LAYOUT``), which reports declare.
+    layout 2 (``harness.RNG_LAYOUT``), which reports declare.  A repetition
+    sub-stage of stage 2 (or of the distribution relay) is one draw for all
+    its arrays, so an adversary's hook sees the channel -- slot cursor,
+    metrics, RNG state -- as it was when the sub-stage's draw began.
     """
 
     instance: object

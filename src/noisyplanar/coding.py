@@ -8,8 +8,9 @@ interchangeable mechanisms turn a noiseless line protocol into one that runs
 over binary-symmetric links:
 
 * ``repetition``  -- every meaningful link bit is repeated an odd number of
-  times and majority-decoded (the robust, time-expensive fallback); an array
-  is one flip draw and a fold of ``step`` over each link's error word;
+  times and majority-decoded (the robust, time-expensive fallback); arrays
+  that run side by side share one flip draw (``repetition_errors``), and
+  each array is a fold of ``step`` over its links' error words;
 * ``treecode``    -- every sender emits one tree-code symbol per round and each
   receiver extends its distances to all 2^t paths by one level (the mechanism
   behind the time-optimal scheme; the path space is exponential, so depth-capped);
@@ -47,6 +48,7 @@ __all__ = [
     "LinkSimConfig",
     "or_chain",
     "simulate_line",
+    "repetition_errors",
     "smallest_odd_at_least",
     "DEFAULT_DECODE_CAP",
     "MAX_DECODE_CAP",
@@ -506,21 +508,35 @@ def simulate_line(
     config: LinkSimConfig,
     channel: Channel,
     link_endpoints: Sequence[tuple[int, int]] | None = None,
+    errors: Sequence[int] | None = None,
 ) -> LineResult:
     """Run a noiseless line protocol over noisy links in the configured mode.
 
     With eps0 = 0 every mode reproduces the noiseless outputs exactly.  Slots
     returned are logical (one link activation each); callers expand them to
-    physical slots with the interference span.
+    physical slots with the interference span.  In repetition mode,
+    ``errors`` are the array's link error words from a ``repetition_errors``
+    draw the caller already made (for a whole sub-stage); without them the
+    array makes that draw alone.
     """
+    if errors is not None and config.mode != "repetition":
+        raise ValueError(f"link error words apply to repetition mode, not {config.mode!r}")
     if config.mode == "abstract":
         return _simulate_abstract(protocol, config, channel)
     links = protocol.q - 1
-    if link_endpoints is None:
-        link_endpoints = [(i, i + 1) for i in range(links)]
-    ends = np.asarray(link_endpoints, dtype=np.int64).reshape(links, 2)
-    simulate = _simulate_repetition if config.mode == "repetition" else _simulate_treecode
-    return simulate(protocol, config, channel, ends)
+    if errors is None:
+        if link_endpoints is None:
+            link_endpoints = [(i, i + 1) for i in range(links)]
+        ends = np.asarray(link_endpoints, dtype=np.int64).reshape(links, 2)
+        if config.mode == "treecode":
+            return _simulate_treecode(protocol, config, channel, ends)
+        (errors,) = repetition_errors([links], protocol.width, config.r3, channel, ends)
+    if len(errors) != links:
+        raise ValueError(f"{len(errors)} link error words for a {links}-link array")
+    # Links repeat their payload bits one after another, one transmission per slot.
+    slots = links * protocol.width * config.r3
+    values, delivered = protocol.fold(errors)
+    return LineResult(tuple(values), slots, slots, tuple(delivered))
 
 
 def _simulate_abstract(
@@ -537,34 +553,34 @@ def _simulate_abstract(
     return LineResult(tuple(values), slots, tx, tuple(delivered))
 
 
-def _simulate_repetition(
-    protocol: LineProtocol,
-    config: LinkSimConfig,
-    channel: Channel,
-    ends: np.ndarray,
-) -> LineResult:
-    """Each link repeats its node's payload bits r3 times each, hop-serially.
+def repetition_errors(
+    links: Sequence[int], width: int, r3: int, channel: Channel, ends: np.ndarray
+) -> list[list[int]]:
+    """Link error words of repetition arrays that run side by side, from one draw.
 
-    The receiver majority-decodes every payload bit and fills in the known
-    dummies for free.  Noise is drawn link by link, payload bit by payload
-    bit, copy by copy: one (links, width, r3) flip draw.  A decoded bit is the
-    sent bit XOR [more than r3/2 of its copies flipped], whatever the bit and
-    the copies' flip probabilities, so the draw becomes one error word per
-    link and the array a fold of ``step`` over those words.
+    Each link repeats its node's ``width`` payload bits r3 times each,
+    hop-serially, and the receiver majority-decodes every payload bit.  Noise
+    is drawn array by array, link by link, payload bit by payload bit, copy
+    by copy: one (sum(links), width, r3) flip draw, in C order the per-array
+    draws one after another, with slot ids from the slot cursor on in that
+    order.  ``ends`` holds every link's (tx, rx) in the same order.  A decoded
+    bit is the sent bit XOR [more than r3/2 of its copies flipped], whatever
+    the bit and the copies' flip probabilities, so each link gets one error
+    word (bit k set iff payload bit k decodes wrong), and each array a list.
     """
-    links, width, r3 = protocol.q - 1, protocol.width, config.r3
-    slots, base = links * width * r3, channel.slot_cursor
+    total = int(sum(links))
+    slots, base = total * width * r3, channel.slot_cursor
     flips = channel.flip_mask(
-        (links, width, r3),
-        slots=lambda: base + np.arange(slots).reshape(links, width, r3),  # iid never reads it
+        (total, width, r3),
+        slots=lambda: base + np.arange(slots).reshape(total, width, r3),  # iid never reads it
         txs=ends[:, 0, None, None],
         rxs=ends[:, 1, None, None],
     )
     channel.slot_cursor += slots
-    wrong = flips.sum(axis=2) > r3 // 2
-    values, delivered = protocol.fold((wrong << np.arange(width)).sum(axis=1).tolist())
-    # One transmission per slot.
-    return LineResult(tuple(values), slots, slots, tuple(delivered))
+    wrong = flips.sum(axis=2, dtype=np.min_scalar_type(r3)) > r3 // 2
+    words = (wrong << np.arange(width)).sum(axis=1).tolist()
+    cuts = np.cumsum([0, *links]).tolist()
+    return [words[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _simulate_treecode(

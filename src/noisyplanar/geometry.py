@@ -264,8 +264,9 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
     sink_node = int(np.argmin(np.einsum("ij,ij->i", away, away)))
     sink_flat = int(flat[sink_node])
 
-    order = np.argsort(flat, kind="stable")
-    offsets = np.searchsorted(flat[order], np.arange(m * m + 1))
+    # Keys of at most 16 bits let the stable sort run as a radix sort.
+    order = np.argsort(flat.astype(np.min_scalar_type(m * m - 1)), kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=m * m))])
     empty = np.flatnonzero(offsets[:-1] == offsets[1:])
     if empty.size:
         raise ProtocolInfeasibleError(

@@ -9,6 +9,7 @@ arrays may share their root (the two sides of a row meeting on the axis).
 Each array runs ``simulate_line`` over the chain of its cell centers: a
 noiseless line protocol -- running OR for MAX, a pipelined bit-serial adder
 for the histogram -- protected by one of the three link simulation modes.
+With repetition links, a sub-stage's arrays share one flip draw.
 Distribution runs the plan in reverse, each array root first as a repetition
 line, then broadcasts in every cell in one flip draw.  One logical slot (a
 window in which every active tree link fires once without protocol-model
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import Channel, color_cells
-from .coding import LineProtocol, LinkSimConfig, or_chain, simulate_line
+from .coding import LineProtocol, LinkSimConfig, or_chain, repetition_errors, simulate_line
 from .geometry import CellGrid, DerivedParams, SpanningTree
 
 __all__ = [
@@ -154,20 +155,39 @@ def _array_endpoints(cells: tuple[int, ...], grid: CellGrid) -> list[tuple[int, 
     return list(zip(centers, centers[1:]))
 
 
-def _run_stage2(plan, state, line_for, config, channel, grid, params):
-    """Run the plan's arrays stage by stage; each root takes its array's result."""
+def _link_errors(chains, width, config, channel, grid) -> list:
+    """Each chain's link error words from one repetition draw for the whole
+    sub-stage (``repetition_errors``), in chain order; in the other modes
+    None per chain, as those draw array by array."""
+    if config.mode != "repetition":
+        return [None] * len(chains)
+    tx = [j for cells in chains for j in cells[:-1]]
+    rx = [j for cells in chains for j in cells[1:]]
+    ends = grid.centers[np.array([tx, rx], dtype=np.int64).T - 1]
+    return repetition_errors([len(cells) - 1 for cells in chains], width, config.r3, channel, ends)
+
+
+def _run_stage2(plan, state, line_for, width, config, channel, grid, params):
+    """Run the plan's arrays stage by stage; each root takes its array's result.
+
+    Arrays run in plan order, so the second of two arrays sharing a root
+    (the two sides of a row) builds its protocol on the first one's result.
+    """
     for stage in plan.stages:
         stage_logical = 0
-        for array in stage.arrays:
-            proto = line_for([state[j] for j in array.cells])
-            res = simulate_line(proto, config, channel, _array_endpoints(array.cells, grid))
-            state[array.root] = res.values[-1]
+        chains = [array.cells for array in stage.arrays]
+        for cells, errors in zip(chains, _link_errors(chains, width, config, channel, grid)):
+            proto = line_for([state[j] for j in cells])
+            # Repetition links come with their error words; abstract ones need no ends.
+            ends = _array_endpoints(cells, grid) if config.mode == "treecode" else None
+            res = simulate_line(proto, config, channel, ends, errors)
+            state[cells[-1]] = res.values[-1]
             # Every inter-cell transmission targets a single center.
             channel.metrics.add("stage2", tx=res.tx, rx=res.tx)
             stage_logical = max(stage_logical, res.slots)
         channel.metrics.add("stage2", slots=stage_logical * params.link_slot_span)
         if channel.trace is not None:
-            channel.trace.stage2_stages.append([a.cells for a in stage.arrays])
+            channel.trace.stage2_stages.append(chains)
     return state
 
 
@@ -188,7 +208,7 @@ def run_stage2_max(
     accumulate per array (r3 per link in abstract mode, per-bit repetition
     otherwise).
     """
-    state = _run_stage2(plan, dict(stage1_values), or_chain, config, channel, grid, params)
+    state = _run_stage2(plan, dict(stage1_values), or_chain, 1, config, channel, grid, params)
     return state[tree.sink_cell]
 
 
@@ -206,9 +226,8 @@ def run_stage2_hist(
     (``adder_chain``); returns the total at the sink."""
     if width is None:
         width = count_bits_for(params.n)
-    state = _run_stage2(
-        plan, dict(stage1_counts), partial(adder_chain, width=width), config, channel, grid, params
-    )
+    line_for = partial(adder_chain, width=width)
+    state = _run_stage2(plan, dict(stage1_counts), line_for, width, config, channel, grid, params)
     return state[tree.sink_cell]
 
 
@@ -261,9 +280,10 @@ def distribute_result(
     """Push the sink's one-bit result back to every node.
 
     The relay runs the sub-stage plan in reverse, each array root first as a
-    repetition line (r3 copies per link, majority-decoded): a running OR over
-    zeros carries the root's bit to the deepest cell.  It is charged as
-    ``stage2_cost`` prices a MAX pass over the plan with repetition links.
+    repetition line (r3 copies per link, majority-decoded), one flip draw per
+    sub-stage: a running OR over zeros carries the root's bit to the deepest
+    cell.  It is charged as ``stage2_cost`` prices a MAX pass over the plan
+    with repetition links.
     Then every center broadcasts its bit r2 times inside its cell, one class
     of the coloring at a time, and the members majority-decode: one flip draw
     in coloring order, cell by cell, member by member, copy by copy, with
@@ -276,10 +296,10 @@ def distribute_result(
     relay = replace(config, mode="repetition")
     down: dict[int, int] = {tree.sink_cell: int(value)}
     for stage in reversed(plan.stages):
-        for array in stage.arrays:
-            cells = array.cells[::-1]
-            proto = or_chain([down[array.root]] + [0] * (array.q - 1))
-            res = simulate_line(proto, relay, channel, _array_endpoints(cells, grid))
+        chains = [array.cells[::-1] for array in stage.arrays]
+        for cells, errors in zip(chains, _link_errors(chains, 1, relay, channel, grid)):
+            proto = or_chain([down[cells[0]]] + [0] * (len(cells) - 1))
+            res = simulate_line(proto, relay, channel, errors=errors)
             down.update(zip(cells, res.values))
     slots, tx = stage2_cost(plan, params, relay, "max")
     channel.metrics.add("distribute", tx=tx, rx=tx, slots=slots)

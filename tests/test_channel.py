@@ -9,6 +9,7 @@ from scipy import stats
 
 from noisyplanar.channel import (
     COLLIDED,
+    FLIP_CHUNK,
     RECEIVED,
     SILENT,
     Channel,
@@ -361,6 +362,34 @@ class TestNoiseModel:
             NoiseModel(0.3, mode="adversarial", adversary=lambda s, t, r, h: 0.3), seed=2
         )
         assert stats.ks_2samp(iid, adv).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, FLIP_CHUNK - 1, FLIP_CHUNK, FLIP_CHUNK + 1, 3 * FLIP_CHUNK + 5]
+    )
+    def test_buffered_iid_flips_equal_one_uniform_draw(self, size):
+        # iid flips pass through a FLIP_CHUNK buffer; the stream and the flips
+        # must be those of one rng.random(shape), in any number of dimensions.
+        shapes = [(size,), (1, size), (size, 1), (1, size, 1), (size, 1, 1)]
+        d = next((k for k in range(2, 100) if size % k == 0), None)
+        if d is not None:  # and split over two non-unit axes
+            shapes += [(d, size // d), (size // d, 1, d)]
+        noise = NoiseModel(0.3)
+        for seed, shape in enumerate(shapes):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = noise.flips(got_rng, shape)
+            want = want_rng.random(shape) < 0.3
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_buffered_iid_flips_across_chunk_bounds_in_3d(self):
+        # Rows that straddle the chunk bounds, for eps0 at 0 and near 1/2.
+        shape = (3, FLIP_CHUNK // 7 + 1, 7)
+        for eps0 in (0.0, 0.1, 0.499):
+            got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+            got = NoiseModel(eps0).flips(got_rng, shape)
+            np.testing.assert_array_equal(got, want_rng.random(shape) < eps0)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestColorCells:

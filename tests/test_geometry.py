@@ -166,6 +166,38 @@ class TestAssignCells:
         with pytest.raises(ProtocolInfeasibleError, match="empty"):
             assign_cells(inst, params)
 
+    @staticmethod
+    def _assert_matches_int64_sort(inst, params):
+        # The members and offsets of one stable argsort of int64 cell keys and
+        # a searchsorted over them, whatever narrower keys assign_cells sorts.
+        m = params.grid_dim
+        rows, cols = _grid_coords(inst.positions, m)
+        flat = rows * m + cols
+        order = np.argsort(flat, kind="stable")
+        offsets = np.searchsorted(flat[order], np.arange(m * m + 1))
+        grid = assign_cells(inst, params)
+        np.testing.assert_array_equal(grid.members, order)
+        np.testing.assert_array_equal(grid.offsets, offsets)
+        assert grid.offsets.dtype == offsets.dtype
+        centers = order[offsets[:-1]]
+        centers[grid.sink_cell - 1] = grid.sink_node
+        np.testing.assert_array_equal(grid.centers, centers)
+
+    @pytest.mark.parametrize("n, seed", [(100, 0), (2000, 3), (70_000, 1)])
+    def test_sampled_worlds_match_int64_stable_sort(self, n, seed):
+        self._assert_matches_int64_sort(place_nodes(n, seed=seed), derive_params(n, 0.5))
+
+    def test_wide_grid_matches_int64_stable_sort(self):
+        # 300 x 300 cells need keys past 16 bits, so the sort is not a radix
+        # sort there; one node per cell center plus random extras in any order.
+        m = 300
+        centers, _, _ = make_hand_world(m)
+        extras = np.random.default_rng(4).random((5000, 2))
+        positions = np.vstack([extras[:2500], centers.positions, extras[2500:]])
+        inst, params = _world_with_positions(positions, m)
+        assert np.min_scalar_type(params.grid_dim**2 - 1) != np.uint16
+        self._assert_matches_int64_sort(inst, params)
+
     def test_cell_views_are_read_only(self):
         grid = assign_cells(place_nodes(2000, seed=3), derive_params(2000, 0.5))
         with pytest.raises(ValueError, match="read-only"):

@@ -1,6 +1,8 @@
 """Sub-stage planning, MAX/histogram aggregation over the tree, distribution."""
 
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from noisyplanar.coding import (
 )
 from noisyplanar.config import ExperimentConfig
 from noisyplanar.geometry import assign_cells, build_tree, derive_params, place_nodes
+from noisyplanar import intercell
 from noisyplanar.intercell import (
+    _array_endpoints,
     adder_chain,
     build_substages,
     count_bits_for,
@@ -529,7 +533,7 @@ class TestDistributeMatchesReference:
         assert noisy_wrong > 0
 
     def test_no_per_member_draws(self, monkeypatch):
-        # One flip draw per relay array plus one for the whole broadcast.
+        # One flip draw per relay sub-stage plus one for the whole broadcast.
         inst, params, grid, tree, plan, classes = distribution_world(2000)
 
         def refuse(*args, **kwargs):
@@ -546,4 +550,167 @@ class TestDistributeMatchesReference:
         monkeypatch.setattr(Channel, "flip_mask", counted)
         channel = Channel(inst, params, NoiseModel(0.1), np.random.default_rng(0))
         distribute_result(tree, plan, 1, LinkSimConfig(r3=9), 15, channel, grid, params, classes)
-        assert len(draws) == len(plan.arrays) + 1
+        assert len(draws) == len(plan.stages) + 1
+
+
+def per_array_run_stage2(plan, state, line_for, config, channel, grid, params):
+    """The per-array loop that ``_run_stage2`` replaced, kept verbatim (bar
+    looking ``simulate_line`` up on its module, so a recorder can see it) as
+    its oracle: in repetition mode one flip draw per array."""
+    for stage in plan.stages:
+        stage_logical = 0
+        for array in stage.arrays:
+            proto = line_for([state[j] for j in array.cells])
+            res = intercell.simulate_line(proto, config, channel, _array_endpoints(array.cells, grid))
+            state[array.root] = res.values[-1]
+            # Every inter-cell transmission targets a single center.
+            channel.metrics.add("stage2", tx=res.tx, rx=res.tx)
+            stage_logical = max(stage_logical, res.slots)
+        channel.metrics.add("stage2", slots=stage_logical * params.link_slot_span)
+        if channel.trace is not None:
+            channel.trace.stage2_stages.append([a.cells for a in stage.arrays])
+    return state
+
+
+def per_array_distribute_result(
+    tree, plan, value, config, r2, channel, grid, params, coloring=None
+):
+    """``distribute_result`` as it was with one relay flip draw per array,
+    kept verbatim (bar the ``simulate_line`` lookup) as the oracle of the
+    per-sub-stage relay draw."""
+    if value not in (0, 1):
+        raise ValueError(f"distribute_result relays one bit, got value {value!r}")
+    relay = replace(config, mode="repetition")
+    down: dict[int, int] = {tree.sink_cell: int(value)}
+    for stage in reversed(plan.stages):
+        for array in stage.arrays:
+            cells = array.cells[::-1]
+            proto = or_chain([down[array.root]] + [0] * (array.q - 1))
+            res = intercell.simulate_line(proto, relay, channel, _array_endpoints(cells, grid))
+            down.update(zip(cells, res.values))
+    slots, tx = stage2_cost(plan, params, relay, "max")
+    channel.metrics.add("distribute", tx=tx, rx=tx, slots=slots)
+
+    if coloring is None:
+        coloring = color_cells(grid, params)
+    cells = [j for cls in coloring for j in cls.cells]
+    members, sizes, centers = grid.gather(cells)
+    rank = np.repeat(np.arange(len(cells)), sizes)
+    heard = members != centers[rank]
+    rank, rxs = rank[heard], members[heard]
+    base = channel.slot_cursor
+    flips = channel.flip_mask(
+        (rxs.size, r2),
+        slots=lambda: base + r2 * rank[:, None] + np.arange(r2),  # iid never reads it
+        txs=centers[rank, None],
+        rxs=rxs[:, None],
+    )
+    channel.slot_cursor += r2 * len(cells)
+    bits = np.array([down[j] for j in cells], dtype=np.int8)
+    node_values = np.zeros(grid.n, dtype=np.int8)
+    node_values[centers] = bits
+    node_values[rxs] = 2 * (bits[rank, None] ^ flips).sum(axis=1) > r2  # ties decode to 0
+    channel.metrics.add("distribute", tx=r2 * len(cells), rx=r2 * rxs.size, slots=r2 * len(coloring))
+    return node_values
+
+
+class TestStage2MatchesPerArrayLoop:
+    """One repetition draw per sub-stage against the per-array draws it replaced:
+    same values, delivered words, counters, slot cursor, RNG state and hook calls."""
+
+    R3 = 9
+
+    @staticmethod
+    def _world(n):
+        inst, params, grid, tree, _ = sampled_world(n, n % 97, bit_p=0.3)
+        plan = build_substages(tree, params)
+        # The two sides of a row meet on the axis: the second array of such a
+        # stage must build its protocol on the first one's result.
+        assert any(len({a.root for a in s.arrays}) < len(s.arrays) for s in plan.stages)
+        return inst, params, grid, tree, plan
+
+    def _run(self, monkeypatch, world, job, eps0, adversarial):
+        inst, params, grid, tree, plan = world
+        calls, lines = [], []
+
+        def hook(slot, tx, rx, history):
+            calls.append((slot, tx, rx))
+            return eps0 * ((7 * slot + 3 * tx + rx) % 5) / 4
+
+        def recorded(*args, **kwargs):
+            res = simulate_line(*args, **kwargs)
+            lines.append(res)
+            return res
+
+        monkeypatch.setattr(intercell, "simulate_line", recorded)
+        noise = NoiseModel(eps0, "adversarial", hook) if adversarial else NoiseModel(eps0)
+        channel = Channel(inst, params, noise, np.random.default_rng(inst.n + 5))
+        channel.slot_cursor = 1000  # stage 2 follows the slots that ran before it
+        out = job(channel)
+        state = channel.rng.bit_generator.state
+        return out, lines, channel.metrics.snapshot(), channel.slot_cursor, state, calls
+
+    @pytest.mark.parametrize("n", [800, 8000, 32768])
+    def test_bit_identical_to_the_per_array_loop(self, monkeypatch, n):
+        world = self._world(n)
+        inst, params, grid, tree, plan = world
+        config = LinkSimConfig(mode="repetition", r3=self.R3)
+        values, counts = _stage1_values(grid, inst), _stage1_counts(grid, inst)
+        width = count_bits_for(n)
+        adder = partial(adder_chain, width=width)
+        jobs = {
+            "max": (
+                lambda ch: run_stage2_max(plan, values, config, ch, grid, params, tree),
+                lambda ch: per_array_run_stage2(
+                    plan, dict(values), or_chain, config, ch, grid, params
+                )[tree.sink_cell],
+            ),
+            "hist": (
+                lambda ch: run_stage2_hist(plan, counts, config, ch, grid, params, tree),
+                lambda ch: per_array_run_stage2(
+                    plan, dict(counts), adder, config, ch, grid, params
+                )[tree.sink_cell],
+            ),
+            "distribute": tuple(
+                lambda ch, distribute=distribute: distribute(
+                    tree, plan, 1, config, 15, ch, grid, params
+                ).tolist()
+                for distribute in (distribute_result, per_array_distribute_result)
+            ),
+        }
+        corrupted = 0
+        for eps0 in (0.0, 0.1, 0.3):
+            # The hook-recording adversary costs a Python call per copy.
+            for adversarial in (False, True) if n <= 2000 else (False,):
+                for name, (new, reference) in jobs.items():
+                    got = self._run(monkeypatch, world, new, eps0, adversarial)
+                    want = self._run(monkeypatch, world, reference, eps0, adversarial)
+                    assert got == want, (name, eps0, adversarial)
+                    assert len(got[1]) == len(plan.arrays)
+                    if adversarial:
+                        assert len(got[5]) == got[2]["rx_stage2"] + got[2]["rx_distribute"]
+                    corrupted += sum(
+                        res.delivered != res.values[:-1] for res in got[1]
+                    )
+        # Some compared links delivered a corrupted value, not only clean ones.
+        assert corrupted > 0
+
+    def test_one_draw_per_substage(self, monkeypatch):
+        world = self._world(2000)
+        inst, params, grid, tree, plan = world
+        draws = []
+        flip_mask = Channel.flip_mask
+
+        def counted(self, shape, *args, **kwargs):
+            draws.append(shape)
+            return flip_mask(self, shape, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "flip_mask", counted)
+        channel = Channel(inst, params, NoiseModel(0.1), np.random.default_rng(0))
+        config = LinkSimConfig(mode="repetition", r3=self.R3)
+        run_stage2_hist(plan, _stage1_counts(grid, inst), config, channel, grid, params, tree)
+        assert len(draws) == len(plan.stages)
+        width = count_bits_for(2000)
+        assert draws == [
+            (sum(a.q - 1 for a in s.arrays), width, self.R3) for s in plan.stages
+        ]
