@@ -55,9 +55,10 @@ class NoiseModel:
     ``flips`` is the one reception-noise rule: a batch draws all of its
     uniforms first, then asks the hook once per reception in C order.  So
     the hook sees every reception's (slot, tx, rx, history), but not the
-    slot cursor or the RNG state moving partway through a batch.  A batch
-    can span several arrays (a repetition sub-stage of stage 2 is one), so
-    the hook sees the channel as it was when the batch's draw began.
+    metrics or the RNG state moving partway through a batch.  A batch can
+    span several arrays (a repetition sub-stage of stage 2 is one), so the
+    hook sees the channel as it was when the batch's draw began.  The slot is
+    the one the metrics charge, which lockstep arrays and cells share.
     """
 
     eps0: float
@@ -341,8 +342,8 @@ class Channel:
     turn, then stage 2 stage by stage in plan order.  That order is RNG
     layout 2 (``harness.RNG_LAYOUT``), which reports declare.  A repetition
     sub-stage of stage 2 (or of the distribution relay) is one draw for all
-    its arrays, so an adversary's hook sees the channel -- slot cursor,
-    metrics, RNG state -- as it was when the sub-stage's draw began.
+    its arrays, so an adversary's hook sees the channel -- metrics, RNG
+    state -- as it was when the sub-stage's draw began.
     """
 
     instance: object
@@ -351,7 +352,6 @@ class Channel:
     rng: np.random.Generator
     metrics: Metrics = field(default_factory=Metrics)
     trace: Trace | None = None
-    slot_cursor: int = 0
 
     def flip_mask(self, shape, slots=None, txs=None, rxs=None) -> np.ndarray:
         """The noise model's flips for a batch of receptions, drawn from this

@@ -509,15 +509,17 @@ def simulate_line(
     channel: Channel,
     link_endpoints: Sequence[tuple[int, int]] | None = None,
     errors: Sequence[int] | None = None,
+    slots: Callable[[np.ndarray], np.ndarray] = np.asarray,
 ) -> LineResult:
     """Run a noiseless line protocol over noisy links in the configured mode.
 
     With eps0 = 0 every mode reproduces the noiseless outputs exactly.  Slots
     returned are logical (one link activation each); callers expand them to
-    physical slots with the interference span.  In repetition mode,
-    ``errors`` are the array's link error words from a ``repetition_errors``
-    draw the caller already made (for a whole sub-stage); without them the
-    array makes that draw alone.
+    physical slots with the interference span, and ``slots`` maps logical
+    slots (links along axis 0) to the ids a hook sees, by default the logical
+    slots themselves.  In repetition mode, ``errors`` are the array's link
+    error words from a ``repetition_errors`` draw the caller already made (for
+    a whole sub-stage); without them the array makes that draw alone.
     """
     if errors is not None and config.mode != "repetition":
         raise ValueError(f"link error words apply to repetition mode, not {config.mode!r}")
@@ -529,14 +531,14 @@ def simulate_line(
             link_endpoints = [(i, i + 1) for i in range(links)]
         ends = np.asarray(link_endpoints, dtype=np.int64).reshape(links, 2)
         if config.mode == "treecode":
-            return _simulate_treecode(protocol, config, channel, ends)
-        (errors,) = repetition_errors([links], protocol.width, config.r3, channel, ends)
+            return _simulate_treecode(protocol, config, channel, ends, slots)
+        (errors,) = repetition_errors([links], protocol.width, config.r3, channel, ends, slots)
     if len(errors) != links:
         raise ValueError(f"{len(errors)} link error words for a {links}-link array")
     # Links repeat their payload bits one after another, one transmission per slot.
-    slots = links * protocol.width * config.r3
+    logical = links * protocol.width * config.r3
     values, delivered = protocol.fold(errors)
-    return LineResult(tuple(values), slots, slots, tuple(delivered))
+    return LineResult(tuple(values), logical, logical, tuple(delivered))
 
 
 def _simulate_abstract(
@@ -554,7 +556,7 @@ def _simulate_abstract(
 
 
 def repetition_errors(
-    links: Sequence[int], width: int, r3: int, channel: Channel, ends: np.ndarray
+    links: Sequence[int], width: int, r3: int, channel: Channel, ends: np.ndarray, slots=np.asarray
 ) -> list[list[int]]:
     """Link error words of repetition arrays that run side by side, from one draw.
 
@@ -562,24 +564,25 @@ def repetition_errors(
     hop-serially, and the receiver majority-decodes every payload bit.  Noise
     is drawn array by array, link by link, payload bit by payload bit, copy
     by copy: one (sum(links), width, r3) flip draw, in C order the per-array
-    draws one after another, with slot ids from the slot cursor on in that
-    order.  ``ends`` holds every link's (tx, rx) in the same order.  A decoded
-    bit is the sent bit XOR [more than r3/2 of its copies flipped], whatever
-    the bit and the copies' flip probabilities, so each link gets one error
-    word (bit k set iff payload bit k decodes wrong), and each array a list.
+    draws one after another, copy c of bit b of hop h in logical slot
+    (h * width + b) * r3 + c, hops counted within each array (lockstep);
+    ``slots`` maps those to ids when a hook reads them.  ``ends`` holds every
+    link's (tx, rx) in the same order.  A decoded bit is the sent bit XOR
+    [more than r3/2 of its copies flipped], whatever the bit and the copies'
+    flip probabilities, so each link gets one error word (bit k set iff
+    payload bit k decodes wrong), and each array a list.
     """
     total = int(sum(links))
-    slots, base = total * width * r3, channel.slot_cursor
+    cuts = np.cumsum([0, *links]).tolist()
+    first = lambda: (np.repeat(cuts[:-1], links) * width * r3)[:, None, None]  # array starts
     flips = channel.flip_mask(
         (total, width, r3),
-        slots=lambda: base + np.arange(slots).reshape(total, width, r3),  # iid never reads it
+        slots=lambda: slots(np.arange(total * width * r3).reshape(total, width, r3) - first()),
         txs=ends[:, 0, None, None],
         rxs=ends[:, 1, None, None],
     )
-    channel.slot_cursor += slots
     wrong = flips.sum(axis=2, dtype=np.min_scalar_type(r3)) > r3 // 2
     words = (wrong << np.arange(width)).sum(axis=1).tolist()
-    cuts = np.cumsum([0, *links]).tolist()
     return [words[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
@@ -588,6 +591,7 @@ def _simulate_treecode(
     config: LinkSimConfig,
     channel: Channel,
     ends: np.ndarray,
+    slots: Callable[[np.ndarray], np.ndarray],
 ) -> LineResult:
     """All links send one tree-code symbol per round; each receiver extends its
     path distances and believes the first nearest path, as ``decode`` would.
@@ -614,15 +618,14 @@ def _simulate_treecode(
         prefixes = (prefixes << 1) | round_bits
         mask = channel.flip_mask(
             (links, sym_bits),
-            slots=channel.slot_cursor + np.arange(sym_bits),
+            # Forward bits; the reserved reverse-direction bits take the sym_bits after them.
+            slots=lambda: slots(2 * (t - 1) * sym_bits + np.arange(sym_bits)[None]),
             txs=ends[:, :1],
             rxs=ends[:, 1:],
         )
         dist = tree.extend(dist, t, tree.levels[t - 1][prefixes] ^ (mask @ bit_weights))
         best = dist.argmin(axis=1)  # first minimum = lexicographically smallest path
         beliefs = ((best[:, None] >> np.arange(t - 1, -1, -1)) & 1).tolist()
-        # The round's forward symbols, then its reserved reverse-direction bits.
-        channel.slot_cursor += 2 * sym_bits
 
     delivered = tuple(protocol.child_value(i + 1, belief) for i, belief in enumerate(beliefs))
     values = tuple(protocol.step(i, received) for i, received in enumerate((0, *delivered)))

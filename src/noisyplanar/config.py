@@ -125,14 +125,8 @@ class ExperimentConfig:
             raise ConfigError("max-resamples must be >= 0")
 
     # Per-network rules.
-    def r2_for(self, n: int) -> int:
-        return self.r2 if self.r2 is not None else smallest_odd_at_least(3.0 * math.log(n))
-
     def r3_for(self, n: int) -> int:
         return self.r3 if self.r3 is not None else smallest_odd_at_least(3.0 * math.log(n))
-
-    def l_sub_for(self, n: int) -> int:
-        return self.l_sub if self.l_sub is not None else max(1, math.ceil(math.log(n)))
 
     def link_config_for(self, n: int) -> LinkSimConfig:
         return LinkSimConfig(

@@ -47,7 +47,7 @@ from .geometry import (
     derive_params,
     place_nodes,
 )
-from .intercell import build_substages, run_stage2_hist, run_stage2_max, stage2_cost
+from .intercell import build_substages, run_stage2_hist, run_stage2_max, stage2_cost, subslots
 from .intracell import Stage1Config, run_stage1_hist, run_stage1_max, stage1_layout, stage1_schedule
 from .oracle import oracle
 
@@ -178,14 +178,14 @@ def run_trial(
 
     tree = build_tree(grid, params)
     coloring = color_cells(grid, params)
-    plan = build_substages(tree, params, config.l_sub_for(n))
+    plan = build_substages(tree, params, config.l_sub)
     try:  # the discovery budget, the identity code length and the tree-code alphabet
         s1cfg = Stage1Config.for_network(
             n,
             config.eps0,
             eps1=config.eps1,
             c_rep=config.c_rep,
-            r2=config.r2_for(n),
+            r2=config.r2,
             block_len=config.l1,
             code_seed=config.code_seed,
         )
@@ -490,10 +490,10 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
     phase's slot; a phase's kind codes are compared in one array operation,
     and a violation names one cell.  Stage 2: every subslot, one resolve_slot
     call per stage.  Within a logical slot, the link from child cell j fires
-    in the subslot given by j's color in the reuse coloring (upward; downward
-    subslots are a disjoint second bank), so each link's transmitter sends,
-    and its receiver listens, in that subslot.  A violation names one
-    subslot's failed links, the subslots in the order of their first link.
+    in subslot ``subslots(run.coloring)[j]``, as the runners number it
+    (upward; downward subslots are a disjoint second bank), so each link's
+    transmitter sends, and its receiver listens, in that subslot.  A violation
+    names one subslot's failed links, the subslots in the order of their first link.
     """
     params, grid = run.params, run.grid
     positions = run.instance.positions
@@ -520,23 +520,23 @@ def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
                     f"{phase} slot {slot}: cell {cls.cells[i]} listeners {bad} did not receive"
                 )
 
-    color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
+    subslot = subslots(run.coloring)
     for si, stage in enumerate(run.plan.stages):
         links = [(c, p) for array in stage.arrays for c, p in zip(array.cells, array.cells[1:])]
-        subslots = np.array([color_of[c] for c, _ in links], dtype=np.int64)
+        lanes = np.array([subslot[c] for c, _ in links], dtype=np.int64)
         txs, rxs = grid.centers[np.array(links, dtype=np.int64).reshape(-1, 2).T - 1]
         kinds = resolve_slot(
-            subslots, txs, 0, rxs, positions, params, noiseless, rng, listen_slots=subslots
+            lanes, txs, 0, rxs, positions, params, noiseless, rng, listen_slots=lanes
         )
         failed = kinds < RECEIVED
         if not failed.any():
             continue
-        for subslot in dict.fromkeys(subslots.tolist()):  # in the order of their first link
-            bad = failed & (subslots == subslot)
+        for lane in dict.fromkeys(lanes.tolist()):  # in the order of their first link
+            bad = failed & (lanes == lane)
             if bad.any():
                 named = ", ".join(f"{tx}->{rx}" for tx, rx in zip(txs[bad], rxs[bad]))
                 report.collision_violations.append(
-                    f"stage {si} subslot {subslot}: links {named} did not deliver"
+                    f"stage {si} subslot {lane}: links {named} did not deliver"
                 )
 
 

@@ -13,19 +13,20 @@ With repetition links, a sub-stage's arrays share one flip draw.
 Distribution runs the plan in reverse, each array root first as a repetition
 line, then broadcasts in every cell in one flip draw.  One logical slot (a
 window in which every active tree link fires once without protocol-model
-collisions) costs ``link_slot_span`` physical slots.
+collisions) costs ``link_slot_span`` physical slots.  ``slot_ids`` numbers every
+reception by the slot the counters charge it to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, color_cells
+from .channel import Channel, ScheduleClass, color_cells
 from .coding import LineProtocol, LinkSimConfig, or_chain, repetition_errors, simulate_line
 from .geometry import CellGrid, DerivedParams, SpanningTree
 
@@ -39,6 +40,8 @@ __all__ = [
     "run_stage2_max",
     "run_stage2_hist",
     "stage2_cost",
+    "subslots",
+    "slot_ids",
     "distribute_result",
 ]
 
@@ -155,7 +158,29 @@ def _array_endpoints(cells: tuple[int, ...], grid: CellGrid) -> list[tuple[int, 
     return list(zip(centers, centers[1:]))
 
 
-def _link_errors(chains, width, config, channel, grid) -> list:
+def subslots(coloring: list[ScheduleClass]) -> dict[int, int]:
+    """Each cell's subslot in a logical inter-cell slot: its color in the coloring."""
+    return {j: cls.color for cls in coloring for j in cls.cells}
+
+
+def slot_ids(start: int, logical, lane, lanes: int) -> np.ndarray:
+    """Slot ids on the clock the counters charge: logical slot l of a stage
+    from ``start`` (the slots charged before it) holds ``lanes`` slots, and
+    lane k of it is start + l * lanes + k.  A link into or out of deeper cell
+    j has link_slot_span lanes and fires in lane subslots(coloring)[j], plus
+    interference_bound + 1 when relaying down; the broadcast gives each color
+    class one logical slot, its r2 copies in the lanes."""
+    return start + np.asarray(logical) * lanes + lane
+
+
+def _link_slots(start, subslot, params, bank, chains):
+    """``slots`` for the chains' links end to end, up (bank 0) or down from the root (1)."""
+    colors = lambda: [subslot()[j] for cells in chains for j in (cells[1:] if bank else cells[:-1])]
+    lanes = lambda: bank * (params.interference_bound + 1) + np.array(colors(), dtype=np.int64)
+    return lambda logical: slot_ids(start, logical.T, lanes(), params.link_slot_span).T
+
+
+def _link_errors(chains, width, config, channel, grid, clock) -> list:
     """Each chain's link error words from one repetition draw for the whole
     sub-stage (``repetition_errors``), in chain order; in the other modes
     None per chain, as those draw array by array."""
@@ -164,7 +189,8 @@ def _link_errors(chains, width, config, channel, grid) -> list:
     tx = [j for cells in chains for j in cells[:-1]]
     rx = [j for cells in chains for j in cells[1:]]
     ends = grid.centers[np.array([tx, rx], dtype=np.int64).T - 1]
-    return repetition_errors([len(cells) - 1 for cells in chains], width, config.r3, channel, ends)
+    links = [len(cells) - 1 for cells in chains]
+    return repetition_errors(links, width, config.r3, channel, ends, clock(chains))
 
 
 def _run_stage2(plan, state, line_for, width, config, channel, grid, params):
@@ -173,14 +199,16 @@ def _run_stage2(plan, state, line_for, width, config, channel, grid, params):
     Arrays run in plan order, so the second of two arrays sharing a root
     (the two sides of a row) builds its protocol on the first one's result.
     """
+    subslot = cache(lambda: subslots(color_cells(grid, params)))  # read only by a hook
     for stage in plan.stages:
         stage_logical = 0
         chains = [array.cells for array in stage.arrays]
-        for cells, errors in zip(chains, _link_errors(chains, width, config, channel, grid)):
+        clock = partial(_link_slots, channel.metrics.slots_total, subslot, params, 0)
+        for cells, errors in zip(chains, _link_errors(chains, width, config, channel, grid, clock)):
             proto = line_for([state[j] for j in cells])
             # Repetition links come with their error words; abstract ones need no ends.
             ends = _array_endpoints(cells, grid) if config.mode == "treecode" else None
-            res = simulate_line(proto, config, channel, ends, errors)
+            res = simulate_line(proto, config, channel, ends, errors, clock([cells]))
             state[cells[-1]] = res.values[-1]
             # Every inter-cell transmission targets a single center.
             channel.metrics.add("stage2", tx=res.tx, rx=res.tx)
@@ -282,43 +310,45 @@ def distribute_result(
     The relay runs the sub-stage plan in reverse, each array root first as a
     repetition line (r3 copies per link, majority-decoded), one flip draw per
     sub-stage: a running OR over zeros carries the root's bit to the deepest
-    cell.  It is charged as ``stage2_cost`` prices a MAX pass over the plan
-    with repetition links.
+    cell.  Each sub-stage is charged as ``stage2_cost`` prices a MAX pass over
+    it with repetition links; its links fire in the downward bank of ``slot_ids``.
     Then every center broadcasts its bit r2 times inside its cell, one class
     of the coloring at a time, and the members majority-decode: one flip draw
-    in coloring order, cell by cell, member by member, copy by copy, with
-    cell k of that order in slots slot_cursor + r2 * k onward.  In all,
-    (cell_count - 1) * r3 + cell_count * r2 transmissions.  Only a bit can be
-    relayed: any other value raises ValueError.
+    in coloring order, cell by cell, member by member, copy by copy, the
+    cells of a class sharing its r2 slots.  In all, (cell_count - 1) * r3 +
+    cell_count * r2 transmissions.  Only a bit can be relayed: any other
+    value raises ValueError.
     """
     if value not in (0, 1):
         raise ValueError(f"distribute_result relays one bit, got value {value!r}")
+    if coloring is None:
+        coloring = color_cells(grid, params)
+    subslot = cache(lambda: subslots(coloring))  # read only by a hook
     relay = replace(config, mode="repetition")
     down: dict[int, int] = {tree.sink_cell: int(value)}
     for stage in reversed(plan.stages):
         chains = [array.cells[::-1] for array in stage.arrays]
-        for cells, errors in zip(chains, _link_errors(chains, 1, relay, channel, grid)):
+        clock = partial(_link_slots, channel.metrics.slots_total, subslot, params, 1)
+        for cells, errors in zip(chains, _link_errors(chains, 1, relay, channel, grid, clock)):
             proto = or_chain([down[cells[0]]] + [0] * (len(cells) - 1))
             res = simulate_line(proto, relay, channel, errors=errors)
             down.update(zip(cells, res.values))
-    slots, tx = stage2_cost(plan, params, relay, "max")
-    channel.metrics.add("distribute", tx=tx, rx=tx, slots=slots)
+        stage_slots, tx = stage2_cost(replace(plan, stages=(stage,)), params, relay, "max")
+        channel.metrics.add("distribute", tx=tx, rx=tx, slots=stage_slots)
 
-    if coloring is None:
-        coloring = color_cells(grid, params)
     cells = [j for cls in coloring for j in cls.cells]
     members, sizes, centers = grid.gather(cells)
     rank = np.repeat(np.arange(len(cells)), sizes)
     heard = members != centers[rank]
     rank, rxs = rank[heard], members[heard]
-    base = channel.slot_cursor
+    start = channel.metrics.slots_total
+    class_of = lambda: np.repeat(np.arange(len(coloring)), [len(cls.cells) for cls in coloring])
     flips = channel.flip_mask(
         (rxs.size, r2),
-        slots=lambda: base + r2 * rank[:, None] + np.arange(r2),  # iid never reads it
+        slots=lambda: slot_ids(start, class_of()[rank, None], np.arange(r2), r2),  # hooks only
         txs=centers[rank, None],
         rxs=rxs[:, None],
     )
-    channel.slot_cursor += r2 * len(cells)
     bits = np.array([down[j] for j in cells], dtype=np.int8)
     node_values = np.zeros(grid.n, dtype=np.int8)
     node_values[centers] = bits

@@ -352,7 +352,7 @@ class TestSimulateLine:
     def test_treecode_slot_ids_match_charged_slots(self):
         # Each round sends one symbol forward, then reserves as many bit-slots
         # for the reverse direction: round t's forward bits sit at slot
-        # 2 * sym_bits * (t - 1) + k, and the cursor ends at the charged slots.
+        # 2 * sym_bits * (t - 1) + k, inside the charged window [0, res.slots).
         seen = []
 
         def record(slot, tx, rx, history):
@@ -366,7 +366,7 @@ class TestSimulateLine:
         res = simulate_line(or_chain([1, 0, 0, 1]), cfg, ch)
         sym = cfg.symbol_bits
         depth = res.slots // (2 * sym)
-        assert ch.slot_cursor == res.slots
+        assert 0 <= min(seen) and max(seen) < res.slots
         assert sorted(set(seen)) == [2 * sym * t + k for t in range(depth) for k in range(sym)]
 
     def test_treecode_under_noise_mostly_agrees(self):
@@ -430,7 +430,7 @@ def reference_adder(vals, width):
 
 
 def run_repetition(protocol, r3, eps0, seed, hooked):
-    """One repetition-mode run: the result, the slot cursor and the RNG state after it.
+    """One repetition-mode run: the result and the RNG state after it.
 
     A hook that always answers eps0 draws exactly what iid noise draws.
     """
@@ -440,7 +440,7 @@ def run_repetition(protocol, r3, eps0, seed, hooked):
         noise = NoiseModel(eps0)
     ch = Channel(place_nodes(16, seed=0), derive_params(1000, 0.5), noise, np.random.default_rng(seed))
     res = simulate_line(protocol, LinkSimConfig(mode="repetition", r3=r3), ch)
-    return res, ch.slot_cursor, ch.rng.bit_generator.state
+    return res, ch.rng.bit_generator.state
 
 
 class TestRepetitionClosedForm:
@@ -488,7 +488,9 @@ class TestRepetitionClosedForm:
 def reference_repetition(
     protocol: LineProtocol, r3: int, channel: Channel, link_endpoints
 ) -> tuple[list[int], list[int]]:
-    """Repetition links one noisy copy batch at a time: values and delivered values."""
+    """Repetition links one noisy copy batch at a time: values and delivered values.
+
+    Payload bit k of link i goes out in the r3 slots from (i * width + k) * r3."""
     values: list[int] = []
     delivered: list[int] = []
     child: list[int] = []
@@ -500,8 +502,8 @@ def reference_repetition(
         decoded = [0] * protocol.rounds
         for t in protocol.payload_rounds(i):
             bit = protocol.sent_bit(i, t, child[: t - 1])
-            copies = channel.noisy_copies(bit, r3, tx_node, rx_node, channel.slot_cursor)
-            channel.slot_cursor += r3
+            slot0 = (i * protocol.width + t - i - 1) * r3
+            copies = channel.noisy_copies(bit, r3, tx_node, rx_node, slot0)
             decoded[t - 1] = majority_decode(copies)
         delivered.append(protocol.child_value(i + 1, decoded))
         child = decoded
@@ -540,9 +542,9 @@ class TestRepetitionAgainstReceptionLoop:
                     out = (list(res.values), list(res.delivered))
                 else:
                     out = reference_repetition(proto, r3, ch, ends)
-                runs.append((out, ch.slot_cursor, ch.rng.bit_generator.state, calls))
+                runs.append((out, ch.rng.bit_generator.state, calls))
             assert runs[0] == runs[1], (q, width, r3, seed)
-            assert len(runs[0][3]) == (q - 1) * width * r3
+            assert len(runs[0][2]) == (q - 1) * width * r3
             corrupted += runs[0][0][1] != proto.fold()[1]
         # The comparison covers arrays whose links deliver wrong values.
         assert corrupted > 0
@@ -550,7 +552,8 @@ class TestRepetitionAgainstReceptionLoop:
 
 def reference_treecode(protocol, config, channel, link_endpoints):
     """The per-link tree-code loop that re-decodes each receiver's whole
-    history every round, by a rescan of all 2^t paths: values and delivered values."""
+    history every round, by a rescan of all 2^t paths: values and delivered values.
+    Round t's forward bits go out in the slots from 2 * (t - 1) * sym_bits."""
     depth = config.treecode_depth(protocol.rounds)
     tree = TreeCode(depth, config.alphabet, config.treecode_seed)
     sym_bits = config.symbol_bits
@@ -568,7 +571,7 @@ def reference_treecode(protocol, config, channel, link_endpoints):
             prefixes[i] = (prefixes[i] << 1) | round_bits[i]
             symbol = int(tree.levels[t - 1][prefixes[i]])
             tx_node, rx_node = link_endpoints[i]
-            slots = channel.slot_cursor + np.arange(sym_bits)
+            slots = 2 * (t - 1) * sym_bits + np.arange(sym_bits)
             mask = channel.flip_mask((sym_bits,), slots=slots, txs=tx_node, rxs=rx_node)
             flips = sum(int(b) << (sym_bits - 1 - k) for k, b in enumerate(mask))
             received[i].append(symbol ^ flips)
@@ -578,7 +581,6 @@ def reference_treecode(protocol, config, channel, link_endpoints):
                 dist += tree.levels[s - 1][paths >> (t - s)] != received[i][s - 1]
             best = int(np.argmin(dist))
             beliefs[i] = [(best >> (t - 1 - k)) & 1 for k in range(t)]
-        channel.slot_cursor += 2 * sym_bits
     values = [
         protocol.step(i, protocol.child_value(i, beliefs[i - 1][: protocol.rounds] if i else []))
         for i in range(protocol.q)
@@ -618,9 +620,9 @@ class TestTreeCodeIncremental:
                 out = simulate(proto, config, ch, ends)
                 if simulate is simulate_line:
                     out = (list(out.values), list(out.delivered))
-                runs.append((out, ch.slot_cursor, ch.rng.bit_generator.state, calls))
+                runs.append((out, ch.rng.bit_generator.state, calls))
             assert runs[0] == runs[1], seed
-            assert bool(runs[0][3]) == hooked
+            assert bool(runs[0][2]) == hooked
             wrong_links += runs[0][0][1] != proto.fold()[1]
         # The comparison covers runs whose links deliver wrong values.
         assert wrong_links > 0

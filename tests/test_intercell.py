@@ -442,22 +442,33 @@ def reference_distribute_result(
     tree, plan, value, config, r2, channel, grid, params, coloring=None
 ):
     """The per-link, per-member distribution loop that ``distribute_result``
-    replaced, kept verbatim (bar the import of ``color_cells``) as its oracle:
-    one ``noisy_copies`` and one ``majority_decode`` call per link and per member."""
+    replaced, kept as its oracle (bar the import of ``color_cells`` and the
+    slot ids): one ``majority_decode`` call per link and per member.
+
+    Slot ids come from the slots charged so far: a relay link into cell j
+    sends copy c of hop h at start + (h * r3 + c) * link_slot_span +
+    interference_bound + 1 + color(j), and every cell of a class broadcasts
+    in the class's r2 slots."""
     if value not in (0, 1):
         raise ValueError(f"distribute_result relays one bit, got value {value!r}")
+    if coloring is None:
+        coloring = color_cells(grid, params)
+    color = {j: cls.color for cls in coloring for j in cls.cells}
     down: dict[int, int] = {tree.sink_cell: int(value)}
     for stage in reversed(plan.stages):
         stage_slots = 0
+        start = channel.metrics.slots_total
         for array in stage.arrays:
             cells = array.cells
             centers = grid.centers[np.asarray(cells) - 1].tolist()
             v = down[array.root]
             for i in range(len(cells) - 2, -1, -1):
-                copies = channel.noisy_copies(
-                    v, config.r3, centers[i + 1], centers[i], channel.slot_cursor
-                )
-                channel.slot_cursor += config.r3
+                logical = (len(cells) - 2 - i) * config.r3 + np.arange(config.r3)
+                lane = params.interference_bound + 1 + color[cells[i]]
+                copies = [
+                    channel.noisy_copies(v, 1, centers[i + 1], centers[i], slot)[0]
+                    for slot in start + logical * params.link_slot_span + lane
+                ]
                 v = majority_decode(copies)
                 down[cells[i]] = v
             link_count = len(cells) - 1
@@ -466,9 +477,8 @@ def reference_distribute_result(
         channel.metrics.add("distribute", slots=stage_slots * params.link_slot_span)
 
     node_values = np.zeros(grid.n, dtype=np.int8)
-    if coloring is None:
-        coloring = color_cells(grid, params)
     for cls in coloring:
+        slot0 = channel.metrics.slots_total
         for j in cls.cells:
             cell = grid.cell(j)
             v = down[j]
@@ -476,9 +486,8 @@ def reference_distribute_result(
             for member in cell.members.tolist():
                 if member == cell.center:
                     continue
-                copies = channel.noisy_copies(v, r2, cell.center, member, channel.slot_cursor)
+                copies = channel.noisy_copies(v, r2, cell.center, member, slot0)
                 node_values[member] = majority_decode(copies)
-            channel.slot_cursor += r2
             channel.metrics.add("distribute", tx=r2, rx=r2 * (cell.size - 1))
         channel.metrics.add("distribute", slots=r2)
     return node_values
@@ -492,7 +501,7 @@ def distribution_world(n):
 
 def run_distribution(distribute, world, eps0, r3, r2, coloring, adversarial):
     """One distribution of the bit 1 on a fresh channel; returns what a run
-    leaves behind: node values, metrics, slot cursor, RNG state, hook calls."""
+    leaves behind: node values, metrics, RNG state, hook calls."""
     inst, params, grid, tree, plan, classes = world
     calls = []
 
@@ -502,13 +511,13 @@ def run_distribution(distribute, world, eps0, r3, r2, coloring, adversarial):
 
     noise = NoiseModel(eps0, "adversarial", hook) if adversarial else NoiseModel(eps0)
     channel = Channel(inst, params, noise, np.random.default_rng(inst.n + r2))
-    channel.slot_cursor = 1000  # distribution follows the stages that ran before it
+    channel.metrics.add("stage2", slots=1000)  # distribution follows the stages before it
     values = distribute(
         tree, plan, 1, LinkSimConfig(mode="abstract", r3=r3), r2, channel, grid, params,
         classes if coloring else None,
     )
     state = channel.rng.bit_generator.state
-    return values, channel.metrics.snapshot(), channel.slot_cursor, state, calls
+    return values, channel.metrics.snapshot(), state, calls
 
 
 class TestDistributeMatchesReference:
@@ -553,15 +562,31 @@ class TestDistributeMatchesReference:
         assert len(draws) == len(plan.stages) + 1
 
 
+def scheduled(start, deeper, params, coloring, bank=0):
+    """The slot ids of links whose deeper cells are ``deeper``, from logical
+    slots with links along axis 0: start + l * link_slot_span + the deeper
+    cell's color, plus interference_bound + 1 on the downward bank."""
+    color = {j: cls.color for cls in coloring for j in cls.cells}
+    lanes = bank * (params.interference_bound + 1) + np.array([color[j] for j in deeper])
+    return lambda logical: (
+        start + logical * params.link_slot_span + lanes.reshape(-1, *[1] * (logical.ndim - 1))
+    )
+
+
 def per_array_run_stage2(plan, state, line_for, config, channel, grid, params):
     """The per-array loop that ``_run_stage2`` replaced, kept verbatim (bar
-    looking ``simulate_line`` up on its module, so a recorder can see it) as
-    its oracle: in repetition mode one flip draw per array."""
+    looking ``simulate_line`` up on its module, so a recorder can see it, and
+    the scheduled slot ids) as its oracle: in repetition mode one flip draw
+    per array."""
+    coloring = color_cells(grid, params)
     for stage in plan.stages:
         stage_logical = 0
+        start = channel.metrics.slots_total
         for array in stage.arrays:
             proto = line_for([state[j] for j in array.cells])
-            res = intercell.simulate_line(proto, config, channel, _array_endpoints(array.cells, grid))
+            ends = _array_endpoints(array.cells, grid)
+            slots = scheduled(start, array.cells[:-1], params, coloring)
+            res = intercell.simulate_line(proto, config, channel, ends, slots=slots)
             state[array.root] = res.values[-1]
             # Every inter-cell transmission targets a single center.
             channel.metrics.add("stage2", tx=res.tx, rx=res.tx)
@@ -576,36 +601,43 @@ def per_array_distribute_result(
     tree, plan, value, config, r2, channel, grid, params, coloring=None
 ):
     """``distribute_result`` as it was with one relay flip draw per array,
-    kept verbatim (bar the ``simulate_line`` lookup) as the oracle of the
-    per-sub-stage relay draw."""
+    kept verbatim (bar the ``simulate_line`` lookup and the scheduled slot
+    ids) as the oracle of the per-sub-stage relay draw.  Relay sub-stages
+    follow each other from the slots charged before the distribution, each
+    its longest array's r3 * links logical slots long, and every cell of a
+    class broadcasts in the class's r2 slots after them."""
     if value not in (0, 1):
         raise ValueError(f"distribute_result relays one bit, got value {value!r}")
+    if coloring is None:
+        coloring = color_cells(grid, params)
     relay = replace(config, mode="repetition")
     down: dict[int, int] = {tree.sink_cell: int(value)}
+    start = channel.metrics.slots_total
     for stage in reversed(plan.stages):
         for array in stage.arrays:
             cells = array.cells[::-1]
             proto = or_chain([down[array.root]] + [0] * (array.q - 1))
-            res = intercell.simulate_line(proto, relay, channel, _array_endpoints(cells, grid))
+            slots = scheduled(start, cells[1:], params, coloring, bank=1)
+            res = intercell.simulate_line(proto, relay, channel, _array_endpoints(cells, grid),
+                                          slots=slots)
             down.update(zip(cells, res.values))
+        start += max(a.q - 1 for a in stage.arrays) * relay.r3 * params.link_slot_span
     slots, tx = stage2_cost(plan, params, relay, "max")
     channel.metrics.add("distribute", tx=tx, rx=tx, slots=slots)
 
-    if coloring is None:
-        coloring = color_cells(grid, params)
     cells = [j for cls in coloring for j in cls.cells]
     members, sizes, centers = grid.gather(cells)
     rank = np.repeat(np.arange(len(cells)), sizes)
     heard = members != centers[rank]
     rank, rxs = rank[heard], members[heard]
-    base = channel.slot_cursor
+    base = channel.metrics.slots_total
+    class_of = np.repeat(np.arange(len(coloring)), [len(cls.cells) for cls in coloring])
     flips = channel.flip_mask(
         (rxs.size, r2),
-        slots=lambda: base + r2 * rank[:, None] + np.arange(r2),  # iid never reads it
+        slots=lambda: base + r2 * class_of[rank, None] + np.arange(r2),  # iid never reads it
         txs=centers[rank, None],
         rxs=rxs[:, None],
     )
-    channel.slot_cursor += r2 * len(cells)
     bits = np.array([down[j] for j in cells], dtype=np.int8)
     node_values = np.zeros(grid.n, dtype=np.int8)
     node_values[centers] = bits
@@ -616,7 +648,7 @@ def per_array_distribute_result(
 
 class TestStage2MatchesPerArrayLoop:
     """One repetition draw per sub-stage against the per-array draws it replaced:
-    same values, delivered words, counters, slot cursor, RNG state and hook calls."""
+    same values, delivered words, counters, RNG state and hook calls."""
 
     R3 = 9
 
@@ -645,10 +677,10 @@ class TestStage2MatchesPerArrayLoop:
         monkeypatch.setattr(intercell, "simulate_line", recorded)
         noise = NoiseModel(eps0, "adversarial", hook) if adversarial else NoiseModel(eps0)
         channel = Channel(inst, params, noise, np.random.default_rng(inst.n + 5))
-        channel.slot_cursor = 1000  # stage 2 follows the slots that ran before it
+        channel.metrics.add("stage1", slots=1000)  # stage 2 follows the slots charged before it
         out = job(channel)
         state = channel.rng.bit_generator.state
-        return out, lines, channel.metrics.snapshot(), channel.slot_cursor, state, calls
+        return out, lines, channel.metrics.snapshot(), state, calls
 
     @pytest.mark.parametrize("n", [800, 8000, 32768])
     def test_bit_identical_to_the_per_array_loop(self, monkeypatch, n):
@@ -688,7 +720,7 @@ class TestStage2MatchesPerArrayLoop:
                     assert got == want, (name, eps0, adversarial)
                     assert len(got[1]) == len(plan.arrays)
                     if adversarial:
-                        assert len(got[5]) == got[2]["rx_stage2"] + got[2]["rx_distribute"]
+                        assert len(got[4]) == got[2]["rx_stage2"] + got[2]["rx_distribute"]
                     corrupted += sum(
                         res.delivered != res.values[:-1] for res in got[1]
                     )
