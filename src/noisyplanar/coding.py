@@ -598,7 +598,8 @@ def _simulate_treecode(
 
     A round is one (links, sym_bits) flip draw in link-then-bit order: the
     uniforms and the hook calls of a per-link loop, batched as ``NoiseModel``
-    says.
+    says.  The reserved reverse-direction bits are charged as transmissions
+    and receptions but never drawn, so a hook never sees them.
     """
     depth = config.treecode_depth(protocol.rounds)
     tree = _tree_for(depth, config.alphabet, config.treecode_seed)

@@ -437,30 +437,36 @@ class AuditReport:
         )
 
 
+def _cell_boxes(grid: CellGrid, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's bounding box: cell j's runs from lo[j - 1] to hi[j - 1]."""
+    points = positions[grid.members]
+    starts = grid.offsets[:-1]
+    return np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
+
+
 def audit_coloring(
     grid: CellGrid,
     params: DerivedParams,
     coloring: list[ScheduleClass],
     positions: np.ndarray,
     class_bases: dict[int, int] | None = None,
+    boxes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[str]:
     """Prove the intra-cell coloring collision-free, or name the offenders.
 
-    Any transmitter of one cell must sit at least (1 + delta) * radius from
-    every listener of any same-class cell, which covers every slot of the
-    lockstep schedule at once.  Violations carry a representative slot (the
-    class's first), where both offending cells are guaranteed active.
+    Any transmitter of one cell must sit at least (1 + delta) * radius, and
+    beyond the radius (at delta = 0), from every listener of any same-class
+    cell, which covers every slot of the lockstep schedule at once.
+    Violations carry a representative slot (the class's first), where both
+    offending cells are guaranteed active.
 
-    Each cell's members span a bounding box, and two members are never closer
-    than the gap between their cells' boxes.  So each class compares its box
-    gaps in one array operation, and only the pairs whose gap is under the
-    guard radius get the exact member-to-member check, in pair order.
+    Two members are never closer than the gap between their cells' bounding
+    boxes (``boxes``, built here unless given).  So each class compares its
+    box gaps in one array operation, and only the pairs whose gap is under
+    the guard radius get the exact member-to-member check, in pair order.
     """
     guard = (1.0 + params.delta) * params.radius
-    points = positions[grid.members]
-    starts = grid.offsets[:-1]
-    lo = np.minimum.reduceat(points, starts)  # cell j's box runs from lo[j - 1] to hi[j - 1]
-    hi = np.maximum.reduceat(points, starts)
+    lo, hi = boxes if boxes is not None else _cell_boxes(grid, positions)
     violations = []
     for cls in coloring:
         base = (class_bases or {}).get(cls.color, 0)
@@ -472,7 +478,7 @@ def audit_coloring(
         for i, j in zip(*np.nonzero(near)):
             a, b = cls.cells[i], cls.cells[j]
             dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
-            if dist < guard:
+            if dist < guard or dist <= params.radius:
                 violations.append(
                     f"slot {base}: same-color cells {a} and {b} (color {cls.color}) have "
                     f"members {dist:.4f} apart, inside the guard ring {guard:.4f}"
@@ -480,64 +486,53 @@ def audit_coloring(
     return violations
 
 
-def _replay_slots(run: TrialRun, layout: list, report: AuditReport) -> None:
-    """Resolve scheduled slots without noise; every intended receiver must receive.
-
-    Stage 1: each stage1_layout class's first slot and, under MAX, its first
-    identity slot, where each cell's transmitter must reach the rest of its
-    cell.  One resolve_slot call per class covers its replayed phases, with
-    the transmitters of all its cells and all its members listening in each
-    phase's slot; a phase's kind codes are compared in one array operation,
-    and a violation names one cell.  Stage 2: every subslot, one resolve_slot
-    call per stage.  Within a logical slot, the link from child cell j fires
-    in subslot ``subslots(run.coloring)[j]``, as the runners number it
-    (upward; downward subslots are a disjoint second bank), so each link's
-    transmitter sends, and its receiver listens, in that subslot.  A violation
-    names one subslot's failed links, the subslots in the order of their first link.
-    """
-    params, grid = run.params, run.grid
-    positions = run.instance.positions
-    rng = np.random.default_rng(0)
-    noiseless = NoiseModel(0.0)
-    is_max = run.config.protocol == "max"
-    for cls, base, _, max_members in layout:
-        members, sizes, centers = grid.gather(cls.cells)
-        replays = [("discovery" if is_max else "hist_count", base, members[sizes.cumsum() - sizes])]
-        if is_max:
-            id_base = run.stage1_config.phase_slots(base, max_members)[1]
-            replays.append(("identity", id_base, centers))
-        cell_of = np.repeat(np.arange(len(sizes)), sizes)
-        phases, slots, txs = zip(*replays)
-        kinds = resolve_slot(
-            np.repeat(slots, len(sizes)), np.concatenate(txs), 0, np.tile(members, len(slots)),
-            positions, params, noiseless, rng, listen_slots=np.repeat(slots, members.size),
-        )
-        for phase, slot, tx, got in zip(phases, slots, txs, kinds.reshape(len(slots), -1)):
-            missed = (got < RECEIVED) & (members != tx[cell_of])
-            for i in dict.fromkeys(cell_of[missed].tolist()):  # ascending, as cell_of is
-                bad = members[missed & (cell_of == i)].tolist()
-                report.collision_violations.append(
-                    f"{phase} slot {slot}: cell {cls.cells[i]} listeners {bad} did not receive"
+def _audit_single_hop(run: TrialRun, layout: list, boxes: tuple) -> list[str]:
+    """Name each cell whose farthest two members lie beyond the radius, at its
+    class's first slot.  Two members are never farther apart than their box's
+    diagonal, rounded as ``distances`` rounds, so only the cells whose
+    diagonal exceeds the radius get the exact all-pairs check."""
+    dx, dy = (boxes[1] - boxes[0]).T  # each cell's box width and height
+    wide = np.sqrt(dx * dx + dy * dy) > run.params.radius
+    violations = []
+    for cls, base, _, _ in layout:
+        cells = np.array(cls.cells, dtype=np.int64)
+        for j in cells[wide[cells - 1]].tolist():
+            members = run.grid.cell(j).members
+            dist = distances(run.instance.positions, members, members)
+            a, b = np.unravel_index(dist.argmax(), dist.shape)
+            if dist[a, b] > run.params.radius:
+                violations.append(
+                    f"slot {base}: cell {j} members {members[a]} and {members[b]} are "
+                    f"{dist[a, b]:.4f} apart, beyond the radius {run.params.radius:.4f}"
                 )
+    return violations
 
+
+def _replay_slots(run: TrialRun) -> list[str]:
+    """Resolve every stage-2 subslot without noise, one resolve_slot call per
+    stage, and name each subslot whose links do not all deliver.
+
+    Within a logical slot, the link from child cell j fires in subslot
+    ``subslots(run.coloring)[j]``, as the runners number it (upward;
+    downward subslots are a disjoint second bank).  The subslots are named
+    in the order of their first link.
+    """
+    world = (run.instance.positions, run.params, NoiseModel(0.0), np.random.default_rng(0))
     subslot = subslots(run.coloring)
+    violations = []
     for si, stage in enumerate(run.plan.stages):
         links = [(c, p) for array in stage.arrays for c, p in zip(array.cells, array.cells[1:])]
         lanes = np.array([subslot[c] for c, _ in links], dtype=np.int64)
-        txs, rxs = grid.centers[np.array(links, dtype=np.int64).reshape(-1, 2).T - 1]
-        kinds = resolve_slot(
-            lanes, txs, 0, rxs, positions, params, noiseless, rng, listen_slots=lanes
-        )
-        failed = kinds < RECEIVED
+        txs, rxs = run.grid.centers[np.array(links, dtype=np.int64).reshape(-1, 2).T - 1]
+        failed = resolve_slot(lanes, txs, 0, rxs, *world, listen_slots=lanes) < RECEIVED
         if not failed.any():
             continue
         for lane in dict.fromkeys(lanes.tolist()):  # in the order of their first link
             bad = failed & (lanes == lane)
             if bad.any():
                 named = ", ".join(f"{tx}->{rx}" for tx, rx in zip(txs[bad], rxs[bad]))
-                report.collision_violations.append(
-                    f"stage {si} subslot {lane}: links {named} did not deliver"
-                )
+                violations.append(f"stage {si} subslot {lane}: links {named} did not deliver")
+    return violations
 
 
 def _columns(records: list[TraceRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -581,31 +576,37 @@ def validate_run(run: TrialRun) -> AuditReport:
     """Audit a traced trial: collision freedom, oblivious schedules, energy.
 
     Checks (slot-indexed on failure): (a) no intended receiver can observe a
-    collision in the discovery, identity, or inter-cell phases -- the
-    data-dependent confirmation slots are the documented exception.
-    audit_coloring prunes same-class cell pairs by their bounding boxes
-    before the exact member check, and the slot replay resolves each class's
-    replayed phases, and each stage-2 stage, in one call; (b) the trace's
-    discovery, identity and counting records equal stage1_schedule's
-    run-length records, compared as concatenated txs, first-slot and copies
-    columns -- only on a mismatch are the unequal records expanded to
-    (slot, tx) rows, to name the first differing slots -- and its stage-2
-    arrays equal the plan's; (c) the energy counters satisfy their defining
-    identities, the stage-1 transmissions equal the trace's copies summed
-    over its transmitters, and the stage-1 slots, stage-2 slots and stage-2
-    transmissions match their closed-form accounting identities.  It audits
-    the traced run alone: no second trial.
+    collision in the discovery, identity, counting, or inter-cell phases;
+    confirmation slots with several believers are the documented exception.
+    Stage 1 is proven from geometry, every slot at once: each stage-1 slot
+    belongs to one color class; (b) holds the trace to stage1_schedule, which
+    sends at most one member of a cell per slot; every two members of a cell
+    are within the radius (the single-hop check, by cell boxes first); and
+    audit_coloring puts every member of another cell of the class beyond the
+    radius and the guard ring.  So every discovery, counting, identity and
+    single-believer confirmation slot reaches every member that the counters
+    charge as a receiver.  Stage 2 is replayed, one noiseless resolve_slot
+    call per stage.  (b) The trace's discovery, identity and counting
+    records equal stage1_schedule's run-length records, compared as
+    concatenated txs, first-slot and copies columns -- only on a mismatch
+    are the unequal records expanded to (slot, tx) rows, to name the first
+    differing slots -- and its stage-2 arrays equal the plan's; (c) the
+    energy counters satisfy their defining identities, the stage-1
+    transmissions equal the trace's copies summed over its transmitters, and
+    the stage-1 slots, stage-2 slots and stage-2 transmissions match their
+    closed-form accounting identities.  No second trial runs.
     """
     if run.channel.trace is None:
         raise ValueError("validate_run needs a trial executed with capture_trace=True")
-    report = AuditReport()
-
     layout = stage1_layout(run.grid, run.coloring, run.stage1_config, run.config.protocol)
     bases = {cls.color: base for cls, base, _, _ in layout}
-    report.collision_violations.extend(
-        audit_coloring(run.grid, run.params, run.coloring, run.instance.positions, bases)
+    positions = run.instance.positions
+    boxes = _cell_boxes(run.grid, positions)
+    report = AuditReport(
+        audit_coloring(run.grid, run.params, run.coloring, positions, bases, boxes=boxes)
+        + _audit_single_hop(run, layout, boxes)
+        + _replay_slots(run)
     )
-    _replay_slots(run, layout, report)
 
     trace = run.channel.trace
     traced = [r for r in trace.stage1 if r.phase in ("discovery", "identity", "hist_count")]

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -56,19 +57,14 @@ __all__ = [
 ]
 
 
-_ID_CODE_CACHE: dict[tuple[int, int | None, int], BlockCode] = {}
-
-
+@cache
 def _id_code_for(msg_bits: int, block_len: int | None, seed: int) -> BlockCode:
     """The identity code for these parameters, built once per process.
 
     The code is immutable (its arrays are read-only), so every trial and
     sweep point with the same parameters shares one instance.
     """
-    key = (msg_bits, block_len, seed)
-    if key not in _ID_CODE_CACHE:
-        _ID_CODE_CACHE[key] = BlockCode(msg_bits, block_len, seed=seed)
-    return _ID_CODE_CACHE[key]
+    return BlockCode(msg_bits, block_len, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -192,10 +192,10 @@ class TestValidateRun:
         assert violations
         assert "slot 120" in violations[0]
 
-    def test_identity_replay_names_an_identity_slot(self):
+    def test_moved_cell_is_named_at_its_class_base_slot(self):
         # Move cell 2, grid-adjacent to cell 1, into cell 1's color class: the
-        # identity replay must name the class's first identity slot, which
-        # follows c_rep slots per member of the class's largest cell.
+        # audit must fail, naming both cells at the class's first slot, which
+        # every stage-1 slot of the class shares with them.
         cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
         run = run_trial(cfg, 1000, 0, capture_trace=True)
         moved = []
@@ -205,12 +205,38 @@ class TestValidateRun:
                 moved.append(ScheduleClass(cls.color, tuple(sorted(cells))))
         run.coloring = moved
         layout = stage1_layout(run.grid, run.coloring, run.stage1_config, "max")
-        base, max_members = next((b, m) for cls, b, _, m in layout if 1 in cls.cells)
-        id_slot = base + run.stage1_config.c_rep * max_members
+        cls, base = next((cls, b) for cls, b, _, _ in layout if 1 in cls.cells)
         audit = validate_run(run)
-        identity = [v for v in audit.collision_violations if v.startswith("identity")]
-        assert identity
-        assert all(v.startswith(f"identity slot {id_slot}: ") for v in identity)
+        assert not audit.passed
+        assert [v for v in audit.collision_violations if v.startswith(
+            f"slot {base}: same-color cells 1 and 2 (color {cls.color}) have members "
+        )]
+
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_cell_beyond_single_hop_is_named(self, protocol):
+        # Move a cell's second and third members to its first member
+        # +-(0.9 r, 0): each is within the radius of the first but 1.8 r from
+        # the other, so the cell is no longer single-hop.  Every stage-1
+        # transmitter of the cell must reach every member, so the audit must
+        # fail and name the cell at its class's first slot.
+        cfg = ExperimentConfig(protocol=protocol, n=(1000,), trials=1, eps0=0.0)
+        run = run_trial(cfg, 1000, 0, capture_trace=True)
+        assert validate_run(run).passed
+        cell = next(c for c in run.grid if c.index != run.grid.sink_cell and c.size >= 3)
+        first, second, third = cell.members[:3].tolist()
+        positions = run.instance.positions.copy()
+        positions[second] = positions[first] + (0.9 * run.params.radius, 0.0)
+        positions[third] = positions[first] - (0.9 * run.params.radius, 0.0)
+        run.instance = replace(run.instance, positions=positions)
+        layout = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
+        base = next(b for cls, b, _, _ in layout if cell.index in cls.cells)
+        audit = validate_run(run)
+        assert not audit.passed
+        named = [v for v in audit.collision_violations if v.startswith(f"slot {base}: cell ")]
+        assert named == [
+            f"slot {base}: cell {cell.index} members {second} and {third} are "
+            f"{1.8 * run.params.radius:.4f} apart, beyond the radius {run.params.radius:.4f}"
+        ]
 
     def test_stage2_links_sharing_a_subslot_are_named(self):
         # Move the first cell of a three-cell array into its parent's color
@@ -422,7 +448,7 @@ def _reference_audit_coloring(grid, params, coloring, positions, class_bases=Non
         for i, a in enumerate(cls.cells):
             for b in cls.cells[i + 1 :]:
                 dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
-                if dist < guard:
+                if dist < guard or dist <= params.radius:
                     violations.append(
                         f"slot {base}: same-color cells {a} and {b} (color {cls.color}) have "
                         f"members {dist:.4f} apart, inside the guard ring {guard:.4f}"
@@ -430,29 +456,32 @@ def _reference_audit_coloring(grid, params, coloring, positions, class_bases=Non
     return violations
 
 
-def _reference_replay_slots(run, layout, report):
-    """The per-cell replay: one resolve_slot call per cell and replayed phase."""
+def _reference_single_hop(run, layout):
+    """Every cell's all-pairs member distances against the radius."""
+    positions, radius = run.instance.positions, run.params.radius
+    violations = []
+    for cls, base, _, _ in layout:
+        for j in cls.cells:
+            members = run.grid.cell(j).members.tolist()
+            far = (radius, None, None)  # the first farthest pair beyond the radius
+            for i, a in enumerate(members):
+                for b, d in zip(members[i + 1 :], distances(positions, [a], members[i + 1 :])[0]):
+                    if d > far[0]:
+                        far = (float(d), a, b)
+            if far[1] is not None:
+                violations.append(
+                    f"slot {base}: cell {j} members {far[1]} and {far[2]} are {far[0]:.4f} "
+                    f"apart, beyond the radius {radius:.4f}"
+                )
+    return violations
+
+
+def _reference_replay_slots(run, report):
+    """The per-subslot stage-2 replay: one resolve_slot call per subslot."""
     params, grid = run.params, run.grid
     positions = run.instance.positions
     rng = np.random.default_rng(0)
     noiseless = NoiseModel(0.0)
-    is_max = run.config.protocol == "max"
-    for cls, base, _, max_members in layout:
-        cells = [grid.cell(j) for j in cls.cells]
-        replays = [("discovery" if is_max else "hist_count", base, [c.members[0] for c in cells])]
-        if is_max:
-            id_base = run.stage1_config.phase_slots(base, max_members)[1]
-            replays.append(("identity", id_base, [c.center for c in cells]))
-        for phase, slot, txs in replays:
-            for j, tx in zip(cls.cells, txs):
-                listeners = [m for m in grid.cell(j).members.tolist() if m != tx]
-                kinds = resolve_slot(slot, txs, 0, listeners, positions, params, noiseless, rng)
-                bad = [m for m, k in zip(listeners, kinds.tolist()) if k < RECEIVED]
-                if bad:
-                    report.collision_violations.append(
-                        f"{phase} slot {slot}: cell {j} listeners {bad} did not receive"
-                    )
-
     color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
     for si, stage in enumerate(run.plan.stages):
         groups = {}
@@ -479,8 +508,9 @@ def _reference_collisions(run):
         collision_violations=_reference_audit_coloring(
             run.grid, run.params, run.coloring, run.instance.positions, bases
         )
+        + _reference_single_hop(run, layout)
     )
-    _reference_replay_slots(run, layout, report)
+    _reference_replay_slots(run, report)
     return report.collision_violations
 
 
@@ -532,8 +562,19 @@ class TestAuditAgainstPerCellReference:
         run = run_trial(cfg, n, 0, capture_trace=True)
         run.coloring = _merge_pairwise(run.coloring)
         want = _reference_collisions(run)
-        assert len(want) > 100
         assert validate_run(run).collision_violations == want
+        # Every merged class with two cells that share a grid edge is named.
+        coords = lambda j: divmod(j - 1, run.grid.grid_dim)
+        touching = {
+            cls.color
+            for cls in run.coloring
+            for a in cls.cells
+            for b in cls.cells
+            if sum(abs(u - v) for u, v in zip(coords(a), coords(b))) == 1
+        }
+        named = {int(c) for v in want for c in re.findall(r"same-color .* \(color (\d+)\)", v)}
+        assert touching
+        assert touching <= named
 
     def test_moved_cell_colorings(self):
         cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
@@ -593,11 +634,27 @@ class TestAuditAgainstPerCellReference:
         assert got == _reference_audit_coloring(grid, params, coloring, positions)
         assert len(got) == 1 and "same-color cells 3 and 4 (color 1)" in got[0]
 
+    def test_member_pair_at_exactly_the_radius_with_no_guard_ring(self):
+        # At delta = 0 the guard ring is the radius, and a transmitter exactly
+        # the radius away is in range: cell 1's listener at (0.0, 0.5) hears
+        # its own transmitter and cell 2's, and collides.
+        grid, params, positions = _hand_grid([(0.0, 0.5), (0.0, 0.55)], [(0.1, 0.5)])
+        params = replace(params, delta=0.0)
+        assert float(distances(positions, [0], [2])[0, 0]) <= params.radius
+        rng = np.random.default_rng(0)
+        kinds = resolve_slot(0, [1, 2], 0, [0], positions, params, NoiseModel(0.0), rng)
+        assert kinds.tolist() == [COLLIDED]
+        coloring = [ScheduleClass(color=0, cells=(1, 2))]
+        got = audit_coloring(grid, params, coloring, positions)
+        assert got == _reference_audit_coloring(grid, params, coloring, positions)
+        assert len(got) == 1 and "same-color cells 1 and 2 (color 0)" in got[0]
+
 
 class TestReplayIsArrayLevel:
     @pytest.mark.parametrize("protocol", ["max", "hist"])
-    def test_one_array_call_per_class_phase_and_subslot(self, monkeypatch, protocol):
-        # A replay that falls back to per-cell or per-listener work makes more
+    def test_one_array_call_per_stage2_stage(self, monkeypatch, protocol):
+        # Stage 1 is proven from geometry, so only stage 2 is replayed.  A
+        # replay that falls back to per-subslot or per-link work makes more
         # calls or returns something other than one kind array per call.
         import noisyplanar.harness as hz
 
@@ -618,7 +675,7 @@ class TestReplayIsArrayLevel:
             for stage in run.plan.stages
         )
         assert subslots > 0
-        assert len(returned) == len(run.coloring) + len(run.plan.stages)
+        assert len(returned) == len(run.plan.stages)
         assert len(run.plan.stages) < subslots
         assert set(returned) == {np.ndarray}
 
@@ -654,8 +711,11 @@ class TestLocalPairingAgainstDenseOracle:
     @pytest.mark.parametrize("protocol", ["max", "hist"])
     def test_every_replay_call_equals_the_dense_oracle(self, monkeypatch, protocol, n):
         # Every call the audit makes on the plain, pairwise-merged and moved-cell
-        # colorings (one per class, one per stage-2 stage) is made again with
-        # random bits and noise, against one dense single-slot call per slot.
+        # colorings (one per stage-2 stage), and one class-sized two-slot call
+        # per class of each (each cell's first member, then its center,
+        # transmit; every member of the class listens in both slots), is made
+        # again with random bits and noise, against one dense single-slot call
+        # per slot.
         import noisyplanar.harness as hz
 
         cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=0.1)
@@ -670,6 +730,8 @@ class TestLocalPairingAgainstDenseOracle:
             return resolve_slot(*args, **kwargs)
 
         monkeypatch.setattr(hz, "resolve_slot", recording)
+        world = (run.instance.positions, run.params)
+        class_calls = []
         for coloring in (
             plain,
             _merge_pairwise(plain),
@@ -678,7 +740,16 @@ class TestLocalPairingAgainstDenseOracle:
         ):
             run.coloring = coloring
             validate_run(run)
-        assert len(calls) > 3 * len(plain)
+            for k, cls in enumerate(coloring):
+                members, sizes, centers = run.grid.gather(cls.cells)
+                slots = np.array([2 * k, 2 * k + 1])
+                txs = np.concatenate([members[sizes.cumsum() - sizes], centers])
+                class_calls.append((
+                    (slots.repeat(sizes.size), txs, 0, np.tile(members, 2), *world),
+                    slots.repeat(members.size),
+                ))
+        assert len(calls) == 4 * len(run.plan.stages)
+        calls += class_calls
         rng = np.random.default_rng(n)
         kinds = set()
         for (slots, txs, _, listeners, positions, params, *_), listen_slots in calls:
