@@ -42,6 +42,7 @@ from .geometry import (
     CellGrid,
     DerivedParams,
     ProtocolInfeasibleError,
+    _grid_coords,
     assign_cells,
     build_tree,
     derive_params,
@@ -345,7 +346,9 @@ def sweep(config: ExperimentConfig) -> SweepReport:
     their expected growth laws, plus the repetition-mode stage-2 time and
     histogram stage-2 transmissions; band_ratios holds max/min per column.
     Those two columns come from the closed-form stage-2 accounting of each
-    trial's world, whatever the protocol and mode under test.
+    trial's world, whatever the protocol and mode under test.  The histogram
+    column is null at an n whose arrays pass the tree-code cap, and so is
+    its band ratio.
     """
     ns = sorted(config.n)
     if len(ns) < 3 or max(ns) < 8 * min(ns):
@@ -362,11 +365,9 @@ def sweep(config: ExperimentConfig) -> SweepReport:
             rep_slots_all.append(stage2_cost(run.plan, run.params, rep_link, "max")[0])
             try:
                 hist_tx_all.append(stage2_cost(run.plan, run.params, run.link_config, "hist")[1])
-            except CapacityError as exc:
-                raise CapacityError(
-                    f"sweep column hist_stage2_tx prices the histogram protocol in "
-                    f"{config.mode} mode: {exc}"
-                ) from exc
+            except CapacityError:
+                hist_tx_all.append(None)
+        hist_tx = None if None in hist_tx_all else float(np.mean(hist_tx_all))
         agg = _aggregate(n, rows)
         log_n = math.log(n)
         time_norm = math.sqrt(n / log_n)
@@ -384,8 +385,8 @@ def sweep(config: ExperimentConfig) -> SweepReport:
                 "slots_stage2": agg["mean_slots_stage2"],
                 "em1_stage1": agg["mean_em1_stage1"],
                 "em1_stage1_norm": agg["mean_em1_stage1"] / (n * log_n),
-                "hist_stage2_tx": float(np.mean(hist_tx_all)),
-                "hist_stage2_tx_per_n": float(np.mean(hist_tx_all)) / n,
+                "hist_stage2_tx": hist_tx,
+                "hist_stage2_tx_per_n": None if hist_tx is None else hist_tx / n,
                 "em1": agg["mean_em1"],
                 "em2": agg["mean_em2"],
                 "resamples": agg["resamples"],
@@ -400,7 +401,9 @@ def sweep(config: ExperimentConfig) -> SweepReport:
         "hist_stage2_tx_per_n",
     ):
         vals = [r[col] for r in report.rows]
-        report.band_ratios[col] = max(vals) / min(vals) if min(vals) > 0 else float("inf")
+        report.band_ratios[col] = (
+            None if None in vals else max(vals) / min(vals) if min(vals) > 0 else float("inf")
+        )
     return report
 
 
@@ -437,11 +440,31 @@ class AuditReport:
         )
 
 
-def _cell_boxes(grid: CellGrid, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's bounding box: cell j's runs from lo[j - 1] to hi[j - 1]."""
-    points = positions[grid.members]
-    starts = grid.offsets[:-1]
-    return np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
+# The audit proof's scalar bounds must hold by this margin, so that no rounding crosses them.
+_SLACK = 1.0 + 1e-9
+
+
+def _beyond(gap: float, params: DerivedParams) -> bool:
+    """Whether points ``gap`` apart are outside the guard ring and beyond the radius."""
+    return gap >= (1.0 + params.delta) * params.radius * _SLACK and gap > params.radius * _SLACK
+
+
+def _contained(grid: CellGrid, positions: np.ndarray) -> np.ndarray:
+    """Per cell: whether its members and center lie in its square, as assign_cells cuts it."""
+    cells, m = np.arange(len(grid)), grid.grid_dim
+    rows, cols = _grid_coords(positions, m)
+    inside = (positions >= 0.0) & (positions <= 1.0)
+    home = np.where(inside[:, 0] & inside[:, 1], rows * m + cols, -1)
+    owner = np.repeat(cells, grid.occupancies())
+    strays = np.bincount(owner[home[grid.members] != owner], minlength=len(grid))
+    return (strays == 0) & ((grid.centers < 0) | (home[grid.centers] == cells))
+
+
+def _links_adjacent(plan, grid_dim: int) -> bool:
+    """Whether every link of the plan joins two edge-adjacent cells."""
+    links = [(c, p) for array in plan.arrays for c, p in zip(array.cells, array.cells[1:])]
+    rows, cols = np.divmod(np.array(links, dtype=np.int64).reshape(-1, 2) - 1, grid_dim)
+    return bool((np.abs(np.diff(rows)) + np.abs(np.diff(cols)) == 1).all())
 
 
 def audit_coloring(
@@ -450,7 +473,6 @@ def audit_coloring(
     coloring: list[ScheduleClass],
     positions: np.ndarray,
     class_bases: dict[int, int] | None = None,
-    boxes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[str]:
     """Prove the intra-cell coloring collision-free, or name the offenders.
 
@@ -458,41 +480,38 @@ def audit_coloring(
     beyond the radius (at delta = 0), from every listener of any same-class
     cell, which covers every slot of the lockstep schedule at once.
     Violations carry a representative slot (the class's first), where both
-    offending cells are guaranteed active.
-
-    Two members are never closer than the gap between their cells' bounding
-    boxes (``boxes``, built here unless given).  So each class compares its
-    box gaps in one array operation, and only the pairs whose gap is under
-    the guard radius get the exact member-to-member check, in pair order.
+    offending cells are guaranteed active.  Two cells that lie in their
+    squares and have their color_cells colors are proven apart (validate_run
+    gives the inequality); the other pairs, or all when the inequality
+    fails, get the exact member-to-member check, in pair order.
     """
     guard = (1.0 + params.delta) * params.radius
-    lo, hi = boxes if boxes is not None else _cell_boxes(grid, positions)
+    rule = subslots(color_cells(grid, params))  # each cell's periodic color
+    proven = _contained(grid, positions)
+    proven &= _beyond((params.reuse_distance - 1) / grid.grid_dim, params)
     violations = []
     for cls in coloring:
         base = (class_bases or {}).get(cls.color, 0)
-        rows = np.array(cls.cells, dtype=np.int64) - 1
-        d = np.maximum(lo[rows, None] - hi[None, rows], lo[None, rows] - hi[rows, None]).clip(0.0)
-        gap = np.hypot(d[..., 0], d[..., 1])
-        # The slack keeps a box gap that rounds above a member distance in the exact check.
-        near = np.triu(gap < guard * (1.0 + 1e-9), 1)
-        for i, j in zip(*np.nonzero(near)):
+        periodic = np.array([rule[j] == cls.color for j in cls.cells], dtype=bool)
+        open_ = ~(proven[np.array(cls.cells, dtype=np.int64) - 1] & periodic)
+        if not open_.any():
+            continue
+        for i, j in zip(*np.nonzero(np.triu(open_[:, None] | open_, 1))):
             a, b = cls.cells[i], cls.cells[j]
             dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
             if dist < guard or dist <= params.radius:
+                ring = f"inside the guard ring {guard:.4f}"
+                if dist >= guard:  # only the radius is breached, as at delta = 0
+                    ring = f"within the radius {params.radius:.4f}"
                 violations.append(
                     f"slot {base}: same-color cells {a} and {b} (color {cls.color}) have "
-                    f"members {dist:.4f} apart, inside the guard ring {guard:.4f}"
+                    f"members {dist:.4f} apart, {ring}"
                 )
     return violations
 
 
-def _audit_single_hop(run: TrialRun, layout: list, boxes: tuple) -> list[str]:
-    """Name each cell whose farthest two members lie beyond the radius, at its
-    class's first slot.  Two members are never farther apart than their box's
-    diagonal, rounded as ``distances`` rounds, so only the cells whose
-    diagonal exceeds the radius get the exact all-pairs check."""
-    dx, dy = (boxes[1] - boxes[0]).T  # each cell's box width and height
-    wide = np.sqrt(dx * dx + dy * dy) > run.params.radius
+def _audit_single_hop(run: TrialRun, layout: list, wide: np.ndarray) -> list[str]:
+    """Name each ``wide`` cell whose farthest two members lie beyond the radius."""
     violations = []
     for cls, base, _, _ in layout:
         cells = np.array(cls.cells, dtype=np.int64)
@@ -578,35 +597,60 @@ def validate_run(run: TrialRun) -> AuditReport:
     Checks (slot-indexed on failure): (a) no intended receiver can observe a
     collision in the discovery, identity, counting, or inter-cell phases;
     confirmation slots with several believers are the documented exception.
-    Stage 1 is proven from geometry, every slot at once: each stage-1 slot
-    belongs to one color class; (b) holds the trace to stage1_schedule, which
-    sends at most one member of a cell per slot; every two members of a cell
-    are within the radius (the single-hop check, by cell boxes first); and
-    audit_coloring puts every member of another cell of the class beyond the
-    radius and the guard ring.  So every discovery, counting, identity and
-    single-believer confirmation slot reaches every member that the counters
-    charge as a receiver.  Stage 2 is replayed, one noiseless resolve_slot
-    call per stage.  (b) The trace's discovery, identity and counting
-    records equal stage1_schedule's run-length records, compared as
-    concatenated txs, first-slot and copies columns -- only on a mismatch
-    are the unequal records expanded to (slot, tx) rows, to name the first
+    Under the protocol model delivery depends on positions alone, so (a) is
+    proven from four properties of the run's data, one array pass each:
+    1. containment: each cell's members and center lie in its square;
+    2. periodic coloring: each class lists only cells of its color under
+       color_cells' rule (row mod D) * D + col mod D, D = reuse_distance, so
+       each cell's stage-2 lane (intercell.subslots) is that color;
+    3. adjacency: each plan link joins two edge-adjacent cells;
+    4. the scalar inequalities, with side = 1 / grid_dim, r = radius and a
+       1 + 1e-9 slack:
+       - sqrt(2) * side <= r: a cell's members are in range (single hop);
+       - (D - 1) * side >= (1 + delta) * r and > r: same-class members are
+         D - 1 sides apart, strictly beyond r even at delta = 0, where the
+         guard ring is the radius (stage 1);
+       - sqrt(5) * side <= r, (D - 2) * side >= (1 + delta) * r and > r: a
+         link's centers are in range, and the other transmitters of its
+         lane, in cells of the child's color, are D - 2 sides from its
+         receiver (stage 2).
+    With (b), which sends one member of a cell per stage-1 slot, every
+    discovery, counting, identity and single-believer confirmation slot
+    reaches every member charged as a receiver, and every stage-2 link
+    delivers.  Only what the proof leaves open gets an exact check:
+    audit_coloring's pairs with a cell off 1 or 2, the single-hop check on
+    cells off 1, and the noiseless stage-2 replay (_replay_slots) when a
+    cell is off 1, a lane off its periodic color, a link off 3 or a stage-2
+    inequality fails; a failed stage-1 inequality opens every pair, or
+    every cell.  (b) The trace's discovery, identity and counting records
+    equal stage1_schedule's run-length records, compared as concatenated
+    txs, first-slot and copies columns -- only on a mismatch are the
+    unequal records expanded to (slot, tx) rows, to name the first
     differing slots -- and its stage-2 arrays equal the plan's; (c) the
     energy counters satisfy their defining identities, the stage-1
-    transmissions equal the trace's copies summed over its transmitters, and
-    the stage-1 slots, stage-2 slots and stage-2 transmissions match their
-    closed-form accounting identities.  No second trial runs.
+    transmissions equal the trace's copies summed over its transmitters,
+    and the stage-1 slots, stage-2 slots and stage-2 transmissions match
+    their closed-form accounting identities.  No second trial runs.
     """
     if run.channel.trace is None:
         raise ValueError("validate_run needs a trial executed with capture_trace=True")
     layout = stage1_layout(run.grid, run.coloring, run.stage1_config, run.config.protocol)
     bases = {cls.color: base for cls, base, _, _ in layout}
-    positions = run.instance.positions
-    boxes = _cell_boxes(run.grid, positions)
+    grid, params, positions = run.grid, run.params, run.instance.positions
+    side, contained = 1.0 / grid.grid_dim, _contained(grid, positions)
+    wide = ~contained | (math.sqrt(2) * side * _SLACK > params.radius)
     report = AuditReport(
-        audit_coloring(run.grid, run.params, run.coloring, positions, bases, boxes=boxes)
-        + _audit_single_hop(run, layout, boxes)
-        + _replay_slots(run)
+        audit_coloring(grid, params, run.coloring, positions, bases)
+        + _audit_single_hop(run, layout, wide)
     )
+    if not (
+        math.sqrt(5) * side * _SLACK <= params.radius
+        and _beyond((params.reuse_distance - 2) * side, params)
+        and _links_adjacent(run.plan, grid.grid_dim)
+        and contained.all()
+        and subslots(run.coloring) == subslots(color_cells(grid, params))
+    ):
+        report.collision_violations += _replay_slots(run)
 
     trace = run.channel.trace
     traced = [r for r in trace.stage1 if r.phase in ("discovery", "identity", "hist_count")]

@@ -449,9 +449,14 @@ def _reference_audit_coloring(grid, params, coloring, positions, class_bases=Non
             for b in cls.cells[i + 1 :]:
                 dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
                 if dist < guard or dist <= params.radius:
+                    ring = (
+                        f"inside the guard ring {guard:.4f}"
+                        if dist < guard
+                        else f"within the radius {params.radius:.4f}"
+                    )
                     violations.append(
                         f"slot {base}: same-color cells {a} and {b} (color {cls.color}) have "
-                        f"members {dist:.4f} apart, inside the guard ring {guard:.4f}"
+                        f"members {dist:.4f} apart, {ring}"
                     )
     return violations
 
@@ -588,13 +593,12 @@ class TestAuditAgainstPerCellReference:
             assert want
             assert validate_run(run).collision_violations == want
 
-    def test_boxes_near_members_far_get_the_exact_check(self, monkeypatch):
-        import noisyplanar.harness as hz
-
+    def test_boxes_near_members_far_get_the_exact_check(self):
         # Guard radius 0.15.  Cells 1 and 2 are diagonal strips whose boxes
         # nearly touch while their members are about 0.35 apart.  Cell 3 has
         # a member 0.11 from cell 2's and cell 5 one 0.11 from cell 1's, so
         # pair order puts (1, 5) before (2, 3).  Cell 4's box is far from all.
+        # No cell lies in its square, so every pair gets the exact check.
         grid, params, positions = _hand_grid(
             [(0.2, 0.5), (0.5, 0.2)],
             [(0.55, 0.55), (0.9, 0.9)],
@@ -603,18 +607,7 @@ class TestAuditAgainstPerCellReference:
             [(0.6, 0.25), (0.95, 0.1)],
         )
         coloring = [ScheduleClass(color=7, cells=(1, 2, 3, 4, 5))]
-        checked = []
-
-        def recording(positions, rows, cols):
-            checked.append((rows, cols))
-            return distances(positions, rows, cols)
-
-        monkeypatch.setattr(hz, "distances", recording)
         got = audit_coloring(grid, params, coloring, positions, {7: 40})
-        members = [c.members.tolist() for c in grid]
-        assert [(list(rows), list(cols)) for rows, cols in checked] == [
-            (members[a], members[b]) for a, b in ((0, 1), (0, 4), (1, 2))
-        ]
         assert got == _reference_audit_coloring(grid, params, coloring, positions, {7: 40})
         assert [v.split(" (")[0] for v in got] == [
             "slot 40: same-color cells 1 and 5",
@@ -647,15 +640,87 @@ class TestAuditAgainstPerCellReference:
         coloring = [ScheduleClass(color=0, cells=(1, 2))]
         got = audit_coloring(grid, params, coloring, positions)
         assert got == _reference_audit_coloring(grid, params, coloring, positions)
-        assert len(got) == 1 and "same-color cells 1 and 2 (color 0)" in got[0]
+        assert got == [
+            "slot 0: same-color cells 1 and 2 (color 0) have members 0.1000 apart, "
+            "within the radius 0.1000"
+        ]
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named harness function to append its name to the returned list."""
+    import noisyplanar.harness as hz
+
+    calls = []
+    for name in names:
+        original = getattr(hz, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hz, name, counting)
+    return calls
+
+
+class TestAuditProof:
+    @pytest.mark.parametrize("n", [1000, 4000])
+    @pytest.mark.parametrize("delta", [0.0, 0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_default_runs_are_proven_without_a_distance(self, monkeypatch, protocol, delta, n):
+        # Containment, the periodic coloring, adjacency and the scalar
+        # inequalities hold on a default run, so check (a) measures no
+        # distance and resolves no slot; the all-pairs reference agrees.
+        cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=0.1, delta=delta)
+        run = run_trial(cfg, n, 0, capture_trace=True)
+        calls = _count_calls(monkeypatch, ("distances", "resolve_slot"))
+        audit = validate_run(run)
+        assert audit.passed, audit.summary()
+        assert calls == []
+        assert _reference_collisions(run) == []
+
+    def test_failed_inequalities_send_everything_to_the_exact_checks(self, monkeypatch):
+        # A slack that no bound meets fails every inequality: every same-class
+        # pair, every cell and every stage-2 stage gets its exact check.
+        import noisyplanar.harness as hz
+
+        cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.1)
+        run = run_trial(cfg, 1000, 0, capture_trace=True)
+        calls = _count_calls(monkeypatch, ("distances", "resolve_slot"))
+        monkeypatch.setattr(hz, "_SLACK", 10.0)
+        assert validate_run(run).passed
+        pairs = sum(len(cls.cells) * (len(cls.cells) - 1) // 2 for cls in run.coloring)
+        assert calls.count("distances") == pairs + len(run.grid)
+        assert calls.count("resolve_slot") == len(run.plan.stages)
+
+    def test_a_link_between_cells_that_do_not_touch_is_replayed(self, monkeypatch):
+        # Drop the middle cell of a three-cell array: its link then joins two
+        # cells a cell apart, which the proof does not cover, so stage 2 is
+        # replayed while stage 1 stays proven.
+        cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
+        run = run_trial(cfg, 1000, 0, capture_trace=True)
+        stages = list(run.plan.stages)
+        si, ai, cells = next(
+            (si, ai, a.cells) for si, st in enumerate(stages) for ai, a in enumerate(st.arrays)
+            if len(a.cells) >= 3
+        )
+        arrays = list(stages[si].arrays)
+        arrays[ai] = replace(arrays[ai], cells=cells[:1] + cells[2:])
+        stages[si] = replace(stages[si], arrays=tuple(arrays))
+        run.plan = replace(run.plan, stages=tuple(stages))
+        calls = _count_calls(monkeypatch, ("distances", "resolve_slot"))
+        audit = validate_run(run)
+        assert calls == ["resolve_slot"] * len(stages)
+        assert audit.obliviousness_violations == ["stage-2 array structure differs from the plan"]
 
 
 class TestReplayIsArrayLevel:
     @pytest.mark.parametrize("protocol", ["max", "hist"])
     def test_one_array_call_per_stage2_stage(self, monkeypatch, protocol):
-        # Stage 1 is proven from geometry, so only stage 2 is replayed.  A
-        # replay that falls back to per-subslot or per-link work makes more
-        # calls or returns something other than one kind array per call.
+        # A default run is proven from geometry and replays nothing.  The
+        # moved-child fixture breaks the periodic coloring, so stage 2 is
+        # replayed: a replay that falls back to per-subslot or per-link work
+        # makes more calls or returns something other than one kind array
+        # per call.
         import noisyplanar.harness as hz
 
         cfg = ExperimentConfig(protocol=protocol, n=(2000,), trials=1, eps0=0.1)
@@ -669,6 +734,11 @@ class TestReplayIsArrayLevel:
 
         monkeypatch.setattr(hz, "resolve_slot", counting)
         assert validate_run(run).passed
+        assert returned == []
+        color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
+        array = next(a.cells for st in run.plan.stages for a in st.arrays if len(a.cells) >= 3)
+        run.coloring = _move_cell(run.coloring, array[0], color_of[array[1]])
+        assert not validate_run(run).passed
         color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
         subslots = sum(
             len({color_of[j] for array in stage.arrays for j in array.cells[:-1]})
@@ -710,12 +780,13 @@ class TestLocalPairingAgainstDenseOracle:
     @pytest.mark.parametrize("n", [8000, 32768])
     @pytest.mark.parametrize("protocol", ["max", "hist"])
     def test_every_replay_call_equals_the_dense_oracle(self, monkeypatch, protocol, n):
-        # Every call the audit makes on the plain, pairwise-merged and moved-cell
-        # colorings (one per stage-2 stage), and one class-sized two-slot call
-        # per class of each (each cell's first member, then its center,
-        # transmit; every member of the class listens in both slots), is made
-        # again with random bits and noise, against one dense single-slot call
-        # per slot.
+        # Every call the audit makes on the pairwise-merged and moved-cell
+        # colorings (one per stage-2 stage; the plain coloring is proven and
+        # makes none), and one class-sized two-slot call per class of each
+        # coloring (each cell's first member, then its center, transmit;
+        # every member of the class listens in both slots), is made again
+        # with random bits and noise, against one dense single-slot call per
+        # slot.
         import noisyplanar.harness as hz
 
         cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=0.1)
@@ -748,7 +819,7 @@ class TestLocalPairingAgainstDenseOracle:
                     (slots.repeat(sizes.size), txs, 0, np.tile(members, 2), *world),
                     slots.repeat(members.size),
                 ))
-        assert len(calls) == 4 * len(run.plan.stages)
+        assert len(calls) == 3 * len(run.plan.stages)  # the plain coloring is proven
         calls += class_calls
         rng = np.random.default_rng(n)
         kinds = set()
@@ -892,16 +963,24 @@ class TestCli:
         )
         assert code == 3
 
-    def test_sweep_names_the_histogram_column_past_the_tree_code_cap(self, capsys):
-        # MAX arrays fit a cap of 8 rounds here, but the sweep's hist_stage2_tx
-        # column prices the histogram protocol, whose arrays need more.
-        code = main(
-            ["sweep", "--protocol", "max", "--mode", "treecode", "--n", "300,900,2400",
-             "--trials", "1", "--d-max", "8"]
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "hist_stage2_tx" in err and "treecode mode" in err
+    def test_sweep_names_the_histogram_column_past_the_tree_code_cap(self, tmp_path):
+        # The sweep's hist_stage2_tx column prices the histogram protocol.  At
+        # the default cap of 16 rounds its arrays fit at n = 300 and 900 but
+        # not at 2400, and at a cap of 8 at no n, while every MAX trial fits:
+        # the column reads null where the arrays do not fit, and so does its
+        # band ratio, while the sweep succeeds.
+        base = ["sweep", "--protocol", "max", "--mode", "treecode", "--n", "300,900,2400",
+                "--trials", "1", "--eps0", "0.05"]
+        for flags, fits in (([], [True, True, False]), (["--d-max", "8"], [False] * 3)):
+            out = tmp_path / "sweep.json"
+            assert main(base + flags + ["--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            rows = report["rows"]
+            assert [r["hist_stage2_tx"] is not None for r in rows] == fits
+            assert [r["hist_stage2_tx_per_n"] is not None for r in rows] == fits
+            assert all(r["tx_per_n"] > 0 for r in rows)
+            assert report["band_ratios"]["hist_stage2_tx_per_n"] is None
+            assert report["band_ratios"]["tx_per_n"] > 0
 
     def test_readme_config_keys_are_the_config_fields_and_flags(self, capsys):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
