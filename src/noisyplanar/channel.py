@@ -334,16 +334,17 @@ class Trace:
 class Channel:
     """Per-trial execution context: world, noise, RNG stream, and metrics.
 
-    Single-threaded within a trial.  The noise stream is consumed in schedule
+    Single-threaded within a trial.  The noise stream is consumed in a fixed
     order, which makes runs bit-for-bit reproducible from the seed: stage 1
-    class by class in coloring order, within a class phase by phase
-    (discovery, identity, confirmation for MAX; counting for the histogram)
-    with one ``flip_mask`` draw per (class, phase) covering its cells in
-    turn, then stage 2 stage by stage in plan order.  That order is RNG
-    layout 2 (``harness.RNG_LAYOUT``), which reports declare.  A repetition
+    phase by phase (discovery, identity, confirmation for MAX; counting for
+    the histogram), each phase over every color class in coloring order, then
+    cell, member and copy; then stage 2 stage by stage in plan order.  That
+    order is RNG layout 3 (``harness.RNG_LAYOUT``), which reports declare.  A
+    stage-1 phase draws in blocks of whole classes, and a repetition
     sub-stage of stage 2 (or of the distribution relay) is one draw for all
     its arrays, so an adversary's hook sees the channel -- metrics, RNG
-    state -- as it was when the sub-stage's draw began.
+    state -- as it was when its block's or sub-stage's draw began.  A
+    stage-1 phase charges its metrics once, after its last block.
     """
 
     instance: object

@@ -108,13 +108,12 @@ class RepetitionScheme:
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (..., L) 0/1 array into (..., ceil(L/64)) uint64 words."""
-    bits = np.atleast_2d(np.ascontiguousarray(bits, dtype=np.uint8))
-    n, length = bits.shape
-    padded = 64 * math.ceil(length / 64)
-    if padded != length:
-        bits = np.concatenate([bits, np.zeros((n, padded - length), dtype=np.uint8)], axis=1)
-    return np.packbits(bits, axis=1).reshape(n, -1).view(np.uint64)
+    """Pack (n, L) 0/1 rows (or one row), bool or integer, into (n, ceil(L/64))
+    uint64 words: the rows packed to bytes, then zero-extended to whole words."""
+    packed = np.packbits(np.atleast_2d(bits), axis=1)
+    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
 
 
 def _popcount_rows(words: np.ndarray) -> np.ndarray:
@@ -219,7 +218,8 @@ class BlockCode:
         """Whether ML decoding of encode(true_msg) under each flip mask yields
         each receiver's candidate message.
 
-        ``true_msg`` is one message for every row or an array of one per row.
+        ``true_msg`` is one message for every row or an array of one per row;
+        ``flip_masks`` are 0/1 rows, bool as drawn or integer.
         Exact, without a full codebook search.  A received word r = c ^ e,
         with c the row's true codeword and d = wt(e), lies at distance
         wt(e ^ x) >= wt(x) - d from the codeword c ^ x.  So:
@@ -235,7 +235,6 @@ class BlockCode:
         so one noisy row does not lengthen the scan of the others.
         Equivalent to per-receiver ``decode``, ties included (property-tested).
         """
-        flip_masks = np.atleast_2d(np.asarray(flip_masks, dtype=np.uint8))
         candidates = np.asarray(candidates, dtype=np.int64)
         true_msg = np.broadcast_to(np.asarray(true_msg, dtype=np.int64), candidates.shape)
         packed_err = _pack_bits(flip_masks)

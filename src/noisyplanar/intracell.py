@@ -18,10 +18,15 @@ classes stay silent.  For the MAX protocol the script is
 The histogram variant replaces the script with per-member repetition: the
 center majority-decodes each member's bit and counts the ones.
 
-Noise is drawn in schedule order (RNG layout 2): class by class, within a
-class phase by phase, and within a phase cell by cell, with one draw per
-(class, phase) for all of the class's cells.  Confirmation comes last in its
-class, so its data-dependent draw count moves no other cell's draws.
+Noise is drawn phase by phase (RNG layout 3).  For MAX: discovery for every
+class, then identity for every class, then confirmation for every class, each
+phase in class, cell, member and copy order; the histogram's one counting
+phase in the same order.  The slots are the schedule's, whatever the draw
+order: classes take turns and a class's cells run in lockstep.  Confirmation,
+the one draw whose size depends on the data, comes last, so it moves no
+other draw.  Inside a phase the members are drawn in blocks of whole classes
+of about ``STAGE1_BLOCK`` flips; the stream in C order does not depend on the
+block size, so the blocks bound memory without moving a draw.
 
 Discovery and identity schedules are pure functions of the geometry and the
 configuration; only the confirmation transmitter is data-dependent, which the
@@ -29,7 +34,7 @@ run audit treats as a documented exception.
 
 ``witness_discovery``, ``distribute_identity`` and ``confirm_value`` run one
 phase in one cell.  They are not on the run path; they are the per-cell
-reference that the class-batched ``run_stage1_max`` is tested against.
+reference that the block-drawn ``run_stage1_max`` is tested against.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -55,6 +61,10 @@ __all__ = [
     "run_stage1_max",
     "run_stage1_hist",
 ]
+
+# Stage-1 phases draw their members in blocks of whole color classes of at
+# most this many flips, a larger class alone (see ``_blocks``).
+STAGE1_BLOCK = 1 << 18
 
 
 @cache
@@ -147,20 +157,16 @@ def _member_firsts(sizes: np.ndarray, first, reps: int) -> np.ndarray:
     return first + reps * (np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes))
 
 
-def _majority_at_center(
-    members, sizes, centers, reps: int, phase: str, channel: Channel, slot0
-) -> np.ndarray:
+def _majority_at_center(members, sizes, centers, firsts, reps: int, channel: Channel) -> np.ndarray:
     """Per-member repetition to each cell's center, the cells in lockstep.
 
-    The cells come as CellGrid.gather gives them.  In every cell, members
-    transmit their bit in ascending id order, reps consecutive slots each from
-    slot0, for exactly reps * N transmissions.  The center majority-decodes
-    every member; its own broadcasts are noiseless to itself.  Noise is drawn
-    in one call, cell by cell, member by member, copy by copy, and the cells
-    get one trace record.  Returns the members' decoded bits.
+    The cells come as CellGrid.gather gives them.  Member i transmits its bit
+    in the reps consecutive slots from firsts[i]; the center majority-decodes
+    every member, and its own broadcasts are noiseless to itself.  Noise is
+    one draw, cell by cell, member by member, copy by copy.  Returns the
+    members' decoded bits; the caller records and charges the phase.
     """
     centers = centers.repeat(sizes)
-    firsts = _member_firsts(sizes, slot0, reps)
     slots = lambda: firsts[:, None] + np.arange(reps)  # built only for an adversary's hook
     bits = channel.instance.bits[members]
     flips = channel.flip_mask(
@@ -169,10 +175,12 @@ def _majority_at_center(
     decoded = bits ^ (flips.sum(axis=1) > reps // 2)
     is_center = members == centers
     decoded[is_center] = bits[is_center]
-
-    channel.record(phase, members, firsts, reps)
-    channel.metrics.add("stage1", tx=reps * members.size, rx=reps * int(sizes.dot(sizes - 1)))
     return decoded
+
+
+def _charge_repetition(channel: Channel, sizes: np.ndarray, reps: int) -> None:
+    """Charge reps copies of every member's bit, heard by the rest of its cell."""
+    channel.metrics.add("stage1", tx=reps * int(sizes.sum()), rx=reps * int(sizes.dot(sizes - 1)))
 
 
 def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0: int = 0) -> int:
@@ -184,9 +192,10 @@ def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0:
     path.
     """
     members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
-    decoded = _majority_at_center(
-        members, sizes, centers, config.c_rep, "discovery", channel, slot0
-    )
+    firsts = _member_firsts(sizes, slot0, config.c_rep)
+    decoded = _majority_at_center(members, sizes, centers, firsts, config.c_rep, channel)
+    channel.record("discovery", members, firsts, config.c_rep)
+    _charge_repetition(channel, sizes, config.c_rep)
     ones = np.flatnonzero(decoded == 1)
     return int(members[ones[0]]) if len(ones) else int(members[0])
 
@@ -211,9 +220,7 @@ def distribute_identity(
     flips = channel.flip_mask(
         (n_members, length), slots=slots[None, :], txs=cell.center, rxs=members[:, None]
     )
-    believes = config.id_code.decode_equals(
-        local_witness, flips.astype(np.uint8), np.arange(n_members)
-    )
+    believes = config.id_code.decode_equals(local_witness, flips, np.arange(n_members))
     believes[members == cell.center] = witness == cell.center
 
     channel.record("identity", [cell.center], slot0, length)
@@ -254,6 +261,15 @@ def confirm_value(
     return value
 
 
+def _classes_end_to_end(grid: CellGrid, coloring: list[ScheduleClass]):
+    """The classes' cells end to end, class k's at cells[bounds[k]:bounds[k + 1]],
+    with the cells' sizes and centers."""
+    counts = [len(cls.cells) for cls in coloring]
+    cells = np.fromiter(chain.from_iterable(cls.cells for cls in coloring), np.int64, sum(counts))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    return cells, bounds, grid.occupancies()[cells - 1], grid.centers[cells - 1]
+
+
 def stage1_layout(
     grid: CellGrid, coloring: list[ScheduleClass], config: Stage1Config, protocol: str
 ) -> list[tuple[ScheduleClass, int, int, int]]:
@@ -263,18 +279,11 @@ def stage1_layout(
     in lockstep, so a class spans its largest cell's script: c_rep * N +
     block_len + r2 slots for MAX, r2 * N for the histogram.
     """
-    sizes = grid.occupancies()
-    layout = []
-    base = 0
-    for cls in coloring:
-        max_members = int(sizes[np.asarray(cls.cells) - 1].max())
-        if protocol == "max":
-            span = config.script_len(max_members)
-        else:
-            span = config.r2 * max_members
-        layout.append((cls, base, span, max_members))
-        base += span
-    return layout
+    _, bounds, sizes, _ = _classes_end_to_end(grid, coloring)
+    largest = np.maximum.reduceat(sizes, bounds[:-1])
+    spans = config.script_len(largest) if protocol == "max" else config.r2 * largest
+    bases = spans.cumsum() - spans
+    return list(zip(coloring, bases.tolist(), spans.tolist(), largest.tolist()))
 
 
 def stage1_schedule(
@@ -300,6 +309,60 @@ def stage1_schedule(
     return records
 
 
+def _blocks(grid: CellGrid, cells, bounds, sizes, reps: int):
+    """Runs of whole classes, each drawing at most STAGE1_BLOCK flips at reps
+    per member (a class that draws more runs alone), in coloring order.
+
+    Yields each run's classes as a range, its slice of ``cells`` and its
+    members, sizes and centers as CellGrid.gather gives them.
+    """
+    ends = np.add.reduceat(sizes, bounds[:-1]).cumsum() * reps  # flips drawn by each class's end
+    lo = 0
+    while lo < ends.size:
+        drawn = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, drawn + STAGE1_BLOCK, "right")))
+        part = slice(int(bounds[lo]), int(bounds[hi]))
+        yield range(lo, hi), part, *grid.gather(cells[part])
+        lo = hi
+
+
+def _by_class(classes: range, bounds, sizes, *arrays):
+    """(class, pieces) for each class of a block, its per-member arrays split
+    class by class; ``sizes`` are the block's cell sizes."""
+    firsts = bounds[classes.start + 1 : classes.stop] - bounds[classes.start]
+    cuts = sizes.cumsum()[firsts - 1]
+    return zip(classes, *(np.split(a, cuts) for a in arrays))
+
+
+def _majority_phase(grid, stage, bases, reps: int, phase: str, channel: Channel, traced):
+    """Per-member repetition to the centers over every class, in blocks of
+    whole classes; class k's cells send from slot bases[k].
+
+    Yields each block's slice of the stage's cells, its members, its cell
+    sizes and the members' decoded bits.  Queues each class's record on
+    ``traced`` (when a trace is captured) and charges the phase once its
+    last block has been drawn.
+    """
+    cells, bounds, sizes, _ = stage
+    cell_base = np.repeat(bases, np.diff(bounds))
+    for classes, part, members, block_sizes, centers in _blocks(grid, cells, bounds, sizes, reps):
+        firsts = _member_firsts(block_sizes, cell_base[part].repeat(block_sizes), reps)
+        decoded = _majority_at_center(members, block_sizes, centers, firsts, reps, channel)
+        if traced is not None:
+            pieces = _by_class(classes, bounds, block_sizes, members, firsts)
+            traced += [(k, (phase, m, f, reps)) for k, m, f in pieces]
+        yield part, members, block_sizes, decoded
+    _charge_repetition(channel, sizes, reps)
+
+
+def _record_class_major(channel: Channel, traced) -> None:
+    """Trace the queued (class, record) pairs class by class, each class's
+    records in the order its phases were drawn."""
+    if traced is not None:
+        for _, args in sorted(traced, key=lambda entry: entry[0]):
+            channel.record(*args)
+
+
 def run_stage1_max(
     grid: CellGrid,
     coloring: list[ScheduleClass],
@@ -310,73 +373,97 @@ def run_stage1_max(
 
     Color classes execute sequentially; cells inside a class run in lockstep,
     so a class occupies c_rep * max_members + block_len + r2 slots.  Noise is
-    drawn in schedule order: class by class, then phase by phase, then cell
-    by cell, with one draw per (class, phase).  Discovery and identity draw
-    for every member of the class; confirmation draws r2 copies for each
-    cell whose single believer is not its center.  Every phase leaves one
-    run-length trace record per class, the class's records phase by phase.
+    drawn phase by phase (RNG layout 3): discovery for every class, then
+    identity, then confirmation, each in class, cell, member and copy order.
+    Discovery and identity draw for every member, in blocks of whole classes
+    (``_blocks``); confirmation, the one data-dependent draw and the last,
+    draws r2 copies for each cell whose single believer is not its center.
+    Each phase is charged once; a captured trace gets one run-length record
+    per (class, phase), the class's records phase by phase.
     """
-    result = Stage1Result()
+    layout = stage1_layout(grid, coloring, config, "max")
+    stage = cells, bounds, sizes, centers = _classes_end_to_end(grid, coloring)
     code, length, r2 = config.id_code, config.block_len, config.r2
-    bits = channel.instance.bits
-    for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
-        _, id_base, confirm_base = config.phase_slots(base, max_members)
-        members, sizes, centers = grid.gather(cls.cells)
-        starts = sizes.cumsum() - sizes
-        rows = np.arange(members.size)
-        own_center = centers.repeat(sizes)
+    per_cell = lambda per_class: np.repeat(per_class, np.diff(bounds))
+    bases, spans, largest = map(np.array, list(zip(*layout))[1:])
+    bases, id_bases, confirm_bases = config.phase_slots(bases, largest)
+    traced = [] if channel.trace is not None else None
 
-        # Discovery: the least member decoded as 1, else the least member.
-        decoded = _majority_at_center(
-            members, sizes, centers, config.c_rep, "discovery", channel, base
+    # Discovery: the least member decoded as 1, else the least member.
+    witnesses = np.empty(cells.size, dtype=np.int64)
+    local = np.empty(cells.size, dtype=np.int64)  # the witness's in-cell index
+    for part, members, block_sizes, decoded in _majority_phase(
+        grid, stage, bases, config.c_rep, "discovery", channel, traced
+    ):
+        starts = block_sizes.cumsum() - block_sizes
+        first_one = np.minimum.reduceat(
+            np.where(decoded == 1, np.arange(members.size), members.size), starts
         )
-        first_one = np.minimum.reduceat(np.where(decoded == 1, rows, members.size), starts)
         pick = np.where(first_one == members.size, starts, first_one)
-        witnesses = members[pick]
+        witnesses[part] = members[pick]
+        local[part] = pick - starts
 
-        # Identity: every member decodes the witness's in-cell index.
-        id_slots = id_base + np.arange(length)
+    # Identity: every member decodes the witness's in-cell index.
+    if traced is not None:
+        traced += [
+            (k, ("identity", c, id_bases[k], length))
+            for k, c in enumerate(np.split(centers, bounds[1:-1]))
+        ]
+    n_believers = np.empty(cells.size, dtype=np.int64)
+    sender = np.empty(cells.size, dtype=np.int64)  # the first believer, else the least member
+    for classes, part, members, block_sizes, block_centers in _blocks(
+        grid, cells, bounds, sizes, length
+    ):
+        starts = block_sizes.cumsum() - block_sizes
+        rows = np.arange(members.size)
+        own_center = block_centers.repeat(block_sizes)
         flips = channel.flip_mask(
-            (members.size, length), slots=id_slots, txs=own_center[:, None], rxs=members[:, None]
+            (members.size, length),
+            slots=lambda: per_cell(id_bases)[part].repeat(block_sizes)[:, None] + np.arange(length),
+            txs=own_center[:, None],
+            rxs=members[:, None],
         )
         believes = code.decode_equals(
-            (pick - starts).repeat(sizes), flips.astype(np.uint8), rows - starts.repeat(sizes)
+            local[part].repeat(block_sizes), flips, rows - starts.repeat(block_sizes)
         )
         is_center = members == own_center
-        believes[is_center] = (witnesses == centers).repeat(sizes)[is_center]
-        cells = sizes.size
-        channel.metrics.add("stage1", tx=length * cells, rx=length * (members.size - cells))
-
-        # Confirmation: a single believer's bit, r2 noisy copies unless it is
-        # the center; silence and collisions decode to 0.
-        n_believers = np.add.reduceat(believes, starts, dtype=np.int64)
+        believes[is_center] = (witnesses[part] == block_centers).repeat(block_sizes)[is_center]
+        n_believers[part] = np.add.reduceat(believes, starts, dtype=np.int64)
         first = np.minimum.reduceat(np.where(believes, rows, members.size), starts)
-        single = n_believers == 1
-        sender = members[np.where(single, first, starts)]
-        values = np.where(single, bits[sender], 0)
-        sends = np.flatnonzero(single & (sender != centers))
-        confirm_slots = confirm_base + np.arange(r2)
-        flips = channel.flip_mask(
-            (sends.size, r2),
-            slots=confirm_slots,
-            txs=sender[sends, None],
-            rxs=centers[sends, None],
-        )
-        values[sends] ^= flips.sum(axis=1) * 2 > r2
-        heard = n_believers > 0
-        channel.metrics.add(
-            "stage1",
-            tx=r2 * int(n_believers.sum()),
-            rx=r2 * int((sizes - n_believers)[heard].sum()),
-            slots=span,
-        )
+        sender[part] = members[np.where(n_believers[part] == 1, first, starts)]
+        if traced is not None:
+            pieces = _by_class(classes, bounds, block_sizes, members, believes)
+            traced += [
+                (k, ("confirmation", m[b], confirm_bases[k], r2, True)) for k, m, b in pieces
+            ]
+    channel.metrics.add("stage1", tx=length * cells.size, rx=length * int(sizes.sum() - cells.size))
 
-        if channel.trace is not None:
-            channel.record("identity", centers, id_base, length)
-            channel.record("confirmation", members[believes], confirm_base, r2, data_dependent=True)
-        result.witnesses.update(zip(cls.cells, witnesses.tolist()))
-        result.values.update(zip(cls.cells, values.tolist()))
-    return result
+    # Confirmation: a single believer's bit, r2 noisy copies unless it is
+    # the center; silence and collisions decode to 0.
+    single = n_believers == 1
+    values = np.where(single, channel.instance.bits[sender], 0)
+    sends = np.flatnonzero(single & (sender != centers))
+    flips = channel.flip_mask(
+        (sends.size, r2),
+        slots=lambda: per_cell(confirm_bases)[sends, None] + np.arange(r2),
+        txs=sender[sends, None],
+        rxs=centers[sends, None],
+    )
+    values[sends] ^= flips.sum(axis=1) * 2 > r2
+    heard = n_believers > 0
+    channel.metrics.add(
+        "stage1",
+        tx=r2 * int(n_believers.sum()),
+        rx=r2 * int((sizes - n_believers)[heard].sum()),
+        slots=int(spans.sum()),
+    )
+
+    _record_class_major(channel, traced)
+    cell_ids = cells.tolist()
+    return Stage1Result(
+        witnesses=dict(zip(cell_ids, witnesses.tolist())),
+        values=dict(zip(cell_ids, values.tolist())),
+    )
 
 
 def run_stage1_hist(
@@ -390,15 +477,18 @@ def run_stage1_hist(
     Members broadcast their bit r2 times in ascending id order (r2 * N
     transmissions per cell); the center majority-decodes each member and
     reports how many decoded to 1.  Every draw count depends only on the
-    layout, so a whole color class is drawn and counted at once.
+    layout, so the classes are drawn and counted in blocks of whole classes,
+    in class, cell, member and copy order.
     """
-    result = Stage1Result()
-    for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
-        members, sizes, centers = grid.gather(cls.cells)
-        decoded = _majority_at_center(
-            members, sizes, centers, config.r2, "hist_count", channel, base
-        )
-        counts = np.add.reduceat(decoded, np.cumsum(sizes) - sizes, dtype=np.int64)
-        result.counts.update(zip(cls.cells, counts.tolist()))
-        channel.metrics.add("stage1", slots=span)
-    return result
+    layout = stage1_layout(grid, coloring, config, "hist")
+    stage = _classes_end_to_end(grid, coloring)
+    bases, spans, _ = map(np.array, list(zip(*layout))[1:])
+    traced = [] if channel.trace is not None else None
+    counts = np.empty(stage[0].size, dtype=np.int64)
+    for part, _, block_sizes, decoded in _majority_phase(
+        grid, stage, bases, config.r2, "hist_count", channel, traced
+    ):
+        counts[part] = np.add.reduceat(decoded, block_sizes.cumsum() - block_sizes, dtype=np.int64)
+    channel.metrics.add("stage1", slots=int(spans.sum()))
+    _record_class_major(channel, traced)
+    return Stage1Result(counts=dict(zip(stage[0].tolist(), counts.tolist())))

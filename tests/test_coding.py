@@ -18,6 +18,7 @@ from noisyplanar.coding import (
     RepetitionScheme,
     SimGuarantee,
     TreeCode,
+    _pack_bits,
     majority_decode,
     or_chain,
     simulate_line,
@@ -146,6 +147,8 @@ class TestBlockCode:
             for candidates in (random_candidates, np.full(40, true_msg), decoded):
                 got = code.decode_equals(true_msg, flips, candidates)
                 assert np.array_equal(got, decoded == candidates)
+                as_drawn = code.decode_equals(true_msg, flips.astype(bool), candidates)
+                assert np.array_equal(as_drawn, got)
         # One true message per row, clean and noisy rows in one batch.
         true_msgs = rng.integers(0, 2**msg_bits, 60)
         flips = (rng.random((60, block_len)) < rate).astype(np.uint8)
@@ -173,6 +176,25 @@ class TestBlockCode:
         assert got.tolist() == [True]
         got = code.decode_equals(true_msg, e[None, :], np.array([true_msg]))
         assert got.tolist() == [False]
+
+    def test_pack_bits_equals_the_bit_padded_packing(self):
+        # Packing to bytes and zero-extending the bytes gives the words of
+        # padding every row with zero bits to a multiple of 64 first.
+        def bit_padded(bits):
+            bits = np.atleast_2d(np.ascontiguousarray(bits, dtype=np.uint8))
+            pad = np.zeros((bits.shape[0], -bits.shape[1] % 64), dtype=np.uint8)
+            return np.packbits(np.concatenate([bits, pad], axis=1), axis=1).view(np.uint64)
+
+        rng = np.random.default_rng(5)
+        for width in range(1, 131):
+            for rows in (1, 3):
+                bits = rng.random((rows, width)) < 0.5
+                want = bit_padded(bits)
+                assert want.shape == (rows, math.ceil(width / 64))
+                for given in (bits, bits.astype(np.uint8), np.asfortranarray(bits)):
+                    got = _pack_bits(given)
+                    assert got.dtype == np.uint64 and np.array_equal(got, want)
+            assert np.array_equal(_pack_bits(bits[0]), want[:1])
 
     @pytest.mark.parametrize("msg_bits, block_len", [(6, 24), (8, 130)], ids=["one-word", "two-words"])
     def test_codebook_is_the_literal_product(self, msg_bits, block_len):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from noisyplanar import intracell
 from noisyplanar.channel import (
     Channel,
     NoiseModel,
@@ -356,40 +357,28 @@ class TestHistClassBatching:
         assert half > 0 and calls[:half] == calls[half:]
 
 
-def max_schedule_order(grid, coloring, config, channel):
-    """MAX stage 1 through the per-cell oracles in schedule order -- class,
-    then phase, then cell: the reference for the class-batched run."""
+def max_phase_major(grid, coloring, config, channel):
+    """MAX stage 1 through the per-cell oracles in RNG layout 3's order --
+    discovery in every cell, then identity, then confirmation, each class by
+    class and cell by cell: the reference for the block-drawn run."""
     result = Stage1Result()
-    for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
-        _, id_base, confirm_base = config.phase_slots(base, max_members)
-        cells = [grid.cell(j) for j in cls.cells]
-        for cell in cells:
-            result.witnesses[cell.index] = witness_discovery(cell, config, channel, slot0=base)
-        believers = [
-            distribute_identity(cell, result.witnesses[cell.index], config, channel, slot0=id_base)
-            for cell in cells
-        ]
-        for cell, believing in zip(cells, believers):
-            result.values[cell.index] = confirm_value(
-                cell, believing, config, channel, slot0=confirm_base
-            )
-        channel.metrics.add("stage1", slots=span)
-    return result
-
-
-def max_cell_major(grid, coloring, config, channel):
-    """MAX stage 1 cell by cell, each cell's three phases in turn (RNG layout 1)."""
-    result = Stage1Result()
-    for cls, base, span, max_members in stage1_layout(grid, coloring, config, "max"):
-        _, id_base, confirm_base = config.phase_slots(base, max_members)
-        for j in cls.cells:
-            cell = grid.cell(j)
-            witness = witness_discovery(cell, config, channel, slot0=base)
-            believers = distribute_identity(cell, witness, config, channel, slot0=id_base)
-            value = confirm_value(cell, believers, config, channel, slot0=confirm_base)
-            result.witnesses[j] = witness
-            result.values[j] = value
-        channel.metrics.add("stage1", slots=span)
+    layout = stage1_layout(grid, coloring, config, "max")
+    cells = [
+        (grid.cell(j), *config.phase_slots(base, max_members))
+        for cls, base, _, max_members in layout
+        for j in cls.cells
+    ]
+    for cell, base, _, _ in cells:
+        result.witnesses[cell.index] = witness_discovery(cell, config, channel, slot0=base)
+    believers = [
+        distribute_identity(cell, result.witnesses[cell.index], config, channel, slot0=id_base)
+        for cell, _, id_base, _ in cells
+    ]
+    for (cell, _, _, confirm_base), believing in zip(cells, believers):
+        result.values[cell.index] = confirm_value(
+            cell, believing, config, channel, slot0=confirm_base
+        )
+    channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
     return result
 
 
@@ -401,7 +390,7 @@ LOSSY = Stage1Config(eps1=0.05, c_rep=1, r2=3, id_code=BlockCode(6, 6, seed=2))
 
 class TestMaxClassBatching:
     @staticmethod
-    def run_both(n, eps0, config=None, noise=None, reference=max_schedule_order, bit_p=0.3):
+    def run_both(n, eps0, config=None, noise=None, reference=max_phase_major, bit_p=0.3):
         """(witnesses, values, metrics, trace rows, rng state) of the batched
         run and of the reference, each on a fresh channel, and the world's grid."""
         config = config or Stage1Config.for_network(2000, 0.0)
@@ -472,13 +461,54 @@ class TestMaxClassBatching:
         half = len(calls) // 2
         assert half > 0 and calls[:half] == calls[half:]
 
-    @pytest.mark.parametrize("config", [None, LOSSY], ids=["default", "lossy"])
-    def test_single_cell_classes_draw_as_the_cell_major_loop(self, config):
-        # With one cell per class, schedule order is cell-major order, so
-        # layout 2 draws exactly what layout 1 drew.
-        (batched, reference), grid = self.run_both(1500, 0.3, config, reference=max_cell_major)
-        assert all(len(cls.cells) == 1 for cls in color_cells(grid, derive_params(1500, 0.5)))
-        assert batched == reference
+
+class TestStage1Blocks:
+    """A phase's members are drawn in blocks of whole classes; the block size
+    bounds memory and moves no draw."""
+
+    SIZES = [1, 7, 3000, intracell.STAGE1_BLOCK, 1 << 62]  # 1 << 62: every flip in one block
+
+    @staticmethod
+    def run_at(block, protocol, adversarial, monkeypatch):
+        """(result, metrics, trace records, rng state, hook calls, draws) of one run."""
+        monkeypatch.setattr(intracell, "STAGE1_BLOCK", block)
+        config = LOSSY if protocol == "max" else replace(Stage1Config.for_network(2000, 0.0), r2=3)
+        inst, params, grid, coloring, config, channel = build_world(2000, 4, 0.3, config)
+        calls = []
+
+        def hook(slot, tx, rx, history):
+            calls.append((slot, tx, rx))
+            return 0.3
+
+        if adversarial:
+            channel.noise = NoiseModel(0.3, mode="adversarial", adversary=hook)
+        channel.trace = Trace()
+        draws = []
+        flip_mask = channel.flip_mask
+        channel.flip_mask = lambda shape, **kw: draws.append(shape) or flip_mask(shape, **kw)
+        runner = run_stage1_max if protocol == "max" else run_stage1_hist
+        result = runner(grid, coloring, config, channel)
+        records = [
+            (r.phase, r.txs.tolist(), r.first.tolist(), r.copies, r.data_dependent)
+            for r in channel.trace.stage1
+        ]
+        state = channel.rng.bit_generator.state
+        return (result, channel.metrics.snapshot(), records, state, calls), draws
+
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_every_block_size_gives_the_same_run(self, protocol, adversarial, monkeypatch):
+        runs = [self.run_at(b, protocol, adversarial, monkeypatch) for b in self.SIZES]
+        (first, _), *rest = runs
+        for run, _ in rest:
+            assert run == first
+        draws = [len(d) for _, d in runs]
+        # Size 1 draws class by class; the default and the unbounded block
+        # draw each phase at once at n = 2000; 3000 flips lie in between.
+        classes = sum(r[0] in ("discovery", "hist_count") for r in first[2])  # one per class
+        assert draws[0] == draws[1] > draws[2] > draws[3] == draws[4]
+        assert draws[0] == (2 * classes + 1 if protocol == "max" else classes)
+        assert (len(first[4]) > 0) == adversarial
 
 
 class TestStage1Schedule:
