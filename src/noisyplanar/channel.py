@@ -12,6 +12,7 @@ flip probability up to that bound, knowing the run (see ``NoiseModel``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "COLLIDED",
     "RECEIVED",
     "NoiseModel",
+    "majority_tail",
     "ScheduleClass",
     "EnergyConfig",
     "Metrics",
@@ -36,11 +38,57 @@ __all__ = [
 SILENT, COLLIDED, RECEIVED = 0, 1, 2
 
 
-# iid flips draw their uniforms through a buffer of this many float64 (256 KiB).
+# iid noise draws its uniforms through a buffer of this many float64 (256 KiB).
 FLIP_CHUNK = 1 << 15
 
 # Adversary hook: (slot, tx, rx, history) -> flip probability in [0, eps0].
 AdversaryHook = Callable[[int, int, int, object], float]
+
+
+def majority_tail(probs, reps: int) -> np.ndarray:
+    """Probability that more than reps // 2 of reps independent copies flip,
+    copy k flipping with probability probs[..., k]; a scalar p stands for
+    reps copies of p, and the tail has the shape of probs less its last axis.
+
+    A Poisson-binomial DP over the copies in order, the tail summed upward
+    from its first count: a scalar p and a row of reps equal p take the same
+    float operations, so their tails are equal to the bit.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim == 0:
+        probs = np.full(reps, probs)
+    if probs.shape[-1] != reps:
+        raise ValueError(f"majority_tail of {reps} copies got probabilities of shape {probs.shape}")
+    dist = np.zeros((*probs.shape[:-1], reps + 1))  # dist[..., j]: P[j of the copies so far flip]
+    dist[..., 0] = 1.0
+    for k in range(reps):
+        p = probs[..., k, None]
+        dist[..., 1 : k + 2] = dist[..., 1 : k + 2] * (1.0 - p) + dist[..., : k + 1] * p
+        dist[..., 0] *= 1.0 - p[..., 0]
+    tail = dist[..., reps // 2 + 1]
+    for j in range(reps // 2 + 2, reps + 1):
+        tail = tail + dist[..., j]
+    return tail
+
+
+@cache
+def _iid_tail(eps0: float, reps: int) -> float:
+    """The majority tail of reps copies at eps0: iid noise's one threshold per row."""
+    return float(majority_tail(eps0, reps))
+
+
+def _uniforms_below(rng, shape, threshold: float) -> np.ndarray:
+    """``rng.random(shape) < threshold``, the uniforms passing through one float
+    buffer of at most ``FLIP_CHUNK`` values, chunk by chunk in C order: the
+    same stream and result as one draw, without holding every uniform."""
+    out = np.empty(shape, dtype=bool)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, FLIP_CHUNK))
+    for lo in range(0, flat.size, FLIP_CHUNK):
+        chunk = buf[: flat.size - lo]
+        rng.random(out=chunk)
+        np.less(chunk, threshold, out=flat[lo : lo + chunk.size])
+    return out
 
 
 @dataclass(frozen=True)
@@ -52,13 +100,21 @@ class NoiseModel:
     capped at eps0; flips stay independent across receivers given their
     probabilities.
 
-    ``flips`` is the one reception-noise rule: a batch draws all of its
-    uniforms first, then asks the hook once per reception in C order.  So
-    the hook sees every reception's (slot, tx, rx, history), but not the
-    metrics or the RNG state moving partway through a batch.  A batch can
-    span several arrays (a repetition sub-stage of stage 2 is one), so the
-    hook sees the channel as it was when the batch's draw began.  The slot is
-    the one the metrics charge, which lockstep arrays and cells share.
+    One noise rule serves two kinds of batch.  ``flips`` draws one uniform
+    per reception, for readers of the whole error pattern (identity
+    decoding, the tree code, ``resolve_slot``).  ``majority_flips`` draws one
+    uniform per row of repeated receptions that is majority-decoded: a
+    decoded bit is the sent bit XOR [more than half of its copies flipped],
+    whatever the bit, so one uniform against the row's ``majority_tail``
+    draws it with its exact law.  Either batch draws all of its uniforms
+    first, then asks the hook once per reception in C order (every copy of a
+    row included).  So the hook sees every reception's (slot, tx, rx,
+    history), but not the metrics or the RNG state moving partway through a
+    batch, and a hook that answers eps0 draws exactly what iid noise draws.
+    A batch can span several arrays (a repetition sub-stage of stage 2 is
+    one), so the hook sees the channel as it was when the batch's draw
+    began.  The slot is the one the metrics charge, which lockstep arrays and
+    cells share.
     """
 
     eps0: float
@@ -81,29 +137,40 @@ class NoiseModel:
             raise ValueError(f"adversary returned flip probability {p} outside [0, {self.eps0}]")
         return p
 
+    def _hook_probs(self, shape, slots, txs, rxs, history) -> np.ndarray:
+        """The hook's flip probability of every reception of a batch, asked in
+        C order; slots/txs/rxs broadcast to ``shape``, and ``slots`` may be a
+        function returning that array."""
+        slots = slots() if callable(slots) else slots
+        receptions = (np.broadcast_to(a, shape).ravel().tolist() for a in (slots, txs, rxs))
+        probs = [self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)]
+        return np.reshape(np.asarray(probs, dtype=np.float64), shape)
+
     def flips(self, rng, shape, slots=None, txs=None, rxs=None, history=None) -> np.ndarray:
         """Boolean flips of a batch of receptions: ``rng.random(shape)`` against
         eps0, or against the hook's probability for each reception, whose
         slots/txs/rxs arrays then broadcast to ``shape``.  ``slots`` may be a
         function returning that array, called only when the hook reads it.
 
-        In iid mode the uniforms pass through one float buffer of at most
-        ``FLIP_CHUNK`` values, chunk by chunk in C order: the same stream and
-        flips as one ``rng.random(shape)``, without holding every uniform."""
+        In iid mode the uniforms pass through a bounded buffer
+        (``_uniforms_below``): the same stream and flips as one draw."""
         if self.mode == "iid":
-            out = np.empty(shape, dtype=bool)
-            flat = out.reshape(-1)
-            buf = np.empty(min(flat.size, FLIP_CHUNK))
-            for lo in range(0, flat.size, FLIP_CHUNK):
-                chunk = buf[: flat.size - lo]
-                rng.random(out=chunk)
-                np.less(chunk, self.eps0, out=flat[lo : lo + chunk.size])
-            return out
+            return _uniforms_below(rng, shape, self.eps0)
         u = rng.random(shape)
-        slots = slots() if callable(slots) else slots
-        receptions = (np.broadcast_to(a, shape).ravel().tolist() for a in (slots, txs, rxs))
-        probs = [self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)]
-        return u < np.reshape(probs, np.shape(u))
+        return u < self._hook_probs(shape, slots, txs, rxs, history)
+
+    def majority_flips(self, rng, shape, slots=None, txs=None, rxs=None, history=None):
+        """Whether each row of a batch of repeated receptions, shape (..., reps),
+        majority-decodes wrong: one bool per row, True iff more than reps // 2
+        of its copies flip.  One uniform per row, in C order, against the
+        row's ``majority_tail``: at eps0 (cached per reps) in iid mode, else
+        over the hook's probabilities for the row's copies, the slots/txs/rxs
+        broadcasting to ``shape`` as in ``flips``."""
+        rows, reps = tuple(shape[:-1]), shape[-1]
+        if self.mode == "iid":
+            return _uniforms_below(rng, rows, _iid_tail(self.eps0, reps))
+        u = rng.random(rows)
+        return u < majority_tail(self._hook_probs(shape, slots, txs, rxs, history), reps)
 
 
 def distances(positions: np.ndarray, rows, cols) -> np.ndarray:
@@ -338,13 +405,16 @@ class Channel:
     order, which makes runs bit-for-bit reproducible from the seed: stage 1
     phase by phase (discovery, identity, confirmation for MAX; counting for
     the histogram), each phase over every color class in coloring order, then
-    cell, member and copy; then stage 2 stage by stage in plan order.  That
-    order is RNG layout 3 (``harness.RNG_LAYOUT``), which reports declare.  A
-    stage-1 phase draws in blocks of whole classes, and a repetition
-    sub-stage of stage 2 (or of the distribution relay) is one draw for all
-    its arrays, so an adversary's hook sees the channel -- metrics, RNG
-    state -- as it was when its block's or sub-stage's draw began.  A
-    stage-1 phase charges its metrics once, after its last block.
+    cell and member; then stage 2 stage by stage in plan order.  Every
+    majority-decoded repetition draws one uniform per decoded bit
+    (``majority_mask``), every other reception one per reception
+    (``flip_mask``).  That order is RNG layout 4 (``harness.RNG_LAYOUT``),
+    which reports declare.  A stage-1 phase draws in blocks of whole
+    classes, and a repetition sub-stage of stage 2 (or of the distribution
+    relay) is one draw for all its arrays, so an adversary's hook sees the
+    channel -- metrics, RNG state -- as it was when its block's or
+    sub-stage's draw began.  A stage-1 phase charges its metrics once, after
+    its last block.
     """
 
     instance: object
@@ -359,6 +429,12 @@ class Channel:
         channel's stream; an adversary's hook gets the channel as history."""
         return self.noise.flips(self.rng, shape, slots, txs, rxs, history=self)
 
+    def majority_mask(self, shape, slots=None, txs=None, rxs=None) -> np.ndarray:
+        """The noise model's majority errors for a (..., reps) batch of
+        repeated receptions, one per row (``NoiseModel.majority_flips``),
+        drawn from this channel's stream; a hook gets the channel as history."""
+        return self.noise.majority_flips(self.rng, shape, slots, txs, rxs, history=self)
+
     def record(self, phase: str, txs, first, copies: int, data_dependent: bool = False) -> None:
         """Trace one color class's phase: txs[i] sends ``copies`` slots from
         first[i], or from one first slot for all; a no-op untraced.
@@ -372,7 +448,8 @@ class Channel:
             self.trace.stage1.append(TraceRecord(phase, txs, first, int(copies), data_dependent))
 
     def noisy_copies(self, bit: int, count: int, tx: int, rx: int, slot0: int) -> np.ndarray:
-        """The bit as seen by one receiver over ``count`` repeated slots."""
+        """The bit as seen by one receiver over ``count`` repeated slots, copy by
+        copy; a majority decode of them draws as ``majority_mask`` instead."""
         slots = slot0 + np.arange(count)
         mask = self.flip_mask((count,), slots=slots, txs=tx, rxs=rx)
         return (int(bit) ^ mask.astype(np.int8)).astype(np.int8)

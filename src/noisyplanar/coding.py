@@ -9,8 +9,9 @@ over binary-symmetric links:
 
 * ``repetition``  -- every meaningful link bit is repeated an odd number of
   times and majority-decoded (the robust, time-expensive fallback); arrays
-  that run side by side share one flip draw (``repetition_errors``), and
-  each array is a fold of ``step`` over its links' error words;
+  that run side by side share one majority draw, one uniform per decoded
+  bit (``repetition_errors``), and each array is a fold of ``step`` over its
+  links' error words;
 * ``treecode``    -- every sender emits one tree-code symbol per round and each
   receiver extends its distances to all 2^t paths by one level (the mechanism
   behind the time-optimal scheme; the path space is exponential, so depth-capped);
@@ -560,27 +561,27 @@ def repetition_errors(
     """Link error words of repetition arrays that run side by side, from one draw.
 
     Each link repeats its node's ``width`` payload bits r3 times each,
-    hop-serially, and the receiver majority-decodes every payload bit.  Noise
-    is drawn array by array, link by link, payload bit by payload bit, copy
-    by copy: one (sum(links), width, r3) flip draw, in C order the per-array
-    draws one after another, copy c of bit b of hop h in logical slot
-    (h * width + b) * r3 + c, hops counted within each array (lockstep);
-    ``slots`` maps those to ids when a hook reads them.  ``ends`` holds every
-    link's (tx, rx) in the same order.  A decoded bit is the sent bit XOR
-    [more than r3/2 of its copies flipped], whatever the bit and the copies'
-    flip probabilities, so each link gets one error word (bit k set iff
-    payload bit k decodes wrong), and each array a list.
+    hop-serially, and the receiver majority-decodes every payload bit.  A
+    decoded bit is the sent bit XOR [more than r3/2 of its copies flipped],
+    whatever the bit and the copies' flip probabilities, so noise is one
+    majority draw (``Channel.majority_mask``) of (sum(links), width, r3)
+    receptions: one uniform per payload bit against its majority tail, array
+    by array, link by link, payload bit by payload bit, in C order the
+    per-array draws one after another.  Copy c of bit b of hop h sits in
+    logical slot (h * width + b) * r3 + c, hops counted within each array
+    (lockstep); ``slots`` maps those to ids when a hook reads them.  ``ends``
+    holds every link's (tx, rx) in the same order.  Each link gets one error
+    word (bit k set iff payload bit k decodes wrong), and each array a list.
     """
     total = int(sum(links))
     cuts = np.cumsum([0, *links]).tolist()
     first = lambda: (np.repeat(cuts[:-1], links) * width * r3)[:, None, None]  # array starts
-    flips = channel.flip_mask(
+    wrong = channel.majority_mask(
         (total, width, r3),
         slots=lambda: slots(np.arange(total * width * r3).reshape(total, width, r3) - first()),
         txs=ends[:, 0, None, None],
         rxs=ends[:, 1, None, None],
     )
-    wrong = flips.sum(axis=2, dtype=np.min_scalar_type(r3)) > r3 // 2
     words = (wrong << np.arange(width)).sum(axis=1).tolist()
     return [words[a:b] for a, b in zip(cuts, cuts[1:])]
 

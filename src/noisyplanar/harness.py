@@ -72,11 +72,12 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 # The order in which a trial consumes its noise stream, declared in every
-# report.  Layout 3 draws MAX stage 1 phase by phase: discovery for every color
-# class, then identity, then confirmation, each in class, cell, member and copy
-# order (layout 2 drew class by class, then phase by phase; layout 1 cell by
-# cell).  The histogram draws the same under all three.
-RNG_LAYOUT = 3
+# report.  Layout 4 draws every majority-decoded repetition as one uniform per
+# decoded bit against its exact majority tail (layouts 1-3 drew each copy).
+# Layout 3 drew MAX stage 1 phase by phase: discovery for every color class,
+# then identity, then confirmation, each in class, cell and member order
+# (layout 2 class by class, then phase by phase; layout 1 cell by cell).
+RNG_LAYOUT = 4
 CSV_HEADER = "n,trials,error_rate,tx_total,tx_per_n,slots_total,slots_norm,em1,em2,resamples"
 
 

@@ -9,12 +9,13 @@ arrays may share their root (the two sides of a row meeting on the axis).
 Each array runs ``simulate_line`` over the chain of its cell centers: a
 noiseless line protocol -- running OR for MAX, a pipelined bit-serial adder
 for the histogram -- protected by one of the three link simulation modes.
-With repetition links, a sub-stage's arrays share one flip draw.
-Distribution runs the plan in reverse, each array root first as a repetition
-line, then broadcasts in every cell in one flip draw.  One logical slot (a
-window in which every active tree link fires once without protocol-model
-collisions) costs ``link_slot_span`` physical slots.  ``slot_ids`` numbers every
-reception by the slot the counters charge it to.
+With repetition links, a sub-stage's arrays share one majority draw, one
+uniform per decoded bit.  Distribution runs the plan in reverse, each array
+root first as a repetition line, then broadcasts in every cell in one
+majority draw.  One logical slot (a window in which every active tree link
+fires once without protocol-model collisions) costs ``link_slot_span``
+physical slots.  ``slot_ids`` numbers every reception by the slot the
+counters charge it to.
 """
 
 from __future__ import annotations
@@ -308,16 +309,17 @@ def distribute_result(
     """Push the sink's one-bit result back to every node.
 
     The relay runs the sub-stage plan in reverse, each array root first as a
-    repetition line (r3 copies per link, majority-decoded), one flip draw per
-    sub-stage: a running OR over zeros carries the root's bit to the deepest
-    cell.  Each sub-stage is charged as ``stage2_cost`` prices a MAX pass over
-    it with repetition links; its links fire in the downward bank of ``slot_ids``.
-    Then every center broadcasts its bit r2 times inside its cell, one class
-    of the coloring at a time, and the members majority-decode: one flip draw
-    in coloring order, cell by cell, member by member, copy by copy, the
-    cells of a class sharing its r2 slots.  In all, (cell_count - 1) * r3 +
-    cell_count * r2 transmissions.  Only a bit can be relayed: any other
-    value raises ValueError.
+    repetition line (r3 copies per link, majority-decoded), one majority draw
+    per sub-stage: a running OR over zeros carries the root's bit to the
+    deepest cell.  Each sub-stage is charged as ``stage2_cost`` prices a MAX
+    pass over it with repetition links; its links fire in the downward bank
+    of ``slot_ids``.  Then every center broadcasts its bit r2 times (r2 odd,
+    as ``Stage1Config`` requires) inside its cell, one class of the coloring
+    at a time, and the members majority-decode: one majority draw in
+    coloring order, one uniform per member, cell by cell, member by member,
+    the cells of a class sharing its r2 slots.  In all, (cell_count - 1) *
+    r3 + cell_count * r2 transmissions.  Only a bit can be relayed: any
+    other value raises ValueError.
     """
     if value not in (0, 1):
         raise ValueError(f"distribute_result relays one bit, got value {value!r}")
@@ -343,7 +345,7 @@ def distribute_result(
     rank, rxs = rank[heard], members[heard]
     start = channel.metrics.slots_total
     class_of = lambda: np.repeat(np.arange(len(coloring)), [len(cls.cells) for cls in coloring])
-    flips = channel.flip_mask(
+    wrong = channel.majority_mask(
         (rxs.size, r2),
         slots=lambda: slot_ids(start, class_of()[rank, None], np.arange(r2), r2),  # hooks only
         txs=centers[rank, None],
@@ -352,6 +354,6 @@ def distribute_result(
     bits = np.array([down[j] for j in cells], dtype=np.int8)
     node_values = np.zeros(grid.n, dtype=np.int8)
     node_values[centers] = bits
-    node_values[rxs] = 2 * (bits[rank, None] ^ flips).sum(axis=1) > r2  # ties decode to 0
+    node_values[rxs] = bits[rank] ^ wrong
     channel.metrics.add("distribute", tx=r2 * len(cells), rx=r2 * rxs.size, slots=r2 * len(coloring))
     return node_values

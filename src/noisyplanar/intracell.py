@@ -18,15 +18,19 @@ classes stay silent.  For the MAX protocol the script is
 The histogram variant replaces the script with per-member repetition: the
 center majority-decodes each member's bit and counts the ones.
 
-Noise is drawn phase by phase (RNG layout 3).  For MAX: discovery for every
+Noise is drawn phase by phase (RNG layout 4).  For MAX: discovery for every
 class, then identity for every class, then confirmation for every class, each
-phase in class, cell, member and copy order; the histogram's one counting
-phase in the same order.  The slots are the schedule's, whatever the draw
-order: classes take turns and a class's cells run in lockstep.  Confirmation,
-the one draw whose size depends on the data, comes last, so it moves no
-other draw.  Inside a phase the members are drawn in blocks of whole classes
-of about ``STAGE1_BLOCK`` flips; the stream in C order does not depend on the
-block size, so the blocks bound memory without moving a draw.
+phase in class, cell and member order; the histogram's one counting phase in
+the same order.  A majority-decoded member (discovery, confirmation,
+counting) is one uniform against the majority tail of its copies
+(``Channel.majority_mask``); identity draws one flip per codeword bit, as
+nearest-codeword decoding reads the whole error pattern.  The slots are the
+schedule's, whatever the draw order: classes take turns and a class's cells
+run in lockstep.  Confirmation, the one draw whose size depends on the data,
+comes last, so it moves no other draw.  Inside a phase the members are drawn
+in blocks of whole classes of about ``STAGE1_BLOCK`` receptions; the stream
+in C order does not depend on the block size, so the blocks bound memory
+without moving a draw.
 
 Discovery and identity schedules are pure functions of the geometry and the
 configuration; only the confirmation transmitter is data-dependent, which the
@@ -63,7 +67,7 @@ __all__ = [
 ]
 
 # Stage-1 phases draw their members in blocks of whole color classes of at
-# most this many flips, a larger class alone (see ``_blocks``).
+# most this many receptions, a larger class alone (see ``_blocks``).
 STAGE1_BLOCK = 1 << 18
 
 
@@ -163,16 +167,16 @@ def _majority_at_center(members, sizes, centers, firsts, reps: int, channel: Cha
     The cells come as CellGrid.gather gives them.  Member i transmits its bit
     in the reps consecutive slots from firsts[i]; the center majority-decodes
     every member, and its own broadcasts are noiseless to itself.  Noise is
-    one draw, cell by cell, member by member, copy by copy.  Returns the
-    members' decoded bits; the caller records and charges the phase.
+    one majority draw (``Channel.majority_mask``), one uniform per member,
+    cell by cell, member by member.  Returns the members' decoded bits; the
+    caller records and charges the phase.
     """
     centers = centers.repeat(sizes)
     slots = lambda: firsts[:, None] + np.arange(reps)  # built only for an adversary's hook
     bits = channel.instance.bits[members]
-    flips = channel.flip_mask(
+    decoded = bits ^ channel.majority_mask(
         (members.size, reps), slots=slots, txs=members[:, None], rxs=centers[:, None]
     )
-    decoded = bits ^ (flips.sum(axis=1) > reps // 2)
     is_center = members == centers
     decoded[is_center] = bits[is_center]
     return decoded
@@ -233,11 +237,11 @@ def confirm_value(
 ) -> int:
     """Resolve the r2 confirmation slots into the cell's aggregated bit.
 
-    One believer delivers its bit r2 times for a majority decode; several
-    believers collide in every slot and no believer leaves silence -- both
-    decode to the documented default 0.  A believing center knows its own bit
-    noiselessly.  The per-cell reference for ``run_stage1_max``; not on the
-    run path.
+    One believer delivers its bit r2 times for a majority decode, one
+    majority row (``Channel.majority_mask``); several believers collide in
+    every slot and no believer leaves silence -- both decode to the
+    documented default 0.  A believing center knows its own bit noiselessly.
+    The per-cell reference for ``run_stage1_max``; not on the run path.
     """
     n_members = cell.size
     n_believers = len(believers)
@@ -247,8 +251,8 @@ def confirm_value(
         if b == cell.center:
             value = bit
         else:
-            copies = channel.noisy_copies(bit, config.r2, b, cell.center, slot0)
-            value = int(copies.sum() * 2 > config.r2)
+            slots = slot0 + np.arange(config.r2)
+            value = bit ^ int(channel.majority_mask((config.r2,), slots, b, cell.center))
     else:
         value = 0  # silence or wall-to-wall collisions: every slot is an erasure
 
@@ -310,8 +314,8 @@ def stage1_schedule(
 
 
 def _blocks(grid: CellGrid, cells, bounds, sizes, reps: int):
-    """Runs of whole classes, each drawing at most STAGE1_BLOCK flips at reps
-    per member (a class that draws more runs alone), in coloring order.
+    """Runs of whole classes, each of at most STAGE1_BLOCK receptions at reps
+    per member (a class with more runs alone), in coloring order.
 
     Yields each run's classes as a range, its slice of ``cells`` and its
     members, sizes and centers as CellGrid.gather gives them.
@@ -373,11 +377,13 @@ def run_stage1_max(
 
     Color classes execute sequentially; cells inside a class run in lockstep,
     so a class occupies c_rep * max_members + block_len + r2 slots.  Noise is
-    drawn phase by phase (RNG layout 3): discovery for every class, then
-    identity, then confirmation, each in class, cell, member and copy order.
-    Discovery and identity draw for every member, in blocks of whole classes
-    (``_blocks``); confirmation, the one data-dependent draw and the last,
-    draws r2 copies for each cell whose single believer is not its center.
+    drawn phase by phase (RNG layout 4): discovery for every class, then
+    identity, then confirmation, each in class, cell and member order.
+    Discovery (one majority row per member) and identity (one flip per member
+    and codeword bit) draw in blocks of whole classes (``_blocks``);
+    confirmation, the one data-dependent draw and the last, draws one
+    majority row of r2 copies for each cell whose single believer is not its
+    center.
     Each phase is charged once; a captured trace gets one run-length record
     per (class, phase), the class's records phase by phase.
     """
@@ -443,13 +449,12 @@ def run_stage1_max(
     single = n_believers == 1
     values = np.where(single, channel.instance.bits[sender], 0)
     sends = np.flatnonzero(single & (sender != centers))
-    flips = channel.flip_mask(
+    values[sends] ^= channel.majority_mask(
         (sends.size, r2),
         slots=lambda: per_cell(confirm_bases)[sends, None] + np.arange(r2),
         txs=sender[sends, None],
         rxs=centers[sends, None],
     )
-    values[sends] ^= flips.sum(axis=1) * 2 > r2
     heard = n_believers > 0
     channel.metrics.add(
         "stage1",
@@ -476,9 +481,9 @@ def run_stage1_hist(
 
     Members broadcast their bit r2 times in ascending id order (r2 * N
     transmissions per cell); the center majority-decodes each member and
-    reports how many decoded to 1.  Every draw count depends only on the
-    layout, so the classes are drawn and counted in blocks of whole classes,
-    in class, cell, member and copy order.
+    reports how many decoded to 1, one majority row per member.  Every draw
+    count depends only on the layout, so the classes are drawn and counted in
+    blocks of whole classes, in class, cell and member order.
     """
     layout = stage1_layout(grid, coloring, config, "hist")
     stage = _classes_end_to_end(grid, coloring)

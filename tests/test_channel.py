@@ -19,9 +19,12 @@ from noisyplanar.channel import (
     Trace,
     color_cells,
     distances,
+    majority_tail,
     resolve_slot,
 )
+from noisyplanar.coding import RepetitionScheme
 from noisyplanar.geometry import assign_cells, derive_params, place_nodes
+from noisyplanar.harness import wilson_interval
 
 from conftest import make_hand_world, slot_by_slot, stage1_keys
 
@@ -390,6 +393,79 @@ class TestNoiseModel:
             got = NoiseModel(eps0).flips(got_rng, shape)
             np.testing.assert_array_equal(got, want_rng.random(shape) < eps0)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestMajorityTail:
+    """The majority rule: one uniform per row against the exact probability
+    that more than half of the row's copies flip."""
+
+    def test_equals_brute_force_enumeration(self):
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for reps in range(1, 8):
+            probs = rng.random((50, reps)) * 0.5
+            want = np.zeros(50)
+            for pattern in itertools.product((0, 1), repeat=reps):
+                if sum(pattern) > reps // 2:
+                    flip = np.array(pattern, dtype=bool)
+                    want += np.where(flip, probs, 1.0 - probs).prod(axis=1)
+            worst = max(worst, np.abs(majority_tail(probs, reps) - want).max())
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("eps0", [0.0, 0.05, 0.1, 0.25, 0.3, 0.49])
+    def test_scalar_equals_per_copy_rows_bit_for_bit(self, eps0):
+        # What lets a hook that answers eps0 draw exactly what iid noise draws.
+        for reps in range(1, 62):
+            scalar = majority_tail(eps0, reps)
+            rows = majority_tail(np.full((3, reps), eps0), reps)
+            assert np.ndim(scalar) == 0 and rows.shape == (3,)
+            assert (rows == scalar).all(), reps
+
+    @pytest.mark.parametrize("eps0", [0.0, 0.05, 0.1, 0.25, 0.3, 0.49])
+    def test_equals_the_binomial_tail(self, eps0):
+        for reps in range(1, 62, 2):
+            want = RepetitionScheme(reps).error_bound(eps0)
+            got = float(majority_tail(eps0, reps))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), reps
+
+    def test_rejects_a_row_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="majority_tail"):
+            majority_tail(np.full((2, 4), 0.1), 3)
+
+    def test_majority_rule_has_the_per_copy_law(self):
+        # At eps0 = 0.3 and 3 copies a row fails with probability 0.216.  The
+        # per-copy failure frequency must lie in the rule's Wilson interval
+        # and the other way round; z = 4 keeps the two-sided comparison of two
+        # independent estimates at about a 0.5% false-alarm rate.
+        rows, reps, noise = 200_000, 3, NoiseModel(0.3)
+        per_copy = int((noise.flips(np.random.default_rng(1), (rows, reps)).sum(axis=1) > 1).sum())
+        rule = int(noise.majority_flips(np.random.default_rng(2), (rows, reps)).sum())
+        for got, other in ((per_copy, rule), (rule, per_copy)):
+            lo, hi = wilson_interval(other, rows, z=4.0)
+            assert lo <= got / rows <= hi
+            lo, hi = wilson_interval(got, rows, z=4.0)
+            assert lo <= 0.216 <= hi
+
+    @pytest.mark.parametrize("shape", [(5,), (0, 3), (2, FLIP_CHUNK // 2 + 3, 3), (7, 2, 9)])
+    def test_one_uniform_per_row_and_an_eps0_hook_draws_as_iid(self, shape):
+        rows, reps = shape[:-1], shape[-1]
+        calls = []
+
+        def hook(slot, tx, rx, history):
+            calls.append((slot, tx, rx))
+            return 0.3
+
+        slots = np.arange(np.prod(shape)).reshape(shape)
+        want_rng = np.random.default_rng(4)
+        want = want_rng.random(rows) < majority_tail(0.3, reps)
+        for noise in (NoiseModel(0.3), NoiseModel(0.3, "adversarial", hook)):
+            rng = np.random.default_rng(4)
+            got = noise.majority_flips(rng, shape, slots=lambda: slots, txs=1, rxs=2)
+            assert got.dtype == bool and got.shape == rows
+            np.testing.assert_array_equal(got, want)
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+        # The hook was asked once per copy, in C order.
+        assert calls == [(s, 1, 2) for s in slots.ravel().tolist()]
 
 
 class TestColorCells:

@@ -510,7 +510,7 @@ class TestRepetitionClosedForm:
 def reference_repetition(
     protocol: LineProtocol, r3: int, channel: Channel, link_endpoints
 ) -> tuple[list[int], list[int]]:
-    """Repetition links one noisy copy batch at a time: values and delivered values.
+    """Repetition links one majority draw per payload bit: values and delivered values.
 
     Payload bit k of link i goes out in the r3 slots from (i * width + k) * r3."""
     values: list[int] = []
@@ -524,9 +524,8 @@ def reference_repetition(
         decoded = [0] * protocol.rounds
         for t in protocol.payload_rounds(i):
             bit = protocol.sent_bit(i, t, child[: t - 1])
-            slot0 = (i * protocol.width + t - i - 1) * r3
-            copies = channel.noisy_copies(bit, r3, tx_node, rx_node, slot0)
-            decoded[t - 1] = majority_decode(copies)
+            slots = (i * protocol.width + t - i - 1) * r3 + np.arange(r3)
+            decoded[t - 1] = bit ^ int(channel.majority_mask((r3,), slots, tx_node, rx_node))
         delivered.append(protocol.child_value(i + 1, decoded))
         child = decoded
     return values, delivered
@@ -538,7 +537,7 @@ class TestRepetitionAgainstReceptionLoop:
         # The hook's probability varies with the reception and it records
         # every call: one draw per array must ask the same questions in the
         # same order, consume the same uniforms and decode the same values
-        # as one noisy copy batch per link bit.
+        # as one majority draw per link bit.
         eps0 = 0.3
         rng = np.random.default_rng(43)
         widths = (1, 2, 3, 4) if kind == "adder" else (1,)

@@ -11,7 +11,6 @@ from noisyplanar.channel import Channel, NoiseModel, color_cells
 from noisyplanar.coding import (
     CapacityError,
     LinkSimConfig,
-    majority_decode,
     or_chain,
     simulate_line,
 )
@@ -442,8 +441,8 @@ def reference_distribute_result(
     tree, plan, value, config, r2, channel, grid, params, coloring=None
 ):
     """The per-link, per-member distribution loop that ``distribute_result``
-    replaced, kept as its oracle (bar the import of ``color_cells`` and the
-    slot ids): one ``majority_decode`` call per link and per member.
+    replaced, kept as its oracle (bar the import of ``color_cells``, the slot
+    ids and the noise rule): one majority draw per link and per member.
 
     Slot ids come from the slots charged so far: a relay link into cell j
     sends copy c of hop h at start + (h * r3 + c) * link_slot_span +
@@ -465,11 +464,8 @@ def reference_distribute_result(
             for i in range(len(cells) - 2, -1, -1):
                 logical = (len(cells) - 2 - i) * config.r3 + np.arange(config.r3)
                 lane = params.interference_bound + 1 + color[cells[i]]
-                copies = [
-                    channel.noisy_copies(v, 1, centers[i + 1], centers[i], slot)[0]
-                    for slot in start + logical * params.link_slot_span + lane
-                ]
-                v = majority_decode(copies)
+                slots = start + logical * params.link_slot_span + lane
+                v ^= int(channel.majority_mask((config.r3,), slots, centers[i + 1], centers[i]))
                 down[cells[i]] = v
             link_count = len(cells) - 1
             channel.metrics.add("distribute", tx=link_count * config.r3, rx=link_count * config.r3)
@@ -486,8 +482,8 @@ def reference_distribute_result(
             for member in cell.members.tolist():
                 if member == cell.center:
                     continue
-                copies = channel.noisy_copies(v, r2, cell.center, member, slot0)
-                node_values[member] = majority_decode(copies)
+                wrong = channel.majority_mask((r2,), slot0 + np.arange(r2), cell.center, member)
+                node_values[member] = v ^ int(wrong)
             channel.metrics.add("distribute", tx=r2, rx=r2 * (cell.size - 1))
         channel.metrics.add("distribute", slots=r2)
     return node_values
@@ -542,21 +538,23 @@ class TestDistributeMatchesReference:
         assert noisy_wrong > 0
 
     def test_no_per_member_draws(self, monkeypatch):
-        # One flip draw per relay sub-stage plus one for the whole broadcast.
+        # One majority draw per relay sub-stage plus one for the whole
+        # broadcast, and no per-reception draw.
         inst, params, grid, tree, plan, classes = distribution_world(2000)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("distribute_result drew noise per link or per member")
+            raise AssertionError("distribute_result drew noise per link, member or copy")
 
         draws = []
-        flip_mask = Channel.flip_mask
+        majority_mask = Channel.majority_mask
 
         def counted(self, shape, *args, **kwargs):
             draws.append(shape)
-            return flip_mask(self, shape, *args, **kwargs)
+            return majority_mask(self, shape, *args, **kwargs)
 
         monkeypatch.setattr(Channel, "noisy_copies", refuse)
-        monkeypatch.setattr(Channel, "flip_mask", counted)
+        monkeypatch.setattr(Channel, "flip_mask", refuse)
+        monkeypatch.setattr(Channel, "majority_mask", counted)
         channel = Channel(inst, params, NoiseModel(0.1), np.random.default_rng(0))
         distribute_result(tree, plan, 1, LinkSimConfig(r3=9), 15, channel, grid, params, classes)
         assert len(draws) == len(plan.stages) + 1
@@ -576,8 +574,8 @@ def scheduled(start, deeper, params, coloring, bank=0):
 def per_array_run_stage2(plan, state, line_for, config, channel, grid, params):
     """The per-array loop that ``_run_stage2`` replaced, kept verbatim (bar
     looking ``simulate_line`` up on its module, so a recorder can see it, and
-    the scheduled slot ids) as its oracle: in repetition mode one flip draw
-    per array."""
+    the scheduled slot ids) as its oracle: in repetition mode one majority
+    draw per array."""
     coloring = color_cells(grid, params)
     for stage in plan.stages:
         stage_logical = 0
@@ -600,9 +598,10 @@ def per_array_run_stage2(plan, state, line_for, config, channel, grid, params):
 def per_array_distribute_result(
     tree, plan, value, config, r2, channel, grid, params, coloring=None
 ):
-    """``distribute_result`` as it was with one relay flip draw per array,
-    kept verbatim (bar the ``simulate_line`` lookup and the scheduled slot
-    ids) as the oracle of the per-sub-stage relay draw.  Relay sub-stages
+    """``distribute_result`` as it was with one relay draw per array,
+    kept verbatim (bar the ``simulate_line`` lookup, the scheduled slot ids
+    and the broadcast's majority draw) as the oracle of the per-sub-stage
+    relay draw.  Relay sub-stages
     follow each other from the slots charged before the distribution, each
     its longest array's r3 * links logical slots long, and every cell of a
     class broadcasts in the class's r2 slots after them."""
@@ -632,7 +631,7 @@ def per_array_distribute_result(
     rank, rxs = rank[heard], members[heard]
     base = channel.metrics.slots_total
     class_of = np.repeat(np.arange(len(coloring)), [len(cls.cells) for cls in coloring])
-    flips = channel.flip_mask(
+    wrong = channel.majority_mask(
         (rxs.size, r2),
         slots=lambda: base + r2 * class_of[rank, None] + np.arange(r2),  # iid never reads it
         txs=centers[rank, None],
@@ -641,7 +640,7 @@ def per_array_distribute_result(
     bits = np.array([down[j] for j in cells], dtype=np.int8)
     node_values = np.zeros(grid.n, dtype=np.int8)
     node_values[centers] = bits
-    node_values[rxs] = 2 * (bits[rank, None] ^ flips).sum(axis=1) > r2  # ties decode to 0
+    node_values[rxs] = bits[rank] ^ wrong
     channel.metrics.add("distribute", tx=r2 * len(cells), rx=r2 * rxs.size, slots=r2 * len(coloring))
     return node_values
 
@@ -731,13 +730,13 @@ class TestStage2MatchesPerArrayLoop:
         world = self._world(2000)
         inst, params, grid, tree, plan = world
         draws = []
-        flip_mask = Channel.flip_mask
+        majority_mask = Channel.majority_mask
 
         def counted(self, shape, *args, **kwargs):
             draws.append(shape)
-            return flip_mask(self, shape, *args, **kwargs)
+            return majority_mask(self, shape, *args, **kwargs)
 
-        monkeypatch.setattr(Channel, "flip_mask", counted)
+        monkeypatch.setattr(Channel, "majority_mask", counted)
         channel = Channel(inst, params, NoiseModel(0.1), np.random.default_rng(0))
         config = LinkSimConfig(mode="repetition", r3=self.R3)
         run_stage2_hist(plan, _stage1_counts(grid, inst), config, channel, grid, params, tree)

@@ -284,8 +284,8 @@ def hist_per_cell(grid, coloring, config, channel):
             bits = channel.instance.bits[members]
             slots = base + np.arange(n_members * reps).reshape(n_members, reps)
             txs = members[:, None]
-            flips = channel.flip_mask((n_members, reps), slots=slots, txs=txs, rxs=cell.center)
-            decoded = (bits ^ (flips.sum(axis=1) > reps // 2)).astype(np.int8)
+            wrong = channel.majority_mask((n_members, reps), slots=slots, txs=txs, rxs=cell.center)
+            decoded = (bits ^ wrong).astype(np.int8)
             decoded[members == cell.center] = bits[members == cell.center]
             channel.record("hist_count", members, slots[:, 0], reps)
             channel.metrics.add("stage1", tx=reps * n_members, rx=reps * n_members * (n_members - 1))
@@ -358,9 +358,10 @@ class TestHistClassBatching:
 
 
 def max_phase_major(grid, coloring, config, channel):
-    """MAX stage 1 through the per-cell oracles in RNG layout 3's order --
-    discovery in every cell, then identity, then confirmation, each class by
-    class and cell by cell: the reference for the block-drawn run."""
+    """MAX stage 1 through the per-cell oracles in phase-major order (RNG
+    layouts 3 and 4) -- discovery in every cell, then identity, then
+    confirmation, each class by class and cell by cell: the reference for
+    the block-drawn run."""
     result = Stage1Result()
     layout = stage1_layout(grid, coloring, config, "max")
     cells = [
@@ -483,9 +484,11 @@ class TestStage1Blocks:
         if adversarial:
             channel.noise = NoiseModel(0.3, mode="adversarial", adversary=hook)
         channel.trace = Trace()
-        draws = []
-        flip_mask = channel.flip_mask
-        channel.flip_mask = lambda shape, **kw: draws.append(shape) or flip_mask(shape, **kw)
+        draws = []  # per-reception and majority draws alike
+        for name in ("flip_mask", "majority_mask"):
+            draw = getattr(channel, name)
+            counted = lambda shape, draw=draw, **kw: draws.append(shape) or draw(shape, **kw)
+            setattr(channel, name, counted)
         runner = run_stage1_max if protocol == "max" else run_stage1_hist
         result = runner(grid, coloring, config, channel)
         records = [

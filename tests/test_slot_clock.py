@@ -32,31 +32,37 @@ def distribute(run):
     )
 
 
-@pytest.mark.parametrize("mode", ["repetition", "treecode"])
-def test_a_recording_hook_sees_every_reception_in_its_charged_window(monkeypatch, mode):
+@pytest.mark.parametrize(
+    "protocol, mode",
+    [("max", "repetition"), ("max", "treecode"), ("hist", "repetition")],
+    ids=["repetition", "treecode", "hist-repetition"],
+)
+def test_a_recording_hook_sees_every_reception_in_its_charged_window(monkeypatch, protocol, mode):
     # A hook that answers eps0 draws what iid noise draws, so the two runs
     # must agree on everything; the hook also records each reception's slot
-    # and the slots charged when its batch was drawn.
+    # and the slots charged when its batch was drawn.  A histogram count is
+    # not a bit, so only MAX runs are distributed.
     n, eps0 = 2000, 0.1
-    cfg = ExperimentConfig(protocol="max", n=(n,), trials=1, eps0=eps0, mode=mode)
+    cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=eps0, mode=mode)
     calls, marks = [], []
 
     def hook(slot, tx, rx, channel):
         calls.append((slot, tx, rx, channel.metrics.slots_total))
         return eps0
 
-    stage2 = harness.run_stage2_max
+    stage2_name = f"run_stage2_{protocol}"
+    stage2 = getattr(harness, stage2_name)
 
     def marked(*args):
         marks.append(len(calls))
         return stage2(*args)
 
-    monkeypatch.setattr(harness, "run_stage2_max", marked)
+    monkeypatch.setattr(harness, stage2_name, marked)
     outcomes = []
     for noise in (NoiseModel(eps0), NoiseModel(eps0, "adversarial", hook)):
         run = run_trial(cfg, n, 0, noise=noise)
         marks.append(len(calls))
-        values = distribute(run).tolist()
+        values = distribute(run).tolist() if protocol == "max" else None
         state = run.channel.rng.bit_generator.state
         outcomes.append((run.computed, run.stage1_value, values, run.metrics.snapshot(), state))
     assert outcomes[0] == outcomes[1]
@@ -67,7 +73,8 @@ def test_a_recording_hook_sees_every_reception_in_its_charged_window(monkeypatch
     first2, first_dist = marks[2], marks[3]
     assert 0 <= slots[:first2].min() and slots[:first2].max() < s1
     assert s1 <= slots[first2:first_dist].min() and slots[first2:first_dist].max() < s1 + s2
-    assert s1 + s2 <= slots[first_dist:].min() and slots.max() < m.slots_total
+    assert (first_dist < len(calls)) == (protocol == "max")
+    assert (s1 + s2 <= slots[first_dist:]).all() and slots.max() < m.slots_total
     # Each reception lies in the window charged for it: from the slots charged
     # when its batch was drawn to the next charge.
     windows = np.unique(np.append(charged, m.slots_total))
@@ -85,7 +92,7 @@ def test_a_recording_hook_sees_every_reception_in_its_charged_window(monkeypatch
         j: array.cells for stage in run.plan.stages for array in stage.arrays
         for j in array.cells[:-1]
     }
-    broadcast = m.slots_total - run.stage1_config.r2 * len(run.coloring)
+    broadcast = m.slots_total - run.stage1_config.r2 * len(run.coloring) if values else None
     ids = defaultdict(set)
     for slot, tx, rx, start in calls[first2:]:
         if start == broadcast:
