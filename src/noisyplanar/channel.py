@@ -214,10 +214,9 @@ def resolve_slot(
     and one per listener, ``listen_slots[j]``: each listener then hears only
     the transmitters of its own slot.  The result equals one single-slot call
     per distinct slot in ascending order, put back in listener order (noise
-    batches included); the hook sees each reception's own slot.  Pairing is
-    local: a listener meets only its slot's transmitters in its own bucket
-    and the 8 around it, buckets being squares a hair wider than the reach
-    max(radius, (1 + delta) * radius).
+    batches included); the hook sees each reception's own slot.  A listener
+    is paired with every transmitter of its own slot, so a call costs the sum
+    over slots of listeners x transmitters.
     """
     txs = np.asarray(txs, dtype=np.int64)
     listeners = np.asarray(listeners, dtype=np.int64)
@@ -234,24 +233,14 @@ def resolve_slot(
     if not (txs.size and listeners.size):
         return np.full(listeners.size, SILENT, dtype=np.int64)
     guard = (1.0 + params.delta) * params.radius
-    # Key (slot rank, bucket column, bucket row).  The slack keeps a pair at the reach from
-    # rounding two buckets apart while buckets number at most 2**20 a side; keys stay < 2**63.
-    distinct, ranks = np.unique(np.concatenate([slot, listen_slots]), return_inverse=True)
-    x, y = positions.take(np.concatenate([txs, listeners]), axis=0).T  # transmitters first
-    u, v = x - x.min(), y - y.min()
-    side = min(1 << 20, int((2.0**62 / distinct.size) ** 0.5) - 3) + 3  # with the ring around
-    width = max(max(params.radius, guard) * (1.0 + 1e-9), max(u.max(), v.max()) / (side - 3))
-    u, v = (np.array([u, v]) / (width or 1.0)).astype(np.int64)
-    keys = (ranks * side + u + 1) * side + v + 1
-    ring = np.arange(-1, 2)  # each transmitter keyed under its own bucket and the 8 around it
-    tx_keys = (keys[: txs.size, None, None] + side * ring[:, None] + ring).ravel()
-    by_key = np.argsort(tx_keys, kind="stable")
-    runs, listen_keys = tx_keys[by_key], keys[txs.size :]
-    lo = np.searchsorted(runs, listen_keys, "left")
-    counts = np.searchsorted(runs, listen_keys, "right") - lo
+    # Pair each listener with every transmitter of its own slot, in transmitter order.
+    by_slot = np.argsort(slot, kind="stable")
+    runs = slot[by_slot]
+    lo = np.searchsorted(runs, listen_slots, "left")
+    counts = np.searchsorted(runs, listen_slots, "right") - lo
     rows = np.repeat(np.arange(listeners.size), counts)
-    cols = by_key[np.arange(rows.size) + np.repeat(lo - (counts.cumsum() - counts), counts)] // 9
-    dx, dy = x[txs.size + rows] - x[cols], y[txs.size + rows] - y[cols]
+    cols = by_slot[np.arange(rows.size) + np.repeat(lo - (counts.cumsum() - counts), counts)]
+    dx, dy = (positions.take(listeners[rows], axis=0) - positions.take(txs[cols], axis=0)).T
     dist = np.sqrt(dx * dx + dy * dy)  # as ``distances`` rounds
     in_range = dist <= params.radius
     heard = np.bincount(rows[in_range], minlength=listeners.size)

@@ -10,7 +10,7 @@ sink row) gives the inter-cell routing structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,39 +157,77 @@ class CellGrid:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Spanning tree of cells: parent map, sink, and hop depths.
+    """Spanning tree of cells rooted at the sink cell, as a rule of the grid.
 
     Edges run within rows toward the sink's column, then within the sink's
-    column toward the sink's row; every edge joins grid-adjacent cells.
+    column toward the sink's row; every edge joins grid-adjacent cells.  A
+    cell's parent, depth and degree follow from its row and column and the
+    sink's, and ``chains`` lists the routing as stage 2 runs it.
     """
 
     sink_cell: int
     sink_node: int
     grid_dim: int
-    parent: dict[int, int]
-    depth: dict[int, int]
-    children: dict[int, tuple[int, ...]] = field(repr=False, default_factory=dict)
+
+    def _coords(self, index: int) -> tuple[int, int, int, int]:
+        """The cell's row and column, then the sink's."""
+        return *divmod(index - 1, self.grid_dim), *divmod(self.sink_cell - 1, self.grid_dim)
+
+    def parent(self, index: int) -> int | None:
+        """The neighbor one step toward the sink's column, or on that column one
+        step toward the sink's row; None at the sink."""
+        row, col, sink_row, sink_col = self._coords(index)
+        if col != sink_col:
+            return index + (1 if col < sink_col else -1)
+        if row != sink_row:
+            return index + (self.grid_dim if row < sink_row else -self.grid_dim)
+        return None
+
+    def depth(self, index: int) -> int:
+        """Hops to the sink: the Manhattan distance to the sink cell."""
+        row, col, sink_row, sink_col = self._coords(index)
+        return abs(row - sink_row) + abs(col - sink_col)
 
     def degree(self, index: int) -> int:
-        d = len(self.children.get(index, ()))
-        if index != self.sink_cell:
-            d += 1
-        return d
+        """Tree edges at the cell: its parent link and one per row neighbor
+        flowing into it (and, on the sink's column, per column neighbor)."""
+        row, col, sink_row, sink_col = self._coords(index)
+        last = self.grid_dim - 1
+        children = (0 < col <= sink_col) + (sink_col <= col < last)
+        if col == sink_col:
+            children += (0 < row <= sink_row) + (sink_row <= row < last)
+        return children + (index != self.sink_cell)
 
     @property
     def max_depth(self) -> int:
-        return max(self.depth.values())
+        m = self.grid_dim
+        return max(map(self.depth, (1, m, m * m - m + 1, m * m)))  # the farthest corner
 
     @property
     def max_degree(self) -> int:
-        return max(self.degree(j) for j in self.depth)
+        return max(map(self.degree, range(1, self.grid_dim**2 + 1)))
 
     def path_to_sink(self, index: int) -> list[int]:
         """Cell indices from ``index`` to the sink, inclusive."""
         path = [index]
         while path[-1] != self.sink_cell:
-            path.append(self.parent[path[-1]])
+            path.append(self.parent(path[-1]))
         return path
+
+    @property
+    def chains(self) -> tuple[list[range], list[range]]:
+        """The routing as chains of cell indices, outer cell first, that hold
+        each link once: every row's two halves toward the sink's column, row
+        by row, then the sink column's two halves toward the sink."""
+        m, sink = self.grid_dim, self.sink_cell
+        col = (sink - 1) % m
+        rows = [
+            half
+            for s in range(1, m * m, m)  # each row's first cell
+            for half in (range(s, s + col + 1), range(s + m - 1, s + col - 1, -1))
+        ]
+        column = [range(col + 1, sink + 1, m), range(m * m - m + col + 1, sink - 1, -m)]
+        return [h for h in rows if len(h) > 1], [h for h in column if len(h) > 1]
 
 
 def place_nodes(n: int, seed: int) -> NetworkInstance:
@@ -282,35 +320,13 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
 
 
 def build_tree(grid: CellGrid, params: DerivedParams | None = None) -> SpanningTree:
-    """Build the spanning tree of cells rooted at the sink cell.
+    """The spanning tree of cells rooted at the grid's sink cell.
 
     Within each row the parent is the horizontal neighbor one step toward
     the sink's column; within the sink's column it is the vertical neighbor
     one step toward the sink's row.  Depth is the resulting hop count
-    (Manhattan distance to the sink cell).
+    (Manhattan distance to the sink cell).  No pass over the cells is made.
     """
     if params is not None and params.grid_dim != grid.grid_dim:
         raise ValueError("params grid size does not match the cell grid")
-    m = grid.grid_dim
-    sink_row, sink_col = divmod(grid.sink_cell - 1, m)
-    parent: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    for j in range(1, len(grid) + 1):
-        row, col = divmod(j - 1, m)
-        depth[j] = abs(row - sink_row) + abs(col - sink_col)
-        if col != sink_col:
-            parent[j] = j + (1 if col < sink_col else -1)
-        elif row != sink_row:
-            parent[j] = j + (m if row < sink_row else -m)
-
-    children: dict[int, list[int]] = {}
-    for j, p in parent.items():
-        children.setdefault(p, []).append(j)
-    return SpanningTree(
-        sink_cell=grid.sink_cell,
-        sink_node=grid.sink_node,
-        grid_dim=m,
-        parent=parent,
-        depth=depth,
-        children={p: tuple(sorted(ch)) for p, ch in children.items()},
-    )
+    return SpanningTree(sink_cell=grid.sink_cell, sink_node=grid.sink_node, grid_dim=grid.grid_dim)

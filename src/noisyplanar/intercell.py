@@ -83,7 +83,7 @@ def count_bits_for(n: int) -> int:
     return math.ceil(math.log2(n + 1))
 
 
-def _segment(chain: list[int], max_hops: int) -> list[tuple[int, ...]]:
+def _segment(chain: Sequence[int], max_hops: int) -> list[tuple[int, ...]]:
     """Split a chain (outer cell first) into consecutive arrays of <= max_hops."""
     hops = len(chain) - 1
     cuts = list(range(0, hops, max_hops)) + [hops]
@@ -95,30 +95,16 @@ def build_substages(
 ) -> SubstagePlan:
     """Partition the tree into staged linear arrays of ~ln(n) hops each.
 
-    Row chains flow toward the sink's column and are processed outer-to-inner;
-    the sink's column then flows toward the sink.  Concatenating the arrays
-    that contain a given cell traces that cell's tree path to the sink.
+    The tree's chains (``SpanningTree.chains``) are cut into arrays of at
+    most ``levels_per_stage`` hops: row chains flow toward the sink's column
+    and are processed outer-to-inner; the sink's column then flows toward
+    the sink.  Concatenating the arrays that contain a given cell traces
+    that cell's tree path to the sink.
     """
     if levels_per_stage is None:
         levels_per_stage = max(1, math.ceil(math.log(params.n)))
-    m = tree.grid_dim
-    sink_row, sink_col = (tree.sink_cell - 1) // m, (tree.sink_cell - 1) % m
-    idx = lambda r, c: r * m + c + 1
-
-    row_chains: list[list[int]] = []
-    for r in range(m):
-        if sink_col > 0:
-            row_chains.append([idx(r, c) for c in range(0, sink_col + 1)])
-        if sink_col < m - 1:
-            row_chains.append([idx(r, c) for c in range(m - 1, sink_col - 1, -1)])
-    col_chains: list[list[int]] = []
-    if sink_row > 0:
-        col_chains.append([idx(r, sink_col) for r in range(0, sink_row + 1)])
-    if sink_row < m - 1:
-        col_chains.append([idx(r, sink_col) for r in range(m - 1, sink_row - 1, -1)])
-
     stages: list[Substage] = []
-    for phase, chains in (("rows-to-axis", row_chains), ("axis-to-sink", col_chains)):
+    for phase, chains in zip(("rows-to-axis", "axis-to-sink"), tree.chains):
         segmented = [_segment(chain, levels_per_stage) for chain in chains]
         depth = max((len(s) for s in segmented), default=0)
         for level in range(depth):

@@ -79,7 +79,7 @@ def schedule_per_cell(grid, layout, config, protocol):
 
 def dense_slot(slot, txs, bits, listeners, positions, params, noise, rng, history=None):
     """Single-slot reception over a dense listener x transmitter distance matrix
-    across the whole square: the oracle for resolve_slot's local pairing."""
+    across the whole square: the oracle for resolve_slot's pairing by slot."""
     txs = np.asarray(txs, dtype=np.int64)
     listeners = np.asarray(listeners, dtype=np.int64)
     bits = np.asarray(bits, dtype=np.int64)

@@ -159,15 +159,16 @@ def _random_slot(rng, nodes=14, max_events=6):
 
 
 def _boundary_slots(params):
-    """Layouts at the edges of local pairing, each with several transmitter sets,
-    as (positions, transmitters, their bits): nodes exactly on bucket edges,
-    pairs exactly at the radius and at the guard radius and one ulp either
-    side, coordinates below 0 and above 1, and clusters many buckets apart."""
+    """Layouts at the edges of the reception rule, each with several transmitter
+    sets, as (positions, transmitters, their bits): nodes on a lattice of half
+    a hair over the reach, pairs exactly at the radius and at the guard
+    radius and one ulp either side, coordinates below 0 and above 1, and
+    clusters many reaches apart."""
     r = params.radius
     g = (1.0 + params.delta) * r
-    width = max(r, g) * (1.0 + 1e-9)  # a bucket, while the layout spans under 2**20
+    width = max(r, g) * (1.0 + 1e-9)
     rng = np.random.default_rng(17)
-    edges = np.arange(5) * width / 2  # every other one a bucket edge, from the node at 0
+    edges = np.arange(5) * width / 2
     layouts = [np.array([(a, b) for a in edges for b in edges[:3]])]
     # sqrt(d * d) == d, so a node d along an axis from the origin sits exactly d away.
     at = [r, g, np.nextafter(r, 0), np.nextafter(r, 1), np.nextafter(g, 0), np.nextafter(g, 1)]
@@ -175,7 +176,7 @@ def _boundary_slots(params):
         layouts.append(np.array([(0, 0), (a, 0), (0, b), (-b, 0)]))
     for shift in ((-0.7, -0.2), (1.3, 0.8), (-0.2, 0.9)):
         layouts.append(rng.random((14, 2)) * 0.45 + shift)
-    # The second spans far more than 2**20 buckets of the reach.
+    # The second spans far more than 2**20 reaches.
     for offsets in (((0, 0), (5, 0), (11, 3)), ((0, 0), (37.3, -5), (1e3, 1e3), (-2.5e6, 7e5))):
         layouts.append(np.concatenate([rng.random((4, 2)) * 2 * r + o for o in offsets]))
     for positions in layouts:

@@ -1,6 +1,8 @@
 """Node placement, tessellation constants, cell assignment, spanning tree."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from noisyplanar.geometry import (
     NetworkInstance,
     ProtocolInfeasibleError,
+    SpanningTree,
     _grid_coords,
     assign_cells,
     build_tree,
@@ -294,15 +297,17 @@ class TestBuildTree:
     def test_3x3_fixture_parents_depth_degree(self, world3):
         _, grid, params = world3
         tree = build_tree(grid, params)
-        assert tree.parent == {1: 2, 3: 2, 4: 5, 6: 5, 7: 8, 9: 8, 2: 5, 8: 5}
+        parents = {j: tree.parent(j) for j in range(1, 10) if j != tree.sink_cell}
+        assert parents == {1: 2, 3: 2, 4: 5, 6: 5, 7: 8, 9: 8, 2: 5, 8: 5}
+        assert tree.parent(tree.sink_cell) is None
         assert tree.max_depth == 2
         assert tree.degree(5) == 4
 
     def test_single_cell_grid(self):
         _, grid, params = make_hand_world(1)
         tree = build_tree(grid, params)
-        assert tree.parent == {}
-        assert tree.depth == {1: 0}
+        assert tree.parent(1) is None
+        assert tree.depth(1) == 0
         assert tree.max_depth == 0
 
     def test_15x15_center_sink_max_depth(self):
@@ -325,11 +330,68 @@ class TestBuildTree:
             path = tree.path_to_sink(c.index)
             assert len(path) == len(set(path))
             assert path[-1] == tree.sink_cell
-            assert len(path) - 1 == tree.depth[c.index]
+            assert len(path) - 1 == tree.depth(c.index)
         assert tree.max_degree <= 4
         assert tree.max_depth <= 2 * (m - 1)
-        for j, p in tree.parent.items():
-            cj, cp = grid.cell(j), grid.cell(p)
+        for j in set(range(1, len(grid) + 1)) - {tree.sink_cell}:
+            cj, cp = grid.cell(j), grid.cell(tree.parent(j))
             assert abs(cj.row - cp.row) + abs(cj.col - cp.col) == 1
             dist = np.linalg.norm(inst.positions[cj.center] - inst.positions[cp.center])
             assert dist <= params.radius
+
+    def test_holds_only_the_sink_and_the_grid_size(self):
+        names = [f.name for f in dataclasses.fields(SpanningTree)]
+        assert names == ["sink_cell", "sink_node", "grid_dim"]
+
+    def test_reads_only_the_grid_size_and_the_sink(self):
+        # No cell is visited: a grid with no cells and a million a side is fine.
+        m, center = 10**6, 10**6 // 2 * (10**6 + 1) + 1
+        tree = build_tree(SimpleNamespace(grid_dim=m, sink_cell=center, sink_node=3))
+        assert (tree.sink_cell, tree.sink_node, tree.grid_dim) == (center, 3, m)
+        assert tree.max_depth == m and tree.depth(1) == m and tree.parent(1) == 2
+
+
+def tree_per_cell(m, sink_cell):
+    """The per-cell build_tree loop the grid rule replaced: the reference.
+
+    Returns the parent, depth and children dicts of the m x m grid's tree.
+    """
+    sink_row, sink_col = divmod(sink_cell - 1, m)
+    parent: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    for j in range(1, m * m + 1):
+        row, col = divmod(j - 1, m)
+        depth[j] = abs(row - sink_row) + abs(col - sink_col)
+        if col != sink_col:
+            parent[j] = j + (1 if col < sink_col else -1)
+        elif row != sink_row:
+            parent[j] = j + (m if row < sink_row else -m)
+
+    children: dict[int, list[int]] = {}
+    for j, p in parent.items():
+        children.setdefault(p, []).append(j)
+    return parent, depth, {p: tuple(sorted(ch)) for p, ch in children.items()}
+
+
+class TestTreeRuleAgainstPerCellLoop:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_sink(self, m):
+        cells = range(1, m * m + 1)
+        for sink in cells:
+            _, grid, params = make_hand_world(m, sink)
+            tree = build_tree(grid, params)
+            parent, depth, children = tree_per_cell(m, sink)
+            degree = [len(children.get(j, ())) + (j != sink) for j in cells]
+
+            def path(j):
+                walk = [j]
+                while walk[-1] != sink:
+                    walk.append(parent[walk[-1]])
+                return walk
+
+            assert [tree.parent(j) for j in cells] == [parent.get(j) for j in cells]
+            assert [tree.depth(j) for j in cells] == [depth[j] for j in cells]
+            assert [tree.degree(j) for j in cells] == degree
+            assert [tree.path_to_sink(j) for j in cells] == [path(j) for j in cells]
+            assert tree.max_depth == max(depth.values())
+            assert tree.max_degree == max(degree)

@@ -103,7 +103,7 @@ class TestBuildSubstages:
                     seen_nonroot.add(c)
 
         # Every tree edge lies in exactly one array.
-        edges = sorted((j, p) for j, p in tree.parent.items())
+        edges = sorted((j, tree.parent(j)) for j in range(1, len(grid) + 1) if j != tree.sink_cell)
         covered = sorted(
             (child, parent)
             for a in plan.arrays
@@ -132,6 +132,51 @@ class TestBuildSubstages:
                 path.extend(array.cells[i + 1 :])
                 cur = array.root
             assert path == tree.path_to_sink(c.index)
+
+
+def substages_per_chain(tree, params, levels_per_stage=None):
+    """build_substages with its own row and column chains, as it was before the
+    tree stated them: the reference.  Returns the plan and the chains."""
+    if levels_per_stage is None:
+        levels_per_stage = max(1, math.ceil(math.log(params.n)))
+    m = tree.grid_dim
+    sink_row, sink_col = (tree.sink_cell - 1) // m, (tree.sink_cell - 1) % m
+    idx = lambda r, c: r * m + c + 1
+
+    row_chains: list[list[int]] = []
+    for r in range(m):
+        if sink_col > 0:
+            row_chains.append([idx(r, c) for c in range(0, sink_col + 1)])
+        if sink_col < m - 1:
+            row_chains.append([idx(r, c) for c in range(m - 1, sink_col - 1, -1)])
+    col_chains: list[list[int]] = []
+    if sink_row > 0:
+        col_chains.append([idx(r, sink_col) for r in range(0, sink_row + 1)])
+    if sink_row < m - 1:
+        col_chains.append([idx(r, sink_col) for r in range(m - 1, sink_row - 1, -1)])
+
+    stages: list[intercell.Substage] = []
+    for phase, chains in (("rows-to-axis", row_chains), ("axis-to-sink", col_chains)):
+        segmented = [intercell._segment(chain, levels_per_stage) for chain in chains]
+        depth = max((len(s) for s in segmented), default=0)
+        for level in range(depth):
+            arrays = tuple(intercell.CellArray(s[level]) for s in segmented if len(s) > level)
+            stages.append(intercell.Substage(phase=phase, arrays=arrays))
+    plan = intercell.SubstagePlan(levels_per_stage=levels_per_stage, stages=tuple(stages))
+    return plan, (row_chains, col_chains)
+
+
+class TestPlanAgainstPerChainBuild:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_sink_and_stage_length(self, m):
+        for sink in range(1, m * m + 1):
+            _, grid, params = make_hand_world(m, sink)
+            tree = build_tree(grid, params)
+            _, chains = substages_per_chain(tree, params)
+            assert [[list(c) for c in half] for half in tree.chains] == list(chains)
+            for levels in (None, 1, 2, 3, 5, 11):
+                plan, _ = substages_per_chain(tree, params, levels)
+                assert build_substages(tree, params, levels) == plan
 
 
 class TestAdderChain:
