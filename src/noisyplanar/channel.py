@@ -12,7 +12,7 @@ flip probability up to that bound, knowing the run (see ``NoiseModel``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -273,16 +273,24 @@ def color_cells(grid: CellGrid, params: DerivedParams) -> list[ScheduleClass]:
     apart in grid Chebyshev distance, so any point of one is farther than
     (1 + delta) * radius from any point of another: simultaneous intra-cell
     transmissions cannot collide at any same-color cell's listeners.
+
+    The coloring depends only on the cell count, grid_dim and D, so it is
+    built once per process for each; every call gets a fresh list of the
+    shared (frozen) classes.
     """
-    d = params.reuse_distance
-    rows, cols = np.divmod(np.arange(len(grid)), grid.grid_dim)
+    return list(_coloring(len(grid), grid.grid_dim, params.reuse_distance))
+
+
+@lru_cache(maxsize=16)
+def _coloring(count: int, grid_dim: int, d: int) -> tuple[ScheduleClass, ...]:
+    rows, cols = np.divmod(np.arange(count), grid_dim)
     colors = (rows % d) * d + cols % d
     order = np.argsort(colors, kind="stable")  # cells ascending inside a color
     palette, starts = np.unique(colors[order], return_index=True)
-    return [
+    return tuple(
         ScheduleClass(color=color, cells=tuple(cells.tolist()))
         for color, cells in zip(palette.tolist(), np.split(order + 1, starts[1:]))
-    ]
+    )
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,11 @@ DEFAULT_DECODE_CAP = 16
 # (16 MiB), and each link's path distances 2^20 bytes.
 MAX_DECODE_CAP = 20
 
+# The identity code's weight-bounded search computes at most this many
+# (row, codeword) distances at a time, so its temporaries stay small however
+# many rows it searches.
+SEARCH_CHUNK = 1 << 16
+
 
 class DecodeFailure(Exception):
     """No usable observations to decode from."""
@@ -110,15 +115,23 @@ class RepetitionScheme:
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack (n, L) 0/1 rows (or one row), bool or integer, into (n, ceil(L/64))
-    uint64 words: the rows packed to bytes, then zero-extended to whole words."""
-    packed = np.packbits(np.atleast_2d(bits), axis=1)
-    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    return words.view(np.uint64)
+    uint64 words: the rows zero-padded to whole words, then packed as one flat
+    array (a row-wise pack of a width that is not a multiple of 8 is slower)."""
+    bits = np.atleast_2d(bits)
+    rows, width = bits.shape
+    words = -(-width // 64)
+    padded = np.zeros((rows, words * 64), dtype=bool)
+    padded[:, :width] = bits
+    return np.packbits(padded.reshape(-1)).view(np.uint64).reshape(rows, words)
 
 
 def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).sum(axis=-1).astype(np.int64)
+    """Set bits per row of (..., words) uint64, the per-word counts added column
+    by column (a reduction over an axis of one or two words is slower)."""
+    total = np.bitwise_count(words[..., 0]).astype(np.int64)
+    for k in range(1, words.shape[-1]):
+        total += np.bitwise_count(words[..., k])
+    return total
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -177,8 +190,12 @@ class BlockCode:
     @cached_property
     def _sorted_words(self) -> np.ndarray:
         """The codebook in weight order, one row per word, so that each word of
-        any weight-bounded prefix is a contiguous slice; built on first search."""
-        return _read_only(np.ascontiguousarray(self._packed[self._by_weight].T))
+        any weight-bounded prefix is a contiguous slice; built on first search
+        one word at a time, so the build holds one word's copy beside it."""
+        words = np.empty(self._packed.shape[::-1], dtype=np.uint64)
+        for column, row in zip(self._packed.T, words):
+            row[:] = column[self._by_weight]
+        return _read_only(words)
 
     @cached_property
     def codebook(self) -> np.ndarray:
@@ -221,50 +238,94 @@ class BlockCode:
 
         ``true_msg`` is one message for every row or an array of one per row;
         ``flip_masks`` are 0/1 rows, bool as drawn or integer.
-        Exact, without a full codebook search.  A received word r = c ^ e,
-        with c the row's true codeword and d = wt(e), lies at distance
-        wt(e ^ x) >= wt(x) - d from the codeword c ^ x.  So:
+        Exact, without a full codebook search: the distance shortcuts
+        (``settle``) decide most rows, and the rows they leave open are
+        searched.  With c the row's true codeword and d = wt(e), every
+        codeword at least as close to r = c ^ e as c is c ^ x with wt(x) <= 2d,
+        so scanning that prefix of the weight-sorted codebook finds the
+        nearest distance, and the smallest message true_msg ^ msg(x) at it.
 
-        * if r is strictly closer to c than to the candidate's codeword, the
-          decode is not the candidate;
+        Open rows are searched in groups of equal prefix length
+        min(2d, block_len), so one noisy row does not lengthen the scan of the
+        others, at most ``SEARCH_CHUNK`` (row, codeword) distances at a time.
+        Stage 1 settles each block of its identity phase with ``settle`` and
+        passes the phase's open rows here once.  Equivalent to per-receiver
+        ``decode``, ties included (property-tested).
+        """
+        equal, search = self.settle(true_msg, flip_masks, candidates)
+        candidates = np.asarray(candidates, dtype=np.int64)
+        true_msg = np.broadcast_to(np.asarray(true_msg, dtype=np.int64), candidates.shape)
+        packed_err = _pack_bits(np.atleast_2d(flip_masks)[search])
+        bounds = np.minimum(2 * _popcount_rows(packed_err), self.block_len)
+        for bound in sorted(set(bounds.tolist())):
+            # Codewords past a row's bound are farther than c for that row.
+            group = np.flatnonzero(bounds == bound)
+            rows = search[group]
+            decoded = self._nearest(packed_err[group], true_msg[rows], self._weight_ends[bound])
+            equal[rows] = decoded == candidates[rows]
+        return equal
+
+    def settle(
+        self, true_msg: int | np.ndarray, flip_masks: np.ndarray, candidates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``decode_equals`` that the distance shortcuts decide.
+
+        Takes ``decode_equals``' arguments and returns (equal, open): the
+        ascending indices of the rows left open, which need the search, and
+        for every other row decode_equals' answer.  A received word r = c ^ e,
+        with d = wt(e), lies at distance wt(e ^ x) >= wt(x) - d from the
+        codeword c ^ x.  So:
+
         * if 2d < min_distance, c is the unique nearest codeword;
-        * otherwise every codeword at least as close as c has wt(x) <= 2d, so
-          scanning that prefix of the weight-sorted codebook finds the
-          nearest distance, and the smallest message true_msg ^ msg(x) at it.
+        * if r is strictly closer to c than to the candidate's codeword, the
+          decode is not the candidate.
 
-        Rows are searched in groups of equal prefix length min(2d, block_len),
-        so one noisy row does not lengthen the scan of the others.
-        Equivalent to per-receiver ``decode``, ties included (property-tested).
+        Either way the decode equals the candidate iff the candidate is
+        true_msg.  Only rows with 2d >= min_distance reach the second test.
         """
         candidates = np.asarray(candidates, dtype=np.int64)
         true_msg = np.broadcast_to(np.asarray(true_msg, dtype=np.int64), candidates.shape)
         packed_err = _pack_bits(flip_masks)
         d_true = _popcount_rows(packed_err)
-        diff = self._packed[candidates] ^ self._packed[true_msg]
-        d_cand = _popcount_rows(packed_err ^ diff)
+        near = np.flatnonzero(2 * d_true >= self.min_distance)
+        diff = self._packed[candidates[near]] ^ self._packed[true_msg[near]]
+        d_cand = _popcount_rows(packed_err[near] ^ diff)
+        return true_msg == candidates, near[d_true[near] >= d_cand]
 
-        # The ML decode of every row that could decode to its candidate; rows
-        # strictly closer to c than to their candidate keep true_msg, which
-        # differs from their candidate.
-        decoded = true_msg.copy()
-        search = np.flatnonzero((d_true >= d_cand) & (2 * d_true >= self.min_distance))
-        bounds = np.minimum(2 * d_true[search], self.block_len)
+    def _nearest(self, packed_err: np.ndarray, true_msg: np.ndarray, end: int) -> np.ndarray:
+        """The ML decode of each row's received word c ^ e, its error e packed,
+        when every codeword at least as close as c lies among the first ``end``
+        in weight order: the smallest true_msg ^ msg(x) over the nearest x.
+
+        Rows go ``SEARCH_CHUNK // end`` at a time, or one at a time over
+        ``SEARCH_CHUNK`` codewords at a time; each row keeps its nearest
+        distance so far and the smallest message at it.
+        """
+        near = self._by_weight[:end]
+        words = self._sorted_words[:, :end]
+        step_rows = max(1, SEARCH_CHUNK // end)
+        step_words = min(end, SEARCH_CHUNK)
         distance = np.min_scalar_type(self.block_len)
-        for bound in sorted(set(bounds.tolist())):
-            # Codewords past a row's bound are farther than c for that row.
-            end = self._weight_ends[bound]
-            near = self._by_weight[:end]
-            group = search[bounds == bound]
-            step = max(1, 2**22 // end)
-            for lo in range(0, len(group), step):
-                rows = group[lo : lo + step]
-                d = np.zeros((len(rows), end), dtype=distance)
-                for err, words in zip(packed_err[rows].T, self._sorted_words[:, :end]):
-                    d += np.bitwise_count(err[:, None] ^ words)
-                nearest = d == d.min(axis=1, keepdims=True)
-                msgs = true_msg[rows, None] ^ near
-                decoded[rows] = np.where(nearest, msgs, 2**self.msg_bits).min(axis=1)
-        return decoded == candidates
+        best = np.full(len(true_msg), self.block_len + 1)
+        decoded = np.full(len(true_msg), 2**self.msg_bits)
+        for lo in range(0, len(true_msg), step_rows):
+            rows = slice(lo, lo + step_rows)
+            errs, msgs = packed_err[rows], true_msg[rows]
+            row_best, row_decoded = best[rows], decoded[rows]  # views, updated in place
+            for start in range(0, end, step_words):
+                part = slice(start, start + step_words)
+                d = np.zeros((len(msgs), len(near[part])), dtype=distance)
+                for err, column in zip(errs.T, words[:, part]):
+                    d += np.bitwise_count(err[:, None] ^ column)
+                low = d.min(axis=1)
+                closer = low < row_best
+                row_best[closer] = low[closer]
+                row_decoded[closer] = 2**self.msg_bits
+                # The codewords at the row's nearest distance so far; ties go
+                # to the smallest message.
+                r, x = np.nonzero(d == row_best[:, None])
+                np.minimum.at(row_decoded, r, msgs[r] ^ near[part][x])
+        return decoded
 
 
 # A path distance is at most the depth, and 2^depth paths cap that far below 256.

@@ -30,7 +30,12 @@ run in lockstep.  Confirmation, the one draw whose size depends on the data,
 comes last, so it moves no other draw.  Inside a phase the members are drawn
 in blocks of whole classes of about ``STAGE1_BLOCK`` receptions; the stream
 in C order does not depend on the block size, so the blocks bound memory
-without moving a draw.
+without moving a draw.  Identity decoding is a shortcut per block and one
+search per phase: each block's members are settled by the code's distance
+shortcuts as their flips are drawn (``BlockCode.settle``), and the few rows
+left open are searched together after the last block
+(``BlockCode.decode_equals``).  Decoding draws nothing, so this moves no
+draw either.
 
 Discovery and identity schedules are pure functions of the geometry and the
 configuration; only the confirmation transmitter is data-dependent, which the
@@ -380,10 +385,11 @@ def run_stage1_max(
     drawn phase by phase (RNG layout 4): discovery for every class, then
     identity, then confirmation, each in class, cell and member order.
     Discovery (one majority row per member) and identity (one flip per member
-    and codeword bit) draw in blocks of whole classes (``_blocks``);
-    confirmation, the one data-dependent draw and the last, draws one
-    majority row of r2 copies for each cell whose single believer is not its
-    center.
+    and codeword bit) draw in blocks of whole classes (``_blocks``); identity
+    settles each block's members by the distance shortcuts and searches the
+    rows they leave open once, after its last block.  Confirmation, the one
+    data-dependent draw and the last, draws one majority row of r2 copies
+    for each cell whose single believer is not its center.
     Each phase is charged once; a captured trace gets one run-length record
     per (class, phase), the class's records phase by phase.
     """
@@ -415,38 +421,49 @@ def run_stage1_max(
             (k, ("identity", c, id_bases[k], length))
             for k, c in enumerate(np.split(centers, bounds[1:-1]))
         ]
-    n_believers = np.empty(cells.size, dtype=np.int64)
-    sender = np.empty(cells.size, dtype=np.int64)  # the first believer, else the least member
-    for classes, part, members, block_sizes, block_centers in _blocks(
+    members = np.empty(int(sizes.sum()), dtype=np.int64)  # the phase's members end to end
+    believes = np.empty(members.size, dtype=bool)
+    still_open = []  # per block: its open rows' search inputs
+    at = 0  # the block's first member in the phase
+    for _, part, block_members, block_sizes, block_centers in _blocks(
         grid, cells, bounds, sizes, length
     ):
-        starts = block_sizes.cumsum() - block_sizes
-        rows = np.arange(members.size)
         own_center = block_centers.repeat(block_sizes)
         flips = channel.flip_mask(
-            (members.size, length),
+            (block_members.size, length),
             slots=lambda: per_cell(id_bases)[part].repeat(block_sizes)[:, None] + np.arange(length),
             txs=own_center[:, None],
-            rxs=members[:, None],
+            rxs=block_members[:, None],
         )
-        believes = code.decode_equals(
-            local[part].repeat(block_sizes), flips, rows - starts.repeat(block_sizes)
-        )
-        is_center = members == own_center
-        believes[is_center] = (witnesses[part] == block_centers).repeat(block_sizes)[is_center]
-        n_believers[part] = np.add.reduceat(believes, starts, dtype=np.int64)
-        first = np.minimum.reduceat(np.where(believes, rows, members.size), starts)
-        sender[part] = members[np.where(n_believers[part] == 1, first, starts)]
-        if traced is not None:
-            pieces = _by_class(classes, bounds, block_sizes, members, believes)
-            traced += [
-                (k, ("confirmation", m[b], confirm_bases[k], r2, True)) for k, m, b in pieces
-            ]
+        true_msg = local[part].repeat(block_sizes)
+        block_starts = (block_sizes.cumsum() - block_sizes).repeat(block_sizes)
+        candidates = np.arange(block_members.size) - block_starts  # each member's own index
+        settled, rows = code.settle(true_msg, flips, candidates)
+        # A center knows whether it named itself.
+        is_center = block_members == own_center
+        settled[is_center] = (witnesses[part] == block_centers).repeat(block_sizes)[is_center]
+        rows = rows[~is_center[rows]]
+        end = at + block_members.size
+        members[at:end], believes[at:end] = block_members, settled
+        still_open.append((at + rows, true_msg[rows], flips[rows], candidates[rows]))
+        at = end
+    # The rows the distance shortcuts leave open, searched once for the phase.
+    rows, true_msg, flips, candidates = (np.concatenate(a) for a in zip(*still_open))
+    believes[rows] = code.decode_equals(true_msg, flips, candidates)
+    starts = sizes.cumsum() - sizes
+    n_believers = np.add.reduceat(believes, starts, dtype=np.int64)
+    # The single believer where there is one, else the least member; the
+    # believers come cell by cell.
+    single = n_believers == 1
+    sender = members[starts]
+    sender[single] = members[np.flatnonzero(believes)[single.repeat(n_believers)]]
+    if traced is not None:
+        pieces = _by_class(range(len(coloring)), bounds, sizes, members, believes)
+        traced += [(k, ("confirmation", m[b], confirm_bases[k], r2, True)) for k, m, b in pieces]
     channel.metrics.add("stage1", tx=length * cells.size, rx=length * int(sizes.sum() - cells.size))
 
     # Confirmation: a single believer's bit, r2 noisy copies unless it is
     # the center; silence and collisions decode to 0.
-    single = n_believers == 1
     values = np.where(single, channel.instance.bits[sender], 0)
     sends = np.flatnonzero(single & (sender != centers))
     values[sends] ^= channel.majority_mask(

@@ -477,6 +477,17 @@ class TestColorCells:
         assert len(classes) == params.interference_bound + 1 == 81
         assert sorted(j for cls in classes for j in cls.cells) == list(range(1, 226))
 
+    def test_coloring_is_built_once_per_grid_shape(self):
+        # Two worlds of one n share their grid shape, so their coloring's
+        # classes; each call still gets a list of its own.
+        params = derive_params(5000, 0.5)
+        first = color_cells(assign_cells(place_nodes(5000, seed=7), params), params)
+        second = color_cells(assign_cells(place_nodes(5000, seed=8), params), params)
+        assert first == second and first is not second
+        assert all(a is b for a, b in zip(first, second))
+        second.clear()
+        assert len(color_cells(assign_cells(place_nodes(5000, seed=7), params), params)) == 81
+
     def test_zero_radius_degenerates_to_one_color(self):
         _, grid, params = make_hand_world(3)
         params = replace(params, radius=0.0)

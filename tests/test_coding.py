@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from noisyplanar import coding
 from noisyplanar.channel import Channel, NoiseModel
 from noisyplanar.coding import (
     ERASED,
@@ -149,12 +150,32 @@ class TestBlockCode:
                 assert np.array_equal(got, decoded == candidates)
                 as_drawn = code.decode_equals(true_msg, flips.astype(bool), candidates)
                 assert np.array_equal(as_drawn, got)
+                # The shortcuts' answers are the decode's; open rows are left to the search.
+                equal, open_rows = code.settle(true_msg, flips, candidates)
+                settled = np.ones(40, dtype=bool)
+                settled[open_rows] = False
+                assert np.array_equal(equal[settled], got[settled])
+                assert np.array_equal(open_rows, np.sort(open_rows))
         # One true message per row, clean and noisy rows in one batch.
         true_msgs = rng.integers(0, 2**msg_bits, 60)
         flips = (rng.random((60, block_len)) < rate).astype(np.uint8)
         flips[::3] = 0
         decoded = np.array([code.decode(code.encode(int(m)) ^ f) for m, f in zip(true_msgs, flips)])
         for candidates in (rng.integers(0, 2**msg_bits, 60), true_msgs, decoded):
+            got = code.decode_equals(true_msgs, flips, candidates)
+            assert np.array_equal(got, decoded == candidates)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 1000])
+    def test_decode_equals_does_not_depend_on_the_search_chunk(self, chunk, monkeypatch):
+        # Rows searched a few at a time, or one at a time over codeword chunks,
+        # keep their nearest distance and smallest message across chunks.
+        code = BlockCode(11, 70, seed=404)
+        rng = np.random.default_rng(8)
+        true_msgs = rng.integers(0, 2**11, 10)
+        flips = rng.random((10, 70)) < 0.3
+        decoded = np.array([code.decode(code.encode(int(m)) ^ f) for m, f in zip(true_msgs, flips)])
+        monkeypatch.setattr(coding, "SEARCH_CHUNK", chunk)
+        for candidates in (true_msgs, decoded):
             got = code.decode_equals(true_msgs, flips, candidates)
             assert np.array_equal(got, decoded == candidates)
 
@@ -178,8 +199,8 @@ class TestBlockCode:
         assert got.tolist() == [False]
 
     def test_pack_bits_equals_the_bit_padded_packing(self):
-        # Packing to bytes and zero-extending the bytes gives the words of
-        # padding every row with zero bits to a multiple of 64 first.
+        # Packing the word-padded rows as one flat array gives the words of
+        # packing each row, padded with zero bits to a multiple of 64, alone.
         def bit_padded(bits):
             bits = np.atleast_2d(np.ascontiguousarray(bits, dtype=np.uint8))
             pad = np.zeros((bits.shape[0], -bits.shape[1] % 64), dtype=np.uint8)

@@ -50,6 +50,16 @@ def test_report_as_layout_2_keeps_its_layout_2_digest(name):
     assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_2[name]
 
 
+def test_two_word_identity_trial_row_is_pinned():
+    # The goldens above stop at n <= 8,000, where every identity code fits one
+    # uint64 word; n = 70,000 carries 17 message bits in a 68-bit, two-word code.
+    cfg = ExperimentConfig(protocol="max", mode="abstract", n=(70000,), trials=1, eps0=0.1,
+                           base_seed=13)
+    (row,) = run_experiment(cfg).result_for(70000)["trials_detail"]
+    digest = hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
+    assert digest == "abf8a1198e7d80dbaf098498ac8a0922b6193b5fe7e5e87b5af47ecf6b6da92f"
+
+
 def test_traced_max_trial_verdict_is_pinned():
     cfg = ExperimentConfig(protocol="max", n=(8000,), trials=1, eps0=0.1, base_seed=13)
     audit = validate_run(run_trial(cfg, 8000, 0, capture_trace=True))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noisyplanar import intracell
+from noisyplanar import coding, intracell
 from noisyplanar.channel import (
     Channel,
     NoiseModel,
@@ -387,6 +387,8 @@ def max_phase_major(grid, coloring, config, channel):
 # at eps0 = 0.3 witnesses are missed, identities mis-decode, cells go without
 # a believer or with several, and confirmations flip.
 LOSSY = Stage1Config(eps1=0.05, c_rep=1, r2=3, id_code=BlockCode(6, 6, seed=2))
+# A 70-bit identity code spans two uint64 words, as the codes of n > 2^16 do.
+TWO_WORDS = replace(Stage1Config.for_network(2000, 0.0), id_code=BlockCode(11, 70, seed=404))
 
 
 class TestMaxClassBatching:
@@ -448,6 +450,39 @@ class TestMaxClassBatching:
         assert any(len(b) >= 2 for b in believers.values())
         assert any(centers[j] in b for j, b in believers.items())
         assert any(len(b) == 1 and b[0] != centers[j] for j, b in believers.items())
+
+    def test_two_word_code_is_compared(self, monkeypatch):
+        searched = []
+        decode_equals = BlockCode.decode_equals
+
+        def counted(code, true_msg, flips, candidates):
+            searched.append(len(candidates))
+            return decode_equals(code, true_msg, flips, candidates)
+
+        monkeypatch.setattr(BlockCode, "decode_equals", counted)
+        (batched, reference), grid = self.run_both(2000, 0.3, TWO_WORDS)
+        assert batched == reference
+        # The batched run searches its open rows in one call, the reference
+        # every member of every cell, one call per cell.
+        members = sum(c.size for c in grid)
+        assert len(searched) == 1 + len(grid) and sum(searched[1:]) == members
+        assert 0 < searched[0] < members // 10
+
+    @pytest.mark.parametrize(
+        "config, chunks",
+        [(LOSSY, (1, 7)), (TWO_WORDS, (7, 1000))],  # 1000: a row over codeword chunks
+        ids=["lossy", "two-words"],
+    )
+    def test_search_chunk_moves_nothing(self, config, chunks, monkeypatch):
+        # The cap on the search's (row, codeword) distances at a time bounds
+        # memory only: a cap of 1 searches one distance at a time.
+        runs = []
+        for chunk in (*chunks, coding.SEARCH_CHUNK):
+            monkeypatch.setattr(coding, "SEARCH_CHUNK", chunk)
+            _, _, grid, coloring, _, channel = build_world(2000, 4, 0.3, config)
+            result = run_stage1_max(grid, coloring, config, channel)
+            runs.append((result, channel.metrics.snapshot(), channel.rng.bit_generator.state))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_adversary_sees_the_same_receptions(self):
         calls = []
