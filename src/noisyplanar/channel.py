@@ -374,21 +374,19 @@ class Metrics:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One color class's transmissions in one stage-1 phase, run-length coded:
-    txs[i] sends in the ``copies`` consecutive slots from first[i]."""
+    """One stage-1 phase's transmissions, run-length coded: txs[i] sends in
+    the ``copies`` consecutive slots from first[i]."""
 
     phase: str
     txs: np.ndarray
     first: np.ndarray
     copies: int
-    data_dependent: bool = False
 
 
 @dataclass
 class Trace:
-    """Schedule capture for the obliviousness / interference audit: one stage-1
-    record per (color class, phase), in schedule order, and each stage-2
-    stage's arrays as cell tuples."""
+    """Schedule capture for the obliviousness / interference audit: one
+    stage-1 record per phase, in draw order; each stage-2 stage's arrays."""
 
     stage1: list[TraceRecord] = field(default_factory=list)
     stage2_stages: list[list[tuple[int, ...]]] = field(default_factory=list)
@@ -406,12 +404,12 @@ class Channel:
     majority-decoded repetition draws one uniform per decoded bit
     (``majority_mask``), every other reception one per reception
     (``flip_mask``).  That order is RNG layout 4 (``harness.RNG_LAYOUT``),
-    which reports declare.  A stage-1 phase draws in blocks of whole
-    classes, and a repetition sub-stage of stage 2 (or of the distribution
-    relay) is one draw for all its arrays, so an adversary's hook sees the
-    channel -- metrics, RNG state -- as it was when its block's or
-    sub-stage's draw began.  A stage-1 phase charges its metrics once, after
-    its last block.
+    which reports declare.  A stage-1 phase draws in blocks of cells, and a
+    repetition sub-stage of stage 2 (or of the distribution relay) is one
+    draw for all its arrays, so an adversary's hook sees the channel --
+    metrics, RNG state -- as it was when its block's or sub-stage's draw
+    began.  A stage-1 phase charges its metrics, and traces its one record,
+    once, after its last block.
     """
 
     instance: object
@@ -432,9 +430,10 @@ class Channel:
         drawn from this channel's stream; a hook gets the channel as history."""
         return self.noise.majority_flips(self.rng, shape, slots, txs, rxs, history=self)
 
-    def record(self, phase: str, txs, first, copies: int, data_dependent: bool = False) -> None:
-        """Trace one color class's phase: txs[i] sends ``copies`` slots from
-        first[i], or from one first slot for all; a no-op untraced.
+    def record(self, phase: str, txs, first, copies: int) -> None:
+        """Trace a stage-1 phase, or one cell's part of it: txs[i] sends
+        ``copies`` slots from first[i], or from one first slot for all; a
+        no-op untraced.
 
         The runners pass the arrays they build their slots from, so the trace
         holds what ran at one row per transmitter, not one per copy.
@@ -442,7 +441,7 @@ class Channel:
         if self.trace is not None:
             txs = np.asarray(txs, dtype=np.int64)
             first = np.broadcast_to(np.asarray(first, dtype=np.int64), txs.shape)
-            self.trace.stage1.append(TraceRecord(phase, txs, first, int(copies), data_dependent))
+            self.trace.stage1.append(TraceRecord(phase, txs, first, int(copies)))
 
     def noisy_copies(self, bit: int, count: int, tx: int, rx: int, slot0: int) -> np.ndarray:
         """The bit as seen by one receiver over ``count`` repeated slots, copy by

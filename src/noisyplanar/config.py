@@ -77,9 +77,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            v = getattr(self, f.name)
+            v, key = getattr(self, f.name), f.name.replace("_", "-")
             if f.type in ("int", "int | None") and not isinstance(v, numbers.Integral | None):
-                raise ConfigError(f"{f.name.replace('_', '-')} must be an integer, got {v!r}")
+                raise ConfigError(f"{key} must be an integer, got {v!r}")
+            if f.type == "float" and not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ConfigError(f"{key} must be a finite number, got {v!r}")
+            if key.endswith("seed") and v < 0:
+                raise ConfigError(f"{key} must be >= 0, got {v}")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.mode not in MODES:

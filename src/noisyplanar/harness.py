@@ -351,7 +351,7 @@ def sweep(config: ExperimentConfig) -> SweepReport:
     Those two columns come from the closed-form stage-2 accounting of each
     trial's world, whatever the protocol and mode under test.  The histogram
     column is null at an n whose arrays pass the tree-code cap, and so is
-    its band ratio.
+    its band ratio; so is the band ratio of a column whose minimum is 0.
     """
     ns = sorted(config.n)
     if len(ns) < 3 or max(ns) < 8 * min(ns):
@@ -405,7 +405,7 @@ def sweep(config: ExperimentConfig) -> SweepReport:
     ):
         vals = [r[col] for r in report.rows]
         report.band_ratios[col] = (
-            None if None in vals else max(vals) / min(vals) if min(vals) > 0 else float("inf")
+            max(vals) / min(vals) if None not in vals and min(vals) > 0 else None
         )
     return report
 

@@ -28,15 +28,17 @@ nearest-codeword decoding reads the whole error pattern.  The slots are the
 schedule's, whatever the draw order: classes take turns and a class's cells
 run in lockstep.  Confirmation, the one draw whose size depends on the data,
 comes last, so it moves no other draw.  Inside a phase the members are drawn
-in blocks of whole classes of about ``STAGE1_BLOCK`` receptions; the stream
-in C order does not depend on the block size, so the blocks bound memory
-without moving a draw.  Identity decoding is a shortcut per block and one
-search per phase: each block's members are settled by the code's distance
-shortcuts as their flips are drawn (``BlockCode.settle``), and the few rows
-left open are searched together after the last block
+in blocks of cells of at most ``STAGE1_BLOCK`` receptions (a larger cell
+alone); the stream in C order does not depend on the block size, so the
+blocks bound memory without moving a draw.  Identity decoding is a shortcut
+per block and one search per phase: each block's members are settled by the
+code's distance shortcuts as their flips are drawn (``BlockCode.settle``),
+and the few rows left open are searched together after the last block
 (``BlockCode.decode_equals``).  Decoding draws nothing, so this moves no
 draw either.
 
+A captured trace gets one run-length record per phase, in draw order:
+discovery, identity and confirmation for MAX, counting for the histogram.
 Discovery and identity schedules are pure functions of the geometry and the
 configuration; only the confirmation transmitter is data-dependent, which the
 run audit treats as a documented exception.
@@ -71,8 +73,8 @@ __all__ = [
     "run_stage1_hist",
 ]
 
-# Stage-1 phases draw their members in blocks of whole color classes of at
-# most this many receptions, a larger class alone (see ``_blocks``).
+# Stage-1 phases draw their members in blocks of cells of at most this many
+# receptions, a larger cell alone (see ``_blocks``).
 STAGE1_BLOCK = 1 << 18
 
 
@@ -261,7 +263,7 @@ def confirm_value(
     else:
         value = 0  # silence or wall-to-wall collisions: every slot is an erasure
 
-    channel.record("confirmation", believers, slot0, config.r2, data_dependent=True)
+    channel.record("confirmation", believers, slot0, config.r2)
     channel.metrics.add(
         "stage1",
         tx=config.r2 * n_believers,
@@ -295,81 +297,70 @@ def stage1_layout(
     return list(zip(coloring, bases.tolist(), spans.tolist(), largest.tolist()))
 
 
+def _cells_of(grid: CellGrid, layout, config: Stage1Config):
+    """A stage1_layout's cells end to end with their sizes and centers, and
+    each cell's first discovery (or counting) slot and, for MAX, its first
+    identity and confirmation slots."""
+    coloring, bases, _, largest = zip(*layout)
+    cells, bounds, sizes, centers = _classes_end_to_end(grid, list(coloring))
+    firsts = config.phase_slots(np.array(bases), np.array(largest))
+    return cells, sizes, centers, *(np.repeat(f, np.diff(bounds)) for f in firsts)
+
+
 def stage1_schedule(
     grid: CellGrid, layout, config: Stage1Config, protocol: str
 ) -> list[TraceRecord]:
     """The records a run of this stage1_layout leaves for its data-independent phases.
 
-    One run-length record per (class, phase), class by class in layout order:
-    MAX discovery then identity, or histogram counting.  Every cell starts at
-    its class's first slot.  MAX discovery and histogram counting send the
-    members in id order, c_rep or r2 slots each; MAX identity sends each
-    center for block_len slots from the identity slot.
+    One run-length record per phase, every class's cells end to end in
+    layout order: MAX discovery then identity, or histogram counting.  Every
+    cell starts at its class's first slot.  MAX discovery and histogram
+    counting send the members in id order, c_rep or r2 slots each; MAX
+    identity sends each center for block_len slots from the identity slot.
     """
+    cells, sizes, centers, bases, id_bases, _ = _cells_of(grid, layout, config)
     reps, phase = (config.c_rep, "discovery") if protocol == "max" else (config.r2, "hist_count")
-    records = []
-    for cls, base, _, max_members in layout:
-        members, sizes, centers = grid.gather(cls.cells)
-        records.append(TraceRecord(phase, members, _member_firsts(sizes, base, reps), reps))
-        if protocol == "max":
-            id_base = config.phase_slots(base, max_members)[1]
-            first = np.full(centers.size, id_base)
-            records.append(TraceRecord("identity", centers, first, config.block_len))
+    firsts = _member_firsts(sizes, bases.repeat(sizes), reps)
+    records = [TraceRecord(phase, grid.gather(cells)[0], firsts, reps)]
+    if protocol == "max":
+        records.append(TraceRecord("identity", centers, id_bases, config.block_len))
     return records
 
 
-def _blocks(grid: CellGrid, cells, bounds, sizes, reps: int):
-    """Runs of whole classes, each of at most STAGE1_BLOCK receptions at reps
-    per member (a class with more runs alone), in coloring order.
+def _blocks(grid: CellGrid, cells, sizes, reps: int):
+    """Runs of cells, each of at most STAGE1_BLOCK receptions at reps per
+    member (a cell with more runs alone), in the order of ``cells``.
 
-    Yields each run's classes as a range, its slice of ``cells`` and its
-    members, sizes and centers as CellGrid.gather gives them.
+    Yields each run's slice of ``cells``, its slice of their members end to
+    end, and its members, sizes and centers as CellGrid.gather gives them.
     """
-    ends = np.add.reduceat(sizes, bounds[:-1]).cumsum() * reps  # flips drawn by each class's end
+    ends = sizes.cumsum()  # members by each cell's end
     lo = 0
     while lo < ends.size:
-        drawn = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, drawn + STAGE1_BLOCK, "right")))
-        part = slice(int(bounds[lo]), int(bounds[hi]))
-        yield range(lo, hi), part, *grid.gather(cells[part])
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + STAGE1_BLOCK // reps, "right")))
+        yield slice(lo, hi), slice(start, int(ends[hi - 1])), *grid.gather(cells[lo:hi])
         lo = hi
 
 
-def _by_class(classes: range, bounds, sizes, *arrays):
-    """(class, pieces) for each class of a block, its per-member arrays split
-    class by class; ``sizes`` are the block's cell sizes."""
-    firsts = bounds[classes.start + 1 : classes.stop] - bounds[classes.start]
-    cuts = sizes.cumsum()[firsts - 1]
-    return zip(classes, *(np.split(a, cuts) for a in arrays))
+def _majority_phase(grid, cells, sizes, cell_base, reps: int, phase: str, channel: Channel):
+    """Per-member repetition to the centers over every cell, in blocks of
+    cells; cell i's members send from slot cell_base[i].
 
-
-def _majority_phase(grid, stage, bases, reps: int, phase: str, channel: Channel, traced):
-    """Per-member repetition to the centers over every class, in blocks of
-    whole classes; class k's cells send from slot bases[k].
-
-    Yields each block's slice of the stage's cells, its members, its cell
-    sizes and the members' decoded bits.  Queues each class's record on
-    ``traced`` (when a trace is captured) and charges the phase once its
-    last block has been drawn.
+    Yields each block's slice of ``cells``, its members, its cell sizes and
+    the members' decoded bits.  Once its last block has been drawn, traces
+    the phase as one record (when a trace is captured) and charges it.
     """
-    cells, bounds, sizes, _ = stage
-    cell_base = np.repeat(bases, np.diff(bounds))
-    for classes, part, members, block_sizes, centers in _blocks(grid, cells, bounds, sizes, reps):
+    record = np.empty((2, int(sizes.sum())), np.int64) if channel.trace is not None else None
+    for part, rows, members, block_sizes, centers in _blocks(grid, cells, sizes, reps):
         firsts = _member_firsts(block_sizes, cell_base[part].repeat(block_sizes), reps)
         decoded = _majority_at_center(members, block_sizes, centers, firsts, reps, channel)
-        if traced is not None:
-            pieces = _by_class(classes, bounds, block_sizes, members, firsts)
-            traced += [(k, (phase, m, f, reps)) for k, m, f in pieces]
+        if record is not None:  # the phase's txs and first slots
+            record[:, rows] = members, firsts
         yield part, members, block_sizes, decoded
+    if record is not None:
+        channel.record(phase, *record, reps)
     _charge_repetition(channel, sizes, reps)
-
-
-def _record_class_major(channel: Channel, traced) -> None:
-    """Trace the queued (class, record) pairs class by class, each class's
-    records in the order its phases were drawn."""
-    if traced is not None:
-        for _, args in sorted(traced, key=lambda entry: entry[0]):
-            channel.record(*args)
 
 
 def run_stage1_max(
@@ -385,27 +376,23 @@ def run_stage1_max(
     drawn phase by phase (RNG layout 4): discovery for every class, then
     identity, then confirmation, each in class, cell and member order.
     Discovery (one majority row per member) and identity (one flip per member
-    and codeword bit) draw in blocks of whole classes (``_blocks``); identity
+    and codeword bit) draw in blocks of cells (``_blocks``); identity
     settles each block's members by the distance shortcuts and searches the
     rows they leave open once, after its last block.  Confirmation, the one
     data-dependent draw and the last, draws one majority row of r2 copies
     for each cell whose single believer is not its center.
     Each phase is charged once; a captured trace gets one run-length record
-    per (class, phase), the class's records phase by phase.
+    per phase, in draw order.
     """
     layout = stage1_layout(grid, coloring, config, "max")
-    stage = cells, bounds, sizes, centers = _classes_end_to_end(grid, coloring)
+    cells, sizes, centers, bases, id_bases, confirm_bases = _cells_of(grid, layout, config)
     code, length, r2 = config.id_code, config.block_len, config.r2
-    per_cell = lambda per_class: np.repeat(per_class, np.diff(bounds))
-    bases, spans, largest = map(np.array, list(zip(*layout))[1:])
-    bases, id_bases, confirm_bases = config.phase_slots(bases, largest)
-    traced = [] if channel.trace is not None else None
 
     # Discovery: the least member decoded as 1, else the least member.
     witnesses = np.empty(cells.size, dtype=np.int64)
     local = np.empty(cells.size, dtype=np.int64)  # the witness's in-cell index
     for part, members, block_sizes, decoded in _majority_phase(
-        grid, stage, bases, config.c_rep, "discovery", channel, traced
+        grid, cells, sizes, bases, config.c_rep, "discovery", channel
     ):
         starts = block_sizes.cumsum() - block_sizes
         first_one = np.minimum.reduceat(
@@ -416,22 +403,16 @@ def run_stage1_max(
         local[part] = pick - starts
 
     # Identity: every member decodes the witness's in-cell index.
-    if traced is not None:
-        traced += [
-            (k, ("identity", c, id_bases[k], length))
-            for k, c in enumerate(np.split(centers, bounds[1:-1]))
-        ]
     members = np.empty(int(sizes.sum()), dtype=np.int64)  # the phase's members end to end
     believes = np.empty(members.size, dtype=bool)
     still_open = []  # per block: its open rows' search inputs
-    at = 0  # the block's first member in the phase
-    for _, part, block_members, block_sizes, block_centers in _blocks(
-        grid, cells, bounds, sizes, length
+    for part, at, block_members, block_sizes, block_centers in _blocks(
+        grid, cells, sizes, length
     ):
         own_center = block_centers.repeat(block_sizes)
         flips = channel.flip_mask(
             (block_members.size, length),
-            slots=lambda: per_cell(id_bases)[part].repeat(block_sizes)[:, None] + np.arange(length),
+            slots=lambda: id_bases[part].repeat(block_sizes)[:, None] + np.arange(length),
             txs=own_center[:, None],
             rxs=block_members[:, None],
         )
@@ -443,44 +424,41 @@ def run_stage1_max(
         is_center = block_members == own_center
         settled[is_center] = (witnesses[part] == block_centers).repeat(block_sizes)[is_center]
         rows = rows[~is_center[rows]]
-        end = at + block_members.size
-        members[at:end], believes[at:end] = block_members, settled
-        still_open.append((at + rows, true_msg[rows], flips[rows], candidates[rows]))
-        at = end
+        members[at], believes[at] = block_members, settled
+        still_open.append((at.start + rows, true_msg[rows], flips[rows], candidates[rows]))
     # The rows the distance shortcuts leave open, searched once for the phase.
     rows, true_msg, flips, candidates = (np.concatenate(a) for a in zip(*still_open))
     believes[rows] = code.decode_equals(true_msg, flips, candidates)
-    starts = sizes.cumsum() - sizes
-    n_believers = np.add.reduceat(believes, starts, dtype=np.int64)
-    # The single believer where there is one, else the least member; the
-    # believers come cell by cell.
-    single = n_believers == 1
-    sender = members[starts]
-    sender[single] = members[np.flatnonzero(believes)[single.repeat(n_believers)]]
-    if traced is not None:
-        pieces = _by_class(range(len(coloring)), bounds, sizes, members, believes)
-        traced += [(k, ("confirmation", m[b], confirm_bases[k], r2, True)) for k, m, b in pieces]
+    channel.record("identity", centers, id_bases, length)
     channel.metrics.add("stage1", tx=length * cells.size, rx=length * int(sizes.sum() - cells.size))
 
-    # Confirmation: a single believer's bit, r2 noisy copies unless it is
-    # the center; silence and collisions decode to 0.
+    # Confirmation: a cell's single believer, else its least member, sends its
+    # bit, r2 noisy copies unless it is the center; silence and collisions
+    # decode to 0.  The believers come cell by cell.
+    starts = sizes.cumsum() - sizes
+    n_believers = np.add.reduceat(believes, starts, dtype=np.int64)
+    believers = np.flatnonzero(believes)
+    single = n_believers == 1
+    sender = members[starts]
+    sender[single] = members[believers[single.repeat(n_believers)]]
     values = np.where(single, channel.instance.bits[sender], 0)
     sends = np.flatnonzero(single & (sender != centers))
     values[sends] ^= channel.majority_mask(
         (sends.size, r2),
-        slots=lambda: per_cell(confirm_bases)[sends, None] + np.arange(r2),
+        slots=lambda: confirm_bases[sends, None] + np.arange(r2),
         txs=sender[sends, None],
         rxs=centers[sends, None],
     )
+    if channel.trace is not None:
+        channel.record("confirmation", members[believers], confirm_bases.repeat(n_believers), r2)
     heard = n_believers > 0
     channel.metrics.add(
         "stage1",
         tx=r2 * int(n_believers.sum()),
         rx=r2 * int((sizes - n_believers)[heard].sum()),
-        slots=int(spans.sum()),
+        slots=sum(span for _, _, span, _ in layout),
     )
 
-    _record_class_major(channel, traced)
     cell_ids = cells.tolist()
     return Stage1Result(
         witnesses=dict(zip(cell_ids, witnesses.tolist())),
@@ -499,18 +477,16 @@ def run_stage1_hist(
     Members broadcast their bit r2 times in ascending id order (r2 * N
     transmissions per cell); the center majority-decodes each member and
     reports how many decoded to 1, one majority row per member.  Every draw
-    count depends only on the layout, so the classes are drawn and counted in
-    blocks of whole classes, in class, cell and member order.
+    count depends only on the layout, so the cells are drawn and counted in
+    blocks of cells, in class, cell and member order; a captured trace gets
+    the phase's one record.
     """
     layout = stage1_layout(grid, coloring, config, "hist")
-    stage = _classes_end_to_end(grid, coloring)
-    bases, spans, _ = map(np.array, list(zip(*layout))[1:])
-    traced = [] if channel.trace is not None else None
-    counts = np.empty(stage[0].size, dtype=np.int64)
+    cells, sizes, _, bases, _, _ = _cells_of(grid, layout, config)
+    counts = np.empty(cells.size, dtype=np.int64)
     for part, _, block_sizes, decoded in _majority_phase(
-        grid, stage, bases, config.r2, "hist_count", channel, traced
+        grid, cells, sizes, bases, config.r2, "hist_count", channel
     ):
         counts[part] = np.add.reduceat(decoded, block_sizes.cumsum() - block_sizes, dtype=np.int64)
-    channel.metrics.add("stage1", slots=int(spans.sum()))
-    _record_class_major(channel, traced)
-    return Stage1Result(counts=dict(zip(stage[0].tolist(), counts.tolist())))
+    channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
+    return Stage1Result(counts=dict(zip(cells.tolist(), counts.tolist())))

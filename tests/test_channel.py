@@ -542,12 +542,11 @@ class TestTrace:
         ch.trace = Trace()
         ch.record("identity", [3], 5, 2)
         ch.record("discovery", np.array([1, 9]), np.array([5, 2]), 1)
-        ch.record("confirmation", [4], 1, 1, data_dependent=True)
+        ch.record("confirmation", [4], 1, 1)
         assert [(r.phase, r.txs.tolist(), r.first.tolist(), r.copies) for r in ch.trace.stage1] == [
             ("identity", [3], [5], 2),
             ("discovery", [1, 9], [5, 2], 1),
             ("confirmation", [4], [1], 1),
         ]
-        assert [r.data_dependent for r in ch.trace.stage1] == [False, False, True]
         keys = stage1_keys(ch.trace.stage1, ("discovery", "identity"))
         assert keys.tolist() == [(slot << 32) + tx for slot, tx in [(2, 9), (5, 1), (5, 3), (6, 3)]]

@@ -305,10 +305,10 @@ class TestValidateRun:
         cfg = ExperimentConfig(protocol="hist", n=(400,), trials=1)
         run = run_trial(cfg, 400, 0, capture_trace=True)
         trace, r2 = run.channel.trace, run.stage1_config.r2
-        record = trace.stage1[1]
+        record = trace.stage1[0]
         first = record.first.copy()
         first[4] += 1  # the fifth member starts, and ends, one slot late
-        trace.stage1[1] = changed = replace(record, first=first)
+        trace.stage1[0] = changed = replace(record, first=first)
         slots = [int(record.first[4]), int(record.first[4]) + r2]
         assert self.off_schedule(record, changed) == slots
         audit = validate_run(run)
@@ -320,9 +320,9 @@ class TestValidateRun:
         # would agree with this one; the layout's schedule does not.
         record = Channel.record
 
-        def late_identity(self, phase, txs, first, copies, data_dependent=False):
+        def late_identity(self, phase, txs, first, copies):
             first = np.add(first, 1) if phase == "identity" else first
-            record(self, phase, txs, first, copies, data_dependent)
+            record(self, phase, txs, first, copies)
 
         monkeypatch.setattr(Channel, "record", late_identity)
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
@@ -378,9 +378,7 @@ class TestValidateRun:
         run = run_trial(cfg, n, 0, capture_trace=True)
         records, s1cfg = run.channel.trace.stage1, run.stage1_config
         phases = ["discovery", "identity", "confirmation"] if protocol == "max" else ["hist_count"]
-        assert [r.phase for r in records] == phases * len(run.coloring)  # one per (class, phase)
-        flags = [phase == "confirmation" for phase in phases]
-        assert [r.data_dependent for r in records] == flags * len(run.coloring)
+        assert [r.phase for r in records] == phases  # one per phase, in draw order
         layout = stage1_layout(run.grid, run.coloring, s1cfg, protocol)
         oblivious = ("discovery", "identity", "hist_count")
         assert np.array_equal(
@@ -398,20 +396,16 @@ class TestValidateRun:
 
     def test_confirmation_slots_are_exempt(self):
         # Flipping every data bit changes the confirmation transmitters but
-        # not the discovery/identity schedules, so the audit still passes;
-        # the trace must mark confirmation as data-dependent.
+        # not the discovery/identity schedules, so the audit leaves the
+        # confirmation phase, traced last under its own name, out of (b):
+        # other confirmation transmitters still pass.
         cfg = ExperimentConfig(protocol="max", n=(800,), trials=1, eps0=0.0, bit_p=0.5)
         run = run_trial(cfg, 800, 0, capture_trace=True)
-        phases = {e.phase for e in run.channel.trace.stage1}
-        assert "confirmation" in phases
-        assert all(
-            e.data_dependent for e in run.channel.trace.stage1 if e.phase == "confirmation"
-        )
-        assert all(
-            not e.data_dependent
-            for e in run.channel.trace.stage1
-            if e.phase in ("discovery", "identity")
-        )
+        trace = run.channel.trace
+        assert [e.phase for e in trace.stage1] == ["discovery", "identity", "confirmation"]
+        assert validate_run(run).passed
+        confirmation = trace.stage1[2]
+        trace.stage1[2] = replace(confirmation, txs=confirmation.txs + 1)
         assert validate_run(run).passed
 
     def test_requires_trace(self):
@@ -920,6 +914,29 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--k-rs", "inf", "k-rs must be a finite number, got inf"),
+            ("--delta", "inf", "delta must be a finite number, got inf"),
+            ("--delta", "nan", "delta must be a finite number, got nan"),
+            ("--gamma", "nan", "gamma must be a finite number, got nan"),
+            ("--e-t", "nan", "e-t must be a finite number, got nan"),
+            ("--e-r", "inf", "e-r must be a finite number, got inf"),
+            ("--eps0", "nan", "eps0 must be a finite number, got nan"),
+            ("--base-seed", "-1", "base-seed must be >= 0, got -1"),
+            ("--code-seed", "-1", "code-seed must be >= 0, got -1"),
+            ("--treecode-seed", "-1", "treecode-seed must be >= 0, got -1"),
+        ],
+    )
+    def test_non_finite_or_negative_seed_is_exit_2(self, flag, value, message, tmp_path, capsys):
+        # Past validation these crash a trial or reach the report as NaN or
+        # Infinity, which are not JSON: one config error line, and no report.
+        out = tmp_path / "r.json"
+        assert main(["run", "--n", "500", "--trials", "1", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "pad", ["-1", "-20"], ids=["pad-short-of-the-protocol", "pad-leaving-no-depth"]
     )
     def test_negative_treecode_pad_is_exit_2(self, pad, capsys):
@@ -981,6 +998,22 @@ class TestCli:
             assert all(r["tx_per_n"] > 0 for r in rows)
             assert report["band_ratios"]["hist_stage2_tx_per_n"] is None
             assert report["band_ratios"]["tx_per_n"] > 0
+
+    def test_sweep_of_a_zero_column_writes_strict_json(self, tmp_path):
+        # With e-t = e-r = 0 the stage-1 energy column reads 0 at every n, so
+        # its band ratio is null: Infinity is not JSON, and a strict parser
+        # refuses it.
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--n", "300,900,2400", "--trials", "1", "--e-t", "0", "--e-r", "0"]
+        assert main(argv + ["--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert [r["em1_stage1_norm"] for r in report["rows"]] == [0.0] * 3
+        assert report["band_ratios"]["em1_stage1_norm"] is None
+        assert report["band_ratios"]["tx_per_n"] > 0
 
     def test_readme_config_keys_are_the_config_fields_and_flags(self, capsys):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

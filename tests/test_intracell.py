@@ -295,13 +295,10 @@ def hist_per_cell(grid, coloring, config, channel):
 
 
 def traced_rows(trace):
-    """Each traced phase's (slot, tx) rows as sorted keys, with the phase's
-    data-dependence flags: what ran, whatever the records' grouping."""
+    """Each traced phase's (slot, tx) rows as sorted keys, the phases in the
+    order they were first traced: what ran, whatever the records' grouping."""
     return {
-        phase: (
-            stage1_keys(trace.stage1, (phase,)).tolist(),
-            {r.data_dependent for r in trace.stage1 if r.phase == phase},
-        )
+        phase: stage1_keys(trace.stage1, (phase,)).tolist()
         for phase in dict.fromkeys(r.phase for r in trace.stage1)
     }
 
@@ -320,8 +317,8 @@ class TestHistClassBatching:
             channel.trace = Trace()
             if count == "batched":
                 counts = run_stage1_hist(grid, coloring, config, channel).counts
-                # one record per (class, phase)
-                assert [r.phase for r in channel.trace.stage1] == ["hist_count"] * len(coloring)
+                # one record for the phase
+                assert [r.phase for r in channel.trace.stage1] == ["hist_count"]
             else:
                 counts = hist_per_cell(grid, coloring, config, channel)
             rows = traced_rows(channel.trace)
@@ -403,9 +400,9 @@ class TestMaxClassBatching:
             channel.noise = noise if noise is not None else channel.noise
             channel.trace = Trace()
             result = run(grid, coloring, config, channel)
-            if run is run_stage1_max:  # one record per (class, phase)
+            if run is run_stage1_max:  # one record per phase, in draw order
                 phases = [r.phase for r in channel.trace.stage1]
-                assert phases == ["discovery", "identity", "confirmation"] * len(coloring)
+                assert phases == ["discovery", "identity", "confirmation"]
             rows = traced_rows(channel.trace)
             out.append((
                 list(result.witnesses.items()),
@@ -422,7 +419,7 @@ class TestMaxClassBatching:
         assert batched == reference
         rows = batched[3]
         assert list(rows) == ["discovery", "identity", "confirmation"]
-        assert rows["confirmation"][1] == {True} and rows["identity"][1] == {False}
+        assert all(rows.values())
 
     def test_cells_without_a_one_are_compared(self):
         # With sparse bits many cells hold no 1 and name their least member.
@@ -440,7 +437,7 @@ class TestMaxClassBatching:
         witness = dict(witnesses)
         cell_of = {int(m): c.index for c in grid for m in c.members}
         believers = {c.index: set() for c in grid}
-        for key in rows["confirmation"][0]:
+        for key in rows["confirmation"]:
             tx = key & 0xFFFFFFFF
             believers[cell_of[tx]].add(tx)
         believers = {j: sorted(b) for j, b in believers.items()}
@@ -499,14 +496,15 @@ class TestMaxClassBatching:
 
 
 class TestStage1Blocks:
-    """A phase's members are drawn in blocks of whole classes; the block size
-    bounds memory and moves no draw."""
+    """A phase's members are drawn in blocks of cells; the block size bounds
+    memory and moves no draw."""
 
     SIZES = [1, 7, 3000, intracell.STAGE1_BLOCK, 1 << 62]  # 1 << 62: every flip in one block
 
     @staticmethod
     def run_at(block, protocol, adversarial, monkeypatch):
-        """(result, metrics, trace records, rng state, hook calls, draws) of one run."""
+        """(result, metrics, trace records, rng state, hook calls) of one run, the
+        shapes it drew and its grid."""
         monkeypatch.setattr(intracell, "STAGE1_BLOCK", block)
         config = LOSSY if protocol == "max" else replace(Stage1Config.for_network(2000, 0.0), r2=3)
         inst, params, grid, coloring, config, channel = build_world(2000, 4, 0.3, config)
@@ -527,25 +525,30 @@ class TestStage1Blocks:
         runner = run_stage1_max if protocol == "max" else run_stage1_hist
         result = runner(grid, coloring, config, channel)
         records = [
-            (r.phase, r.txs.tolist(), r.first.tolist(), r.copies, r.data_dependent)
-            for r in channel.trace.stage1
+            (r.phase, r.txs.tolist(), r.first.tolist(), r.copies) for r in channel.trace.stage1
         ]
         state = channel.rng.bit_generator.state
-        return (result, channel.metrics.snapshot(), records, state, calls), draws
+        return (result, channel.metrics.snapshot(), records, state, calls), draws, grid
 
     @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
     @pytest.mark.parametrize("protocol", ["max", "hist"])
     def test_every_block_size_gives_the_same_run(self, protocol, adversarial, monkeypatch):
         runs = [self.run_at(b, protocol, adversarial, monkeypatch) for b in self.SIZES]
-        (first, _), *rest = runs
-        for run, _ in rest:
+        (first, _, grid), *rest = runs
+        for run, _, _ in rest:
             assert run == first
-        draws = [len(d) for _, d in runs]
-        # Size 1 draws class by class; the default and the unbounded block
-        # draw each phase at once at n = 2000; 3000 flips lie in between.
-        classes = sum(r[0] in ("discovery", "hist_count") for r in first[2])  # one per class
+        draws = [len(d) for _, d, _ in runs]
+        # Sizes 1 and 7 draw cell by cell; the default and the unbounded
+        # block draw each phase at once at n = 2000; 3000 flips lie in between.
         assert draws[0] == draws[1] > draws[2] > draws[3] == draws[4]
-        assert draws[0] == (2 * classes + 1 if protocol == "max" else classes)
+        assert draws[0] == (2 * len(grid) + 1 if protocol == "max" else len(grid))
+        # A block passes the bound only where one cell does: at most the
+        # largest cell's receptions.  MAX's last draw, confirmation, is not
+        # drawn in blocks.
+        largest = max(cell.size for cell in grid)
+        for block, (_, shapes, _) in zip(self.SIZES, runs):
+            blocked = shapes[:-1] if protocol == "max" else shapes
+            assert all(math.prod(s) <= max(block, largest * s[-1]) for s in blocked)
         assert (len(first[4]) > 0) == adversarial
 
 
@@ -564,7 +567,7 @@ class TestStage1Schedule:
         assert len({len(cls.cells) for cls, *_ in layout}) > 1
         records = stage1_schedule(grid, layout, config, protocol)
         phases = ["discovery", "identity"] if protocol == "max" else ["hist_count"]
-        assert [r.phase for r in records] == phases * len(layout)  # one per (class, phase)
+        assert [r.phase for r in records] == phases  # one per phase
         got = stage1_keys(records, ("discovery", "identity", "hist_count"))
         want = schedule_per_cell(grid, layout, config, protocol)
         assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -173,10 +173,14 @@ def stage1_literal(run) -> Schedule:
         if record.phase != "confirmation":
             continue
         for cell in np.unique(cell_of[record.txs]).tolist():
-            believers = record.txs[cell_of[record.txs] == cell]
-            slots = record.first[0] + np.arange(record.copies)
+            mine = cell_of[record.txs] == cell
+            believers = record.txs[mine]
+            slots = record.first[mine, None] + np.arange(record.copies)  # each believer's own
+            schedule.sends.append((slots.ravel(), believers.repeat(record.copies)))
+            # The cell's non-believers listen in every slot a believer sends in.
             listeners = np.setdiff1d(grid.cell(cell).members, believers)
-            schedule.add(slots, believers, listeners, RECEIVED if believers.size == 1 else COLLIDED)
+            expect = RECEIVED if believers.size == 1 else COLLIDED
+            schedule.add(np.unique(slots), [], listeners, expect)
     return schedule
 
 
