@@ -593,7 +593,8 @@ def simulate_line(
         ends = np.asarray(link_endpoints, dtype=np.int64).reshape(links, 2)
         if config.mode == "treecode":
             return _simulate_treecode(protocol, config, channel, ends, slots)
-        (errors,) = repetition_errors([links], protocol.width, config.r3, channel, ends, slots)
+        errors = repetition_errors([links], protocol.width, config.r3, channel, ends, slots)
+        errors = errors.tolist()
     if len(errors) != links:
         raise ValueError(f"{len(errors)} link error words for a {links}-link array")
     # Links repeat their payload bits one after another, one transmission per slot.
@@ -618,7 +619,7 @@ def _simulate_abstract(
 
 def repetition_errors(
     links: Sequence[int], width: int, r3: int, channel: Channel, ends: np.ndarray, slots=np.asarray
-) -> list[list[int]]:
+) -> np.ndarray:
     """Link error words of repetition arrays that run side by side, from one draw.
 
     Each link repeats its node's ``width`` payload bits r3 times each,
@@ -631,11 +632,12 @@ def repetition_errors(
     per-array draws one after another.  Copy c of bit b of hop h sits in
     logical slot (h * width + b) * r3 + c, hops counted within each array
     (lockstep); ``slots`` maps those to ids when a hook reads them.  ``ends``
-    holds every link's (tx, rx) in the same order.  Each link gets one error
-    word (bit k set iff payload bit k decodes wrong), and each array a list.
+    holds every link's (tx, rx) in the same order.  Returns one error word
+    per link (bit k set iff payload bit k decodes wrong), the arrays' links
+    end to end; callers slice them per array where they need to.
     """
     total = int(sum(links))
-    cuts = np.cumsum([0, *links]).tolist()
+    cuts = np.cumsum([0, *links])
     first = lambda: (np.repeat(cuts[:-1], links) * width * r3)[:, None, None]  # array starts
     wrong = channel.majority_mask(
         (total, width, r3),
@@ -643,8 +645,7 @@ def repetition_errors(
         txs=ends[:, 0, None, None],
         rxs=ends[:, 1, None, None],
     )
-    words = (wrong << np.arange(width)).sum(axis=1).tolist()
-    return [words[a:b] for a, b in zip(cuts, cuts[1:])]
+    return (wrong << np.arange(width)).sum(axis=1)
 
 
 def _simulate_treecode(

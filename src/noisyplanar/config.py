@@ -8,6 +8,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 from .coding import DEFAULT_DECODE_CAP, MAX_DECODE_CAP, LinkSimConfig, smallest_odd_at_least
+from .geometry import derive_params
+from .intercell import count_bits_for
 
 __all__ = ["ConfigError", "ExperimentConfig"]
 
@@ -123,6 +125,17 @@ class ExperimentConfig:
             raise ConfigError(f"d-max must lie in 1..{MAX_DECODE_CAP}, got {self.d_max}")
         if self.gamma <= 0 or self.k_rs < 1:
             raise ConfigError("gamma must be > 0 and k-rs >= 1")
+        if self.mode == "abstract":
+            for n in self.n:
+                # An abstract array charges ceil(k_rs * rounds) slots; no array
+                # has more hops than the grid has rows, nor more rounds than its
+                # hops plus the histogram's count bits (sweeps price both protocols).
+                hops = derive_params(n, self.delta).grid_dim - 1
+                rounds = min(self.l_sub or math.ceil(math.log(n)), hops) + count_bits_for(n)
+                if not math.isfinite(self.k_rs * rounds):
+                    raise ConfigError(
+                        f"k-rs * {rounds} rounds must be finite at n={n}, got k-rs {self.k_rs}"
+                    )
         if self.e_t < 0 or self.e_r < 0:
             raise ConfigError("energies must be nonnegative")
         if self.max_resamples < 0:

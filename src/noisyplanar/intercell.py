@@ -6,23 +6,27 @@ the sink's column, and the sink's column is then processed the same way
 toward the sink.  Arrays inside one sub-stage are disjoint except that two
 arrays may share their root (the two sides of a row meeting on the axis).
 
-Each array runs ``simulate_line`` over the chain of its cell centers: a
+A sub-stage is one array pass: its arrays, right-aligned in an (arrays x
+longest array) matrix padded with zeros, fold column by column under the
 noiseless line protocol -- running OR for MAX, a pipelined bit-serial adder
-for the histogram -- protected by one of the three link simulation modes.
-With repetition links, a sub-stage's arrays share one majority draw, one
-uniform per decoded bit.  Distribution runs the plan in reverse, each array
-root first as a repetition line, then broadcasts in every cell in one
-majority draw.  One logical slot (a window in which every active tree link
-fires once without protocol-model collisions) costs ``link_slot_span``
-physical slots.  ``slot_ids`` numbers every reception by the slot the
-counters charge it to.
+for the histogram -- and every root combines what its arrays deliver, in plan
+order.  With repetition links, the sub-stage's arrays share one majority
+draw, one uniform per decoded bit, and each link's error word flips the value
+it carries; abstract arrays draw their failures array by array; tree-code
+arrays decode round by round, each through ``simulate_line``.  Distribution
+runs the plan in reverse, each array root first as a repetition line, then
+broadcasts in every cell in one majority draw.  One logical slot (a window
+in which every active tree link fires once without protocol-model
+collisions) costs ``link_slot_span`` physical slots.  ``slot_ids`` numbers
+every reception by the slot the counters charge it to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cache, partial
+from dataclasses import dataclass, field, replace
+from functools import cache, lru_cache, partial
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +68,45 @@ class CellArray:
 
 @dataclass(frozen=True)
 class Substage:
+    """Arrays that run side by side, with flat read-only views of them for
+    the array pass (derived, so outside eq, hash and repr):
+
+    cells      every array's cells end to end, in plan order
+    lengths    each array's cell count
+    roots      each array's root
+    links      each link's (deeper cell, cell it feeds), array by array
+    positions  each link's flat index in the (arrays x longest array's links)
+               matrix, arrays right-aligned so every root link is in the last column
+    """
+
     phase: str  # "rows-to-axis" | "axis-to-sink"
     arrays: tuple[CellArray, ...]
+    cells: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    roots: np.ndarray = field(init=False, repr=False, compare=False)
+    links: np.ndarray = field(init=False, repr=False, compare=False)
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lengths = np.array([a.q for a in self.arrays], dtype=np.int64)
+        cells = np.fromiter(chain.from_iterable(a.cells for a in self.arrays), np.int64)
+        ends = np.cumsum(lengths)
+        hops = lengths - 1
+        feeds = np.ones(max(cells.size - 1, 0), dtype=bool)  # cell i feeds cell i + 1
+        feeds[ends[:-1] - 1] = False
+        row = np.repeat(np.arange(hops.size), hops)
+        hop = np.arange(hops.sum()) - np.repeat(np.cumsum(hops) - hops, hops)
+        longest = int(hops.max(initial=0))
+        views = {
+            "cells": cells,
+            "lengths": lengths,
+            "roots": cells[ends - 1],
+            "links": np.stack([cells[:-1][feeds], cells[1:][feeds]], axis=1),
+            "positions": row * longest + longest - hops[row] + hop,
+        }
+        for name, view in views.items():
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 @dataclass(frozen=True)
@@ -99,10 +140,19 @@ def build_substages(
     most ``levels_per_stage`` hops: row chains flow toward the sink's column
     and are processed outer-to-inner; the sink's column then flows toward
     the sink.  Concatenating the arrays that contain a given cell traces
-    that cell's tree path to the sink.
+    that cell's tree path to the sink.  The plan depends only on the grid's
+    shape, so it is built once per (grid_dim, sink_cell, levels_per_stage)
+    and shared by every trial on that shape.
     """
     if levels_per_stage is None:
         levels_per_stage = max(1, math.ceil(math.log(params.n)))
+    return _plan(tree.grid_dim, tree.sink_cell, levels_per_stage)
+
+
+@lru_cache(maxsize=16)
+def _plan(grid_dim: int, sink_cell: int, levels_per_stage: int) -> SubstagePlan:
+    # The routing is a rule of the grid's size and the sink's cell, not of its node.
+    tree = SpanningTree(sink_cell=sink_cell, sink_node=-1, grid_dim=grid_dim)
     stages: list[Substage] = []
     for phase, chains in zip(("rows-to-axis", "axis-to-sink"), tree.chains):
         segmented = [_segment(chain, levels_per_stage) for chain in chains]
@@ -127,10 +177,8 @@ def adder_chain(counts: Sequence[int], width: int) -> LineProtocol:
     q = len(vals)
     if q < 2:
         raise ValueError("a line protocol needs at least two nodes")
+    _check_counts(vals, width)
     mod = 1 << width
-    for c in vals:
-        if not (0 <= c < mod):
-            raise ValueError(f"count {c} does not fit in {width} bits")
     return LineProtocol(
         q=q,
         rounds=q + width - 1,
@@ -138,6 +186,14 @@ def adder_chain(counts: Sequence[int], width: int) -> LineProtocol:
         step=lambda i, received: (received + vals[i]) % mod,
         corrupt=lambda rng: int(rng.integers(0, mod)),
     )
+
+
+def _check_counts(counts, width: int) -> None:
+    """Raise ValueError at the first count outside 0 .. 2^width - 1."""
+    counts = np.asarray(counts)
+    bad = np.flatnonzero((counts < 0) | (counts >= 1 << width))
+    if bad.size:
+        raise ValueError(f"count {counts[bad[0]]} does not fit in {width} bits")
 
 
 def _array_endpoints(cells: tuple[int, ...], grid: CellGrid) -> list[tuple[int, int]]:
@@ -167,43 +223,132 @@ def _link_slots(start, subslot, params, bank, chains):
     return lambda logical: slot_ids(start, logical.T, lanes(), params.link_slot_span).T
 
 
-def _link_errors(chains, width, config, channel, grid, clock) -> list:
+def _link_errors(chains, width, config, channel, grid, clock) -> list[list[int]]:
     """Each chain's link error words from one repetition draw for the whole
-    sub-stage (``repetition_errors``), in chain order; in the other modes
-    None per chain, as those draw array by array."""
-    if config.mode != "repetition":
-        return [None] * len(chains)
+    sub-stage (``repetition_errors``), in chain order."""
     tx = [j for cells in chains for j in cells[:-1]]
     rx = [j for cells in chains for j in cells[1:]]
     ends = grid.centers[np.array([tx, rx], dtype=np.int64).T - 1]
     links = [len(cells) - 1 for cells in chains]
-    return repetition_errors(links, width, config.r3, channel, ends, clock(chains))
+    words = repetition_errors(links, width, config.r3, channel, ends, clock(chains)).tolist()
+    cuts = np.cumsum([0, *links]).tolist()
+    return [words[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_stage2(plan, state, line_for, width, config, channel, grid, params):
-    """Run the plan's arrays stage by stage; each root takes its array's result.
+def _rounds(stage: Substage, protocol: str, width: int) -> np.ndarray:
+    """Each array's schedule length: q - 1 rounds for MAX, q + width - 1 for the histogram."""
+    return stage.lengths - 1 if protocol == "max" else stage.lengths + width - 1
 
-    Arrays run in plan order, so the second of two arrays sharing a root
-    (the two sides of a row) builds its protocol on the first one's result.
+
+def _substage_cost(stage: Substage, config: LinkSimConfig, protocol: str, width: int):
+    """The logical slots of a sub-stage's longest array and the transmissions
+    of all its arrays, as ``stage2_cost`` states them."""
+    links = stage.lengths - 1
+    rounds = _rounds(stage, protocol, width)
+    if config.mode == "abstract":
+        return config.guarantee.slots(int(rounds.max())), int(links.sum()) * config.r3
+    if config.mode == "repetition":
+        per_link = width * config.r3  # links repeat their bits one after another
+        return int(links.max()) * per_link, int(links.sum()) * per_link
+    per_link = [2 * config.treecode_depth(r) * config.symbol_bits for r in rounds.tolist()]
+    return max(per_link), int(links @ np.array(per_link, dtype=np.int64))
+
+
+def _delivered(stage, values, fold, errors) -> np.ndarray:
+    """What each array's last link delivers into its root: the sub-stage's
+    links, right-aligned in an (arrays x longest array's links) matrix whose
+    padding is value 0 and error word 0, folded column by column, each
+    link's error word flipping the value it carries.  The adder's sums are
+    left unmasked: their low bits, all a root keeps, depend on low bits only."""
+    shape = (len(stage.arrays), int(stage.lengths.max()) - 1)
+    sent = np.zeros(shape, dtype=np.int64)
+    sent.reshape(-1)[stage.positions] = values[stage.links[:, 0]]
+    if errors is not None:
+        flips = np.zeros(shape, dtype=np.int64)
+        flips.reshape(-1)[stage.positions] = errors
+    carried = np.zeros(shape[0], dtype=np.int64)
+    for col in range(shape[1]):
+        carried = fold(carried, sent[:, col])
+        if errors is not None:
+            carried ^= flips[:, col]
+    return carried
+
+
+def _failures(rounds: np.ndarray, width: int, guarantee, rng) -> list:
+    """Abstract arrays' failures as (array index, value left at its root),
+    drawn as ``simulate_line`` draws them: per array in plan order one
+    uniform, and after a failure one value below 2^width."""
+    failures = []
+    for k, r in enumerate(rounds.tolist()):
+        if rng.random() < guarantee.failure_prob(r):
+            failures.append((k, int(rng.integers(0, 1 << width))))
+    return failures
+
+
+def _settle_roots(values, roots, delivered, failures, fold, mask) -> None:
+    """Each root combines what its arrays deliver, in plan order; an array
+    that failed, at (index, value) in ``failures``, leaves its root ``value``."""
+    start = 0
+    for k, value in [*failures, (len(roots), None)]:
+        fold.at(values, roots[start:k], delivered[start:k])
+        if mask is not None:
+            values[roots[start:k]] &= mask
+        if value is not None:
+            values[roots[k]] = value
+        start = k + 1
+
+
+def _run_stage2(plan, state, protocol, width, config, channel, grid, params) -> np.ndarray:
+    """Run the plan sub-stage by sub-stage; returns every cell's value by index.
+
+    Each sub-stage is one array pass (``_delivered``) in abstract and
+    repetition mode, where repetition links take their error words from one
+    ``repetition_errors`` draw for the sub-stage, and abstract arrays then
+    draw their failures one by one in plan order, as ``simulate_line`` does:
+    one uniform each, and a failed array's root value after it.  Tree-code
+    arrays run one by one through ``simulate_line``.  Two arrays sharing a
+    root compose there in plan order (``_settle_roots``).  A sub-stage costs
+    its longest array's logical slots times the link slot span, charged with
+    its transmissions in one call (``_substage_cost``).
     """
+    cells = np.fromiter(state, np.int64, len(state))
+    values = np.zeros(len(grid) + 1, dtype=np.int64)
+    values[cells] = np.fromiter(state.values(), np.int64, len(state))
+    fold, mask = (np.bitwise_or, None) if protocol == "max" else (np.add, (1 << width) - 1)
+    line_for = or_chain if protocol == "max" else partial(adder_chain, width=width)
     subslot = cache(lambda: subslots(color_cells(grid, params)))  # read only by a hook
     for stage in plan.stages:
-        stage_logical = 0
+        if mask is not None:
+            _check_counts(values[stage.cells], width)
         chains = [array.cells for array in stage.arrays]
         clock = partial(_link_slots, channel.metrics.slots_total, subslot, params, 0)
-        for cells, errors in zip(chains, _link_errors(chains, width, config, channel, grid, clock)):
-            proto = line_for([state[j] for j in cells])
-            # Repetition links come with their error words; abstract ones need no ends.
-            ends = _array_endpoints(cells, grid) if config.mode == "treecode" else None
-            res = simulate_line(proto, config, channel, ends, errors, clock([cells]))
-            state[cells[-1]] = res.values[-1]
-            # Every inter-cell transmission targets a single center.
-            channel.metrics.add("stage2", tx=res.tx, rx=res.tx)
-            stage_logical = max(stage_logical, res.slots)
-        channel.metrics.add("stage2", slots=stage_logical * params.link_slot_span)
+        failures = []
+        if config.mode == "treecode":
+            delivered = np.zeros(len(chains), dtype=np.int64)
+            for k, cells in enumerate(chains):
+                proto = line_for(values[list(cells)].tolist())
+                ends = _array_endpoints(cells, grid)
+                res = simulate_line(proto, config, channel, ends, None, clock([cells]))
+                delivered[k] = res.delivered[-1]
+        elif config.mode == "repetition":
+            ends = grid.centers[stage.links - 1]
+            links = stage.lengths - 1
+            errors = repetition_errors(links, width, config.r3, channel, ends, clock(chains))
+            delivered = _delivered(stage, values, fold, errors)
+        else:
+            delivered = _delivered(stage, values, fold, None)
+            # The guarantee models decoding failure under channel noise; a
+            # noiseless channel cannot fail, preserving exactness at eps0 = 0.
+            if channel.noise.eps0 > 0:
+                rounds = _rounds(stage, protocol, width)
+                failures = _failures(rounds, width, config.guarantee, channel.rng)
+        _settle_roots(values, stage.roots, delivered, failures, fold, mask)
+        logical, tx = _substage_cost(stage, config, protocol, width)
+        # Every inter-cell transmission targets a single center.
+        channel.metrics.add("stage2", tx=tx, rx=tx, slots=logical * params.link_slot_span)
         if channel.trace is not None:
             channel.trace.stage2_stages.append(chains)
-    return state
+    return values
 
 
 def run_stage2_max(
@@ -223,8 +368,8 @@ def run_stage2_max(
     accumulate per array (r3 per link in abstract mode, per-bit repetition
     otherwise).
     """
-    state = _run_stage2(plan, dict(stage1_values), or_chain, 1, config, channel, grid, params)
-    return state[tree.sink_cell]
+    values = _run_stage2(plan, stage1_values, "max", 1, config, channel, grid, params)
+    return int(values[tree.sink_cell])
 
 
 def run_stage2_hist(
@@ -241,9 +386,8 @@ def run_stage2_hist(
     (``adder_chain``); returns the total at the sink."""
     if width is None:
         width = count_bits_for(params.n)
-    line_for = partial(adder_chain, width=width)
-    state = _run_stage2(plan, dict(stage1_counts), line_for, width, config, channel, grid, params)
-    return state[tree.sink_cell]
+    values = _run_stage2(plan, stage1_counts, "hist", width, config, channel, grid, params)
+    return int(values[tree.sink_cell])
 
 
 def stage2_cost(
@@ -259,25 +403,15 @@ def stage2_cost(
     per streamed bit; treecode 2 * depth * symbol_bits slots, and as many
     transmissions per link (CapacityError past the decoding cap).  A
     sub-stage costs its longest array's logical slots times the link slot
-    span.  ``simulate_line`` charges the same counts as it runs.
+    span.  Stage 2 charges each sub-stage from the same per-sub-stage
+    closed form (``_substage_cost``) once its arrays have run.
     """
     width = 1 if protocol == "max" else count_bits_for(params.n)
     slots = tx = 0
     for stage in plan.stages:
-        longest = 0
-        for array in stage.arrays:
-            links = array.q - 1
-            rounds = links if protocol == "max" else array.q + width - 1
-            if config.mode == "abstract":
-                per_link, logical = config.r3, config.guarantee.slots(rounds)
-            elif config.mode == "repetition":
-                per_link = width * config.r3
-                logical = links * per_link  # links repeat their bits one after another
-            else:
-                per_link = logical = 2 * config.treecode_depth(rounds) * config.symbol_bits
-            longest = max(longest, logical)
-            tx += links * per_link
-        slots += longest * params.link_slot_span
+        logical, stage_tx = _substage_cost(stage, config, protocol, width)
+        slots += logical * params.link_slot_span
+        tx += stage_tx
     return slots, tx
 
 

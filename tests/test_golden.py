@@ -60,6 +60,16 @@ def test_two_word_identity_trial_row_is_pinned():
     assert digest == "abf8a1198e7d80dbaf098498ac8a0922b6193b5fe7e5e87b5af47ecf6b6da92f"
 
 
+def test_hist_repetition_trial_row_at_64x64_is_pinned():
+    # The histogram goldens stop at n <= 8,000; n = 131,072 runs stage 2's
+    # array pass over 390 repetition arrays in 6 sub-stages.
+    cfg = ExperimentConfig(protocol="hist", mode="repetition", n=(131072,), trials=1, eps0=0.1,
+                           base_seed=13)
+    (row,) = run_experiment(cfg).result_for(131072)["trials_detail"]
+    digest = hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
+    assert digest == "a4c6f5e50461dd765ad700f806a7d476be11444bc75b7e54f2869f8d43d2f06b"
+
+
 def test_traced_max_trial_verdict_is_pinned():
     cfg = ExperimentConfig(protocol="max", n=(8000,), trials=1, eps0=0.1, base_seed=13)
     audit = validate_run(run_trial(cfg, 8000, 0, capture_trace=True))

@@ -936,6 +936,18 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not out.exists()
 
+    def test_k_rs_overflowing_a_slot_count_is_exit_2(self, tmp_path, capsys):
+        # ceil(k_rs * rounds) of an abstract array is infinite at 1e308; 1e300 runs.
+        out = tmp_path / "r.json"
+        argv = ["run", "--n", "500", "--trials", "1", "--out", str(out), "--k-rs"]
+        assert main([*argv, "1e308"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: k-rs * 14 rounds must be finite at n=500, got k-rs 1e+308"
+        ]
+        assert not out.exists()
+        assert main([*argv, "1e300"]) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize(
         "pad", ["-1", "-20"], ids=["pad-short-of-the-protocol", "pad-leaving-no-depth"]
     )
