@@ -569,7 +569,6 @@ def simulate_line(
     config: LinkSimConfig,
     channel: Channel,
     link_endpoints: Sequence[tuple[int, int]] | None = None,
-    errors: Sequence[int] | None = None,
     slots: Callable[[np.ndarray], np.ndarray] = np.asarray,
 ) -> LineResult:
     """Run a noiseless line protocol over noisy links in the configured mode.
@@ -578,25 +577,19 @@ def simulate_line(
     returned are logical (one link activation each); callers expand them to
     physical slots with the interference span, and ``slots`` maps logical
     slots (links along axis 0) to the ids a hook sees, by default the logical
-    slots themselves.  In repetition mode, ``errors`` are the array's link
-    error words from a ``repetition_errors`` draw the caller already made (for
-    a whole sub-stage); without them the array makes that draw alone.
+    slots themselves.  It runs one array alone: stage 2 sends only its
+    tree-code arrays here, and runs abstract and repetition sub-stages, like
+    distribution's relay, as one array pass each.
     """
-    if errors is not None and config.mode != "repetition":
-        raise ValueError(f"link error words apply to repetition mode, not {config.mode!r}")
     if config.mode == "abstract":
         return _simulate_abstract(protocol, config, channel)
     links = protocol.q - 1
-    if errors is None:
-        if link_endpoints is None:
-            link_endpoints = [(i, i + 1) for i in range(links)]
-        ends = np.asarray(link_endpoints, dtype=np.int64).reshape(links, 2)
-        if config.mode == "treecode":
-            return _simulate_treecode(protocol, config, channel, ends, slots)
-        errors = repetition_errors([links], protocol.width, config.r3, channel, ends, slots)
-        errors = errors.tolist()
-    if len(errors) != links:
-        raise ValueError(f"{len(errors)} link error words for a {links}-link array")
+    if link_endpoints is None:
+        link_endpoints = [(i, i + 1) for i in range(links)]
+    ends = np.asarray(link_endpoints, dtype=np.int64).reshape(links, 2)
+    if config.mode == "treecode":
+        return _simulate_treecode(protocol, config, channel, ends, slots)
+    errors = repetition_errors([links], protocol.width, config.r3, channel, ends, slots).tolist()
     # Links repeat their payload bits one after another, one transmission per slot.
     logical = links * protocol.width * config.r3
     values, delivered = protocol.fold(errors)
@@ -634,7 +627,7 @@ def repetition_errors(
     (lockstep); ``slots`` maps those to ids when a hook reads them.  ``ends``
     holds every link's (tx, rx) in the same order.  Returns one error word
     per link (bit k set iff payload bit k decodes wrong), the arrays' links
-    end to end; callers slice them per array where they need to.
+    end to end, in the order ``ends`` gives them.
     """
     total = int(sum(links))
     cuts = np.cumsum([0, *links])

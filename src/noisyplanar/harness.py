@@ -213,6 +213,7 @@ def run_trial(
         s1 = run_stage1_hist(grid, coloring, s1cfg, channel)
         stage1_value = sum(s1.counts.values())
         computed = run_stage2_hist(plan, s1.counts, link_cfg, channel, grid, params, tree)
+    _check_counters(channel.metrics, n, trial)
 
     return TrialRun(
         config=config,
@@ -234,6 +235,15 @@ def run_trial(
         channel=channel,
         aux_seeds=aux_seeds,
     )
+
+
+def _check_counters(metrics: Metrics, n: int, trial: int) -> None:
+    """Raise ConfigError at a counter past the largest float: the report
+    could neither average it nor write it as a JSON number."""
+    for key, value in metrics.snapshot().items():
+        if not abs(value) <= sys.float_info.max:  # an int past it, inf or nan
+            scale = "e-t or e-r" if key.startswith("em") else "k-rs"
+            raise ConfigError(f"n={n}, trial {trial}: {key} does not fit a float; lower {scale}")
 
 
 @dataclass
@@ -465,8 +475,8 @@ def _contained(grid: CellGrid, positions: np.ndarray) -> np.ndarray:
 
 def _links_adjacent(plan, grid_dim: int) -> bool:
     """Whether every link of the plan joins two edge-adjacent cells."""
-    links = [(c, p) for array in plan.arrays for c, p in zip(array.cells, array.cells[1:])]
-    rows, cols = np.divmod(np.array(links, dtype=np.int64).reshape(-1, 2) - 1, grid_dim)
+    links = np.concatenate([np.zeros((0, 2), dtype=np.int64), *(s.links for s in plan.stages)])
+    rows, cols = np.divmod(links - 1, grid_dim)
     return bool((np.abs(np.diff(rows)) + np.abs(np.diff(cols)) == 1).all())
 
 
@@ -543,9 +553,8 @@ def _replay_slots(run: TrialRun) -> list[str]:
     subslot = subslots(run.coloring)
     violations = []
     for si, stage in enumerate(run.plan.stages):
-        links = [(c, p) for array in stage.arrays for c, p in zip(array.cells, array.cells[1:])]
-        lanes = np.array([subslot[c] for c, _ in links], dtype=np.int64)
-        txs, rxs = run.grid.centers[np.array(links, dtype=np.int64).reshape(-1, 2).T - 1]
+        lanes = np.array([subslot[c] for c in stage.links[:, 0].tolist()], dtype=np.int64)
+        txs, rxs = run.grid.centers[stage.links.T - 1]
         failed = resolve_slot(lanes, txs, 0, rxs, *world, listen_slots=lanes) < RECEIVED
         if not failed.any():
             continue

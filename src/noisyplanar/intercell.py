@@ -14,9 +14,10 @@ order.  With repetition links, the sub-stage's arrays share one majority
 draw, one uniform per decoded bit, and each link's error word flips the value
 it carries; abstract arrays draw their failures array by array; tree-code
 arrays decode round by round, each through ``simulate_line``.  Distribution
-runs the plan in reverse, each array root first as a repetition line, then
-broadcasts in every cell in one majority draw.  One logical slot (a window
-in which every active tree link fires once without protocol-model
+runs the plan in reverse, each sub-stage one repetition draw over its links
+root first, then broadcasts in every cell in one majority draw.  All of
+these read a sub-stage's links from ``Substage.links``.  One logical slot (a
+window in which every active tree link fires once without protocol-model
 collisions) costs ``link_slot_span`` physical slots.  ``slot_ids`` numbers
 every reception by the slot the counters charge it to.
 """
@@ -196,11 +197,6 @@ def _check_counts(counts, width: int) -> None:
         raise ValueError(f"count {counts[bad[0]]} does not fit in {width} bits")
 
 
-def _array_endpoints(cells: tuple[int, ...], grid: CellGrid) -> list[tuple[int, int]]:
-    centers = grid.centers[np.asarray(cells) - 1].tolist()
-    return list(zip(centers, centers[1:]))
-
-
 def subslots(coloring: list[ScheduleClass]) -> dict[int, int]:
     """Each cell's subslot in a logical inter-cell slot: its color in the coloring."""
     return {j: cls.color for cls in coloring for j in cls.cells}
@@ -216,23 +212,12 @@ def slot_ids(start: int, logical, lane, lanes: int) -> np.ndarray:
     return start + np.asarray(logical) * lanes + lane
 
 
-def _link_slots(start, subslot, params, bank, chains):
-    """``slots`` for the chains' links end to end, up (bank 0) or down from the root (1)."""
-    colors = lambda: [subslot()[j] for cells in chains for j in (cells[1:] if bank else cells[:-1])]
+def _link_slots(start, subslot, params, bank, deeper):
+    """``slots`` for links whose deeper cells are ``deeper``, in draw order,
+    up (bank 0) or down from the root (bank 1)."""
+    colors = lambda: [subslot()[j] for j in deeper.tolist()]
     lanes = lambda: bank * (params.interference_bound + 1) + np.array(colors(), dtype=np.int64)
     return lambda logical: slot_ids(start, logical.T, lanes(), params.link_slot_span).T
-
-
-def _link_errors(chains, width, config, channel, grid, clock) -> list[list[int]]:
-    """Each chain's link error words from one repetition draw for the whole
-    sub-stage (``repetition_errors``), in chain order."""
-    tx = [j for cells in chains for j in cells[:-1]]
-    rx = [j for cells in chains for j in cells[1:]]
-    ends = grid.centers[np.array([tx, rx], dtype=np.int64).T - 1]
-    links = [len(cells) - 1 for cells in chains]
-    words = repetition_errors(links, width, config.r3, channel, ends, clock(chains)).tolist()
-    cuts = np.cumsum([0, *links]).tolist()
-    return [words[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _rounds(stage: Substage, protocol: str, width: int) -> np.ndarray:
@@ -320,20 +305,20 @@ def _run_stage2(plan, state, protocol, width, config, channel, grid, params) -> 
     for stage in plan.stages:
         if mask is not None:
             _check_counts(values[stage.cells], width)
-        chains = [array.cells for array in stage.arrays]
         clock = partial(_link_slots, channel.metrics.slots_total, subslot, params, 0)
+        hops = stage.lengths - 1
         failures = []
         if config.mode == "treecode":
-            delivered = np.zeros(len(chains), dtype=np.int64)
-            for k, cells in enumerate(chains):
-                proto = line_for(values[list(cells)].tolist())
-                ends = _array_endpoints(cells, grid)
-                res = simulate_line(proto, config, channel, ends, None, clock([cells]))
+            arrays = np.split(stage.links, np.cumsum(hops)[:-1])
+            delivered = np.zeros(len(arrays), dtype=np.int64)
+            for k, links in enumerate(arrays):
+                proto = line_for(values[np.append(links[:, 0], links[-1, 1])].tolist())
+                ends = grid.centers[links - 1]
+                res = simulate_line(proto, config, channel, ends, clock(links[:, 0]))
                 delivered[k] = res.delivered[-1]
         elif config.mode == "repetition":
-            ends = grid.centers[stage.links - 1]
-            links = stage.lengths - 1
-            errors = repetition_errors(links, width, config.r3, channel, ends, clock(chains))
+            ends, slots = grid.centers[stage.links - 1], clock(stage.links[:, 0])
+            errors = repetition_errors(hops, width, config.r3, channel, ends, slots)
             delivered = _delivered(stage, values, fold, errors)
         else:
             delivered = _delivered(stage, values, fold, None)
@@ -347,7 +332,7 @@ def _run_stage2(plan, state, protocol, width, config, channel, grid, params) -> 
         # Every inter-cell transmission targets a single center.
         channel.metrics.add("stage2", tx=tx, rx=tx, slots=logical * params.link_slot_span)
         if channel.trace is not None:
-            channel.trace.stage2_stages.append(chains)
+            channel.trace.stage2_stages.append([array.cells for array in stage.arrays])
     return values
 
 
@@ -428,18 +413,19 @@ def distribute_result(
 ) -> np.ndarray:
     """Push the sink's one-bit result back to every node.
 
-    The relay runs the sub-stage plan in reverse, each array root first as a
-    repetition line (r3 copies per link, majority-decoded), one majority draw
-    per sub-stage: a running OR over zeros carries the root's bit to the
-    deepest cell.  Each sub-stage is charged as ``stage2_cost`` prices a MAX
-    pass over it with repetition links; its links fire in the downward bank
-    of ``slot_ids``.  Then every center broadcasts its bit r2 times (r2 odd,
-    as ``Stage1Config`` requires) inside its cell, one class of the coloring
-    at a time, and the members majority-decode: one majority draw in
-    coloring order, one uniform per member, cell by cell, member by member,
-    the cells of a class sharing its r2 slots.  In all, (cell_count - 1) *
-    r3 + cell_count * r2 transmissions.  Only a bit can be relayed: any
-    other value raises ValueError.
+    The relay runs the sub-stage plan in reverse, each sub-stage one
+    repetition draw (r3 copies per link, majority-decoded) over its links
+    taken root first: a relayed cell's bit is its root's XOR the error
+    words of the links from the root down to it.  Each sub-stage is charged
+    as ``stage2_cost`` prices a MAX pass over it with repetition links; its
+    links fire in the downward bank of ``slot_ids``.  Then every center
+    broadcasts its bit r2 times (r2 odd, as ``Stage1Config`` requires)
+    inside its cell, one class of the coloring at a time, and the members
+    majority-decode: one majority draw in coloring order, one uniform per
+    member, cell by cell, member by member, the cells of a class sharing its
+    r2 slots.  In all, (cell_count - 1) * r3 + cell_count * r2
+    transmissions.  Only a bit can be relayed: any other value raises
+    ValueError.
     """
     if value not in (0, 1):
         raise ValueError(f"distribute_result relays one bit, got value {value!r}")
@@ -447,16 +433,21 @@ def distribute_result(
         coloring = color_cells(grid, params)
     subslot = cache(lambda: subslots(coloring))  # read only by a hook
     relay = replace(config, mode="repetition")
-    down: dict[int, int] = {tree.sink_cell: int(value)}
+    down = np.zeros(len(grid) + 1, dtype=np.int64)  # each cell's bit, by index
+    down[tree.sink_cell] = value
     for stage in reversed(plan.stages):
-        chains = [array.cells[::-1] for array in stage.arrays]
-        clock = partial(_link_slots, channel.metrics.slots_total, subslot, params, 1)
-        for cells, errors in zip(chains, _link_errors(chains, 1, relay, channel, grid, clock)):
-            proto = or_chain([down[cells[0]]] + [0] * (len(cells) - 1))
-            res = simulate_line(proto, relay, channel, errors=errors)
-            down.update(zip(cells, res.values))
-        stage_slots, tx = stage2_cost(replace(plan, stages=(stage,)), params, relay, "max")
-        channel.metrics.add("distribute", tx=tx, rx=tx, slots=stage_slots)
+        hops = stage.lengths - 1
+        first = np.repeat(np.cumsum(hops) - hops, hops)  # each link's array's first link
+        # (deeper cell, cell it feeds), each array's links root first
+        links = stage.links[2 * first + np.repeat(hops, hops) - 1 - np.arange(first.size)]
+        slots = _link_slots(channel.metrics.slots_total, subslot, params, 1, links[:, 0])
+        ends = grid.centers[links[:, ::-1] - 1]  # the fed cell sends down
+        errors = repetition_errors(hops, 1, relay.r3, channel, ends, slots)
+        # A cell gets its root's bit, flipped by each link from the root down to it.
+        flips = np.bitwise_xor.accumulate(errors)
+        down[links[:, 0]] = np.repeat(down[stage.roots], hops) ^ flips ^ np.append(0, flips)[first]
+        logical, tx = _substage_cost(stage, relay, "max", 1)
+        channel.metrics.add("distribute", tx=tx, rx=tx, slots=logical * params.link_slot_span)
 
     cells = [j for cls in coloring for j in cls.cells]
     members, sizes, centers = grid.gather(cells)
@@ -471,7 +462,7 @@ def distribute_result(
         txs=centers[rank, None],
         rxs=rxs[:, None],
     )
-    bits = np.array([down[j] for j in cells], dtype=np.int8)
+    bits = down[cells].astype(np.int8)
     node_values = np.zeros(grid.n, dtype=np.int8)
     node_values[centers] = bits
     node_values[rxs] = bits[rank] ^ wrong

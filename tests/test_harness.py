@@ -948,6 +948,42 @@ class TestCli:
         assert main([*argv, "1e300"]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+    @pytest.mark.parametrize(
+        "flag, value, counter, scale",
+        [
+            ("--k-rs", "1e305", "slots_total", "k-rs"),
+            ("--e-t", "1e308", "em1", "e-t or e-r"),
+            ("--e-r", "1e308", "em1", "e-t or e-r"),
+        ],
+    )
+    def test_counters_past_a_float_are_exit_2(
+        self, tmp_path, capsys, command, flag, value, counter, scale
+    ):
+        # Each ceil(k_rs * rounds) fits a float at 1e305, but the trial's slot
+        # total does not; 1e308 per transmission or reception sums to infinity.
+        out = tmp_path / "r.json"
+        argv = [command, "--n", "500,1500,4000" if command == "sweep" else "500"]
+        argv += ["--trials", "1", flag, value]
+        if command != "validate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: n=500, trial 0: {counter} does not fit a float; lower {scale}"
+        ]
+        assert not out.exists() or out.read_text() == ""
+
+    @pytest.mark.parametrize("mode", ["abstract", "repetition", "treecode"])
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_a_one_cell_grid_runs_and_validates(self, tmp_path, protocol, mode):
+        # At n = 3 the grid is 1 x 1, so the plan has no sub-stages.
+        argv = ["--protocol", protocol, "--mode", mode, "--n", "3", "--trials", "2"]
+        argv += ["--eps0", "0.1"]
+        out = tmp_path / "r.json"
+        assert main(["run", *argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"][0]["mean_slots_stage2"] == 0
+        assert main(["validate", *argv]) == 0
+
     @pytest.mark.parametrize(
         "pad", ["-1", "-20"], ids=["pad-short-of-the-protocol", "pad-leaving-no-depth"]
     )

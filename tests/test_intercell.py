@@ -18,7 +18,6 @@ from noisyplanar.config import ExperimentConfig
 from noisyplanar.geometry import assign_cells, build_tree, derive_params, place_nodes
 from noisyplanar import intercell
 from noisyplanar.intercell import (
-    _array_endpoints,
     adder_chain,
     build_substages,
     count_bits_for,
@@ -630,16 +629,16 @@ def scheduled(start, deeper, params, coloring, bank=0):
 
 def per_array_run_stage2(plan, state, line_for, config, channel, grid, params):
     """The per-array loop that ``_run_stage2`` replaced, kept verbatim (bar
-    looking ``simulate_line`` up on its module, so a recorder can see it, and
-    the scheduled slot ids) as its oracle: in repetition mode one majority
-    draw per array."""
+    looking ``simulate_line`` up on its module, so a recorder can see it, the
+    scheduled slot ids and the endpoint helper) as its oracle: in repetition
+    mode one majority draw per array."""
     coloring = color_cells(grid, params)
     for stage in plan.stages:
         stage_logical = 0
         start = channel.metrics.slots_total
         for array in stage.arrays:
             proto = line_for([state[j] for j in array.cells])
-            ends = _array_endpoints(array.cells, grid)
+            ends = endpoints(grid, array.cells)
             slots = scheduled(start, array.cells[:-1], params, coloring)
             res = intercell.simulate_line(proto, config, channel, ends, slots=slots)
             state[array.root] = res.values[-1]
@@ -656,9 +655,9 @@ def per_array_distribute_result(
     tree, plan, value, config, r2, channel, grid, params, coloring=None
 ):
     """``distribute_result`` as it was with one relay draw per array,
-    kept verbatim (bar the ``simulate_line`` lookup, the scheduled slot ids
-    and the broadcast's majority draw) as the oracle of the per-sub-stage
-    relay draw.  Relay sub-stages
+    kept verbatim (bar the ``simulate_line`` lookup, the scheduled slot ids,
+    the endpoint helper and the broadcast's majority draw) as the oracle of
+    the per-sub-stage relay draw.  Relay sub-stages
     follow each other from the slots charged before the distribution, each
     its longest array's r3 * links logical slots long, and every cell of a
     class broadcasts in the class's r2 slots after them."""
@@ -674,7 +673,7 @@ def per_array_distribute_result(
             cells = array.cells[::-1]
             proto = or_chain([down[array.root]] + [0] * (array.q - 1))
             slots = scheduled(start, cells[1:], params, coloring, bank=1)
-            res = intercell.simulate_line(proto, relay, channel, _array_endpoints(cells, grid),
+            res = intercell.simulate_line(proto, relay, channel, endpoints(grid, cells),
                                           slots=slots)
             down.update(zip(cells, res.values))
         start += max(a.q - 1 for a in stage.arrays) * relay.r3 * params.link_slot_span
@@ -882,3 +881,7 @@ def test_only_tree_code_arrays_run_simulate_line(monkeypatch, protocol, mode, pe
     else:
         run_stage2_hist(plan, _stage1_counts(grid, inst), config, channel, grid, params, tree)
     assert calls == [a.q for a in plan.arrays] * per_array
+    # The relay down the plan is repetition sub-stages too: no array of it runs alone.
+    calls.clear()
+    distribute_result(tree, plan, 1, config, 15, channel, grid, params)
+    assert calls == []
