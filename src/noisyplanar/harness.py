@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from itertools import zip_longest
@@ -783,11 +784,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 2
 
+    created = []  # report files the probe below made, removed if the run fails
     try:
         config = _config_from_args(args)
         # Fail on an unwritable path before the first trial.
         for path in filter(None, (getattr(args, "out", None), getattr(args, "csv", None))):
+            new = not os.path.lexists(path)
             _write_or_print("", path, "a")  # appending keeps an existing file intact
+            if new:
+                created.append(path)
         if args.command == "run":
             report = run_experiment(config)
             _write_or_print(report.to_json(), args.out)
@@ -821,11 +826,15 @@ def main(argv: list[str] | None = None) -> int:
                 return 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        status = 2
     except (ProtocolInfeasibleError, InfeasibleRunError, CapacityError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        status = 3
+    else:
+        return 0
+    for path in created:
+        os.remove(path)
+    return status
 
 
 if __name__ == "__main__":

@@ -27,15 +27,15 @@ counting) is one uniform against the majority tail of its copies
 nearest-codeword decoding reads the whole error pattern.  The slots are the
 schedule's, whatever the draw order: classes take turns and a class's cells
 run in lockstep.  Confirmation, the one draw whose size depends on the data,
-comes last, so it moves no other draw.  Inside a phase the members are drawn
-in blocks of cells of at most ``STAGE1_BLOCK`` receptions (a larger cell
-alone); the stream in C order does not depend on the block size, so the
-blocks bound memory without moving a draw.  Identity decoding is a shortcut
-per block and one search per phase: each block's members are settled by the
-code's distance shortcuts as their flips are drawn (``BlockCode.settle``),
-and the few rows left open are searched together after the last block
-(``BlockCode.decode_equals``).  Decoding draws nothing, so this moves no
-draw either.
+comes last, so it moves no other draw.  A majority phase is one draw over
+all its members.  Identity is drawn in blocks of cells of at most
+``STAGE1_BLOCK`` receptions (a larger cell alone); the stream in C order
+does not depend on the block size, so the blocks bound memory without moving
+a draw.  Identity decoding is a shortcut per block and one search per phase:
+each block's members are settled by the code's distance shortcuts as their
+flips are drawn (``BlockCode.settle``), and the few rows left open are
+searched together after the last block (``BlockCode.decode_equals``).
+Decoding draws nothing, so this moves no draw either.
 
 A captured trace gets one run-length record per phase, in draw order:
 discovery, identity and confirmation for MAX, counting for the histogram.
@@ -45,7 +45,7 @@ run audit treats as a documented exception.
 
 ``witness_discovery``, ``distribute_identity`` and ``confirm_value`` run one
 phase in one cell.  They are not on the run path; they are the per-cell
-reference that the block-drawn ``run_stage1_max`` is tested against.
+reference that the phase-drawn ``run_stage1_max`` is tested against.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ __all__ = [
     "run_stage1_hist",
 ]
 
-# Stage-1 phases draw their members in blocks of cells of at most this many
+# The identity phase draws its members in blocks of cells of at most this many
 # receptions, a larger cell alone (see ``_blocks``).
 STAGE1_BLOCK = 1 << 18
 
@@ -161,37 +161,38 @@ class Stage1Result:
     counts: dict[int, int] = field(default_factory=dict)
 
 
-def _member_firsts(sizes: np.ndarray, first, reps: int) -> np.ndarray:
+def _member_firsts(sizes: np.ndarray, cell_first: np.ndarray, reps: int) -> np.ndarray:
     """Each member's first slot when the members of each cell send reps slots
-    each in turn from ``first`` (scalar or per member); member i's slots are
-    first[i] + arange(reps)."""
-    return first + reps * (np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes))
+    each in turn from their cell's first slot; member i's slots are
+    firsts[i] + arange(reps)."""
+    starts = sizes.cumsum() - sizes
+    return (cell_first - reps * starts).repeat(sizes) + reps * np.arange(sizes.sum())
 
 
-def _majority_at_center(members, sizes, centers, firsts, reps: int, channel: Channel) -> np.ndarray:
+def _majority_phase(members, sizes, centers, cell_base, reps: int, phase: str, channel: Channel):
     """Per-member repetition to each cell's center, the cells in lockstep.
 
-    The cells come as CellGrid.gather gives them.  Member i transmits its bit
-    in the reps consecutive slots from firsts[i]; the center majority-decodes
-    every member, and its own broadcasts are noiseless to itself.  Noise is
-    one majority draw (``Channel.majority_mask``), one uniform per member,
-    cell by cell, member by member.  Returns the members' decoded bits; the
-    caller records and charges the phase.
+    The cells come as CellGrid.gather gives them; cell i's members send
+    their bit in turn from slot cell_base[i], reps slots each.  The center
+    majority-decodes every member, and its own broadcasts are noiseless to
+    itself.  Noise is one majority draw (``Channel.majority_mask``), one
+    uniform per member, cell by cell, member by member.  Traces the phase as
+    one record, charges it, and returns the members' decoded bits.
     """
-    centers = centers.repeat(sizes)
-    slots = lambda: firsts[:, None] + np.arange(reps)  # built only for an adversary's hook
+    firsts = _member_firsts(sizes, cell_base, reps)
+    own_center = centers.repeat(sizes)
     bits = channel.instance.bits[members]
     decoded = bits ^ channel.majority_mask(
-        (members.size, reps), slots=slots, txs=members[:, None], rxs=centers[:, None]
+        (members.size, reps),
+        slots=lambda: firsts[:, None] + np.arange(reps),  # built only for an adversary's hook
+        txs=members[:, None],
+        rxs=own_center[:, None],
     )
-    is_center = members == centers
+    is_center = members == own_center
     decoded[is_center] = bits[is_center]
-    return decoded
-
-
-def _charge_repetition(channel: Channel, sizes: np.ndarray, reps: int) -> None:
-    """Charge reps copies of every member's bit, heard by the rest of its cell."""
+    channel.record(phase, members, firsts, reps)
     channel.metrics.add("stage1", tx=reps * int(sizes.sum()), rx=reps * int(sizes.dot(sizes - 1)))
+    return decoded
 
 
 def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0: int = 0) -> int:
@@ -203,10 +204,9 @@ def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0:
     path.
     """
     members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
-    firsts = _member_firsts(sizes, slot0, config.c_rep)
-    decoded = _majority_at_center(members, sizes, centers, firsts, config.c_rep, channel)
-    channel.record("discovery", members, firsts, config.c_rep)
-    _charge_repetition(channel, sizes, config.c_rep)
+    decoded = _majority_phase(
+        members, sizes, centers, np.array([slot0]), config.c_rep, "discovery", channel
+    )
     ones = np.flatnonzero(decoded == 1)
     return int(members[ones[0]]) if len(ones) else int(members[0])
 
@@ -272,13 +272,11 @@ def confirm_value(
     return value
 
 
-def _classes_end_to_end(grid: CellGrid, coloring: list[ScheduleClass]):
-    """The classes' cells end to end, class k's at cells[bounds[k]:bounds[k + 1]],
-    with the cells' sizes and centers."""
+def _classes_end_to_end(coloring: list[ScheduleClass]):
+    """The classes' cells end to end, class k's at cells[bounds[k]:bounds[k + 1]]."""
     counts = [len(cls.cells) for cls in coloring]
     cells = np.fromiter(chain.from_iterable(cls.cells for cls in coloring), np.int64, sum(counts))
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    return cells, bounds, grid.occupancies()[cells - 1], grid.centers[cells - 1]
+    return cells, np.concatenate([[0], np.cumsum(counts)])
 
 
 def stage1_layout(
@@ -290,21 +288,22 @@ def stage1_layout(
     in lockstep, so a class spans its largest cell's script: c_rep * N +
     block_len + r2 slots for MAX, r2 * N for the histogram.
     """
-    _, bounds, sizes, _ = _classes_end_to_end(grid, coloring)
-    largest = np.maximum.reduceat(sizes, bounds[:-1])
+    cells, bounds = _classes_end_to_end(coloring)
+    largest = np.maximum.reduceat(grid.occupancies()[cells - 1], bounds[:-1])
     spans = config.script_len(largest) if protocol == "max" else config.r2 * largest
     bases = spans.cumsum() - spans
     return list(zip(coloring, bases.tolist(), spans.tolist(), largest.tolist()))
 
 
 def _cells_of(grid: CellGrid, layout, config: Stage1Config):
-    """A stage1_layout's cells end to end with their sizes and centers, and
-    each cell's first discovery (or counting) slot and, for MAX, its first
-    identity and confirmation slots."""
+    """A stage1_layout's cells end to end; their members end to end, sizes
+    and centers as CellGrid.gather gives them; and each cell's first
+    discovery (or counting) slot and, for MAX, its first identity and
+    confirmation slots."""
     coloring, bases, _, largest = zip(*layout)
-    cells, bounds, sizes, centers = _classes_end_to_end(grid, list(coloring))
+    cells, bounds = _classes_end_to_end(list(coloring))
     firsts = config.phase_slots(np.array(bases), np.array(largest))
-    return cells, sizes, centers, *(np.repeat(f, np.diff(bounds)) for f in firsts)
+    return cells, *grid.gather(cells), *(np.repeat(f, np.diff(bounds)) for f in firsts)
 
 
 def stage1_schedule(
@@ -318,49 +317,28 @@ def stage1_schedule(
     counting send the members in id order, c_rep or r2 slots each; MAX
     identity sends each center for block_len slots from the identity slot.
     """
-    cells, sizes, centers, bases, id_bases, _ = _cells_of(grid, layout, config)
+    _, members, sizes, centers, bases, id_bases, _ = _cells_of(grid, layout, config)
     reps, phase = (config.c_rep, "discovery") if protocol == "max" else (config.r2, "hist_count")
-    firsts = _member_firsts(sizes, bases.repeat(sizes), reps)
-    records = [TraceRecord(phase, grid.gather(cells)[0], firsts, reps)]
+    records = [TraceRecord(phase, members, _member_firsts(sizes, bases, reps), reps)]
     if protocol == "max":
         records.append(TraceRecord("identity", centers, id_bases, config.block_len))
     return records
 
 
-def _blocks(grid: CellGrid, cells, sizes, reps: int):
+def _blocks(sizes: np.ndarray, reps: int):
     """Runs of cells, each of at most STAGE1_BLOCK receptions at reps per
-    member (a cell with more runs alone), in the order of ``cells``.
+    member (a cell with more runs alone), in order.
 
-    Yields each run's slice of ``cells``, its slice of their members end to
-    end, and its members, sizes and centers as CellGrid.gather gives them.
+    Yields each run's slice of the cells and its slice of their members end
+    to end.
     """
     ends = sizes.cumsum()  # members by each cell's end
     lo = 0
     while lo < ends.size:
         start = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + STAGE1_BLOCK // reps, "right")))
-        yield slice(lo, hi), slice(start, int(ends[hi - 1])), *grid.gather(cells[lo:hi])
+        yield slice(lo, hi), slice(start, int(ends[hi - 1]))
         lo = hi
-
-
-def _majority_phase(grid, cells, sizes, cell_base, reps: int, phase: str, channel: Channel):
-    """Per-member repetition to the centers over every cell, in blocks of
-    cells; cell i's members send from slot cell_base[i].
-
-    Yields each block's slice of ``cells``, its members, its cell sizes and
-    the members' decoded bits.  Once its last block has been drawn, traces
-    the phase as one record (when a trace is captured) and charges it.
-    """
-    record = np.empty((2, int(sizes.sum())), np.int64) if channel.trace is not None else None
-    for part, rows, members, block_sizes, centers in _blocks(grid, cells, sizes, reps):
-        firsts = _member_firsts(block_sizes, cell_base[part].repeat(block_sizes), reps)
-        decoded = _majority_at_center(members, block_sizes, centers, firsts, reps, channel)
-        if record is not None:  # the phase's txs and first slots
-            record[:, rows] = members, firsts
-        yield part, members, block_sizes, decoded
-    if record is not None:
-        channel.record(phase, *record, reps)
-    _charge_repetition(channel, sizes, reps)
 
 
 def run_stage1_max(
@@ -375,8 +353,8 @@ def run_stage1_max(
     so a class occupies c_rep * max_members + block_len + r2 slots.  Noise is
     drawn phase by phase (RNG layout 4): discovery for every class, then
     identity, then confirmation, each in class, cell and member order.
-    Discovery (one majority row per member) and identity (one flip per member
-    and codeword bit) draw in blocks of cells (``_blocks``); identity
+    Discovery is one majority draw, one row per member.  Identity draws one
+    flip per member and codeword bit in blocks of cells (``_blocks``),
     settles each block's members by the distance shortcuts and searches the
     rows they leave open once, after its last block.  Confirmation, the one
     data-dependent draw and the last, draws one majority row of r2 copies
@@ -385,30 +363,23 @@ def run_stage1_max(
     per phase, in draw order.
     """
     layout = stage1_layout(grid, coloring, config, "max")
-    cells, sizes, centers, bases, id_bases, confirm_bases = _cells_of(grid, layout, config)
+    cells, members, sizes, centers, bases, id_bases, confirm_bases = _cells_of(grid, layout, config)
     code, length, r2 = config.id_code, config.block_len, config.r2
+    starts = sizes.cumsum() - sizes  # each cell's first member
 
     # Discovery: the least member decoded as 1, else the least member.
-    witnesses = np.empty(cells.size, dtype=np.int64)
-    local = np.empty(cells.size, dtype=np.int64)  # the witness's in-cell index
-    for part, members, block_sizes, decoded in _majority_phase(
-        grid, cells, sizes, bases, config.c_rep, "discovery", channel
-    ):
-        starts = block_sizes.cumsum() - block_sizes
-        first_one = np.minimum.reduceat(
-            np.where(decoded == 1, np.arange(members.size), members.size), starts
-        )
-        pick = np.where(first_one == members.size, starts, first_one)
-        witnesses[part] = members[pick]
-        local[part] = pick - starts
+    decoded = _majority_phase(members, sizes, centers, bases, config.c_rep, "discovery", channel)
+    first_one = np.minimum.reduceat(
+        np.where(decoded == 1, np.arange(members.size), members.size), starts
+    )
+    pick = np.where(first_one == members.size, starts, first_one)
+    witnesses, local = members[pick], pick - starts  # local: the witness's in-cell index
 
     # Identity: every member decodes the witness's in-cell index.
-    members = np.empty(int(sizes.sum()), dtype=np.int64)  # the phase's members end to end
     believes = np.empty(members.size, dtype=bool)
     still_open = []  # per block: its open rows' search inputs
-    for part, at, block_members, block_sizes, block_centers in _blocks(
-        grid, cells, sizes, length
-    ):
+    for part, at in _blocks(sizes, length):
+        block_members, block_sizes, block_centers = members[at], sizes[part], centers[part]
         own_center = block_centers.repeat(block_sizes)
         flips = channel.flip_mask(
             (block_members.size, length),
@@ -417,14 +388,13 @@ def run_stage1_max(
             rxs=block_members[:, None],
         )
         true_msg = local[part].repeat(block_sizes)
-        block_starts = (block_sizes.cumsum() - block_sizes).repeat(block_sizes)
-        candidates = np.arange(block_members.size) - block_starts  # each member's own index
+        candidates = np.arange(at.start, at.stop) - starts[part].repeat(block_sizes)  # own index
         settled, rows = code.settle(true_msg, flips, candidates)
         # A center knows whether it named itself.
         is_center = block_members == own_center
         settled[is_center] = (witnesses[part] == block_centers).repeat(block_sizes)[is_center]
         rows = rows[~is_center[rows]]
-        members[at], believes[at] = block_members, settled
+        believes[at] = settled
         still_open.append((at.start + rows, true_msg[rows], flips[rows], candidates[rows]))
     # The rows the distance shortcuts leave open, searched once for the phase.
     rows, true_msg, flips, candidates = (np.concatenate(a) for a in zip(*still_open))
@@ -435,7 +405,6 @@ def run_stage1_max(
     # Confirmation: a cell's single believer, else its least member, sends its
     # bit, r2 noisy copies unless it is the center; silence and collisions
     # decode to 0.  The believers come cell by cell.
-    starts = sizes.cumsum() - sizes
     n_believers = np.add.reduceat(believes, starts, dtype=np.int64)
     believers = np.flatnonzero(believes)
     single = n_believers == 1
@@ -476,17 +445,13 @@ def run_stage1_hist(
 
     Members broadcast their bit r2 times in ascending id order (r2 * N
     transmissions per cell); the center majority-decodes each member and
-    reports how many decoded to 1, one majority row per member.  Every draw
-    count depends only on the layout, so the cells are drawn and counted in
-    blocks of cells, in class, cell and member order; a captured trace gets
-    the phase's one record.
+    reports how many decoded to 1.  The counting phase is one majority draw,
+    one row per member in class, cell and member order; a captured trace
+    gets the phase's one record.
     """
     layout = stage1_layout(grid, coloring, config, "hist")
-    cells, sizes, _, bases, _, _ = _cells_of(grid, layout, config)
-    counts = np.empty(cells.size, dtype=np.int64)
-    for part, _, block_sizes, decoded in _majority_phase(
-        grid, cells, sizes, bases, config.r2, "hist_count", channel
-    ):
-        counts[part] = np.add.reduceat(decoded, block_sizes.cumsum() - block_sizes, dtype=np.int64)
+    cells, members, sizes, centers, bases, _, _ = _cells_of(grid, layout, config)
+    decoded = _majority_phase(members, sizes, centers, bases, config.r2, "hist_count", channel)
+    counts = np.add.reduceat(decoded, sizes.cumsum() - sizes, dtype=np.int64)
     channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
     return Stage1Result(counts=dict(zip(cells.tolist(), counts.tolist())))

@@ -973,6 +973,26 @@ class TestCli:
         ]
         assert not out.exists() or out.read_text() == ""
 
+    FAILING_RUN = ["run", "--n", "500", "--trials", "1", "--k-rs", "1e305"]  # exit 2
+
+    def test_a_failed_run_leaves_no_report_file(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([*self.FAILING_RUN, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_a_failed_sweep_leaves_no_report_files(self, tmp_path):
+        # c_rep = 9 misses the discovery budget at eps0 = 0.3.
+        out, csv = tmp_path / "s.json", tmp_path / "c.csv"
+        argv = ["sweep", "--n", "3,30,300", "--trials", "1", "--eps0", "0.3"]
+        assert main([*argv, "--out", str(out), "--csv", str(csv)]) == 2
+        assert not out.exists() and not csv.exists()
+
+    def test_a_failed_run_keeps_an_existing_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_bytes(b'{"kept": true}\n')
+        assert main([*self.FAILING_RUN, "--out", str(out)]) == 2
+        assert out.read_bytes() == b'{"kept": true}\n'
+
     @pytest.mark.parametrize("mode", ["abstract", "repetition", "treecode"])
     @pytest.mark.parametrize("protocol", ["max", "hist"])
     def test_a_one_cell_grid_runs_and_validates(self, tmp_path, protocol, mode):

@@ -496,8 +496,8 @@ class TestMaxClassBatching:
 
 
 class TestStage1Blocks:
-    """A phase's members are drawn in blocks of cells; the block size bounds
-    memory and moves no draw."""
+    """Identity's members are drawn in blocks of cells and each majority phase
+    in one draw; the block size bounds memory and moves no draw."""
 
     SIZES = [1, 7, 3000, intracell.STAGE1_BLOCK, 1 << 62]  # 1 << 62: every flip in one block
 
@@ -538,16 +538,20 @@ class TestStage1Blocks:
         for run, _, _ in rest:
             assert run == first
         draws = [len(d) for _, d, _ in runs]
-        # Sizes 1 and 7 draw cell by cell; the default and the unbounded
-        # block draw each phase at once at n = 2000; 3000 flips lie in between.
-        assert draws[0] == draws[1] > draws[2] > draws[3] == draws[4]
-        assert draws[0] == (2 * len(grid) + 1 if protocol == "max" else len(grid))
+        # Each majority phase is one draw.  Sizes 1 and 7 draw identity cell by
+        # cell; the default and the unbounded block draw it at once at n = 2000;
+        # 3000 flips lie in between.
+        if protocol == "max":
+            assert draws[0] == draws[1] > draws[2] > draws[3] == draws[4]
+            assert draws[0] == len(grid) + 2
+        else:
+            assert draws == [1] * len(self.SIZES)
         # A block passes the bound only where one cell does: at most the
-        # largest cell's receptions.  MAX's last draw, confirmation, is not
-        # drawn in blocks.
+        # largest cell's receptions.  Only identity, MAX's draws between
+        # discovery and confirmation, is drawn in blocks.
         largest = max(cell.size for cell in grid)
         for block, (_, shapes, _) in zip(self.SIZES, runs):
-            blocked = shapes[:-1] if protocol == "max" else shapes
+            blocked = shapes[1:-1] if protocol == "max" else []
             assert all(math.prod(s) <= max(block, largest * s[-1]) for s in blocked)
         assert (len(first[4]) > 0) == adversarial
 
