@@ -52,12 +52,12 @@ class NetworkInstance:
     bits: np.ndarray
 
     def with_bits(self, bits: np.ndarray) -> "NetworkInstance":
-        bits = np.asarray(bits, dtype=np.int8)
+        bits = np.asarray(bits)
         if bits.shape != (self.n,):
             raise ValueError(f"bits must have shape ({self.n},), got {bits.shape}")
-        if not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():  # before the cast, which would wrap or truncate
             raise ValueError("bits must be 0/1 valued")
-        return NetworkInstance(self.n, self.seed, self.positions, bits)
+        return NetworkInstance(self.n, self.seed, self.positions, bits.astype(np.int8, copy=False))
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,16 @@ class CellGrid:
     def gather(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The given cells' members end to end, their sizes and their centers."""
         rows = np.asarray(cells, dtype=np.int64) - 1
-        starts = self.offsets[rows]
-        sizes = self.offsets[rows + 1] - starts
-        shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        return self.members[np.arange(sizes.sum()) + shift], sizes, self.centers[rows]
+        members, sizes = _gather_csr(self.members, self.offsets, rows)
+        return members, sizes, self.centers[rows]
+
+
+def _gather_csr(members: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
+    """The members of the CSR rows (0-based cells) end to end, and the rows' sizes."""
+    starts = offsets[rows]
+    sizes = offsets[rows + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return members[np.arange(sizes.sum()) + shift], sizes
 
 
 @dataclass(frozen=True)
@@ -291,16 +297,23 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
     except the sink cell whose center is the sink node (the node nearest
     (0.5, 0.5), ties to the lower id).  Raises ProtocolInfeasibleError naming
     the first empty cell, since the protocols require every cell occupied.
+
+    The sink is searched only among the members of the 5 x 5 block of cells,
+    clipped to the grid, centred on the cell c0 that holds (0.5, 0.5).  c0 is
+    occupied and each of its members lies within sqrt(2) cell sides of the
+    point, while a node three or more rows or columns from c0 lies more than
+    two sides from it; so the nearest node is in the block, with a factor of
+    sqrt(2) to spare over rounding.  A 3 x 3 block would not do: the sink can
+    lie two columns from c0.  The candidates are taken in id order and get
+    the same squared distances a scan of every node computes, so ties still
+    go to the lower id.
     """
     if params.n != instance.n:
         raise ValueError("params were derived for a different n")
     m = params.grid_dim
     rows, cols = _grid_coords(instance.positions, m)
     flat = rows * m + cols
-
-    away = instance.positions - 0.5
-    sink_node = int(np.argmin(np.einsum("ij,ij->i", away, away)))
-    sink_flat = int(flat[sink_node])
+    del rows, cols  # two n-long int64 arrays fewer at the sort
 
     # Keys of at most 16 bits let the stable sort run as a radix sort.
     order = np.argsort(flat.astype(np.min_scalar_type(m * m - 1)), kind="stable")
@@ -311,6 +324,17 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
             f"cell {empty[0] + 1} of {m * m} is empty (n={instance.n}, seed={instance.seed}); "
             f"the protocol requires every cell occupied"
         )
+
+    row0, col0 = (int(c[0]) for c in _grid_coords(np.array([[0.5, 0.5]]), m))
+    block = np.add.outer(
+        np.arange(max(row0 - 2, 0), min(row0 + 3, m)) * m,
+        np.arange(max(col0 - 2, 0), min(col0 + 3, m)),
+    )
+    candidates = np.sort(_gather_csr(order, offsets, block.ravel())[0])
+    away = instance.positions[candidates] - 0.5
+    sink_node = int(candidates[np.argmin(np.einsum("ij,ij->i", away, away))])
+    sink_flat = int(flat[sink_node])
+
     centers = order[offsets[:-1]]
     centers[sink_flat] = sink_node
     return CellGrid(

@@ -52,6 +52,27 @@ class TestPlaceNodes:
         with pytest.raises(ValueError):
             inst.with_bits(np.ones(9, dtype=np.int8))
 
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([0.7, 1.0, 0.0]), np.array([256, 1, 0]), [0, 1, 257]],
+        ids=["fraction", "wraps-in-int8", "list-past-int8"],
+    )
+    def test_with_bits_refuses_values_other_than_0_and_1(self, bits):
+        # The values are checked before the int8 cast, which would truncate
+        # 0.7 to 0, wrap 256 to 0 and refuse 257 with an OverflowError.
+        with pytest.raises(ValueError, match="^bits must be 0/1 valued$"):
+            place_nodes(3, 1).with_bits(bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([True, False, True]), [1, 0, 1], np.array([1, 0, 1], dtype=np.uint64)],
+        ids=["bool", "list", "uint64"],
+    )
+    def test_with_bits_stores_bool_and_integer_bits_as_int8(self, bits):
+        new = place_nodes(3, 1).with_bits(bits)
+        assert new.bits.dtype == np.int8
+        assert new.bits.tolist() == [1, 0, 1]
+
 
 class TestDeriveParams:
     def test_frozen_values_n5000(self):
@@ -291,6 +312,73 @@ class TestCsrBuildAgainstPerCellLoop:
         with pytest.raises(ProtocolInfeasibleError) as got:
             assign_cells(inst, params)
         assert str(got.value) == str(want.value)
+
+
+class TestSinkInTheCentreBlock:
+    """assign_cells finds the sink among the 5 x 5 cells around (0.5, 0.5)."""
+
+    @staticmethod
+    def assert_sink_of_whole_scan(inst, params):
+        grid = assign_cells(inst, params)
+        assert (grid.sink_cell, grid.sink_node) == assign_cells_per_cell(inst, params)[1:]
+        return grid
+
+    def test_matches_the_whole_network_argmin_on_sampled_worlds(self):
+        compared = 0
+        for seed in range(220):
+            n = round(50 * 160 ** (seed / 219))  # 50 ... 8,000, evenly in log n
+            inst, params = place_nodes(n, seed), derive_params(n, 0.5)
+            try:
+                _, sink_cell, sink_node = assign_cells_per_cell(inst, params)
+            except ProtocolInfeasibleError:
+                with pytest.raises(ProtocolInfeasibleError):
+                    assign_cells(inst, params)
+                continue
+            grid = assign_cells(inst, params)
+            assert (grid.sink_cell, grid.sink_node) == (sink_cell, sink_node), (n, seed)
+            compared += 1
+        assert compared >= 200
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_the_whole_network_argmin_at_131072_nodes(self, seed):
+        self.assert_sink_of_whole_scan(place_nodes(131_072, seed), derive_params(131_072, 0.5))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_block_clipped_to_small_grids(self, m):
+        inst, params = _world_with_positions(np.random.default_rng(m).random((40 * m * m, 2)), m)
+        self.assert_sink_of_whole_scan(inst, params)
+
+    def test_a_tie_across_cells_goes_to_the_lowest_id(self):
+        # On a 6 x 6 grid (0.5, 0.5) is the corner of four cells, c0 the upper
+        # right one.  Nodes 36..39 sit exactly 1/16 from the point along each
+        # axis, one per cell; the lowest id is in the cell the block lists last.
+        centers, _, _ = make_hand_world(6)
+        d = 1 / 16
+        ties = [(0.5 + d, 0.5 - d), (0.5 - d, 0.5 - d), (0.5 - d, 0.5 + d), (0.5 + d, 0.5 + d)]
+        inst, params = _world_with_positions(np.vstack([centers.positions, ties]), 6)
+        away = inst.positions[36:] - 0.5
+        assert len(set(np.einsum("ij,ij->i", away, away).tolist())) == 1
+        grid = self.assert_sink_of_whole_scan(inst, params)
+        assert (grid.sink_cell, grid.sink_node) == (3 * 6 + 3 + 1, 36)
+
+    def test_the_sink_can_lie_two_columns_from_the_centre_cell(self):
+        # One node per cell of a 6 x 6 grid, each in the corner of its cell
+        # farthest from (0.5, 0.5) (c0, at row 2 and column 3, included), except
+        # node 13, at row 2 and column 1, which sits in its nearest corner.  It
+        # is 0.168 from the point, and every other node at least 0.224.
+        m = 6
+        row, col = np.divmod(np.arange(m * m), m)
+        band = m - 1 - row
+        x = (col + np.where(col >= m // 2, 0.95, 0.05)) / m
+        y = (band + np.where(band >= m // 2, 0.95, 0.05)) / m
+        positions = np.stack([x, y], axis=1)
+        positions[2 * m + 1] = (1.99 / m, 3.01 / m)
+        inst, params = _world_with_positions(positions, m)
+        c0 = [int(c[0]) for c in _grid_coords(np.array([[0.5, 0.5]]), m)]
+        assert c0 == [2, 3]
+        grid = self.assert_sink_of_whole_scan(inst, params)
+        sink = grid.cell(grid.sink_cell)
+        assert (sink.row, sink.col, grid.sink_node) == (2, 1, 13)
 
 
 class TestBuildTree:

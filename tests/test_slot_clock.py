@@ -21,7 +21,9 @@ from noisyplanar.channel import COLLIDED, RECEIVED, SILENT, NoiseModel, resolve_
 from noisyplanar.config import ExperimentConfig
 from noisyplanar.harness import run_trial
 from noisyplanar.intercell import count_bits_for, distribute_result, slot_ids, subslots
-from noisyplanar.intracell import stage1_layout, stage1_schedule
+from noisyplanar.intracell import Stage1Config, stage1_layout, stage1_schedule
+
+from test_intracell import LOSSY
 
 
 def distribute(run):
@@ -250,17 +252,12 @@ def distribution_literal(run, start: int) -> Schedule:
     return schedule
 
 
-@pytest.mark.parametrize("eps0", [0.0, 0.1, 0.25])
-@pytest.mark.parametrize("protocol", ["max", "hist"])
-@pytest.mark.parametrize("mode,n", [("repetition", 1000), ("treecode", 500)])
-def test_literal_slot_engine_agrees_with_the_counters(protocol, mode, n, eps0):
-    # Tree-code hist arrays at n = 1000 run 17 rounds, past the decoding cap.
-    # At eps0 = 0.25 some cells have several believers, whose confirmations collide.
-    cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=eps0, mode=mode)
-    run = run_trial(cfg, n, 0, capture_trace=True)
+def literal_collisions(run) -> int:
+    """Check every stage's literal schedule against the counters; return how
+    many scheduled receptions are documented confirmation collisions."""
     m = run.metrics
     stages = [("stage1", stage1_literal(run)), ("stage2", stage2_literal(run, m.slots_stage1))]
-    if protocol == "max":
+    if run.config.protocol == "max":
         distribute(run)
         stages.append(("distribute", distribution_literal(run, m.slots_stage1 + m.slots_stage2)))
     collided = 0
@@ -274,5 +271,28 @@ def test_literal_slot_engine_agrees_with_the_counters(protocol, mode, n, eps0):
             getattr(m, f"tx_{name}"), getattr(m, f"rx_{name}"), getattr(m, f"slots_{name}")
         ), name
     assert m.slots_total == stages[-1][1].end
+    return collided
+
+
+@pytest.mark.parametrize("eps0", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("protocol", ["max", "hist"])
+@pytest.mark.parametrize("mode,n", [("repetition", 1000), ("treecode", 500)])
+def test_literal_slot_engine_agrees_with_the_counters(protocol, mode, n, eps0):
+    # Tree-code hist arrays at n = 1000 run 17 rounds, past the decoding cap.
+    # At eps0 = 0.25 some cells have several believers, whose confirmations collide.
+    cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=eps0, mode=mode)
+    collided = literal_collisions(run_trial(cfg, n, 0, capture_trace=True))
     if protocol == "max" and eps0 == 0.25:
         assert collided > 0
+
+
+@pytest.mark.parametrize("mode,n", [("repetition", 1000), ("treecode", 500)])
+def test_literal_slot_engine_resolves_lossy_confirmation_collisions(monkeypatch, mode, n):
+    # LOSSY's stage 1 at eps0 = 0.3 leaves several cells with more than one
+    # believer in every trial, not only in some, so confirmations collide
+    # whatever layout the noise is drawn in.
+    monkeypatch.setattr(Stage1Config, "for_network", classmethod(lambda cls, *a, **kw: LOSSY))
+    cfg = ExperimentConfig(protocol="max", n=(n,), trials=1, eps0=0.3, mode=mode)
+    run = run_trial(cfg, n, 0, capture_trace=True)
+    assert run.stage1_config is LOSSY
+    assert literal_collisions(run) > 0
