@@ -403,12 +403,13 @@ class Channel:
     cell and member; then stage 2 stage by stage in plan order.  Every
     majority-decoded repetition draws one uniform per decoded bit
     (``majority_mask``), every other reception one per reception
-    (``flip_mask``).  That order is RNG layout 4 (``harness.RNG_LAYOUT``),
-    which reports declare.  A stage-1 majority phase is one draw, the
-    identity phase draws in blocks of cells, and a repetition sub-stage of
-    stage 2 (or of the distribution relay) is one draw for all its arrays, so
-    an adversary's hook sees the channel -- metrics, RNG state -- as it was
-    when its phase's, block's or sub-stage's draw began.  A stage-1 phase
+    (``flip_mask``).  That order is RNG layout 5 (``harness.RNG_LAYOUT``),
+    which reports declare; it draws as layout 4 did.  A stage-1 majority
+    phase is one draw, the identity phase draws in blocks of cells, and a
+    repetition sub-stage of stage 2 (or of the distribution relay) is one
+    draw for all its arrays, so an adversary's hook sees the channel --
+    metrics, RNG state -- as it was when its phase's, block's or sub-stage's
+    draw began.  A stage-1 phase
     charges its metrics, and traces its one record, once, after its draws.
     """
 

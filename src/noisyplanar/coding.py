@@ -21,7 +21,8 @@ over binary-symmetric links:
   sweeps without paying the decoder's exponential cost).
 
 Also here: majority decoding with erasures, and a seeded random linear block
-code with nearest-codeword decoding used to distribute witness identities.
+code with nearest-codeword decoding (distance shortcuts, then a scan of every
+codeword) used to distribute witness identities.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ DEFAULT_DECODE_CAP = 16
 # The largest decoding cap accepted: a depth-20 tree's labels are 2^21 int64
 # (16 MiB), and each link's path distances 2^20 bytes.
 MAX_DECODE_CAP = 20
-
-# The identity code's weight-bounded search computes at most this many
-# (row, codeword) distances at a time, so its temporaries stay small however
-# many rows it searches.
-SEARCH_CHUNK = 1 << 16
 
 
 class DecodeFailure(Exception):
@@ -146,13 +142,12 @@ class BlockCode:
     parity rows), so distinct messages always map to distinct codewords and
     the all-zero message maps to the all-zero codeword.  Decoding returns the
     message whose codeword minimizes Hamming distance to the received word,
-    ties broken toward the smaller message value.
+    ties broken toward the smaller message value, by a scan of all 2^msg_bits
+    codewords.
 
-    The codebook is held bit-packed (row m is the codeword of message m),
-    together with its rows' order by weight; the weight-bounded search builds
-    a copy in that order, stored word by word, on first use.  All arrays are
-    read-only, so one instance can be shared by every trial that uses the
-    same code.
+    The codebook is held bit-packed (row m is the codeword of message m).
+    All arrays are read-only, so one instance can be shared by every trial
+    that uses the same code.
     """
 
     def __init__(self, msg_bits: int, block_len: int | None = None, seed: int = 0):
@@ -176,26 +171,8 @@ class BlockCode:
             half = 1 << i
             np.bitwise_xor(packed[:half], column, out=packed[half : 2 * half])
         self._packed = _read_only(packed)
-        weights = _popcount_rows(packed).astype(np.min_scalar_type(block_len))
         # Minimum nonzero codeword weight (= minimum distance, by linearity).
-        self.min_distance = int(weights[1:].min())
-        # Messages sorted by codeword weight; the first _weight_ends[w] of them
-        # are exactly the codewords of weight <= w.  Small unsigned weights
-        # let the stable sort run as a radix sort.
-        self._by_weight = _read_only(np.argsort(weights, kind="stable"))
-        self._weight_ends = _read_only(
-            np.cumsum(np.bincount(weights, minlength=block_len + 1))
-        )
-
-    @cached_property
-    def _sorted_words(self) -> np.ndarray:
-        """The codebook in weight order, one row per word, so that each word of
-        any weight-bounded prefix is a contiguous slice; built on first search
-        one word at a time, so the build holds one word's copy beside it."""
-        words = np.empty(self._packed.shape[::-1], dtype=np.uint64)
-        for column, row in zip(self._packed.T, words):
-            row[:] = column[self._by_weight]
-        return _read_only(words)
+        self.min_distance = int(_popcount_rows(packed[1:]).min())
 
     @cached_property
     def codebook(self) -> np.ndarray:
@@ -237,32 +214,17 @@ class BlockCode:
         each receiver's candidate message.
 
         ``true_msg`` is one message for every row or an array of one per row;
-        ``flip_masks`` are 0/1 rows, bool as drawn or integer.
-        Exact, without a full codebook search: the distance shortcuts
-        (``settle``) decide most rows, and the rows they leave open are
-        searched.  With c the row's true codeword and d = wt(e), every
-        codeword at least as close to r = c ^ e as c is c ^ x with wt(x) <= 2d,
-        so scanning that prefix of the weight-sorted codebook finds the
-        nearest distance, and the smallest message true_msg ^ msg(x) at it.
-
-        Open rows are searched in groups of equal prefix length
-        min(2d, block_len), so one noisy row does not lengthen the scan of the
-        others, at most ``SEARCH_CHUNK`` (row, codeword) distances at a time.
-        Stage 1 settles each block of its identity phase with ``settle`` and
-        passes the phase's open rows here once.  Equivalent to per-receiver
-        ``decode``, ties included (property-tested).
+        ``flip_masks`` are 0/1 rows, bool as drawn or integer.  The distance
+        shortcuts (``settle``) decide most rows; the rows they leave open are
+        decoded in full (``decode_batch``), whose argmin sends ties to the
+        smaller message.  Equivalent to per-receiver ``decode``, ties included
+        (property-tested).
         """
-        equal, search = self.settle(true_msg, flip_masks, candidates)
+        equal, rows = self.settle(true_msg, flip_masks, candidates)
         candidates = np.asarray(candidates, dtype=np.int64)
         true_msg = np.broadcast_to(np.asarray(true_msg, dtype=np.int64), candidates.shape)
-        packed_err = _pack_bits(np.atleast_2d(flip_masks)[search])
-        bounds = np.minimum(2 * _popcount_rows(packed_err), self.block_len)
-        for bound in sorted(set(bounds.tolist())):
-            # Codewords past a row's bound are farther than c for that row.
-            group = np.flatnonzero(bounds == bound)
-            rows = search[group]
-            decoded = self._nearest(packed_err[group], true_msg[rows], self._weight_ends[bound])
-            equal[rows] = decoded == candidates[rows]
+        words = self.codebook[true_msg[rows]] ^ np.atleast_2d(flip_masks)[rows]
+        equal[rows] = self.decode_batch(words) == candidates[rows]
         return equal
 
     def settle(
@@ -271,7 +233,7 @@ class BlockCode:
         """The rows of ``decode_equals`` that the distance shortcuts decide.
 
         Takes ``decode_equals``' arguments and returns (equal, open): the
-        ascending indices of the rows left open, which need the search, and
+        ascending indices of the rows left open, which need a full decode, and
         for every other row decode_equals' answer.  A received word r = c ^ e,
         with d = wt(e), lies at distance wt(e ^ x) >= wt(x) - d from the
         codeword c ^ x.  So:
@@ -291,41 +253,6 @@ class BlockCode:
         diff = self._packed[candidates[near]] ^ self._packed[true_msg[near]]
         d_cand = _popcount_rows(packed_err[near] ^ diff)
         return true_msg == candidates, near[d_true[near] >= d_cand]
-
-    def _nearest(self, packed_err: np.ndarray, true_msg: np.ndarray, end: int) -> np.ndarray:
-        """The ML decode of each row's received word c ^ e, its error e packed,
-        when every codeword at least as close as c lies among the first ``end``
-        in weight order: the smallest true_msg ^ msg(x) over the nearest x.
-
-        Rows go ``SEARCH_CHUNK // end`` at a time, or one at a time over
-        ``SEARCH_CHUNK`` codewords at a time; each row keeps its nearest
-        distance so far and the smallest message at it.
-        """
-        near = self._by_weight[:end]
-        words = self._sorted_words[:, :end]
-        step_rows = max(1, SEARCH_CHUNK // end)
-        step_words = min(end, SEARCH_CHUNK)
-        distance = np.min_scalar_type(self.block_len)
-        best = np.full(len(true_msg), self.block_len + 1)
-        decoded = np.full(len(true_msg), 2**self.msg_bits)
-        for lo in range(0, len(true_msg), step_rows):
-            rows = slice(lo, lo + step_rows)
-            errs, msgs = packed_err[rows], true_msg[rows]
-            row_best, row_decoded = best[rows], decoded[rows]  # views, updated in place
-            for start in range(0, end, step_words):
-                part = slice(start, start + step_words)
-                d = np.zeros((len(msgs), len(near[part])), dtype=distance)
-                for err, column in zip(errs.T, words[:, part]):
-                    d += np.bitwise_count(err[:, None] ^ column)
-                low = d.min(axis=1)
-                closer = low < row_best
-                row_best[closer] = low[closer]
-                row_decoded[closer] = 2**self.msg_bits
-                # The codewords at the row's nearest distance so far; ties go
-                # to the smallest message.
-                r, x = np.nonzero(d == row_best[:, None])
-                np.minimum.at(row_decoded, r, msgs[r] ^ near[part][x])
-        return decoded
 
 
 # A path distance is at most the depth, and 2^depth paths cap that far below 256.

@@ -73,12 +73,15 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 # The order in which a trial consumes its noise stream, declared in every
-# report.  Layout 4 draws every majority-decoded repetition as one uniform per
+# report.  Layout 5 keeps layout 4's draws and changes only the identity code:
+# ceil(log2 L) message bits for L the world's largest cell, not ceil(log2 n),
+# so identities that mis-decoded under the longer message may now decode.
+# Layout 4 draws every majority-decoded repetition as one uniform per
 # decoded bit against its exact majority tail (layouts 1-3 drew each copy).
 # Layout 3 drew MAX stage 1 phase by phase: discovery for every color class,
 # then identity, then confirmation, each in class, cell and member order
 # (layout 2 class by class, then phase by phase; layout 1 cell by cell).
-RNG_LAYOUT = 4
+RNG_LAYOUT = 5
 CSV_HEADER = "n,trials,error_rate,tx_total,tx_per_n,slots_total,slots_norm,em1,em2,resamples"
 
 
@@ -193,6 +196,7 @@ def run_trial(
             r2=config.r2,
             block_len=config.l1,
             code_seed=config.code_seed,
+            largest_cell=int(grid.occupancies().max()),
         )
         link_cfg = config.link_config_for(n)
     except ValueError as exc:

@@ -9,7 +9,9 @@ classes stay silent.  For the MAX protocol the script is
                    and names the least id seen holding a 1 as the witness;
   identity      -- the center broadcasts the witness's in-cell index through
                    the block code, one codeword bit per slot, and every member
-                   decodes it independently;
+                   decodes it independently; the code carries
+                   ceil(log2 L) message bits, L the largest cell, since every
+                   index it sends or compares with is below L;
   confirmation  -- slots reserved for "the witness": every member believing
                    itself the witness transmits its bit; the center majority-
                    decodes, treating collisions as erasures (all-erased
@@ -18,11 +20,12 @@ classes stay silent.  For the MAX protocol the script is
 The histogram variant replaces the script with per-member repetition: the
 center majority-decodes each member's bit and counts the ones.
 
-Noise is drawn phase by phase (RNG layout 4).  For MAX: discovery for every
-class, then identity for every class, then confirmation for every class, each
-phase in class, cell and member order; the histogram's one counting phase in
-the same order.  A majority-decoded member (discovery, confirmation,
-counting) is one uniform against the majority tail of its copies
+Noise is drawn phase by phase (RNG layout 5, which draws as layout 4).  For
+MAX: discovery for every class, then identity for every class, then
+confirmation for every class, each phase in class, cell and member order;
+the histogram's one counting phase in the same order.  A majority-decoded
+member (discovery, confirmation, counting) is one uniform against the
+majority tail of its copies
 (``Channel.majority_mask``); identity draws one flip per codeword bit, as
 nearest-codeword decoding reads the whole error pattern.  The slots are the
 schedule's, whatever the draw order: classes take turns and a class's cells
@@ -31,10 +34,9 @@ comes last, so it moves no other draw.  A majority phase is one draw over
 all its members.  Identity is drawn in blocks of cells of at most
 ``STAGE1_BLOCK`` receptions (a larger cell alone); the stream in C order
 does not depend on the block size, so the blocks bound memory without moving
-a draw.  Identity decoding is a shortcut per block and one search per phase:
-each block's members are settled by the code's distance shortcuts as their
-flips are drawn (``BlockCode.settle``), and the few rows left open are
-searched together after the last block (``BlockCode.decode_equals``).
+a draw.  Each block's members are decoded as their flips are drawn, in one
+``BlockCode.decode_equals`` call: the code's distance shortcuts settle most
+of them, and the few left open are decoded against the whole codebook.
 Decoding draws nothing, so this moves no draw either.
 
 A captured trace gets one run-length record per phase, in draw order:
@@ -79,7 +81,7 @@ STAGE1_BLOCK = 1 << 18
 
 
 @cache
-def _id_code_for(msg_bits: int, block_len: int | None, seed: int) -> BlockCode:
+def _id_code_for(msg_bits: int, block_len: int, seed: int) -> BlockCode:
     """The identity code for these parameters, built once per process.
 
     The code is immutable (its arrays are read-only), so every trial and
@@ -115,19 +117,24 @@ class Stage1Config:
         r2: int | None = None,
         block_len: int | None = None,
         code_seed: int = 404,
+        largest_cell: int | None = None,
     ) -> "Stage1Config":
         """Derive defaults for an n-node network and check the discovery budget.
 
-        r2 defaults to the smallest odd integer >= 3 ln n; the identity code
-        carries ceil(log2 n) message bits at rate 1/4 and is shared by every
-        call with the same message bits, block length and code seed.
-        Construction fails if c_rep repetitions cannot keep the per-member
-        majority-flip probability within the witness-miss budget at the given
-        eps0.
+        r2 defaults to the smallest odd integer >= 3 ln n.  The identity code
+        carries ceil(log2 L) message bits (at least one), L the largest cell's
+        occupancy, or n when no world is given: every in-cell index is below
+        L.  Its block length defaults to 4 ceil(log2 n), whatever L is.  The
+        code is shared by every call with the same message bits, block length
+        and code seed.  Construction fails if c_rep repetitions cannot keep
+        the per-member majority-flip probability within the witness-miss
+        budget at the given eps0, or if block_len is below the message bits.
         """
         if r2 is None:
             r2 = smallest_odd_at_least(3.0 * math.log(n))
-        msg_bits = max(1, math.ceil(math.log2(n)))
+        if block_len is None:
+            block_len = 4 * max(1, math.ceil(math.log2(n)))
+        msg_bits = max(1, math.ceil(math.log2(largest_cell or n)))
         code = _id_code_for(msg_bits, block_len, code_seed)
         cfg = cls(eps1=eps1, c_rep=c_rep, r2=r2, id_code=code)
         miss = RepetitionScheme(c_rep).error_bound(eps0)
@@ -351,12 +358,12 @@ def run_stage1_max(
 
     Color classes execute sequentially; cells inside a class run in lockstep,
     so a class occupies c_rep * max_members + block_len + r2 slots.  Noise is
-    drawn phase by phase (RNG layout 4): discovery for every class, then
-    identity, then confirmation, each in class, cell and member order.
-    Discovery is one majority draw, one row per member.  Identity draws one
-    flip per member and codeword bit in blocks of cells (``_blocks``),
-    settles each block's members by the distance shortcuts and searches the
-    rows they leave open once, after its last block.  Confirmation, the one
+    drawn phase by phase (RNG layout 5, which draws as layout 4): discovery
+    for every class, then identity, then confirmation, each in class, cell
+    and member order.  Discovery is one majority draw, one row per member.
+    Identity draws one flip per member and codeword bit in blocks of cells
+    (``_blocks``) and decodes each block's members in one
+    ``BlockCode.decode_equals`` call.  Confirmation, the one
     data-dependent draw and the last, draws one majority row of r2 copies
     for each cell whose single believer is not its center.
     Each phase is charged once; a captured trace gets one run-length record
@@ -377,7 +384,6 @@ def run_stage1_max(
 
     # Identity: every member decodes the witness's in-cell index.
     believes = np.empty(members.size, dtype=bool)
-    still_open = []  # per block: its open rows' search inputs
     for part, at in _blocks(sizes, length):
         block_members, block_sizes, block_centers = members[at], sizes[part], centers[part]
         own_center = block_centers.repeat(block_sizes)
@@ -389,16 +395,11 @@ def run_stage1_max(
         )
         true_msg = local[part].repeat(block_sizes)
         candidates = np.arange(at.start, at.stop) - starts[part].repeat(block_sizes)  # own index
-        settled, rows = code.settle(true_msg, flips, candidates)
+        decoded = code.decode_equals(true_msg, flips, candidates)
         # A center knows whether it named itself.
         is_center = block_members == own_center
-        settled[is_center] = (witnesses[part] == block_centers).repeat(block_sizes)[is_center]
-        rows = rows[~is_center[rows]]
-        believes[at] = settled
-        still_open.append((at.start + rows, true_msg[rows], flips[rows], candidates[rows]))
-    # The rows the distance shortcuts leave open, searched once for the phase.
-    rows, true_msg, flips, candidates = (np.concatenate(a) for a in zip(*still_open))
-    believes[rows] = code.decode_equals(true_msg, flips, candidates)
+        decoded[is_center] = (witnesses[part] == block_centers).repeat(block_sizes)[is_center]
+        believes[at] = decoded
     channel.record("identity", centers, id_bases, length)
     channel.metrics.add("stage1", tx=length * cells.size, rx=length * int(sizes.sum() - cells.size))
 

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from noisyplanar import coding
 from noisyplanar.channel import Channel, NoiseModel
 from noisyplanar.coding import (
     ERASED,
@@ -132,30 +131,41 @@ class TestBlockCode:
     @pytest.mark.parametrize(
         "msg_bits, block_len, seed, rate",
         [pytest.param(4, 16, BLOCK_FIXTURE_SEED, r, id=str(r)) for r in (0.02, 0.1, 0.3)]
-        + [pytest.param(12, 70, 404, r, id=f"two-words-{r}") for r in (0.02, 0.1, 0.2, 0.3)],
+        + [pytest.param(12, 70, 404, r, id=f"two-words-{r}") for r in (0.02, 0.1, 0.2, 0.3)]
+        # The shapes a world's cells give: ceil(log2 n) bits
+        + [
+            pytest.param(k, length, 404, r, id=f"k{k}-{length}bit-{r}")
+            for k, length in ((5, 40), (6, 68), (7, 80))
+            for r in (0.1, 0.2, 0.3)
+        ],
     )
     def test_decode_equals_agrees_with_literal_decode(self, msg_bits, block_len, seed, rate):
-        # The shortcuts and the weight-bounded search must reproduce
-        # per-receiver ML decoding exactly, ties included.  Candidates are
-        # random messages, the true message, and each receiver's own decode.
+        # The shortcuts and the full decode of the rows they leave open must
+        # reproduce per-receiver ML decoding exactly, ties included.  Candidates
+        # are random messages, the true message, and each receiver's own decode.
         code = BlockCode(msg_bits, block_len, seed=seed)
         rng = np.random.default_rng(31)
+        ties = 0
         for true_msg in (0, 5, 2**msg_bits - 1):
             flips = (rng.random((40, block_len)) < rate).astype(np.uint8)
             random_candidates = rng.integers(0, 2**msg_bits, 40)
             cw = code.encode(true_msg)
             decoded = np.array([code.decode(cw ^ f) for f in flips])
+            dists = (code.codebook[None] != (cw ^ flips)[:, None]).sum(axis=2)
+            ties += int(((dists == dists.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
             for candidates in (random_candidates, np.full(40, true_msg), decoded):
                 got = code.decode_equals(true_msg, flips, candidates)
                 assert np.array_equal(got, decoded == candidates)
                 as_drawn = code.decode_equals(true_msg, flips.astype(bool), candidates)
                 assert np.array_equal(as_drawn, got)
-                # The shortcuts' answers are the decode's; open rows are left to the search.
+                # The shortcuts' answers are the decode's; open rows are left to decode_batch.
                 equal, open_rows = code.settle(true_msg, flips, candidates)
                 settled = np.ones(40, dtype=bool)
                 settled[open_rows] = False
                 assert np.array_equal(equal[settled], got[settled])
                 assert np.array_equal(open_rows, np.sort(open_rows))
+        if rate == 0.3:  # every shape here meets ties at this rate
+            assert ties > 0
         # One true message per row, clean and noisy rows in one batch.
         true_msgs = rng.integers(0, 2**msg_bits, 60)
         flips = (rng.random((60, block_len)) < rate).astype(np.uint8)
@@ -165,25 +175,11 @@ class TestBlockCode:
             got = code.decode_equals(true_msgs, flips, candidates)
             assert np.array_equal(got, decoded == candidates)
 
-    @pytest.mark.parametrize("chunk", [1, 5, 64, 1000])
-    def test_decode_equals_does_not_depend_on_the_search_chunk(self, chunk, monkeypatch):
-        # Rows searched a few at a time, or one at a time over codeword chunks,
-        # keep their nearest distance and smallest message across chunks.
-        code = BlockCode(11, 70, seed=404)
-        rng = np.random.default_rng(8)
-        true_msgs = rng.integers(0, 2**11, 10)
-        flips = rng.random((10, 70)) < 0.3
-        decoded = np.array([code.decode(code.encode(int(m)) ^ f) for m, f in zip(true_msgs, flips)])
-        monkeypatch.setattr(coding, "SEARCH_CHUNK", chunk)
-        for candidates in (true_msgs, decoded):
-            got = code.decode_equals(true_msgs, flips, candidates)
-            assert np.array_equal(got, decoded == candidates)
-
     def test_decode_equals_ties_at_the_search_bound(self):
         # A received word c ^ e with e half the support of a codeword x of
-        # weight 2 * wt(e) lies as close to c ^ x as to c, the farthest tie
-        # the weight-bounded search must still scan.  With x's top message bit
-        # set in true_msg, the tie breaks toward true_msg ^ x.
+        # weight 2 * wt(e) lies as close to c ^ x as to c, a tie the shortcuts
+        # leave open.  With x's top message bit set in true_msg, the tie
+        # breaks toward true_msg ^ x.
         code = BlockCode(12, 70, seed=404)
         weights = code.codebook.sum(axis=1)
         even = np.flatnonzero((weights % 2 == 0) & (weights > 0))

@@ -9,26 +9,35 @@ from noisyplanar.config import ExperimentConfig
 from noisyplanar.harness import run_experiment, run_trial, validate_run
 
 # A declared RNG-layout change updates these digests in the same change.  Layouts
-# 3 and 4 (harness.RNG_LAYOUT) each moved only max-abstract-2000's content (its
-# believers, so its confirmation counts); the other four differ from layout 2's
-# digests by the "rng_layout" key alone.  Layout 4 draws every majority-decoded
-# bit from one uniform: at eps0 = 0.1 and these repeat counts no such bit
-# decodes wrong either way, so only the MAX run whose identity draws follow
-# its discovery draws in the stream moved.  The histogram reports still
-# re-serialise to layout 2's digests (LAYOUT_2 pins that).
+# 3, 4 and 5 (harness.RNG_LAYOUT) each moved only max-abstract-2000's content
+# (its believers, so its confirmation counts); the other four differ from layout
+# 2's digests by the "rng_layout" key alone.  Layout 4 draws every
+# majority-decoded bit from one uniform: at eps0 = 0.1 and these repeat counts
+# no such bit decodes wrong either way, so only the MAX run whose identity
+# draws follow its discovery draws in the stream moved.  Layout 5 keeps layout
+# 4's draws and sizes the identity code to the largest cell: in
+# max-abstract-2000, trials 1 and 2 each gain one believer and one r2-copy
+# confirmation (+23 tx); the other four re-serialise to layout 4's digests
+# (LAYOUT_4), and the histogram reports to layout 2's (LAYOUT_2).
 GOLDEN = [
     (dict(protocol="max", mode="abstract", n=(2000,), trials=3, eps0=0.1),
-     "ae7ee7f4fa413d074fa9bf38bf9165751c512dc02495d253a73733b37e101710"),
+     "dbf415004041bbf45eae0cfd34c936d82c512d87d9c8473805fd8992c55a69d7"),
     (dict(protocol="hist", mode="repetition", n=(2000,), trials=3, eps0=0.1),
-     "d103081a88beb7f7e6a82b3910d2842c9a8951a505de0ccd6891c84a775169c7"),
+     "052ae234346093651d2b4aea4f1a2dec26e526cba5c685682ad1930637ec2593"),
     (dict(protocol="max", mode="repetition", n=(1500,), trials=2, eps0=0.1),
-     "7d7b1ec9b9b77dc5f0ccd3b6f1b629930e2f4757109d0da22121963a92e436d6"),
+     "8da5ea7983ef8bfb91e2a2478d86c901b969834890e899a3259c30639a2acfa1"),
     (dict(protocol="max", mode="treecode", n=(600,), trials=2, eps0=0.05),
-     "133121ecc0ab5814e064acacd4bc7cd97f5f1d94db81ac3e05187677cf384a7c"),
+     "798812e306c03c322910c427a3ad4f1d0a6d7cb1e7caa9f3beb0824da75f2f79"),
     (dict(protocol="hist", mode="abstract", n=(3000,), trials=2, eps0=0.0),
-     "775104a8609e1fdaa17455ac20bc2df1a28cb2a091fd4a79a85de51715e6c927"),
+     "c3b0f10720813128ddec98b477d4229164927e5a50d823ba62fa818b3d925f21"),
 ]
 IDS = [f"{f['protocol']}-{f['mode']}-{f['n'][0]}" for f, _ in GOLDEN]
+LAYOUT_4 = {
+    "hist-repetition-2000": "d103081a88beb7f7e6a82b3910d2842c9a8951a505de0ccd6891c84a775169c7",
+    "max-repetition-1500": "7d7b1ec9b9b77dc5f0ccd3b6f1b629930e2f4757109d0da22121963a92e436d6",
+    "max-treecode-600": "133121ecc0ab5814e064acacd4bc7cd97f5f1d94db81ac3e05187677cf384a7c",
+    "hist-abstract-3000": "775104a8609e1fdaa17455ac20bc2df1a28cb2a091fd4a79a85de51715e6c927",
+}
 LAYOUT_2 = {
     "hist-repetition-2000": "7d0b3bf96e6a32ba00b284a7d59c942ecaf0239b531517c6759adfe60e39338d",
     "hist-abstract-3000": "78268bc8c4854183a11cd4c05723c6a1429289197f58f2e4a01b48c77023090d",
@@ -45,14 +54,22 @@ def test_report_digest_is_pinned(fields, digest):
 def test_report_as_layout_2_keeps_its_layout_2_digest(name):
     fields, _ = GOLDEN[IDS.index(name)]
     report = run_experiment(ExperimentConfig(base_seed=13, **fields)).to_dict()
-    assert report["rng_layout"] == 4
+    assert report["rng_layout"] == 5
     text = json.dumps({**report, "rng_layout": 2}, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_2[name]
 
 
+@pytest.mark.parametrize("name", LAYOUT_4)
+def test_report_as_layout_4_keeps_its_layout_4_digest(name):
+    fields, _ = GOLDEN[IDS.index(name)]
+    report = run_experiment(ExperimentConfig(base_seed=13, **fields)).to_dict()
+    text = json.dumps({**report, "rng_layout": 4}, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_4[name]
+
+
 def test_two_word_identity_trial_row_is_pinned():
-    # The goldens above stop at n <= 8,000, where every identity code fits one
-    # uint64 word; n = 70,000 carries 17 message bits in a 68-bit, two-word code.
+    # The goldens above stop at n <= 8,000, where every identity block fits one
+    # uint64 word; n = 70,000 sends its message bits in a 68-bit, two-word block.
     cfg = ExperimentConfig(protocol="max", mode="abstract", n=(70000,), trials=1, eps0=0.1,
                            base_seed=13)
     (row,) = run_experiment(cfg).result_for(70000)["trials_detail"]

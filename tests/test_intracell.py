@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noisyplanar import coding, intracell
+from noisyplanar import intracell
 from noisyplanar.channel import (
     Channel,
     NoiseModel,
@@ -15,6 +15,7 @@ from noisyplanar.channel import (
     color_cells,
 )
 from noisyplanar.coding import BlockCode, RepetitionScheme
+from noisyplanar.config import ExperimentConfig
 from noisyplanar.geometry import (
     CellGrid,
     DerivedParams,
@@ -34,6 +35,7 @@ from noisyplanar.intracell import (
     stage1_schedule,
     witness_discovery,
 )
+from noisyplanar.harness import run_trial
 
 from conftest import schedule_per_cell, stage1_keys
 
@@ -86,6 +88,22 @@ class TestStage1Config:
         assert cfg.block_len == 52
         assert cfg.script_len(20) == 9 * 20 + 52 + 27
 
+    @pytest.mark.parametrize("largest, bits", [(1, 1), (2, 1), (32, 5), (33, 6), (64, 6), (65, 7)])
+    def test_message_bits_fit_the_largest_cell(self, largest, bits):
+        # Every in-cell index is below the largest occupancy L, so the code
+        # carries ceil(log2 L) bits (at least one); the block stays 4 ceil(log2 n).
+        cfg = Stage1Config.for_network(5000, 0.1, largest_cell=largest)
+        assert cfg.id_code.msg_bits == bits
+        assert cfg.block_len == 52
+
+    @pytest.mark.parametrize("n, block_len", [(1000, 40), (70000, 68)])
+    def test_trial_code_fits_its_world(self, n, block_len):
+        cfg = ExperimentConfig(protocol="max", n=(n,), trials=1, eps0=0.1, base_seed=13)
+        run = run_trial(cfg, n, 0)
+        largest = int(run.grid.occupancies().max())
+        assert run.stage1_config.id_code.msg_bits == math.ceil(math.log2(largest))
+        assert run.stage1_config.block_len == block_len
+
     def test_discovery_budget_checked_at_construction(self):
         # At eps0 = 0.4 nine repetitions leave a ~27% majority-flip chance,
         # far above the 5% witness-miss budget.
@@ -104,7 +122,7 @@ class TestStage1Config:
         code = first.id_code
         assert second.id_code is code
         assert Stage1Config.for_network(5000, 0.1, block_len=60, code_seed=8).id_code is not code
-        for array in (code.generator, code._packed, code._sorted_words, code.codebook):
+        for array in (code.generator, code._packed, code.codebook):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] ^= 1
@@ -209,6 +227,19 @@ class TestRunStage1Max:
         for c in grid:
             assert result.values[c.index] == int(inst.bits[list(c.members)].max())
             assert result.witnesses[c.index] in c.members
+
+    def test_noiseless_max_where_the_largest_cell_is_a_power_of_two(self):
+        # The n = 2000 world of base seed 1 has a largest cell of exactly 32
+        # nodes, so its last member's index, 31, takes all five message bits.
+        cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.0, base_seed=1)
+        grid = run_trial(cfg, 2000, 0).grid
+        assert int(grid.occupancies().max()) == 32
+        bits = np.zeros(2000, dtype=int)
+        bits[[c.members[-1] for c in grid]] = 1  # each cell's last member is its witness
+        run = run_trial(replace(cfg, bit_source="explicit", bits=tuple(bits.tolist())), 2000, 0)
+        assert run.stage1_config.id_code.msg_bits == 5
+        assert run.stage1.witnesses == {c.index: int(c.members[-1]) for c in grid}
+        assert set(run.stage1.values.values()) == {1} and run.computed == 1
 
     def test_n5000_transmission_identity(self):
         # 9 per node plus 52 + 27 per cell: 9 * 5000 + 225 * 79 = 62775.
@@ -449,37 +480,28 @@ class TestMaxClassBatching:
         assert any(len(b) == 1 and b[0] != centers[j] for j, b in believers.items())
 
     def test_two_word_code_is_compared(self, monkeypatch):
-        searched = []
-        decode_equals = BlockCode.decode_equals
+        calls = []  # per decode_equals call: [its rows, the rows it decodes in full]
+        decode_equals, decode_batch = BlockCode.decode_equals, BlockCode.decode_batch
 
         def counted(code, true_msg, flips, candidates):
-            searched.append(len(candidates))
+            calls.append([len(candidates), 0])
             return decode_equals(code, true_msg, flips, candidates)
 
+        def counted_batch(code, words):
+            calls[-1][1] += len(words)
+            return decode_batch(code, words)
+
         monkeypatch.setattr(BlockCode, "decode_equals", counted)
+        monkeypatch.setattr(BlockCode, "decode_batch", counted_batch)
         (batched, reference), grid = self.run_both(2000, 0.3, TWO_WORDS)
         assert batched == reference
-        # The batched run searches its open rows in one call, the reference
-        # every member of every cell, one call per cell.
+        # The batched run decodes each block in one call (at n = 2000 one block
+        # holds every member), the reference every cell in one call each.
         members = sum(c.size for c in grid)
-        assert len(searched) == 1 + len(grid) and sum(searched[1:]) == members
-        assert 0 < searched[0] < members // 10
-
-    @pytest.mark.parametrize(
-        "config, chunks",
-        [(LOSSY, (1, 7)), (TWO_WORDS, (7, 1000))],  # 1000: a row over codeword chunks
-        ids=["lossy", "two-words"],
-    )
-    def test_search_chunk_moves_nothing(self, config, chunks, monkeypatch):
-        # The cap on the search's (row, codeword) distances at a time bounds
-        # memory only: a cap of 1 searches one distance at a time.
-        runs = []
-        for chunk in (*chunks, coding.SEARCH_CHUNK):
-            monkeypatch.setattr(coding, "SEARCH_CHUNK", chunk)
-            _, _, grid, coloring, _, channel = build_world(2000, 4, 0.3, config)
-            result = run_stage1_max(grid, coloring, config, channel)
-            runs.append((result, channel.metrics.snapshot(), channel.rng.bit_generator.state))
-        assert runs[0] == runs[1] == runs[2]
+        assert len(calls) == 1 + len(grid) and calls[0][0] == members
+        assert sum(rows for rows, _ in calls[1:]) == members
+        # The shortcuts leave few of the batched run's rows to the full decode.
+        assert 0 < calls[0][1] < members // 10
 
     def test_adversary_sees_the_same_receptions(self):
         calls = []
