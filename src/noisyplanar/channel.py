@@ -405,7 +405,7 @@ class Channel:
     (``majority_mask``), every other reception one per reception
     (``flip_mask``).  That order is RNG layout 5 (``harness.RNG_LAYOUT``),
     which reports declare; it draws as layout 4 did.  A stage-1 majority
-    phase is one draw, the identity phase draws in blocks of cells, and a
+    phase is one draw, the identity phase draws in blocks of members, and a
     repetition sub-stage of stage 2 (or of the distribution relay) is one
     draw for all its arrays, so an adversary's hook sees the channel --
     metrics, RNG state -- as it was when its phase's, block's or sub-stage's

@@ -111,6 +111,8 @@ class ExperimentConfig:
                 raise ConfigError("explicit bits require a single n matching their length")
             if any(b not in (0, 1) for b in self.bits):
                 raise ConfigError("explicit bits must be 0/1")
+        elif self.bits is not None:
+            raise ConfigError(f"bits need bit-source 'explicit', got {self.bit_source!r}")
         for name in ("c_rep", "r2", "r3"):
             v = getattr(self, name)
             if v is not None and (v < 1 or v % 2 == 0):

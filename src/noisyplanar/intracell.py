@@ -31,13 +31,10 @@ nearest-codeword decoding reads the whole error pattern.  The slots are the
 schedule's, whatever the draw order: classes take turns and a class's cells
 run in lockstep.  Confirmation, the one draw whose size depends on the data,
 comes last, so it moves no other draw.  A majority phase is one draw over
-all its members.  Identity is drawn in blocks of cells of at most
-``STAGE1_BLOCK`` receptions (a larger cell alone); the stream in C order
-does not depend on the block size, so the blocks bound memory without moving
-a draw.  Each block's members are decoded as their flips are drawn, in one
-``BlockCode.decode_equals`` call: the code's distance shortcuts settle most
-of them, and the few left open are decoded against the whole codebook.
-Decoding draws nothing, so this moves no draw either.
+all its members.  Identity is drawn and decoded in blocks of members of at
+most ``STAGE1_BLOCK`` receptions, which may cut a cell; the stream in C
+order does not depend on where the blocks cut, and decoding draws nothing,
+so the blocks bound memory without moving a draw.
 
 A captured trace gets one run-length record per phase, in draw order:
 discovery, identity and confirmation for MAX, counting for the histogram.
@@ -45,9 +42,10 @@ Discovery and identity schedules are pure functions of the geometry and the
 configuration; only the confirmation transmitter is data-dependent, which the
 run audit treats as a documented exception.
 
-``witness_discovery``, ``distribute_identity`` and ``confirm_value`` run one
-phase in one cell.  They are not on the run path; they are the per-cell
-reference that the phase-drawn ``run_stage1_max`` is tested against.
+Each MAX phase is stated once, as a function over gathered cells
+(``_discovery``, ``_identity``, ``_confirmation``): ``run_stage1_max`` runs
+them over every cell, and ``witness_discovery``, ``distribute_identity``
+and ``confirm_value`` run one of them in one cell.
 """
 
 from __future__ import annotations
@@ -75,8 +73,8 @@ __all__ = [
     "run_stage1_hist",
 ]
 
-# The identity phase draws its members in blocks of cells of at most this many
-# receptions, a larger cell alone (see ``_blocks``).
+# The identity phase draws its members in blocks of at most this many receptions
+# (one member's block_len where that is more).
 STAGE1_BLOCK = 1 << 18
 
 
@@ -202,83 +200,6 @@ def _majority_phase(members, sizes, centers, cell_base, reps: int, phase: str, c
     return decoded
 
 
-def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0: int = 0) -> int:
-    """Run the discovery schedule in one cell and return the chosen witness.
-
-    Members repeat their bit c_rep times each to the center, which picks the
-    least id whose decoded bit is 1, falling back to the least id when none
-    is seen.  The per-cell reference for ``run_stage1_max``; not on the run
-    path.
-    """
-    members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
-    decoded = _majority_phase(
-        members, sizes, centers, np.array([slot0]), config.c_rep, "discovery", channel
-    )
-    ones = np.flatnonzero(decoded == 1)
-    return int(members[ones[0]]) if len(ones) else int(members[0])
-
-
-def distribute_identity(
-    cell: Cell, witness: int, config: Stage1Config, channel: Channel, slot0: int = 0
-) -> list[int]:
-    """Broadcast the witness's in-cell index and return who believes it is them.
-
-    The center transmits the codeword once, one bit per slot (block_len
-    transmissions exactly); every member nearest-codeword-decodes its own
-    noisy copy.  Returns the members whose decode equals their own index --
-    the set that will answer in the confirmation slots.  The per-cell
-    reference for ``run_stage1_max``; not on the run path.
-    """
-    members = cell.members
-    n_members = len(members)
-    local_witness = int(np.searchsorted(members, witness))
-    length = config.block_len
-
-    slots = slot0 + np.arange(length)
-    flips = channel.flip_mask(
-        (n_members, length), slots=slots[None, :], txs=cell.center, rxs=members[:, None]
-    )
-    believes = config.id_code.decode_equals(local_witness, flips, np.arange(n_members))
-    believes[members == cell.center] = witness == cell.center
-
-    channel.record("identity", [cell.center], slot0, length)
-    channel.metrics.add("stage1", tx=length, rx=length * (n_members - 1))
-    return [int(m) for m in members[believes]]
-
-
-def confirm_value(
-    cell: Cell, believers: list[int], config: Stage1Config, channel: Channel, slot0: int = 0
-) -> int:
-    """Resolve the r2 confirmation slots into the cell's aggregated bit.
-
-    One believer delivers its bit r2 times for a majority decode, one
-    majority row (``Channel.majority_mask``); several believers collide in
-    every slot and no believer leaves silence -- both decode to the
-    documented default 0.  A believing center knows its own bit noiselessly.
-    The per-cell reference for ``run_stage1_max``; not on the run path.
-    """
-    n_members = cell.size
-    n_believers = len(believers)
-    if n_believers == 1:
-        b = believers[0]
-        bit = int(channel.instance.bits[b])
-        if b == cell.center:
-            value = bit
-        else:
-            slots = slot0 + np.arange(config.r2)
-            value = bit ^ int(channel.majority_mask((config.r2,), slots, b, cell.center))
-    else:
-        value = 0  # silence or wall-to-wall collisions: every slot is an erasure
-
-    channel.record("confirmation", believers, slot0, config.r2)
-    channel.metrics.add(
-        "stage1",
-        tx=config.r2 * n_believers,
-        rx=config.r2 * (n_members - n_believers) if n_believers else 0,
-    )
-    return value
-
-
 def _classes_end_to_end(coloring: list[ScheduleClass]):
     """The classes' cells end to end, class k's at cells[bounds[k]:bounds[k + 1]]."""
     counts = [len(cls.cells) for cls in coloring]
@@ -332,82 +253,65 @@ def stage1_schedule(
     return records
 
 
-def _blocks(sizes: np.ndarray, reps: int):
-    """Runs of cells, each of at most STAGE1_BLOCK receptions at reps per
-    member (a cell with more runs alone), in order.
-
-    Yields each run's slice of the cells and its slice of their members end
-    to end.
-    """
-    ends = sizes.cumsum()  # members by each cell's end
-    lo = 0
-    while lo < ends.size:
-        start = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + STAGE1_BLOCK // reps, "right")))
-        yield slice(lo, hi), slice(start, int(ends[hi - 1]))
-        lo = hi
-
-
-def run_stage1_max(
-    grid: CellGrid,
-    coloring: list[ScheduleClass],
-    config: Stage1Config,
-    channel: Channel,
-) -> Stage1Result:
-    """Run discovery, identity, and confirmation in every cell.
-
-    Color classes execute sequentially; cells inside a class run in lockstep,
-    so a class occupies c_rep * max_members + block_len + r2 slots.  Noise is
-    drawn phase by phase (RNG layout 5, which draws as layout 4): discovery
-    for every class, then identity, then confirmation, each in class, cell
-    and member order.  Discovery is one majority draw, one row per member.
-    Identity draws one flip per member and codeword bit in blocks of cells
-    (``_blocks``) and decodes each block's members in one
-    ``BlockCode.decode_equals`` call.  Confirmation, the one
-    data-dependent draw and the last, draws one majority row of r2 copies
-    for each cell whose single believer is not its center.
-    Each phase is charged once; a captured trace gets one run-length record
-    per phase, in draw order.
-    """
-    layout = stage1_layout(grid, coloring, config, "max")
-    cells, members, sizes, centers, bases, id_bases, confirm_bases = _cells_of(grid, layout, config)
-    code, length, r2 = config.id_code, config.block_len, config.r2
-    starts = sizes.cumsum() - sizes  # each cell's first member
-
-    # Discovery: the least member decoded as 1, else the least member.
+def _discovery(members, sizes, centers, bases, config: Stage1Config, channel: Channel):
+    """Discovery in the gathered cells: each center names the least member it
+    decodes as 1, else the least member.  Returns each witness's index into
+    members."""
+    starts = sizes.cumsum() - sizes
     decoded = _majority_phase(members, sizes, centers, bases, config.c_rep, "discovery", channel)
     first_one = np.minimum.reduceat(
         np.where(decoded == 1, np.arange(members.size), members.size), starts
     )
-    pick = np.where(first_one == members.size, starts, first_one)
-    witnesses, local = members[pick], pick - starts  # local: the witness's in-cell index
+    return np.where(first_one == members.size, starts, first_one)
 
-    # Identity: every member decodes the witness's in-cell index.
+
+def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, channel: Channel):
+    """Identity in the gathered cells: each center sends the in-cell index of
+    its witness members[pick], one codeword bit per slot from its id_bases
+    slot, and every member decodes it.  Returns whether each member believes
+    it is its cell's witness.
+
+    One flip per member and codeword bit, drawn in blocks of at most
+    max(STAGE1_BLOCK, block_len) receptions, each decoded in one
+    ``BlockCode.decode_equals`` call.  A block may cut a cell: each member
+    takes its own cell's message and slots, and a center answers whether it
+    named itself without decoding."""
+    code, length = config.id_code, config.block_len
+    starts = sizes.cumsum() - sizes
+    rank = np.repeat(np.arange(sizes.size), sizes)  # each member's cell
+    local = pick - starts  # the witness's in-cell index
+    named_itself = members[pick] == centers
     believes = np.empty(members.size, dtype=bool)
-    for part, at in _blocks(sizes, length):
-        block_members, block_sizes, block_centers = members[at], sizes[part], centers[part]
-        own_center = block_centers.repeat(block_sizes)
+    step = max(1, STAGE1_BLOCK // length)
+    for lo in range(0, members.size, step):
+        at = slice(lo, lo + step)
+        cell = rank[at]
+        block_members, own_center = members[at], centers[cell]
         flips = channel.flip_mask(
             (block_members.size, length),
-            slots=lambda: id_bases[part].repeat(block_sizes)[:, None] + np.arange(length),
+            slots=lambda: id_bases[cell, None] + np.arange(length),
             txs=own_center[:, None],
             rxs=block_members[:, None],
         )
-        true_msg = local[part].repeat(block_sizes)
-        candidates = np.arange(at.start, at.stop) - starts[part].repeat(block_sizes)  # own index
-        decoded = code.decode_equals(true_msg, flips, candidates)
-        # A center knows whether it named itself.
+        own_index = np.arange(lo, lo + block_members.size) - starts[cell]
+        decoded = code.decode_equals(local[cell], flips, own_index)
         is_center = block_members == own_center
-        decoded[is_center] = (witnesses[part] == block_centers).repeat(block_sizes)[is_center]
+        decoded[is_center] = named_itself[cell[is_center]]
         believes[at] = decoded
     channel.record("identity", centers, id_bases, length)
-    channel.metrics.add("stage1", tx=length * cells.size, rx=length * int(sizes.sum() - cells.size))
+    channel.metrics.add("stage1", tx=length * sizes.size, rx=length * int(sizes.sum() - sizes.size))
+    return believes
 
-    # Confirmation: a cell's single believer, else its least member, sends its
-    # bit, r2 noisy copies unless it is the center; silence and collisions
-    # decode to 0.  The believers come cell by cell.
+
+def _confirmation(members, sizes, centers, confirm_bases, believes, config: Stage1Config, channel):
+    """Confirmation in the gathered cells: a cell's single believer sends its
+    bit from its confirm_bases slot, r2 copies that the center majority-
+    decodes unless it is the center; silence and collisions decode to 0.
+    Returns each cell's value."""
+    r2 = config.r2
+    starts = sizes.cumsum() - sizes
     n_believers = np.add.reduceat(believes, starts, dtype=np.int64)
-    believers = np.flatnonzero(believes)
+    believers = np.flatnonzero(believes)  # cell by cell
     single = n_believers == 1
     sender = members[starts]
     sender[single] = members[believers[single.repeat(n_believers)]]
@@ -423,17 +327,70 @@ def run_stage1_max(
         channel.record("confirmation", members[believers], confirm_bases.repeat(n_believers), r2)
     heard = n_believers > 0
     channel.metrics.add(
-        "stage1",
-        tx=r2 * int(n_believers.sum()),
-        rx=r2 * int((sizes - n_believers)[heard].sum()),
-        slots=sum(span for _, _, span, _ in layout),
+        "stage1", tx=r2 * int(n_believers.sum()), rx=r2 * int((sizes - n_believers)[heard].sum())
     )
+    return values
 
+
+def run_stage1_max(
+    grid: CellGrid,
+    coloring: list[ScheduleClass],
+    config: Stage1Config,
+    channel: Channel,
+) -> Stage1Result:
+    """Run discovery, identity, and confirmation in every cell.
+
+    Color classes execute sequentially; cells inside a class run in lockstep,
+    so a class occupies c_rep * max_members + block_len + r2 slots.  Noise is
+    drawn phase by phase (RNG layout 5, which draws as layout 4): discovery,
+    identity, then confirmation, each over every class in class, cell and
+    member order.  Each phase is charged once; a captured trace gets one
+    run-length record per phase, in draw order.
+    """
+    layout = stage1_layout(grid, coloring, config, "max")
+    cells, members, sizes, centers, bases, id_bases, confirm_bases = _cells_of(grid, layout, config)
+    pick = _discovery(members, sizes, centers, bases, config, channel)
+    believes = _identity(members, sizes, centers, id_bases, pick, config, channel)
+    values = _confirmation(members, sizes, centers, confirm_bases, believes, config, channel)
+    channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
     cell_ids = cells.tolist()
     return Stage1Result(
-        witnesses=dict(zip(cell_ids, witnesses.tolist())),
+        witnesses=dict(zip(cell_ids, members[pick].tolist())),
         values=dict(zip(cell_ids, values.tolist())),
     )
+
+
+def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0: int = 0) -> int:
+    """Run discovery in one cell from slot0 and return the chosen witness."""
+    members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
+    pick = _discovery(members, sizes, centers, np.array([slot0]), config, channel)
+    return int(members[pick[0]])
+
+
+def distribute_identity(
+    cell: Cell, witness: int, config: Stage1Config, channel: Channel, slot0: int = 0
+) -> list[int]:
+    """Run identity in one cell from slot0 and return the members that believe
+    they are the witness, a member of the cell."""
+    members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
+    pick = np.searchsorted(members, [witness])
+    if pick[0] == members.size or members[pick[0]] != witness:
+        raise ValueError(f"witness {witness} is not a member of cell {cell.index}")
+    believes = _identity(members, sizes, centers, np.array([slot0]), pick, config, channel)
+    return members[believes].tolist()
+
+
+def confirm_value(
+    cell: Cell, believers: list[int], config: Stage1Config, channel: Channel, slot0: int = 0
+) -> int:
+    """Run confirmation in one cell from slot0 and return the cell's bit; the
+    believers must be distinct members of the cell."""
+    members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
+    believes = np.isin(members, believers)
+    if np.count_nonzero(believes) != len(believers):
+        raise ValueError(f"believers {believers} are not distinct members of cell {cell.index}")
+    values = _confirmation(members, sizes, centers, np.array([slot0]), believes, config, channel)
+    return int(values[0])
 
 
 def run_stage1_hist(

@@ -112,6 +112,12 @@ class TestRunExperiment:
         r = run_experiment(cfg).result_for(400)
         assert all(row["computed"] == 1 for row in r["trials_detail"])
 
+    def test_bits_without_the_explicit_source_are_refused(self):
+        # Any other source draws its own bits, so given bits would be ignored
+        # while the report echoes them.
+        with pytest.raises(ConfigError, match="bits need bit-source 'explicit'"):
+            ExperimentConfig(n=(3,), bits=(1, 0, 1))
+
     def test_single_one_at_random_source(self):
         cfg = ExperimentConfig(
             protocol="hist", n=(400,), trials=4, eps0=0.0, bit_source="single-one-at-random"
@@ -935,6 +941,12 @@ class TestCli:
         assert main(["run", "--n", "500", "--trials", "1", flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not out.exists()
+
+    def test_bits_without_the_explicit_source_are_exit_2(self, capsys):
+        assert main(["run", "--n", "10", "--bits", "1,0", "--trials", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: bits need bit-source 'explicit', got 'bernoulli'"
+        ]
 
     def test_k_rs_overflowing_a_slot_count_is_exit_2(self, tmp_path, capsys):
         # ceil(k_rs * rounds) of an abstract array is infinite at 1e308; 1e300 runs.

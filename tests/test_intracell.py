@@ -17,6 +17,7 @@ from noisyplanar.channel import (
 from noisyplanar.coding import BlockCode, RepetitionScheme
 from noisyplanar.config import ExperimentConfig
 from noisyplanar.geometry import (
+    Cell,
     CellGrid,
     DerivedParams,
     NetworkInstance,
@@ -27,6 +28,7 @@ from noisyplanar.geometry import (
 from noisyplanar.intracell import (
     Stage1Config,
     Stage1Result,
+    _majority_phase,
     confirm_value,
     distribute_identity,
     run_stage1_hist,
@@ -40,8 +42,9 @@ from noisyplanar.harness import run_trial
 from conftest import schedule_per_cell, stage1_keys
 
 
-def make_cell_world(bits, eps0=0.0, seed=0, msg_bits=4):
-    """A single-cell world holding len(bits) tightly packed nodes."""
+def make_cell_world(bits, eps0=0.0, seed=0, msg_bits=4, center=0):
+    """A single-cell world holding len(bits) tightly packed nodes, centered on
+    node ``center`` (as the sink cell is on the sink node)."""
     n = len(bits)
     rng = np.random.default_rng(1)
     positions = 0.5 + 0.01 * (rng.random((n, 2)) - 0.5)
@@ -59,8 +62,8 @@ def make_cell_world(bits, eps0=0.0, seed=0, msg_bits=4):
         link_slot_span=36,
     )
     grid = CellGrid(
-        members=np.arange(n), offsets=np.array([0, n]), centers=np.array([0]), grid_dim=1,
-        n=n, sink_cell=1, sink_node=0,
+        members=np.arange(n), offsets=np.array([0, n]), centers=np.array([center]), grid_dim=1,
+        n=n, sink_cell=1, sink_node=center,
     )
     cell = grid.cell(1)
     config = Stage1Config(eps1=0.05, c_rep=9, r2=27, id_code=BlockCode(msg_bits, seed=2))
@@ -192,6 +195,23 @@ class TestDistributeIdentity:
         )
         assert deviations <= 10
 
+    @pytest.mark.parametrize("block", [1, 2, 1 << 62], ids=["opens", "second", "whole-cell"])
+    def test_a_center_past_a_block_boundary_answers_for_itself(self, block, monkeypatch):
+        # The sink cell's center need not be its least member, and a block of
+        # members may open at it or hold it after a boundary inside its cell
+        # (blocks of one or two members here).
+        cell, grid, config, channel = make_cell_world([0, 0, 0, 1, 0], eps0=0.25, seed=3, center=3)
+        monkeypatch.setattr(intracell, "STAGE1_BLOCK", block * config.block_len)
+        for _ in range(50):
+            assert 3 in distribute_identity(cell, 3, config, channel)
+            assert 3 not in distribute_identity(cell, 1, config, channel)
+
+    @pytest.mark.parametrize("witness", [-1, 3])
+    def test_witness_outside_the_cell_is_refused(self, witness):
+        cell, grid, config, channel = make_cell_world([0, 1, 0])
+        with pytest.raises(ValueError, match="not a member"):
+            distribute_identity(cell, witness, config, channel)
+
 
 class TestConfirmValue:
     def test_unique_believer_delivers_its_bit(self):
@@ -217,6 +237,14 @@ class TestConfirmValue:
         cell, grid, config, channel = make_cell_world([1, 1, 1])
         confirm_value(cell, [0, 1, 2], config, channel)
         assert channel.metrics.tx_stage1 == 3 * config.r2
+
+    def test_believers_must_be_distinct_members_of_the_cell(self):
+        cell, grid, config, channel = make_cell_world([1, 1, 0])
+        with pytest.raises(ValueError, match="distinct members"):
+            confirm_value(cell, [1, 1], config, channel)
+        _, _, grid, _, config, channel = build_world(1200, 0, 0.0)
+        with pytest.raises(ValueError, match="distinct members"):
+            confirm_value(grid.cell(1), [int(grid.cell(2).members[0])], config, channel)
 
 
 class TestRunStage1Max:
@@ -385,11 +413,97 @@ class TestHistClassBatching:
         assert half > 0 and calls[:half] == calls[half:]
 
 
-def max_phase_major(grid, coloring, config, channel):
-    """MAX stage 1 through the per-cell oracles in phase-major order (RNG
-    layouts 3 and 4) -- discovery in every cell, then identity, then
-    confirmation, each class by class and cell by cell: the reference for
-    the block-drawn run."""
+# The per-cell phases as they were written before stage 1 stated each phase
+# once: code that the batched run does not share, to compare it with.
+def reference_witness_discovery(
+    cell: Cell, config: Stage1Config, channel: Channel, slot0: int = 0
+) -> int:
+    """Run the discovery schedule in one cell and return the chosen witness.
+
+    Members repeat their bit c_rep times each to the center, which picks the
+    least id whose decoded bit is 1, falling back to the least id when none
+    is seen.  The per-cell reference for ``run_stage1_max``; not on the run
+    path.
+    """
+    members, sizes, centers = cell.members, np.array([cell.size]), np.array([cell.center])
+    decoded = _majority_phase(
+        members, sizes, centers, np.array([slot0]), config.c_rep, "discovery", channel
+    )
+    ones = np.flatnonzero(decoded == 1)
+    return int(members[ones[0]]) if len(ones) else int(members[0])
+
+
+def reference_distribute_identity(
+    cell: Cell, witness: int, config: Stage1Config, channel: Channel, slot0: int = 0
+) -> list[int]:
+    """Broadcast the witness's in-cell index and return who believes it is them.
+
+    The center transmits the codeword once, one bit per slot (block_len
+    transmissions exactly); every member nearest-codeword-decodes its own
+    noisy copy.  Returns the members whose decode equals their own index --
+    the set that will answer in the confirmation slots.  The per-cell
+    reference for ``run_stage1_max``; not on the run path.
+    """
+    members = cell.members
+    n_members = len(members)
+    local_witness = int(np.searchsorted(members, witness))
+    length = config.block_len
+
+    slots = slot0 + np.arange(length)
+    flips = channel.flip_mask(
+        (n_members, length), slots=slots[None, :], txs=cell.center, rxs=members[:, None]
+    )
+    believes = config.id_code.decode_equals(local_witness, flips, np.arange(n_members))
+    believes[members == cell.center] = witness == cell.center
+
+    channel.record("identity", [cell.center], slot0, length)
+    channel.metrics.add("stage1", tx=length, rx=length * (n_members - 1))
+    return [int(m) for m in members[believes]]
+
+
+def reference_confirm_value(
+    cell: Cell, believers: list[int], config: Stage1Config, channel: Channel, slot0: int = 0
+) -> int:
+    """Resolve the r2 confirmation slots into the cell's aggregated bit.
+
+    One believer delivers its bit r2 times for a majority decode, one
+    majority row (``Channel.majority_mask``); several believers collide in
+    every slot and no believer leaves silence -- both decode to the
+    documented default 0.  A believing center knows its own bit noiselessly.
+    The per-cell reference for ``run_stage1_max``; not on the run path.
+    """
+    n_members = cell.size
+    n_believers = len(believers)
+    if n_believers == 1:
+        b = believers[0]
+        bit = int(channel.instance.bits[b])
+        if b == cell.center:
+            value = bit
+        else:
+            slots = slot0 + np.arange(config.r2)
+            value = bit ^ int(channel.majority_mask((config.r2,), slots, b, cell.center))
+    else:
+        value = 0  # silence or wall-to-wall collisions: every slot is an erasure
+
+    channel.record("confirmation", believers, slot0, config.r2)
+    channel.metrics.add(
+        "stage1",
+        tx=config.r2 * n_believers,
+        rx=config.r2 * (n_members - n_believers) if n_believers else 0,
+    )
+    return value
+
+
+REFERENCES = (reference_witness_discovery, reference_distribute_identity, reference_confirm_value)
+ENTRY_POINTS = (witness_discovery, distribute_identity, confirm_value)
+
+
+def max_phase_major(grid, coloring, config, channel, phases=REFERENCES):
+    """MAX stage 1 through per-cell phases (the references by default) in
+    phase-major order (RNG layouts 3 and 4) -- discovery in every cell, then
+    identity, then confirmation, each class by class and cell by cell: the
+    reference for the block-drawn run."""
+    discover, identify, confirm = phases
     result = Stage1Result()
     layout = stage1_layout(grid, coloring, config, "max")
     cells = [
@@ -398,15 +512,13 @@ def max_phase_major(grid, coloring, config, channel):
         for j in cls.cells
     ]
     for cell, base, _, _ in cells:
-        result.witnesses[cell.index] = witness_discovery(cell, config, channel, slot0=base)
+        result.witnesses[cell.index] = discover(cell, config, channel, slot0=base)
     believers = [
-        distribute_identity(cell, result.witnesses[cell.index], config, channel, slot0=id_base)
+        identify(cell, result.witnesses[cell.index], config, channel, slot0=id_base)
         for cell, _, id_base, _ in cells
     ]
     for (cell, _, _, confirm_base), believing in zip(cells, believers):
-        result.values[cell.index] = confirm_value(
-            cell, believing, config, channel, slot0=confirm_base
-        )
+        result.values[cell.index] = confirm(cell, believing, config, channel, slot0=confirm_base)
     channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
     return result
 
@@ -516,20 +628,45 @@ class TestMaxClassBatching:
         half = len(calls) // 2
         assert half > 0 and calls[:half] == calls[half:]
 
+    @pytest.mark.parametrize("block", [1, intracell.STAGE1_BLOCK])
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
+    def test_entry_points_run_as_the_references(self, block, adversarial, monkeypatch):
+        # The per-cell entry points are one-cell calls of the batched phases:
+        # the same results, draws, hook calls, trace records and metrics as
+        # the per-cell references, in every confirmation case (LOSSY), with
+        # identity blocks of one member or of the whole cell.
+        monkeypatch.setattr(intracell, "STAGE1_BLOCK", block)
+        out = []
+        for phases in (REFERENCES, ENTRY_POINTS):
+            inst, params, grid, coloring, config, channel = build_world(2000, 0, 0.3, LOSSY)
+            calls = []
+            if adversarial:
+                hook = lambda slot, tx, rx, history: calls.append((slot, tx, rx)) or 0.3
+                channel.noise = NoiseModel(0.3, mode="adversarial", adversary=hook)
+            channel.trace = Trace()
+            result = max_phase_major(grid, coloring, config, channel, phases)
+            records = [
+                (r.phase, r.txs.tolist(), r.first.tolist(), r.copies) for r in channel.trace.stage1
+            ]
+            state = channel.rng.bit_generator.state
+            out.append((result, channel.metrics.snapshot(), records, state, calls))
+        assert out[0] == out[1]
+        assert (len(calls) > 0) == adversarial
+
 
 class TestStage1Blocks:
-    """Identity's members are drawn in blocks of cells and each majority phase
-    in one draw; the block size bounds memory and moves no draw."""
+    """Identity's members are drawn in blocks of members and each majority
+    phase in one draw; the block size bounds memory and moves no draw."""
 
     SIZES = [1, 7, 3000, intracell.STAGE1_BLOCK, 1 << 62]  # 1 << 62: every flip in one block
 
     @staticmethod
-    def run_at(block, protocol, adversarial, monkeypatch):
+    def run_at(block, protocol, adversarial, monkeypatch, seed=4):
         """(result, metrics, trace records, rng state, hook calls) of one run, the
         shapes it drew and its grid."""
         monkeypatch.setattr(intracell, "STAGE1_BLOCK", block)
         config = LOSSY if protocol == "max" else replace(Stage1Config.for_network(2000, 0.0), r2=3)
-        inst, params, grid, coloring, config, channel = build_world(2000, 4, 0.3, config)
+        inst, params, grid, coloring, config, channel = build_world(2000, seed, 0.3, config)
         calls = []
 
         def hook(slot, tx, rx, history):
@@ -560,22 +697,38 @@ class TestStage1Blocks:
         for run, _, _ in rest:
             assert run == first
         draws = [len(d) for _, d, _ in runs]
-        # Each majority phase is one draw.  Sizes 1 and 7 draw identity cell by
-        # cell; the default and the unbounded block draw it at once at n = 2000;
-        # 3000 flips lie in between.
+        # Each majority phase is one draw.  Sizes 1 and 7 draw identity member
+        # by member (LOSSY's block is 6 bits); the default and the unbounded
+        # block draw it at once at n = 2000; 3000 flips lie in between.
         if protocol == "max":
             assert draws[0] == draws[1] > draws[2] > draws[3] == draws[4]
-            assert draws[0] == len(grid) + 2
+            assert draws[0] == grid.n + 2
         else:
             assert draws == [1] * len(self.SIZES)
-        # A block passes the bound only where one cell does: at most the
-        # largest cell's receptions.  Only identity, MAX's draws between
-        # discovery and confirmation, is drawn in blocks.
-        largest = max(cell.size for cell in grid)
+        # A block passes the bound unless one member's codeword does.  Only
+        # identity, MAX's draws between discovery and confirmation, is drawn
+        # in blocks.
         for block, (_, shapes, _) in zip(self.SIZES, runs):
             blocked = shapes[1:-1] if protocol == "max" else []
-            assert all(math.prod(s) <= max(block, largest * s[-1]) for s in blocked)
+            assert all(math.prod(s) <= max(block, s[-1]) for s in blocked)
         assert (len(first[4]) > 0) == adversarial
+
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
+    @pytest.mark.parametrize("after", [0, 1], ids=["center-opens-a-block", "center-ends-a-block"])
+    def test_a_cut_inside_the_sink_cell_gives_the_same_run(self, after, adversarial, monkeypatch):
+        # The sink cell's center is the sink node, which need not be its least
+        # member (in the n = 2000 world of seed 0 it is its tenth).  A block
+        # boundary just before or just after it splits the cell's members,
+        # and the center must still answer for itself.
+        whole, _, grid = self.run_at(1 << 62, "max", adversarial, monkeypatch, seed=0)
+        order = whole[2][0][1]  # discovery's transmitters: every member end to end
+        sink = grid.cell(grid.sink_cell)
+        first, center = order.index(int(sink.members[0])), order.index(sink.center)
+        assert first < center < first + sink.size - 1  # neither least nor last
+        step = center + after  # members per block: a boundary at center + after
+        run, shapes, _ = self.run_at(step * LOSSY.block_len, "max", adversarial, monkeypatch, 0)
+        assert shapes[1] == (step, LOSSY.block_len)
+        assert run == whole
 
 
 class TestStage1Schedule:
