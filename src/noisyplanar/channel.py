@@ -45,14 +45,15 @@ FLIP_CHUNK = 1 << 15
 AdversaryHook = Callable[[int, int, int, object], float]
 
 
-def majority_tail(probs, reps: int) -> np.ndarray:
-    """Probability that more than reps // 2 of reps independent copies flip,
-    copy k flipping with probability probs[..., k]; a scalar p stands for
-    reps copies of p, and the tail has the shape of probs less its last axis.
+def _flip_counts(probs, reps: int) -> np.ndarray:
+    """The law of how many of reps independent copies flip, copy k flipping
+    with probability probs[..., k]: dist[..., j] = P[j copies flip], with the
+    shape of probs less its last axis, plus one axis of reps + 1 counts.  A
+    scalar p stands for reps copies of p.
 
-    A Poisson-binomial DP over the copies in order, the tail summed upward
-    from its first count: a scalar p and a row of reps equal p take the same
-    float operations, so their tails are equal to the bit.
+    A Poisson-binomial DP over the copies in order: a scalar p and a row of
+    reps equal p take the same float operations, so their laws are equal to
+    the bit.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim == 0:
@@ -65,30 +66,129 @@ def majority_tail(probs, reps: int) -> np.ndarray:
         p = probs[..., k, None]
         dist[..., 1 : k + 2] = dist[..., 1 : k + 2] * (1.0 - p) + dist[..., : k + 1] * p
         dist[..., 0] *= 1.0 - p[..., 0]
+    return dist
+
+
+def _upper_tail(dist: np.ndarray, reps: int) -> np.ndarray:
+    """P[more than reps // 2 copies flip] from ``_flip_counts``, summed upward from its first count."""
     tail = dist[..., reps // 2 + 1]
     for j in range(reps // 2 + 2, reps + 1):
         tail = tail + dist[..., j]
     return tail
 
 
+def majority_tail(probs, reps: int) -> np.ndarray:
+    """Probability that more than reps // 2 of reps independent copies flip,
+    copy k flipping with probability probs[..., k]; a scalar p stands for
+    reps copies of p, and the tail has the shape of probs less its last axis.
+    The upper tail of ``_flip_counts``."""
+    return _upper_tail(_flip_counts(probs, reps), reps)
+
+
+@cache
+def _iid_counts(eps0: float, reps: int) -> np.ndarray:
+    """``_flip_counts`` of reps copies at eps0, read-only: iid noise's one law of
+    flips per row, for majority tails and block-code error weights alike."""
+    dist = _flip_counts(eps0, reps)
+    dist.flags.writeable = False
+    return dist
+
+
 @cache
 def _iid_tail(eps0: float, reps: int) -> float:
     """The majority tail of reps copies at eps0: iid noise's one threshold per row."""
-    return float(majority_tail(eps0, reps))
+    return float(_upper_tail(_iid_counts(eps0, reps), reps))
+
+
+def _uniform_chunks(rng, size: int):
+    """``rng.random(size)`` through one float buffer of at most ``FLIP_CHUNK``
+    values: yields (offset, chunk) in order, the same stream as one draw
+    without holding every uniform.  Each chunk is overwritten by the next."""
+    buf = np.empty(min(size, FLIP_CHUNK))
+    for lo in range(0, size, FLIP_CHUNK):
+        chunk = buf[: size - lo]
+        rng.random(out=chunk)
+        yield lo, chunk
 
 
 def _uniforms_below(rng, shape, threshold: float) -> np.ndarray:
-    """``rng.random(shape) < threshold``, the uniforms passing through one float
-    buffer of at most ``FLIP_CHUNK`` values, chunk by chunk in C order: the
-    same stream and result as one draw, without holding every uniform."""
+    """``rng.random(shape) < threshold``, the uniforms drawn chunk by chunk in
+    C order (``_uniform_chunks``): the same stream and result as one draw."""
     out = np.empty(shape, dtype=bool)
     flat = out.reshape(-1)
-    buf = np.empty(min(flat.size, FLIP_CHUNK))
-    for lo in range(0, flat.size, FLIP_CHUNK):
-        chunk = buf[: flat.size - lo]
-        rng.random(out=chunk)
+    for lo, chunk in _uniform_chunks(rng, flat.size):
         np.less(chunk, threshold, out=flat[lo : lo + chunk.size])
     return out
+
+
+def _flip_counts_drawn(rng, rows: int, dist: np.ndarray) -> np.ndarray:
+    """Each of rows flip counts drawn from the law ``dist`` (counts 0..len - 1),
+    one uniform per row in order (``_uniform_chunks``) against its CDF: a
+    row's count is how many of the CDF's partial sums its uniform reaches.
+    A uniform is below 1, so only the partial sums below 1 take a pass: 25
+    at eps0 0.1 and a 44-bit block, which cost less than a binary search per
+    row."""
+    cdf = np.cumsum(dist)[:-1]
+    edges = cdf[cdf < 1.0]
+    out = np.zeros(rows, dtype=np.min_scalar_type(dist.size - 1))
+    for lo, chunk in _uniform_chunks(rng, rows):
+        counts = out[lo : lo + chunk.size]
+        for edge in edges:
+            counts += chunk >= edge
+    return out
+
+
+def _patterns(keys: np.ndarray, diff: np.ndarray, weights, overlaps) -> np.ndarray:
+    """Error patterns with weights[i] flips, overlaps[i] of them where diff[i]
+    is set: row i flips the overlaps[i] positions of least key where diff[i]
+    is set and the weights[i] - overlaps[i] of least key where it is not.
+    Under uniform keys each pattern is uniform over the patterns that match."""
+    order = keys.argsort(axis=1)
+    inside = np.take_along_axis(diff, order, axis=1)
+    quota = np.where(inside, overlaps[:, None], (weights - overlaps)[:, None])
+    taken = np.where(inside, inside.cumsum(axis=1), (~inside).cumsum(axis=1)) <= quota
+    masks = np.empty_like(taken)
+    np.put_along_axis(masks, order, taken, axis=1)
+    return masks
+
+
+def _iid_code_errors(rng, eps0: float, code, sent: np.ndarray, heard: np.ndarray):
+    """``Channel.code_errors`` under iid noise, drawn from each row's sufficient
+    statistics in three passes over the rows in order, each drawing only what
+    decoding still reads:
+
+    * the error weight W ~ Bin(L, eps0) of every row, one uniform against its
+      CDF (``_iid_counts``);
+    * for the rows whose W leaves the shortcuts open, the overlap
+      J = wt(e & x) ~ Hypergeom(wt(x), L - wt(x), W), x = c_heard ^ c_sent
+      (``Generator.hypergeometric``, one row after another);
+    * for the rows both shortcuts leave open (``BlockCode.settle_counts``),
+      the pattern e, uniform over the patterns with that W and J
+      (``_patterns``), from L uniform keys per row.
+
+    That is the law of L independent flips at eps0.  Each pass goes through
+    the rows in blocks of at most ``FLIP_CHUNK`` uniforms or rows, which hold
+    memory to about two bytes per row and move no draw.
+    """
+    length = code.block_len
+    weights = _flip_counts_drawn(rng, sent.size, _iid_counts(eps0, length))
+    overlaps = np.zeros_like(weights)
+    opened = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, sent.size, FLIP_CHUNK):
+        at = slice(lo, lo + FLIP_CHUNK)
+
+        def overlap(near, diff, spread, w=weights[at], j=overlaps[at]):
+            j[near] = drawn = rng.hypergeometric(spread, length - spread, w[near])
+            return drawn
+
+        opened.append(lo + code.settle_counts(sent[at], heard[at], weights[at], overlap)[1])
+    open_rows = np.concatenate(opened)
+    step = max(1, FLIP_CHUNK // length)
+    for lo in range(0, open_rows.size, step):
+        rows = open_rows[lo : lo + step]
+        diff = code.codebook[heard[rows]] != code.codebook[sent[rows]]
+        keys = rng.random((rows.size, length))
+        yield rows, _patterns(keys, diff, weights[rows], overlaps[rows])
 
 
 @dataclass(frozen=True)
@@ -100,21 +200,28 @@ class NoiseModel:
     capped at eps0; flips stay independent across receivers given their
     probabilities.
 
-    One noise rule serves two kinds of batch.  ``flips`` draws one uniform
-    per reception, for readers of the whole error pattern (identity
-    decoding, the tree code, ``resolve_slot``).  ``majority_flips`` draws one
-    uniform per row of repeated receptions that is majority-decoded: a
-    decoded bit is the sent bit XOR [more than half of its copies flipped],
-    whatever the bit, so one uniform against the row's ``majority_tail``
-    draws it with its exact law.  Either batch draws all of its uniforms
-    first, then asks the hook once per reception in C order (every copy of a
-    row included).  So the hook sees every reception's (slot, tx, rx,
-    history), but not the metrics or the RNG state moving partway through a
-    batch, and a hook that answers eps0 draws exactly what iid noise draws.
-    A batch can span several arrays (a repetition sub-stage of stage 2 is
-    one), so the hook sees the channel as it was when the batch's draw
-    began.  The slot is the one the metrics charge, which lockstep arrays and
-    cells share.
+    One noise rule serves these kinds of batch.  ``flips`` draws one uniform
+    per reception, for readers of the whole error pattern (the tree code,
+    ``resolve_slot``, and identity decoding under an adversary).
+    ``majority_flips`` draws one uniform per row of repeated receptions that
+    is majority-decoded: a decoded bit is the sent bit XOR [more than half of
+    its copies flipped], whatever the bit, so one uniform against the row's
+    ``majority_tail`` draws it with its exact law.  Either batch draws all of
+    its uniforms first, then asks the hook once per reception in C order
+    (every copy of a row included).  So the hook sees every reception's
+    (slot, tx, rx, history), but not the metrics or the RNG state moving
+    partway through a batch, and a hook that answers eps0 draws exactly what
+    iid noise draws in these batches.  A batch can span several arrays (a
+    repetition sub-stage of stage 2 is one), so the hook sees the channel as
+    it was when the batch's draw began.  The slot is the one the metrics
+    charge, which lockstep arrays and cells share.
+
+    Block-code rows (identity decoding, ``Channel.code_errors``) draw their
+    flips as ``flips`` does under a hook.  In iid mode they draw each row's
+    error weight, then its overlap with the candidate's codeword difference
+    and its pattern only where decoding reads them: the same law, another
+    stream (RNG layout 6).  So for identity a hook that answers eps0 draws
+    what iid noise drew up to RNG layout 5, one uniform per reception.
     """
 
     eps0: float
@@ -402,15 +509,16 @@ class Channel:
     the histogram), each phase over every color class in coloring order, then
     cell and member; then stage 2 stage by stage in plan order.  Every
     majority-decoded repetition draws one uniform per decoded bit
-    (``majority_mask``), every other reception one per reception
-    (``flip_mask``).  That order is RNG layout 5 (``harness.RNG_LAYOUT``),
-    which reports declare; it draws as layout 4 did.  A stage-1 majority
-    phase is one draw, the identity phase draws in blocks of members, and a
-    repetition sub-stage of stage 2 (or of the distribution relay) is one
-    draw for all its arrays, so an adversary's hook sees the channel --
-    metrics, RNG state -- as it was when its phase's, block's or sub-stage's
-    draw began.  A stage-1 phase
-    charges its metrics, and traces its one record, once, after its draws.
+    (``majority_mask``), the identity phase from each member's sufficient
+    statistics under iid noise (``code_errors``), every other reception one
+    uniform per reception (``flip_mask``).  That order is RNG layout 6
+    (``harness.RNG_LAYOUT``), which reports declare.  A stage-1 majority
+    phase is one draw, an adversary's identity flips come in blocks of
+    members, and a repetition sub-stage of stage 2 (or of the distribution
+    relay) is one draw for all its arrays, so an adversary's hook sees the
+    channel -- metrics, RNG state -- as it was when its phase's, block's or
+    sub-stage's draw began.  A stage-1 phase charges its metrics, and traces
+    its one record, once, after its draws.
     """
 
     instance: object
@@ -430,6 +538,33 @@ class Channel:
         repeated receptions, one per row (``NoiseModel.majority_flips``),
         drawn from this channel's stream; a hook gets the channel as history."""
         return self.noise.majority_flips(self.rng, shape, slots, txs, rxs, history=self)
+
+    def code_errors(self, code, sent, heard, receptions, block: int):
+        """The error patterns of the rows of a block-code batch that the
+        distance shortcuts leave open: yields (rows, masks), the rows
+        ascending, each with its (rows, block_len) flips.
+
+        Row i receives the codeword of message sent[i], one reception per
+        codeword bit, and asks whether it decodes to heard[i]
+        (``BlockCode.decode_equals``); every other row decodes as
+        ``BlockCode.settle`` says, to heard[i] iff heard[i] == sent[i].  Under
+        iid noise the rows draw their sufficient statistics
+        (``_iid_code_errors``).  Otherwise every reception draws its flip
+        (``flip_mask``), in blocks of rows of at most ``block`` receptions (one
+        row where that is more), so a hook sees each one; ``receptions(at)``
+        gives the slots, txs and rxs of the rows ``at``, a slice, as
+        ``flip_mask``'s keywords, and ``BlockCode.settle`` derives W, J and the
+        open rows from the flips."""
+        if self.noise.mode == "iid":
+            yield from _iid_code_errors(self.rng, self.noise.eps0, code, sent, heard)
+            return
+        length = code.block_len
+        step = max(1, block // length)
+        for lo in range(0, sent.size, step):
+            at = slice(lo, lo + step)
+            flips = self.flip_mask((sent[at].size, length), **receptions(at))
+            _, rows = code.settle(sent[at], flips, heard[at])
+            yield lo + rows, flips[rows]
 
     def record(self, phase: str, txs, first, copies: int) -> None:
         """Trace a stage-1 phase, or one cell's part of it: txs[i] sends

@@ -234,25 +234,48 @@ class BlockCode:
 
         Takes ``decode_equals``' arguments and returns (equal, open): the
         ascending indices of the rows left open, which need a full decode, and
-        for every other row decode_equals' answer.  A received word r = c ^ e,
-        with d = wt(e), lies at distance wt(e ^ x) >= wt(x) - d from the
-        codeword c ^ x.  So:
+        for every other row decode_equals' answer.  The mask form of
+        ``settle_counts``: each row's weight and overlap are counted from its
+        flips.
+        """
+        packed_err = _pack_bits(flip_masks)
+        return self.settle_counts(
+            true_msg,
+            candidates,
+            _popcount_rows(packed_err),
+            lambda near, diff, spread: _popcount_rows(packed_err[near] & diff),
+        )
 
-        * if 2d < min_distance, c is the unique nearest codeword;
-        * if r is strictly closer to c than to the candidate's codeword, the
-          decode is not the candidate.
+    def settle_counts(
+        self, true_msg: int | np.ndarray, candidates: np.ndarray, weights: np.ndarray, overlap
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``settle`` from each row's error weight W = wt(e) and, where it is
+        needed, its overlap J = wt(e & x), x = c_cand ^ c_true the difference
+        of the candidate's codeword from the sent one.
+
+        A received word r = c ^ e lies at distance wt(e ^ y) >= wt(y) - W from
+        the codeword c ^ y, and at distance W + wt(x) - 2J from the
+        candidate's.  So:
+
+        * if 2W < min_distance, c is the unique nearest codeword;
+        * if 2J < wt(x), r is strictly closer to c than to the candidate's
+          codeword, and the decode is not the candidate.  As J <= W, that
+          holds wherever 2W < wt(x).
 
         Either way the decode equals the candidate iff the candidate is
-        true_msg.  Only rows with 2d >= min_distance reach the second test.
+        true_msg.  ``overlap(near, x, wt(x))`` returns J for the ascending
+        rows ``near`` that neither bound on W settles, given their x as
+        packed words; it is called once.  Returns (equal, open) as ``settle``
+        does.
         """
         candidates = np.asarray(candidates, dtype=np.int64)
         true_msg = np.broadcast_to(np.asarray(true_msg, dtype=np.int64), candidates.shape)
-        packed_err = _pack_bits(flip_masks)
-        d_true = _popcount_rows(packed_err)
-        near = np.flatnonzero(2 * d_true >= self.min_distance)
+        near = np.flatnonzero(weights >= -(-self.min_distance // 2))
         diff = self._packed[candidates[near]] ^ self._packed[true_msg[near]]
-        d_cand = _popcount_rows(packed_err[near] ^ diff)
-        return true_msg == candidates, near[d_true[near] >= d_cand]
+        spread = _popcount_rows(diff)
+        reach = weights[near] >= -(-spread // 2)
+        near, diff, spread = near[reach], diff[reach], spread[reach]
+        return true_msg == candidates, near[2 * overlap(near, diff, spread) >= spread]
 
 
 # A path distance is at most the depth, and 2^depth paths cap that far below 256.

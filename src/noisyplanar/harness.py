@@ -73,7 +73,12 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 # The order in which a trial consumes its noise stream, declared in every
-# report.  Layout 5 keeps layout 4's draws and changes only the identity code:
+# report.  Layout 6 draws iid identity noise from each member's sufficient
+# statistics: its error weight, then where decoding reads it, its overlap
+# with the candidate's codeword difference, then where decoding still needs
+# it, the error pattern (``Channel.code_errors``); an adversary's hook still
+# sees one reception per codeword bit, as every identity draw did up to
+# layout 5.  Layout 5 keeps layout 4's draws and changes only the identity code:
 # ceil(log2 L) message bits for L the world's largest cell, not ceil(log2 n),
 # so identities that mis-decoded under the longer message may now decode.
 # Layout 4 draws every majority-decoded repetition as one uniform per
@@ -81,7 +86,7 @@ SCHEMA_VERSION = 1
 # Layout 3 drew MAX stage 1 phase by phase: discovery for every color class,
 # then identity, then confirmation, each in class, cell and member order
 # (layout 2 class by class, then phase by phase; layout 1 cell by cell).
-RNG_LAYOUT = 5
+RNG_LAYOUT = 6
 CSV_HEADER = "n,trials,error_rate,tx_total,tx_per_n,slots_total,slots_norm,em1,em2,resamples"
 
 
@@ -491,6 +496,7 @@ def audit_coloring(
     coloring: list[ScheduleClass],
     positions: np.ndarray,
     class_bases: dict[int, int] | None = None,
+    contained: np.ndarray | None = None,
 ) -> list[str]:
     """Prove the intra-cell coloring collision-free, or name the offenders.
 
@@ -502,11 +508,13 @@ def audit_coloring(
     squares and have their color_cells colors are proven apart (validate_run
     gives the inequality); the other pairs, or all when the inequality
     fails, get the exact member-to-member check, in pair order.
+    ``contained`` is ``_contained(grid, positions)`` where the caller has it.
     """
     guard = (1.0 + params.delta) * params.radius
     rule = subslots(color_cells(grid, params))  # each cell's periodic color
-    proven = _contained(grid, positions)
-    proven &= _beyond((params.reuse_distance - 1) / grid.grid_dim, params)
+    if contained is None:
+        contained = _contained(grid, positions)
+    proven = contained & _beyond((params.reuse_distance - 1) / grid.grid_dim, params)
     violations = []
     for cls in coloring:
         base = (class_bases or {}).get(cls.color, 0)
@@ -657,7 +665,7 @@ def validate_run(run: TrialRun) -> AuditReport:
     side, contained = 1.0 / grid.grid_dim, _contained(grid, positions)
     wide = ~contained | (math.sqrt(2) * side * _SLACK > params.radius)
     report = AuditReport(
-        audit_coloring(grid, params, run.coloring, positions, bases)
+        audit_coloring(grid, params, run.coloring, positions, bases, contained)
         + _audit_single_hop(run, layout, wide)
     )
     if not (

@@ -20,21 +20,23 @@ classes stay silent.  For the MAX protocol the script is
 The histogram variant replaces the script with per-member repetition: the
 center majority-decodes each member's bit and counts the ones.
 
-Noise is drawn phase by phase (RNG layout 5, which draws as layout 4).  For
-MAX: discovery for every class, then identity for every class, then
-confirmation for every class, each phase in class, cell and member order;
-the histogram's one counting phase in the same order.  A majority-decoded
-member (discovery, confirmation, counting) is one uniform against the
-majority tail of its copies
-(``Channel.majority_mask``); identity draws one flip per codeword bit, as
-nearest-codeword decoding reads the whole error pattern.  The slots are the
-schedule's, whatever the draw order: classes take turns and a class's cells
-run in lockstep.  Confirmation, the one draw whose size depends on the data,
-comes last, so it moves no other draw.  A majority phase is one draw over
-all its members.  Identity is drawn and decoded in blocks of members of at
-most ``STAGE1_BLOCK`` receptions, which may cut a cell; the stream in C
-order does not depend on where the blocks cut, and decoding draws nothing,
-so the blocks bound memory without moving a draw.
+Noise is drawn phase by phase (RNG layout 6).  For MAX: discovery for every
+class, then identity for every class, then confirmation for every class,
+each phase in class, cell and member order; the histogram's one counting
+phase in the same order.  A majority-decoded member (discovery,
+confirmation, counting) is one uniform against the majority tail of its
+copies (``Channel.majority_mask``).  Identity draws, per member, only what
+nearest-codeword decoding reads (``Channel.code_errors``): under iid noise
+the error weight, then where the distance shortcuts need it the overlap with
+the candidate's codeword difference, then where they leave the decode open
+the error pattern, each a pass over the members; under an adversary one
+flip per codeword bit, in blocks of members of at most ``STAGE1_BLOCK``
+receptions, which may cut a cell.  The slots are the schedule's, whatever
+the draw order: classes take turns and a class's cells run in lockstep.
+Confirmation, the one draw whose size depends on the data, comes last, so
+it moves no other draw.  A majority phase is one draw over all its members.
+No stream depends on where buffers or blocks cut, and decoding draws
+nothing, so they bound memory without moving a draw.
 
 A captured trace gets one run-length record per phase, in draw order:
 discovery, identity and confirmation for MAX, counting for the histogram.
@@ -73,8 +75,8 @@ __all__ = [
     "run_stage1_hist",
 ]
 
-# The identity phase draws its members in blocks of at most this many receptions
-# (one member's block_len where that is more).
+# Under an adversary the identity phase draws its members in blocks of at most
+# this many receptions (one member's block_len where that is more).
 STAGE1_BLOCK = 1 << 18
 
 
@@ -271,33 +273,30 @@ def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, cha
     slot, and every member decodes it.  Returns whether each member believes
     it is its cell's witness.
 
-    One flip per member and codeword bit, drawn in blocks of at most
-    max(STAGE1_BLOCK, block_len) receptions, each decoded in one
-    ``BlockCode.decode_equals`` call.  A block may cut a cell: each member
-    takes its own cell's message and slots, and a center answers whether it
-    named itself without decoding."""
+    Every member is one row of ``Channel.code_errors``, in member order: the
+    distance shortcuts settle most rows, and the rows they leave open are
+    decoded in ``BlockCode.decode_equals`` calls, one per block of them.  An
+    adversary's hook sees the receptions in blocks of at most
+    max(STAGE1_BLOCK, block_len), which may cut a cell.  A center answers
+    whether it named itself without decoding."""
     code, length = config.id_code, config.block_len
     starts = sizes.cumsum() - sizes
-    rank = np.repeat(np.arange(sizes.size), sizes)  # each member's cell
-    local = pick - starts  # the witness's in-cell index
-    named_itself = members[pick] == centers
-    believes = np.empty(members.size, dtype=bool)
-    step = max(1, STAGE1_BLOCK // length)
-    for lo in range(0, members.size, step):
-        at = slice(lo, lo + step)
+    # Each member's cell, the witness's in-cell index and its own, as int32:
+    # they are the phase's only arrays of more than a byte per member.
+    rank = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
+    is_center = members == centers[rank]
+    sent = (pick - starts).astype(np.int32)[rank]
+    own = np.arange(members.size, dtype=np.int32) - starts.astype(np.int32)[rank]
+    believes = sent == own
+
+    def receptions(at):
         cell = rank[at]
-        block_members, own_center = members[at], centers[cell]
-        flips = channel.flip_mask(
-            (block_members.size, length),
-            slots=lambda: id_bases[cell, None] + np.arange(length),
-            txs=own_center[:, None],
-            rxs=block_members[:, None],
-        )
-        own_index = np.arange(lo, lo + block_members.size) - starts[cell]
-        decoded = code.decode_equals(local[cell], flips, own_index)
-        is_center = block_members == own_center
-        decoded[is_center] = named_itself[cell[is_center]]
-        believes[at] = decoded
+        slots = id_bases[cell, None] + np.arange(length)
+        return dict(slots=slots, txs=centers[cell, None], rxs=members[at, None])
+
+    for rows, flips in channel.code_errors(code, sent, own, receptions, STAGE1_BLOCK):
+        believes[rows] = code.decode_equals(sent[rows], flips, own[rows])
+    believes[is_center] = sent[is_center] == own[is_center]
     channel.record("identity", centers, id_bases, length)
     channel.metrics.add("stage1", tx=length * sizes.size, rx=length * int(sizes.sum() - sizes.size))
     return believes
@@ -342,7 +341,7 @@ def run_stage1_max(
 
     Color classes execute sequentially; cells inside a class run in lockstep,
     so a class occupies c_rep * max_members + block_len + r2 slots.  Noise is
-    drawn phase by phase (RNG layout 5, which draws as layout 4): discovery,
+    drawn phase by phase (RNG layout 6): discovery,
     identity, then confirmation, each over every class in class, cell and
     member order.  Each phase is charged once; a captured trace gets one
     run-length record per phase, in draw order.

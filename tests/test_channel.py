@@ -17,12 +17,14 @@ from noisyplanar.channel import (
     Metrics,
     NoiseModel,
     Trace,
+    _flip_counts_drawn,
+    _iid_counts,
     color_cells,
     distances,
     majority_tail,
     resolve_slot,
 )
-from noisyplanar.coding import RepetitionScheme
+from noisyplanar.coding import BlockCode, RepetitionScheme
 from noisyplanar.geometry import assign_cells, derive_params, place_nodes
 from noisyplanar.harness import wilson_interval
 
@@ -467,6 +469,48 @@ class TestMajorityTail:
             assert rng.bit_generator.state == want_rng.bit_generator.state
         # The hook was asked once per copy, in C order.
         assert calls == [(s, 1, 2) for s in slots.ravel().tolist()]
+
+
+class TestIidCodeErrors:
+    """Block-code errors under iid noise, drawn from each row's sufficient
+    statistics (RNG layout 6), have the law of one flip per reception."""
+
+    @pytest.mark.parametrize("eps0, length", [(0.1, 12), (0.1, 44), (0.25, 44), (0.25, 88)])
+    def test_weights_are_binomial(self, eps0, length):
+        # Per count within 4 sigma; counts expected fewer than 5 times are
+        # pooled into one bin at each end.
+        rows = 200_000
+        weights = _flip_counts_drawn(np.random.default_rng(5), rows, _iid_counts(eps0, length))
+        seen = np.bincount(weights, minlength=length + 1)
+        want = rows * stats.binom.pmf(np.arange(length + 1), length, eps0)
+        lo, hi = np.flatnonzero(want >= 5)[[0, -1]]
+        seen, want = (np.r_[a[:lo].sum(), a[lo : hi + 1], a[hi + 1 :].sum()] for a in (seen, want))
+        assert (np.abs(seen - want) <= 4 * np.sqrt(want * (1 - want / rows))).all()
+
+    @pytest.mark.parametrize("eps0", [0.1, 0.25])
+    @pytest.mark.parametrize("msg_bits, length", [(3, 12), (6, 44)], ids=["k3-L12", "k6-L44"])
+    def test_decoded_messages_have_the_per_bit_law(self, msg_bits, length, eps0):
+        # One sent message over 10^5 rows, each asking about one candidate in
+        # turn: the share of a candidate's rows that decode to it must match
+        # the share of per-bit Bernoulli flips that decode to it, within 4
+        # sigma of the two estimates' difference.  k = 6, L = 44 is the
+        # identity code of a 2,000-node world.
+        code, rows, sent = BlockCode(msg_bits, length, seed=404), 100_000, 5
+        heard = np.arange(rows) % 2**msg_bits
+        sent_rows = np.full(rows, sent)
+        channel = Channel(None, None, NoiseModel(eps0), np.random.default_rng(6))
+        decoded = sent_rows == heard
+        for at, flips in channel.code_errors(code, sent_rows, heard, None, 0):
+            decoded[at] = code.decode_equals(sent_rows[at], flips, heard[at])
+        each = np.bincount(heard)
+        got = np.bincount(heard[decoded], minlength=each.size) / each
+        per_bit = np.random.default_rng(7).random((rows, length)) < eps0
+        words = code.codebook[sent] ^ per_bit
+        want = np.bincount(code.decode_batch(words), minlength=each.size) / rows
+        pooled = (got * each + want * rows) / (each + rows)
+        sigma = np.sqrt(pooled * (1 - pooled) * (1 / each + 1 / rows))
+        assert (np.abs(got - want) <= 4 * sigma).all()
+        assert 0 < want[sent] < 1
 
 
 class TestColorCells:

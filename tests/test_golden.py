@@ -18,20 +18,29 @@ from noisyplanar.harness import run_experiment, run_trial, validate_run
 # 4's draws and sizes the identity code to the largest cell: in
 # max-abstract-2000, trials 1 and 2 each gain one believer and one r2-copy
 # confirmation (+23 tx); the other four re-serialise to layout 4's digests
-# (LAYOUT_4), and the histogram reports to layout 2's (LAYOUT_2).
+# (LAYOUT_4), and the histogram reports to layout 2's (LAYOUT_2).  Layout 6
+# draws iid identity noise from each member's sufficient statistics: every
+# report moved by its "rng_layout" key alone (LAYOUT_5).
 GOLDEN = [
     (dict(protocol="max", mode="abstract", n=(2000,), trials=3, eps0=0.1),
-     "dbf415004041bbf45eae0cfd34c936d82c512d87d9c8473805fd8992c55a69d7"),
+     "f299d9e8ab953ca449edf27f0aad2a180fde4f5a2374085072216efbd8f453ac"),
     (dict(protocol="hist", mode="repetition", n=(2000,), trials=3, eps0=0.1),
-     "052ae234346093651d2b4aea4f1a2dec26e526cba5c685682ad1930637ec2593"),
+     "8636371ce65d77157098d973acd2e6b96dd2350317486f8191aa556a34f6ba0f"),
     (dict(protocol="max", mode="repetition", n=(1500,), trials=2, eps0=0.1),
-     "8da5ea7983ef8bfb91e2a2478d86c901b969834890e899a3259c30639a2acfa1"),
+     "422795c47291e15b74708de6e14646c791653a75731ff0621413baab51c70081"),
     (dict(protocol="max", mode="treecode", n=(600,), trials=2, eps0=0.05),
-     "798812e306c03c322910c427a3ad4f1d0a6d7cb1e7caa9f3beb0824da75f2f79"),
+     "ed4fddf235b0746343b9fef900293ce650d7b843a9f390ae1c1b42cb68fbb5bc"),
     (dict(protocol="hist", mode="abstract", n=(3000,), trials=2, eps0=0.0),
-     "c3b0f10720813128ddec98b477d4229164927e5a50d823ba62fa818b3d925f21"),
+     "a75d83fe8cdb395a6c7d0bc308d77ba46fec9f160b7f4a3ef87c1a751f5e1554"),
 ]
 IDS = [f"{f['protocol']}-{f['mode']}-{f['n'][0]}" for f, _ in GOLDEN]
+LAYOUT_5 = {
+    "max-abstract-2000": "dbf415004041bbf45eae0cfd34c936d82c512d87d9c8473805fd8992c55a69d7",
+    "hist-repetition-2000": "052ae234346093651d2b4aea4f1a2dec26e526cba5c685682ad1930637ec2593",
+    "max-repetition-1500": "8da5ea7983ef8bfb91e2a2478d86c901b969834890e899a3259c30639a2acfa1",
+    "max-treecode-600": "798812e306c03c322910c427a3ad4f1d0a6d7cb1e7caa9f3beb0824da75f2f79",
+    "hist-abstract-3000": "c3b0f10720813128ddec98b477d4229164927e5a50d823ba62fa818b3d925f21",
+}
 LAYOUT_4 = {
     "hist-repetition-2000": "d103081a88beb7f7e6a82b3910d2842c9a8951a505de0ccd6891c84a775169c7",
     "max-repetition-1500": "7d7b1ec9b9b77dc5f0ccd3b6f1b629930e2f4757109d0da22121963a92e436d6",
@@ -54,9 +63,17 @@ def test_report_digest_is_pinned(fields, digest):
 def test_report_as_layout_2_keeps_its_layout_2_digest(name):
     fields, _ = GOLDEN[IDS.index(name)]
     report = run_experiment(ExperimentConfig(base_seed=13, **fields)).to_dict()
-    assert report["rng_layout"] == 5
+    assert report["rng_layout"] == 6
     text = json.dumps({**report, "rng_layout": 2}, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_2[name]
+
+
+@pytest.mark.parametrize("name", LAYOUT_5)
+def test_report_as_layout_5_keeps_its_layout_5_digest(name):
+    fields, _ = GOLDEN[IDS.index(name)]
+    report = run_experiment(ExperimentConfig(base_seed=13, **fields)).to_dict()
+    text = json.dumps({**report, "rng_layout": 5}, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_5[name]
 
 
 @pytest.mark.parametrize("name", LAYOUT_4)

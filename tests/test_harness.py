@@ -141,9 +141,9 @@ class TestRunExperiment:
 
     def test_run_and_sweep_reports_declare_the_rng_layout(self):
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
-        assert RNG_LAYOUT == 5  # layout 4's draws, the identity code sized to the cell
-        assert json.loads(run_experiment(cfg).to_json())["rng_layout"] == 5
-        assert json.loads(SweepReport(cfg).to_json())["rng_layout"] == 5
+        assert RNG_LAYOUT == 6  # iid identity noise drawn from its sufficient statistics
+        assert json.loads(run_experiment(cfg).to_json())["rng_layout"] == 6
+        assert json.loads(SweepReport(cfg).to_json())["rng_layout"] == 6
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from noisyplanar import channel as channel_module
 from noisyplanar import intracell
 from noisyplanar.channel import (
     Channel,
@@ -531,16 +532,23 @@ LOSSY = Stage1Config(eps1=0.05, c_rep=1, r2=3, id_code=BlockCode(6, 6, seed=2))
 TWO_WORDS = replace(Stage1Config.for_network(2000, 0.0), id_code=BlockCode(11, 70, seed=404))
 
 
+def layout_5(eps0):
+    """Noise whose hook answers eps0: the per-reception stream that iid noise
+    drew up to RNG layout 5, and that the per-cell references draw."""
+    return NoiseModel(eps0, mode="adversarial", adversary=lambda slot, tx, rx, history: eps0)
+
+
 class TestMaxClassBatching:
     @staticmethod
     def run_both(n, eps0, config=None, noise=None, reference=max_phase_major, bit_p=0.3):
         """(witnesses, values, metrics, trace rows, rng state) of the batched
-        run and of the reference, each on a fresh channel, and the world's grid."""
+        run and of the reference, each on a fresh channel, and the world's grid.
+        The noise is a hook that answers eps0 unless given (``layout_5``)."""
         config = config or Stage1Config.for_network(2000, 0.0)
         out = []
         for run in (run_stage1_max, reference):
             inst, params, grid, coloring, config, channel = build_world(n, 4, eps0, config, bit_p)
-            channel.noise = noise if noise is not None else channel.noise
+            channel.noise = noise if noise is not None else layout_5(eps0)
             channel.trace = Trace()
             result = run(grid, coloring, config, channel)
             if run is run_stage1_max:  # one record per phase, in draw order
@@ -607,11 +615,13 @@ class TestMaxClassBatching:
         monkeypatch.setattr(BlockCode, "decode_batch", counted_batch)
         (batched, reference), grid = self.run_both(2000, 0.3, TWO_WORDS)
         assert batched == reference
-        # The batched run decodes each block in one call (at n = 2000 one block
-        # holds every member), the reference every cell in one call each.
+        # The batched run decodes the rows its block's shortcuts leave open in
+        # one call (at n = 2000 one block holds every member), the reference
+        # every cell in one call each.
         members = sum(c.size for c in grid)
-        assert len(calls) == 1 + len(grid) and calls[0][0] == members
+        assert len(calls) == 1 + len(grid) and calls[0][0] == calls[0][1]
         assert sum(rows for rows, _ in calls[1:]) == members
+        assert sum(full for _, full in calls[1:]) == calls[0][1]
         # The shortcuts leave few of the batched run's rows to the full decode.
         assert 0 < calls[0][1] < members // 10
 
@@ -634,7 +644,8 @@ class TestMaxClassBatching:
         # The per-cell entry points are one-cell calls of the batched phases:
         # the same results, draws, hook calls, trace records and metrics as
         # the per-cell references, in every confirmation case (LOSSY), with
-        # identity blocks of one member or of the whole cell.
+        # identity blocks of one member or of the whole cell.  The "iid" runs
+        # draw layout 5's iid stream, which the references draw (``layout_5``).
         monkeypatch.setattr(intracell, "STAGE1_BLOCK", block)
         out = []
         for phases in (REFERENCES, ENTRY_POINTS):
@@ -643,6 +654,8 @@ class TestMaxClassBatching:
             if adversarial:
                 hook = lambda slot, tx, rx, history: calls.append((slot, tx, rx)) or 0.3
                 channel.noise = NoiseModel(0.3, mode="adversarial", adversary=hook)
+            else:
+                channel.noise = layout_5(0.3)
             channel.trace = Trace()
             result = max_phase_major(grid, coloring, config, channel, phases)
             records = [
@@ -655,8 +668,9 @@ class TestMaxClassBatching:
 
 
 class TestStage1Blocks:
-    """Identity's members are drawn in blocks of members and each majority
-    phase in one draw; the block size bounds memory and moves no draw."""
+    """An adversary's identity flips are drawn in blocks of members, iid
+    identity in three passes through FLIP_CHUNK buffers, and each majority
+    phase in one draw; block and buffer sizes bound memory and move no draw."""
 
     SIZES = [1, 7, 3000, intracell.STAGE1_BLOCK, 1 << 62]  # 1 << 62: every flip in one block
 
@@ -699,12 +713,13 @@ class TestStage1Blocks:
         draws = [len(d) for _, d, _ in runs]
         # Each majority phase is one draw.  Sizes 1 and 7 draw identity member
         # by member (LOSSY's block is 6 bits); the default and the unbounded
-        # block draw it at once at n = 2000; 3000 flips lie in between.
-        if protocol == "max":
+        # block draw it at once at n = 2000; 3000 flips lie in between.  Under
+        # iid noise identity draws no flip per reception (RNG layout 6).
+        if protocol == "max" and adversarial:
             assert draws[0] == draws[1] > draws[2] > draws[3] == draws[4]
             assert draws[0] == grid.n + 2
         else:
-            assert draws == [1] * len(self.SIZES)
+            assert draws == [2 if protocol == "max" else 1] * len(self.SIZES)
         # A block passes the bound unless one member's codeword does.  Only
         # identity, MAX's draws between discovery and confirmation, is drawn
         # in blocks.
@@ -727,7 +742,20 @@ class TestStage1Blocks:
         assert first < center < first + sink.size - 1  # neither least nor last
         step = center + after  # members per block: a boundary at center + after
         run, shapes, _ = self.run_at(step * LOSSY.block_len, "max", adversarial, monkeypatch, 0)
-        assert shapes[1] == (step, LOSSY.block_len)
+        if adversarial:  # iid identity draws no block of flips (RNG layout 6)
+            assert shapes[1] == (step, LOSSY.block_len)
+        assert run == whole
+
+    @pytest.mark.parametrize(
+        "chunk, block", [(1, 1 << 62), (5, 1), (64, 7), (channel_module.FLIP_CHUNK, 3000)]
+    )
+    def test_every_flip_chunk_gives_the_same_iid_run(self, chunk, block, monkeypatch):
+        # iid noise draws its uniforms through buffers of at most FLIP_CHUNK, and
+        # identity its weights, overlaps and patterns in three passes over the
+        # members; LOSSY's 6-bit code leaves many rows to each pass at eps0 0.3.
+        whole, _, _ = self.run_at(intracell.STAGE1_BLOCK, "max", False, monkeypatch)
+        monkeypatch.setattr(channel_module, "FLIP_CHUNK", chunk)
+        run, _, _ = self.run_at(block, "max", False, monkeypatch)
         assert run == whole
 
 
