@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -398,6 +399,13 @@ def _coloring(count: int, grid_dim: int, d: int) -> tuple[ScheduleClass, ...]:
         ScheduleClass(color=color, cells=tuple(cells.tolist()))
         for color, cells in zip(palette.tolist(), np.split(order + 1, starts[1:]))
     )
+
+
+def _classes_end_to_end(coloring: list[ScheduleClass]):
+    """The classes' cells end to end, class k's at cells[bounds[k]:bounds[k + 1]]."""
+    counts = [len(cls.cells) for cls in coloring]
+    cells = np.fromiter(chain.from_iterable(cls.cells for cls in coloring), np.int64, sum(counts))
+    return cells, np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
 @dataclass(frozen=True)

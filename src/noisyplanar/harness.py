@@ -216,13 +216,11 @@ def run_trial(
     )
 
     if config.protocol == "max":
-        s1 = run_stage1_max(grid, coloring, s1cfg, channel)
-        stage1_value = max(s1.values.values())
-        computed = run_stage2_max(plan, s1.values, link_cfg, channel, grid, params, tree)
+        stage1, stage2, total = run_stage1_max, run_stage2_max, np.max
     else:
-        s1 = run_stage1_hist(grid, coloring, s1cfg, channel)
-        stage1_value = sum(s1.counts.values())
-        computed = run_stage2_hist(plan, s1.counts, link_cfg, channel, grid, params, tree)
+        stage1, stage2, total = run_stage1_hist, run_stage2_hist, np.sum
+    s1 = stage1(grid, coloring, s1cfg, channel)
+    computed = stage2(plan, s1.values, link_cfg, channel, grid, params, tree)
     _check_counters(channel.metrics, n, trial)
 
     return TrialRun(
@@ -238,7 +236,7 @@ def run_trial(
         stage1_config=s1cfg,
         link_config=link_cfg,
         stage1=s1,
-        stage1_value=stage1_value,
+        stage1_value=int(total(s1.values)),
         computed=computed,
         oracle_value=oracle(instance, config.protocol),
         resamples=resamples,
@@ -518,8 +516,8 @@ def audit_coloring(
     violations = []
     for cls in coloring:
         base = (class_bases or {}).get(cls.color, 0)
-        periodic = np.array([rule[j] == cls.color for j in cls.cells], dtype=bool)
-        open_ = ~(proven[np.array(cls.cells, dtype=np.int64) - 1] & periodic)
+        cells = np.array(cls.cells, dtype=np.int64)
+        open_ = ~(proven[cells - 1] & (rule[cells] == cls.color))
         if not open_.any():
             continue
         for i, j in zip(*np.nonzero(np.triu(open_[:, None] | open_, 1))):
@@ -566,7 +564,7 @@ def _replay_slots(run: TrialRun) -> list[str]:
     subslot = subslots(run.coloring)
     violations = []
     for si, stage in enumerate(run.plan.stages):
-        lanes = np.array([subslot[c] for c in stage.links[:, 0].tolist()], dtype=np.int64)
+        lanes = subslot[stage.links[:, 0]]
         txs, rxs = run.grid.centers[stage.links.T - 1]
         failed = resolve_slot(lanes, txs, 0, rxs, *world, listen_slots=lanes) < RECEIVED
         if not failed.any():
@@ -673,7 +671,7 @@ def validate_run(run: TrialRun) -> AuditReport:
         and _beyond((params.reuse_distance - 2) * side, params)
         and _links_adjacent(run.plan, grid.grid_dim)
         and contained.all()
-        and subslots(run.coloring) == subslots(color_cells(grid, params))
+        and np.array_equal(subslots(run.coloring), subslots(color_cells(grid, params)))
     ):
         report.collision_violations += _replay_slots(run)
 

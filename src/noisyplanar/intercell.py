@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, ScheduleClass, color_cells
+from .channel import Channel, ScheduleClass, _classes_end_to_end, color_cells
 from .coding import LineProtocol, LinkSimConfig, or_chain, repetition_errors, simulate_line
 from .geometry import CellGrid, DerivedParams, SpanningTree
 
@@ -197,9 +197,13 @@ def _check_counts(counts, width: int) -> None:
         raise ValueError(f"count {counts[bad[0]]} does not fit in {width} bits")
 
 
-def subslots(coloring: list[ScheduleClass]) -> dict[int, int]:
-    """Each cell's subslot in a logical inter-cell slot: its color in the coloring."""
-    return {j: cls.color for cls in coloring for j in cls.cells}
+def subslots(coloring: list[ScheduleClass]) -> np.ndarray:
+    """Each cell's subslot in a logical inter-cell slot, indexed by cell
+    number: its color in the coloring, or -1 for a cell it does not list."""
+    cells, bounds = _classes_end_to_end(coloring)
+    lanes = np.full(cells.max(initial=0) + 1, -1, dtype=np.int64)
+    lanes[cells] = np.repeat([cls.color for cls in coloring], np.diff(bounds))
+    return lanes
 
 
 def slot_ids(start: int, logical, lane, lanes: int) -> np.ndarray:
@@ -215,8 +219,7 @@ def slot_ids(start: int, logical, lane, lanes: int) -> np.ndarray:
 def _link_slots(start, subslot, params, bank, deeper):
     """``slots`` for links whose deeper cells are ``deeper``, in draw order,
     up (bank 0) or down from the root (bank 1)."""
-    colors = lambda: [subslot()[j] for j in deeper.tolist()]
-    lanes = lambda: bank * (params.interference_bound + 1) + np.array(colors(), dtype=np.int64)
+    lanes = lambda: bank * (params.interference_bound + 1) + subslot()[deeper]
     return lambda logical: slot_ids(start, logical.T, lanes(), params.link_slot_span).T
 
 
@@ -283,8 +286,9 @@ def _settle_roots(values, roots, delivered, failures, fold, mask) -> None:
         start = k + 1
 
 
-def _run_stage2(plan, state, protocol, width, config, channel, grid, params) -> np.ndarray:
-    """Run the plan sub-stage by sub-stage; returns every cell's value by index.
+def _run_stage2(plan, stage1, protocol, width, config, channel, grid, params) -> np.ndarray:
+    """Run the plan from the stage-1 values by cell number (ValueError unless
+    MAX bits or counts below 2^width); returns every cell's value the same way.
 
     Each sub-stage is one array pass (``_delivered``) in abstract and
     repetition mode, where repetition links take their error words from one
@@ -296,15 +300,17 @@ def _run_stage2(plan, state, protocol, width, config, channel, grid, params) -> 
     its longest array's logical slots times the link slot span, charged with
     its transmissions in one call (``_substage_cost``).
     """
-    cells = np.fromiter(state, np.int64, len(state))
-    values = np.zeros(len(grid) + 1, dtype=np.int64)
-    values[cells] = np.fromiter(state.values(), np.int64, len(state))
+    values = np.asarray(stage1)
+    if values.shape != (len(grid) + 1,):
+        raise ValueError(f"stage-1 values must have shape ({len(grid) + 1},), got {values.shape}")
+    if protocol == "max" and not ((values == 0) | (values == 1)).all():  # before the cast
+        raise ValueError("MAX stage-1 values must be 0/1 valued")
+    _check_counts(values, width)
+    values = values.astype(np.int64)  # a copy: the roots fold into it
     fold, mask = (np.bitwise_or, None) if protocol == "max" else (np.add, (1 << width) - 1)
     line_for = or_chain if protocol == "max" else partial(adder_chain, width=width)
     subslot = cache(lambda: subslots(color_cells(grid, params)))  # read only by a hook
     for stage in plan.stages:
-        if mask is not None:
-            _check_counts(values[stage.cells], width)
         clock = partial(_link_slots, channel.metrics.slots_total, subslot, params, 0)
         hops = stage.lengths - 1
         failures = []
@@ -338,14 +344,14 @@ def _run_stage2(plan, state, protocol, width, config, channel, grid, params) -> 
 
 def run_stage2_max(
     plan: SubstagePlan,
-    stage1_values: dict[int, int],
+    stage1_values: np.ndarray,
     config: LinkSimConfig,
     channel: Channel,
     grid: CellGrid,
     params: DerivedParams,
     tree: SpanningTree,
 ) -> int:
-    """Aggregate the per-cell bits up the tree; returns the value at the sink.
+    """Aggregate the per-cell bits, by cell number, up the tree; returns the sink's value.
 
     Each array carries the running OR (``or_chain``) from its deepest cell to
     its root.  Arrays of one sub-stage run in parallel, so a sub-stage costs
@@ -359,7 +365,7 @@ def run_stage2_max(
 
 def run_stage2_hist(
     plan: SubstagePlan,
-    stage1_counts: dict[int, int],
+    stage1_counts: np.ndarray,
     config: LinkSimConfig,
     channel: Channel,
     grid: CellGrid,
@@ -367,8 +373,8 @@ def run_stage2_hist(
     tree: SpanningTree,
     width: int | None = None,
 ) -> int:
-    """Sum the per-cell counts up the tree through the pipelined adder
-    (``adder_chain``); returns the total at the sink."""
+    """Sum the per-cell counts, by cell number, up the tree through the
+    pipelined adder (``adder_chain``); returns the total at the sink."""
     if width is None:
         width = count_bits_for(params.n)
     values = _run_stage2(plan, stage1_counts, "hist", width, config, channel, grid, params)
@@ -449,13 +455,13 @@ def distribute_result(
         logical, tx = _substage_cost(stage, relay, "max", 1)
         channel.metrics.add("distribute", tx=tx, rx=tx, slots=logical * params.link_slot_span)
 
-    cells = [j for cls in coloring for j in cls.cells]
+    cells, bounds = _classes_end_to_end(coloring)
     members, sizes, centers = grid.gather(cells)
-    rank = np.repeat(np.arange(len(cells)), sizes)
+    rank = np.repeat(np.arange(cells.size), sizes)
     heard = members != centers[rank]
     rank, rxs = rank[heard], members[heard]
     start = channel.metrics.slots_total
-    class_of = lambda: np.repeat(np.arange(len(coloring)), [len(cls.cells) for cls in coloring])
+    class_of = lambda: np.repeat(np.arange(len(coloring)), np.diff(bounds))
     wrong = channel.majority_mask(
         (rxs.size, r2),
         slots=lambda: slot_ids(start, class_of()[rank, None], np.arange(r2), r2),  # hooks only
@@ -466,5 +472,5 @@ def distribute_result(
     node_values = np.zeros(grid.n, dtype=np.int8)
     node_values[centers] = bits
     node_values[rxs] = bits[rank] ^ wrong
-    channel.metrics.add("distribute", tx=r2 * len(cells), rx=r2 * rxs.size, slots=r2 * len(coloring))
+    channel.metrics.add("distribute", tx=r2 * cells.size, rx=r2 * rxs.size, slots=r2 * len(coloring))
     return node_values

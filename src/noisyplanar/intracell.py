@@ -53,13 +53,12 @@ and ``confirm_value`` run one of them in one cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
-from .channel import Channel, ScheduleClass, TraceRecord
+from .channel import Channel, ScheduleClass, TraceRecord, _classes_end_to_end
 from .coding import BlockCode, RepetitionScheme, smallest_odd_at_least
 from .geometry import Cell, CellGrid
 
@@ -161,11 +160,11 @@ class Stage1Config:
 
 @dataclass
 class Stage1Result:
-    """Per-cell outcomes of stage 1; its cost is charged to ``channel.metrics``."""
+    """Per-cell outcomes of stage 1 as int64 arrays by cell number, entry 0
+    unused: each cell's bit (MAX) or count (histogram), and its MAX witness."""
 
-    witnesses: dict[int, int] = field(default_factory=dict)
-    values: dict[int, int] = field(default_factory=dict)
-    counts: dict[int, int] = field(default_factory=dict)
+    values: np.ndarray
+    witnesses: np.ndarray | None = None
 
 
 def _member_firsts(sizes: np.ndarray, cell_first: np.ndarray, reps: int) -> np.ndarray:
@@ -200,13 +199,6 @@ def _majority_phase(members, sizes, centers, cell_base, reps: int, phase: str, c
     channel.record(phase, members, firsts, reps)
     channel.metrics.add("stage1", tx=reps * int(sizes.sum()), rx=reps * int(sizes.dot(sizes - 1)))
     return decoded
-
-
-def _classes_end_to_end(coloring: list[ScheduleClass]):
-    """The classes' cells end to end, class k's at cells[bounds[k]:bounds[k + 1]]."""
-    counts = [len(cls.cells) for cls in coloring]
-    cells = np.fromiter(chain.from_iterable(cls.cells for cls in coloring), np.int64, sum(counts))
-    return cells, np.concatenate([[0], np.cumsum(counts)])
 
 
 def stage1_layout(
@@ -352,11 +344,9 @@ def run_stage1_max(
     believes = _identity(members, sizes, centers, id_bases, pick, config, channel)
     values = _confirmation(members, sizes, centers, confirm_bases, believes, config, channel)
     channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
-    cell_ids = cells.tolist()
-    return Stage1Result(
-        witnesses=dict(zip(cell_ids, members[pick].tolist())),
-        values=dict(zip(cell_ids, values.tolist())),
-    )
+    by_cell = np.zeros((2, len(grid) + 1), dtype=np.int64)
+    by_cell[:, cells] = values, members[pick]
+    return Stage1Result(*by_cell)
 
 
 def witness_discovery(cell: Cell, config: Stage1Config, channel: Channel, slot0: int = 0) -> int:
@@ -409,6 +399,7 @@ def run_stage1_hist(
     layout = stage1_layout(grid, coloring, config, "hist")
     cells, members, sizes, centers, bases, _, _ = _cells_of(grid, layout, config)
     decoded = _majority_phase(members, sizes, centers, bases, config.r2, "hist_count", channel)
-    counts = np.add.reduceat(decoded, sizes.cumsum() - sizes, dtype=np.int64)
+    counts = np.zeros(len(grid) + 1, dtype=np.int64)
+    counts[cells] = np.add.reduceat(decoded, sizes.cumsum() - sizes)
     channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
-    return Stage1Result(counts=dict(zip(cells.tolist(), counts.tolist())))
+    return Stage1Result(counts)

@@ -32,6 +32,11 @@ GOLDEN = [
      "ed4fddf235b0746343b9fef900293ce650d7b843a9f390ae1c1b42cb68fbb5bc"),
     (dict(protocol="hist", mode="abstract", n=(3000,), trials=2, eps0=0.0),
      "a75d83fe8cdb395a6c7d0bc308d77ba46fec9f160b7f4a3ef87c1a751f5e1554"),
+    # A 64 x 64 grid: 4,096 cells, where the goldens above stop at 144.
+    (dict(protocol="max", mode="abstract", n=(131072,), trials=2, eps0=0.1),
+     "5a77c3e2fae4aad466c79f997fb21d306abce356dfd0d227fd30a95ceb40c6d3"),
+    (dict(protocol="hist", mode="repetition", n=(131072,), trials=2, eps0=0.1),
+     "228a0d8ab1076ed7f48abd6acf8c0b0b47c6af66325733bfb276a6b41816f641"),
 ]
 IDS = [f"{f['protocol']}-{f['mode']}-{f['n'][0]}" for f, _ in GOLDEN]
 LAYOUT_5 = {
@@ -85,8 +90,8 @@ def test_report_as_layout_4_keeps_its_layout_4_digest(name):
 
 
 def test_two_word_identity_trial_row_is_pinned():
-    # The goldens above stop at n <= 8,000, where every identity block fits one
-    # uint64 word; n = 70,000 sends its message bits in a 68-bit, two-word block.
+    # The goldens at n <= 8,000 send every identity block in one uint64 word;
+    # n = 70,000 sends its message bits in a 68-bit, two-word block.
     cfg = ExperimentConfig(protocol="max", mode="abstract", n=(70000,), trials=1, eps0=0.1,
                            base_seed=13)
     (row,) = run_experiment(cfg).result_for(70000)["trials_detail"]
@@ -95,8 +100,8 @@ def test_two_word_identity_trial_row_is_pinned():
 
 
 def test_hist_repetition_trial_row_at_64x64_is_pinned():
-    # The histogram goldens stop at n <= 8,000; n = 131,072 runs stage 2's
-    # array pass over 390 repetition arrays in 6 sub-stages.
+    # n = 131,072 runs stage 2's array pass over 390 repetition arrays in 6
+    # sub-stages; this pins trial 0's row alone.
     cfg = ExperimentConfig(protocol="hist", mode="repetition", n=(131072,), trials=1, eps0=0.1,
                            base_seed=13)
     (row,) = run_experiment(cfg).result_for(131072)["trials_detail"]

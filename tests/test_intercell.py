@@ -284,11 +284,13 @@ class TestRunSubstageHist:
 
 
 def _stage1_values(grid, inst):
-    return {c.index: int(inst.bits[list(c.members)].max()) for c in grid}
+    """Each cell's largest bit, indexed by cell number (entry 0 unused)."""
+    return np.array([0] + [int(inst.bits[list(c.members)].max()) for c in grid], dtype=np.int64)
 
 
 def _stage1_counts(grid, inst):
-    return {c.index: int(inst.bits[list(c.members)].sum()) for c in grid}
+    """Each cell's count of ones, indexed by cell number (entry 0 unused)."""
+    return np.array([0] + [int(inst.bits[list(c.members)].sum()) for c in grid], dtype=np.int64)
 
 
 class TestRunStage2Max:
@@ -301,7 +303,7 @@ class TestRunStage2Max:
         got = run_stage2_max(
             plan, values, LinkSimConfig(mode=mode, r3=9), channel, grid, params, tree
         )
-        assert got == max(values.values()) == int(inst.bits.max())
+        assert got == values.max() == int(inst.bits.max())
 
     def test_transmission_identity_covers_every_link_once(self):
         # (cell_count - 1) * r3 in both abstract and repetition modes.
@@ -352,7 +354,7 @@ class TestRunStage2Max:
         inst, params, grid, tree, _ = sampled_world(5000, 7, bit_p=0.002)
         plan = build_substages(tree, params)
         values = _stage1_values(grid, inst)
-        truth = max(values.values())
+        truth = values.max()
         for gamma, trials in ((0.5, 600), (1.2, 600)):
             cfg = LinkSimConfig(mode="abstract", r3=27, gamma=gamma)
             bound = sum(math.exp(-gamma * (a.q - 1)) for a in plan.arrays)
@@ -363,6 +365,25 @@ class TestRunStage2Max:
             sigma = math.sqrt(max(bound * (1 - min(bound, 1.0)), 1e-6) / trials)
             assert wrong / trials <= min(bound, 1.0) + 3 * sigma
 
+    @pytest.mark.parametrize("value", [2, -3])
+    def test_values_other_than_bits_raise(self, value):
+        # The deepest cell of the first array: its value would reach the sink.
+        inst, params, grid, tree, channel = sampled_world(600, 5)
+        plan = build_substages(tree, params)
+        values = _stage1_values(grid, inst)
+        values[plan.arrays[0].cells[0]] = value
+        link = LinkSimConfig(mode="abstract", r3=9)
+        with pytest.raises(ValueError, match="0/1 valued"):
+            run_stage2_max(plan, values, link, channel, grid, params, tree)
+        assert channel.metrics.slots_stage2 == 0
+
+    def test_a_missing_cell_raises(self):
+        inst, params, grid, tree, channel = sampled_world(600, 5)
+        plan = build_substages(tree, params)
+        link = LinkSimConfig(mode="abstract", r3=9)
+        with pytest.raises(ValueError, match=rf"shape \({len(grid) + 1},\)"):
+            run_stage2_max(plan, _stage1_values(grid, inst)[:-1], link, channel, grid, params, tree)
+
 
 class TestRunStage2Hist:
     @pytest.mark.parametrize("mode", MODES)
@@ -371,7 +392,7 @@ class TestRunStage2Hist:
         plan = build_substages(tree, params)
         counts = _stage1_counts(grid, inst)
         got = run_stage2_hist(plan, counts, LinkSimConfig(mode=mode, r3=9), channel, grid, params, tree)
-        assert got == sum(counts.values()) == int(inst.bits.sum())
+        assert got == counts.sum() == int(inst.bits.sum())
 
     def test_repetition_carries_g_bits_per_link(self):
         inst, params, grid, tree, channel = sampled_world(1000, 6)
@@ -402,7 +423,16 @@ class TestRunStage2Hist:
         # The deepest cell of the first array, then the sink, the last root.
         for cell, count in ((plan.arrays[0].cells[0], 1 << width), (tree.sink_cell, -1)):
             with pytest.raises(ValueError, match=f"count {count} does not fit in {width} bits"):
-                run_stage2_hist(plan, {**counts, cell: count}, link, channel, grid, params, tree)
+                bad = counts.copy()
+                bad[cell] = count
+                run_stage2_hist(plan, bad, link, channel, grid, params, tree)
+
+    def test_a_missing_cell_raises(self):
+        inst, params, grid, tree, channel = sampled_world(600, 5)
+        plan = build_substages(tree, params)
+        link = LinkSimConfig(mode="abstract", r3=9)
+        with pytest.raises(ValueError, match=rf"shape \({len(grid) + 1},\)"):
+            run_stage2_hist(plan, _stage1_counts(grid, inst)[:-1], link, channel, grid, params, tree)
 
 
 class TestClosedFormCosts:
@@ -445,7 +475,7 @@ class TestEndToEndStageComposition:
             assert got == int(inst.bits.max())
         else:
             s1 = run_stage1_hist(grid, coloring, cfg1, channel)
-            got = run_stage2_hist(plan, s1.counts, link, channel, grid, params, tree)
+            got = run_stage2_hist(plan, s1.values, link, channel, grid, params, tree)
             assert got == int(inst.bits.sum())
 
 
@@ -745,18 +775,18 @@ class TestStage2MatchesPerArrayLoop:
         values, counts = _stage1_values(grid, inst), _stage1_counts(grid, inst)
         width = count_bits_for(n)
         adder = partial(adder_chain, width=width)
-        narrow = count_bits_for(max(counts.values()))
+        narrow = count_bits_for(counts.max())
         jobs = {
             "max": (
                 lambda ch: run_stage2_max(plan, values, config, ch, grid, params, tree),
                 lambda ch: per_array_run_stage2(
-                    plan, dict(values), or_chain, config, ch, grid, params
+                    plan, values.copy(), or_chain, config, ch, grid, params
                 )[tree.sink_cell],
             ),
             "hist": (
                 lambda ch: run_stage2_hist(plan, counts, config, ch, grid, params, tree),
                 lambda ch: per_array_run_stage2(
-                    plan, dict(counts), adder, config, ch, grid, params
+                    plan, counts.copy(), adder, config, ch, grid, params
                 )[tree.sink_cell],
             ),
             # A width just fitting the largest count, so the sums wrap mod 2^width.
@@ -765,7 +795,7 @@ class TestStage2MatchesPerArrayLoop:
                     plan, counts, config, ch, grid, params, tree, width=narrow
                 ),
                 lambda ch: per_array_run_stage2(
-                    plan, dict(counts), partial(adder_chain, width=narrow), config, ch, grid,
+                    plan, counts.copy(), partial(adder_chain, width=narrow), config, ch, grid,
                     params,
                 )[tree.sink_cell],
             ),
@@ -842,7 +872,7 @@ class TestStage2AbstractMatchesPerArrayLoop:
             for job in (
                 lambda ch: run(plan, state, config, ch, grid, params, tree),
                 lambda ch: per_array_run_stage2(
-                    plan, dict(state), noting_failures, config, ch, grid, params
+                    plan, state.copy(), noting_failures, config, ch, grid, params
                 )[tree.sink_cell],
             ):
                 channel = Channel(inst, params, NoiseModel(eps0), np.random.default_rng(seed))

@@ -200,8 +200,10 @@ class TestDistributeIdentity:
     def test_a_center_past_a_block_boundary_answers_for_itself(self, block, monkeypatch):
         # The sink cell's center need not be its least member, and a block of
         # members may open at it or hold it after a boundary inside its cell
-        # (blocks of one or two members here).
+        # (blocks of one or two members here).  Only an adversary's identity
+        # flips come in blocks, so the hook answers eps0 (``layout_5``).
         cell, grid, config, channel = make_cell_world([0, 0, 0, 1, 0], eps0=0.25, seed=3, center=3)
+        channel.noise = layout_5(0.25)
         monkeypatch.setattr(intracell, "STAGE1_BLOCK", block * config.block_len)
         for _ in range(50):
             assert 3 in distribute_identity(cell, 3, config, channel)
@@ -267,8 +269,8 @@ class TestRunStage1Max:
         bits[[c.members[-1] for c in grid]] = 1  # each cell's last member is its witness
         run = run_trial(replace(cfg, bit_source="explicit", bits=tuple(bits.tolist())), 2000, 0)
         assert run.stage1_config.id_code.msg_bits == 5
-        assert run.stage1.witnesses == {c.index: int(c.members[-1]) for c in grid}
-        assert set(run.stage1.values.values()) == {1} and run.computed == 1
+        assert run.stage1.witnesses[1:].tolist() == [int(c.members[-1]) for c in grid]
+        assert set(run.stage1.values[1:].tolist()) == {1} and run.computed == 1
 
     def test_n5000_transmission_identity(self):
         # 9 per node plus 52 + 27 per cell: 9 * 5000 + 225 * 79 = 62775.
@@ -302,7 +304,7 @@ class TestRunStage1Max:
             inst.with_bits(bits), params, NoiseModel(0.0), np.random.default_rng(0)
         )
         bumped = run_stage1_max(grid, coloring, config, channel2)
-        assert max(bumped.values.values()) >= max(base.values.values())
+        assert bumped.values.max() >= base.values.max()
 
 
 class TestRunStage1Hist:
@@ -311,7 +313,7 @@ class TestRunStage1Hist:
         inst, params, grid, coloring, config, channel = build_world(1200, seed, 0.0)
         result = run_stage1_hist(grid, coloring, config, channel)
         for c in grid:
-            assert result.counts[c.index] == int(inst.bits[list(c.members)].sum())
+            assert result.values[c.index] == int(inst.bits[list(c.members)].sum())
 
     def test_transmissions_are_r2_per_node(self):
         inst, params, grid, coloring, config, channel = build_world(2000, 5, 0.0)
@@ -327,14 +329,14 @@ class TestRunStage1Hist:
             result = run_stage1_hist(grid, coloring, config, channel)
             for c in grid:
                 truth = int(inst.bits[list(c.members)].sum())
-                miscounts += result.counts[c.index] != truth
+                miscounts += result.values[c.index] != truth
         assert miscounts == 0
 
 
 def hist_per_cell(grid, coloring, config, channel):
     """Histogram counting with one draw and one count per cell: the reference
     for counting a whole color class at once."""
-    counts = {}
+    counts = np.zeros(len(grid) + 1, dtype=np.int64)
     reps = config.r2
     for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
         for j in cls.cells:
@@ -376,15 +378,15 @@ class TestHistClassBatching:
             channel.noise = noise if noise is not None else channel.noise
             channel.trace = Trace()
             if count == "batched":
-                counts = run_stage1_hist(grid, coloring, config, channel).counts
+                counts = run_stage1_hist(grid, coloring, config, channel).values
                 # one record for the phase
                 assert [r.phase for r in channel.trace.stage1] == ["hist_count"]
             else:
                 counts = hist_per_cell(grid, coloring, config, channel)
             rows = traced_rows(channel.trace)
-            truth = {c.index: int(inst.bits[list(c.members)].sum()) for c in grid}
+            truth = [0] + [int(inst.bits[list(c.members)].sum()) for c in grid]
             out.append((
-                list(counts.items()),
+                counts.tolist(),
                 channel.metrics.snapshot(),
                 rows,
                 channel.rng.bit_generator.state,
@@ -398,7 +400,7 @@ class TestHistClassBatching:
         assert batched == per_cell
         counts, _, _, _, truth = batched
         if r2 == 3:  # miscounts happen, so the comparison covers them
-            assert any(truth[j] != c for j, c in counts)
+            assert any(t != c for t, c in zip(truth, counts))
 
     def test_adversary_sees_the_same_receptions(self):
         calls = []
@@ -495,6 +497,11 @@ def reference_confirm_value(
     return value
 
 
+def cell_lists(result):
+    """A Stage1Result's arrays as lists, so that two results compare with ==."""
+    return [None if a is None else a.tolist() for a in (result.values, result.witnesses)]
+
+
 REFERENCES = (reference_witness_discovery, reference_distribute_identity, reference_confirm_value)
 ENTRY_POINTS = (witness_discovery, distribute_identity, confirm_value)
 
@@ -505,7 +512,7 @@ def max_phase_major(grid, coloring, config, channel, phases=REFERENCES):
     identity, then confirmation, each class by class and cell by cell: the
     reference for the block-drawn run."""
     discover, identify, confirm = phases
-    result = Stage1Result()
+    result = Stage1Result(*(np.zeros(len(grid) + 1, dtype=np.int64) for _ in range(2)))
     layout = stage1_layout(grid, coloring, config, "max")
     cells = [
         (grid.cell(j), *config.phase_slots(base, max_members))
@@ -556,8 +563,8 @@ class TestMaxClassBatching:
                 assert phases == ["discovery", "identity", "confirmation"]
             rows = traced_rows(channel.trace)
             out.append((
-                list(result.witnesses.items()),
-                list(result.values.items()),
+                result.witnesses.tolist(),
+                result.values.tolist(),
                 channel.metrics.snapshot(),
                 rows,
                 channel.rng.bit_generator.state,
@@ -576,7 +583,7 @@ class TestMaxClassBatching:
         # With sparse bits many cells hold no 1 and name their least member.
         (batched, reference), grid = self.run_both(2000, 0.0, bit_p=0.02)
         assert batched == reference
-        witnesses, values = dict(batched[0]), dict(batched[1])
+        witnesses, values = batched[0], batched[1]
         empty = [c for c in grid if values[c.index] == 0]
         assert len(empty) > 10
         assert all(witnesses[c.index] == c.members[0] for c in empty)
@@ -584,8 +591,7 @@ class TestMaxClassBatching:
     def test_every_confirmation_case_is_compared(self):
         (batched, reference), grid = self.run_both(2000, 0.3, LOSSY)
         assert batched == reference
-        witnesses, values, _, rows, _ = batched
-        witness = dict(witnesses)
+        witness, values, _, rows, _ = batched
         cell_of = {int(m): c.index for c in grid for m in c.members}
         believers = {c.index: set() for c in grid}
         for key in rows["confirmation"]:
@@ -662,7 +668,7 @@ class TestMaxClassBatching:
                 (r.phase, r.txs.tolist(), r.first.tolist(), r.copies) for r in channel.trace.stage1
             ]
             state = channel.rng.bit_generator.state
-            out.append((result, channel.metrics.snapshot(), records, state, calls))
+            out.append((cell_lists(result), channel.metrics.snapshot(), records, state, calls))
         assert out[0] == out[1]
         assert (len(calls) > 0) == adversarial
 
@@ -701,7 +707,7 @@ class TestStage1Blocks:
             (r.phase, r.txs.tolist(), r.first.tolist(), r.copies) for r in channel.trace.stage1
         ]
         state = channel.rng.bit_generator.state
-        return (result, channel.metrics.snapshot(), records, state, calls), draws, grid
+        return (cell_lists(result), channel.metrics.snapshot(), records, state, calls), draws, grid
 
     @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
     @pytest.mark.parametrize("protocol", ["max", "hist"])
