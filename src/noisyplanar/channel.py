@@ -11,6 +11,7 @@ flip probability up to that bound, knowing the run (see ``NoiseModel``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import chain
@@ -39,7 +40,8 @@ __all__ = [
 SILENT, COLLIDED, RECEIVED = 0, 1, 2
 
 
-# iid noise draws its uniforms through a buffer of this many float64 (256 KiB).
+# iid noise draws its uniforms through a buffer of this many float64 (256 KiB),
+# and an adversary's hook is asked about at most this many receptions at a time.
 FLIP_CHUNK = 1 << 15
 
 # Adversary hook: (slot, tx, rx, history) -> flip probability in [0, eps0].
@@ -169,7 +171,8 @@ def _iid_code_errors(rng, eps0: float, code, sent: np.ndarray, heard: np.ndarray
 
     That is the law of L independent flips at eps0.  Each pass goes through
     the rows in blocks of at most ``FLIP_CHUNK`` uniforms or rows, which hold
-    memory to about two bytes per row and move no draw.
+    memory to about two bytes per row and move no draw.  Returns the open
+    rows and their patterns in one mask array.
     """
     length = code.block_len
     weights = _flip_counts_drawn(rng, sent.size, _iid_counts(eps0, length))
@@ -184,12 +187,14 @@ def _iid_code_errors(rng, eps0: float, code, sent: np.ndarray, heard: np.ndarray
 
         opened.append(lo + code.settle_counts(sent[at], heard[at], weights[at], overlap)[1])
     open_rows = np.concatenate(opened)
+    masks = np.empty((open_rows.size, length), dtype=bool)
     step = max(1, FLIP_CHUNK // length)
     for lo in range(0, open_rows.size, step):
         rows = open_rows[lo : lo + step]
         diff = code.codebook[heard[rows]] != code.codebook[sent[rows]]
         keys = rng.random((rows.size, length))
-        yield rows, _patterns(keys, diff, weights[rows], overlaps[rows])
+        masks[lo : lo + step] = _patterns(keys, diff, weights[rows], overlaps[rows])
+    return open_rows, masks
 
 
 @dataclass(frozen=True)
@@ -209,16 +214,18 @@ class NoiseModel:
     its copies flipped], whatever the bit, so one uniform against the row's
     ``majority_tail`` draws it with its exact law.  Either batch draws all of
     its uniforms first, then asks the hook once per reception in C order
-    (every copy of a row included).  So the hook sees every reception's
-    (slot, tx, rx, history), but not the metrics or the RNG state moving
-    partway through a batch, and a hook that answers eps0 draws exactly what
-    iid noise draws in these batches.  A batch can span several arrays (a
-    repetition sub-stage of stage 2 is one), so the hook sees the channel as
-    it was when the batch's draw began.  The slot is the one the metrics
-    charge, which lockstep arrays and cells share.
+    (every copy of a row included), in chunks of at most ``FLIP_CHUNK``
+    receptions, which bound the memory of every hooked batch.  So the hook
+    sees every reception's (slot, tx, rx, history), but not the metrics or
+    the RNG state moving partway through a batch, and a hook that answers
+    eps0 draws exactly what iid noise draws in these batches.  A batch can
+    span several arrays or cells (a repetition sub-stage of stage 2 is one,
+    and so is each stage-1 phase), so the hook sees the channel as it was
+    when the batch's draw began.  The slot is the one the metrics charge,
+    which lockstep arrays and cells share.
 
     Block-code rows (identity decoding, ``Channel.code_errors``) draw their
-    flips as ``flips`` does under a hook.  In iid mode they draw each row's
+    flips as one ``flips`` batch under a hook.  In iid mode they draw each row's
     error weight, then its overlap with the candidate's codeword difference
     and its pattern only where decoding reads them: the same law, another
     stream (RNG layout 6).  So for identity a hook that answers eps0 draws
@@ -247,17 +254,25 @@ class NoiseModel:
 
     def _hook_probs(self, shape, slots, txs, rxs, history) -> np.ndarray:
         """The hook's flip probability of every reception of a batch, asked in
-        C order; slots/txs/rxs broadcast to ``shape``, and ``slots`` may be a
-        function returning that array."""
-        slots = slots() if callable(slots) else slots
-        receptions = (np.broadcast_to(a, shape).ravel().tolist() for a in (slots, txs, rxs))
-        probs = [self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)]
-        return np.reshape(np.asarray(probs, dtype=np.float64), shape)
+        C order; slots/txs/rxs broadcast to ``shape``, and each may be a
+        function returning that array.  The hook is asked in chunks of rows
+        along the leading axis of at most ``FLIP_CHUNK`` receptions (one row
+        where that is more), so its Python lists stay bounded."""
+        probs = np.empty(shape)
+        lead = probs.reshape(probs.shape or (1,))
+        arrays = [np.broadcast_to(a() if callable(a) else a, lead.shape) for a in (slots, txs, rxs)]
+        step = max(1, FLIP_CHUNK // max(1, math.prod(lead.shape[1:])))
+        for lo in range(0, len(lead), step):
+            receptions = (a[lo : lo + step].ravel().tolist() for a in arrays)
+            lead[lo : lo + step].flat = [
+                self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)
+            ]
+        return probs
 
     def flips(self, rng, shape, slots=None, txs=None, rxs=None, history=None) -> np.ndarray:
         """Boolean flips of a batch of receptions: ``rng.random(shape)`` against
         eps0, or against the hook's probability for each reception, whose
-        slots/txs/rxs arrays then broadcast to ``shape``.  ``slots`` may be a
+        slots/txs/rxs arrays then broadcast to ``shape``.  Each may be a
         function returning that array, called only when the hook reads it.
 
         In iid mode the uniforms pass through a bounded buffer
@@ -520,13 +535,12 @@ class Channel:
     (``majority_mask``), the identity phase from each member's sufficient
     statistics under iid noise (``code_errors``), every other reception one
     uniform per reception (``flip_mask``).  That order is RNG layout 6
-    (``harness.RNG_LAYOUT``), which reports declare.  A stage-1 majority
-    phase is one draw, an adversary's identity flips come in blocks of
-    members, and a repetition sub-stage of stage 2 (or of the distribution
-    relay) is one draw for all its arrays, so an adversary's hook sees the
-    channel -- metrics, RNG state -- as it was when its phase's, block's or
-    sub-stage's draw began.  A stage-1 phase charges its metrics, and traces
-    its one record, once, after its draws.
+    (``harness.RNG_LAYOUT``), which reports declare.  A stage-1 phase is one
+    draw for all its cells, and a repetition sub-stage of stage 2 (or of the
+    distribution relay) is one draw for all its arrays, so an adversary's
+    hook sees the channel -- metrics, RNG state -- as it was when its
+    phase's or sub-stage's draw began.  A stage-1 phase charges its metrics,
+    and traces its one record, once, after its draws.
     """
 
     instance: object
@@ -547,32 +561,24 @@ class Channel:
         drawn from this channel's stream; a hook gets the channel as history."""
         return self.noise.majority_flips(self.rng, shape, slots, txs, rxs, history=self)
 
-    def code_errors(self, code, sent, heard, receptions, block: int):
+    def code_errors(self, code, sent, heard, slots=None, txs=None, rxs=None):
         """The error patterns of the rows of a block-code batch that the
-        distance shortcuts leave open: yields (rows, masks), the rows
-        ascending, each with its (rows, block_len) flips.
+        distance shortcuts leave open: returns (rows, masks), the rows
+        ascending and their (rows, block_len) flips.
 
         Row i receives the codeword of message sent[i], one reception per
         codeword bit, and asks whether it decodes to heard[i]
         (``BlockCode.decode_equals``); every other row decodes as
         ``BlockCode.settle`` says, to heard[i] iff heard[i] == sent[i].  Under
         iid noise the rows draw their sufficient statistics
-        (``_iid_code_errors``).  Otherwise every reception draws its flip
-        (``flip_mask``), in blocks of rows of at most ``block`` receptions (one
-        row where that is more), so a hook sees each one; ``receptions(at)``
-        gives the slots, txs and rxs of the rows ``at``, a slice, as
-        ``flip_mask``'s keywords, and ``BlockCode.settle`` derives W, J and the
-        open rows from the flips."""
+        (``_iid_code_errors``).  Under a hook the batch is one ``flip_mask``
+        draw of one flip per reception, slots/txs/rxs as its keywords, and
+        ``BlockCode.settle`` derives W, J and the open rows from the flips."""
         if self.noise.mode == "iid":
-            yield from _iid_code_errors(self.rng, self.noise.eps0, code, sent, heard)
-            return
-        length = code.block_len
-        step = max(1, block // length)
-        for lo in range(0, sent.size, step):
-            at = slice(lo, lo + step)
-            flips = self.flip_mask((sent[at].size, length), **receptions(at))
-            _, rows = code.settle(sent[at], flips, heard[at])
-            yield lo + rows, flips[rows]
+            return _iid_code_errors(self.rng, self.noise.eps0, code, sent, heard)
+        flips = self.flip_mask((sent.size, code.block_len), slots=slots, txs=txs, rxs=rxs)
+        rows = code.settle(sent, flips, heard)[1]
+        return rows, flips[rows]
 
     def record(self, phase: str, txs, first, copies: int) -> None:
         """Trace a stage-1 phase, or one cell's part of it: txs[i] sends

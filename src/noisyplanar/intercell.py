@@ -288,7 +288,7 @@ def _settle_roots(values, roots, delivered, failures, fold, mask) -> None:
 
 def _run_stage2(plan, stage1, protocol, width, config, channel, grid, params) -> np.ndarray:
     """Run the plan from the stage-1 values by cell number (ValueError unless
-    MAX bits or counts below 2^width); returns every cell's value the same way.
+    MAX bits or whole counts below 2^width); returns every cell's value the same way.
 
     Each sub-stage is one array pass (``_delivered``) in abstract and
     repetition mode, where repetition links take their error words from one
@@ -306,6 +306,8 @@ def _run_stage2(plan, stage1, protocol, width, config, channel, grid, params) ->
     if protocol == "max" and not ((values == 0) | (values == 1)).all():  # before the cast
         raise ValueError("MAX stage-1 values must be 0/1 valued")
     _check_counts(values, width)
+    if (values != np.round(values)).any():  # before the cast, which would truncate
+        raise ValueError("stage-1 values must be whole numbers")
     values = values.astype(np.int64)  # a copy: the roots fold into it
     fold, mask = (np.bitwise_or, None) if protocol == "max" else (np.add, (1 << width) - 1)
     line_for = or_chain if protocol == "max" else partial(adder_chain, width=width)

@@ -30,13 +30,13 @@ nearest-codeword decoding reads (``Channel.code_errors``): under iid noise
 the error weight, then where the distance shortcuts need it the overlap with
 the candidate's codeword difference, then where they leave the decode open
 the error pattern, each a pass over the members; under an adversary one
-flip per codeword bit, in blocks of members of at most ``STAGE1_BLOCK``
-receptions, which may cut a cell.  The slots are the schedule's, whatever
-the draw order: classes take turns and a class's cells run in lockstep.
-Confirmation, the one draw whose size depends on the data, comes last, so
-it moves no other draw.  A majority phase is one draw over all its members.
-No stream depends on where buffers or blocks cut, and decoding draws
-nothing, so they bound memory without moving a draw.
+flip per codeword bit.  Every phase is one draw over all its members, under
+every noise model, so a hook sees the channel as it was when its phase's
+draw began.  The slots are the schedule's, whatever the draw order: classes
+take turns and a class's cells run in lockstep.  Confirmation, the one draw
+whose size depends on the data, comes last, so it moves no other draw.  No
+stream depends on where the buffers of ``channel.FLIP_CHUNK`` cut, and
+decoding draws nothing, so they bound memory without moving a draw.
 
 A captured trace gets one run-length record per phase, in draw order:
 discovery, identity and confirmation for MAX, counting for the histogram.
@@ -73,11 +73,6 @@ __all__ = [
     "run_stage1_max",
     "run_stage1_hist",
 ]
-
-# Under an adversary the identity phase draws its members in blocks of at most
-# this many receptions (one member's block_len where that is more).
-STAGE1_BLOCK = 1 << 18
-
 
 @cache
 def _id_code_for(msg_bits: int, block_len: int, seed: int) -> BlockCode:
@@ -265,12 +260,10 @@ def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, cha
     slot, and every member decodes it.  Returns whether each member believes
     it is its cell's witness.
 
-    Every member is one row of ``Channel.code_errors``, in member order: the
-    distance shortcuts settle most rows, and the rows they leave open are
-    decoded in ``BlockCode.decode_equals`` calls, one per block of them.  An
-    adversary's hook sees the receptions in blocks of at most
-    max(STAGE1_BLOCK, block_len), which may cut a cell.  A center answers
-    whether it named itself without decoding."""
+    Every member is one row of one ``Channel.code_errors`` batch, in member
+    order: the distance shortcuts settle most rows, and the rows they leave
+    open are decoded in one ``BlockCode.decode_equals`` call.  A center
+    answers whether it named itself without decoding."""
     code, length = config.id_code, config.block_len
     starts = sizes.cumsum() - sizes
     # Each member's cell, the witness's in-cell index and its own, as int32:
@@ -280,14 +273,11 @@ def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, cha
     sent = (pick - starts).astype(np.int32)[rank]
     own = np.arange(members.size, dtype=np.int32) - starts.astype(np.int32)[rank]
     believes = sent == own
-
-    def receptions(at):
-        cell = rank[at]
-        slots = id_bases[cell, None] + np.arange(length)
-        return dict(slots=slots, txs=centers[cell, None], rxs=members[at, None])
-
-    for rows, flips in channel.code_errors(code, sent, own, receptions, STAGE1_BLOCK):
-        believes[rows] = code.decode_equals(sent[rows], flips, own[rows])
+    slots = lambda: id_bases[rank, None] + np.arange(length)  # built only for a hook
+    rows, flips = channel.code_errors(
+        code, sent, own, slots=slots, txs=lambda: centers[rank, None], rxs=members[:, None]
+    )
+    believes[rows] = code.decode_equals(sent[rows], flips, own[rows])
     believes[is_center] = sent[is_center] == own[is_center]
     channel.record("identity", centers, id_bases, length)
     channel.metrics.add("stage1", tx=length * sizes.size, rx=length * int(sizes.sum() - sizes.size))

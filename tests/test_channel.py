@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from noisyplanar import channel as channel_module
 from noisyplanar.channel import (
     COLLIDED,
     FLIP_CHUNK,
@@ -500,8 +501,8 @@ class TestIidCodeErrors:
         sent_rows = np.full(rows, sent)
         channel = Channel(None, None, NoiseModel(eps0), np.random.default_rng(6))
         decoded = sent_rows == heard
-        for at, flips in channel.code_errors(code, sent_rows, heard, None, 0):
-            decoded[at] = code.decode_equals(sent_rows[at], flips, heard[at])
+        at, flips = channel.code_errors(code, sent_rows, heard)
+        decoded[at] = code.decode_equals(sent_rows[at], flips, heard[at])
         each = np.bincount(heard)
         got = np.bincount(heard[decoded], minlength=each.size) / each
         per_bit = np.random.default_rng(7).random((rows, length)) < eps0
@@ -511,6 +512,51 @@ class TestIidCodeErrors:
         sigma = np.sqrt(pooled * (1 - pooled) * (1 / each + 1 / rows))
         assert (np.abs(got - want) <= 4 * sigma).all()
         assert 0 < want[sent] < 1
+
+
+class TestHookedBatchChunks:
+    """A hook is asked about a batch in chunks of at most FLIP_CHUNK receptions
+    along its leading axis, after the batch's uniforms: the chunk size moves
+    no result, no hook call and no draw."""
+
+    @staticmethod
+    def run(kind):
+        """(result, hook calls, rng state) of one hooked batch of this kind."""
+        calls = []
+
+        def hook(slot, tx, rx, history):
+            calls.append((slot, tx, rx))
+            return 0.3 * ((7 * slot + 3 * tx + rx) % 5) / 4
+
+        channel = Channel(None, None, NoiseModel(0.3, "adversarial", hook), np.random.default_rng(8))
+        if kind == "code_errors":  # 200 rows of a 12-bit codeword, half of them left open
+            code, rows = BlockCode(3, 12, seed=404), 200
+            got = channel.code_errors(
+                code,
+                np.full(rows, 5),
+                np.arange(rows) % 8,
+                slots=lambda: np.arange(rows * 12).reshape(rows, 12),
+                txs=lambda: np.arange(rows)[:, None] % 7,
+                rxs=3,
+            )
+        else:
+            shape = (40, 3, 5) if kind == "majority_mask" else (50, 7)
+            slots = lambda: np.arange(np.prod(shape)).reshape(shape)
+            txs = np.arange(shape[0]).reshape(-1, *[1] * (len(shape) - 1))
+            got = [getattr(channel, kind)(shape, slots=slots, txs=txs, rxs=3)]
+        return [a.tolist() for a in got], calls, channel.rng.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize("kind", ["flip_mask", "majority_mask", "code_errors"])
+    def test_every_chunk_gives_the_same_batch(self, kind, chunk, monkeypatch):
+        whole = self.run(kind)
+        monkeypatch.setattr(channel_module, "FLIP_CHUNK", chunk)
+        got = self.run(kind)
+        assert got == whole
+        result, calls, _ = got
+        assert len(calls) == {"flip_mask": 350, "majority_mask": 600, "code_errors": 2400}[kind]
+        if kind == "code_errors":
+            assert 0 < len(result[0]) < 200
 
 
 class TestColorCells:

@@ -434,6 +434,24 @@ class TestRunStage2Hist:
         with pytest.raises(ValueError, match=rf"shape \({len(grid) + 1},\)"):
             run_stage2_hist(plan, _stage1_counts(grid, inst)[:-1], link, channel, grid, params, tree)
 
+    def test_counts_that_are_not_whole_raise(self):
+        # A cast to int64 would truncate every count: 27 for a total of 45.0.
+        inst, params, grid, tree, channel = sampled_world(600, 5)
+        plan = build_substages(tree, params)
+        counts = np.r_[0, grid.occupancies() % 3 + 0.5]
+        link = LinkSimConfig(mode="abstract", r3=9)
+        with pytest.raises(ValueError, match="whole numbers"):
+            run_stage2_hist(plan, counts, link, channel, grid, params, tree)
+        assert channel.metrics.slots_stage2 == 0
+
+    def test_whole_float_counts_give_the_integer_total(self):
+        inst, params, grid, tree, channel = sampled_world(600, 5)
+        plan = build_substages(tree, params)
+        counts = _stage1_counts(grid, inst)
+        link = LinkSimConfig(mode="abstract", r3=9)
+        got = run_stage2_hist(plan, counts.astype(np.float64), link, channel, grid, params, tree)
+        assert got == counts.sum() == int(inst.bits.sum())
+
 
 class TestClosedFormCosts:
     @pytest.mark.parametrize("mode", MODES)

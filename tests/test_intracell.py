@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from noisyplanar import channel as channel_module
-from noisyplanar import intracell
 from noisyplanar.channel import (
     Channel,
     NoiseModel,
@@ -196,15 +195,15 @@ class TestDistributeIdentity:
         )
         assert deviations <= 10
 
-    @pytest.mark.parametrize("block", [1, 2, 1 << 62], ids=["opens", "second", "whole-cell"])
-    def test_a_center_past_a_block_boundary_answers_for_itself(self, block, monkeypatch):
-        # The sink cell's center need not be its least member, and a block of
-        # members may open at it or hold it after a boundary inside its cell
-        # (blocks of one or two members here).  Only an adversary's identity
-        # flips come in blocks, so the hook answers eps0 (``layout_5``).
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
+    def test_a_center_inside_the_batch_answers_for_itself(self, adversarial):
+        # The sink cell's center need not be its least member, and identity
+        # decodes every member in one batch, the center among them; it must
+        # answer from its own pick, not from its noisy copy.  The hook answers
+        # eps0 (``layout_5``).
         cell, grid, config, channel = make_cell_world([0, 0, 0, 1, 0], eps0=0.25, seed=3, center=3)
-        channel.noise = layout_5(0.25)
-        monkeypatch.setattr(intracell, "STAGE1_BLOCK", block * config.block_len)
+        if adversarial:
+            channel.noise = layout_5(0.25)
         for _ in range(50):
             assert 3 in distribute_identity(cell, 3, config, channel)
             assert 3 not in distribute_identity(cell, 1, config, channel)
@@ -621,9 +620,8 @@ class TestMaxClassBatching:
         monkeypatch.setattr(BlockCode, "decode_batch", counted_batch)
         (batched, reference), grid = self.run_both(2000, 0.3, TWO_WORDS)
         assert batched == reference
-        # The batched run decodes the rows its block's shortcuts leave open in
-        # one call (at n = 2000 one block holds every member), the reference
-        # every cell in one call each.
+        # The batched run decodes the rows its shortcuts leave open in one
+        # call, the reference every cell in one call each.
         members = sum(c.size for c in grid)
         assert len(calls) == 1 + len(grid) and calls[0][0] == calls[0][1]
         assert sum(rows for rows, _ in calls[1:]) == members
@@ -644,15 +642,13 @@ class TestMaxClassBatching:
         half = len(calls) // 2
         assert half > 0 and calls[:half] == calls[half:]
 
-    @pytest.mark.parametrize("block", [1, intracell.STAGE1_BLOCK])
     @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
-    def test_entry_points_run_as_the_references(self, block, adversarial, monkeypatch):
+    def test_entry_points_run_as_the_references(self, adversarial):
         # The per-cell entry points are one-cell calls of the batched phases:
         # the same results, draws, hook calls, trace records and metrics as
-        # the per-cell references, in every confirmation case (LOSSY), with
-        # identity blocks of one member or of the whole cell.  The "iid" runs
-        # draw layout 5's iid stream, which the references draw (``layout_5``).
-        monkeypatch.setattr(intracell, "STAGE1_BLOCK", block)
+        # the per-cell references, in every confirmation case (LOSSY).  The
+        # "iid" runs draw layout 5's iid stream, which the references draw
+        # (``layout_5``).
         out = []
         for phases in (REFERENCES, ENTRY_POINTS):
             inst, params, grid, coloring, config, channel = build_world(2000, 0, 0.3, LOSSY)
@@ -674,17 +670,15 @@ class TestMaxClassBatching:
 
 
 class TestStage1Blocks:
-    """An adversary's identity flips are drawn in blocks of members, iid
-    identity in three passes through FLIP_CHUNK buffers, and each majority
-    phase in one draw; block and buffer sizes bound memory and move no draw."""
-
-    SIZES = [1, 7, 3000, intracell.STAGE1_BLOCK, 1 << 62]  # 1 << 62: every flip in one block
+    """Each stage-1 phase is one draw under every noise model.  iid noise
+    draws its uniforms, and identity its weights, overlaps and patterns,
+    through FLIP_CHUNK buffers; a hook is asked in chunks of at most
+    FLIP_CHUNK receptions.  Buffers and chunks bound memory and move no draw."""
 
     @staticmethod
-    def run_at(block, protocol, adversarial, monkeypatch, seed=4):
+    def run_at(protocol, adversarial, seed=4):
         """(result, metrics, trace records, rng state, hook calls) of one run, the
         shapes it drew and its grid."""
-        monkeypatch.setattr(intracell, "STAGE1_BLOCK", block)
         config = LOSSY if protocol == "max" else replace(Stage1Config.for_network(2000, 0.0), r2=3)
         inst, params, grid, coloring, config, channel = build_world(2000, seed, 0.3, config)
         calls = []
@@ -711,58 +705,72 @@ class TestStage1Blocks:
 
     @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
     @pytest.mark.parametrize("protocol", ["max", "hist"])
-    def test_every_block_size_gives_the_same_run(self, protocol, adversarial, monkeypatch):
-        runs = [self.run_at(b, protocol, adversarial, monkeypatch) for b in self.SIZES]
-        (first, _, grid), *rest = runs
-        for run, _, _ in rest:
-            assert run == first
-        draws = [len(d) for _, d, _ in runs]
-        # Each majority phase is one draw.  Sizes 1 and 7 draw identity member
-        # by member (LOSSY's block is 6 bits); the default and the unbounded
-        # block draw it at once at n = 2000; 3000 flips lie in between.  Under
-        # iid noise identity draws no flip per reception (RNG layout 6).
+    def test_each_phase_is_one_draw(self, protocol, adversarial):
+        run, draws, grid = self.run_at(protocol, adversarial)
+        # An adversary's MAX run draws discovery, identity (one flip per member
+        # and codeword bit) and confirmation; iid identity draws no flip per
+        # reception (RNG layout 6), and the histogram counts in one draw.
         if protocol == "max" and adversarial:
-            assert draws[0] == draws[1] > draws[2] > draws[3] == draws[4]
-            assert draws[0] == grid.n + 2
+            assert draws[1] == (grid.n, LOSSY.block_len) and len(draws) == 3
         else:
-            assert draws == [2 if protocol == "max" else 1] * len(self.SIZES)
-        # A block passes the bound unless one member's codeword does.  Only
-        # identity, MAX's draws between discovery and confirmation, is drawn
-        # in blocks.
-        for block, (_, shapes, _) in zip(self.SIZES, runs):
-            blocked = shapes[1:-1] if protocol == "max" else []
-            assert all(math.prod(s) <= max(block, s[-1]) for s in blocked)
-        assert (len(first[4]) > 0) == adversarial
+            assert len(draws) == (2 if protocol == "max" else 1)
+        assert (len(run[4]) > 0) == adversarial
+
+    def test_a_hook_sees_each_phase_as_its_draw_began(self):
+        # Every reception of a stage-1 phase sees one RNG state, the one right
+        # after the phase's uniforms; identity's 88,000 receptions span three
+        # FLIP_CHUNK chunks.  Stage-1 phases charge their metrics after their
+        # draws, so the stage-1 counters tell the phases apart.
+        states, calls = {}, {}
+
+        def hook(slot, tx, rx, history):
+            m = history.metrics
+            phase = (m.slots_stage1, m.tx_stage1)
+            states.setdefault(phase, set()).add(history.rng.bit_generator.state["state"]["state"])
+            calls[phase] = calls.get(phase, 0) + 1
+            return 0.1
+
+        cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1, base_seed=13)
+        run = run_trial(cfg, 2000, 0, noise=NoiseModel(0.1, "adversarial", hook))
+        c_rep, length, cells = run.stage1_config.c_rep, run.stage1_config.block_len, len(run.grid)
+        discovery, identity = (0, 0), (0, c_rep * 2000)
+        assert calls[discovery] == c_rep * 2000 and calls[identity] == length * 2000
+        confirmation = (0, c_rep * 2000 + length * cells)
+        assert all(len(states[phase]) == 1 for phase in (discovery, identity, confirmation))
+        rng = np.random.default_rng()
+        state = run.channel.rng.bit_generator.state
+        state["state"]["state"] = states[discovery].pop()
+        rng.bit_generator.state = state
+        rng.random((2000, length))  # identity's uniforms
+        assert states[identity] == {rng.bit_generator.state["state"]["state"]}
 
     @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
-    @pytest.mark.parametrize("after", [0, 1], ids=["center-opens-a-block", "center-ends-a-block"])
+    @pytest.mark.parametrize("after", [0, 1], ids=["center-opens-a-chunk", "center-ends-a-chunk"])
     def test_a_cut_inside_the_sink_cell_gives_the_same_run(self, after, adversarial, monkeypatch):
         # The sink cell's center is the sink node, which need not be its least
-        # member (in the n = 2000 world of seed 0 it is its tenth).  A block
-        # boundary just before or just after it splits the cell's members,
-        # and the center must still answer for itself.
-        whole, _, grid = self.run_at(1 << 62, "max", adversarial, monkeypatch, seed=0)
+        # member (in the n = 2000 world of seed 0 it is its tenth).  A chunk
+        # boundary just before or just after it splits the cell's members (iid
+        # identity settles FLIP_CHUNK rows at a time, a hook is asked about
+        # FLIP_CHUNK // block_len members at a time), and the center must
+        # still answer for itself.
+        whole, _, grid = self.run_at("max", adversarial, seed=0)
         order = whole[2][0][1]  # discovery's transmitters: every member end to end
         sink = grid.cell(grid.sink_cell)
         first, center = order.index(int(sink.members[0])), order.index(sink.center)
         assert first < center < first + sink.size - 1  # neither least nor last
-        step = center + after  # members per block: a boundary at center + after
-        run, shapes, _ = self.run_at(step * LOSSY.block_len, "max", adversarial, monkeypatch, 0)
-        if adversarial:  # iid identity draws no block of flips (RNG layout 6)
-            assert shapes[1] == (step, LOSSY.block_len)
-        assert run == whole
-
-    @pytest.mark.parametrize(
-        "chunk, block", [(1, 1 << 62), (5, 1), (64, 7), (channel_module.FLIP_CHUNK, 3000)]
-    )
-    def test_every_flip_chunk_gives_the_same_iid_run(self, chunk, block, monkeypatch):
-        # iid noise draws its uniforms through buffers of at most FLIP_CHUNK, and
-        # identity its weights, overlaps and patterns in three passes over the
-        # members; LOSSY's 6-bit code leaves many rows to each pass at eps0 0.3.
-        whole, _, _ = self.run_at(intracell.STAGE1_BLOCK, "max", False, monkeypatch)
+        step = center + after  # members per chunk: a boundary at center + after
+        chunk = step * LOSSY.block_len if adversarial else step
         monkeypatch.setattr(channel_module, "FLIP_CHUNK", chunk)
-        run, _, _ = self.run_at(block, "max", False, monkeypatch)
-        assert run == whole
+        assert self.run_at("max", adversarial, seed=0)[0] == whole
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_every_flip_chunk_gives_the_same_run(self, protocol, adversarial, chunk, monkeypatch):
+        # LOSSY's 6-bit code leaves many rows to each iid identity pass at eps0 0.3.
+        whole, _, _ = self.run_at(protocol, adversarial)
+        monkeypatch.setattr(channel_module, "FLIP_CHUNK", chunk)
+        assert self.run_at(protocol, adversarial)[0] == whole
 
 
 class TestStage1Schedule:
