@@ -11,6 +11,7 @@ flip probability up to that bound, knowing the run (see ``NoiseModel``).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
@@ -124,21 +125,28 @@ def _uniforms_below(rng, shape, threshold: float) -> np.ndarray:
     return out
 
 
-def _flip_counts_drawn(rng, rows: int, dist: np.ndarray) -> np.ndarray:
-    """Each of rows flip counts drawn from the law ``dist`` (counts 0..len - 1),
-    one uniform per row in order (``_uniform_chunks``) against its CDF: a
-    row's count is how many of the CDF's partial sums its uniform reaches.
-    A uniform is below 1, so only the partial sums below 1 take a pass: 25
-    at eps0 0.1 and a 44-bit block, which cost less than a binary search per
-    row."""
+def _weights_reaching(rng, rows: int, dist: np.ndarray, threshold: int):
+    """The rows whose flip count, drawn from the law ``dist`` (counts 0..len - 1),
+    reaches threshold, ascending, and those counts.
+
+    One uniform per row in order (``_uniform_chunks``) against the law's CDF:
+    a row's count is how many of the CDF's partial sums its uniform reaches,
+    and a uniform is below 1, so only the partial sums below 1 count.  So a
+    row reaches threshold iff its uniform reaches partial sum number
+    threshold (every row at 0, none past the last sum below 1), and only
+    those rows are counted, by a binary search over the sums.
+    """
     cdf = np.cumsum(dist)[:-1]
     edges = cdf[cdf < 1.0]
-    out = np.zeros(rows, dtype=np.min_scalar_type(dist.size - 1))
+    bar = np.concatenate([[0.0], edges, [np.inf]])[min(threshold, edges.size + 1)]
+    index = np.int32 if rows <= np.iinfo(np.int32).max else np.int64
+    count = np.min_scalar_type(dist.size - 1)
+    reach, weights = [np.zeros(0, dtype=index)], [np.zeros(0, dtype=count)]
     for lo, chunk in _uniform_chunks(rng, rows):
-        counts = out[lo : lo + chunk.size]
-        for edge in edges:
-            counts += chunk >= edge
-    return out
+        hit = np.flatnonzero(chunk >= bar)
+        reach.append((lo + hit).astype(index))
+        weights.append(np.searchsorted(edges, chunk[hit], side="right").astype(count))
+    return np.concatenate(reach), np.concatenate(weights)
 
 
 def _patterns(keys: np.ndarray, diff: np.ndarray, weights, overlaps) -> np.ndarray:
@@ -155,46 +163,51 @@ def _patterns(keys: np.ndarray, diff: np.ndarray, weights, overlaps) -> np.ndarr
     return masks
 
 
-def _iid_code_errors(rng, eps0: float, code, sent: np.ndarray, heard: np.ndarray):
+def _iid_code_errors(rng, eps0: float, code, rows: int, pairs):
     """``Channel.code_errors`` under iid noise, drawn from each row's sufficient
-    statistics in three passes over the rows in order, each drawing only what
+    statistics, each pass over the rows in order and drawing only what
     decoding still reads:
 
-    * the error weight W ~ Bin(L, eps0) of every row, one uniform against its
-      CDF (``_iid_counts``);
-    * for the rows whose W leaves the shortcuts open, the overlap
+    * one uniform per row against the CDF of its error weight W ~ Bin(L, eps0)
+      (``_iid_counts``); the rows whose uniform reaches the CDF's partial sum
+      number ceil(min_distance / 2), the only ones with 2W >= min_distance,
+      get their W, and every other row is settled (``_weights_reaching``);
+    * for the reaching rows that W leaves open, the overlap
       J = wt(e & x) ~ Hypergeom(wt(x), L - wt(x), W), x = c_heard ^ c_sent
       (``Generator.hypergeometric``, one row after another);
     * for the rows both shortcuts leave open (``BlockCode.settle_counts``),
       the pattern e, uniform over the patterns with that W and J
       (``_patterns``), from L uniform keys per row.
 
-    That is the law of L independent flips at eps0.  Each pass goes through
-    the rows in blocks of at most ``FLIP_CHUNK`` uniforms or rows, which hold
-    memory to about two bytes per row and move no draw.  Returns the open
-    rows and their patterns in one mask array.
+    That is the law of L independent flips at eps0.  ``pairs(at)`` gives the
+    sent and heard messages of the rows ``at``, and is asked only about the
+    reaching rows.  Each pass goes through its rows in blocks of at most
+    ``FLIP_CHUNK`` uniforms or rows, which bound memory and move no draw.
+    Returns the open rows and their patterns in one mask array.
     """
     length = code.block_len
-    weights = _flip_counts_drawn(rng, sent.size, _iid_counts(eps0, length))
+    threshold = -(-code.min_distance // 2)
+    reach, weights = _weights_reaching(rng, rows, _iid_counts(eps0, length), threshold)
     overlaps = np.zeros_like(weights)
-    opened = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, sent.size, FLIP_CHUNK):
+    opened = [np.zeros(0, dtype=np.int64)]  # positions in reach
+    for lo in range(0, reach.size, FLIP_CHUNK):
         at = slice(lo, lo + FLIP_CHUNK)
 
         def overlap(near, diff, spread, w=weights[at], j=overlaps[at]):
             j[near] = drawn = rng.hypergeometric(spread, length - spread, w[near])
             return drawn
 
-        opened.append(lo + code.settle_counts(sent[at], heard[at], weights[at], overlap)[1])
-    open_rows = np.concatenate(opened)
-    masks = np.empty((open_rows.size, length), dtype=bool)
+        opened.append(lo + code.settle_counts(*pairs(reach[at]), weights[at], overlap)[1])
+    opened = np.concatenate(opened)
+    masks = np.empty((opened.size, length), dtype=bool)
     step = max(1, FLIP_CHUNK // length)
-    for lo in range(0, open_rows.size, step):
-        rows = open_rows[lo : lo + step]
-        diff = code.codebook[heard[rows]] != code.codebook[sent[rows]]
-        keys = rng.random((rows.size, length))
-        masks[lo : lo + step] = _patterns(keys, diff, weights[rows], overlaps[rows])
-    return open_rows, masks
+    for lo in range(0, opened.size, step):
+        at = opened[lo : lo + step]
+        sent, heard = pairs(reach[at])
+        diff = code.codebook[heard] != code.codebook[sent]
+        keys = rng.random((at.size, length))
+        masks[lo : lo + step] = _patterns(keys, diff, weights[at], overlaps[at])
+    return reach[opened], masks
 
 
 @dataclass(frozen=True)
@@ -215,21 +228,25 @@ class NoiseModel:
     ``majority_tail`` draws it with its exact law.  Either batch draws all of
     its uniforms first, then asks the hook once per reception in C order
     (every copy of a row included), in chunks of at most ``FLIP_CHUNK``
-    receptions, which bound the memory of every hooked batch.  So the hook
-    sees every reception's (slot, tx, rx, history), but not the metrics or
-    the RNG state moving partway through a batch, and a hook that answers
-    eps0 draws exactly what iid noise draws in these batches.  A batch can
-    span several arrays or cells (a repetition sub-stage of stage 2 is one,
-    and so is each stage-1 phase), so the hook sees the channel as it was
-    when the batch's draw began.  The slot is the one the metrics charge,
-    which lockstep arrays and cells share.
+    receptions, each compared with its uniforms as it is asked; so a hooked
+    batch holds its uniforms and its flips whole, but neither its
+    probabilities nor, where they come as functions of a range of rows, its
+    slots and transmitters.  The hook sees every reception's (slot, tx, rx,
+    history), but not the metrics or the RNG state moving partway through a
+    batch, and a hook that answers eps0 draws exactly what iid noise draws in
+    these batches.  A batch can span several arrays or cells (a repetition
+    sub-stage of stage 2 is one, and so is each stage-1 phase), so the hook
+    sees the channel as it was when the batch's draw began.  The slot is the
+    one the metrics charge, which lockstep arrays and cells share.
 
     Block-code rows (identity decoding, ``Channel.code_errors``) draw their
-    flips as one ``flips`` batch under a hook.  In iid mode they draw each row's
-    error weight, then its overlap with the candidate's codeword difference
-    and its pattern only where decoding reads them: the same law, another
-    stream (RNG layout 6).  So for identity a hook that answers eps0 draws
-    what iid noise drew up to RNG layout 5, one uniform per reception.
+    flips as one ``flips`` batch under a hook.  In iid mode each row draws
+    one uniform for its error weight, and only the rows whose uniform reaches
+    the weight CDF's partial sum number ceil(min_distance / 2) draw their
+    weight, then where decoding reads them their overlap with the candidate's
+    codeword difference and their pattern: the same law, another stream (RNG
+    layout 6).  So for identity a hook that answers eps0 draws what iid
+    noise drew up to RNG layout 5, one uniform per reception.
     """
 
     eps0: float
@@ -252,35 +269,47 @@ class NoiseModel:
             raise ValueError(f"adversary returned flip probability {p} outside [0, {self.eps0}]")
         return p
 
-    def _hook_probs(self, shape, slots, txs, rxs, history) -> np.ndarray:
-        """The hook's flip probability of every reception of a batch, asked in
-        C order; slots/txs/rxs broadcast to ``shape``, and each may be a
-        function returning that array.  The hook is asked in chunks of rows
-        along the leading axis of at most ``FLIP_CHUNK`` receptions (one row
-        where that is more), so its Python lists stay bounded."""
-        probs = np.empty(shape)
-        lead = probs.reshape(probs.shape or (1,))
-        arrays = [np.broadcast_to(a() if callable(a) else a, lead.shape) for a in (slots, txs, rxs)]
-        step = max(1, FLIP_CHUNK // max(1, math.prod(lead.shape[1:])))
+    def _hook_flips(self, u: np.ndarray, shape, slots, txs, rxs, history, reps=None):
+        """Whether each uniform of u is below the hook's flip probability of its
+        reception, the receptions of shape u.shape; or, given reps, below the
+        ``majority_tail`` of its row's reps receptions, shape (*u.shape, reps).
+
+        slots/txs/rxs broadcast to the receptions' shape.  Each may be a
+        function: of no argument, returning that array, or of one, the indices
+        of a range of rows along its leading axis, returning those rows; a
+        function is called only here, so only under a hook.  The hook is asked
+        in C order, in chunks of rows along the leading axis of at most
+        ``FLIP_CHUNK`` receptions (one row where that is more), and each
+        chunk's probabilities are compared with its uniforms at once, so its
+        Python lists and float probabilities stay bounded."""
+        lead = u.reshape(u.shape or (1,))
+        full = (len(lead), *lead.shape[1:], *shape[u.ndim :])
+        sources = [_row_source(a, shape, full) for a in (slots, txs, rxs)]
+        out = np.empty(lead.shape, dtype=bool)
+        step = max(1, FLIP_CHUNK // max(1, math.prod(full[1:])))
         for lo in range(0, len(lead), step):
-            receptions = (a[lo : lo + step].ravel().tolist() for a in arrays)
-            lead[lo : lo + step].flat = [
-                self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)
-            ]
-        return probs
+            rows = slice(lo, lo + step)
+            at = np.arange(lo, min(lo + step, len(lead)))
+            chunk = (at.size, *full[1:])
+            receptions = (np.broadcast_to(source(at), chunk).ravel().tolist() for source in sources)
+            probs = np.array([self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)])
+            probs = probs.reshape(chunk)
+            bars = probs if reps is None else majority_tail(probs, reps)
+            np.less(lead[rows], bars, out=out[rows])
+        return out.reshape(u.shape)
 
     def flips(self, rng, shape, slots=None, txs=None, rxs=None, history=None) -> np.ndarray:
         """Boolean flips of a batch of receptions: ``rng.random(shape)`` against
         eps0, or against the hook's probability for each reception, whose
-        slots/txs/rxs arrays then broadcast to ``shape``.  Each may be a
-        function returning that array, called only when the hook reads it.
+        slots/txs/rxs then broadcast to ``shape``, each an array or a function
+        called only when the hook reads it (``_hook_flips``).
 
         In iid mode the uniforms pass through a bounded buffer
         (``_uniforms_below``): the same stream and flips as one draw."""
         if self.mode == "iid":
             return _uniforms_below(rng, shape, self.eps0)
         u = rng.random(shape)
-        return u < self._hook_probs(shape, slots, txs, rxs, history)
+        return self._hook_flips(u, u.shape, slots, txs, rxs, history)
 
     def majority_flips(self, rng, shape, slots=None, txs=None, rxs=None, history=None):
         """Whether each row of a batch of repeated receptions, shape (..., reps),
@@ -292,8 +321,17 @@ class NoiseModel:
         rows, reps = tuple(shape[:-1]), shape[-1]
         if self.mode == "iid":
             return _uniforms_below(rng, rows, _iid_tail(self.eps0, reps))
-        u = rng.random(rows)
-        return u < majority_tail(self._hook_probs(shape, slots, txs, rxs, history), reps)
+        return self._hook_flips(rng.random(rows), shape, slots, txs, rxs, history, reps)
+
+
+def _row_source(source, shape, full):
+    """A hooked batch's slots, txs or rxs as a function of row indices along
+    the leading axis of ``full``, the receptions' shape (``shape`` with a
+    leading axis where it has none), as ``_hook_flips`` takes them."""
+    if callable(source) and inspect.signature(source).parameters:
+        return source
+    whole = np.broadcast_to(source() if callable(source) else source, shape).reshape(full)
+    return lambda at: whole[at]
 
 
 def distances(positions: np.ndarray, rows, cols) -> np.ndarray:
@@ -561,24 +599,28 @@ class Channel:
         drawn from this channel's stream; a hook gets the channel as history."""
         return self.noise.majority_flips(self.rng, shape, slots, txs, rxs, history=self)
 
-    def code_errors(self, code, sent, heard, slots=None, txs=None, rxs=None):
+    def code_errors(self, code, rows: int, pairs, slots=None, txs=None, rxs=None):
         """The error patterns of the rows of a block-code batch that the
         distance shortcuts leave open: returns (rows, masks), the rows
         ascending and their (rows, block_len) flips.
 
-        Row i receives the codeword of message sent[i], one reception per
-        codeword bit, and asks whether it decodes to heard[i]
-        (``BlockCode.decode_equals``); every other row decodes as
-        ``BlockCode.settle`` says, to heard[i] iff heard[i] == sent[i].  Under
-        iid noise the rows draw their sufficient statistics
-        (``_iid_code_errors``).  Under a hook the batch is one ``flip_mask``
-        draw of one flip per reception, slots/txs/rxs as its keywords, and
+        Row i receives the codeword of its sent message, one reception per
+        codeword bit, and asks whether it decodes to its heard message
+        (``BlockCode.decode_equals``); ``pairs(at)`` gives the rows at's sent
+        and heard messages.  Every row not returned decodes as
+        ``BlockCode.settle`` says, to its heard message iff that is the one
+        sent.  Under iid noise every row draws one uniform, and only the rows
+        it leaves open draw more (``_iid_code_errors``), so ``pairs`` is
+        asked only about those.  Under a hook the batch is one ``flip_mask``
+        draw of one flip per reception, slots/txs/rxs as its keywords;
+        ``pairs`` is asked once about every row (int32), and
         ``BlockCode.settle`` derives W, J and the open rows from the flips."""
         if self.noise.mode == "iid":
-            return _iid_code_errors(self.rng, self.noise.eps0, code, sent, heard)
-        flips = self.flip_mask((sent.size, code.block_len), slots=slots, txs=txs, rxs=rxs)
-        rows = code.settle(sent, flips, heard)[1]
-        return rows, flips[rows]
+            return _iid_code_errors(self.rng, self.noise.eps0, code, rows, pairs)
+        flips = self.flip_mask((rows, code.block_len), slots=slots, txs=txs, rxs=rxs)
+        sent, heard = pairs(np.arange(rows, dtype=np.int32))
+        at = code.settle(sent, flips, heard)[1]
+        return at, flips[at]
 
     def record(self, phase: str, txs, first, copies: int) -> None:
         """Trace a stage-1 phase, or one cell's part of it: txs[i] sends

@@ -25,11 +25,14 @@ class, then identity for every class, then confirmation for every class,
 each phase in class, cell and member order; the histogram's one counting
 phase in the same order.  A majority-decoded member (discovery,
 confirmation, counting) is one uniform against the majority tail of its
-copies (``Channel.majority_mask``).  Identity draws, per member, only what
-nearest-codeword decoding reads (``Channel.code_errors``): under iid noise
-the error weight, then where the distance shortcuts need it the overlap with
-the candidate's codeword difference, then where they leave the decode open
-the error pattern, each a pass over the members; under an adversary one
+copies (``Channel.majority_mask``).  Identity draws only what nearest-
+codeword decoding reads (``Channel.code_errors``): under iid noise one
+uniform per member, and only for the members whose uniform reaches the
+error-weight CDF's partial sum number ceil(min_distance / 2) the weight,
+then where the distance shortcuts need it the overlap with the candidate's
+codeword difference, then where they leave the decode open the error
+pattern; the believers are the witnesses, overwritten by the decodes of
+the open rows that are not centers.  Under an adversary identity draws one
 flip per codeword bit.  Every phase is one draw over all its members, under
 every noise model, so a hook sees the channel as it was when its phase's
 draw began.  The slots are the schedule's, whatever the draw order: classes
@@ -170,6 +173,20 @@ def _member_firsts(sizes: np.ndarray, cell_first: np.ndarray, reps: int) -> np.n
     return (cell_first - reps * starts).repeat(sizes) + reps * np.arange(sizes.sum())
 
 
+def _center_rows(members, sizes, centers) -> np.ndarray:
+    """Each gathered cell's center as an index into members, -1 for an empty
+    cell.  A center is its cell's first member except in the sink cell (and
+    in any cell of a hand-built grid), whose members alone are searched."""
+    starts = sizes.cumsum() - sizes
+    rows = np.where(sizes > 0, starts, -1)
+    occupied = np.flatnonzero(sizes > 0)
+    odd = occupied[members[starts[occupied]] != centers[occupied]]
+    counts = sizes[odd]
+    at = np.arange(counts.sum()) + np.repeat(starts[odd] - (counts.cumsum() - counts), counts)
+    rows[odd] = at[members[at] == centers[odd].repeat(counts)]
+    return rows
+
+
 def _majority_phase(members, sizes, centers, cell_base, reps: int, phase: str, channel: Channel):
     """Per-member repetition to each cell's center, the cells in lockstep.
 
@@ -177,21 +194,23 @@ def _majority_phase(members, sizes, centers, cell_base, reps: int, phase: str, c
     their bit in turn from slot cell_base[i], reps slots each.  The center
     majority-decodes every member, and its own broadcasts are noiseless to
     itself.  Noise is one majority draw (``Channel.majority_mask``), one
-    uniform per member, cell by cell, member by member.  Traces the phase as
+    uniform per member, cell by cell, member by member; the members' slots
+    and centers are built only for a hook or a trace.  Traces the phase as
     one record, charges it, and returns the members' decoded bits.
     """
-    firsts = _member_firsts(sizes, cell_base, reps)
-    own_center = centers.repeat(sizes)
+    firsts = lambda: _member_firsts(sizes, cell_base, reps)
     bits = channel.instance.bits[members]
     decoded = bits ^ channel.majority_mask(
         (members.size, reps),
-        slots=lambda: firsts[:, None] + np.arange(reps),  # built only for an adversary's hook
+        slots=lambda: firsts()[:, None] + np.arange(reps),
         txs=members[:, None],
-        rxs=own_center[:, None],
+        rxs=lambda: centers.repeat(sizes)[:, None],
     )
-    is_center = members == own_center
-    decoded[is_center] = bits[is_center]
-    channel.record(phase, members, firsts, reps)
+    own = _center_rows(members, sizes, centers)
+    own = own[own >= 0]
+    decoded[own] = bits[own]
+    if channel.trace is not None:
+        channel.record(phase, members, firsts(), reps)
     channel.metrics.add("stage1", tx=reps * int(sizes.sum()), rx=reps * int(sizes.dot(sizes - 1)))
     return decoded
 
@@ -245,13 +264,12 @@ def stage1_schedule(
 def _discovery(members, sizes, centers, bases, config: Stage1Config, channel: Channel):
     """Discovery in the gathered cells: each center names the least member it
     decodes as 1, else the least member.  Returns each witness's index into
-    members."""
+    members (an empty cell's start)."""
     starts = sizes.cumsum() - sizes
     decoded = _majority_phase(members, sizes, centers, bases, config.c_rep, "discovery", channel)
-    first_one = np.minimum.reduceat(
-        np.where(decoded == 1, np.arange(members.size), members.size), starts
-    )
-    return np.where(first_one == members.size, starts, first_one)
+    ones = np.append(np.flatnonzero(decoded), members.size)
+    first_one = ones[np.searchsorted(ones, starts)]
+    return np.where(first_one < starts + sizes, first_one, starts)
 
 
 def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, channel: Channel):
@@ -261,24 +279,38 @@ def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, cha
     it is its cell's witness.
 
     Every member is one row of one ``Channel.code_errors`` batch, in member
-    order: the distance shortcuts settle most rows, and the rows they leave
-    open are decoded in one ``BlockCode.decode_equals`` call.  A center
-    answers whether it named itself without decoding."""
+    order, sent its witness's index and asking about its own.  Under iid
+    noise a row draws one uniform, and only the rows whose uniform reaches
+    the weight CDF's partial sum number ceil(min_distance / 2) draw their
+    weight, overlap and pattern.  The believers are the witnesses, overwritten
+    by the decodes of the rows the distance shortcuts leave open, in one
+    ``BlockCode.decode_equals`` call; a center answers whether it named
+    itself without decoding.  A hook's slots and transmitters are built a
+    chunk of rows at a time."""
     code, length = config.id_code, config.block_len
     starts = sizes.cumsum() - sizes
-    # Each member's cell, the witness's in-cell index and its own, as int32:
-    # they are the phase's only arrays of more than a byte per member.
-    rank = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
-    is_center = members == centers[rank]
-    sent = (pick - starts).astype(np.int32)[rank]
-    own = np.arange(members.size, dtype=np.int32) - starts.astype(np.int32)[rank]
-    believes = sent == own
-    slots = lambda: id_bases[rank, None] + np.arange(length)  # built only for a hook
+    # The witness's in-cell index and each cell's first row, as int32 like the rows.
+    sent, first = (pick - starts).astype(np.int32), starts.astype(np.int32)
+    cell_of = lambda at: np.searchsorted(starts, at, side="right") - 1
+
+    def pairs(at):  # the rows' witness index and own in-cell index
+        cell = cell_of(at)
+        return sent[cell], at - first[cell]
+
     rows, flips = channel.code_errors(
-        code, sent, own, slots=slots, txs=lambda: centers[rank, None], rxs=members[:, None]
+        code,
+        members.size,
+        pairs,
+        slots=lambda at: id_bases[cell_of(at), None] + np.arange(length),
+        txs=lambda at: centers[cell_of(at), None],
+        rxs=members[:, None],
     )
-    believes[rows] = code.decode_equals(sent[rows], flips, own[rows])
-    believes[is_center] = sent[is_center] == own[is_center]
+    believes = np.zeros(members.size, dtype=bool)
+    believes[pick[sizes > 0]] = True
+    witness, own = pairs(rows)
+    decoded = code.decode_equals(witness, flips, own)
+    listening = rows != _center_rows(members, sizes, centers)[cell_of(rows)]
+    believes[rows[listening]] = decoded[listening]
     channel.record("identity", centers, id_bases, length)
     channel.metrics.add("stage1", tx=length * sizes.size, rx=length * int(sizes.sum() - sizes.size))
     return believes

@@ -18,8 +18,9 @@ from noisyplanar.channel import (
     Metrics,
     NoiseModel,
     Trace,
-    _flip_counts_drawn,
     _iid_counts,
+    _uniform_chunks,
+    _weights_reaching,
     color_cells,
     distances,
     majority_tail,
@@ -472,6 +473,23 @@ class TestMajorityTail:
         assert calls == [(s, 1, 2) for s in slots.ravel().tolist()]
 
 
+def _flip_counts_drawn(rng, rows: int, dist: np.ndarray) -> np.ndarray:
+    """Each of rows flip counts drawn from the law ``dist`` (counts 0..len - 1),
+    one uniform per row in order (``_uniform_chunks``) against its CDF: a
+    row's count is how many of the CDF's partial sums its uniform reaches.
+    A uniform is below 1, so only the partial sums below 1 take a pass: 25
+    at eps0 0.1 and a 44-bit block, which cost less than a binary search per
+    row."""
+    cdf = np.cumsum(dist)[:-1]
+    edges = cdf[cdf < 1.0]
+    out = np.zeros(rows, dtype=np.min_scalar_type(dist.size - 1))
+    for lo, chunk in _uniform_chunks(rng, rows):
+        counts = out[lo : lo + chunk.size]
+        for edge in edges:
+            counts += chunk >= edge
+    return out
+
+
 class TestIidCodeErrors:
     """Block-code errors under iid noise, drawn from each row's sufficient
     statistics (RNG layout 6), have the law of one flip per reception."""
@@ -479,14 +497,45 @@ class TestIidCodeErrors:
     @pytest.mark.parametrize("eps0, length", [(0.1, 12), (0.1, 44), (0.25, 44), (0.25, 88)])
     def test_weights_are_binomial(self, eps0, length):
         # Per count within 4 sigma; counts expected fewer than 5 times are
-        # pooled into one bin at each end.
+        # pooled into one bin at each end.  At threshold 0 every row reaches.
         rows = 200_000
-        weights = _flip_counts_drawn(np.random.default_rng(5), rows, _iid_counts(eps0, length))
+        reach, weights = _weights_reaching(
+            np.random.default_rng(5), rows, _iid_counts(eps0, length), 0
+        )
+        assert np.array_equal(reach, np.arange(rows))
         seen = np.bincount(weights, minlength=length + 1)
         want = rows * stats.binom.pmf(np.arange(length + 1), length, eps0)
         lo, hi = np.flatnonzero(want >= 5)[[0, -1]]
         seen, want = (np.r_[a[:lo].sum(), a[lo : hi + 1], a[hi + 1 :].sum()] for a in (seen, want))
         assert (np.abs(seen - want) <= 4 * np.sqrt(want * (1 - want / rows))).all()
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, FLIP_CHUNK])
+    @pytest.mark.parametrize("threshold", ["zero", "one", "half-distance", "last", "past-last"])
+    @pytest.mark.parametrize("eps0", [0.1, 0.25])
+    def test_threshold_draw_equals_counting_every_row(self, eps0, threshold, chunk, monkeypatch):
+        # The rows whose count reaches the threshold, their counts and the RNG
+        # state equal those of counting every row against every partial sum.
+        # The identity code of a 2,000-node world; "last" is the number of
+        # the CDF's last partial sum below 1, "past-last" one more.
+        code, rows = BlockCode(6, 44, seed=404), 1_000
+        dist = _iid_counts(eps0, code.block_len)
+        below = int(np.count_nonzero(np.cumsum(dist)[:-1] < 1.0))
+        at = {
+            "zero": 0, "one": 1, "half-distance": -(-code.min_distance // 2),
+            "last": below, "past-last": below + 1,
+        }[threshold]
+        monkeypatch.setattr(channel_module, "FLIP_CHUNK", chunk)
+        rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        reach, weights = _weights_reaching(rng, rows, dist, at)
+        counts = _flip_counts_drawn(want_rng, rows, dist)
+        want = np.flatnonzero(counts >= at)
+        assert np.array_equal(reach, want) and np.array_equal(weights, counts[want])
+        assert weights.dtype == counts.dtype
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        if threshold == "half-distance":
+            assert 0 < reach.size < rows
+        if threshold == "past-last":
+            assert reach.size == 0
 
     @pytest.mark.parametrize("eps0", [0.1, 0.25])
     @pytest.mark.parametrize("msg_bits, length", [(3, 12), (6, 44)], ids=["k3-L12", "k6-L44"])
@@ -501,7 +550,7 @@ class TestIidCodeErrors:
         sent_rows = np.full(rows, sent)
         channel = Channel(None, None, NoiseModel(eps0), np.random.default_rng(6))
         decoded = sent_rows == heard
-        at, flips = channel.code_errors(code, sent_rows, heard)
+        at, flips = channel.code_errors(code, rows, lambda at: (sent_rows[at], heard[at]))
         decoded[at] = code.decode_equals(sent_rows[at], flips, heard[at])
         each = np.bincount(heard)
         got = np.bincount(heard[decoded], minlength=each.size) / each
@@ -531,10 +580,11 @@ class TestHookedBatchChunks:
         channel = Channel(None, None, NoiseModel(0.3, "adversarial", hook), np.random.default_rng(8))
         if kind == "code_errors":  # 200 rows of a 12-bit codeword, half of them left open
             code, rows = BlockCode(3, 12, seed=404), 200
+            sent, heard = np.full(rows, 5), np.arange(rows) % 8
             got = channel.code_errors(
                 code,
-                np.full(rows, 5),
-                np.arange(rows) % 8,
+                rows,
+                lambda at: (sent[at], heard[at]),
                 slots=lambda: np.arange(rows * 12).reshape(rows, 12),
                 txs=lambda: np.arange(rows)[:, None] % 7,
                 rxs=3,

@@ -28,7 +28,10 @@ from noisyplanar.geometry import (
 from noisyplanar.intracell import (
     Stage1Config,
     Stage1Result,
+    _discovery,
+    _identity,
     _majority_phase,
+    _member_firsts,
     confirm_value,
     distribute_identity,
     run_stage1_hist,
@@ -771,6 +774,176 @@ class TestStage1Blocks:
         whole, _, _ = self.run_at(protocol, adversarial)
         monkeypatch.setattr(channel_module, "FLIP_CHUNK", chunk)
         assert self.run_at(protocol, adversarial)[0] == whole
+
+
+def per_member_majority_phase(members, sizes, centers, cell_base, reps, phase, channel):
+    """``_majority_phase`` by per-member arrays: each member's first slot and
+    center, and a center found as the member equal to its cell's center."""
+    firsts = _member_firsts(sizes, cell_base, reps)
+    own_center = centers.repeat(sizes)
+    bits = channel.instance.bits[members]
+    decoded = bits ^ channel.majority_mask(
+        (members.size, reps),
+        slots=firsts[:, None] + np.arange(reps),
+        txs=members[:, None],
+        rxs=own_center[:, None],
+    )
+    is_center = members == own_center
+    decoded[is_center] = bits[is_center]
+    channel.record(phase, members, firsts, reps)
+    channel.metrics.add("stage1", tx=reps * int(sizes.sum()), rx=reps * int(sizes.dot(sizes - 1)))
+    return decoded
+
+
+def per_member_identity(members, sizes, centers, id_bases, pick, config, channel):
+    """``_identity`` by per-member arrays: each member's cell, the witness's
+    in-cell index it is sent and its own; a member believes where its decode
+    says so, a center where sent == own."""
+    code, length = config.id_code, config.block_len
+    starts = sizes.cumsum() - sizes
+    rank = np.repeat(np.arange(sizes.size), sizes)
+    sent = (pick - starts)[rank]
+    own = np.arange(members.size) - starts[rank]
+    believes = sent == own
+    rows, flips = channel.code_errors(
+        code,
+        members.size,
+        lambda at: (sent[at], own[at]),
+        slots=id_bases[rank, None] + np.arange(length),
+        txs=centers[rank, None],
+        rxs=members[:, None],
+    )
+    believes[rows] = code.decode_equals(sent[rows], flips, own[rows])
+    is_center = members == centers[rank]
+    believes[is_center] = sent[is_center] == own[is_center]
+    channel.record("identity", centers, id_bases, length)
+    channel.metrics.add("stage1", tx=length * sizes.size, rx=length * int(sizes.sum() - sizes.size))
+    return believes
+
+
+def hand_grid_with_empty_cells():
+    """A 3 x 3 hand-built grid whose first, middle and last cells are empty
+    (center -1), and three of whose centers are not their cell's first
+    member; member ids are shuffled across cells, ascending inside each."""
+    rng = np.random.default_rng(11)
+    sizes = np.array([0, 3, 5, 2, 0, 4, 6, 3, 0])
+    center_at = [None, 0, 2, 1, None, 0, 3, 0, None]  # in-cell index of each center
+    n = int(sizes.sum())
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    ids = rng.permutation(n)
+    members = np.concatenate([np.sort(ids[a:b]) for a, b in zip(offsets[:-1], offsets[1:])])
+    centers = np.array([-1 if k is None else members[o + k] for o, k in zip(offsets, center_at)])
+    inst = NetworkInstance(
+        n=n, seed=0, positions=rng.random((n, 2)), bits=(rng.random(n) < 0.5).astype(np.int8)
+    )
+    params = DerivedParams(
+        n=n, delta=0.5, grid_dim=3, cell_side=1 / 3, cell_count=9, radius=1.5,
+        interference_bound=8, link_slot_span=36,
+    )
+    grid = CellGrid(
+        members=members, offsets=offsets, centers=centers, grid_dim=3, n=n, sink_cell=2,
+        sink_node=int(centers[1]),
+    )
+    return inst, params, grid
+
+
+class TestPerMemberRules:
+    """Discovery's majority phase and identity find each cell's center through
+    its row and name believers per cell; they must equal the per-member rules
+    (members == centers.repeat(sizes), sent == own), empty cells and centers
+    that are not their cell's first member included."""
+
+    @staticmethod
+    def world(kind):
+        """(instance, params, cells gathered in cell order, id code)."""
+        if kind == "hand-built":
+            inst, params, grid = hand_grid_with_empty_cells()
+            code = BlockCode(3, 6, seed=2)
+        else:
+            inst, params, grid, _, _, _ = build_world(2000, 0, 0.3, LOSSY)
+            sink = grid.cell(grid.sink_cell)
+            assert sink.center != sink.members[0]
+            code = LOSSY.id_code
+        cells = np.arange(1, len(grid) + 1)
+        return inst, params, grid.gather(cells), code
+
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
+    @pytest.mark.parametrize("kind", ["hand-built", "sampled"])
+    def test_phases_equal_the_per_member_rules(self, kind, adversarial):
+        inst, params, (members, sizes, centers), code = self.world(kind)
+        config = Stage1Config(eps1=0.05, c_rep=3, r2=3, id_code=code)
+        starts = sizes.cumsum() - sizes
+        bases, id_bases = 50 * np.arange(sizes.size), 7 + 40 * np.arange(sizes.size)
+        # Witnesses: the center in every third occupied cell from the third,
+        # else the cell's last member, not its center in these worlds; an
+        # empty cell's start, as discovery names it, which is the next cell's
+        # center in the hand-built grid.
+        occupied = sizes > 0
+        pick = np.where(occupied, starts + sizes - 1, starts)
+        centered = np.flatnonzero(occupied)[2::3]
+        pick[centered] = [
+            starts[c] + np.flatnonzero(members[starts[c] :] == centers[c])[0] for c in centered
+        ]
+        wrong_last, mixed = [], []  # per noise seed
+        for seed in range(13, 43 if kind == "hand-built" else 14):
+            out = [self.run(phases, inst, params, members, sizes, centers, bases, id_bases, pick,
+                            config, adversarial, seed)
+                   for phases in ((_majority_phase, _identity),
+                                  (per_member_majority_phase, per_member_identity))]
+            assert out[0] == out[1]
+            decoded, believes, *_, calls = out[0]
+            assert (len(calls) > 0) == adversarial
+            wrong_last.append(decoded[-1] != inst.bits[members[-1]])
+            mixed.append(np.flatnonzero(believes).tolist() != sorted(pick[occupied]))
+        # Some believers are not witnesses; the hand-built grid's last member,
+        # before an empty cell (center -1), is no center and sometimes decodes
+        # its bit wrong.
+        assert any(mixed)
+        if kind == "hand-built":
+            assert members[-1] not in centers and any(wrong_last)
+
+    @staticmethod
+    def run(phases, inst, params, members, sizes, centers, bases, id_bases, pick, config,
+            adversarial, seed):
+        """(decoded, believers, trace records, metrics, rng state, hook calls)
+        of one discovery majority phase and one identity phase."""
+        majority, identity = phases
+        calls = []
+
+        def hook(slot, tx, rx, history):
+            calls.append((slot, tx, rx))
+            return 0.3 * ((7 * slot + 3 * tx + rx) % 5) / 4
+
+        noise = NoiseModel(0.3, "adversarial", hook) if adversarial else NoiseModel(0.3)
+        channel = Channel(inst, params, noise, np.random.default_rng(seed), trace=Trace())
+        decoded = majority(members, sizes, centers, bases, 3, "discovery", channel)
+        believes = identity(members, sizes, centers, id_bases, pick, config, channel)
+        records = [
+            (r.phase, r.txs.tolist(), r.first.tolist(), r.copies) for r in channel.trace.stage1
+        ]
+        state = channel.rng.bit_generator.state
+        metrics = channel.metrics.snapshot()
+        return decoded.tolist(), believes.tolist(), records, metrics, state, calls
+
+    @pytest.mark.parametrize("kind", ["hand-built", "sampled"])
+    def test_discovery_names_each_cells_first_one(self, kind):
+        # Sparse ones, so that many cells decode none and name their start.
+        inst, params, (members, sizes, centers), code = self.world(kind)
+        inst = inst.with_bits((np.random.default_rng(14).random(inst.n) < 0.05).astype(np.int8))
+        config = Stage1Config(eps1=0.05, c_rep=3, r2=3, id_code=code)
+        bases = 50 * np.arange(sizes.size)
+        channel = Channel(inst, params, NoiseModel(0.3), np.random.default_rng(13))
+        pick = _discovery(members, sizes, centers, bases, config, channel)
+        channel = Channel(inst, params, NoiseModel(0.3), np.random.default_rng(13))
+        decoded = per_member_majority_phase(members, sizes, centers, bases, 3, "discovery", channel)
+        starts = sizes.cumsum() - sizes
+        want, without = [], 0  # occupied cells that decode no 1
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            ones = np.flatnonzero(decoded[start : start + size])
+            want.append(start + int(ones[0]) if ones.size else start)
+            without += size > 0 and ones.size == 0
+        assert pick.tolist() == want
+        assert (pick > starts).any() and without > 0
 
 
 class TestStage1Schedule:
