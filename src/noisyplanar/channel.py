@@ -11,7 +11,6 @@ flip probability up to that bound, knowing the run (see ``NoiseModel``).
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
@@ -227,14 +226,18 @@ class NoiseModel:
     its copies flipped], whatever the bit, so one uniform against the row's
     ``majority_tail`` draws it with its exact law.  Either batch draws all of
     its uniforms first, then asks the hook once per reception in C order
-    (every copy of a row included), in chunks of at most ``FLIP_CHUNK``
-    receptions, each compared with its uniforms as it is asked; so a hooked
-    batch holds its uniforms and its flips whole, but neither its
-    probabilities nor, where they come as functions of a range of rows, its
-    slots and transmitters.  The hook sees every reception's (slot, tx, rx,
-    history), but not the metrics or the RNG state moving partway through a
-    batch, and a hook that answers eps0 draws exactly what iid noise draws in
-    these batches.  A batch can span several arrays or cells (a repetition
+    (every copy of a row included), in chunks of rows of at most
+    ``FLIP_CHUNK`` receptions, each compared with its uniforms as it is
+    asked.  Every draw says where its receptions are by one function,
+    ``where(at) -> (slots, txs, rxs)``, called once per chunk with the
+    chunk's ascending row indices along the batch's leading axis (``[0]``
+    when it has none), each array broadcasting to those rows' receptions;
+    iid noise never calls it.  So a hooked batch holds its uniforms and its
+    flips whole, but neither its probabilities nor its receptions' slots,
+    transmitters and receivers.  The hook sees every reception's (slot, tx,
+    rx, history), but not the metrics or the RNG state moving partway through
+    a batch, and a hook that answers eps0 draws exactly what iid noise draws
+    in these batches.  A batch can span several arrays or cells (a repetition
     sub-stage of stage 2 is one, and so is each stage-1 phase), so the hook
     sees the channel as it was when the batch's draw began.  The slot is the
     one the metrics charge, which lockstep arrays and cells share.
@@ -269,69 +272,55 @@ class NoiseModel:
             raise ValueError(f"adversary returned flip probability {p} outside [0, {self.eps0}]")
         return p
 
-    def _hook_flips(self, u: np.ndarray, shape, slots, txs, rxs, history, reps=None):
+    def _hook_flips(self, u: np.ndarray, shape, where, history, reps=None):
         """Whether each uniform of u is below the hook's flip probability of its
         reception, the receptions of shape u.shape; or, given reps, below the
         ``majority_tail`` of its row's reps receptions, shape (*u.shape, reps).
 
-        slots/txs/rxs broadcast to the receptions' shape.  Each may be a
-        function: of no argument, returning that array, or of one, the indices
-        of a range of rows along its leading axis, returning those rows; a
-        function is called only here, so only under a hook.  The hook is asked
-        in C order, in chunks of rows along the leading axis of at most
-        ``FLIP_CHUNK`` receptions (one row where that is more), and each
-        chunk's probabilities are compared with its uniforms at once, so its
-        Python lists and float probabilities stay bounded."""
+        The hook is asked in C order, in chunks of rows along u's leading axis
+        (one row when u has none) of at most ``FLIP_CHUNK`` receptions, or one
+        row where that is more.  ``where(at)`` gives a chunk's (slots, txs,
+        rxs), at its ascending row indices, each broadcasting to those rows'
+        receptions; it is called once per chunk, so only the chunk's Python
+        lists, float probabilities and locations are held at once."""
         lead = u.reshape(u.shape or (1,))
-        full = (len(lead), *lead.shape[1:], *shape[u.ndim :])
-        sources = [_row_source(a, shape, full) for a in (slots, txs, rxs)]
+        row = (*lead.shape[1:], *shape[u.ndim :])  # one row's receptions
         out = np.empty(lead.shape, dtype=bool)
-        step = max(1, FLIP_CHUNK // max(1, math.prod(full[1:])))
+        step = max(1, FLIP_CHUNK // max(1, math.prod(row)))
         for lo in range(0, len(lead), step):
-            rows = slice(lo, lo + step)
             at = np.arange(lo, min(lo + step, len(lead)))
-            chunk = (at.size, *full[1:])
-            receptions = (np.broadcast_to(source(at), chunk).ravel().tolist() for source in sources)
-            probs = np.array([self.flip_prob(s, t, r, history) for s, t, r in zip(*receptions)])
+            chunk = (at.size, *row)
+            located = (np.broadcast_to(a, chunk).ravel().tolist() for a in where(at))
+            probs = np.array([self.flip_prob(s, t, r, history) for s, t, r in zip(*located)])
             probs = probs.reshape(chunk)
             bars = probs if reps is None else majority_tail(probs, reps)
-            np.less(lead[rows], bars, out=out[rows])
+            np.less(lead[lo : lo + step], bars, out=out[lo : lo + step])
         return out.reshape(u.shape)
 
-    def flips(self, rng, shape, slots=None, txs=None, rxs=None, history=None) -> np.ndarray:
+    def flips(self, rng, shape, where=None, history=None) -> np.ndarray:
         """Boolean flips of a batch of receptions: ``rng.random(shape)`` against
-        eps0, or against the hook's probability for each reception, whose
-        slots/txs/rxs then broadcast to ``shape``, each an array or a function
-        called only when the hook reads it (``_hook_flips``).
+        eps0, or against the hook's probability for each reception, located
+        chunk by chunk by ``where`` (``_hook_flips``), which iid noise never
+        calls.
 
         In iid mode the uniforms pass through a bounded buffer
         (``_uniforms_below``): the same stream and flips as one draw."""
         if self.mode == "iid":
             return _uniforms_below(rng, shape, self.eps0)
         u = rng.random(shape)
-        return self._hook_flips(u, u.shape, slots, txs, rxs, history)
+        return self._hook_flips(u, u.shape, where, history)
 
-    def majority_flips(self, rng, shape, slots=None, txs=None, rxs=None, history=None):
+    def majority_flips(self, rng, shape, where=None, history=None) -> np.ndarray:
         """Whether each row of a batch of repeated receptions, shape (..., reps),
         majority-decodes wrong: one bool per row, True iff more than reps // 2
         of its copies flip.  One uniform per row, in C order, against the
         row's ``majority_tail``: at eps0 (cached per reps) in iid mode, else
-        over the hook's probabilities for the row's copies, the slots/txs/rxs
-        broadcasting to ``shape`` as in ``flips``."""
+        over the hook's probabilities for the row's copies, located by
+        ``where`` as in ``flips``."""
         rows, reps = tuple(shape[:-1]), shape[-1]
         if self.mode == "iid":
             return _uniforms_below(rng, rows, _iid_tail(self.eps0, reps))
-        return self._hook_flips(rng.random(rows), shape, slots, txs, rxs, history, reps)
-
-
-def _row_source(source, shape, full):
-    """A hooked batch's slots, txs or rxs as a function of row indices along
-    the leading axis of ``full``, the receptions' shape (``shape`` with a
-    leading axis where it has none), as ``_hook_flips`` takes them."""
-    if callable(source) and inspect.signature(source).parameters:
-        return source
-    whole = np.broadcast_to(source() if callable(source) else source, shape).reshape(full)
-    return lambda at: whole[at]
+        return self._hook_flips(rng.random(rows), shape, where, history, reps)
 
 
 def distances(positions: np.ndarray, rows, cols) -> np.ndarray:
@@ -410,8 +399,8 @@ def resolve_slot(
     hit = hit[np.argsort(listen_slots[rows[hit]], kind="stable")]  # slot by slot
     receivers, senders = rows[hit], cols[hit]
     got = bits[senders] if bits.ndim else np.full(senders.size, bits)
-    at = listen_slots[receivers]
-    got ^= noise.flips(rng, senders.size, at, txs[senders], listeners[receivers], history)
+    where = lambda at: (listen_slots[receivers[at]], txs[senders[at]], listeners[receivers[at]])
+    got ^= noise.flips(rng, senders.size, where=where, history=history)
     kinds = np.minimum(heard, COLLIDED).astype(np.int64)
     kinds[receivers] = RECEIVED + got
     return kinds
@@ -588,18 +577,19 @@ class Channel:
     metrics: Metrics = field(default_factory=Metrics)
     trace: Trace | None = None
 
-    def flip_mask(self, shape, slots=None, txs=None, rxs=None) -> np.ndarray:
-        """The noise model's flips for a batch of receptions, drawn from this
-        channel's stream; an adversary's hook gets the channel as history."""
-        return self.noise.flips(self.rng, shape, slots, txs, rxs, history=self)
+    def flip_mask(self, shape, where=None) -> np.ndarray:
+        """The noise model's flips for a batch of receptions located by
+        ``where`` (``NoiseModel.flips``), drawn from this channel's stream; an
+        adversary's hook gets the channel as history."""
+        return self.noise.flips(self.rng, shape, where, history=self)
 
-    def majority_mask(self, shape, slots=None, txs=None, rxs=None) -> np.ndarray:
+    def majority_mask(self, shape, where=None) -> np.ndarray:
         """The noise model's majority errors for a (..., reps) batch of
         repeated receptions, one per row (``NoiseModel.majority_flips``),
         drawn from this channel's stream; a hook gets the channel as history."""
-        return self.noise.majority_flips(self.rng, shape, slots, txs, rxs, history=self)
+        return self.noise.majority_flips(self.rng, shape, where, history=self)
 
-    def code_errors(self, code, rows: int, pairs, slots=None, txs=None, rxs=None):
+    def code_errors(self, code, rows: int, pairs, where=None):
         """The error patterns of the rows of a block-code batch that the
         distance shortcuts leave open: returns (rows, masks), the rows
         ascending and their (rows, block_len) flips.
@@ -611,13 +601,14 @@ class Channel:
         ``BlockCode.settle`` says, to its heard message iff that is the one
         sent.  Under iid noise every row draws one uniform, and only the rows
         it leaves open draw more (``_iid_code_errors``), so ``pairs`` is
-        asked only about those.  Under a hook the batch is one ``flip_mask``
-        draw of one flip per reception, slots/txs/rxs as its keywords;
+        asked only about those, and ``where`` never.  Under a hook the batch
+        is one ``flip_mask`` draw of one flip per reception, ``where(at)``
+        locating the block_len receptions of each row of a chunk at;
         ``pairs`` is asked once about every row (int32), and
         ``BlockCode.settle`` derives W, J and the open rows from the flips."""
         if self.noise.mode == "iid":
             return _iid_code_errors(self.rng, self.noise.eps0, code, rows, pairs)
-        flips = self.flip_mask((rows, code.block_len), slots=slots, txs=txs, rxs=rxs)
+        flips = self.flip_mask((rows, code.block_len), where=where)
         sent, heard = pairs(np.arange(rows, dtype=np.int32))
         at = code.settle(sent, flips, heard)[1]
         return at, flips[at]
@@ -638,6 +629,5 @@ class Channel:
     def noisy_copies(self, bit: int, count: int, tx: int, rx: int, slot0: int) -> np.ndarray:
         """The bit as seen by one receiver over ``count`` repeated slots, copy by
         copy; a majority decode of them draws as ``majority_mask`` instead."""
-        slots = slot0 + np.arange(count)
-        mask = self.flip_mask((count,), slots=slots, txs=tx, rxs=rx)
+        mask = self.flip_mask((count,), where=lambda at: (slot0 + at, tx, rx))
         return (int(bit) ^ mask.astype(np.int8)).astype(np.int8)

@@ -109,6 +109,10 @@ class RepetitionScheme:
         )
 
 
+# decode_batch XORs a chunk of rows with the codebook in at most this many uint64 words (2 MiB).
+DECODE_WORDS = 1 << 18
+
+
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack (n, L) 0/1 rows (or one row), bool or integer, into (n, ceil(L/64))
     uint64 words: the rows zero-padded to whole words, then packed as one flat
@@ -194,13 +198,15 @@ class BlockCode:
         return int(np.argmin(dists))
 
     def decode_batch(self, words: np.ndarray) -> np.ndarray:
-        """ML-decode many received words at once (rows of ``words``)."""
+        """ML-decode many received words at once (rows of ``words``), a chunk of
+        rows at a time whose XOR with the packed codebook holds at most
+        ``DECODE_WORDS`` uint64 words (one row where a row is more)."""
         words = np.atleast_2d(np.asarray(words, dtype=np.uint8))
         if words.shape[1] != self.block_len:
             raise ValueError("word length mismatch")
         packed = _pack_bits(words)
         out = np.empty(len(packed), dtype=np.int64)
-        step = max(1, 2**22 // max(1, len(self._packed)))
+        step = max(1, DECODE_WORDS // self._packed.size)
         for lo in range(0, len(packed), step):
             chunk = packed[lo : lo + step]
             d = np.bitwise_count(chunk[:, None, :] ^ self._packed[None, :, :]).sum(axis=2)
@@ -580,14 +586,15 @@ def repetition_errors(
     end to end, in the order ``ends`` gives them.
     """
     total = int(sum(links))
-    cuts = np.cumsum([0, *links])
-    first = lambda: (np.repeat(cuts[:-1], links) * width * r3)[:, None, None]  # array starts
-    wrong = channel.majority_mask(
-        (total, width, r3),
-        slots=lambda: slots(np.arange(total * width * r3).reshape(total, width, r3) - first()),
-        txs=ends[:, 0, None, None],
-        rxs=ends[:, 1, None, None],
-    )
+    shape = (total, width, r3)
+
+    @cache
+    def ids():  # every copy's slot id, from its array's start
+        first = np.repeat(np.cumsum([0, *links])[:-1], links) * width * r3
+        return slots(np.arange(math.prod(shape)).reshape(shape) - first[:, None, None])
+
+    where = lambda at: (ids()[at], ends[at, 0, None, None], ends[at, 1, None, None])
+    wrong = channel.majority_mask(shape, where=where)
     return (wrong << np.arange(width)).sum(axis=1)
 
 
@@ -611,6 +618,7 @@ def _simulate_treecode(
     sym_bits = config.symbol_bits
 
     links = protocol.q - 1
+    shape, forward = (links, sym_bits), np.arange(sym_bits)[None]
     bit_weights = 1 << np.arange(sym_bits - 1, -1, -1)  # a symbol's first bit is its MSB
     prefixes = np.zeros(links, dtype=np.int64)
     dist = np.zeros((links, 1), dtype=_PATH_DISTANCE)  # receiver i+1's distances on link i
@@ -622,13 +630,9 @@ def _simulate_treecode(
             for i in range(links)
         ]
         prefixes = (prefixes << 1) | round_bits
-        mask = channel.flip_mask(
-            (links, sym_bits),
-            # Forward bits; the reserved reverse-direction bits take the sym_bits after them.
-            slots=lambda: slots(2 * (t - 1) * sym_bits + np.arange(sym_bits)[None]),
-            txs=ends[:, :1],
-            rxs=ends[:, 1:],
-        )
+        # Forward bits; the reserved reverse-direction bits take the sym_bits after them.
+        ids = cache(lambda: np.broadcast_to(slots(2 * (t - 1) * sym_bits + forward), shape))
+        mask = channel.flip_mask(shape, where=lambda at: (ids()[at], ends[at, :1], ends[at, 1:]))
         dist = tree.extend(dist, t, tree.levels[t - 1][prefixes] ^ (mask @ bit_weights))
         best = dist.argmin(axis=1)  # first minimum = lexicographically smallest path
         beliefs = ((best[:, None] >> np.arange(t - 1, -1, -1)) & 1).tolist()

@@ -463,13 +463,13 @@ def distribute_result(
     heard = members != centers[rank]
     rank, rxs = rank[heard], members[heard]
     start = channel.metrics.slots_total
-    class_of = lambda: np.repeat(np.arange(len(coloring)), np.diff(bounds))
-    wrong = channel.majority_mask(
-        (rxs.size, r2),
-        slots=lambda: slot_ids(start, class_of()[rank, None], np.arange(r2), r2),  # hooks only
-        txs=centers[rank, None],
-        rxs=rxs[:, None],
-    )
+    class_of = cache(lambda: np.repeat(np.arange(len(coloring)), np.diff(bounds)))  # hooks only
+
+    def where(at):  # the members' slots in their class's lanes, their center and themselves
+        cell = rank[at, None]
+        return slot_ids(start, class_of()[cell], np.arange(r2), r2), centers[cell], rxs[at, None]
+
+    wrong = channel.majority_mask((rxs.size, r2), where=where)
     bits = down[cells].astype(np.int8)
     node_values = np.zeros(grid.n, dtype=np.int8)
     node_values[centers] = bits

@@ -187,6 +187,15 @@ def _center_rows(members, sizes, centers) -> np.ndarray:
     return rows
 
 
+def _cell_sums(values, sizes) -> np.ndarray:
+    """Each gathered cell's sum of its members' values, 0 for an empty cell:
+    one reduceat over the occupied cells' starts."""
+    occupied = sizes > 0
+    sums = np.zeros(sizes.size, dtype=np.int64)
+    sums[occupied] = np.add.reduceat(values, (sizes.cumsum() - sizes)[occupied], dtype=np.int64)
+    return sums
+
+
 def _majority_phase(members, sizes, centers, cell_base, reps: int, phase: str, channel: Channel):
     """Per-member repetition to each cell's center, the cells in lockstep.
 
@@ -194,18 +203,18 @@ def _majority_phase(members, sizes, centers, cell_base, reps: int, phase: str, c
     their bit in turn from slot cell_base[i], reps slots each.  The center
     majority-decodes every member, and its own broadcasts are noiseless to
     itself.  Noise is one majority draw (``Channel.majority_mask``), one
-    uniform per member, cell by cell, member by member; the members' slots
-    and centers are built only for a hook or a trace.  Traces the phase as
-    one record, charges it, and returns the members' decoded bits.
+    uniform per member, cell by cell, member by member; each member's first
+    slot and center are built only for a hook or a trace, once.  Traces the
+    phase as one record, charges it, and returns the members' decoded bits.
     """
-    firsts = lambda: _member_firsts(sizes, cell_base, reps)
+    firsts = cache(lambda: _member_firsts(sizes, cell_base, reps))
+    own_center = cache(lambda: centers.repeat(sizes))
+
+    def where(at):  # the members' copies' slots, themselves and their center
+        return firsts()[at, None] + np.arange(reps), members[at, None], own_center()[at, None]
+
     bits = channel.instance.bits[members]
-    decoded = bits ^ channel.majority_mask(
-        (members.size, reps),
-        slots=lambda: firsts()[:, None] + np.arange(reps),
-        txs=members[:, None],
-        rxs=lambda: centers.repeat(sizes)[:, None],
-    )
+    decoded = bits ^ channel.majority_mask((members.size, reps), where=where)
     own = _center_rows(members, sizes, centers)
     own = own[own >= 0]
     decoded[own] = bits[own]
@@ -285,8 +294,11 @@ def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, cha
     weight, overlap and pattern.  The believers are the witnesses, overwritten
     by the decodes of the rows the distance shortcuts leave open, in one
     ``BlockCode.decode_equals`` call; a center answers whether it named
-    itself without decoding.  A hook's slots and transmitters are built a
-    chunk of rows at a time."""
+    itself without decoding.  Under a hook every row draws one flip per
+    codeword bit, and ``where(at)`` gives a chunk of rows' receptions: its
+    cell's codeword slots, sent by its cell's center to the row's member.
+    ``where`` and ``pairs`` each find their rows' cells once per call and
+    read per-cell arrays, so no per-member array is built."""
     code, length = config.id_code, config.block_len
     starts = sizes.cumsum() - sizes
     # The witness's in-cell index and each cell's first row, as int32 like the rows.
@@ -297,14 +309,11 @@ def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, cha
         cell = cell_of(at)
         return sent[cell], at - first[cell]
 
-    rows, flips = channel.code_errors(
-        code,
-        members.size,
-        pairs,
-        slots=lambda at: id_bases[cell_of(at), None] + np.arange(length),
-        txs=lambda at: centers[cell_of(at), None],
-        rxs=members[:, None],
-    )
+    def where(at):  # the rows' codeword slots, their center and themselves
+        cell = cell_of(at)
+        return id_bases[cell, None] + np.arange(length), centers[cell, None], members[at, None]
+
+    rows, flips = channel.code_errors(code, members.size, pairs, where=where)
     believes = np.zeros(members.size, dtype=bool)
     believes[pick[sizes > 0]] = True
     witness, own = pairs(rows)
@@ -322,20 +331,19 @@ def _confirmation(members, sizes, centers, confirm_bases, believes, config: Stag
     decodes unless it is the center; silence and collisions decode to 0.
     Returns each cell's value."""
     r2 = config.r2
-    starts = sizes.cumsum() - sizes
-    n_believers = np.add.reduceat(believes, starts, dtype=np.int64)
+    n_believers = _cell_sums(believes, sizes)
     believers = np.flatnonzero(believes)  # cell by cell
     single = n_believers == 1
-    sender = members[starts]
+    sender = centers.copy()
     sender[single] = members[believers[single.repeat(n_believers)]]
     values = np.where(single, channel.instance.bits[sender], 0)
     sends = np.flatnonzero(single & (sender != centers))
-    values[sends] ^= channel.majority_mask(
-        (sends.size, r2),
-        slots=lambda: confirm_bases[sends, None] + np.arange(r2),
-        txs=sender[sends, None],
-        rxs=centers[sends, None],
-    )
+
+    def where(at):  # the sending cells' slots, sender and center
+        cell = sends[at]
+        return confirm_bases[cell, None] + np.arange(r2), sender[cell, None], centers[cell, None]
+
+    values[sends] ^= channel.majority_mask((sends.size, r2), where=where)
     if channel.trace is not None:
         channel.record("confirmation", members[believers], confirm_bases.repeat(n_believers), r2)
     heard = n_believers > 0
@@ -422,6 +430,6 @@ def run_stage1_hist(
     cells, members, sizes, centers, bases, _, _ = _cells_of(grid, layout, config)
     decoded = _majority_phase(members, sizes, centers, bases, config.r2, "hist_count", channel)
     counts = np.zeros(len(grid) + 1, dtype=np.int64)
-    counts[cells] = np.add.reduceat(decoded, sizes.cumsum() - sizes)
+    counts[cells] = _cell_sums(decoded, sizes)
     channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
     return Stage1Result(counts)

@@ -91,9 +91,9 @@ def dense_slot(slot, txs, bits, listeners, positions, params, noise, rng, histor
     # With one transmitter in range (and delta >= 0), an interferer makes two in the guard disc.
     receivers = np.flatnonzero((heard == 1) & ((dist < guard) @ ones <= 1))
     senders = np.nonzero(in_range[receivers])[1]  # one in-range transmitter per row
-    at = slot
     got = bits[senders] if bits.ndim else np.full(senders.size, bits)
-    got ^= noise.flips(rng, senders.size, at, txs[senders], listeners[receivers], history)
+    where = lambda at: (slot, txs[senders[at]], listeners[receivers[at]])
+    got ^= noise.flips(rng, senders.size, where=where, history=history)
     kinds = np.minimum(heard, COLLIDED).astype(np.int64)
     kinds[receivers] = RECEIVED + got
     return kinds

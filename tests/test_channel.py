@@ -26,9 +26,11 @@ from noisyplanar.channel import (
     majority_tail,
     resolve_slot,
 )
-from noisyplanar.coding import BlockCode, RepetitionScheme
+from noisyplanar.coding import BlockCode, LinkSimConfig, RepetitionScheme
+from noisyplanar.config import ExperimentConfig
 from noisyplanar.geometry import assign_cells, derive_params, place_nodes
-from noisyplanar.harness import wilson_interval
+from noisyplanar.harness import run_trial, wilson_interval
+from noisyplanar.intercell import distribute_result
 
 from conftest import make_hand_world, slot_by_slot, stage1_keys
 
@@ -362,7 +364,7 @@ class TestNoiseModel:
         def counts(noise, seed):
             ch = Channel(inst, params, noise, np.random.default_rng(seed))
             return [
-                ch.flip_mask((64,), slots=np.arange(64), txs=0, rxs=1).sum() for _ in range(400)
+                ch.flip_mask((64,), where=lambda at: (at, 0, 1)).sum() for _ in range(400)
             ]
 
         iid = counts(NoiseModel(0.3), seed=1)
@@ -465,7 +467,9 @@ class TestMajorityTail:
         want = want_rng.random(rows) < majority_tail(0.3, reps)
         for noise in (NoiseModel(0.3), NoiseModel(0.3, "adversarial", hook)):
             rng = np.random.default_rng(4)
-            got = noise.majority_flips(rng, shape, slots=lambda: slots, txs=1, rxs=2)
+            # Shape (5,) has no row axis: where is asked about [0], for the whole row.
+            where = lambda at: (slots[at] if rows else slots, 1, 2)
+            got = noise.majority_flips(rng, shape, where=where)
             assert got.dtype == bool and got.shape == rows
             np.testing.assert_array_equal(got, want)
             assert rng.bit_generator.state == want_rng.bit_generator.state
@@ -566,47 +570,89 @@ class TestIidCodeErrors:
 class TestHookedBatchChunks:
     """A hook is asked about a batch in chunks of at most FLIP_CHUNK receptions
     along its leading axis, after the batch's uniforms: the chunk size moves
-    no result, no hook call and no draw."""
+    no result, no hook call and no draw.  ``where`` is asked once per chunk,
+    about its rows in ascending order, and iid noise never asks it."""
 
-    @staticmethod
-    def run(kind):
-        """(result, hook calls, rng state) of one hooked batch of this kind."""
-        calls = []
+    SHAPES = {"flip_mask": (50, 7), "majority_mask": (40, 3, 5), "code_errors": (200, 12)}
+
+    @classmethod
+    def run(cls, kind):
+        """(result, hook calls, rng state) of one hooked batch of this kind, and
+        the rows of each ``where`` call."""
+        calls, located = [], []
 
         def hook(slot, tx, rx, history):
             calls.append((slot, tx, rx))
             return 0.3 * ((7 * slot + 3 * tx + rx) % 5) / 4
 
+        shape = cls.SHAPES[kind]
+        slots = np.arange(np.prod(shape)).reshape(shape)
+        txs = np.arange(shape[0]).reshape(-1, *[1] * (len(shape) - 1))
+        if kind == "code_errors":
+            txs = txs % 7
+
+        def where(at):
+            located.append(at.tolist())
+            return slots[at], txs[at], 3
+
         channel = Channel(None, None, NoiseModel(0.3, "adversarial", hook), np.random.default_rng(8))
         if kind == "code_errors":  # 200 rows of a 12-bit codeword, half of them left open
-            code, rows = BlockCode(3, 12, seed=404), 200
+            code, rows = BlockCode(3, 12, seed=404), shape[0]
             sent, heard = np.full(rows, 5), np.arange(rows) % 8
-            got = channel.code_errors(
-                code,
-                rows,
-                lambda at: (sent[at], heard[at]),
-                slots=lambda: np.arange(rows * 12).reshape(rows, 12),
-                txs=lambda: np.arange(rows)[:, None] % 7,
-                rxs=3,
-            )
+            got = channel.code_errors(code, rows, lambda at: (sent[at], heard[at]), where=where)
         else:
-            shape = (40, 3, 5) if kind == "majority_mask" else (50, 7)
-            slots = lambda: np.arange(np.prod(shape)).reshape(shape)
-            txs = np.arange(shape[0]).reshape(-1, *[1] * (len(shape) - 1))
-            got = [getattr(channel, kind)(shape, slots=slots, txs=txs, rxs=3)]
-        return [a.tolist() for a in got], calls, channel.rng.bit_generator.state
+            got = [getattr(channel, kind)(shape, where=where)]
+        return [a.tolist() for a in got], calls, channel.rng.bit_generator.state, located
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     @pytest.mark.parametrize("kind", ["flip_mask", "majority_mask", "code_errors"])
     def test_every_chunk_gives_the_same_batch(self, kind, chunk, monkeypatch):
-        whole = self.run(kind)
+        whole = self.run(kind)[:3]
         monkeypatch.setattr(channel_module, "FLIP_CHUNK", chunk)
-        got = self.run(kind)
+        got = self.run(kind)[:3]
         assert got == whole
         result, calls, _ = got
         assert len(calls) == {"flip_mask": 350, "majority_mask": 600, "code_errors": 2400}[kind]
         if kind == "code_errors":
             assert 0 < len(result[0]) < 200
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 100, FLIP_CHUNK])
+    @pytest.mark.parametrize("kind", ["flip_mask", "majority_mask", "code_errors"])
+    def test_where_is_asked_once_per_chunk_of_rows(self, kind, chunk, monkeypatch):
+        monkeypatch.setattr(channel_module, "FLIP_CHUNK", chunk)
+        located = self.run(kind)[3]
+        shape = self.SHAPES[kind]
+        per_row = int(np.prod(shape[1:]))
+        assert all(len(at) * per_row <= chunk or len(at) == 1 for at in located)
+        # Ascending, every row exactly once.
+        assert list(itertools.chain.from_iterable(located)) == list(range(shape[0]))
+        assert len(located) == -(-shape[0] // max(1, chunk // per_row))
+
+    def test_iid_draws_never_locate_their_receptions(self, monkeypatch):
+        # Stage 1 (MAX and histogram), repetition stage 2 and distribution
+        # under iid noise, each draw handed a ``where`` that fails if called.
+        handed = []
+
+        def refuse(at):
+            raise AssertionError("iid noise asked where its receptions are")
+
+        for name in ("flip_mask", "majority_mask", "code_errors"):
+            def unlocated(self, *args, draw=getattr(Channel, name), where=None, **kw):
+                handed.append(where is not None)
+                return draw(self, *args, where=refuse, **kw)
+
+            monkeypatch.setattr(Channel, name, unlocated)
+        for protocol in ("max", "hist"):
+            cfg = ExperimentConfig(protocol=protocol, mode="repetition", n=(2000,), trials=1,
+                                   eps0=0.25)
+            run = run_trial(cfg, 2000, 0)
+        relay = LinkSimConfig(mode="repetition", r3=5)
+        values = distribute_result(
+            run.tree, run.plan, 1, relay, 9, run.channel, run.grid, run.params, run.coloring
+        )
+        assert values.shape == (2000,)
+        # Discovery, identity, confirmation; counting; stage 2 and distribution's draws.
+        assert len(handed) > 5 and all(handed)
 
 
 class TestColorCells:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from noisyplanar import coding
 from noisyplanar.channel import Channel, NoiseModel
 from noisyplanar.coding import (
     ERASED,
@@ -232,6 +233,16 @@ class TestBlockCode:
         flips = (rng.random((trials, 52)) < 0.1).astype(np.uint8)
         decoded = code.decode_batch(cw[None, :] ^ flips)
         assert (decoded != msg).mean() <= 0.01
+
+    @pytest.mark.parametrize("budget", [1, 127, 128, 129, 1000, coding.DECODE_WORDS])
+    def test_decode_batch_chunks_move_no_decode(self, budget, monkeypatch):
+        # A 6-bit, two-word code: 128 words per row of the chunk's XOR.
+        code = BlockCode(6, 80, seed=404)
+        rng = np.random.default_rng(5)
+        sent = code.codebook[rng.integers(0, 64, 300)]
+        words = sent ^ (rng.random((300, 80)) < 0.3).astype(np.uint8)
+        monkeypatch.setattr(coding, "DECODE_WORDS", budget)
+        assert code.decode_batch(words).tolist() == [code.decode(w) for w in words]
 
 
 class TestTreeCode:
@@ -542,7 +553,8 @@ def reference_repetition(
         for t in protocol.payload_rounds(i):
             bit = protocol.sent_bit(i, t, child[: t - 1])
             slots = (i * protocol.width + t - i - 1) * r3 + np.arange(r3)
-            decoded[t - 1] = bit ^ int(channel.majority_mask((r3,), slots, tx_node, rx_node))
+            where = lambda at: (slots, tx_node, rx_node)  # no row axis: at is [0]
+            decoded[t - 1] = bit ^ int(channel.majority_mask((r3,), where=where))
         delivered.append(protocol.child_value(i + 1, decoded))
         child = decoded
     return values, delivered
@@ -610,7 +622,7 @@ def reference_treecode(protocol, config, channel, link_endpoints):
             symbol = int(tree.levels[t - 1][prefixes[i]])
             tx_node, rx_node = link_endpoints[i]
             slots = 2 * (t - 1) * sym_bits + np.arange(sym_bits)
-            mask = channel.flip_mask((sym_bits,), slots=slots, txs=tx_node, rxs=rx_node)
+            mask = channel.flip_mask((sym_bits,), where=lambda at: (slots[at], tx_node, rx_node))
             flips = sum(int(b) << (sym_bits - 1 - k) for k, b in enumerate(mask))
             received[i].append(symbol ^ flips)
             paths = np.arange(1 << t)

@@ -569,7 +569,8 @@ def reference_distribute_result(
                 logical = (len(cells) - 2 - i) * config.r3 + np.arange(config.r3)
                 lane = params.interference_bound + 1 + color[cells[i]]
                 slots = start + logical * params.link_slot_span + lane
-                v ^= int(channel.majority_mask((config.r3,), slots, centers[i + 1], centers[i]))
+                where = lambda at: (slots, centers[i + 1], centers[i])
+                v ^= int(channel.majority_mask((config.r3,), where=where))
                 down[cells[i]] = v
             link_count = len(cells) - 1
             channel.metrics.add("distribute", tx=link_count * config.r3, rx=link_count * config.r3)
@@ -586,7 +587,8 @@ def reference_distribute_result(
             for member in cell.members.tolist():
                 if member == cell.center:
                     continue
-                wrong = channel.majority_mask((r2,), slot0 + np.arange(r2), cell.center, member)
+                where = lambda at: (slot0 + np.arange(r2), cell.center, member)
+                wrong = channel.majority_mask((r2,), where=where)
                 node_values[member] = v ^ int(wrong)
             channel.metrics.add("distribute", tx=r2, rx=r2 * (cell.size - 1))
         channel.metrics.add("distribute", slots=r2)
@@ -737,9 +739,11 @@ def per_array_distribute_result(
     class_of = np.repeat(np.arange(len(coloring)), [len(cls.cells) for cls in coloring])
     wrong = channel.majority_mask(
         (rxs.size, r2),
-        slots=lambda: base + r2 * class_of[rank, None] + np.arange(r2),  # iid never reads it
-        txs=centers[rank, None],
-        rxs=rxs[:, None],
+        where=lambda at: (
+            base + r2 * class_of[rank[at], None] + np.arange(r2),  # iid never reads it
+            centers[rank[at], None],
+            rxs[at, None],
+        ),
     )
     bits = np.array([down[j] for j in cells], dtype=np.int8)
     node_values = np.zeros(grid.n, dtype=np.int8)

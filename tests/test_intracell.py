@@ -28,6 +28,7 @@ from noisyplanar.geometry import (
 from noisyplanar.intracell import (
     Stage1Config,
     Stage1Result,
+    _confirmation,
     _discovery,
     _identity,
     _majority_phase,
@@ -348,7 +349,8 @@ def hist_per_cell(grid, coloring, config, channel):
             bits = channel.instance.bits[members]
             slots = base + np.arange(n_members * reps).reshape(n_members, reps)
             txs = members[:, None]
-            wrong = channel.majority_mask((n_members, reps), slots=slots, txs=txs, rxs=cell.center)
+            where = lambda at: (slots[at], txs[at], cell.center)
+            wrong = channel.majority_mask((n_members, reps), where=where)
             decoded = (bits ^ wrong).astype(np.int8)
             decoded[members == cell.center] = bits[members == cell.center]
             channel.record("hist_count", members, slots[:, 0], reps)
@@ -456,7 +458,7 @@ def reference_distribute_identity(
 
     slots = slot0 + np.arange(length)
     flips = channel.flip_mask(
-        (n_members, length), slots=slots[None, :], txs=cell.center, rxs=members[:, None]
+        (n_members, length), where=lambda at: (slots[None, :], cell.center, members[at, None])
     )
     believes = config.id_code.decode_equals(local_witness, flips, np.arange(n_members))
     believes[members == cell.center] = witness == cell.center
@@ -486,7 +488,8 @@ def reference_confirm_value(
             value = bit
         else:
             slots = slot0 + np.arange(config.r2)
-            value = bit ^ int(channel.majority_mask((config.r2,), slots, b, cell.center))
+            where = lambda at: (slots, b, cell.center)
+            value = bit ^ int(channel.majority_mask((config.r2,), where=where))
     else:
         value = 0  # silence or wall-to-wall collisions: every slot is an erasure
 
@@ -752,10 +755,13 @@ class TestStage1Blocks:
     def test_a_cut_inside_the_sink_cell_gives_the_same_run(self, after, adversarial, monkeypatch):
         # The sink cell's center is the sink node, which need not be its least
         # member (in the n = 2000 world of seed 0 it is its tenth).  A chunk
-        # boundary just before or just after it splits the cell's members (iid
-        # identity settles FLIP_CHUNK rows at a time, a hook is asked about
-        # FLIP_CHUNK // block_len members at a time), and the center must
-        # still answer for itself.
+        # boundary just before or just after it splits the cell's members, and
+        # the center must still answer for itself.  A hook is asked about
+        # FLIP_CHUNK // block_len identity rows at a time, so there the boundary
+        # cuts the identity batch.  Under iid noise it cuts only the buffers of
+        # one uniform per member (discovery's majority draw and identity's
+        # weight draw); identity's overlap and pattern passes run over blocks
+        # of the rows that reach the weight threshold, and cut elsewhere.
         whole, _, grid = self.run_at("max", adversarial, seed=0)
         order = whole[2][0][1]  # discovery's transmitters: every member end to end
         sink = grid.cell(grid.sink_cell)
@@ -784,9 +790,8 @@ def per_member_majority_phase(members, sizes, centers, cell_base, reps, phase, c
     bits = channel.instance.bits[members]
     decoded = bits ^ channel.majority_mask(
         (members.size, reps),
-        slots=firsts[:, None] + np.arange(reps),
-        txs=members[:, None],
-        rxs=own_center[:, None],
+        where=lambda at: (firsts[at, None] + np.arange(reps), members[at, None],
+                          own_center[at, None]),
     )
     is_center = members == own_center
     decoded[is_center] = bits[is_center]
@@ -809,9 +814,8 @@ def per_member_identity(members, sizes, centers, id_bases, pick, config, channel
         code,
         members.size,
         lambda at: (sent[at], own[at]),
-        slots=id_bases[rank, None] + np.arange(length),
-        txs=centers[rank, None],
-        rxs=members[:, None],
+        where=lambda at: (id_bases[rank[at], None] + np.arange(length), centers[rank[at], None],
+                          members[at, None]),
     )
     believes[rows] = code.decode_equals(sent[rows], flips, own[rows])
     is_center = members == centers[rank]
@@ -851,7 +855,9 @@ class TestPerMemberRules:
     """Discovery's majority phase and identity find each cell's center through
     its row and name believers per cell; they must equal the per-member rules
     (members == centers.repeat(sizes), sent == own), empty cells and centers
-    that are not their cell's first member included."""
+    that are not their cell's first member included.  Confirmation and
+    histogram counting sum per-member arrays cell by cell; they must equal
+    the per-cell loops, an empty cell reading 0."""
 
     @staticmethod
     def world(kind):
@@ -944,6 +950,86 @@ class TestPerMemberRules:
             without += size > 0 and ones.size == 0
         assert pick.tolist() == want
         assert (pick > starts).any() and without > 0
+
+    @staticmethod
+    def grid_world(kind):
+        """(instance, params, grid) of ``world``'s hand-built grid or sampled world."""
+        if kind == "hand-built":
+            return hand_grid_with_empty_cells()
+        inst, params, grid, _, _, _ = build_world(2000, 0, 0.3, LOSSY)
+        return inst, params, grid
+
+    @staticmethod
+    def noisy_channel(inst, params, adversarial, seed, calls):
+        def hook(slot, tx, rx, history):
+            calls.append((slot, tx, rx))
+            return 0.3 * ((7 * slot + 3 * tx + rx) % 5) / 4
+
+        noise = NoiseModel(0.3, "adversarial", hook) if adversarial else NoiseModel(0.3)
+        return Channel(inst, params, noise, np.random.default_rng(seed), trace=Trace())
+
+    @staticmethod
+    def outcome(values, channel, calls):
+        """What a run leaves: values, traced rows, metrics, rng state, hook calls."""
+        state = channel.rng.bit_generator.state
+        return values, traced_rows(channel.trace), channel.metrics.snapshot(), state, calls
+
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
+    @pytest.mark.parametrize("kind", ["hand-built", "sampled"])
+    def test_confirmation_equals_the_per_cell_loop(self, kind, adversarial):
+        inst, params, grid = self.grid_world(kind)
+        cells = np.arange(1, len(grid) + 1)
+        members, sizes, centers = grid.gather(cells)
+        config = Stage1Config(eps1=0.05, c_rep=3, r2=3, id_code=BlockCode(3, 6, seed=2))
+        confirm_bases = 11 + 30 * np.arange(sizes.size)
+        # Occupied cells take turns: no believer, one that is not the center,
+        # the center alone, and the first two members.
+        believes = np.zeros(members.size, dtype=bool)
+        starts = sizes.cumsum() - sizes
+        for k, c in enumerate(np.flatnonzero(sizes > 0).tolist()):
+            cell = members[starts[c] : starts[c] + sizes[c]]
+            case = k % 4
+            if case == 1:
+                believes[starts[c] + (0 if cell[-1] == centers[c] else sizes[c] - 1)] = True
+            elif case == 2:
+                believes[starts[c] + np.flatnonzero(cell == centers[c])] = True
+            elif case == 3:
+                believes[starts[c] : starts[c] + 2] = True
+        by_cell = np.split(believes, grid.offsets[1:-1])
+        for seed in range(13, 23):
+            calls = [], []
+            channel = self.noisy_channel(inst, params, adversarial, seed, calls[0])
+            values = _confirmation(members, sizes, centers, confirm_bases, believes, config, channel)
+            batched = self.outcome(values.tolist(), channel, calls[0])
+            channel = self.noisy_channel(inst, params, adversarial, seed, calls[1])
+            values = [
+                reference_confirm_value(
+                    cell, cell.members[b].tolist(), config, channel, slot0=int(base)
+                )
+                for cell, b, base in zip(map(grid.cell, cells.tolist()), by_cell, confirm_bases)
+            ]
+            assert batched == self.outcome(values, channel, calls[1])
+            assert (len(calls[0]) > 0) == adversarial
+        if kind == "hand-built":
+            assert values[0] == values[4] == values[-1] == 0 and sizes[[0, 4, -1]].sum() == 0
+
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["iid", "adversarial"])
+    @pytest.mark.parametrize("kind", ["hand-built", "sampled"])
+    def test_counting_equals_the_per_cell_loop(self, kind, adversarial):
+        inst, params, grid = self.grid_world(kind)
+        coloring = color_cells(grid, params)
+        config = Stage1Config(eps1=0.05, c_rep=3, r2=3, id_code=BlockCode(3, 6, seed=2))
+        for seed in range(13, 23):
+            calls = [], []
+            channel = self.noisy_channel(inst, params, adversarial, seed, calls[0])
+            counts = run_stage1_hist(grid, coloring, config, channel).values
+            batched = self.outcome(counts.tolist(), channel, calls[0])
+            channel = self.noisy_channel(inst, params, adversarial, seed, calls[1])
+            counts = hist_per_cell(grid, coloring, config, channel)
+            assert batched == self.outcome(counts.tolist(), channel, calls[1])
+            assert (len(calls[0]) > 0) == adversarial
+        empty = np.flatnonzero(grid.occupancies() == 0) + 1
+        assert counts[empty].tolist() == ([0, 0, 0] if kind == "hand-built" else [])
 
 
 class TestStage1Schedule:
