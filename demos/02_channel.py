@@ -41,7 +41,8 @@ for title, txs, bits in [
     kinds = resolve_slot(0, txs, bits, [0], positions, params, noiseless, rng)
     print(f"{title}:\n   {KIND_NAMES[kinds[0]]}")
 
-# Cells that agree modulo the reuse distance may transmit simultaneously.
+# Cells that agree modulo the reuse distance D may transmit simultaneously:
+# cell (row, col) has color (row mod D) * D + col mod D.
 grid = assign_cells(place_nodes(5000, 7), params)
 classes = color_cells(grid, params)
 sizes = [len(c.cells) for c in classes]
@@ -50,10 +51,11 @@ print(f"\ncoloring: {len(classes)} classes "
       f"{min(sizes)}-{max(sizes)} cells per class")
 
 # A clairvoyant adversary may pick each reception's flip probability, capped
-# at eps0; the cap makes it no worse than iid noise in distribution.
+# at eps0; the cap makes it no worse than iid noise in distribution.  Passing
+# a hook is what makes the noise adversarial: NoiseModel(eps0) alone is iid.
 def adversary(slot, tx, rx, history):
     return 0.3 if slot % 2 == 0 else 0.0
 
-hostile = NoiseModel(0.3, mode="adversarial", adversary=adversary)
+hostile = NoiseModel(0.3, adversary)
 print(f"\nadversarial flip probabilities (cap {hostile.eps0}):",
       [hostile.flip_prob(s, 1, 0, None) for s in range(4)])

@@ -39,4 +39,4 @@ print(f"computed at the sink: {run.computed} (correct: {run.correct})")
 m = run.metrics
 print(f"costs: {m.tx_count} transmissions, {m.slots_total} physical slots")
 print(f"stage-2 alone: {m.tx_stage2} transmissions over "
-      f"{run.params.cell_count - 1} tree links")
+      f"{len(run.grid) - 1} tree links")

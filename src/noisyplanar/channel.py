@@ -213,10 +213,10 @@ def _iid_code_errors(rng, eps0: float, code, rows: int, pairs):
 class NoiseModel:
     """Per-receiver BSC noise with flip probability bounded by eps0 < 0.5.
 
-    In "iid" mode every reception flips with probability exactly eps0.  In
-    "adversarial" mode the hook chooses each reception's flip probability,
-    capped at eps0; flips stay independent across receivers given their
-    probabilities.
+    Without an adversary (iid noise) every reception flips with probability
+    exactly eps0.  An adversary's hook, ``NoiseModel(eps0, hook)``, chooses
+    each reception's flip probability, capped at eps0; flips stay
+    independent across receivers given their probabilities.
 
     One noise rule serves these kinds of batch.  ``flips`` draws one uniform
     per reception, for readers of the whole error pattern (the tree code,
@@ -243,7 +243,7 @@ class NoiseModel:
     one the metrics charge, which lockstep arrays and cells share.
 
     Block-code rows (identity decoding, ``Channel.code_errors``) draw their
-    flips as one ``flips`` batch under a hook.  In iid mode each row draws
+    flips as one ``flips`` batch under a hook.  Under iid noise each row draws
     one uniform for its error weight, and only the rows whose uniform reaches
     the weight CDF's partial sum number ceil(min_distance / 2) draw their
     weight, then where decoding reads them their overlap with the candidate's
@@ -253,19 +253,16 @@ class NoiseModel:
     """
 
     eps0: float
-    mode: str = "iid"
     adversary: AdversaryHook | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.eps0 < 0.5):
             raise ValueError(f"eps0 must lie in [0, 0.5), got {self.eps0}")
-        if self.mode not in ("iid", "adversarial"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.mode == "adversarial" and self.adversary is None:
-            raise ValueError("adversarial mode requires an adversary hook")
+        if not (self.adversary is None or callable(self.adversary)):
+            raise TypeError(f"the adversary must be a callable hook, got {self.adversary!r}")
 
     def flip_prob(self, slot: int, tx: int, rx: int, history: object) -> float:
-        if self.mode == "iid":
+        if self.adversary is None:
             return self.eps0
         p = float(self.adversary(slot, tx, rx, history))
         if not (0.0 <= p <= self.eps0):
@@ -303,9 +300,9 @@ class NoiseModel:
         chunk by chunk by ``where`` (``_hook_flips``), which iid noise never
         calls.
 
-        In iid mode the uniforms pass through a bounded buffer
+        Under iid noise the uniforms pass through a bounded buffer
         (``_uniforms_below``): the same stream and flips as one draw."""
-        if self.mode == "iid":
+        if self.adversary is None:
             return _uniforms_below(rng, shape, self.eps0)
         u = rng.random(shape)
         return self._hook_flips(u, u.shape, where, history)
@@ -314,11 +311,11 @@ class NoiseModel:
         """Whether each row of a batch of repeated receptions, shape (..., reps),
         majority-decodes wrong: one bool per row, True iff more than reps // 2
         of its copies flip.  One uniform per row, in C order, against the
-        row's ``majority_tail``: at eps0 (cached per reps) in iid mode, else
-        over the hook's probabilities for the row's copies, located by
+        row's ``majority_tail``: at eps0 (cached per reps) under iid noise,
+        else over the hook's probabilities for the row's copies, located by
         ``where`` as in ``flips``."""
         rows, reps = tuple(shape[:-1]), shape[-1]
-        if self.mode == "iid":
+        if self.adversary is None:
             return _uniforms_below(rng, rows, _iid_tail(self.eps0, reps))
         return self._hook_flips(rng.random(rows), shape, where, history, reps)
 
@@ -425,16 +422,26 @@ def color_cells(grid: CellGrid, params: DerivedParams) -> list[ScheduleClass]:
     transmissions cannot collide at any same-color cell's listeners.
 
     The coloring depends only on the cell count, grid_dim and D, so it is
-    built once per process for each; every call gets a fresh list of the
-    shared (frozen) classes.
+    built once per process for each (``_cell_colors`` states the rule); every
+    call gets a fresh list of the shared (frozen) classes.
     """
     return list(_coloring(len(grid), grid.grid_dim, params.reuse_distance))
 
 
+def _cell_colors(count: int, grid_dim: int, d: int) -> np.ndarray:
+    """Each cell's color by cell number: (row mod d) * d + col mod d for the
+    cells 1..count of a grid grid_dim wide; index 0, no cell, reads -1.
+
+    Built afresh on each call and never cached: only hooks and audits read
+    it, and one more array kept alive between iid trials shifted the heap
+    enough to slow a 128k-node histogram trial by about 8% (2-vCPU host)."""
+    rows, cols = np.divmod(np.arange(count), grid_dim)
+    return np.append(-1, (rows % d) * d + cols % d)
+
+
 @lru_cache(maxsize=16)
 def _coloring(count: int, grid_dim: int, d: int) -> tuple[ScheduleClass, ...]:
-    rows, cols = np.divmod(np.arange(count), grid_dim)
-    colors = (rows % d) * d + cols % d
+    colors = _cell_colors(count, grid_dim, d)[1:]
     order = np.argsort(colors, kind="stable")  # cells ascending inside a color
     palette, starts = np.unique(colors[order], return_index=True)
     return tuple(
@@ -606,7 +613,7 @@ class Channel:
         locating the block_len receptions of each row of a chunk at;
         ``pairs`` is asked once about every row (int32), and
         ``BlockCode.settle`` derives W, J and the open rows from the flips."""
-        if self.noise.mode == "iid":
+        if self.noise.adversary is None:
             return _iid_code_errors(self.rng, self.noise.eps0, code, rows, pairs)
         flips = self.flip_mask((rows, code.block_len), where=where)
         sent, heard = pairs(np.arange(rows, dtype=np.int32))

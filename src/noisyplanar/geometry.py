@@ -41,15 +41,19 @@ class ProtocolInfeasibleError(Exception):
 class NetworkInstance:
     """A sampled world: node positions in the unit square plus their data bits.
 
-    Node ids are 0..n-1.  ``positions[i]`` is node i's (x, y); ``bits[i]``
-    is its one-bit datum.  Identical (n, seed) always reproduces identical
-    positions; bits are filled separately by the harness (all-zero default).
+    Node ids are 0..n-1, n the number of positions.  ``positions[i]`` is
+    node i's (x, y); ``bits[i]`` is its one-bit datum.  Identical (n, seed)
+    always reproduces identical positions; bits are filled separately by the
+    harness (all-zero default).
     """
 
-    n: int
     seed: int
     positions: np.ndarray
     bits: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.positions)
 
     def with_bits(self, bits: np.ndarray) -> "NetworkInstance":
         bits = np.asarray(bits)
@@ -57,7 +61,7 @@ class NetworkInstance:
             raise ValueError(f"bits must have shape ({self.n},), got {bits.shape}")
         if not ((bits == 0) | (bits == 1)).all():  # before the cast, which would wrap or truncate
             raise ValueError("bits must be 0/1 valued")
-        return NetworkInstance(self.n, self.seed, self.positions, bits.astype(np.int8, copy=False))
+        return NetworkInstance(self.seed, self.positions, bits.astype(np.int8, copy=False))
 
 
 @dataclass(frozen=True)
@@ -65,23 +69,27 @@ class DerivedParams:
     """All tessellation and interference constants derived from (n, delta).
 
     grid_dim      cells per side, ceil(sqrt(n / (2.75 ln n)))
-    cell_side     1 / grid_dim
-    cell_count    grid_dim ** 2
     radius        transmission radius, sqrt(13.75 ln n / n)
     interference_bound   max number of cells whose transmissions can reach
                          into a given cell's neighborhood (guard factor delta)
-    link_slot_span       physical slots per logical inter-cell slot,
-                         4 * (interference_bound + 1)
+
+    The cell side, the link slot span and the reuse distance follow from these.
     """
 
     n: int
     delta: float
     grid_dim: int
-    cell_side: float
-    cell_count: int
     radius: float
     interference_bound: int
-    link_slot_span: int
+
+    @property
+    def cell_side(self) -> float:
+        return 1.0 / self.grid_dim
+
+    @property
+    def link_slot_span(self) -> int:
+        """Physical slots per logical inter-cell slot, 4 * (interference_bound + 1)."""
+        return 4 * (self.interference_bound + 1)
 
     @property
     def reuse_distance(self) -> int:
@@ -111,21 +119,19 @@ class Cell:
 
 @dataclass(frozen=True, eq=False)
 class CellGrid:
-    """Cell membership as CSR arrays (row-major cells, index 1..cell_count) plus the sink.
+    """Cell membership as CSR arrays (row-major cells, index 1..count) plus the sink.
 
-    members   node ids in (cell, id) order
-    offsets   cell_count + 1 entries: cell j holds members[offsets[j - 1]:offsets[j]]
+    members   node ids in (cell, id) order, n of them
+    offsets   count + 1 entries: cell j holds members[offsets[j - 1]:offsets[j]]
     centers   each cell's center, the first member except in the sink cell,
-              which holds the sink node; -1 only for an empty hand-built cell
+              whose center is the sink node; -1 only for an empty hand-built cell
     """
 
     members: np.ndarray
     offsets: np.ndarray
     centers: np.ndarray
     grid_dim: int
-    n: int
     sink_cell: int
-    sink_node: int
 
     def __post_init__(self):  # read-only, since cell views hand out slices of these
         for array in (self.members, self.offsets, self.centers):
@@ -133,6 +139,14 @@ class CellGrid:
 
     def __len__(self) -> int:
         return len(self.centers)
+
+    @property
+    def n(self) -> int:
+        return len(self.members)
+
+    @property
+    def sink_node(self) -> int:
+        return int(self.centers[self.sink_cell - 1])
 
     def __iter__(self):
         return map(self.cell, range(1, len(self) + 1))
@@ -172,7 +186,6 @@ class SpanningTree:
     """
 
     sink_cell: int
-    sink_node: int
     grid_dim: int
 
     def _coords(self, index: int) -> tuple[int, int, int, int]:
@@ -247,7 +260,7 @@ def place_nodes(n: int, seed: int) -> NetworkInstance:
     rng = np.random.default_rng(seed)
     positions = rng.random((n, 2))
     bits = np.zeros(n, dtype=np.int8)
-    return NetworkInstance(n=n, seed=seed, positions=positions, bits=bits)
+    return NetworkInstance(seed=seed, positions=positions, bits=bits)
 
 
 def derive_params(n: int, delta: float) -> DerivedParams:
@@ -258,22 +271,12 @@ def derive_params(n: int, delta: float) -> DerivedParams:
         raise ValueError(f"interference guard factor must be >= 0, got {delta}")
     log_n = math.log(n)
     grid_dim = math.ceil(math.sqrt(n / (CELL_DENSITY * log_n)))
-    cell_side = 1.0 / grid_dim
     radius = math.sqrt(RADIUS_DENSITY * log_n / n)
-    # interference_bound counts the cells inside a (2k+1) x (2k+1) block around
-    # a receiver, minus its own; k cells of side cell_side cover (1+delta)*radius.
-    k = math.ceil((1.0 + delta) * radius / cell_side)
-    interference_bound = (2 * k + 1) ** 2 - 1
-    return DerivedParams(
-        n=n,
-        delta=delta,
-        grid_dim=grid_dim,
-        cell_side=cell_side,
-        cell_count=grid_dim**2,
-        radius=radius,
-        interference_bound=interference_bound,
-        link_slot_span=4 * (interference_bound + 1),
-    )
+    # interference_bound counts the cells inside a D x D block around a
+    # receiver, minus its own, D = reuse_distance: the block's (D - 1) / 2
+    # cells to either side cover (1 + delta) * radius.
+    block = DerivedParams(n, delta, grid_dim, radius, interference_bound=0).reuse_distance
+    return DerivedParams(n, delta, grid_dim, radius, interference_bound=block**2 - 1)
 
 
 def _grid_coords(positions: np.ndarray, grid_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +318,9 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
     flat = rows * m + cols
     del rows, cols  # two n-long int64 arrays fewer at the sort
 
-    # Keys of at most 16 bits let the stable sort run as a radix sort.
+    # Up to 65,536 cells (n <= 2,666,654, about 2^21.3) the keys fit 16 bits
+    # and the stable sort runs as a radix sort; more cells sort 32-bit keys
+    # by timsort.
     order = np.argsort(flat.astype(np.min_scalar_type(m * m - 1)), kind="stable")
     offsets = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=m * m))])
     empty = np.flatnonzero(offsets[:-1] == offsets[1:])
@@ -337,10 +342,7 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
 
     centers = order[offsets[:-1]]
     centers[sink_flat] = sink_node
-    return CellGrid(
-        members=order, offsets=offsets, centers=centers, grid_dim=m, n=instance.n,
-        sink_cell=sink_flat + 1, sink_node=sink_node,
-    )
+    return CellGrid(order, offsets, centers, grid_dim=m, sink_cell=sink_flat + 1)
 
 
 def build_tree(grid: CellGrid, params: DerivedParams | None = None) -> SpanningTree:
@@ -353,4 +355,4 @@ def build_tree(grid: CellGrid, params: DerivedParams | None = None) -> SpanningT
     """
     if params is not None and params.grid_dim != grid.grid_dim:
         raise ValueError("params grid size does not match the cell grid")
-    return SpanningTree(sink_cell=grid.sink_cell, sink_node=grid.sink_node, grid_dim=grid.grid_dim)
+    return SpanningTree(sink_cell=grid.sink_cell, grid_dim=grid.grid_dim)

@@ -33,6 +33,7 @@ from .channel import (
     ScheduleClass,
     Trace,
     TraceRecord,
+    _cell_colors,
     color_cells,
     distances,
     resolve_slot,
@@ -503,13 +504,14 @@ def audit_coloring(
     cell, which covers every slot of the lockstep schedule at once.
     Violations carry a representative slot (the class's first), where both
     offending cells are guaranteed active.  Two cells that lie in their
-    squares and have their color_cells colors are proven apart (validate_run
-    gives the inequality); the other pairs, or all when the inequality
-    fails, get the exact member-to-member check, in pair order.
+    squares and have their periodic colors (``channel._cell_colors``) are
+    proven apart (validate_run gives the inequality); the other pairs, or
+    all when the inequality fails, get the exact member-to-member check, in
+    pair order.
     ``contained`` is ``_contained(grid, positions)`` where the caller has it.
     """
     guard = (1.0 + params.delta) * params.radius
-    rule = subslots(color_cells(grid, params))  # each cell's periodic color
+    rule = _cell_colors(len(grid), grid.grid_dim, params.reuse_distance)
     if contained is None:
         contained = _contained(grid, positions)
     proven = contained & _beyond((params.reuse_distance - 1) / grid.grid_dim, params)
@@ -556,12 +558,13 @@ def _replay_slots(run: TrialRun) -> list[str]:
     stage, and name each subslot whose links do not all deliver.
 
     Within a logical slot, the link from child cell j fires in subslot
-    ``subslots(run.coloring)[j]``, as the runners number it (upward;
-    downward subslots are a disjoint second bank).  The subslots are named
-    in the order of their first link.
+    ``subslots(run.coloring, len(run.grid))[j]``, as the runners number it
+    (upward; downward subslots are a disjoint second bank), and a cell the
+    coloring leaves out in subslot -1.  The subslots are named in the order
+    of their first link.
     """
     world = (run.instance.positions, run.params, NoiseModel(0.0), np.random.default_rng(0))
-    subslot = subslots(run.coloring)
+    subslot = subslots(run.coloring, len(run.grid))
     violations = []
     for si, stage in enumerate(run.plan.stages):
         lanes = subslot[stage.links[:, 0]]
@@ -624,8 +627,9 @@ def validate_run(run: TrialRun) -> AuditReport:
     proven from four properties of the run's data, one array pass each:
     1. containment: each cell's members and center lie in its square;
     2. periodic coloring: each class lists only cells of its color under
-       color_cells' rule (row mod D) * D + col mod D, D = reuse_distance, so
-       each cell's stage-2 lane (intercell.subslots) is that color;
+       the periodic rule (row mod D) * D + col mod D, D = reuse_distance
+       (channel._cell_colors), so each cell's stage-2 lane (intercell.subslots)
+       is that color;
     3. adjacency: each plan link joins two edge-adjacent cells;
     4. the scalar inequalities, with side = 1 / grid_dim, r = radius and a
        1 + 1e-9 slack:
@@ -666,12 +670,13 @@ def validate_run(run: TrialRun) -> AuditReport:
         audit_coloring(grid, params, run.coloring, positions, bases, contained)
         + _audit_single_hop(run, layout, wide)
     )
+    rule = _cell_colors(len(grid), grid.grid_dim, params.reuse_distance)
     if not (
         math.sqrt(5) * side * _SLACK <= params.radius
         and _beyond((params.reuse_distance - 2) * side, params)
         and _links_adjacent(run.plan, grid.grid_dim)
         and contained.all()
-        and np.array_equal(subslots(run.coloring), subslots(color_cells(grid, params)))
+        and np.array_equal(subslots(run.coloring, len(grid)), rule)
     ):
         report.collision_violations += _replay_slots(run)
 

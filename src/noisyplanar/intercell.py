@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, ScheduleClass, _classes_end_to_end, color_cells
+from .channel import Channel, ScheduleClass, _cell_colors, _classes_end_to_end, color_cells
 from .coding import LineProtocol, LinkSimConfig, or_chain, repetition_errors, simulate_line
 from .geometry import CellGrid, DerivedParams, SpanningTree
 
@@ -147,13 +147,11 @@ def build_substages(
     """
     if levels_per_stage is None:
         levels_per_stage = max(1, math.ceil(math.log(params.n)))
-    return _plan(tree.grid_dim, tree.sink_cell, levels_per_stage)
+    return _plan(tree, levels_per_stage)
 
 
 @lru_cache(maxsize=16)
-def _plan(grid_dim: int, sink_cell: int, levels_per_stage: int) -> SubstagePlan:
-    # The routing is a rule of the grid's size and the sink's cell, not of its node.
-    tree = SpanningTree(sink_cell=sink_cell, sink_node=-1, grid_dim=grid_dim)
+def _plan(tree: SpanningTree, levels_per_stage: int) -> SubstagePlan:
     stages: list[Substage] = []
     for phase, chains in zip(("rows-to-axis", "axis-to-sink"), tree.chains):
         segmented = [_segment(chain, levels_per_stage) for chain in chains]
@@ -197,11 +195,12 @@ def _check_counts(counts, width: int) -> None:
         raise ValueError(f"count {counts[bad[0]]} does not fit in {width} bits")
 
 
-def subslots(coloring: list[ScheduleClass]) -> np.ndarray:
+def subslots(coloring: list[ScheduleClass], count: int) -> np.ndarray:
     """Each cell's subslot in a logical inter-cell slot, indexed by cell
-    number: its color in the coloring, or -1 for a cell it does not list."""
+    number up to count: its color in the coloring, or -1 for a cell the
+    coloring does not list (and at 0, no cell)."""
     cells, bounds = _classes_end_to_end(coloring)
-    lanes = np.full(cells.max(initial=0) + 1, -1, dtype=np.int64)
+    lanes = np.full(count + 1, -1, dtype=np.int64)
     lanes[cells] = np.repeat([cls.color for cls in coloring], np.diff(bounds))
     return lanes
 
@@ -210,7 +209,7 @@ def slot_ids(start: int, logical, lane, lanes: int) -> np.ndarray:
     """Slot ids on the clock the counters charge: logical slot l of a stage
     from ``start`` (the slots charged before it) holds ``lanes`` slots, and
     lane k of it is start + l * lanes + k.  A link into or out of deeper cell
-    j has link_slot_span lanes and fires in lane subslots(coloring)[j], plus
+    j has link_slot_span lanes and fires in the lane of j's color, plus
     interference_bound + 1 when relaying down; the broadcast gives each color
     class one logical slot, its r2 copies in the lanes."""
     return start + np.asarray(logical) * lanes + lane
@@ -311,7 +310,8 @@ def _run_stage2(plan, stage1, protocol, width, config, channel, grid, params) ->
     values = values.astype(np.int64)  # a copy: the roots fold into it
     fold, mask = (np.bitwise_or, None) if protocol == "max" else (np.add, (1 << width) - 1)
     line_for = or_chain if protocol == "max" else partial(adder_chain, width=width)
-    subslot = cache(lambda: subslots(color_cells(grid, params)))  # read only by a hook
+    # Each link's lane is its deeper cell's color, read only by a hook.
+    subslot = cache(partial(_cell_colors, len(grid), grid.grid_dim, params.reuse_distance))
     for stage in plan.stages:
         clock = partial(_link_slots, channel.metrics.slots_total, subslot, params, 0)
         hops = stage.lengths - 1
@@ -431,7 +431,7 @@ def distribute_result(
     inside its cell, one class of the coloring at a time, and the members
     majority-decode: one majority draw in coloring order, one uniform per
     member, cell by cell, member by member, the cells of a class sharing its
-    r2 slots.  In all, (cell_count - 1) * r3 + cell_count * r2
+    r2 slots.  In all, (len(grid) - 1) * r3 + len(grid) * r2
     transmissions.  Only a bit can be relayed: any other value raises
     ValueError.
     """
@@ -439,7 +439,7 @@ def distribute_result(
         raise ValueError(f"distribute_result relays one bit, got value {value!r}")
     if coloring is None:
         coloring = color_cells(grid, params)
-    subslot = cache(lambda: subslots(coloring))  # read only by a hook
+    subslot = cache(lambda: subslots(coloring, len(grid)))  # read only by a hook
     relay = replace(config, mode="repetition")
     down = np.zeros(len(grid) + 1, dtype=np.int64)  # each cell's bit, by index
     down[tree.sink_cell] = value

@@ -23,25 +23,20 @@ def make_hand_world(m: int, sink_cell: int | None = None, delta: float = 0.5):
         positions[idx - 1] = (x, y)
     if sink_cell is None:
         sink_cell = (m // 2) * m + (m // 2) + 1
-    instance = NetworkInstance(n=n, seed=0, positions=positions, bits=np.zeros(n, dtype=np.int8))
+    instance = NetworkInstance(seed=0, positions=positions, bits=np.zeros(n, dtype=np.int8))
     grid = CellGrid(
         members=np.arange(n),
         offsets=np.arange(n + 1),
         centers=np.arange(n),
         grid_dim=m,
-        n=n,
         sink_cell=sink_cell,
-        sink_node=sink_cell - 1,
     )
     params = DerivedParams(
         n=n,
         delta=delta,
         grid_dim=m,
-        cell_side=1.0 / m,
-        cell_count=n,
         radius=1.3 / m,
         interference_bound=8,
-        link_slot_span=36,
     )
     return instance, grid, params
 

@@ -233,7 +233,7 @@ class TestReceptionRuleAgainstReference:
 
         def model(log):
             hook = lambda slot, tx, rx, history: log.append((slot, tx, rx, history)) or 0.2
-            return NoiseModel(0.25, mode="adversarial", adversary=hook)
+            return NoiseModel(0.25, adversary=hook)
 
         slots = (_random_slot(layouts) for _ in range(200))
         for pos, txs, bits in itertools.chain(slots, _boundary_slots(params)):
@@ -291,7 +291,7 @@ class TestSeveralSlotsPerCall:
 
         def model(log):
             hook = lambda slot, tx, rx, history: log.append((slot, tx, rx, history)) or 0.2
-            return NoiseModel(0.25, mode="adversarial", adversary=hook)
+            return NoiseModel(0.25, adversary=hook)
 
         for _ in range(200):
             pos, slots, txs, bits, listeners, listen_slots = _several_slots(layouts)
@@ -346,13 +346,30 @@ class TestNoiseModel:
             NoiseModel(0.5)
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
-        with pytest.raises(ValueError):
-            NoiseModel(0.1, mode="adversarial")
-        with pytest.raises(ValueError):
-            NoiseModel(0.1, mode="weird")
+        # A hook is what makes noise adversarial: no mode names it, and the
+        # old three-field and mode forms fail instead of running iid noise.
+        hook = lambda s, t, r, h: 0.1
+        with pytest.raises(TypeError):
+            NoiseModel(0.1, "adversarial", hook)
+        with pytest.raises(TypeError):
+            NoiseModel(0.1, mode="adversarial", adversary=hook)
+        with pytest.raises(TypeError, match="callable"):
+            NoiseModel(0.1, "adversarial")
+
+    @pytest.mark.parametrize("keyword", [False, True], ids=["positional", "keyword"])
+    def test_a_hook_is_asked_about_every_reception(self, keyword):
+        calls = []
+
+        def hook(slot, tx, rx, history):
+            calls.append((slot, tx, rx))
+            return 0.1
+
+        noise = NoiseModel(0.1, adversary=hook) if keyword else NoiseModel(0.1, hook)
+        noise.flips(np.random.default_rng(0), 1000, where=lambda at: (at, 0, 1))
+        assert calls == [(slot, 0, 1) for slot in range(1000)]
 
     def test_adversary_capped_at_eps0(self):
-        greedy = NoiseModel(0.2, mode="adversarial", adversary=lambda s, t, r, h: 0.4)
+        greedy = NoiseModel(0.2, adversary=lambda s, t, r, h: 0.4)
         with pytest.raises(ValueError, match="outside"):
             greedy.flip_prob(0, 0, 1, None)
 
@@ -369,7 +386,7 @@ class TestNoiseModel:
 
         iid = counts(NoiseModel(0.3), seed=1)
         adv = counts(
-            NoiseModel(0.3, mode="adversarial", adversary=lambda s, t, r, h: 0.3), seed=2
+            NoiseModel(0.3, adversary=lambda s, t, r, h: 0.3), seed=2
         )
         assert stats.ks_2samp(iid, adv).pvalue > 0.01
 
@@ -465,7 +482,7 @@ class TestMajorityTail:
         slots = np.arange(np.prod(shape)).reshape(shape)
         want_rng = np.random.default_rng(4)
         want = want_rng.random(rows) < majority_tail(0.3, reps)
-        for noise in (NoiseModel(0.3), NoiseModel(0.3, "adversarial", hook)):
+        for noise in (NoiseModel(0.3), NoiseModel(0.3, hook)):
             rng = np.random.default_rng(4)
             # Shape (5,) has no row axis: where is asked about [0], for the whole row.
             where = lambda at: (slots[at] if rows else slots, 1, 2)
@@ -595,7 +612,7 @@ class TestHookedBatchChunks:
             located.append(at.tolist())
             return slots[at], txs[at], 3
 
-        channel = Channel(None, None, NoiseModel(0.3, "adversarial", hook), np.random.default_rng(8))
+        channel = Channel(None, None, NoiseModel(0.3, hook), np.random.default_rng(8))
         if kind == "code_errors":  # 200 rows of a 12-bit codeword, half of them left open
             code, rows = BlockCode(3, 12, seed=404), shape[0]
             sent, heard = np.full(rows, 5), np.arange(rows) % 8

@@ -410,7 +410,7 @@ class TestSimulateLine:
             return 0.0
 
         params = derive_params(1000, 0.5)
-        noise = NoiseModel(0.1, mode="adversarial", adversary=record)
+        noise = NoiseModel(0.1, adversary=record)
         ch = Channel(place_nodes(16, seed=0), params, noise, np.random.default_rng(0))
         cfg = LinkSimConfig(mode="treecode", r3=9)
         res = simulate_line(or_chain([1, 0, 0, 1]), cfg, ch)
@@ -485,7 +485,7 @@ def run_repetition(protocol, r3, eps0, seed, hooked):
     A hook that always answers eps0 draws exactly what iid noise draws.
     """
     if hooked:
-        noise = NoiseModel(eps0, mode="adversarial", adversary=lambda slot, tx, rx, h: eps0)
+        noise = NoiseModel(eps0, adversary=lambda slot, tx, rx, h: eps0)
     else:
         noise = NoiseModel(eps0)
     ch = Channel(place_nodes(16, seed=0), derive_params(1000, 0.5), noise, np.random.default_rng(seed))
@@ -584,7 +584,7 @@ class TestRepetitionAgainstReceptionLoop:
                     calls.append((slot, tx, rx))
                     return eps0 if (slot + tx + rx) % 3 else eps0 / 4
 
-                noise = NoiseModel(eps0, mode="adversarial", adversary=hook)
+                noise = NoiseModel(eps0, adversary=hook)
                 ch = Channel(place_nodes(16, seed=0), derive_params(1000, 0.5), noise,
                              np.random.default_rng(seed))
                 if batched:
@@ -662,7 +662,7 @@ class TestTreeCodeIncremental:
                     return eps0 if (slot + tx) % 3 else eps0 / 2
 
                 if hooked:
-                    noise = NoiseModel(eps0, mode="adversarial", adversary=hook)
+                    noise = NoiseModel(eps0, adversary=hook)
                 else:
                     noise = NoiseModel(eps0)
                 ch = Channel(place_nodes(16, seed=0), derive_params(1000, 0.5), noise,

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from noisyplanar.geometry import (
+    CellGrid,
+    DerivedParams,
     NetworkInstance,
     ProtocolInfeasibleError,
     SpanningTree,
@@ -78,7 +80,6 @@ class TestDeriveParams:
     def test_frozen_values_n5000(self):
         p = derive_params(5000, 0.5)
         assert p.grid_dim == 15
-        assert p.cell_count == 225
         assert p.cell_side == pytest.approx(1 / 15)
         assert p.radius == pytest.approx(math.sqrt(13.75 * math.log(5000) / 5000))
         assert p.radius == pytest.approx(0.153044, abs=1e-6)
@@ -89,7 +90,6 @@ class TestDeriveParams:
     def test_frozen_values_n100(self):
         p = derive_params(100, 0.5)
         assert p.grid_dim == 3
-        assert p.cell_count == 9
         assert p.radius == pytest.approx(0.79574, abs=1e-5)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
@@ -108,11 +108,25 @@ class TestDeriveParams:
             derive_params(100, -0.1)
 
 
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (NetworkInstance, ["seed", "positions", "bits"]),
+        (DerivedParams, ["n", "delta", "grid_dim", "radius", "interference_bound"]),
+        (CellGrid, ["members", "offsets", "centers", "grid_dim", "sink_cell"]),
+    ],
+    ids=["NetworkInstance", "DerivedParams", "CellGrid"],
+)
+def test_holds_only_what_it_cannot_derive(cls, names):
+    # n, the cell side, the link slot span and the sink node follow from these.
+    assert [f.name for f in dataclasses.fields(cls)] == names
+
+
 def _world_with_positions(positions, m):
     """Instance + params wrapping explicit positions on an m x m grid."""
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
-    inst = NetworkInstance(n=n, seed=0, positions=positions, bits=np.zeros(n, dtype=np.int8))
+    inst = NetworkInstance(seed=0, positions=positions, bits=np.zeros(n, dtype=np.int8))
     base = make_hand_world(m)[2]
     from dataclasses import replace
 
@@ -428,14 +442,15 @@ class TestBuildTree:
             assert dist <= params.radius
 
     def test_holds_only_the_sink_and_the_grid_size(self):
+        # The routing is a rule of the grid's size and the sink's cell, not of its node.
         names = [f.name for f in dataclasses.fields(SpanningTree)]
-        assert names == ["sink_cell", "sink_node", "grid_dim"]
+        assert names == ["sink_cell", "grid_dim"]
 
     def test_reads_only_the_grid_size_and_the_sink(self):
         # No cell is visited: a grid with no cells and a million a side is fine.
         m, center = 10**6, 10**6 // 2 * (10**6 + 1) + 1
-        tree = build_tree(SimpleNamespace(grid_dim=m, sink_cell=center, sink_node=3))
-        assert (tree.sink_cell, tree.sink_node, tree.grid_dim) == (center, 3, m)
+        tree = build_tree(SimpleNamespace(grid_dim=m, sink_cell=center))
+        assert (tree.sink_cell, tree.grid_dim) == (center, m)
         assert tree.max_depth == m and tree.depth(1) == m and tree.parent(1) == 2
 
 

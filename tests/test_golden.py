@@ -3,10 +3,13 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from noisyplanar.channel import NoiseModel
 from noisyplanar.config import ExperimentConfig
 from noisyplanar.harness import run_experiment, run_trial, validate_run
+from noisyplanar.intercell import distribute_result
 
 # A declared RNG-layout change updates these digests in the same change.  Layouts
 # 3, 4 and 5 (harness.RNG_LAYOUT) each moved only max-abstract-2000's content
@@ -114,3 +117,47 @@ def test_traced_max_trial_verdict_is_pinned():
     audit = validate_run(run_trial(cfg, 8000, 0, capture_trace=True))
     verdict = (audit.collision_violations, audit.obliviousness_violations, audit.energy_violations)
     assert verdict == ([], [], [])
+
+
+def _hooked_digest(protocol, mode, n, eps0):
+    """SHA-256 of one hooked trial 0: the computed value, the stage-1 values,
+    the metrics, every (slot, tx, rx) the hook is asked about and, for MAX,
+    the distributed node values."""
+    calls = []
+
+    def hook(slot, tx, rx, history):
+        calls.append((slot, tx, rx))
+        return eps0 * ((7 * slot + 3 * tx + rx) % 5) / 4
+
+    cfg = ExperimentConfig(protocol=protocol, mode=mode, n=(n,), trials=1, eps0=eps0,
+                           base_seed=13)
+    run = run_trial(cfg, n, 0, noise=NoiseModel(eps0, hook))
+    digest = hashlib.sha256()
+    digest.update(json.dumps([run.computed, run.metrics.snapshot()], sort_keys=True).encode())
+    digest.update(np.asarray(run.stage1.values, dtype=np.int64).tobytes())
+    if protocol == "max":
+        values = distribute_result(
+            run.tree, run.plan, run.computed, run.link_config, run.stage1_config.r2,
+            run.channel, run.grid, run.params, run.coloring,
+        )
+        digest.update(np.asarray(values, dtype=np.int64).tobytes())
+    digest.update(np.array(calls, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+# Hooked trials, whose draws the iid goldens above never reach: the hook's
+# answers vary with the reception, so a moved slot, transmitter, receiver or
+# batch order moves the digest.
+HOOKED = [
+    (("max", "repetition", 2000, 0.25),
+     "c22afd52630b848dbfb12980450463bf454d2e709675e430a2a65bc26cb74b9f"),
+    (("hist", "repetition", 2000, 0.25),
+     "6327ceb29d438ca05aa07122dc270bcf505d4ef5fcfdf8400d623651cd428d6e"),
+    (("max", "treecode", 2000, 0.05),
+     "458047fcb6c39b643b4590af4ce8c4c3dfeab9a6b63fca3d97ef352119c2a18d"),
+]
+
+
+@pytest.mark.parametrize("args, digest", HOOKED, ids=[f"{a[0]}-{a[1]}" for a, _ in HOOKED])
+def test_hooked_trial_digest_is_pinned(args, digest):
+    assert _hooked_digest(*args) == digest

@@ -127,7 +127,7 @@ class TestRunExperiment:
 
     def test_adversarial_noise_injection(self):
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1, eps0=0.1)
-        hostile = NoiseModel(0.1, mode="adversarial", adversary=lambda s, t, r, h: 0.1)
+        hostile = NoiseModel(0.1, adversary=lambda s, t, r, h: 0.1)
         run = run_trial(cfg, 400, 0, noise=hostile)
         assert run.computed in (0, 1)
 
@@ -269,6 +269,20 @@ class TestValidateRun:
         assert len(named) == 1
         assert f"{child.center}->{parent.center}" in named[0]
         assert f"{parent.center}->{grandparent.center}" in named[0]
+
+    def test_coloring_without_the_last_cell_fails_the_audit(self):
+        # A coloring that lists every cell but the highest-numbered one: that
+        # cell's lane reads -1, so the audit runs to a failing report instead
+        # of indexing past the lanes of the cells the coloring lists.
+        cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1, base_seed=13)
+        run = run_trial(cfg, 2000, 0, capture_trace=True)
+        last = len(run.grid)
+        run.coloring = [
+            ScheduleClass(cls.color, tuple(j for j in cls.cells if j != last))
+            for cls in run.coloring
+        ]
+        audit = validate_run(run)
+        assert not audit.passed
 
     def test_changed_schedule_names_its_first_slots(self):
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
@@ -549,12 +563,9 @@ def _hand_grid(*cells):
     lo = int(offsets[-1])
     grid = CellGrid(
         members=np.arange(lo), offsets=offsets, centers=offsets[:-1], grid_dim=len(cells),
-        n=lo, sink_cell=1, sink_node=0,
+        sink_cell=1,
     )
-    params = DerivedParams(
-        n=lo, delta=0.5, grid_dim=len(cells), cell_side=1.0 / len(cells),
-        cell_count=len(cells), radius=0.1, interference_bound=8, link_slot_span=36,
-    )
+    params = DerivedParams(n=lo, delta=0.5, grid_dim=len(cells), radius=0.1, interference_bound=8)
     return grid, params, positions
 
 

@@ -313,7 +313,7 @@ class TestRunStage2Max:
         for mode in ("abstract", "repetition"):
             ch = Channel(inst, params, NoiseModel(0.0), np.random.default_rng(0))
             run_stage2_max(plan, values, LinkSimConfig(mode=mode, r3=21), ch, grid, params, tree)
-            assert ch.metrics.tx_stage2 == (params.cell_count - 1) * 21
+            assert ch.metrics.tx_stage2 == (params.grid_dim**2 - 1) * 21
 
     def test_abstract_slot_accounting(self):
         inst, params, grid, tree, channel = sampled_world(1000, 3)
@@ -402,7 +402,7 @@ class TestRunStage2Hist:
             plan, _stage1_counts(grid, inst), LinkSimConfig(mode="repetition", r3=21),
             channel, grid, params, tree,
         )
-        assert channel.metrics.tx_stage2 == (params.cell_count - 1) * g * 21
+        assert channel.metrics.tx_stage2 == (params.grid_dim**2 - 1) * g * 21
 
     def test_abstract_charges_r3_per_link(self):
         inst, params, grid, tree, channel = sampled_world(1000, 6)
@@ -411,7 +411,7 @@ class TestRunStage2Hist:
             plan, _stage1_counts(grid, inst), LinkSimConfig(mode="abstract", r3=21),
             channel, grid, params, tree,
         )
-        assert channel.metrics.tx_stage2 == (params.cell_count - 1) * 21
+        assert channel.metrics.tx_stage2 == (params.grid_dim**2 - 1) * 21
 
     @pytest.mark.parametrize("mode", MODES)
     def test_counts_past_the_width_raise(self, mode):
@@ -511,7 +511,7 @@ class TestDistributeResult:
         plan = build_substages(tree, params)
         cfg = LinkSimConfig(mode="repetition", r3=9)
         distribute_result(tree, plan, 0, cfg, r2=15, channel=channel, grid=grid, params=params)
-        m = params.cell_count
+        m = params.grid_dim**2
         assert channel.metrics.tx_distribute == (m - 1) * 9 + m * 15
 
     def test_noisy_distribution_rarely_wrong(self):
@@ -611,7 +611,7 @@ def run_distribution(distribute, world, eps0, r3, r2, coloring, adversarial):
         calls.append((slot, tx, rx))
         return eps0 * ((7 * slot + 3 * tx + rx) % 5) / 4
 
-    noise = NoiseModel(eps0, "adversarial", hook) if adversarial else NoiseModel(eps0)
+    noise = NoiseModel(eps0, hook) if adversarial else NoiseModel(eps0)
     channel = Channel(inst, params, noise, np.random.default_rng(inst.n + r2))
     channel.metrics.add("stage2", slots=1000)  # distribution follows the stages before it
     values = distribute(
@@ -782,7 +782,7 @@ class TestStage2MatchesPerArrayLoop:
             return res
 
         monkeypatch.setattr(intercell, "simulate_line", recorded)
-        noise = NoiseModel(eps0, "adversarial", hook) if adversarial else NoiseModel(eps0)
+        noise = NoiseModel(eps0, hook) if adversarial else NoiseModel(eps0)
         channel = Channel(inst, params, noise, np.random.default_rng(inst.n + 5))
         channel.metrics.add("stage1", slots=1000)  # stage 2 follows the slots charged before it
         out = job(channel)

@@ -52,22 +52,17 @@ def make_cell_world(bits, eps0=0.0, seed=0, msg_bits=4, center=0):
     n = len(bits)
     rng = np.random.default_rng(1)
     positions = 0.5 + 0.01 * (rng.random((n, 2)) - 0.5)
-    inst = NetworkInstance(
-        n=n, seed=0, positions=positions, bits=np.array(bits, dtype=np.int8)
-    )
+    inst = NetworkInstance(seed=0, positions=positions, bits=np.array(bits, dtype=np.int8))
     params = DerivedParams(
         n=n,
         delta=0.5,
         grid_dim=1,
-        cell_side=1.0,
-        cell_count=1,
         radius=1.5,
         interference_bound=8,
-        link_slot_span=36,
     )
     grid = CellGrid(
         members=np.arange(n), offsets=np.array([0, n]), centers=np.array([center]), grid_dim=1,
-        n=n, sink_cell=1, sink_node=center,
+        sink_cell=1,
     )
     cell = grid.cell(1)
     config = Stage1Config(eps1=0.05, c_rep=9, r2=27, id_code=BlockCode(msg_bits, seed=2))
@@ -413,7 +408,7 @@ class TestHistClassBatching:
             calls.append((slot, tx, rx))
             return 0.2
 
-        noise = NoiseModel(0.2, mode="adversarial", adversary=hook)
+        noise = NoiseModel(0.2, adversary=hook)
         batched, per_cell = self.count_both(0.2, 5, noise)
         assert batched == per_cell
         half = len(calls) // 2
@@ -547,7 +542,7 @@ TWO_WORDS = replace(Stage1Config.for_network(2000, 0.0), id_code=BlockCode(11, 7
 def layout_5(eps0):
     """Noise whose hook answers eps0: the per-reception stream that iid noise
     drew up to RNG layout 5, and that the per-cell references draw."""
-    return NoiseModel(eps0, mode="adversarial", adversary=lambda slot, tx, rx, history: eps0)
+    return NoiseModel(eps0, adversary=lambda slot, tx, rx, history: eps0)
 
 
 class TestMaxClassBatching:
@@ -642,7 +637,7 @@ class TestMaxClassBatching:
             calls.append((slot, tx, rx))
             return 0.2
 
-        noise = NoiseModel(0.2, mode="adversarial", adversary=hook)
+        noise = NoiseModel(0.2, adversary=hook)
         (batched, reference), _ = self.run_both(2000, 0.2, noise=noise)
         assert batched == reference
         half = len(calls) // 2
@@ -661,7 +656,7 @@ class TestMaxClassBatching:
             calls = []
             if adversarial:
                 hook = lambda slot, tx, rx, history: calls.append((slot, tx, rx)) or 0.3
-                channel.noise = NoiseModel(0.3, mode="adversarial", adversary=hook)
+                channel.noise = NoiseModel(0.3, adversary=hook)
             else:
                 channel.noise = layout_5(0.3)
             channel.trace = Trace()
@@ -694,7 +689,7 @@ class TestStage1Blocks:
             return 0.3
 
         if adversarial:
-            channel.noise = NoiseModel(0.3, mode="adversarial", adversary=hook)
+            channel.noise = NoiseModel(0.3, adversary=hook)
         channel.trace = Trace()
         draws = []  # per-reception and majority draws alike
         for name in ("flip_mask", "majority_mask"):
@@ -737,7 +732,7 @@ class TestStage1Blocks:
             return 0.1
 
         cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1, base_seed=13)
-        run = run_trial(cfg, 2000, 0, noise=NoiseModel(0.1, "adversarial", hook))
+        run = run_trial(cfg, 2000, 0, noise=NoiseModel(0.1, hook))
         c_rep, length, cells = run.stage1_config.c_rep, run.stage1_config.block_len, len(run.grid)
         discovery, identity = (0, 0), (0, c_rep * 2000)
         assert calls[discovery] == c_rep * 2000 and calls[identity] == length * 2000
@@ -838,16 +833,10 @@ def hand_grid_with_empty_cells():
     members = np.concatenate([np.sort(ids[a:b]) for a, b in zip(offsets[:-1], offsets[1:])])
     centers = np.array([-1 if k is None else members[o + k] for o, k in zip(offsets, center_at)])
     inst = NetworkInstance(
-        n=n, seed=0, positions=rng.random((n, 2)), bits=(rng.random(n) < 0.5).astype(np.int8)
+        seed=0, positions=rng.random((n, 2)), bits=(rng.random(n) < 0.5).astype(np.int8)
     )
-    params = DerivedParams(
-        n=n, delta=0.5, grid_dim=3, cell_side=1 / 3, cell_count=9, radius=1.5,
-        interference_bound=8, link_slot_span=36,
-    )
-    grid = CellGrid(
-        members=members, offsets=offsets, centers=centers, grid_dim=3, n=n, sink_cell=2,
-        sink_node=int(centers[1]),
-    )
+    params = DerivedParams(n=n, delta=0.5, grid_dim=3, radius=1.5, interference_bound=8)
+    grid = CellGrid(members=members, offsets=offsets, centers=centers, grid_dim=3, sink_cell=2)
     return inst, params, grid
 
 
@@ -920,7 +909,7 @@ class TestPerMemberRules:
             calls.append((slot, tx, rx))
             return 0.3 * ((7 * slot + 3 * tx + rx) % 5) / 4
 
-        noise = NoiseModel(0.3, "adversarial", hook) if adversarial else NoiseModel(0.3)
+        noise = NoiseModel(0.3, hook) if adversarial else NoiseModel(0.3)
         channel = Channel(inst, params, noise, np.random.default_rng(seed), trace=Trace())
         decoded = majority(members, sizes, centers, bases, 3, "discovery", channel)
         believes = identity(members, sizes, centers, id_bases, pick, config, channel)
@@ -965,7 +954,7 @@ class TestPerMemberRules:
             calls.append((slot, tx, rx))
             return 0.3 * ((7 * slot + 3 * tx + rx) % 5) / 4
 
-        noise = NoiseModel(0.3, "adversarial", hook) if adversarial else NoiseModel(0.3)
+        noise = NoiseModel(0.3, hook) if adversarial else NoiseModel(0.3)
         return Channel(inst, params, noise, np.random.default_rng(seed), trace=Trace())
 
     @staticmethod

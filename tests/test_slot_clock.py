@@ -63,7 +63,7 @@ def test_a_recording_hook_sees_every_reception_in_its_charged_window(monkeypatch
 
     monkeypatch.setattr(harness, stage2_name, marked)
     outcomes = []
-    for noise in (NoiseModel(eps0), NoiseModel(eps0, "adversarial", hook)):
+    for noise in (NoiseModel(eps0), NoiseModel(eps0, hook)):
         run = run_trial(cfg, n, 0, noise=noise)
         marks.append(len(calls))
         values = distribute(run).tolist() if protocol == "max" else None
@@ -206,7 +206,7 @@ def stage2_literal(run, start: int) -> Schedule:
     grid, cfg, span = run.grid, run.link_config, run.params.link_slot_span
     is_max = run.config.protocol == "max"
     width = 1 if is_max else count_bits_for(run.n)
-    lane_of = subslots(run.coloring)
+    lane_of = subslots(run.coloring, len(run.grid))
     schedule = Schedule(start)
     for stage in run.plan.stages:
         longest = 0
@@ -236,7 +236,7 @@ def distribution_literal(run, start: int) -> Schedule:
     root-first chain sending copy c in logical slot h * r3 + c of the
     downward bank, then each color class broadcasts in its own r2 slots."""
     grid, params, r3, r2 = run.grid, run.params, run.link_config.r3, run.stage1_config.r2
-    span, lane_of = params.link_slot_span, subslots(run.coloring)
+    span, lane_of = params.link_slot_span, subslots(run.coloring, len(run.grid))
     schedule = Schedule(start)
     for stage in reversed(run.plan.stages):
         longest = 0
