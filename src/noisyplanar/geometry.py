@@ -279,27 +279,56 @@ def derive_params(n: int, delta: float) -> DerivedParams:
     return DerivedParams(n, delta, grid_dim, radius, interference_bound=block**2 - 1)
 
 
-def _grid_coords(positions: np.ndarray, grid_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-open cell membership; the last row/column is closed.
+def _cell_index(positions: np.ndarray, grid_dim: int) -> np.ndarray:
+    """Each point's 0-based cell, row * grid_dim + col: half-open cells, the
+    last row and column closed.
 
     Columns grow with x; rows count from the top (row 0 holds the largest y).
     A point exactly on an interior boundary belongs to the higher-coordinate
-    band, so membership is a partition of the square.
+    band, so membership is a partition of the square.  With the bands
+    (col, band) = min(floor(m * (x, y)), m - 1) the index is col - m * band
+    + m * (m - 1), one product of the (n, 2) bands by (1, -m), exact in
+    float64.  A point outside the square gets an index that may name another
+    cell, or none; callers that meet such points mask them.
     """
-    cols = np.minimum(np.floor(positions[:, 0] * grid_dim).astype(np.int64), grid_dim - 1)
-    bands = np.minimum(np.floor(positions[:, 1] * grid_dim).astype(np.int64), grid_dim - 1)
-    rows = grid_dim - 1 - bands
-    return rows, cols
+    m = grid_dim
+    bands = np.multiply(positions, m)
+    np.floor(bands, out=bands)
+    np.minimum(bands, m - 1, out=bands)
+    flat = bands @ np.array([1.0, -m])
+    del bands  # an (n, 2) array fewer at the int64 cast
+    flat += m * (m - 1)
+    return flat.astype(np.int64)
+
+
+def _grid_coords(positions: np.ndarray, grid_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's (row, col), as ``_cell_index`` cuts the cells."""
+    return np.divmod(_cell_index(positions, grid_dim), grid_dim)
+
+
+def _stable_argsort(keys: np.ndarray, top: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in 0..top < 2^32.
+
+    numpy sorts 8- and 16-bit keys stably by radix sort and wider ones by
+    timsort, so keys past 16 bits sort as two stable 16-bit passes, least
+    significant half first.
+    """
+    if top <= 0xFFFF:
+        return np.argsort(keys.astype(np.min_scalar_type(top)), kind="stable")
+    high = (keys >> 16).astype(np.uint16)
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # the low half
+    return order[np.argsort(high[order], kind="stable")]
 
 
 def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
     """Partition nodes into cells and pick each cell's center.
 
-    One stable argsort of the cells' flat indices lists the members, ids
-    ascending inside each cell.  Centers are the minimum node id per cell,
-    except the sink cell whose center is the sink node (the node nearest
-    (0.5, 0.5), ties to the lower id).  Raises ProtocolInfeasibleError naming
-    the first empty cell, since the protocols require every cell occupied.
+    One stable sort of the cells' flat indices (``_cell_index``) lists the
+    members, ids ascending inside each cell.  Centers are the minimum node id
+    per cell, except the sink cell whose center is the sink node (the node
+    nearest (0.5, 0.5), ties to the lower id).  Raises ProtocolInfeasibleError
+    naming the first empty cell, since the protocols require every cell
+    occupied.
 
     The sink is searched only among the members of the 5 x 5 block of cells,
     clipped to the grid, centred on the cell c0 that holds (0.5, 0.5).  c0 is
@@ -314,14 +343,11 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
     if params.n != instance.n:
         raise ValueError("params were derived for a different n")
     m = params.grid_dim
-    rows, cols = _grid_coords(instance.positions, m)
-    flat = rows * m + cols
-    del rows, cols  # two n-long int64 arrays fewer at the sort
+    flat = _cell_index(instance.positions, m)
 
     # Up to 65,536 cells (n <= 2,666,654, about 2^21.3) the keys fit 16 bits
-    # and the stable sort runs as a radix sort; more cells sort 32-bit keys
-    # by timsort.
-    order = np.argsort(flat.astype(np.min_scalar_type(m * m - 1)), kind="stable")
+    # and the stable sort is one radix sort; more cells take two.
+    order = _stable_argsort(flat, m * m - 1)
     offsets = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=m * m))])
     empty = np.flatnonzero(offsets[:-1] == offsets[1:])
     if empty.size:
@@ -330,7 +356,7 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
             f"the protocol requires every cell occupied"
         )
 
-    row0, col0 = (int(c[0]) for c in _grid_coords(np.array([[0.5, 0.5]]), m))
+    row0, col0 = divmod(int(_cell_index(np.array([[0.5, 0.5]]), m)[0]), m)
     block = np.add.outer(
         np.arange(max(row0 - 2, 0), min(row0 + 3, m)) * m,
         np.arange(max(col0 - 2, 0), min(col0 + 3, m)),

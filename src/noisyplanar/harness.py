@@ -34,6 +34,7 @@ from .channel import (
     Trace,
     TraceRecord,
     _cell_colors,
+    _classes_end_to_end,
     color_cells,
     distances,
     resolve_slot,
@@ -44,7 +45,7 @@ from .geometry import (
     CellGrid,
     DerivedParams,
     ProtocolInfeasibleError,
-    _grid_coords,
+    _cell_index,
     assign_cells,
     build_tree,
     derive_params,
@@ -473,10 +474,9 @@ def _beyond(gap: float, params: DerivedParams) -> bool:
 
 def _contained(grid: CellGrid, positions: np.ndarray) -> np.ndarray:
     """Per cell: whether its members and center lie in its square, as assign_cells cuts it."""
-    cells, m = np.arange(len(grid)), grid.grid_dim
-    rows, cols = _grid_coords(positions, m)
-    inside = (positions >= 0.0) & (positions <= 1.0)
-    home = np.where(inside[:, 0] & inside[:, 1], rows * m + cols, -1)
+    cells, home = np.arange(len(grid)), _cell_index(positions, grid.grid_dim)
+    if not (positions.min() >= 0.0 and positions.max() <= 1.0):  # only a moved world
+        home[~((positions >= 0.0) & (positions <= 1.0)).all(axis=1)] = -1
     owner = np.repeat(cells, grid.occupancies())
     strays = np.bincount(owner[home[grid.members] != owner], minlength=len(grid))
     return (strays == 0) & ((grid.centers < 0) | (home[grid.centers] == cells))
@@ -496,6 +496,7 @@ def audit_coloring(
     positions: np.ndarray,
     class_bases: dict[int, int] | None = None,
     contained: np.ndarray | None = None,
+    rule: np.ndarray | None = None,
 ) -> list[str]:
     """Prove the intra-cell coloring collision-free, or name the offenders.
 
@@ -507,22 +508,27 @@ def audit_coloring(
     squares and have their periodic colors (``channel._cell_colors``) are
     proven apart (validate_run gives the inequality); the other pairs, or
     all when the inequality fails, get the exact member-to-member check, in
-    pair order.
-    ``contained`` is ``_contained(grid, positions)`` where the caller has it.
+    pair order.  One pass over the classes' cells end to end finds the open
+    cells; only the classes that hold one are looped over.
+    ``contained`` and ``rule`` are ``_contained(grid, positions)`` and
+    ``_cell_colors(len(grid), grid.grid_dim, params.reuse_distance)`` where
+    the caller has them.
     """
     guard = (1.0 + params.delta) * params.radius
-    rule = _cell_colors(len(grid), grid.grid_dim, params.reuse_distance)
+    if rule is None:
+        rule = _cell_colors(len(grid), grid.grid_dim, params.reuse_distance)
     if contained is None:
         contained = _contained(grid, positions)
     proven = contained & _beyond((params.reuse_distance - 1) / grid.grid_dim, params)
+    cells, bounds = _classes_end_to_end(coloring)
+    colors = np.repeat([cls.color for cls in coloring], np.diff(bounds))
+    open_ = ~(proven[cells - 1] & (rule[cells] == colors))
     violations = []
-    for cls in coloring:
+    owners = np.searchsorted(bounds, np.flatnonzero(open_), side="right") - 1
+    for k in dict.fromkeys(owners.tolist()):  # the classes with an open cell, in order
+        cls, at = coloring[k], open_[bounds[k] : bounds[k + 1]]
         base = (class_bases or {}).get(cls.color, 0)
-        cells = np.array(cls.cells, dtype=np.int64)
-        open_ = ~(proven[cells - 1] & (rule[cells] == cls.color))
-        if not open_.any():
-            continue
-        for i, j in zip(*np.nonzero(np.triu(open_[:, None] | open_, 1))):
+        for i, j in zip(*np.nonzero(np.triu(at[:, None] | at, 1))):
             a, b = cls.cells[i], cls.cells[j]
             dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
             if dist < guard or dist <= params.radius:
@@ -538,6 +544,8 @@ def audit_coloring(
 
 def _audit_single_hop(run: TrialRun, layout: list, wide: np.ndarray) -> list[str]:
     """Name each ``wide`` cell whose farthest two members lie beyond the radius."""
+    if not wide.any():
+        return []
     violations = []
     for cls, base, _, _ in layout:
         cells = np.array(cls.cells, dtype=np.int64)
@@ -580,14 +588,26 @@ def _replay_slots(run: TrialRun) -> list[str]:
     return violations
 
 
-def _columns(records: list[TraceRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The txs, first and per-row copies columns of run-length records, end to end."""
-    if not records:
-        return (np.zeros(0, dtype=np.int64),) * 3
+def _coverage(coloring: list[ScheduleClass], count: int) -> list[str]:
+    """Name the cells 1..count that the coloring lists in no class, or in several."""
+    times = np.bincount(_classes_end_to_end(coloring)[0], minlength=count + 1)[1 : count + 1]
+    violations = []
+    for off, where in ((times == 0, "in no color class"), (times > 1, "in several color classes")):
+        named = np.flatnonzero(off) + 1
+        if named.size:
+            more = f" and {named.size - 3} more" if named.size > 3 else ""
+            violations.append(f"cells {named[:3].tolist()}{more} are {where}")
+    return violations
+
+
+def _same_rows(a: TraceRecord | None, b: TraceRecord | None) -> bool:
+    """Whether two run-length records hold the same columns, in the same order."""
     return (
-        np.concatenate([r.txs for r in records]),
-        np.concatenate([r.first for r in records]),
-        np.repeat([r.copies for r in records], [r.txs.size for r in records]),
+        a is not None
+        and b is not None
+        and a.copies == b.copies
+        and np.array_equal(a.txs, b.txs)
+        and np.array_equal(a.first, b.first)
     )
 
 
@@ -601,16 +621,13 @@ def _slots_off_schedule(traced: list[TraceRecord], schedule: list[TraceRecord]) 
     """The first three slots whose (slot, tx) rows differ, as multisets, between
     two lists of run-length records; [] when the rows agree.
 
-    Equal columns mean equal rows.  Otherwise a record equal to the one in the
-    same place of the other list cancels it, and only the rest expand to rows.
+    A record equal to the one in the same place of the other list cancels
+    it, and only the rest expand to rows, so lists whose records are equal
+    pair by pair build no rows at all.
     """
-    if all(map(np.array_equal, _columns(traced), _columns(schedule))):
+    unequal = [(a, b) for a, b in zip_longest(traced, schedule) if not _same_rows(a, b)]
+    if not unequal:
         return []
-    unequal = [
-        (a, b)
-        for a, b in zip_longest(traced, schedule)
-        if a is None or b is None or not all(map(np.array_equal, _columns([a]), _columns([b])))
-    ]
     keys = [_row_keys([r for r in side if r is not None]) for side in zip(*unequal)]
     values, where = np.unique(np.concatenate(keys), return_inverse=True)
     net = np.bincount(where, weights=np.repeat([1, -1], [k.size for k in keys]))
@@ -624,8 +641,9 @@ def validate_run(run: TrialRun) -> AuditReport:
     collision in the discovery, identity, counting, or inter-cell phases;
     confirmation slots with several believers are the documented exception.
     Under the protocol model delivery depends on positions alone, so (a) is
-    proven from four properties of the run's data, one array pass each:
-    1. containment: each cell's members and center lie in its square;
+    proven from five properties of the run's data, one array pass each:
+    1. containment: each cell's members and center lie in its square
+       (``geometry._cell_index``, the rule assign_cells cuts by);
     2. periodic coloring: each class lists only cells of its color under
        the periodic rule (row mod D) * D + col mod D, D = reuse_distance
        (channel._cell_colors), so each cell's stage-2 lane (intercell.subslots)
@@ -640,7 +658,10 @@ def validate_run(run: TrialRun) -> AuditReport:
        - sqrt(5) * side <= r, (D - 2) * side >= (1 + delta) * r and > r: a
          link's centers are in range, and the other transmitters of its
          lane, in cells of the child's color, are D - 2 sides from its
-         receiver (stage 2).
+         receiver (stage 2);
+    5. coverage: the classes list every cell 1..len(grid) exactly once (one
+       bincount of their cells end to end), so every cell runs stage 1 in
+       one class; a cell listed in no class, or in several, is named.
     With (b), which sends one member of a cell per stage-1 slot, every
     discovery, counting, identity and single-believer confirmation slot
     reaches every member charged as a receiver, and every stage-2 link
@@ -649,15 +670,19 @@ def validate_run(run: TrialRun) -> AuditReport:
     cells off 1, and the noiseless stage-2 replay (_replay_slots) when a
     cell is off 1, a lane off its periodic color, a link off 3 or a stage-2
     inequality fails; a failed stage-1 inequality opens every pair, or
-    every cell.  (b) The trace's discovery, identity and counting records
-    equal stage1_schedule's run-length records, compared as concatenated
-    txs, first-slot and copies columns -- only on a mismatch are the
-    unequal records expanded to (slot, tx) rows, to name the first
-    differing slots -- and its stage-2 arrays equal the plan's; (c) the
-    energy counters satisfy their defining identities, the stage-1
-    transmissions equal the trace's copies summed over its transmitters,
-    and the stage-1 slots, stage-2 slots and stage-2 transmissions match
-    their closed-form accounting identities.  No second trial runs.
+    every cell; audit_coloring loops only over the classes with an open
+    cell, and the single-hop check returns at once when no cell is open.
+    (b) The trace's discovery, identity and counting records equal
+    stage1_schedule's run-length records, compared record by record with the
+    one in the same place (copies, then txs, then first slots) and never
+    concatenated -- only the unequal records are expanded to (slot, tx)
+    rows, whose multiset difference names the first differing slots, so
+    records that split the same rows differently still agree -- and its
+    stage-2 arrays equal the plan's; (c) the energy counters satisfy their
+    defining identities, the stage-1 transmissions equal the trace's copies
+    summed over its transmitters, and the stage-1 slots, stage-2 slots and
+    stage-2 transmissions match their closed-form accounting identities.
+    No second trial runs.
     """
     if run.channel.trace is None:
         raise ValueError("validate_run needs a trial executed with capture_trace=True")
@@ -666,11 +691,12 @@ def validate_run(run: TrialRun) -> AuditReport:
     grid, params, positions = run.grid, run.params, run.instance.positions
     side, contained = 1.0 / grid.grid_dim, _contained(grid, positions)
     wide = ~contained | (math.sqrt(2) * side * _SLACK > params.radius)
-    report = AuditReport(
-        audit_coloring(grid, params, run.coloring, positions, bases, contained)
-        + _audit_single_hop(run, layout, wide)
-    )
     rule = _cell_colors(len(grid), grid.grid_dim, params.reuse_distance)
+    report = AuditReport(
+        audit_coloring(grid, params, run.coloring, positions, bases, contained, rule)
+        + _audit_single_hop(run, layout, wide)
+        + _coverage(run.coloring, len(grid))
+    )
     if not (
         math.sqrt(5) * side * _SLACK <= params.radius
         and _beyond((params.reuse_distance - 2) * side, params)

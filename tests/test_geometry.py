@@ -13,7 +13,9 @@ from noisyplanar.geometry import (
     NetworkInstance,
     ProtocolInfeasibleError,
     SpanningTree,
+    _cell_index,
     _grid_coords,
+    _stable_argsort,
     assign_cells,
     build_tree,
     derive_params,
@@ -226,8 +228,8 @@ class TestAssignCells:
         self._assert_matches_int64_sort(place_nodes(n, seed=seed), derive_params(n, 0.5))
 
     def test_wide_grid_matches_int64_stable_sort(self):
-        # 300 x 300 cells need keys past 16 bits, so the sort is not a radix
-        # sort there; one node per cell center plus random extras in any order.
+        # 300 x 300 cells need keys past 16 bits, so the sort takes two 16-bit
+        # passes there; one node per cell center plus random extras in any order.
         m = 300
         centers, _, _ = make_hand_world(m)
         extras = np.random.default_rng(4).random((5000, 2))
@@ -254,6 +256,67 @@ class TestAssignCells:
         holed, params = _world_with_positions(positions, 3)
         with pytest.raises(ProtocolInfeasibleError, match=r"^cell 5 of 9 is empty "):
             assign_cells(holed, params)
+
+
+def rows_times_m_plus_cols(positions, m):
+    """The cell index as the two-column rule computed it: row * m + col."""
+    cols = np.minimum(np.floor(positions[:, 0] * m).astype(np.int64), m - 1)
+    bands = np.minimum(np.floor(positions[:, 1] * m).astype(np.int64), m - 1)
+    return (m - 1 - bands) * m + cols
+
+
+class TestCellIndex:
+    @pytest.mark.parametrize("m", [1, 3, 7, 64, 300])
+    def test_boundaries_and_corners_match_rows_times_m_plus_cols(self, m):
+        # Every interior boundary k/m, as float64 rounds it, and the values
+        # next to it; 0, 1 and the float just below 1.
+        edges = np.arange(1, m) / m
+        coords = np.concatenate(
+            [edges, np.nextafter(edges, 0), np.nextafter(edges, 1), [0.0, 1.0, np.nextafter(1, 0)]]
+        )
+        x, y = np.meshgrid(coords, coords)
+        positions = np.column_stack([x.ravel(), y.ravel()])
+        np.testing.assert_array_equal(
+            _cell_index(positions, m), rows_times_m_plus_cols(positions, m)
+        )
+
+    @pytest.mark.parametrize("m", [3, 64, 300])
+    def test_points_outside_the_square_match_rows_times_m_plus_cols(self, m):
+        coords = [-2.5, -1.0, -0.3, -1e-12, 0.5, 1.0 + 1e-12, 1.7, 4.0]
+        x, y = np.meshgrid(coords, coords)
+        positions = np.column_stack([x.ravel(), y.ravel()])
+        np.testing.assert_array_equal(
+            _cell_index(positions, m), rows_times_m_plus_cols(positions, m)
+        )
+
+    @pytest.mark.parametrize("n, m, seed", [(20_000, 64, 1), (200_000, 300, 2)])
+    def test_random_worlds_match_rows_times_m_plus_cols(self, n, m, seed):
+        positions = place_nodes(n, seed=seed).positions
+        np.testing.assert_array_equal(
+            _cell_index(positions, m), rows_times_m_plus_cols(positions, m)
+        )
+
+    def test_grid_coords_split_the_index(self):
+        positions = place_nodes(5000, seed=4).positions
+        rows, cols = _grid_coords(positions, 64)
+        np.testing.assert_array_equal(rows * 64 + cols, _cell_index(positions, 64))
+        assert (0 <= cols).all() and (cols < 64).all()
+
+
+class TestStableArgsort:
+    @pytest.mark.parametrize("size", [1 << 17, 1 << 20])
+    @pytest.mark.parametrize("bits", [20, 32])
+    def test_wide_keys_sort_as_a_stable_argsort(self, size, bits):
+        keys = np.random.default_rng(size + bits).integers(0, 1 << bits, size)
+        top = (1 << bits) - 1
+        np.testing.assert_array_equal(_stable_argsort(keys, top), np.argsort(keys, kind="stable"))
+
+    def test_repeated_wide_keys_stay_in_id_order(self):
+        # Few distinct keys spread over both halves, so the order inside each
+        # run of equal keys is what decides.
+        keys = np.random.default_rng(5).choice([3, 70_000, 70_003, 1 << 31], size=1 << 17)
+        order = _stable_argsort(keys, (1 << 32) - 1)
+        np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
 
 
 def assign_cells_per_cell(instance, params):

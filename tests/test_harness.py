@@ -32,6 +32,7 @@ from noisyplanar.harness import (
     RNG_LAYOUT,
     AuditReport,
     SweepReport,
+    _slots_off_schedule,
     audit_coloring,
     main,
     run_experiment,
@@ -283,6 +284,80 @@ class TestValidateRun:
         ]
         audit = validate_run(run)
         assert not audit.passed
+
+    def test_run_whose_coloring_leaves_out_the_last_cell_is_named(self, monkeypatch):
+        # The trial itself runs on a coloring without the highest-numbered
+        # cell, so the trace, the layout and the closed forms all agree and
+        # that cell never runs stage 1; only the coverage count sees it.
+        import noisyplanar.harness as hz
+
+        full = hz.color_cells
+
+        def short(grid, params):
+            last = len(grid)
+            return [
+                ScheduleClass(c.color, tuple(j for j in c.cells if j != last))
+                for c in full(grid, params)
+            ]
+
+        monkeypatch.setattr(hz, "color_cells", short)
+        cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1, base_seed=13)
+        run = run_trial(cfg, 2000, 0, capture_trace=True)
+        audit = validate_run(run)
+        assert not audit.collision_free and audit.oblivious and audit.energy_exact
+        assert audit.collision_violations == [f"cells [{len(run.grid)}] are in no color class"]
+
+    def test_cells_in_several_classes_or_none_are_named(self):
+        cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1, base_seed=13)
+        run = run_trial(cfg, 2000, 0, capture_trace=True)
+        # The first class loses its first cell, and the first cells of the
+        # next four classes are listed once more in a class of their own.
+        first = run.coloring[0]
+        lost, twice = first.cells[0], sorted(c.cells[0] for c in run.coloring[1:5])
+        run.coloring = [
+            ScheduleClass(first.color, first.cells[1:]),
+            *run.coloring[1:],
+            ScheduleClass(first.color, tuple(twice)),
+        ]
+        coverage = [v for v in validate_run(run).collision_violations if v.startswith("cells ")]
+        assert coverage == [
+            f"cells [{lost}] are in no color class",
+            f"cells {twice[:3]} and 1 more are in several color classes",
+        ]
+
+    @staticmethod
+    def split(record, at):
+        """The record as two records that hold its rows, cut before row ``at``."""
+        return [replace(record, txs=record.txs[:at], first=record.first[:at]),
+                replace(record, txs=record.txs[at:], first=record.first[at:])]
+
+    @pytest.mark.parametrize("protocol", ["max", "hist"])
+    def test_schedule_split_into_other_records_is_on_schedule(self, protocol):
+        cfg = ExperimentConfig(protocol=protocol, n=(2000,), trials=1, eps0=0.1)
+        run = run_trial(cfg, 2000, 0, capture_trace=True)
+        layout = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
+        schedule = stage1_schedule(run.grid, layout, run.stage1_config, protocol)
+        traced = schedule[:1]
+        halves = self.split(schedule[0], schedule[0].txs.size // 3)
+        assert _slots_off_schedule(traced, halves) == []
+        assert _slots_off_schedule(traced, halves[::-1]) == []
+        assert _slots_off_schedule(halves[::-1], traced) == []
+        assert _slots_off_schedule(schedule, [*halves, *schedule[1:]]) == []
+
+    def test_changed_first_slot_is_named_however_the_schedule_splits(self):
+        cfg = ExperimentConfig(protocol="hist", n=(2000,), trials=1, eps0=0.1)
+        run = run_trial(cfg, 2000, 0, capture_trace=True)
+        record = run.channel.trace.stage1[0]
+        first = record.first.copy()
+        first[4] += 1  # the fifth member starts, and ends, one slot late
+        changed = replace(record, first=first)
+        slots = self.off_schedule(record, changed)
+        assert slots == [int(record.first[4]), int(record.first[4]) + run.stage1_config.r2]
+        assert _slots_off_schedule([changed], [record]) == slots
+        for at in (3, 5, record.txs.size // 2):
+            halves = self.split(record, at)
+            assert _slots_off_schedule([changed], halves) == slots
+            assert _slots_off_schedule([changed], halves[::-1]) == slots
 
     def test_changed_schedule_names_its_first_slots(self):
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
