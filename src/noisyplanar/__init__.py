@@ -11,6 +11,7 @@ from .channel import (
     RECEIVED,
     SILENT,
     Channel,
+    Coloring,
     EnergyConfig,
     Metrics,
     NoiseModel,

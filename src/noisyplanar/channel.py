@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from itertools import chain
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -28,6 +27,7 @@ __all__ = [
     "NoiseModel",
     "majority_tail",
     "ScheduleClass",
+    "Coloring",
     "EnergyConfig",
     "Metrics",
     "Channel",
@@ -411,7 +411,44 @@ class ScheduleClass:
     cells: tuple[int, ...]
 
 
-def color_cells(grid: CellGrid, params: DerivedParams) -> list[ScheduleClass]:
+@dataclass(frozen=True, eq=False)
+class Coloring:
+    """Each cell's color for the intra-cell phases, and the classes it derives.
+
+    ``colors`` holds each cell's color by cell number, read-only: -1 at
+    index 0 (no cell) and at any cell that is in no class.  It is the one
+    field; the classes are derived from it once, in read-only arrays:
+
+    palette  the classes' colors, ascending
+    cells    every class's cells end to end, ascending inside a class
+    bounds   class k's cells are cells[bounds[k] : bounds[k + 1]]
+
+    A cell holds one color, so no class lists a cell twice.  Iterating gives
+    the classes in this order as ``ScheduleClass`` views.
+    """
+
+    colors: np.ndarray
+
+    def __post_init__(self):
+        colors = np.array(self.colors, dtype=np.int64)
+        sizes = np.bincount(colors + 1)  # bin 0 counts index 0 and the cells in no class
+        palette = np.flatnonzero(sizes[1:])
+        cells = np.argsort(colors, kind="stable")[sizes[0] :]
+        bounds = np.append(0, sizes[1:][palette].cumsum())
+        for name, view in dict(colors=colors, palette=palette, cells=cells, bounds=bounds).items():
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __len__(self) -> int:
+        return self.palette.size
+
+    def __iter__(self):
+        bounds = self.bounds.tolist()
+        for color, lo, hi in zip(self.palette.tolist(), bounds, bounds[1:]):
+            yield ScheduleClass(color, tuple(self.cells[lo:hi].tolist()))
+
+
+def color_cells(grid: CellGrid, params: DerivedParams) -> Coloring:
     """Tile the grid with a reuse-distance coloring for intra-cell phases.
 
     Cells share a color iff their (row, col) agree modulo the reuse distance
@@ -420,41 +457,20 @@ def color_cells(grid: CellGrid, params: DerivedParams) -> list[ScheduleClass]:
     apart in grid Chebyshev distance, so any point of one is farther than
     (1 + delta) * radius from any point of another: simultaneous intra-cell
     transmissions cannot collide at any same-color cell's listeners.
-
-    The coloring depends only on the cell count, grid_dim and D, so it is
-    built once per process for each (``_cell_colors`` states the rule); every
-    call gets a fresh list of the shared (frozen) classes.
+    ``_cell_colors`` states the rule.
     """
-    return list(_coloring(len(grid), grid.grid_dim, params.reuse_distance))
+    return Coloring(_cell_colors(len(grid), grid.grid_dim, params.reuse_distance))
 
 
 def _cell_colors(count: int, grid_dim: int, d: int) -> np.ndarray:
     """Each cell's color by cell number: (row mod d) * d + col mod d for the
     cells 1..count of a grid grid_dim wide; index 0, no cell, reads -1.
 
-    Built afresh on each call and never cached: only hooks and audits read
-    it, and one more array kept alive between iid trials shifted the heap
-    enough to slow a 128k-node histogram trial by about 8% (2-vCPU host)."""
+    Built afresh on each call and never cached: one more array kept alive
+    between iid trials shifted the heap enough to slow a 128k-node
+    histogram trial by about 8% (2-vCPU host)."""
     rows, cols = np.divmod(np.arange(count), grid_dim)
     return np.append(-1, (rows % d) * d + cols % d)
-
-
-@lru_cache(maxsize=16)
-def _coloring(count: int, grid_dim: int, d: int) -> tuple[ScheduleClass, ...]:
-    colors = _cell_colors(count, grid_dim, d)[1:]
-    order = np.argsort(colors, kind="stable")  # cells ascending inside a color
-    palette, starts = np.unique(colors[order], return_index=True)
-    return tuple(
-        ScheduleClass(color=color, cells=tuple(cells.tolist()))
-        for color, cells in zip(palette.tolist(), np.split(order + 1, starts[1:]))
-    )
-
-
-def _classes_end_to_end(coloring: list[ScheduleClass]):
-    """The classes' cells end to end, class k's at cells[bounds[k]:bounds[k + 1]]."""
-    counts = [len(cls.cells) for cls in coloring]
-    cells = np.fromiter(chain.from_iterable(cls.cells for cls in coloring), np.int64, sum(counts))
-    return cells, np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ConfigError(f"bit-source must be one of {BIT_SOURCES}, got {self.bit_source!r}")
         if not self.n or any(v < 3 for v in self.n):
             raise ConfigError(f"every n must be >= 3, got {self.n}")
+        if len(set(self.n)) < len(self.n):
+            raise ConfigError(f"every n must be distinct, got {self.n}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if not (0.0 <= self.eps0 < 0.5):

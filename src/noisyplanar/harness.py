@@ -27,14 +27,13 @@ import numpy as np
 from .channel import (
     RECEIVED,
     Channel,
+    Coloring,
     EnergyConfig,
     Metrics,
     NoiseModel,
-    ScheduleClass,
     Trace,
     TraceRecord,
     _cell_colors,
-    _classes_end_to_end,
     color_cells,
     distances,
     resolve_slot,
@@ -51,7 +50,7 @@ from .geometry import (
     derive_params,
     place_nodes,
 )
-from .intercell import build_substages, run_stage2_hist, run_stage2_max, stage2_cost, subslots
+from .intercell import build_substages, run_stage2_hist, run_stage2_max, stage2_cost
 from .intracell import Stage1Config, run_stage1_hist, run_stage1_max, stage1_layout, stage1_schedule
 from .oracle import oracle
 
@@ -133,7 +132,7 @@ class TrialRun:
     params: DerivedParams
     grid: CellGrid
     tree: object
-    coloring: list[ScheduleClass]
+    coloring: Coloring
     plan: object
     stage1_config: Stage1Config
     link_config: object
@@ -319,14 +318,11 @@ def _aggregate(n: int, rows: list[dict]) -> dict:
     }
 
 
-def run_experiment(config: ExperimentConfig, capture_trace: bool = False) -> RunReport:
+def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run every (n, trial) of the config and aggregate per n."""
     report = RunReport(config=config)
     for n in config.n:
-        rows = [
-            _trial_row(run_trial(config, n, t, capture_trace=capture_trace))
-            for t in range(config.trials)
-        ]
+        rows = [_trial_row(run_trial(config, n, t)) for t in range(config.trials)]
         report.results.append(_aggregate(n, rows))
     return report
 
@@ -492,9 +488,9 @@ def _links_adjacent(plan, grid_dim: int) -> bool:
 def audit_coloring(
     grid: CellGrid,
     params: DerivedParams,
-    coloring: list[ScheduleClass],
+    coloring: Coloring,
     positions: np.ndarray,
-    class_bases: dict[int, int] | None = None,
+    class_bases: np.ndarray | None = None,
     contained: np.ndarray | None = None,
     rule: np.ndarray | None = None,
 ) -> list[str]:
@@ -503,14 +499,17 @@ def audit_coloring(
     Any transmitter of one cell must sit at least (1 + delta) * radius, and
     beyond the radius (at delta = 0), from every listener of any same-class
     cell, which covers every slot of the lockstep schedule at once.
-    Violations carry a representative slot (the class's first), where both
-    offending cells are guaranteed active.  Two cells that lie in their
-    squares and have their periodic colors (``channel._cell_colors``) are
-    proven apart (validate_run gives the inequality); the other pairs, or
-    all when the inequality fails, get the exact member-to-member check, in
-    pair order.  One pass over the classes' cells end to end finds the open
-    cells; only the classes that hold one are looped over.
-    ``contained`` and ``rule`` are ``_contained(grid, positions)`` and
+    Violations carry a representative slot, the class's first
+    (``class_bases``, one per class in coloring order, as stage1_layout
+    gives them; slot 0 when not given), where both offending cells are
+    guaranteed active.  Two cells that lie in their squares and have their
+    periodic colors (``channel._cell_colors``) are proven apart
+    (validate_run gives the inequality); the other pairs, or all when the
+    inequality fails, get the exact member-to-member check, in pair order.
+    A cell is open unless it is proven and ``(rule == coloring.colors)``
+    holds at it, read in one pass over the coloring's cells; only the
+    classes that hold an open cell are looped over.  ``contained`` and
+    ``rule`` are ``_contained(grid, positions)`` and
     ``_cell_colors(len(grid), grid.grid_dim, params.reuse_distance)`` where
     the caller has them.
     """
@@ -520,44 +519,46 @@ def audit_coloring(
     if contained is None:
         contained = _contained(grid, positions)
     proven = contained & _beyond((params.reuse_distance - 1) / grid.grid_dim, params)
-    cells, bounds = _classes_end_to_end(coloring)
-    colors = np.repeat([cls.color for cls in coloring], np.diff(bounds))
-    open_ = ~(proven[cells - 1] & (rule[cells] == colors))
+    cells, bounds = coloring.cells, coloring.bounds
+    open_ = ~(proven[cells - 1] & (rule == coloring.colors)[cells])
     violations = []
     owners = np.searchsorted(bounds, np.flatnonzero(open_), side="right") - 1
     for k in dict.fromkeys(owners.tolist()):  # the classes with an open cell, in order
-        cls, at = coloring[k], open_[bounds[k] : bounds[k + 1]]
-        base = (class_bases or {}).get(cls.color, 0)
+        color, lo, hi = coloring.palette[k], bounds[k], bounds[k + 1]
+        listed, at = cells[lo:hi].tolist(), open_[lo:hi]
+        base = 0 if class_bases is None else class_bases[k]
         for i, j in zip(*np.nonzero(np.triu(at[:, None] | at, 1))):
-            a, b = cls.cells[i], cls.cells[j]
+            a, b = listed[i], listed[j]
             dist = float(distances(positions, grid.cell(a).members, grid.cell(b).members).min())
             if dist < guard or dist <= params.radius:
                 ring = f"inside the guard ring {guard:.4f}"
                 if dist >= guard:  # only the radius is breached, as at delta = 0
                     ring = f"within the radius {params.radius:.4f}"
                 violations.append(
-                    f"slot {base}: same-color cells {a} and {b} (color {cls.color}) have "
+                    f"slot {base}: same-color cells {a} and {b} (color {color}) have "
                     f"members {dist:.4f} apart, {ring}"
                 )
     return violations
 
 
-def _audit_single_hop(run: TrialRun, layout: list, wide: np.ndarray) -> list[str]:
-    """Name each ``wide`` cell whose farthest two members lie beyond the radius."""
+def _audit_single_hop(run: TrialRun, bases: np.ndarray, wide: np.ndarray) -> list[str]:
+    """Name each ``wide`` cell whose farthest two members lie beyond the radius,
+    in coloring order, at its class's first slot (``bases``, one per class)."""
     if not wide.any():
         return []
+    cells, bounds = run.coloring.cells, run.coloring.bounds
+    at = np.flatnonzero(wide[cells - 1])
+    owners = np.searchsorted(bounds, at, side="right") - 1
     violations = []
-    for cls, base, _, _ in layout:
-        cells = np.array(cls.cells, dtype=np.int64)
-        for j in cells[wide[cells - 1]].tolist():
-            members = run.grid.cell(j).members
-            dist = distances(run.instance.positions, members, members)
-            a, b = np.unravel_index(dist.argmax(), dist.shape)
-            if dist[a, b] > run.params.radius:
-                violations.append(
-                    f"slot {base}: cell {j} members {members[a]} and {members[b]} are "
-                    f"{dist[a, b]:.4f} apart, beyond the radius {run.params.radius:.4f}"
-                )
+    for j, base in zip(cells[at].tolist(), bases[owners].tolist()):
+        members = run.grid.cell(j).members
+        dist = distances(run.instance.positions, members, members)
+        a, b = np.unravel_index(dist.argmax(), dist.shape)
+        if dist[a, b] > run.params.radius:
+            violations.append(
+                f"slot {base}: cell {j} members {members[a]} and {members[b]} are "
+                f"{dist[a, b]:.4f} apart, beyond the radius {run.params.radius:.4f}"
+            )
     return violations
 
 
@@ -566,16 +567,14 @@ def _replay_slots(run: TrialRun) -> list[str]:
     stage, and name each subslot whose links do not all deliver.
 
     Within a logical slot, the link from child cell j fires in subslot
-    ``subslots(run.coloring, len(run.grid))[j]``, as the runners number it
-    (upward; downward subslots are a disjoint second bank), and a cell the
-    coloring leaves out in subslot -1.  The subslots are named in the order
-    of their first link.
+    ``run.coloring.colors[j]``, its color, as the runners number it (upward;
+    downward subslots are a disjoint second bank), so a cell in no class
+    fires in subslot -1.  The subslots are named in the order of their first link.
     """
     world = (run.instance.positions, run.params, NoiseModel(0.0), np.random.default_rng(0))
-    subslot = subslots(run.coloring, len(run.grid))
     violations = []
     for si, stage in enumerate(run.plan.stages):
-        lanes = subslot[stage.links[:, 0]]
+        lanes = run.coloring.colors[stage.links[:, 0]]
         txs, rxs = run.grid.centers[stage.links.T - 1]
         failed = resolve_slot(lanes, txs, 0, rxs, *world, listen_slots=lanes) < RECEIVED
         if not failed.any():
@@ -588,16 +587,13 @@ def _replay_slots(run: TrialRun) -> list[str]:
     return violations
 
 
-def _coverage(coloring: list[ScheduleClass], count: int) -> list[str]:
-    """Name the cells 1..count that the coloring lists in no class, or in several."""
-    times = np.bincount(_classes_end_to_end(coloring)[0], minlength=count + 1)[1 : count + 1]
-    violations = []
-    for off, where in ((times == 0, "in no color class"), (times > 1, "in several color classes")):
-        named = np.flatnonzero(off) + 1
-        if named.size:
-            more = f" and {named.size - 3} more" if named.size > 3 else ""
-            violations.append(f"cells {named[:3].tolist()}{more} are {where}")
-    return violations
+def _coverage(coloring: Coloring) -> list[str]:
+    """Name the cells that are in no color class."""
+    named = np.flatnonzero(coloring.colors[1:] < 0) + 1
+    if not named.size:
+        return []
+    more = f" and {named.size - 3} more" if named.size > 3 else ""
+    return [f"cells {named[:3].tolist()}{more} are in no color class"]
 
 
 def _same_rows(a: TraceRecord | None, b: TraceRecord | None) -> bool:
@@ -644,10 +640,9 @@ def validate_run(run: TrialRun) -> AuditReport:
     proven from five properties of the run's data, one array pass each:
     1. containment: each cell's members and center lie in its square
        (``geometry._cell_index``, the rule assign_cells cuts by);
-    2. periodic coloring: each class lists only cells of its color under
-       the periodic rule (row mod D) * D + col mod D, D = reuse_distance
-       (channel._cell_colors), so each cell's stage-2 lane (intercell.subslots)
-       is that color;
+    2. periodic coloring: each cell's color (Coloring.colors), which is
+       also its stage-2 lane, is its color under the periodic rule
+       (row mod D) * D + col mod D, D = reuse_distance (channel._cell_colors);
     3. adjacency: each plan link joins two edge-adjacent cells;
     4. the scalar inequalities, with side = 1 / grid_dim, r = radius and a
        1 + 1e-9 slack:
@@ -659,9 +654,8 @@ def validate_run(run: TrialRun) -> AuditReport:
          link's centers are in range, and the other transmitters of its
          lane, in cells of the child's color, are D - 2 sides from its
          receiver (stage 2);
-    5. coverage: the classes list every cell 1..len(grid) exactly once (one
-       bincount of their cells end to end), so every cell runs stage 1 in
-       one class; a cell listed in no class, or in several, is named.
+    5. coverage: every cell 1..len(grid) has a color, so it runs stage 1 in
+       the one class of that color; a cell in no class is named.
     With (b), which sends one member of a cell per stage-1 slot, every
     discovery, counting, identity and single-believer confirmation slot
     reaches every member charged as a receiver, and every stage-2 link
@@ -687,28 +681,28 @@ def validate_run(run: TrialRun) -> AuditReport:
     if run.channel.trace is None:
         raise ValueError("validate_run needs a trial executed with capture_trace=True")
     layout = stage1_layout(run.grid, run.coloring, run.stage1_config, run.config.protocol)
-    bases = {cls.color: base for cls, base, _, _ in layout}
+    bases, spans, _ = layout
     grid, params, positions = run.grid, run.params, run.instance.positions
     side, contained = 1.0 / grid.grid_dim, _contained(grid, positions)
     wide = ~contained | (math.sqrt(2) * side * _SLACK > params.radius)
     rule = _cell_colors(len(grid), grid.grid_dim, params.reuse_distance)
     report = AuditReport(
         audit_coloring(grid, params, run.coloring, positions, bases, contained, rule)
-        + _audit_single_hop(run, layout, wide)
-        + _coverage(run.coloring, len(grid))
+        + _audit_single_hop(run, bases, wide)
+        + _coverage(run.coloring)
     )
     if not (
         math.sqrt(5) * side * _SLACK <= params.radius
         and _beyond((params.reuse_distance - 2) * side, params)
         and _links_adjacent(run.plan, grid.grid_dim)
         and contained.all()
-        and np.array_equal(subslots(run.coloring, len(grid)), rule)
+        and np.array_equal(run.coloring.colors, rule)
     ):
         report.collision_violations += _replay_slots(run)
 
     trace = run.channel.trace
     traced = [r for r in trace.stage1 if r.phase in ("discovery", "identity", "hist_count")]
-    schedule = stage1_schedule(run.grid, layout, run.stage1_config, run.config.protocol)
+    schedule = stage1_schedule(grid, run.coloring, layout, run.stage1_config, run.config.protocol)
     slots = _slots_off_schedule(traced, schedule)
     if slots:
         report.obliviousness_violations.append(f"stage-1 rows off the schedule at slots {slots}")
@@ -722,7 +716,7 @@ def validate_run(run: TrialRun) -> AuditReport:
     slots2, tx2 = stage2_cost(run.plan, run.params, run.link_config, run.config.protocol)
     for name, counted, expected in (
         ("stage-1 transmissions", m.tx_stage1, sum(r.copies * r.txs.size for r in trace.stage1)),
-        ("stage-1 slots", m.slots_stage1, sum(span for _, _, span, _ in layout)),
+        ("stage-1 slots", m.slots_stage1, int(spans.sum())),
         ("stage-2 slots", m.slots_stage2, slots2),
         ("stage-2 transmissions", m.tx_stage2, tx2),
     ):

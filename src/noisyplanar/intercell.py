@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, ScheduleClass, _cell_colors, _classes_end_to_end, color_cells
+from .channel import Channel, Coloring, _cell_colors, color_cells
 from .coding import LineProtocol, LinkSimConfig, or_chain, repetition_errors, simulate_line
 from .geometry import CellGrid, DerivedParams, SpanningTree
 
@@ -46,7 +46,6 @@ __all__ = [
     "run_stage2_max",
     "run_stage2_hist",
     "stage2_cost",
-    "subslots",
     "slot_ids",
     "distribute_result",
 ]
@@ -193,16 +192,6 @@ def _check_counts(counts, width: int) -> None:
     bad = np.flatnonzero((counts < 0) | (counts >= 1 << width))
     if bad.size:
         raise ValueError(f"count {counts[bad[0]]} does not fit in {width} bits")
-
-
-def subslots(coloring: list[ScheduleClass], count: int) -> np.ndarray:
-    """Each cell's subslot in a logical inter-cell slot, indexed by cell
-    number up to count: its color in the coloring, or -1 for a cell the
-    coloring does not list (and at 0, no cell)."""
-    cells, bounds = _classes_end_to_end(coloring)
-    lanes = np.full(count + 1, -1, dtype=np.int64)
-    lanes[cells] = np.repeat([cls.color for cls in coloring], np.diff(bounds))
-    return lanes
 
 
 def slot_ids(start: int, logical, lane, lanes: int) -> np.ndarray:
@@ -417,7 +406,7 @@ def distribute_result(
     channel: Channel,
     grid: CellGrid,
     params: DerivedParams,
-    coloring=None,
+    coloring: Coloring | None = None,
 ) -> np.ndarray:
     """Push the sink's one-bit result back to every node.
 
@@ -439,7 +428,7 @@ def distribute_result(
         raise ValueError(f"distribute_result relays one bit, got value {value!r}")
     if coloring is None:
         coloring = color_cells(grid, params)
-    subslot = cache(lambda: subslots(coloring, len(grid)))  # read only by a hook
+    subslot = lambda: coloring.colors  # each cell's lane, read only by a hook
     relay = replace(config, mode="repetition")
     down = np.zeros(len(grid) + 1, dtype=np.int64)  # each cell's bit, by index
     down[tree.sink_cell] = value
@@ -457,7 +446,7 @@ def distribute_result(
         logical, tx = _substage_cost(stage, relay, "max", 1)
         channel.metrics.add("distribute", tx=tx, rx=tx, slots=logical * params.link_slot_span)
 
-    cells, bounds = _classes_end_to_end(coloring)
+    cells, bounds = coloring.cells, coloring.bounds
     members, sizes, centers = grid.gather(cells)
     rank = np.repeat(np.arange(cells.size), sizes)
     heard = members != centers[rank]

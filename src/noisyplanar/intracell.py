@@ -61,7 +61,7 @@ from functools import cache
 
 import numpy as np
 
-from .channel import Channel, ScheduleClass, TraceRecord, _classes_end_to_end
+from .channel import Channel, Coloring, TraceRecord
 from .coding import BlockCode, RepetitionScheme, smallest_odd_at_least
 from .geometry import Cell, CellGrid
 
@@ -225,44 +225,45 @@ def _majority_phase(members, sizes, centers, cell_base, reps: int, phase: str, c
 
 
 def stage1_layout(
-    grid: CellGrid, coloring: list[ScheduleClass], config: Stage1Config, protocol: str
-) -> list[tuple[ScheduleClass, int, int, int]]:
-    """Each color class's (class, first slot, slot span, largest cell size).
+    grid: CellGrid, coloring: Coloring, config: Stage1Config, protocol: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each color class's first slot, slot span and largest cell size, as
+    (bases, spans, largest): int64 arrays with one entry per class.
 
     Classes run one after another in coloring order, and the cells of a class
     in lockstep, so a class spans its largest cell's script: c_rep * N +
     block_len + r2 slots for MAX, r2 * N for the histogram.
     """
-    cells, bounds = _classes_end_to_end(coloring)
-    largest = np.maximum.reduceat(grid.occupancies()[cells - 1], bounds[:-1])
+    largest = np.maximum.reduceat(grid.occupancies()[coloring.cells - 1], coloring.bounds[:-1])
     spans = config.script_len(largest) if protocol == "max" else config.r2 * largest
-    bases = spans.cumsum() - spans
-    return list(zip(coloring, bases.tolist(), spans.tolist(), largest.tolist()))
+    return spans.cumsum() - spans, spans, largest
 
 
-def _cells_of(grid: CellGrid, layout, config: Stage1Config):
-    """A stage1_layout's cells end to end; their members end to end, sizes
-    and centers as CellGrid.gather gives them; and each cell's first
-    discovery (or counting) slot and, for MAX, its first identity and
-    confirmation slots."""
-    coloring, bases, _, largest = zip(*layout)
-    cells, bounds = _classes_end_to_end(list(coloring))
-    firsts = config.phase_slots(np.array(bases), np.array(largest))
-    return cells, *grid.gather(cells), *(np.repeat(f, np.diff(bounds)) for f in firsts)
+def _cells_of(grid: CellGrid, coloring: Coloring, layout, config: Stage1Config):
+    """The coloring's cells end to end; their members end to end, sizes and
+    centers as CellGrid.gather gives them; and each cell's first discovery
+    (or counting) slot and, for MAX, its first identity and confirmation
+    slots, from the coloring's stage1_layout."""
+    bases, _, largest = layout
+    cells, per_class = coloring.cells, np.diff(coloring.bounds)
+    firsts = config.phase_slots(bases, largest)
+    return cells, *grid.gather(cells), *(np.repeat(f, per_class) for f in firsts)
 
 
 def stage1_schedule(
-    grid: CellGrid, layout, config: Stage1Config, protocol: str
+    grid: CellGrid, coloring: Coloring, layout, config: Stage1Config, protocol: str
 ) -> list[TraceRecord]:
-    """The records a run of this stage1_layout leaves for its data-independent phases.
+    """The records a run of the coloring's stage1_layout leaves for its
+    data-independent phases.
 
     One run-length record per phase, every class's cells end to end in
-    layout order: MAX discovery then identity, or histogram counting.  Every
-    cell starts at its class's first slot.  MAX discovery and histogram
-    counting send the members in id order, c_rep or r2 slots each; MAX
-    identity sends each center for block_len slots from the identity slot.
+    coloring order: MAX discovery then identity, or histogram counting.
+    Every cell starts at its class's first slot.  MAX discovery and
+    histogram counting send the members in id order, c_rep or r2 slots
+    each; MAX identity sends each center for block_len slots from the
+    identity slot.
     """
-    _, members, sizes, centers, bases, id_bases, _ = _cells_of(grid, layout, config)
+    _, members, sizes, centers, bases, id_bases, _ = _cells_of(grid, coloring, layout, config)
     reps, phase = (config.c_rep, "discovery") if protocol == "max" else (config.r2, "hist_count")
     records = [TraceRecord(phase, members, _member_firsts(sizes, bases, reps), reps)]
     if protocol == "max":
@@ -355,7 +356,7 @@ def _confirmation(members, sizes, centers, confirm_bases, believes, config: Stag
 
 def run_stage1_max(
     grid: CellGrid,
-    coloring: list[ScheduleClass],
+    coloring: Coloring,
     config: Stage1Config,
     channel: Channel,
 ) -> Stage1Result:
@@ -369,11 +370,13 @@ def run_stage1_max(
     run-length record per phase, in draw order.
     """
     layout = stage1_layout(grid, coloring, config, "max")
-    cells, members, sizes, centers, bases, id_bases, confirm_bases = _cells_of(grid, layout, config)
+    cells, members, sizes, centers, bases, id_bases, confirm_bases = _cells_of(
+        grid, coloring, layout, config
+    )
     pick = _discovery(members, sizes, centers, bases, config, channel)
     believes = _identity(members, sizes, centers, id_bases, pick, config, channel)
     values = _confirmation(members, sizes, centers, confirm_bases, believes, config, channel)
-    channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
+    channel.metrics.add("stage1", slots=int(layout[1].sum()))
     by_cell = np.zeros((2, len(grid) + 1), dtype=np.int64)
     by_cell[:, cells] = values, members[pick]
     return Stage1Result(*by_cell)
@@ -414,7 +417,7 @@ def confirm_value(
 
 def run_stage1_hist(
     grid: CellGrid,
-    coloring: list[ScheduleClass],
+    coloring: Coloring,
     config: Stage1Config,
     channel: Channel,
 ) -> Stage1Result:
@@ -427,9 +430,9 @@ def run_stage1_hist(
     gets the phase's one record.
     """
     layout = stage1_layout(grid, coloring, config, "hist")
-    cells, members, sizes, centers, bases, _, _ = _cells_of(grid, layout, config)
+    cells, members, sizes, centers, bases, _, _ = _cells_of(grid, coloring, layout, config)
     decoded = _majority_phase(members, sizes, centers, bases, config.r2, "hist_count", channel)
     counts = np.zeros(len(grid) + 1, dtype=np.int64)
     counts[cells] = _cell_sums(decoded, sizes)
-    channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
+    channel.metrics.add("stage1", slots=int(layout[1].sum()))
     return Stage1Result(counts)

@@ -4,7 +4,7 @@ and the dense reception oracle."""
 import numpy as np
 import pytest
 
-from noisyplanar.channel import COLLIDED, RECEIVED, distances, resolve_slot
+from noisyplanar.channel import COLLIDED, RECEIVED, Coloring, distances, resolve_slot
 from noisyplanar.geometry import CellGrid, DerivedParams, NetworkInstance
 
 
@@ -59,11 +59,21 @@ def stage1_keys(records, phases: tuple[str, ...]) -> np.ndarray:
     )
 
 
-def schedule_per_cell(grid, layout, config, protocol):
+def merge_pairwise(coloring):
+    """The coloring with consecutive classes merged pairwise, each pair under
+    its first class's color: grid neighbours then share a class."""
+    colors = coloring.colors.copy()
+    listed = colors >= 0
+    rank = np.searchsorted(coloring.palette, colors[listed])
+    colors[listed] = coloring.palette[rank - rank % 2]
+    return Coloring(colors)
+
+
+def schedule_per_cell(grid, coloring, layout, config, protocol):
     """The per-cell schedule loop: the reference for stage1_schedule."""
     reps = config.c_rep if protocol == "max" else config.r2
     rows = []
-    for cls, base, _, max_members in layout:
+    for cls, base, _, max_members in zip(coloring, *layout):
         id_slots = config.phase_slots(base, max_members)[1] + np.arange(config.block_len)
         for cell in map(grid.cell, cls.cells):
             rows.append((base + np.arange(cell.size * reps), np.repeat(cell.members, reps)))

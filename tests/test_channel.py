@@ -14,10 +14,13 @@ from noisyplanar.channel import (
     RECEIVED,
     SILENT,
     Channel,
+    Coloring,
     EnergyConfig,
     Metrics,
     NoiseModel,
+    ScheduleClass,
     Trace,
+    _cell_colors,
     _iid_counts,
     _uniform_chunks,
     _weights_reaching,
@@ -672,6 +675,19 @@ class TestHookedBatchChunks:
         assert len(handed) > 5 and all(handed)
 
 
+def _tuple_coloring(count, grid_dim, d):
+    """The coloring as a tuple of classes, as color_cells built it before it
+    held one color per cell (the body kept verbatim, its cache dropped): the
+    reference for the classes a Coloring derives."""
+    colors = _cell_colors(count, grid_dim, d)[1:]
+    order = np.argsort(colors, kind="stable")  # cells ascending inside a color
+    palette, starts = np.unique(colors[order], return_index=True)
+    return tuple(
+        ScheduleClass(color=color, cells=tuple(cells.tolist()))
+        for color, cells in zip(palette.tolist(), np.split(order + 1, starts[1:]))
+    )
+
+
 class TestColorCells:
     def test_n5000_uses_exactly_k1_plus_1_colors(self):
         params = derive_params(5000, 0.5)
@@ -680,22 +696,40 @@ class TestColorCells:
         assert len(classes) == params.interference_bound + 1 == 81
         assert sorted(j for cls in classes for j in cls.cells) == list(range(1, 226))
 
-    def test_coloring_is_built_once_per_grid_shape(self):
-        # Two worlds of one n share their grid shape, so their coloring's
-        # classes; each call still gets a list of its own.
-        params = derive_params(5000, 0.5)
-        first = color_cells(assign_cells(place_nodes(5000, seed=7), params), params)
-        second = color_cells(assign_cells(place_nodes(5000, seed=8), params), params)
-        assert first == second and first is not second
-        assert all(a is b for a, b in zip(first, second))
-        second.clear()
-        assert len(color_cells(assign_cells(place_nodes(5000, seed=7), params), params)) == 81
+    @pytest.mark.parametrize("m", [1, 3, 15, 48, 64, 317])
+    def test_classes_equal_the_tuple_coloring(self, m):
+        # D = 3 at delta 0, 5 at delta 0.5, and 1 at radius 0; D > m at m = 1
+        # and 3, and 317 is a multiple of none of them.
+        _, grid, params = make_hand_world(m)
+        for delta, radius, d in ((0.0, 0.9 / m, 3), (0.5, 0.9 / m, 5), (0.5, 0.0, 1)):
+            params = replace(params, delta=delta, radius=radius)
+            assert params.reuse_distance == d
+            coloring = color_cells(grid, params)
+            want = _tuple_coloring(m * m, m, d)
+            assert tuple(coloring) == want and len(coloring) == len(want)
+            assert coloring.palette.tolist() == [cls.color for cls in want]
+            assert coloring.cells.tolist() == [j for cls in want for j in cls.cells]
+            assert np.diff(coloring.bounds).tolist() == [len(cls.cells) for cls in want]
+            assert np.array_equal(coloring.colors, _cell_colors(m * m, m, d))
+            for view in (coloring.colors, coloring.palette, coloring.cells, coloring.bounds):
+                with pytest.raises(ValueError):
+                    view[0] = 0
+
+    def test_classes_of_hand_made_colors(self):
+        # Colors need not be consecutive, and a cell at -1 is in no class.
+        colors = np.array([-1, 4, -1, 0, 4, 2])
+        coloring = Coloring(colors)
+        colors[1] = 0  # the coloring holds a copy
+        assert list(coloring) == [
+            ScheduleClass(0, (3,)), ScheduleClass(2, (5,)), ScheduleClass(4, (1, 4))
+        ]
+        assert coloring.colors.tolist() == [-1, 4, -1, 0, 4, 2]
 
     def test_zero_radius_degenerates_to_one_color(self):
         _, grid, params = make_hand_world(3)
         params = replace(params, radius=0.0)
         assert params.reuse_distance == 1
-        classes = color_cells(grid, params)
+        classes = list(color_cells(grid, params))
         assert len(classes) == 1
         assert classes[0].cells == tuple(range(1, 10))
 

@@ -20,8 +20,8 @@ from noisyplanar.channel import (
     COLLIDED,
     RECEIVED,
     Channel,
+    Coloring,
     NoiseModel,
-    ScheduleClass,
     distances,
     resolve_slot,
 )
@@ -44,7 +44,14 @@ from noisyplanar.harness import (
 from noisyplanar.intracell import stage1_layout, stage1_schedule
 from noisyplanar.oracle import oracle
 
-from conftest import dense_slot, schedule_per_cell, slot_by_slot, slot_keys, stage1_keys
+from conftest import (
+    dense_slot,
+    merge_pairwise,
+    schedule_per_cell,
+    slot_by_slot,
+    slot_keys,
+    stage1_keys,
+)
 
 
 class TestOracle:
@@ -192,9 +199,10 @@ class TestValidateRun:
         # are within the guard ring, so the audit must name a slot.
         cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
         run = run_trial(cfg, 1000, 0, capture_trace=True)
-        bad = [ScheduleClass(color=0, cells=(1, 2))]
+        colors = np.full(len(run.grid) + 1, -1)
+        colors[[1, 2]] = 0
         violations = audit_coloring(
-            run.grid, run.params, bad, run.instance.positions, class_bases={0: 120}
+            run.grid, run.params, Coloring(colors), run.instance.positions, class_bases=[120]
         )
         assert violations
         assert "slot 120" in violations[0]
@@ -205,14 +213,9 @@ class TestValidateRun:
         # every stage-1 slot of the class shares with them.
         cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
         run = run_trial(cfg, 1000, 0, capture_trace=True)
-        moved = []
-        for cls in run.coloring:
-            cells = [j for j in cls.cells if j != 2] + ([2] if 1 in cls.cells else [])
-            if cells:
-                moved.append(ScheduleClass(cls.color, tuple(sorted(cells))))
-        run.coloring = moved
-        layout = stage1_layout(run.grid, run.coloring, run.stage1_config, "max")
-        cls, base = next((cls, b) for cls, b, _, _ in layout if 1 in cls.cells)
+        run.coloring = _move_cell(run.coloring, 2, run.coloring.colors[1])
+        bases, _, _ = stage1_layout(run.grid, run.coloring, run.stage1_config, "max")
+        cls, base = next((cls, b) for cls, b in zip(run.coloring, bases) if 1 in cls.cells)
         audit = validate_run(run)
         assert not audit.passed
         assert [v for v in audit.collision_violations if v.startswith(
@@ -235,8 +238,8 @@ class TestValidateRun:
         positions[second] = positions[first] + (0.9 * run.params.radius, 0.0)
         positions[third] = positions[first] - (0.9 * run.params.radius, 0.0)
         run.instance = replace(run.instance, positions=positions)
-        layout = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
-        base = next(b for cls, b, _, _ in layout if cell.index in cls.cells)
+        bases, _, _ = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
+        base = next(b for cls, b in zip(run.coloring, bases) if cell.index in cls.cells)
         audit = validate_run(run)
         assert not audit.passed
         named = [v for v in audit.collision_violations if v.startswith(f"slot {base}: cell ")]
@@ -256,14 +259,8 @@ class TestValidateRun:
             if len(a.cells) >= 3
         )
         child, parent, grandparent = (run.grid.cell(j) for j in cells[:3])
-        color = next(cls.color for cls in run.coloring if parent.index in cls.cells)
-        moved = []
-        for cls in run.coloring:
-            cells = [j for j in cls.cells if j != child.index]
-            cells += [child.index] if cls.color == color else []
-            if cells:
-                moved.append(ScheduleClass(cls.color, tuple(sorted(cells))))
-        run.coloring = moved
+        color = run.coloring.colors[parent.index]
+        run.coloring = _move_cell(run.coloring, child.index, color)
         audit = validate_run(run)
         prefix = f"stage {si} subslot {color}: "
         named = [v for v in audit.collision_violations if v.startswith(prefix)]
@@ -272,33 +269,29 @@ class TestValidateRun:
         assert f"{parent.center}->{grandparent.center}" in named[0]
 
     def test_coloring_without_the_last_cell_fails_the_audit(self):
-        # A coloring that lists every cell but the highest-numbered one: that
-        # cell's lane reads -1, so the audit runs to a failing report instead
-        # of indexing past the lanes of the cells the coloring lists.
+        # A coloring that gives every cell a color but the highest-numbered
+        # one: that cell's lane reads -1, so the audit runs to a failing
+        # report instead of indexing past the lanes of the listed cells.
         cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1, base_seed=13)
         run = run_trial(cfg, 2000, 0, capture_trace=True)
-        last = len(run.grid)
-        run.coloring = [
-            ScheduleClass(cls.color, tuple(j for j in cls.cells if j != last))
-            for cls in run.coloring
-        ]
+        colors = run.coloring.colors.copy()
+        colors[len(run.grid)] = -1
+        run.coloring = Coloring(colors)
         audit = validate_run(run)
         assert not audit.passed
 
     def test_run_whose_coloring_leaves_out_the_last_cell_is_named(self, monkeypatch):
         # The trial itself runs on a coloring without the highest-numbered
         # cell, so the trace, the layout and the closed forms all agree and
-        # that cell never runs stage 1; only the coverage count sees it.
+        # that cell never runs stage 1; only the coverage check sees it.
         import noisyplanar.harness as hz
 
         full = hz.color_cells
 
         def short(grid, params):
-            last = len(grid)
-            return [
-                ScheduleClass(c.color, tuple(j for j in c.cells if j != last))
-                for c in full(grid, params)
-            ]
+            colors = full(grid, params).colors.copy()
+            colors[len(grid)] = -1
+            return Coloring(colors)
 
         monkeypatch.setattr(hz, "color_cells", short)
         cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1, base_seed=13)
@@ -307,23 +300,16 @@ class TestValidateRun:
         assert not audit.collision_free and audit.oblivious and audit.energy_exact
         assert audit.collision_violations == [f"cells [{len(run.grid)}] are in no color class"]
 
-    def test_cells_in_several_classes_or_none_are_named(self):
+    def test_cells_in_no_class_are_named(self):
         cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1, base_seed=13)
         run = run_trial(cfg, 2000, 0, capture_trace=True)
-        # The first class loses its first cell, and the first cells of the
-        # next four classes are listed once more in a class of their own.
-        first = run.coloring[0]
-        lost, twice = first.cells[0], sorted(c.cells[0] for c in run.coloring[1:5])
-        run.coloring = [
-            ScheduleClass(first.color, first.cells[1:]),
-            *run.coloring[1:],
-            ScheduleClass(first.color, tuple(twice)),
-        ]
+        # The first four classes lose their first cells.
+        lost = sorted(cls.cells[0] for cls in list(run.coloring)[:4])
+        colors = run.coloring.colors.copy()
+        colors[lost] = -1
+        run.coloring = Coloring(colors)
         coverage = [v for v in validate_run(run).collision_violations if v.startswith("cells ")]
-        assert coverage == [
-            f"cells [{lost}] are in no color class",
-            f"cells {twice[:3]} and 1 more are in several color classes",
-        ]
+        assert coverage == [f"cells {lost[:3]} and 1 more are in no color class"]
 
     @staticmethod
     def split(record, at):
@@ -336,7 +322,7 @@ class TestValidateRun:
         cfg = ExperimentConfig(protocol=protocol, n=(2000,), trials=1, eps0=0.1)
         run = run_trial(cfg, 2000, 0, capture_trace=True)
         layout = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
-        schedule = stage1_schedule(run.grid, layout, run.stage1_config, protocol)
+        schedule = stage1_schedule(run.grid, run.coloring, layout, run.stage1_config, protocol)
         traced = schedule[:1]
         halves = self.split(schedule[0], schedule[0].txs.size // 3)
         assert _slots_off_schedule(traced, halves) == []
@@ -422,8 +408,8 @@ class TestValidateRun:
         monkeypatch.setattr(Channel, "record", late_identity)
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
         run = run_trial(cfg, 400, 0, capture_trace=True)
-        _, base, _, max_members = stage1_layout(run.grid, run.coloring, run.stage1_config, "max")[0]
-        id_slot = run.stage1_config.phase_slots(base, max_members)[1]
+        bases, _, largest = stage1_layout(run.grid, run.coloring, run.stage1_config, "max")
+        id_slot = run.stage1_config.phase_slots(bases[0], largest[0])[1]
         audit = validate_run(run)
         assert audit.energy_exact and not audit.oblivious
         assert f"at slots [{id_slot}," in audit.obliviousness_violations[0]
@@ -452,7 +438,7 @@ class TestValidateRun:
         assert np.array_equal(flipped.instance.bits, 1 - bits)
         layout = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
         phases = ("discovery", "identity", "hist_count")
-        records = stage1_schedule(run.grid, layout, run.stage1_config, protocol)
+        records = stage1_schedule(run.grid, run.coloring, layout, run.stage1_config, protocol)
         schedule = stage1_keys(records, phases)
         for r in (run, flipped):
             assert np.array_equal(stage1_keys(r.channel.trace.stage1, phases), schedule)
@@ -477,13 +463,14 @@ class TestValidateRun:
         layout = stage1_layout(run.grid, run.coloring, s1cfg, protocol)
         oblivious = ("discovery", "identity", "hist_count")
         assert np.array_equal(
-            stage1_keys(records, oblivious), schedule_per_cell(run.grid, layout, s1cfg, protocol)
+            stage1_keys(records, oblivious),
+            schedule_per_cell(run.grid, run.coloring, layout, s1cfg, protocol),
         )
         if protocol == "max":
             rows = [
                 (s1cfg.phase_slots(base, max_members)[2] + np.arange(s1cfg.r2),
                  np.full(s1cfg.r2, run.stage1.witnesses[j]))
-                for cls, base, _, max_members in layout
+                for cls, base, _, max_members in zip(run.coloring, *layout)
                 for j in cls.cells
             ]
             want = slot_keys(*(np.concatenate(column) for column in zip(*rows)))
@@ -554,7 +541,7 @@ def _reference_single_hop(run, layout):
     """Every cell's all-pairs member distances against the radius."""
     positions, radius = run.instance.positions, run.params.radius
     violations = []
-    for cls, base, _, _ in layout:
+    for cls, base, _, _ in zip(run.coloring, *layout):
         for j in cls.cells:
             members = run.grid.cell(j).members.tolist()
             far = (radius, None, None)  # the first farthest pair beyond the radius
@@ -597,7 +584,7 @@ def _reference_replay_slots(run, report):
 def _reference_collisions(run):
     """Check (a) of validate_run, built from the per-cell and all-pairs loops."""
     layout = stage1_layout(run.grid, run.coloring, run.stage1_config, run.config.protocol)
-    bases = {cls.color: base for cls, base, _, _ in layout}
+    bases = {cls.color: base for cls, base in zip(run.coloring, layout[0])}
     report = AuditReport(
         collision_violations=_reference_audit_coloring(
             run.grid, run.params, run.coloring, run.instance.positions, bases
@@ -610,22 +597,9 @@ def _reference_collisions(run):
 
 def _move_cell(coloring, cell, color):
     """The coloring with one cell moved into the class of the given color."""
-    moved = []
-    for cls in coloring:
-        cells = [j for j in cls.cells if j != cell] + ([cell] if cls.color == color else [])
-        if cells:
-            moved.append(ScheduleClass(cls.color, tuple(sorted(cells))))
-    return moved
-
-
-def _merge_pairwise(coloring):
-    """The coloring with consecutive classes merged pairwise: grid neighbours
-    then share a class."""
-    merged = [
-        ScheduleClass(a.color, tuple(sorted(a.cells + b.cells)))
-        for a, b in zip(coloring[::2], coloring[1::2])
-    ]
-    return merged + coloring[len(merged) * 2 :]
+    colors = coloring.colors.copy()
+    colors[cell] = color
+    return Coloring(colors)
 
 
 def _hand_grid(*cells):
@@ -651,7 +625,7 @@ class TestAuditAgainstPerCellReference:
         # Consecutive classes merged pairwise put grid neighbours in one class.
         cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=0.1)
         run = run_trial(cfg, n, 0, capture_trace=True)
-        run.coloring = _merge_pairwise(run.coloring)
+        run.coloring = merge_pairwise(run.coloring)
         want = _reference_collisions(run)
         assert validate_run(run).collision_violations == want
         # Every merged class with two cells that share a grid edge is named.
@@ -692,8 +666,8 @@ class TestAuditAgainstPerCellReference:
             [(0.2, 0.95), (0.25, 0.9)],
             [(0.6, 0.25), (0.95, 0.1)],
         )
-        coloring = [ScheduleClass(color=7, cells=(1, 2, 3, 4, 5))]
-        got = audit_coloring(grid, params, coloring, positions, {7: 40})
+        coloring = Coloring([-1, 7, 7, 7, 7, 7])
+        got = audit_coloring(grid, params, coloring, positions, [40])
         assert got == _reference_audit_coloring(grid, params, coloring, positions, {7: 40})
         assert [v.split(" (")[0] for v in got] == [
             "slot 40: same-color cells 1 and 5",
@@ -708,7 +682,7 @@ class TestAuditAgainstPerCellReference:
             [(0.0, 0.5)], [(guard, 0.5)], [(0.0, 0.9)], [(np.nextafter(guard, 0.0), 0.9)]
         )
         assert float(distances(positions, [0], [1])[0, 0]) == guard
-        coloring = [ScheduleClass(color=0, cells=(1, 2)), ScheduleClass(color=1, cells=(3, 4))]
+        coloring = Coloring([-1, 0, 0, 1, 1])
         got = audit_coloring(grid, params, coloring, positions)
         assert got == _reference_audit_coloring(grid, params, coloring, positions)
         assert len(got) == 1 and "same-color cells 3 and 4 (color 1)" in got[0]
@@ -723,7 +697,7 @@ class TestAuditAgainstPerCellReference:
         rng = np.random.default_rng(0)
         kinds = resolve_slot(0, [1, 2], 0, [0], positions, params, NoiseModel(0.0), rng)
         assert kinds.tolist() == [COLLIDED]
-        coloring = [ScheduleClass(color=0, cells=(1, 2))]
+        coloring = Coloring([-1, 0, 0])
         got = audit_coloring(grid, params, coloring, positions)
         assert got == _reference_audit_coloring(grid, params, coloring, positions)
         assert got == [
@@ -891,7 +865,7 @@ class TestLocalPairingAgainstDenseOracle:
         class_calls = []
         for coloring in (
             plain,
-            _merge_pairwise(plain),
+            merge_pairwise(plain),
             _move_cell(plain, 2, color_of[1]),
             _move_cell(plain, array[0], color_of[array[1]]),
         ):
@@ -1027,6 +1001,25 @@ class TestCli:
         assert main(["run", "--n", "500", "--trials", "1", flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "100,100,800"],
+            ["run", "--n", "2000,2000"],
+            ["validate", "--n", "400,800,400"],
+        ],
+        ids=["sweep", "run", "validate"],
+    )
+    def test_repeated_n_is_exit_2(self, argv, tmp_path, capsys):
+        # A repeated n would run its seeded trials again and print its row twice.
+        out = [] if argv[0] == "validate" else ["--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--trials", "1", *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        n = tuple(int(v) for v in argv[2].split(","))
+        assert captured.err.splitlines() == [f"config error: every n must be distinct, got {n}"]
+        assert not (tmp_path / "r.json").exists()
 
     def test_bits_without_the_explicit_source_are_exit_2(self, capsys):
         assert main(["run", "--n", "10", "--bits", "1,0", "--trials", "1"]) == 2

@@ -465,8 +465,8 @@ class TestClosedFormCosts:
             m.slots_stage2,
             m.tx_stage2,
         )
-        layout = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
-        assert sum(span for _, _, span, _ in layout) == m.slots_stage1
+        _, spans, _ = stage1_layout(run.grid, run.coloring, run.stage1_config, protocol)
+        assert spans.sum() == m.slots_stage1
 
     def test_past_the_tree_code_cap_both_raise(self):
         # Histogram arrays at n = 4000 need 21 rounds, beyond the cap of 16.

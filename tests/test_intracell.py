@@ -10,7 +10,6 @@ from noisyplanar import channel as channel_module
 from noisyplanar.channel import (
     Channel,
     NoiseModel,
-    ScheduleClass,
     Trace,
     color_cells,
 )
@@ -43,7 +42,7 @@ from noisyplanar.intracell import (
 )
 from noisyplanar.harness import run_trial
 
-from conftest import schedule_per_cell, stage1_keys
+from conftest import merge_pairwise, schedule_per_cell, stage1_keys
 
 
 def make_cell_world(bits, eps0=0.0, seed=0, msg_bits=4, center=0):
@@ -336,7 +335,7 @@ def hist_per_cell(grid, coloring, config, channel):
     for counting a whole color class at once."""
     counts = np.zeros(len(grid) + 1, dtype=np.int64)
     reps = config.r2
-    for cls, base, span, _ in stage1_layout(grid, coloring, config, "hist"):
+    for cls, base, span, _ in zip(coloring, *stage1_layout(grid, coloring, config, "hist")):
         for j in cls.cells:
             cell = grid.cell(j)
             members = np.array(cell.members)
@@ -516,7 +515,7 @@ def max_phase_major(grid, coloring, config, channel, phases=REFERENCES):
     layout = stage1_layout(grid, coloring, config, "max")
     cells = [
         (grid.cell(j), *config.phase_slots(base, max_members))
-        for cls, base, _, max_members in layout
+        for cls, base, _, max_members in zip(coloring, *layout)
         for j in cls.cells
     ]
     for cell, base, _, _ in cells:
@@ -527,7 +526,7 @@ def max_phase_major(grid, coloring, config, channel, phases=REFERENCES):
     ]
     for (cell, _, _, confirm_base), believing in zip(cells, believers):
         result.values[cell.index] = confirm(cell, believing, config, channel, slot0=confirm_base)
-    channel.metrics.add("stage1", slots=sum(span for _, _, span, _ in layout))
+    channel.metrics.add("stage1", slots=int(layout[1].sum()))
     return result
 
 
@@ -1027,18 +1026,15 @@ class TestStage1Schedule:
     def test_equals_the_per_cell_loop(self, protocol, merged):
         _, _, grid, coloring, config, _ = build_world(2000, 3, 0.1)
         if merged:  # twice the cells per class, and classes of different sizes
-            coloring = [
-                ScheduleClass(a.color, tuple(sorted(a.cells + b.cells)))
-                for a, b in zip(coloring[::2], coloring[1::2])
-            ] + coloring[len(coloring) // 2 * 2 :]
+            coloring = merge_pairwise(coloring)
         layout = stage1_layout(grid, coloring, config, protocol)
         assert len({c.size for c in grid}) > 3
-        assert len({len(cls.cells) for cls, *_ in layout}) > 1
-        records = stage1_schedule(grid, layout, config, protocol)
+        assert len({len(cls.cells) for cls in coloring}) > 1
+        records = stage1_schedule(grid, coloring, layout, config, protocol)
         phases = ["discovery", "identity"] if protocol == "max" else ["hist_count"]
         assert [r.phase for r in records] == phases  # one per phase
         got = stage1_keys(records, ("discovery", "identity", "hist_count"))
-        want = schedule_per_cell(grid, layout, config, protocol)
+        want = schedule_per_cell(grid, coloring, layout, config, protocol)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

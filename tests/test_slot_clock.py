@@ -20,7 +20,7 @@ from noisyplanar import harness
 from noisyplanar.channel import COLLIDED, RECEIVED, SILENT, NoiseModel, resolve_slot
 from noisyplanar.config import ExperimentConfig
 from noisyplanar.harness import run_trial
-from noisyplanar.intercell import count_bits_for, distribute_result, slot_ids, subslots
+from noisyplanar.intercell import count_bits_for, distribute_result, slot_ids
 from noisyplanar.intracell import Stage1Config, stage1_layout, stage1_schedule
 
 from test_intracell import LOSSY
@@ -168,7 +168,7 @@ def stage1_literal(run) -> Schedule:
     cell_of[grid.members] = np.repeat(np.arange(1, len(grid) + 1), grid.occupancies())
     schedule = Schedule(0)
     layout = stage1_layout(grid, run.coloring, cfg, protocol)
-    for record in stage1_schedule(grid, layout, cfg, protocol):
+    for record in stage1_schedule(grid, run.coloring, layout, cfg, protocol):
         for tx, first in zip(record.txs.tolist(), record.first.tolist()):
             members = grid.cell(cell_of[tx]).members
             schedule.add(first + np.arange(record.copies), tx, members[members != tx])
@@ -206,7 +206,7 @@ def stage2_literal(run, start: int) -> Schedule:
     grid, cfg, span = run.grid, run.link_config, run.params.link_slot_span
     is_max = run.config.protocol == "max"
     width = 1 if is_max else count_bits_for(run.n)
-    lane_of = subslots(run.coloring, len(run.grid))
+    lane_of = run.coloring.colors
     schedule = Schedule(start)
     for stage in run.plan.stages:
         longest = 0
@@ -236,7 +236,7 @@ def distribution_literal(run, start: int) -> Schedule:
     root-first chain sending copy c in logical slot h * r3 + c of the
     downward bank, then each color class broadcasts in its own r2 slots."""
     grid, params, r3, r2 = run.grid, run.params, run.link_config.r3, run.stage1_config.r2
-    span, lane_of = params.link_slot_span, subslots(run.coloring, len(run.grid))
+    span, lane_of = params.link_slot_span, run.coloring.colors
     schedule = Schedule(start)
     for stage in reversed(run.plan.stages):
         longest = 0
