@@ -579,18 +579,18 @@ class Channel:
     Single-threaded within a trial.  The noise stream is consumed in a fixed
     order, which makes runs bit-for-bit reproducible from the seed: stage 1
     phase by phase (discovery, identity, confirmation for MAX; counting for
-    the histogram), each phase over every color class in coloring order, then
-    cell and member; then stage 2 stage by stage in plan order.  Every
-    majority-decoded repetition draws one uniform per decoded bit
-    (``majority_mask``), the identity phase from each member's sufficient
-    statistics under iid noise (``code_errors``), every other reception one
-    uniform per reception (``flip_mask``).  That order is RNG layout 6
-    (``harness.RNG_LAYOUT``), which reports declare.  A stage-1 phase is one
-    draw for all its cells, and a repetition sub-stage of stage 2 (or of the
-    distribution relay) is one draw for all its arrays, so an adversary's
-    hook sees the channel -- metrics, RNG state -- as it was when its
-    phase's or sub-stage's draw began.  A stage-1 phase charges its metrics,
-    and traces its one record, once, after its draws.
+    the histogram), each phase over every cell in cell and member order;
+    then stage 2 stage by stage in plan order.  Every majority-decoded
+    repetition draws one uniform per decoded bit (``majority_mask``), the
+    identity phase from each member's sufficient statistics under iid noise
+    (``code_errors``), every other reception one uniform per reception
+    (``flip_mask``).  That order, on a world drawn cell by cell, is RNG
+    layout 7 (``harness.RNG_LAYOUT``), which reports declare.  A stage-1
+    phase is one draw for all its cells, and a repetition sub-stage of stage
+    2 (or of the distribution relay) is one draw for all its arrays, so an
+    adversary's hook sees the channel -- metrics, RNG state -- as it was
+    when its phase's or sub-stage's draw began.  A stage-1 phase charges its
+    metrics, and traces its one record, once, after its draws.
     """
 
     instance: object

@@ -5,12 +5,18 @@ for uniformly placed nodes, every cell holds Theta(log n) nodes and all
 nodes of a cell are within one hop of each other.  A spanning tree over
 the cells (rows toward the sink column, then the sink column toward the
 sink row) gives the inter-cell routing structure.
+
+A world is drawn cell by cell (``place_nodes``): the occupancies of the
+equal cells follow one multinomial, and given them each node is uniform in
+its own cell, which is the law of n uniform points.  Node ids then run cell
+by cell, so the partition needs no sort (``assign_cells``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,12 +50,17 @@ class NetworkInstance:
     Node ids are 0..n-1, n the number of positions.  ``positions[i]`` is
     node i's (x, y); ``bits[i]`` is its one-bit datum.  Identical (n, seed)
     always reproduces identical positions; bits are filled separately by the
-    harness (all-zero default).
+    harness (all-zero default).  ``occupancies`` is set only by
+    ``place_nodes``: the node counts of the row-major cells the world was
+    drawn in, its ids running cell by cell, which ``assign_cells`` reads
+    instead of a pass over the positions; a world with other positions must
+    leave it None.
     """
 
     seed: int
     positions: np.ndarray
     bits: np.ndarray
+    occupancies: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -61,7 +72,7 @@ class NetworkInstance:
             raise ValueError(f"bits must have shape ({self.n},), got {bits.shape}")
         if not ((bits == 0) | (bits == 1)).all():  # before the cast, which would wrap or truncate
             raise ValueError("bits must be 0/1 valued")
-        return NetworkInstance(self.seed, self.positions, bits.astype(np.int8, copy=False))
+        return replace(self, bits=bits.astype(np.int8, copy=False))
 
 
 @dataclass(frozen=True)
@@ -249,18 +260,109 @@ class SpanningTree:
         return [h for h in rows if len(h) > 1], [h for h in column if len(h) > 1]
 
 
-def place_nodes(n: int, seed: int) -> NetworkInstance:
-    """Sample n node positions i.i.d. uniform on the unit square.
+def place_nodes(n: int, seed: int, grid_dim: int = 1) -> NetworkInstance:
+    """Sample n nodes uniform on the unit square, cell by cell.
 
-    Deterministic in (n, seed).  Bits default to all-zero; the experiment
-    harness fills them from its configured source.
+    The square is cut into grid_dim x grid_dim equal cells, as
+    ``_cell_index`` cuts them.  The cells' occupancies are one multinomial
+    draw; a world with an empty cell raises ProtocolInfeasibleError before
+    any position is drawn, since the protocols require every cell occupied.
+    Then each node is uniform in its cell's square (``_positions_in_cells``),
+    the ids numbered cell by cell, row-major: the law of n independent
+    uniform points, listed by cell.  One cell, the default, draws no
+    occupancy and gives ``rng.random((n, 2))`` itself.
+
+    Deterministic in (n, seed, grid_dim).  Bits default to all-zero; the
+    experiment harness fills them from its configured source.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
     rng = np.random.default_rng(seed)
-    positions = rng.random((n, 2))
+    cells = grid_dim * grid_dim
+    occupancies = rng.multinomial(n, np.full(cells, 1.0 / cells))
+    _check_occupied(occupancies, n, seed)
+    positions = _positions_in_cells(rng.random((n, 2)), occupancies, grid_dim)
     bits = np.zeros(n, dtype=np.int8)
-    return NetworkInstance(seed=seed, positions=positions, bits=bits)
+    return NetworkInstance(seed, positions, bits, occupancies)
+
+
+# A uniform this close to 0 or 1 may round its coordinate across a cell edge:
+# the sum col + u, the product by 1 / m (itself rounded) and _cell_index's
+# product by m each err by at most m * 2^-53 in units of a cell side, far
+# below 2^-30 for any grid of up to 2^20 cells a side.
+_EDGE = 2.0**-30
+# Rows a world draw moves into their cells at a time, bounding its temporaries.
+_BLOCK = 1 << 14
+
+
+def _positions_in_cells(u: np.ndarray, occupancies: np.ndarray, grid_dim: int) -> np.ndarray:
+    """The uniforms u, shape (n, 2), turned in place into positions in their
+    cells: the first occupancies[0] rows in cell 1, and so on, row-major.
+
+    A node of column col and band (row counted from the bottom) band sits at
+    ((col + u_x) / m, (band + u_y) / m): each row is added its cell's
+    ``_cell_offsets`` as one complex number and multiplied by 1 / m,
+    ``_BLOCK`` rows at a time.
+    Rounding can carry a coordinate across its cell's edge only where its
+    uniform lies within ``_EDGE`` of 0 or 1, so only those coordinates are
+    checked against ``_cell_index``'s rule; a coordinate off its band moves
+    one float at a time toward its band's middle until it is inside.
+    """
+    m, offsets, ends = grid_dim, _cell_offsets(grid_dim), np.cumsum(occupancies)
+    rows = u.view(np.complex128).reshape(-1)  # (x, y) as x + iy
+    near = []  # (row, axis) as 2 * row + axis
+    for lo in range(0, len(u), _BLOCK):
+        block = u[lo : lo + _BLOCK]
+        edge = np.less(block, _EDGE)
+        edge |= block > 1.0 - _EDGE
+        near.append(2 * lo + np.flatnonzero(edge))
+        first, counts = _cell_runs(ends, lo, lo + len(block))
+        rows[lo : lo + len(block)] += offsets[first : first + counts.size].repeat(counts)
+        block *= 1.0 / m
+    near = np.concatenate(near)
+    if near.size:
+        at = offsets[np.searchsorted(ends, near >> 1, side="right")]
+        _pull_inside(u.reshape(-1), near, np.where(near & 1, at.imag, at.real), m)
+    return u
+
+
+@lru_cache(maxsize=8)
+def _cell_offsets(grid_dim: int) -> np.ndarray:
+    """Each row-major cell's (column, band) as column + i band, band the row
+    counted from the bottom; read-only, built once per grid size."""
+    cells = np.arange(grid_dim * grid_dim)
+    offsets = cells % grid_dim + 1j * (grid_dim - 1 - cells // grid_dim)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _cell_runs(ends: np.ndarray, lo: int, hi: int) -> tuple[int, np.ndarray]:
+    """The cells that hold rows lo..hi - 1 and how many of them each holds,
+    as (first cell, counts), when cell c holds the rows from ends[c - 1] up
+    to ends[c] (cumulative occupancies, 0-based cells)."""
+    first, last = ends.searchsorted((lo, hi - 1), side="right")
+    stops = np.minimum(ends[first : last + 1], hi)  # only the last cell can run past hi
+    return int(first), stops - np.concatenate(([lo], stops[:-1]))
+
+
+def _pull_inside(coords: np.ndarray, at: np.ndarray, bands: np.ndarray, m: int) -> None:
+    """Move each coordinate coords[at[i]] one float at a time toward the middle
+    of band bands[i] until ``_cell_index`` puts it there, min(floor(m * x),
+    m - 1) == bands[i].  Moving inward never leaves a band once reached."""
+    while at.size:
+        off = np.minimum(np.floor(coords[at] * m), m - 1) != bands
+        at, bands = at[off], bands[off]
+        coords[at] = np.nextafter(coords[at], (bands + 0.5) / m)
+
+
+def _check_occupied(occupancies: np.ndarray, n: int, seed) -> None:
+    """Raise ProtocolInfeasibleError naming the first empty cell, if any."""
+    empty = np.flatnonzero(occupancies == 0)
+    if empty.size:
+        raise ProtocolInfeasibleError(
+            f"cell {empty[0] + 1} of {occupancies.size} is empty (n={n}, seed={seed}); "
+            f"the protocol requires every cell occupied"
+        )
 
 
 def derive_params(n: int, delta: float) -> DerivedParams:
@@ -320,15 +422,28 @@ def _stable_argsort(keys: np.ndarray, top: int) -> np.ndarray:
     return order[np.argsort(high[order], kind="stable")]
 
 
+@lru_cache(maxsize=1)
+def _node_ids(n: int) -> np.ndarray:
+    """0..n-1, read-only: the member list of every world of n nodes drawn cell
+    by cell, built once per n and shared by their grids, so a trial builds
+    no n-sized id array of its own."""
+    ids = np.arange(n)
+    ids.flags.writeable = False
+    return ids
+
+
 def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
     """Partition nodes into cells and pick each cell's center.
 
-    One stable sort of the cells' flat indices (``_cell_index``) lists the
-    members, ids ascending inside each cell.  Centers are the minimum node id
-    per cell, except the sink cell whose center is the sink node (the node
-    nearest (0.5, 0.5), ties to the lower id).  Raises ProtocolInfeasibleError
-    naming the first empty cell, since the protocols require every cell
-    occupied.
+    A world that ``place_nodes`` drew on this grid carries its occupancies
+    and numbers its ids cell by cell, so its members are 0..n-1 as they
+    stand (``_node_ids``).  Given positions are cut by ``_cell_index``, and
+    one stable sort of those flat indices lists the members, ids ascending
+    inside each cell; both give the same grid for the same positions.  Centers are the
+    minimum node id per cell, except the sink cell whose center is the sink
+    node (the node nearest (0.5, 0.5), ties to the lower id).  Raises
+    ProtocolInfeasibleError naming the first empty cell, since the protocols
+    require every cell occupied.
 
     The sink is searched only among the members of the 5 x 5 block of cells,
     clipped to the grid, centred on the cell c0 that holds (0.5, 0.5).  c0 is
@@ -343,32 +458,36 @@ def assign_cells(instance: NetworkInstance, params: DerivedParams) -> CellGrid:
     if params.n != instance.n:
         raise ValueError("params were derived for a different n")
     m = params.grid_dim
-    flat = _cell_index(instance.positions, m)
+    occupancies = instance.occupancies
+    if occupancies is not None and occupancies.size == m * m:
+        members = _node_ids(instance.n)
+    else:
+        flat = _cell_index(instance.positions, m)
+        # Up to 65,536 cells (n <= 2,666,654, about 2^21.3) the keys fit 16
+        # bits and the stable sort is one radix sort; more cells take two.
+        members = _stable_argsort(flat, m * m - 1)
+        occupancies = np.bincount(flat, minlength=m * m)
+        del flat
+    _check_occupied(occupancies, instance.n, instance.seed)
+    offsets = np.zeros(m * m + 1, dtype=np.int64)
+    np.cumsum(occupancies, out=offsets[1:])
 
-    # Up to 65,536 cells (n <= 2,666,654, about 2^21.3) the keys fit 16 bits
-    # and the stable sort is one radix sort; more cells take two.
-    order = _stable_argsort(flat, m * m - 1)
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=m * m))])
-    empty = np.flatnonzero(offsets[:-1] == offsets[1:])
-    if empty.size:
-        raise ProtocolInfeasibleError(
-            f"cell {empty[0] + 1} of {m * m} is empty (n={instance.n}, seed={instance.seed}); "
-            f"the protocol requires every cell occupied"
-        )
-
-    row0, col0 = divmod(int(_cell_index(np.array([[0.5, 0.5]]), m)[0]), m)
+    band = min(math.floor(0.5 * m), m - 1)  # of (0.5, 0.5) on both axes, as _cell_index cuts
+    row0, col0 = m - 1 - band, band
     block = np.add.outer(
         np.arange(max(row0 - 2, 0), min(row0 + 3, m)) * m,
         np.arange(max(col0 - 2, 0), min(col0 + 3, m)),
-    )
-    candidates = np.sort(_gather_csr(order, offsets, block.ravel())[0])
-    away = instance.positions[candidates] - 0.5
-    sink_node = int(candidates[np.argmin(np.einsum("ij,ij->i", away, away))])
-    sink_flat = int(flat[sink_node])
+    ).ravel()
+    candidates, sizes = _gather_csr(members, offsets, block)
+    by_id = np.argsort(candidates)
+    candidates, homes = candidates[by_id], block.repeat(sizes)[by_id]
+    away = instance.positions.take(candidates, axis=0) - 0.5
+    nearest = np.argmin(np.einsum("ij,ij->i", away, away))
+    sink_node, sink_flat = int(candidates[nearest]), int(homes[nearest])
 
-    centers = order[offsets[:-1]]
+    centers = members[offsets[:-1]]
     centers[sink_flat] = sink_node
-    return CellGrid(order, offsets, centers, grid_dim=m, sink_cell=sink_flat + 1)
+    return CellGrid(members, offsets, centers, grid_dim=m, sink_cell=sink_flat + 1)
 
 
 def build_tree(grid: CellGrid, params: DerivedParams | None = None) -> SpanningTree:

@@ -34,6 +34,7 @@ from .channel import (
     Trace,
     TraceRecord,
     _cell_colors,
+    _uniforms_below,
     color_cells,
     distances,
     resolve_slot,
@@ -45,6 +46,7 @@ from .geometry import (
     DerivedParams,
     ProtocolInfeasibleError,
     _cell_index,
+    _cell_runs,
     assign_cells,
     build_tree,
     derive_params,
@@ -73,21 +75,26 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-# The order in which a trial consumes its noise stream, declared in every
-# report.  Layout 6 draws iid identity noise from each member's sufficient
-# statistics: its error weight, then where decoding reads it, its overlap
-# with the candidate's codeword difference, then where decoding still needs
-# it, the error pattern (``Channel.code_errors``); an adversary's hook still
-# sees one reception per codeword bit, as every identity draw did up to
-# layout 5.  Layout 5 keeps layout 4's draws and changes only the identity code:
-# ceil(log2 L) message bits for L the world's largest cell, not ceil(log2 n),
-# so identities that mis-decoded under the longer message may now decode.
-# Layout 4 draws every majority-decoded repetition as one uniform per
-# decoded bit against its exact majority tail (layouts 1-3 drew each copy).
-# Layout 3 drew MAX stage 1 phase by phase: discovery for every color class,
-# then identity, then confirmation, each in class, cell and member order
-# (layout 2 class by class, then phase by phase; layout 1 cell by cell).
-RNG_LAYOUT = 6
+# The order in which a trial draws its world and consumes its noise stream,
+# declared in every report.  Layout 7 draws the world cell by cell: the
+# cells' occupancies as one multinomial, then each node uniform in its cell,
+# the ids numbered cell by cell (``place_nodes``), so explicit bits are
+# relabelled by one uniform permutation from the bits stream; and it draws
+# each stage-1 phase in cell order, not class order.  Layout 6 draws iid
+# identity noise from each member's sufficient statistics: its error weight,
+# then where decoding reads it, its overlap with the candidate's codeword
+# difference, then where decoding still needs it, the error pattern
+# (``Channel.code_errors``); an adversary's hook still sees one reception per
+# codeword bit, as every identity draw did up to layout 5.  Layout 5 keeps
+# layout 4's draws and changes only the identity code: ceil(log2 L) message
+# bits for L the world's largest cell, not ceil(log2 n), so identities that
+# mis-decoded under the longer message may now decode.  Layout 4 draws every
+# majority-decoded repetition as one uniform per decoded bit against its
+# exact majority tail (layouts 1-3 drew each copy).  Layout 3 drew MAX stage
+# 1 phase by phase: discovery for every color class, then identity, then
+# confirmation, each in class, cell and member order (layout 2 class by
+# class, then phase by phase; layout 1 cell by cell).
+RNG_LAYOUT = 7
 CSV_HEADER = "n,trials,error_rate,tx_total,tx_per_n,slots_total,slots_norm,em1,em2,resamples"
 
 
@@ -107,18 +114,24 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 def _draw_bits(config: ExperimentConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The nodes' bits from the configured source and the bits stream.
+
+    Node ids carry position (a world is drawn cell by cell), so explicit bits
+    go to the nodes through one uniform relabelling; every other source is
+    already exchangeable.  Bernoulli bits are ``rng.random(n) < bit_p``,
+    drawn through a bounded buffer (``channel._uniforms_below``)."""
     source = config.bit_source
     if source == "all-zero":
         return np.zeros(n, dtype=np.int8)
     if source == "all-one":
         return np.ones(n, dtype=np.int8)
     if source == "bernoulli":
-        return (rng.random(n) < config.bit_p).astype(np.int8)
+        return _uniforms_below(rng, n, config.bit_p).view(np.int8)
     if source == "single-one-at-random":
         bits = np.zeros(n, dtype=np.int8)
         bits[int(rng.integers(n))] = 1
         return bits
-    return np.array(config.bits, dtype=np.int8)  # explicit
+    return np.array(config.bits, dtype=np.int8)[rng.permutation(n)]  # explicit
 
 
 @dataclass
@@ -168,16 +181,17 @@ def run_trial(
 
     The trial seed derives from (base_seed, n, trial, resample); placement,
     bits, and protocol noise consume independent substreams of it, so the
-    whole run is a pure function of the config.  Empty-cell worlds are
-    resampled (counted) up to the configured cap.
+    whole run is a pure function of the config.  The world is drawn cell by
+    cell on the trial's grid; a world with an empty cell is resampled
+    (counted) up to the configured cap, before any position is drawn.
     """
     params = derive_params(n, config.delta)
     resamples = 0
     while True:
         seq = np.random.SeedSequence([config.base_seed, n, trial, resamples])
         place_seed, bits_seed, noise_seed, *aux_seeds = seq.spawn(5)
-        instance = place_nodes(n, place_seed)
         try:
+            instance = place_nodes(n, place_seed, params.grid_dim)
             grid = assign_cells(instance, params)
             break
         except ProtocolInfeasibleError:
@@ -468,14 +482,34 @@ def _beyond(gap: float, params: DerivedParams) -> bool:
     return gap >= (1.0 + params.delta) * params.radius * _SLACK and gap > params.radius * _SLACK
 
 
+# _contained reads the members' positions this many at a time.
+_CONTAINED_BLOCK = 1 << 18
+
+
 def _contained(grid: CellGrid, positions: np.ndarray) -> np.ndarray:
-    """Per cell: whether its members and center lie in its square, as assign_cells cuts it."""
-    cells, home = np.arange(len(grid)), _cell_index(positions, grid.grid_dim)
-    if not (positions.min() >= 0.0 and positions.max() <= 1.0):  # only a moved world
-        home[~((positions >= 0.0) & (positions <= 1.0)).all(axis=1)] = -1
-    owner = np.repeat(cells, grid.occupancies())
-    strays = np.bincount(owner[home[grid.members] != owner], minlength=len(grid))
-    return (strays == 0) & ((grid.centers < 0) | (home[grid.centers] == cells))
+    """Per cell: whether its members and center lie in its square, as
+    assign_cells cuts it (``_cell_index``; a point outside the unit square
+    lies in no cell).  The members go a block of ``_CONTAINED_BLOCK`` at a
+    time, so no n-sized temporary is built."""
+    inside = positions.min(initial=0.0) >= 0.0 and positions.max(initial=1.0) <= 1.0
+
+    def home(nodes):
+        at = positions.take(nodes, axis=0)
+        cells = _cell_index(at, grid.grid_dim)
+        if not inside:  # only a moved world
+            cells[~((at >= 0.0) & (at <= 1.0)).all(axis=1)] = -1
+        return cells
+
+    strays = np.zeros(len(grid), dtype=np.int64)
+    for lo in range(0, grid.n, _CONTAINED_BLOCK):
+        hi = min(lo + _CONTAINED_BLOCK, grid.n)
+        first, counts = _cell_runs(grid.offsets[1:], lo, hi)
+        owner = np.arange(first, first + counts.size).repeat(counts)
+        strays += np.bincount(owner[home(grid.members[lo:hi]) != owner], minlength=len(grid))
+    placed = np.flatnonzero(grid.centers >= 0)  # every cell but an empty hand-built one
+    centered = np.ones(len(grid), dtype=bool)
+    centered[placed] = home(grid.centers[placed]) == placed
+    return (strays == 0) & centered
 
 
 def _links_adjacent(plan, grid_dim: int) -> bool:
@@ -562,19 +596,19 @@ def _audit_single_hop(run: TrialRun, bases: np.ndarray, wide: np.ndarray) -> lis
     return violations
 
 
-def _replay_slots(run: TrialRun) -> list[str]:
+def _replay_slots(run: TrialRun, rule: np.ndarray) -> list[str]:
     """Resolve every stage-2 subslot without noise, one resolve_slot call per
     stage, and name each subslot whose links do not all deliver.
 
     Within a logical slot, the link from child cell j fires in subslot
-    ``run.coloring.colors[j]``, its color, as the runners number it (upward;
-    downward subslots are a disjoint second bank), so a cell in no class
-    fires in subslot -1.  The subslots are named in the order of their first link.
+    ``rule[j]``, its periodic color (``channel._cell_colors``), as the
+    runners number it (upward; downward subslots are a disjoint second
+    bank).  The subslots are named in the order of their first link.
     """
     world = (run.instance.positions, run.params, NoiseModel(0.0), np.random.default_rng(0))
     violations = []
     for si, stage in enumerate(run.plan.stages):
-        lanes = run.coloring.colors[stage.links[:, 0]]
+        lanes = rule[stage.links[:, 0]]
         txs, rxs = run.grid.centers[stage.links.T - 1]
         failed = resolve_slot(lanes, txs, 0, rxs, *world, listen_slots=lanes) < RECEIVED
         if not failed.any():
@@ -640,9 +674,10 @@ def validate_run(run: TrialRun) -> AuditReport:
     proven from five properties of the run's data, one array pass each:
     1. containment: each cell's members and center lie in its square
        (``geometry._cell_index``, the rule assign_cells cuts by);
-    2. periodic coloring: each cell's color (Coloring.colors), which is
-       also its stage-2 lane, is its color under the periodic rule
-       (row mod D) * D + col mod D, D = reuse_distance (channel._cell_colors);
+    2. periodic coloring: each cell's color (Coloring.colors) is its color
+       under the periodic rule (row mod D) * D + col mod D, D =
+       reuse_distance (channel._cell_colors), which is also its stage-2
+       lane whatever the coloring;
     3. adjacency: each plan link joins two edge-adjacent cells;
     4. the scalar inequalities, with side = 1 / grid_dim, r = radius and a
        1 + 1e-9 slack:
@@ -662,10 +697,10 @@ def validate_run(run: TrialRun) -> AuditReport:
     delivers.  Only what the proof leaves open gets an exact check:
     audit_coloring's pairs with a cell off 1 or 2, the single-hop check on
     cells off 1, and the noiseless stage-2 replay (_replay_slots) when a
-    cell is off 1, a lane off its periodic color, a link off 3 or a stage-2
-    inequality fails; a failed stage-1 inequality opens every pair, or
-    every cell; audit_coloring loops only over the classes with an open
-    cell, and the single-hop check returns at once when no cell is open.
+    cell is off 1, a link off 3 or a stage-2 inequality fails; a failed
+    stage-1 inequality opens every pair, or every cell; audit_coloring loops
+    only over the classes with an open cell, and the single-hop check
+    returns at once when no cell is open.
     (b) The trace's discovery, identity and counting records equal
     stage1_schedule's run-length records, compared record by record with the
     one in the same place (copies, then txs, then first slots) and never
@@ -696,9 +731,8 @@ def validate_run(run: TrialRun) -> AuditReport:
         and _beyond((params.reuse_distance - 2) * side, params)
         and _links_adjacent(run.plan, grid.grid_dim)
         and contained.all()
-        and np.array_equal(run.coloring.colors, rule)
     ):
-        report.collision_violations += _replay_slots(run)
+        report.collision_violations += _replay_slots(run, rule)
 
     trace = run.channel.trace
     traced = [r for r in trace.stage1 if r.phase in ("discovery", "identity", "hist_count")]

@@ -198,16 +198,19 @@ def slot_ids(start: int, logical, lane, lanes: int) -> np.ndarray:
     """Slot ids on the clock the counters charge: logical slot l of a stage
     from ``start`` (the slots charged before it) holds ``lanes`` slots, and
     lane k of it is start + l * lanes + k.  A link into or out of deeper cell
-    j has link_slot_span lanes and fires in the lane of j's color, plus
+    j has link_slot_span lanes and fires in the lane of j's periodic color
+    (``channel._cell_colors``, whatever the run's coloring), plus
     interference_bound + 1 when relaying down; the broadcast gives each color
     class one logical slot, its r2 copies in the lanes."""
     return start + np.asarray(logical) * lanes + lane
 
 
-def _link_slots(start, subslot, params, bank, deeper):
+def _link_slots(start, grid, params, bank, deeper):
     """``slots`` for links whose deeper cells are ``deeper``, in draw order,
-    up (bank 0) or down from the root (bank 1)."""
-    lanes = lambda: bank * (params.interference_bound + 1) + subslot()[deeper]
+    up (bank 0) or down from the root (bank 1); the lanes are built only
+    when a hook asks."""
+    colors = lambda: _cell_colors(len(grid), grid.grid_dim, params.reuse_distance)
+    lanes = lambda: bank * (params.interference_bound + 1) + colors()[deeper]
     return lambda logical: slot_ids(start, logical.T, lanes(), params.link_slot_span).T
 
 
@@ -299,10 +302,8 @@ def _run_stage2(plan, stage1, protocol, width, config, channel, grid, params) ->
     values = values.astype(np.int64)  # a copy: the roots fold into it
     fold, mask = (np.bitwise_or, None) if protocol == "max" else (np.add, (1 << width) - 1)
     line_for = or_chain if protocol == "max" else partial(adder_chain, width=width)
-    # Each link's lane is its deeper cell's color, read only by a hook.
-    subslot = cache(partial(_cell_colors, len(grid), grid.grid_dim, params.reuse_distance))
     for stage in plan.stages:
-        clock = partial(_link_slots, channel.metrics.slots_total, subslot, params, 0)
+        clock = partial(_link_slots, channel.metrics.slots_total, grid, params, 0)
         hops = stage.lengths - 1
         failures = []
         if config.mode == "treecode":
@@ -428,7 +429,6 @@ def distribute_result(
         raise ValueError(f"distribute_result relays one bit, got value {value!r}")
     if coloring is None:
         coloring = color_cells(grid, params)
-    subslot = lambda: coloring.colors  # each cell's lane, read only by a hook
     relay = replace(config, mode="repetition")
     down = np.zeros(len(grid) + 1, dtype=np.int64)  # each cell's bit, by index
     down[tree.sink_cell] = value
@@ -437,7 +437,7 @@ def distribute_result(
         first = np.repeat(np.cumsum(hops) - hops, hops)  # each link's array's first link
         # (deeper cell, cell it feeds), each array's links root first
         links = stage.links[2 * first + np.repeat(hops, hops) - 1 - np.arange(first.size)]
-        slots = _link_slots(channel.metrics.slots_total, subslot, params, 1, links[:, 0])
+        slots = _link_slots(channel.metrics.slots_total, grid, params, 1, links[:, 0])
         ends = grid.centers[links[:, ::-1] - 1]  # the fed cell sends down
         errors = repetition_errors(hops, 1, relay.r3, channel, ends, slots)
         # A cell gets its root's bit, flipped by each link from the root down to it.

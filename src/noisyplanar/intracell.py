@@ -20,10 +20,10 @@ classes stay silent.  For the MAX protocol the script is
 The histogram variant replaces the script with per-member repetition: the
 center majority-decodes each member's bit and counts the ones.
 
-Noise is drawn phase by phase (RNG layout 6).  For MAX: discovery for every
-class, then identity for every class, then confirmation for every class,
-each phase in class, cell and member order; the histogram's one counting
-phase in the same order.  A majority-decoded member (discovery,
+Noise is drawn phase by phase (RNG layout 7).  For MAX: discovery in every
+cell, then identity in every cell, then confirmation in every cell, each
+phase in cell and member order, as the grid lists them; the histogram's one
+counting phase in the same order.  A majority-decoded member (discovery,
 confirmation, counting) is one uniform against the majority tail of its
 copies (``Channel.majority_mask``).  Identity draws only what nearest-
 codeword decoding reads (``Channel.code_errors``): under iid noise one
@@ -47,7 +47,7 @@ Discovery and identity schedules are pure functions of the geometry and the
 configuration; only the confirmation transmitter is data-dependent, which the
 run audit treats as a documented exception.
 
-Each MAX phase is stated once, as a function over gathered cells
+Each MAX phase is stated once, as a function over cells given end to end
 (``_discovery``, ``_identity``, ``_confirmation``): ``run_stage1_max`` runs
 them over every cell, and ``witness_discovery``, ``distribute_identity``
 and ``confirm_value`` run one of them in one cell.
@@ -174,7 +174,7 @@ def _member_firsts(sizes: np.ndarray, cell_first: np.ndarray, reps: int) -> np.n
 
 
 def _center_rows(members, sizes, centers) -> np.ndarray:
-    """Each gathered cell's center as an index into members, -1 for an empty
+    """Each given cell's center as an index into members, -1 for an empty
     cell.  A center is its cell's first member except in the sink cell (and
     in any cell of a hand-built grid), whose members alone are searched."""
     starts = sizes.cumsum() - sizes
@@ -188,7 +188,7 @@ def _center_rows(members, sizes, centers) -> np.ndarray:
 
 
 def _cell_sums(values, sizes) -> np.ndarray:
-    """Each gathered cell's sum of its members' values, 0 for an empty cell:
+    """Each given cell's sum of its members' values, 0 for an empty cell:
     one reduceat over the occupied cells' starts."""
     occupied = sizes > 0
     sums = np.zeros(sizes.size, dtype=np.int64)
@@ -199,10 +199,10 @@ def _cell_sums(values, sizes) -> np.ndarray:
 def _majority_phase(members, sizes, centers, cell_base, reps: int, phase: str, channel: Channel):
     """Per-member repetition to each cell's center, the cells in lockstep.
 
-    The cells come as CellGrid.gather gives them; cell i's members send
-    their bit in turn from slot cell_base[i], reps slots each.  The center
-    majority-decodes every member, and its own broadcasts are noiseless to
-    itself.  Noise is one majority draw (``Channel.majority_mask``), one
+    The cells come end to end, as _cells_of gives them; cell i's members
+    send their bit in turn from slot cell_base[i], reps slots each.  The
+    center majority-decodes every member, and its own broadcasts are
+    noiseless to itself.  Noise is one majority draw (``Channel.majority_mask``), one
     uniform per member, cell by cell, member by member; each member's first
     slot and center are built only for a hook or a trace, once.  Traces the
     phase as one record, charges it, and returns the members' decoded bits.
@@ -240,14 +240,21 @@ def stage1_layout(
 
 
 def _cells_of(grid: CellGrid, coloring: Coloring, layout, config: Stage1Config):
-    """The coloring's cells end to end; their members end to end, sizes and
-    centers as CellGrid.gather gives them; and each cell's first discovery
-    (or counting) slot and, for MAX, its first identity and confirmation
-    slots, from the coloring's stage1_layout."""
+    """The cells that run stage 1, every cell of the coloring, in cell order;
+    their members end to end, sizes and centers, the grid's own arrays when
+    every cell is colored (else as CellGrid.gather gives them); and each
+    cell's first discovery (or counting) slot and, for MAX, its first
+    identity and confirmation slots: its class's, from the coloring's
+    stage1_layout."""
     bases, _, largest = layout
-    cells, per_class = coloring.cells, np.diff(coloring.bounds)
+    cells = np.flatnonzero(coloring.colors[1:] >= 0) + 1
+    if cells.size == len(grid):
+        members, sizes, centers = grid.members, grid.occupancies(), grid.centers
+    else:
+        members, sizes, centers = grid.gather(cells)
+    rank = np.searchsorted(coloring.palette, coloring.colors[cells])  # each cell's class
     firsts = config.phase_slots(bases, largest)
-    return cells, *grid.gather(cells), *(np.repeat(f, per_class) for f in firsts)
+    return cells, members, sizes, centers, *(f[rank] for f in firsts)
 
 
 def stage1_schedule(
@@ -256,12 +263,11 @@ def stage1_schedule(
     """The records a run of the coloring's stage1_layout leaves for its
     data-independent phases.
 
-    One run-length record per phase, every class's cells end to end in
-    coloring order: MAX discovery then identity, or histogram counting.
-    Every cell starts at its class's first slot.  MAX discovery and
-    histogram counting send the members in id order, c_rep or r2 slots
-    each; MAX identity sends each center for block_len slots from the
-    identity slot.
+    One run-length record per phase, the coloring's cells end to end in cell
+    order: MAX discovery then identity, or histogram counting.  Every cell
+    starts at its class's first slot.  MAX discovery and histogram counting
+    send the members in id order, c_rep or r2 slots each; MAX identity sends
+    each center for block_len slots from the identity slot.
     """
     _, members, sizes, centers, bases, id_bases, _ = _cells_of(grid, coloring, layout, config)
     reps, phase = (config.c_rep, "discovery") if protocol == "max" else (config.r2, "hist_count")
@@ -272,7 +278,7 @@ def stage1_schedule(
 
 
 def _discovery(members, sizes, centers, bases, config: Stage1Config, channel: Channel):
-    """Discovery in the gathered cells: each center names the least member it
+    """Discovery in the given cells: each center names the least member it
     decodes as 1, else the least member.  Returns each witness's index into
     members (an empty cell's start)."""
     starts = sizes.cumsum() - sizes
@@ -283,7 +289,7 @@ def _discovery(members, sizes, centers, bases, config: Stage1Config, channel: Ch
 
 
 def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, channel: Channel):
-    """Identity in the gathered cells: each center sends the in-cell index of
+    """Identity in the given cells: each center sends the in-cell index of
     its witness members[pick], one codeword bit per slot from its id_bases
     slot, and every member decodes it.  Returns whether each member believes
     it is its cell's witness.
@@ -327,7 +333,7 @@ def _identity(members, sizes, centers, id_bases, pick, config: Stage1Config, cha
 
 
 def _confirmation(members, sizes, centers, confirm_bases, believes, config: Stage1Config, channel):
-    """Confirmation in the gathered cells: a cell's single believer sends its
+    """Confirmation in the given cells: a cell's single believer sends its
     bit from its confirm_bases slot, r2 copies that the center majority-
     decodes unless it is the center; silence and collisions decode to 0.
     Returns each cell's value."""
@@ -364,9 +370,9 @@ def run_stage1_max(
 
     Color classes execute sequentially; cells inside a class run in lockstep,
     so a class occupies c_rep * max_members + block_len + r2 slots.  Noise is
-    drawn phase by phase (RNG layout 6): discovery,
-    identity, then confirmation, each over every class in class, cell and
-    member order.  Each phase is charged once; a captured trace gets one
+    drawn phase by phase (RNG layout 7): discovery, identity, then
+    confirmation, each over every cell in cell and member order, each cell at
+    its class's slots.  Each phase is charged once; a captured trace gets one
     run-length record per phase, in draw order.
     """
     layout = stage1_layout(grid, coloring, config, "max")
@@ -426,7 +432,7 @@ def run_stage1_hist(
     Members broadcast their bit r2 times in ascending id order (r2 * N
     transmissions per cell); the center majority-decodes each member and
     reports how many decoded to 1.  The counting phase is one majority draw,
-    one row per member in class, cell and member order; a captured trace
+    one row per member in cell and member order; a captured trace
     gets the phase's one record.
     """
     layout = stage1_layout(grid, coloring, config, "hist")

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from noisyplanar.geometry import (
     CellGrid,
@@ -15,6 +16,7 @@ from noisyplanar.geometry import (
     SpanningTree,
     _cell_index,
     _grid_coords,
+    _positions_in_cells,
     _stable_argsort,
     assign_cells,
     build_tree,
@@ -78,6 +80,92 @@ class TestPlaceNodes:
         assert new.bits.tolist() == [1, 0, 1]
 
 
+class TestCellMajorWorld:
+    """Worlds drawn cell by cell on a grid: occupancies from one multinomial,
+    each node uniform in its cell, ids numbered cell by cell."""
+
+    @pytest.mark.parametrize("n, seeds", [(2000, range(6)), (32768, range(4)), (1 << 20, range(2))])
+    def test_drawn_grid_equals_the_partition_of_its_positions(self, n, seeds):
+        params = derive_params(n, 0.5)
+        for seed in seeds:
+            inst = place_nodes(n, seed, params.grid_dim)
+            drawn = assign_cells(inst, params)
+            np.testing.assert_array_equal(drawn.members, np.arange(n))
+            cut = assign_cells(NetworkInstance(inst.seed, inst.positions, inst.bits), params)
+            for f in dataclasses.fields(CellGrid):
+                np.testing.assert_array_equal(getattr(drawn, f.name), getattr(cut, f.name))
+
+    @pytest.mark.parametrize("m", [1, 3, 64, 606])
+    def test_edge_uniforms_stay_in_their_cells(self, m):
+        # Each cell drawn in gets the nine (u_x, u_y) pairs of 0, 2^-53 and
+        # the float below 1: every cell up to 64 x 64, and every 37th (and the
+        # last) of 606 x 606.  Rounding carries some of them across an edge,
+        # and the draw pulls those back inside.
+        edge = np.array([0.0, 2.0**-53, np.nextafter(1.0, 0.0)])
+        pairs = np.stack(np.meshgrid(edge, edge), axis=-1).reshape(-1, 2)
+        drawn_in = np.arange(m * m) if m <= 64 else np.append(np.arange(0, m * m, 37), m * m - 1)
+        occupancies = np.zeros(m * m, dtype=np.int64)
+        occupancies[drawn_in] = len(pairs)
+        u = np.tile(pairs, (drawn_in.size, 1))
+        cell = drawn_in.repeat(len(pairs))
+        rows, cols = np.divmod(cell, m)
+        raw = np.column_stack([(cols + u[:, 0]) / m, (m - 1 - rows + u[:, 1]) / m])
+        positions = _positions_in_cells(u.copy(), occupancies, m)
+        np.testing.assert_array_equal(_cell_index(positions, m), cell)
+        assert (positions >= 0.0).all() and (positions <= 1.0).all()
+        assert np.abs(positions - raw).max() <= 4 * np.spacing(1.0)
+        if m > 1:  # the pull is exercised
+            assert (_cell_index(raw, m) != cell).any()
+
+    def test_occupancies_follow_the_multinomial(self):
+        # Each cell holds Bin(n, 1/k) nodes: over W worlds every cell's mean
+        # count lies within 4 sigma of n / k, and the pooled squared deviation
+        # from n / k within 4 standard errors of n p (1 - p).
+        n, worlds = 2000, 400
+        m = derive_params(n, 0.5).grid_dim
+        k = m * m
+        counts = np.array([
+            place_nodes(n, np.random.SeedSequence([7, w]), m).occupancies for w in range(worlds)
+        ])
+        assert counts.shape == (worlds, k) and (counts.sum(axis=1) == n).all()
+        p = 1.0 / k
+        var = n * p * (1 - p)
+        assert np.abs(counts.mean(axis=0) - n * p).max() <= 4 * math.sqrt(var / worlds)
+        spread = ((counts - n * p) ** 2).mean(axis=1)  # one per world
+        error = spread.std(ddof=1) / math.sqrt(worlds)
+        assert abs(spread.mean() - var) <= 4 * error
+
+    def test_within_cell_offsets_are_uniform(self):
+        n = 1 << 16
+        m = derive_params(n, 0.5).grid_dim
+        inst = place_nodes(n, 3, m)
+        rows, cols = np.divmod(np.arange(m * m).repeat(inst.occupancies), m)
+        offsets = inst.positions * m - np.column_stack([cols, m - 1 - rows])
+        for axis in (0, 1):
+            assert stats.kstest(offsets[:, axis], "uniform").pvalue > 1e-4
+        # And the two axes independent: their correlation within 4 sigma of 0.
+        assert abs(np.corrcoef(offsets[:, 0], offsets[:, 1])[0, 1]) < 4 / math.sqrt(n)
+
+    def test_a_world_with_an_empty_cell_is_refused_before_its_positions(self, monkeypatch):
+        import noisyplanar.geometry as geometry
+
+        drawn = []
+        positions_in_cells = geometry._positions_in_cells
+
+        def counted(u, occupancies, m):
+            drawn.append(len(u))
+            return positions_in_cells(u, occupancies, m)
+
+        monkeypatch.setattr(geometry, "_positions_in_cells", counted)
+        with pytest.raises(ProtocolInfeasibleError, match=r"^cell \d+ of 16 is empty "):
+            place_nodes(5, 0, grid_dim=4)
+        assert drawn == []
+        # One cell: the default, which is never empty and draws no occupancy.
+        inst = place_nodes(5, 0)
+        assert inst.occupancies.tolist() == [5] and drawn == [5]
+        assert np.array_equal(inst.positions, np.random.default_rng(0).random((5, 2)))
+
+
 class TestDeriveParams:
     def test_frozen_values_n5000(self):
         p = derive_params(5000, 0.5)
@@ -113,14 +201,16 @@ class TestDeriveParams:
 @pytest.mark.parametrize(
     "cls, names",
     [
-        (NetworkInstance, ["seed", "positions", "bits"]),
+        (NetworkInstance, ["seed", "positions", "bits", "occupancies"]),
         (DerivedParams, ["n", "delta", "grid_dim", "radius", "interference_bound"]),
         (CellGrid, ["members", "offsets", "centers", "grid_dim", "sink_cell"]),
     ],
     ids=["NetworkInstance", "DerivedParams", "CellGrid"],
 )
 def test_holds_only_what_it_cannot_derive(cls, names):
-    # n, the cell side, the link slot span and the sink node follow from these.
+    # n, the cell side, the link slot span and the sink node follow from these;
+    # a world drawn cell by cell keeps its occupancies, which only a pass over
+    # every position could recover.
     assert [f.name for f in dataclasses.fields(cls)] == names
 
 

@@ -22,16 +22,19 @@ from noisyplanar.channel import (
     Channel,
     Coloring,
     NoiseModel,
+    _cell_colors,
     distances,
     resolve_slot,
 )
 from noisyplanar.config import ConfigError, ExperimentConfig
-from noisyplanar.geometry import CellGrid, DerivedParams, place_nodes
+from noisyplanar.geometry import CellGrid, DerivedParams, _cell_index, place_nodes
 from noisyplanar.harness import (
     CSV_HEADER,
     RNG_LAYOUT,
     AuditReport,
     SweepReport,
+    _draw_bits,
+    _replay_slots,
     _slots_off_schedule,
     audit_coloring,
     main,
@@ -41,6 +44,7 @@ from noisyplanar.harness import (
     validate_run,
     wilson_interval,
 )
+from noisyplanar.intercell import distribute_result
 from noisyplanar.intracell import stage1_layout, stage1_schedule
 from noisyplanar.oracle import oracle
 
@@ -120,6 +124,37 @@ class TestRunExperiment:
         r = run_experiment(cfg).result_for(400)
         assert all(row["computed"] == 1 for row in r["trials_detail"])
 
+    def test_explicit_bits_are_relabelled_away_from_their_ids(self):
+        # Ids run cell by cell, so id 0 lies in cell 1; the relabelling puts an
+        # explicit single 1 at id 0 in a uniform node, in cell 1 about once
+        # in len(grid) = 100 trials.
+        bits = (1,) + (0,) * 1999
+        cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.0, base_seed=5,
+                               bit_source="explicit", bits=bits)
+        inside = []
+        for trial in range(20):
+            run = run_trial(cfg, 2000, trial)
+            assert run.instance.bits.sum() == 1 and run.computed == 1
+            inside.append(bool(run.instance.bits[run.grid.cell(1).members].any()))
+        assert sum(inside) <= 2
+
+    def test_bernoulli_bits_are_drawn_through_a_bounded_buffer(self):
+        # The same stream and bits as one rng.random(n) draw, with no n-sized
+        # float temporary: the peak holds the int8 bits and one buffer.
+        import tracemalloc
+
+        n = 1 << 20
+        cfg = ExperimentConfig(protocol="max", n=(n,), trials=1, bit_p=0.3)
+        want = (np.random.default_rng(4).random(n) < 0.3).astype(np.int8)
+        tracemalloc.start()
+        try:
+            got = _draw_bits(cfg, n, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+        assert peak < 2 * n  # an n-float temporary alone is 8 n bytes
+
     def test_bits_without_the_explicit_source_are_refused(self):
         # Any other source draws its own bits, so given bits would be ignored
         # while the report echoes them.
@@ -149,9 +184,9 @@ class TestRunExperiment:
 
     def test_run_and_sweep_reports_declare_the_rng_layout(self):
         cfg = ExperimentConfig(protocol="max", n=(400,), trials=1)
-        assert RNG_LAYOUT == 6  # iid identity noise drawn from its sufficient statistics
-        assert json.loads(run_experiment(cfg).to_json())["rng_layout"] == 6
-        assert json.loads(SweepReport(cfg).to_json())["rng_layout"] == 6
+        assert RNG_LAYOUT == 7  # worlds drawn cell by cell, stage 1 drawn in cell order
+        assert json.loads(run_experiment(cfg).to_json())["rng_layout"] == 7
+        assert json.loads(SweepReport(cfg).to_json())["rng_layout"] == 7
 
 
 class TestSweep:
@@ -249,9 +284,11 @@ class TestValidateRun:
         ]
 
     def test_stage2_links_sharing_a_subslot_are_named(self):
-        # Move the first cell of a three-cell array into its parent's color
-        # class: both of the array's first links then fire in one subslot,
-        # where the parent's center transmits while it should receive.
+        # Give the first cell of a three-cell array its parent's lane: both of
+        # the array's first links then fire in one subslot, where the
+        # parent's center transmits while it should receive.  A link's lane
+        # is its deeper cell's periodic color whatever the coloring, so the
+        # replay is handed the moved lanes.
         cfg = ExperimentConfig(protocol="max", n=(1000,), trials=1, eps0=0.0)
         run = run_trial(cfg, 1000, 0, capture_trace=True)
         si, cells = next(
@@ -259,11 +296,12 @@ class TestValidateRun:
             if len(a.cells) >= 3
         )
         child, parent, grandparent = (run.grid.cell(j) for j in cells[:3])
-        color = run.coloring.colors[parent.index]
-        run.coloring = _move_cell(run.coloring, child.index, color)
-        audit = validate_run(run)
+        lanes = _cell_colors(len(run.grid), run.grid.grid_dim, run.params.reuse_distance)
+        assert _replay_slots(run, lanes) == []
+        color = lanes[parent.index]
+        lanes[child.index] = color
         prefix = f"stage {si} subslot {color}: "
-        named = [v for v in audit.collision_violations if v.startswith(prefix)]
+        named = [v for v in _replay_slots(run, lanes) if v.startswith(prefix)]
         assert len(named) == 1
         assert f"{child.center}->{parent.center}" in named[0]
         assert f"{parent.center}->{grandparent.center}" in named[0]
@@ -299,6 +337,67 @@ class TestValidateRun:
         audit = validate_run(run)
         assert not audit.collision_free and audit.oblivious and audit.energy_exact
         assert audit.collision_violations == [f"cells [{len(run.grid)}] are in no color class"]
+
+    @pytest.mark.parametrize("block", [7, 64, 1 << 18])
+    def test_containment_in_blocks_equals_the_per_cell_check(self, monkeypatch, block):
+        # Blocks of members cut cells anywhere; moved members, a moved center
+        # and a member outside the square must each open their own cell.
+        import noisyplanar.harness as hz
+
+        cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1)
+        run = run_trial(cfg, 2000, 0)
+        grid, positions = run.grid, run.instance.positions.copy()
+        positions[grid.cell(3).members[-1]] = positions[grid.cell(40).members[0]]
+        positions[grid.cell(57).center] = (0.999, 0.001)
+        positions[grid.cell(90).members[1]] = (1.5, 0.5)
+        monkeypatch.setattr(hz, "_CONTAINED_BLOCK", block)
+        got = hz._contained(grid, positions)
+        want = [
+            all(0 <= x <= 1 and 0 <= y <= 1 for x, y in positions[c.members])
+            and (_cell_index(positions[c.members], grid.grid_dim) == c.index - 1).all()
+            for c in grid
+        ]
+        assert got.tolist() == want
+        assert np.flatnonzero(~got).tolist() == [2, 56, 89]
+
+    def test_links_of_a_cell_in_no_class_keep_their_periodic_lanes(self, monkeypatch):
+        # Stage 2 and the relay take a link's lane from one source, its deeper
+        # cell's periodic color: with the last cell left out of the coloring,
+        # that cell's stage-2 link fires in its color's upward lane and its
+        # relay link in the downward bank, not in lane -1 + (0 or 81).
+        import noisyplanar.harness as hz
+
+        full = hz.color_cells
+
+        def short(grid, params):
+            colors = full(grid, params).colors.copy()
+            colors[len(grid)] = -1
+            return Coloring(colors)
+
+        heard = []
+
+        def hook(slot, tx, rx, channel):
+            heard.append((slot - channel.metrics.slots_total, tx, rx))
+            return 0.1
+
+        monkeypatch.setattr(hz, "color_cells", short)
+        cfg = ExperimentConfig(protocol="max", mode="repetition", n=(2000,), trials=1,
+                               eps0=0.1, base_seed=13)
+        run = run_trial(cfg, 2000, 0, noise=NoiseModel(0.1, hook))
+        grid, params = run.grid, run.params
+        last = len(grid)
+        assert last == 100 and run.coloring.colors[last] == -1
+        up = slice(len(heard))
+        distribute_result(run.tree, run.plan, run.computed, run.link_config,
+                          run.stage1_config.r2, run.channel, grid, params, run.coloring)
+        down = slice(up.stop, len(heard))
+        child, parent = grid.centers[[last - 1, run.tree.parent(last) - 1]]
+        lanes = lambda part, tx, rx: {
+            int(at % params.link_slot_span) for at, t, r in heard[part] if (t, r) == (tx, rx)
+        }
+        color = int(_cell_colors(last, grid.grid_dim, params.reuse_distance)[last])
+        assert lanes(up, child, parent) == {color}
+        assert lanes(down, parent, child) == {params.interference_bound + 1 + color}
 
     def test_cells_in_no_class_are_named(self):
         cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.1, base_seed=13)
@@ -426,13 +525,17 @@ class TestValidateRun:
     @pytest.mark.parametrize("protocol", ["max", "hist"])
     def test_flipped_bits_follow_the_same_schedule(self, protocol, monkeypatch):
         # The flipped-bit run is the reference for obliviousness: explicit
-        # bits keep the trial's placement and noise stream and flip every bit.
+        # bits keep the trial's placement and noise stream, and two explicit
+        # inputs that differ in every bit share one relabelling, so they
+        # reach the nodes differing in every bit.
         import noisyplanar.harness as hz
 
         cfg = ExperimentConfig(protocol=protocol, n=(800,), trials=1, eps0=0.1)
-        run = run_trial(cfg, 800, 0, capture_trace=True)
+        drawn = run_trial(cfg, 800, 0).instance.bits
+        run = run_trial(replace(cfg, bit_source="explicit", bits=tuple(drawn)), 800, 0,
+                        capture_trace=True)
         bits = run.instance.bits
-        flipped_cfg = replace(cfg, bit_source="explicit", bits=tuple(1 - bits))
+        flipped_cfg = replace(cfg, bit_source="explicit", bits=tuple(1 - drawn))
         flipped = run_trial(flipped_cfg, 800, 0, capture_trace=True)
         assert np.array_equal(flipped.instance.positions, run.instance.positions)
         assert np.array_equal(flipped.instance.bits, 1 - bits)
@@ -558,12 +661,14 @@ def _reference_single_hop(run, layout):
 
 
 def _reference_replay_slots(run, report):
-    """The per-subslot stage-2 replay: one resolve_slot call per subslot."""
+    """The per-subslot stage-2 replay: one resolve_slot call per subslot, a
+    link in its deeper cell's periodic color, whatever the coloring."""
     params, grid = run.params, run.grid
     positions = run.instance.positions
     rng = np.random.default_rng(0)
     noiseless = NoiseModel(0.0)
-    color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
+    m, d = grid.grid_dim, params.reuse_distance
+    color_of = {j: ((j - 1) // m % d) * d + (j - 1) % m % d for j in range(1, len(grid) + 1)}
     for si, stage in enumerate(run.plan.stages):
         groups = {}
         for array in stage.arrays:
@@ -600,6 +705,16 @@ def _move_cell(coloring, cell, color):
     colors = coloring.colors.copy()
     colors[cell] = color
     return Coloring(colors)
+
+
+def _shift_center(run, cell):
+    """The run's world with the cell's center moved half the square along
+    each axis (wrapping), about 0.71 from where it was: out of its cell, and
+    out of range of the centers it links with."""
+    positions = run.instance.positions.copy()
+    center = run.grid.centers[cell - 1]
+    positions[center] = (positions[center] + 0.5) % 1.0
+    return replace(run.instance, positions=positions, occupancies=None)
 
 
 def _hand_grid(*cells):
@@ -776,11 +891,12 @@ class TestAuditProof:
 class TestReplayIsArrayLevel:
     @pytest.mark.parametrize("protocol", ["max", "hist"])
     def test_one_array_call_per_stage2_stage(self, monkeypatch, protocol):
-        # A default run is proven from geometry and replays nothing.  The
-        # moved-child fixture breaks the periodic coloring, so stage 2 is
-        # replayed: a replay that falls back to per-subslot or per-link work
-        # makes more calls or returns something other than one kind array
-        # per call.
+        # A default run is proven from geometry and replays nothing; nor does
+        # a coloring off the periodic rule, since a link's lane does not read
+        # the coloring.  A center moved out of its cell breaks containment,
+        # so stage 2 is replayed: a replay that falls back to per-subslot or
+        # per-link work makes more calls or returns something other than one
+        # kind array per call.
         import noisyplanar.harness as hz
 
         cfg = ExperimentConfig(protocol=protocol, n=(2000,), trials=1, eps0=0.1)
@@ -797,9 +913,11 @@ class TestReplayIsArrayLevel:
         assert returned == []
         color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
         array = next(a.cells for st in run.plan.stages for a in st.arrays if len(a.cells) >= 3)
-        run.coloring = _move_cell(run.coloring, array[0], color_of[array[1]])
+        plain = run.coloring
+        run.coloring = _move_cell(plain, array[0], color_of[array[1]])
+        assert not validate_run(run).passed and returned == []
+        run.coloring, run.instance = plain, _shift_center(run, array[0])
         assert not validate_run(run).passed
-        color_of = {j: cls.color for cls in run.coloring for j in cls.cells}
         subslots = sum(
             len({color_of[j] for array in stage.arrays for j in array.cells[:-1]})
             for stage in run.plan.stages
@@ -840,13 +958,13 @@ class TestLocalPairingAgainstDenseOracle:
     @pytest.mark.parametrize("n", [8000, 32768])
     @pytest.mark.parametrize("protocol", ["max", "hist"])
     def test_every_replay_call_equals_the_dense_oracle(self, monkeypatch, protocol, n):
-        # Every call the audit makes on the pairwise-merged and moved-cell
-        # colorings (one per stage-2 stage; the plain coloring is proven and
-        # makes none), and one class-sized two-slot call per class of each
-        # coloring (each cell's first member, then its center, transmit;
-        # every member of the class listens in both slots), is made again
-        # with random bits and noise, against one dense single-slot call per
-        # slot.
+        # Every call the audit makes on a world with one center moved out of
+        # its cell (one per stage-2 stage; the plain world is proven and
+        # makes none, under any coloring), and one class-sized two-slot call
+        # per class of the plain, pairwise-merged and moved-cell colorings
+        # (each cell's first member, then its center, transmit; every member
+        # of the class listens in both slots), is made again with random bits
+        # and noise, against one dense single-slot call per slot.
         import noisyplanar.harness as hz
 
         cfg = ExperimentConfig(protocol=protocol, n=(n,), trials=1, eps0=0.1)
@@ -879,7 +997,10 @@ class TestLocalPairingAgainstDenseOracle:
                     (slots.repeat(sizes.size), txs, 0, np.tile(members, 2), *world),
                     slots.repeat(members.size),
                 ))
-        assert len(calls) == 3 * len(run.plan.stages)  # the plain coloring is proven
+        assert calls == []  # the plain world is proven
+        run.coloring, run.instance = plain, _shift_center(run, array[0])
+        validate_run(run)
+        assert len(calls) == len(run.plan.stages)
         calls += class_calls
         rng = np.random.default_rng(n)
         kinds = set()

@@ -41,6 +41,7 @@ from noisyplanar.intracell import (
     witness_discovery,
 )
 from noisyplanar.harness import run_trial
+from noisyplanar.intercell import run_stage2_max
 
 from conftest import merge_pairwise, schedule_per_cell, stage1_keys
 
@@ -257,17 +258,26 @@ class TestRunStage1Max:
             assert result.witnesses[c.index] in c.members
 
     def test_noiseless_max_where_the_largest_cell_is_a_power_of_two(self):
-        # The n = 2000 world of base seed 1 has a largest cell of exactly 32
-        # nodes, so its last member's index, 31, takes all five message bits.
-        cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.0, base_seed=1)
-        grid = run_trial(cfg, 2000, 0).grid
+        # The n = 2000 world of base seed 2 (base seed 1 up to RNG layout 6)
+        # has a largest cell of exactly 32 nodes, so its last member's index,
+        # 31, takes all five message bits.  Explicit bits are relabelled, so
+        # the trial's own world and code run again on bits set by id.
+        cfg = ExperimentConfig(protocol="max", n=(2000,), trials=1, eps0=0.0, base_seed=2)
+        run = run_trial(cfg, 2000, 0)
+        grid = run.grid
         assert int(grid.occupancies().max()) == 32
-        bits = np.zeros(2000, dtype=int)
+        bits = np.zeros(2000, dtype=np.int8)
         bits[[c.members[-1] for c in grid]] = 1  # each cell's last member is its witness
-        run = run_trial(replace(cfg, bit_source="explicit", bits=tuple(bits.tolist())), 2000, 0)
+        channel = Channel(
+            run.instance.with_bits(bits), run.params, NoiseModel(0.0), np.random.default_rng(0)
+        )
+        stage1 = run_stage1_max(grid, run.coloring, run.stage1_config, channel)
+        computed = run_stage2_max(
+            run.plan, stage1.values, run.link_config, channel, grid, run.params, run.tree
+        )
         assert run.stage1_config.id_code.msg_bits == 5
-        assert run.stage1.witnesses[1:].tolist() == [int(c.members[-1]) for c in grid]
-        assert set(run.stage1.values[1:].tolist()) == {1} and run.computed == 1
+        assert stage1.witnesses[1:].tolist() == [int(c.members[-1]) for c in grid]
+        assert set(stage1.values[1:].tolist()) == {1} and computed == 1
 
     def test_n5000_transmission_identity(self):
         # 9 per node plus 52 + 27 per cell: 9 * 5000 + 225 * 79 = 62775.
@@ -331,26 +341,28 @@ class TestRunStage1Hist:
 
 
 def hist_per_cell(grid, coloring, config, channel):
-    """Histogram counting with one draw and one count per cell: the reference
-    for counting a whole color class at once."""
+    """Histogram counting with one draw and one count per cell, cell by cell
+    in cell order at its class's first slot: the reference for counting
+    every cell at once."""
     counts = np.zeros(len(grid) + 1, dtype=np.int64)
     reps = config.r2
-    for cls, base, span, _ in zip(coloring, *stage1_layout(grid, coloring, config, "hist")):
-        for j in cls.cells:
-            cell = grid.cell(j)
-            members = np.array(cell.members)
-            n_members = len(members)
-            bits = channel.instance.bits[members]
-            slots = base + np.arange(n_members * reps).reshape(n_members, reps)
-            txs = members[:, None]
-            where = lambda at: (slots[at], txs[at], cell.center)
-            wrong = channel.majority_mask((n_members, reps), where=where)
-            decoded = (bits ^ wrong).astype(np.int8)
-            decoded[members == cell.center] = bits[members == cell.center]
-            channel.record("hist_count", members, slots[:, 0], reps)
-            channel.metrics.add("stage1", tx=reps * n_members, rx=reps * n_members * (n_members - 1))
-            counts[j] = int(decoded.sum())
-        channel.metrics.add("stage1", slots=span)
+    layout = stage1_layout(grid, coloring, config, "hist")
+    base_of = {j: base for cls, base in zip(coloring, layout[0]) for j in cls.cells}
+    for j in sorted(base_of):
+        cell = grid.cell(j)
+        members = np.array(cell.members)
+        n_members = len(members)
+        bits = channel.instance.bits[members]
+        slots = base_of[j] + np.arange(n_members * reps).reshape(n_members, reps)
+        txs = members[:, None]
+        where = lambda at: (slots[at], txs[at], cell.center)
+        wrong = channel.majority_mask((n_members, reps), where=where)
+        decoded = (bits ^ wrong).astype(np.int8)
+        decoded[members == cell.center] = bits[members == cell.center]
+        channel.record("hist_count", members, slots[:, 0], reps)
+        channel.metrics.add("stage1", tx=reps * n_members, rx=reps * n_members * (n_members - 1))
+        counts[j] = int(decoded.sum())
+    channel.metrics.add("stage1", slots=int(layout[1].sum()))
     return counts
 
 
@@ -507,17 +519,19 @@ ENTRY_POINTS = (witness_discovery, distribute_identity, confirm_value)
 
 def max_phase_major(grid, coloring, config, channel, phases=REFERENCES):
     """MAX stage 1 through per-cell phases (the references by default) in
-    phase-major order (RNG layouts 3 and 4) -- discovery in every cell, then
-    identity, then confirmation, each class by class and cell by cell: the
-    reference for the block-drawn run."""
+    phase-major order -- discovery in every cell, then identity, then
+    confirmation, each cell by cell in cell order at its class's slots (RNG
+    layout 7; layouts 3 to 6 went class by class): the reference for the
+    block-drawn run."""
     discover, identify, confirm = phases
     result = Stage1Result(*(np.zeros(len(grid) + 1, dtype=np.int64) for _ in range(2)))
     layout = stage1_layout(grid, coloring, config, "max")
-    cells = [
-        (grid.cell(j), *config.phase_slots(base, max_members))
-        for cls, base, _, max_members in zip(coloring, *layout)
-        for j in cls.cells
-    ]
+    cells = sorted(
+        ((grid.cell(j), *config.phase_slots(base, max_members))
+         for cls, base, _, max_members in zip(coloring, *layout)
+         for j in cls.cells),
+        key=lambda entry: entry[0].index,
+    )
     for cell, base, _, _ in cells:
         result.witnesses[cell.index] = discover(cell, config, channel, slot0=base)
     believers = [
